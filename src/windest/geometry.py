@@ -14,6 +14,18 @@ radians to first order.  Error quaternions compose on the left:
 
 All functions broadcast over leading axes; the quaternion / vector lives
 on the last axis.
+
+Explicit kernels
+----------------
+``cross``, ``dot`` and ``norm`` work on the last axis with one numpy
+operation per vector component, and the quaternion functions are built
+on them.  The filter calls them once per sigma point batch (37 rows) at
+every event, where ``np.cross`` spends most of its time in ``moveaxis``
+and axis normalization rather than arithmetic, and ``np.linalg.norm``
+and ``np.sum`` pay for a general reduction.  The kernels keep numpy's
+term order (``np.cross``'s products, left-to-right sums as numpy's
+reductions take them over a short last axis), so they agree with the
+calls they replace bit for bit.
 """
 
 from __future__ import annotations
@@ -30,10 +42,40 @@ class CovarianceError(RuntimeError):
     """Raised when a covariance cannot be factorized even after jitter."""
 
 
+def cross(a, b):
+    """a x b over the last axis (length 3), broadcasting like np.cross."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    c0 = a1 * b2 - a2 * b1
+    out = np.empty(c0.shape + (3,))
+    out[..., 0] = c0
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
+def dot(a, b):
+    """Sum of a * b over the last axis, summed left to right."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    s = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        s = s + a[..., k] * b[..., k]
+    return s
+
+
+def norm(x, keepdims=False):
+    """Euclidean norm over the last axis."""
+    n = np.sqrt(dot(x, x))
+    return n[..., None] if keepdims else n
+
+
 def quat_normalize(q):
     q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q, axis=-1, keepdims=True)
-    if np.any(n < 1e-12):
+    n = norm(q, keepdims=True)
+    if (n < 1e-12).any():
         raise ValueError("cannot normalize a zero quaternion")
     return q / n
 
@@ -51,9 +93,11 @@ def quat_multiply(a, b):
     b = np.asarray(b, dtype=float)
     aw, av = a[..., :1], a[..., 1:]
     bw, bv = b[..., :1], b[..., 1:]
-    w = aw * bw - np.sum(av * bv, axis=-1, keepdims=True)
-    v = aw * bv + bw * av + np.cross(av, bv)
-    return np.concatenate([w, v], axis=-1)
+    w = a[..., 0] * b[..., 0] - dot(av, bv)
+    out = np.empty(w.shape + (4,))
+    out[..., 0] = w
+    out[..., 1:] = aw * bv + bw * av + cross(av, bv)
+    return out
 
 
 def quat_rotate(q, v):
@@ -61,8 +105,8 @@ def quat_rotate(q, v):
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     qw, qv = q[..., :1], q[..., 1:]
-    t = 2.0 * np.cross(qv, v)
-    return v + qw * t + np.cross(qv, t)
+    t = 2.0 * cross(qv, v)
+    return v + qw * t + cross(qv, t)
 
 
 def quat_to_matrix(q):
@@ -103,11 +147,13 @@ def matrix_to_quat(R):
 def quat_from_axis_angle(phi):
     """Exponential map: rotation vector (rad) -> unit quaternion."""
     phi = np.asarray(phi, dtype=float)
-    angle = np.linalg.norm(phi, axis=-1, keepdims=True)
-    half = 0.5 * angle
+    half = 0.5 * norm(phi, keepdims=True)
     # sin(half)/angle, continuous through zero
     k = 0.5 * np.sinc(half / np.pi)
-    return np.concatenate([np.cos(half), k * phi], axis=-1)
+    out = np.empty(phi.shape[:-1] + (4,))
+    out[..., :1] = np.cos(half)
+    out[..., 1:] = k * phi
+    return out
 
 
 def quat_integrate(q, omega, dt):

@@ -207,6 +207,9 @@ class WhiskerDriver:
         self.lp = None  # (n, 3) low-pass reference, seeded on calibrate/first sample
         self.thresholds = np.full((n, 3), config.threshold_floor)
         self.offsets = np.zeros((n, 2))
+        # south-up mounts decode the negated field
+        south_up = [m.polarity == whisker.SOUTH_UP for m in rig.mounts]
+        self.sign = np.where(south_up, -1.0, 1.0).reshape(n, 1)
 
     def calibrate(self, b_window):
         """Startup calibration from an (m, n_sensors, 3) stack of rest data.
@@ -236,11 +239,9 @@ class WhiskerDriver:
             self.lp = b.copy()
         accept = np.all(np.abs(b - self.lp) <= self.thresholds, axis=1)
         self.lp = (1.0 - self.config.alpha) * self.lp + self.config.alpha * b
-        theta = np.full((len(self.rig), 2), np.nan)
-        for i, m in enumerate(self.rig.mounts):
-            if accept[i]:
-                raw = whisker.decode_field(b[i], m.polarity) - self.offsets[i]
-                theta[i] = np.clip(raw, -self.config.clamp, self.config.clamp)
+        raw = whisker.decode_field(self.sign * b) - self.offsets
+        theta = np.clip(raw, -self.config.clamp, self.config.clamp)
+        theta[~accept] = np.nan
         return theta, accept
 
     def run(self, t, b_stack, calibrate=True):

@@ -19,7 +19,7 @@ from . import lstm as lstm_mod
 from . import logio, sim, ukf
 from .geometry import UtParams, quat_rotate
 from .logio import DriverConfig, FlightLog, WhiskerDriver
-from .vehicle import VehicleParams, drag_force
+from .vehicle import VehicleParams, WrenchInput, drag_force
 from .whisker import WhiskerRig, default_rig
 
 
@@ -136,9 +136,16 @@ def driver_angles(log: FlightLog, cfg: EstimatorConfig):
     return ch.t, theta, accept
 
 
-def pseudo_airflow(log: FlightLog, cfg: EstimatorConfig, params: lstm_mod.LstmParams, theta=None):
-    """LSTM relative-airflow pseudo measurements on the whisker clock."""
-    rs = logio.resample_to_clock(log, "whisker")
+def pseudo_airflow(
+    log: FlightLog, cfg: EstimatorConfig, params: lstm_mod.LstmParams, theta=None, rs=None
+):
+    """LSTM relative-airflow pseudo measurements on the whisker clock.
+
+    theta, if given, holds the driver angles already on the resampled
+    clock; rs, if given, is resample_to_clock(log, "whisker").
+    """
+    if rs is None:
+        rs = logio.resample_to_clock(log, "whisker")
     if theta is None:
         _, theta, _ = driver_angles(log, cfg)
         idx = logio.zoh_indices(log["whisker"].t, rs.t)
@@ -169,10 +176,17 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
     if source == "lstm":
         if weights is None:
             raise ValueError("lstm source needs weights")
-        rs_clock = logio.resample_to_clock(log, "whisker").t
-        theta_rs = theta[logio.zoh_indices(t_whisk, rs_clock)]
-        t_pseudo, vinf_pred = pseudo_airflow(log, cfg, weights, theta=theta_rs)
+        rs = logio.resample_to_clock(log, "whisker")
+        theta_rs = theta[logio.zoh_indices(t_whisk, rs.t)]
+        t_pseudo, vinf_pred = pseudo_airflow(log, cfg, weights, theta=theta_rs, rs=rs)
         pseudo_lookup = {round(t, 9): k for k, t in enumerate(t_pseudo)}
+    # columns read once, so each event costs the same however long the log
+    odo_p = odo_ch.col("px", "py", "pz")
+    odo_q = odo_ch.col("qw", "qx", "qy", "qz")
+    odo_v = odo_ch.col("vx", "vy", "vz")
+    odo_w = odo_ch.col("wx", "wy", "wz")
+    thr_f = thr_ch.col("f_cmd")
+    thr_tau = thr_ch.col("tau_x", "tau_y", "tau_z")
 
     # event table: (t, kind, row); kinds ordered so commands refresh first
     events = []
@@ -185,34 +199,28 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
     events.sort(key=lambda e: (e[0], e[1]))
 
     odo_cov = cfg.meas.odometry_cov()
-    wrench = np.array([cfg.vehicle.mass * cfg.vehicle.gravity, 0.0, 0.0, 0.0])
+    wrench = WrenchInput(cfg.vehicle.mass * cfg.vehicle.gravity, np.zeros(3))
     belief = None
     out_t, out_rows = [], []
+
+    def odometry(k):
+        return ukf.OdometryMeasurement(odo_p[k], odo_q[k], odo_v[k], odo_w[k], odo_cov)
 
     for t, kind, k in events:
         if belief is None:
             if kind == 1:
-                z = _odo_measurement(odo_ch, k, odo_cov)
+                z = odometry(k)
                 belief = ukf.init_belief(
                     t, z, sigma_touch=cfg.init_sigma_touch, sigma_wind=cfg.init_sigma_wind
                 )
             continue
         dt = t - belief.t
         if dt > 1e-12:
-            belief = ukf.predict(
-                belief,
-                _wrench_input(wrench),
-                dt,
-                cfg.process,
-                cfg.vehicle,
-                cfg.ut,
-            )
+            belief = ukf.predict(belief, wrench, dt, cfg.process, cfg.vehicle, cfg.ut)
         if kind == 0:
-            wrench = np.concatenate(
-                [[thr_ch.col("f_cmd")[k]], thr_ch.col("tau_x", "tau_y", "tau_z")[k]]
-            )
+            wrench = WrenchInput(float(thr_f[k]), thr_tau[k])
         elif kind == 1:
-            z = _odo_measurement(odo_ch, k, odo_cov)
+            z = odometry(k)
             belief, _ = ukf.update_odometry(belief, z, gate=cfg.gate)
         else:
             if source == "model":
@@ -233,22 +241,6 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
     if not out_rows:
         raise ValueError("log produced no estimates (no odometry before whisker data?)")
     return np.array(out_t), np.array(out_rows)
-
-
-def _wrench_input(wrench):
-    from .vehicle import WrenchInput
-
-    return WrenchInput(float(wrench[0]), wrench[1:4])
-
-
-def _odo_measurement(ch, k, cov):
-    return ukf.OdometryMeasurement(
-        p=ch.col("px", "py", "pz")[k],
-        q=ch.col("qw", "qx", "qy", "qz")[k],
-        v=ch.col("vx", "vy", "vz")[k],
-        omega=ch.col("wx", "wy", "wz")[k],
-        cov=cov,
-    )
 
 
 def training_block(log: FlightLog, cfg: EstimatorConfig, skip=1.0):

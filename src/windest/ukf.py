@@ -19,6 +19,7 @@ every measurement update.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,10 +218,16 @@ def _apply_linear_update(belief, innov, h_idx, r_cov, gate):
     return _fold_reference(out), True
 
 
+@functools.lru_cache(maxsize=None)
+def gate_threshold(quantile, dim):
+    """Chi-square quantile for a dim-dimensional innovation, computed once."""
+    return float(chi2.ppf(quantile, dim))
+
+
 def gate_accepts(innov, S, quantile=GATE_QUANTILE):
     """Mahalanobis innovation test at the given chi-square quantile."""
     d2 = innov @ np.linalg.solve(S, innov)
-    return d2 <= chi2.ppf(quantile, innov.shape[0])
+    return d2 <= gate_threshold(quantile, innov.shape[0])
 
 
 def update_odometry(belief: BeliefState, z: OdometryMeasurement, gate=False):
@@ -279,15 +286,15 @@ def update_airflow(
     valid = np.all(np.isfinite(theta), axis=1)
     if not np.any(valid):
         return belief.copy(), False
-    mounts = [m for m, ok in zip(rig.mounts, valid) if ok]
-    sub = whisker.WhiskerRig(mounts)
     z = theta[valid].ravel()
     sig = np.broadcast_to(np.asarray(r_sigma, dtype=float), (len(rig),))[valid]
     r_cov = np.diag(np.repeat(sig**2, 2))
 
     def h_batch(pts, q_ref):
         q = quat_normalize(quat_multiply(geometry.quat_from_mrp(pts[:, IDX_A]), q_ref))
-        pred = whisker.rig_predict(q, pts[:, IDX_V], pts[:, IDX_W], pts[:, IDX_WIND], sub)
+        pred = whisker.rig_predict(
+            q, pts[:, IDX_V], pts[:, IDX_W], pts[:, IDX_WIND], rig, sensors=valid
+        )
         return pred.reshape(pts.shape[0], -1)
 
     return _ut_update(belief, z, r_cov, h_batch, ut, gate)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import quat_from_axis_angle, quat_multiply, quat_normalize, quat_rotate
+from .geometry import cross, norm, quat_from_axis_angle, quat_multiply, quat_normalize, quat_rotate
 
 GRAVITY = 9.81
 _DRAG_EPS = 1e-9
@@ -97,7 +97,7 @@ def drag_force(v_inf, params: VehicleParams):
     floor to avoid a 0/0 direction.
     """
     v_inf = np.asarray(v_inf, dtype=float)
-    speed = np.linalg.norm(v_inf, axis=-1, keepdims=True)
+    speed = norm(v_inf, keepdims=True)
     factor = np.where(speed < _DRAG_EPS, 0.0, params.mu1 + params.mu2 * speed)
     return factor * v_inf
 
@@ -109,7 +109,7 @@ def continuous_dynamics(x: VehicleState, u: WrenchInput, d: DisturbanceInput, pa
     v_dot = (thrust_w + f_drag + d.touch) / params.mass + params.gravity_vec
     q_dot = 0.5 * quat_multiply(x.q, np.concatenate([[0.0], x.omega]))
     w_dot = params.inertia_inv @ (
-        np.asarray(u.torque, dtype=float) - np.cross(x.omega, params.inertia @ x.omega)
+        np.asarray(u.torque, dtype=float) - cross(x.omega, params.inertia @ x.omega)
     )
     return x.v.copy(), v_dot, q_dot, w_dot
 
@@ -124,15 +124,15 @@ def _deriv(y, thrust, torque, wind, touch, params):
     w = y[10:13]
     qw, qv = q[0], q[1:]
     e3_body = np.array([0.0, 0.0, thrust])
-    t = 2.0 * np.cross(qv, e3_body)
-    thrust_w = e3_body + qw * t + np.cross(qv, t)
+    t = 2.0 * cross(qv, e3_body)
+    thrust_w = e3_body + qw * t + cross(qv, t)
     v_inf = wind - v
     speed = np.sqrt(v_inf @ v_inf)
     factor = 0.0 if speed < _DRAG_EPS else params.mu1 + params.mu2 * speed
     v_dot = (thrust_w + factor * v_inf + touch) / params.mass + params.gravity_vec
     # quaternion derivative for body rate w
-    q_dot = 0.5 * np.concatenate([[-qv @ w], qw * w + np.cross(qv, w)])
-    w_dot = params.inertia_inv @ (torque - np.cross(w, params.inertia @ w))
+    q_dot = 0.5 * np.concatenate([[-qv @ w], qw * w + cross(qv, w)])
+    w_dot = params.inertia_inv @ (torque - cross(w, params.inertia @ w))
     out = np.empty(13)
     out[0:3] = v
     out[3:6] = v_dot
@@ -164,10 +164,10 @@ def euler_step_arrays(p, v, q, w, thrust, torque, touch, v_wind, params: Vehicle
     shared across the batch.  Returns the advanced (p, v, q, w).
     """
     v_inf = v_wind - v
-    speed = np.linalg.norm(v_inf, axis=-1, keepdims=True)
+    speed = norm(v_inf, keepdims=True)
     factor = np.where(speed < _DRAG_EPS, 0.0, params.mu1 + params.mu2 * speed)
     thrust_w = quat_rotate(q, np.array([0.0, 0.0, float(thrust)]))
     v_dot = (thrust_w + factor * v_inf + touch) / params.mass + params.gravity_vec
-    w_dot = (torque - np.cross(w, w @ params.inertia.T)) @ params.inertia_inv.T
+    w_dot = (torque - cross(w, w @ params.inertia.T)) @ params.inertia_inv.T
     q_new = quat_multiply(q, quat_from_axis_angle(w * dt))
     return p + v * dt, v + v_dot * dt, q_new, w + w_dot * dt

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import quat_rotate
+from .geometry import cross, norm, quat_rotate
 
 NORTH_UP = "north_up"
 SOUTH_UP = "south_up"
@@ -89,7 +89,7 @@ def whisker_drag(v_inf_s, rho, c_d, a_xy):
 def predict_deflection(v_inf_s, coeff):
     """Deflection angles for sensor-frame relative airflow v_inf_s."""
     v_inf_s = np.asarray(v_inf_s, dtype=float)
-    speed = np.linalg.norm(v_inf_s, axis=-1)
+    speed = norm(v_inf_s)
     theta_x = -coeff * speed * v_inf_s[..., 1]
     theta_y = coeff * speed * v_inf_s[..., 0]
     return np.stack([theta_x, theta_y], axis=-1)
@@ -123,20 +123,27 @@ def sensor_airflow(v_inf_b, omega, mount: SensorMount):
     """
     v_inf_b = np.asarray(v_inf_b, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    local = v_inf_b - np.cross(omega, mount.r)
+    local = v_inf_b - cross(omega, mount.r)
     return local @ mount.rot  # (rot.T @ local.T).T
 
 
 @dataclass
 class WhiskerRig:
+    """The sensor mounts of one vehicle, fixed after construction.
+
+    The mount positions, rotations and coefficients are also stacked once
+    into arrays (r (n, 3), rot (n, 3, 3), coeff (n,)) for rig_predict.
+    """
+
     mounts: list[SensorMount] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.r = np.array([m.r for m in self.mounts]).reshape(-1, 3)
+        self.rot = np.array([m.rot for m in self.mounts]).reshape(-1, 3, 3)
+        self.coeff = np.array([m.coeff for m in self.mounts], dtype=float)
 
     def __len__(self):
         return len(self.mounts)
-
-    @property
-    def coeffs(self):
-        return np.array([m.coeff for m in self.mounts])
 
 
 def default_rig():
@@ -168,15 +175,23 @@ def default_rig():
     )
 
 
-def rig_predict(q_wb, v_w, omega_b, v_wind_w, rig: WhiskerRig):
+def rig_predict(q_wb, v_w, omega_b, v_wind_w, rig: WhiskerRig, sensors=None):
     """Predicted deflections for every mount, shape (..., n_sensors, 2).
 
     Inputs may carry a leading batch axis (all broadcast together):
     attitude q_wb, world velocity v_w, body rates omega_b and world wind
-    v_wind_w.
+    v_wind_w.  sensors (a boolean mask or index array over the mounts)
+    restricts the prediction to those mounts, in mount order.
     """
+    r, rot, coeff = rig.r, rig.rot, rig.coeff
+    if sensors is not None:
+        r, rot, coeff = r[sensors], rot[sensors], coeff[sensors]
     v_inf_b = body_airflow(q_wb, v_wind_w, v_w)
-    out = [
-        predict_deflection(sensor_airflow(v_inf_b, omega_b, m), m.coeff) for m in rig.mounts
-    ]
-    return np.stack(out, axis=-2)
+    omega_b = np.asarray(omega_b, dtype=float)
+    batch = (1,) * (max(v_inf_b.ndim, omega_b.ndim) - 1)
+    # mount-major (n, ..., 3): each mount's slice is the array sensor_airflow
+    # would rotate, so its matrix product rounds exactly as it does there
+    local = v_inf_b - cross(omega_b, r.reshape((-1,) + batch + (3,)))
+    v_s = np.stack([local[i] @ rot[i] for i in range(len(r))])
+    theta = predict_deflection(v_s, coeff.reshape((-1,) + batch))
+    return theta.transpose(tuple(range(1, theta.ndim - 1)) + (0, theta.ndim - 1))

@@ -132,6 +132,70 @@ def test_integrate_two_half_steps():
 
 
 # --------------------------------------------------------------------------
+# explicit last-axis kernels
+
+
+def np_cross_multiply(a, b):
+    """The Hamilton product as written with np.cross and np.sum."""
+    aw, av = a[..., :1], a[..., 1:]
+    bw, bv = b[..., :1], b[..., 1:]
+    w = aw * bw - np.sum(av * bv, axis=-1, keepdims=True)
+    return np.concatenate([w, aw * bv + bw * av + np.cross(av, bv)], axis=-1)
+
+
+def np_cross_rotate(q, v):
+    qw, qv = q[..., :1], q[..., 1:]
+    t = 2.0 * np.cross(qv, v)
+    return v + qw * t + np.cross(qv, t)
+
+
+@pytest.mark.parametrize("shapes", [((50, 3), (50, 3)), ((50, 3), (3,)), ((3,), (3,)),
+                                    ((3,), (50, 3)), ((4, 7, 3), (7, 3))])
+def test_cross_matches_numpy_bitwise(shapes):
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=shapes[0]) * 10.0 ** rng.integers(-6, 6, size=shapes[0])
+    b = rng.normal(size=shapes[1])
+    got = geo.cross(a, b)
+    assert got.shape == np.cross(a, b).shape
+    assert np.array_equal(got, np.cross(a, b))
+
+
+@pytest.mark.parametrize("shape", [(3,), (40, 3), (40, 4), (4,), (5, 6, 3)])
+def test_norm_and_dot_match_numpy_bitwise(shape):
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=shape) * rng.uniform(1e-3, 1e3, size=shape)
+    y = rng.normal(size=shape)
+    assert np.array_equal(geo.norm(x), np.linalg.norm(x, axis=-1))
+    assert np.array_equal(geo.norm(x, keepdims=True), np.linalg.norm(x, axis=-1, keepdims=True))
+    assert np.array_equal(geo.dot(x, y), np.sum(x * y, axis=-1))
+
+
+def test_multiply_matches_np_cross_formula_bitwise():
+    rng = np.random.default_rng(13)
+    a, b = random_quats(rng, 30), random_quats(rng, 30)
+    assert np.array_equal(quat_multiply(a, b), np_cross_multiply(a, b))
+    assert np.array_equal(quat_multiply(a[0], b), np_cross_multiply(a[0], b))
+    assert np.array_equal(quat_multiply(a, b[0]), np_cross_multiply(a, b[0]))
+    assert np.array_equal(quat_multiply(a[0], b[0]), np_cross_multiply(a[0], b[0]))
+    assert quat_multiply(a[0], b).shape == (30, 4)
+
+
+def test_rotate_matches_np_cross_formula_bitwise():
+    rng = np.random.default_rng(14)
+    q, v = random_quats(rng, 30), rng.normal(size=(30, 3))
+    assert np.array_equal(quat_rotate(q, v), np_cross_rotate(q, v))
+    assert np.array_equal(quat_rotate(q[0], v), np_cross_rotate(q[0], v))
+    assert np.array_equal(quat_rotate(q, v[0]), np_cross_rotate(q, v[0]))
+    assert quat_rotate(q[0], v).shape == (30, 3)
+
+
+def test_normalize_rejects_zero_in_batch():
+    q = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="zero quaternion"):
+        quat_normalize(q)
+
+
+# --------------------------------------------------------------------------
 # modified Rodrigues parameters
 
 

@@ -227,6 +227,31 @@ def test_driver_clamps_angles():
     assert theta[0, 1] == pytest.approx(0.5)  # arctan(3) clipped
 
 
+def test_driver_decode_matches_per_mount_decode():
+    """One decode call for the tick gives each mount's own decode, bit for bit."""
+    rig = default_rig()
+    rng = np.random.default_rng(63)
+    cfg = DriverConfig(threshold_floor=30.0, clamp=0.3)
+    drv = WhiskerDriver(rig, cfg)
+    polarity = np.array([1.0 if m.polarity == whisker.NORTH_UP else -1.0 for m in rig.mounts])
+    rest = polarity[:, None] * np.array([0.0, 0.0, 100.0])
+    drv.calibrate(rest + rng.normal(0.0, 2.0, size=(30, len(rig), 3)))
+    rejected = 0
+    for _ in range(200):
+        b = rest + rng.normal(0.0, 25.0, size=(len(rig), 3))
+        accept = np.all(np.abs(b - drv.lp) <= drv.thresholds, axis=1)
+        expect = np.full((len(rig), 2), np.nan)
+        for i, m in enumerate(rig.mounts):
+            if accept[i]:
+                raw = whisker.decode_field(b[i], m.polarity) - drv.offsets[i]
+                expect[i] = np.clip(raw, -cfg.clamp, cfg.clamp)
+        theta, got = drv.process(b)
+        assert np.array_equal(got, accept)
+        assert np.array_equal(theta, expect, equal_nan=True)
+        rejected += int((~accept).sum())
+    assert rejected > 0
+
+
 def test_driver_run_full_stream(hover_clean):
     log, sc = hover_clean
     fields = whisker_fields(log)

@@ -1,0 +1,92 @@
+"""Replay regression guards: golden estimate tables and per-event cost.
+
+The tables in tests/data were written with logio.save_estimate by the
+replay as it stood before its hot path was rewritten with explicit
+geometry kernels and columns read once per replay, on the flights the
+fixtures below simulate:
+
+    golden_estimate_model.csv  run_estimate(log, EstimatorConfig(), "model")
+                               on sim.four_phase_scenario(seed=7, phase_len=0.5)
+    golden_estimate_lstm.csv   run_estimate(log, EstimatorConfig(), "lstm",
+                               weights=lstm.init_params(np.random.default_rng(0)))
+                               on sim.hover_scenario(seed=8, duration=2.0)
+
+A change that alters the simulator's output for these seeds must
+regenerate them from the replay as it was before the change.
+"""
+
+import os
+
+import numpy as np
+import pytest
+
+from windest import logio, lstm, pipeline, sim
+from windest.logio import Channel, FlightLog
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+TOL = 1e-9
+
+
+@pytest.fixture(scope="module")
+def model_log():
+    return sim.run_scenario(sim.four_phase_scenario(seed=7, phase_len=0.5))
+
+
+@pytest.fixture(scope="module")
+def hover_log():
+    return sim.run_scenario(sim.hover_scenario(seed=8, duration=2.0))
+
+
+@pytest.fixture(scope="module")
+def weights():
+    return lstm.init_params(np.random.default_rng(0))
+
+
+def assert_matches_golden(name, t, table):
+    t_ref, table_ref = logio.load_estimate(os.path.join(DATA, name))
+    assert t.shape == t_ref.shape
+    assert np.array_equal(t, t_ref)
+    assert np.max(np.abs(table - table_ref)) <= TOL
+
+
+def test_model_route_matches_golden(model_log):
+    t, table = pipeline.run_estimate(model_log, pipeline.EstimatorConfig(), "model")
+    assert_matches_golden("golden_estimate_model.csv", t, table)
+
+
+def test_lstm_route_matches_golden(hover_log, weights):
+    t, table = pipeline.run_estimate(hover_log, pipeline.EstimatorConfig(), "lstm", weights=weights)
+    assert_matches_golden("golden_estimate_lstm.csv", t, table)
+
+
+def truncated(log: FlightLog, t_end):
+    out = FlightLog()
+    for name, ch in log.channels.items():
+        keep = ch.t <= t_end
+        out.channels[name] = Channel(name, ch.t[keep], ch.data[keep], list(ch.columns))
+    return out
+
+
+def col_calls(monkeypatch, log, **kwargs):
+    calls = []
+    col = Channel.col
+
+    def counting(self, *names):
+        calls.append(names)
+        return col(self, *names)
+
+    with monkeypatch.context() as m:
+        m.setattr(Channel, "col", counting)
+        pipeline.run_estimate(log, pipeline.EstimatorConfig(), **kwargs)
+    return len(calls)
+
+
+@pytest.mark.parametrize("source", ["model", "lstm"])
+def test_column_reads_do_not_grow_with_log_length(monkeypatch, hover_log, weights, source):
+    """Columns are read once per replay, not once per event."""
+    kwargs = {"source": source, "weights": weights if source == "lstm" else None}
+    short = truncated(hover_log, hover_log["truth"].t[-1] / 2.0)
+    n_short = col_calls(monkeypatch, short, **kwargs)
+    n_long = col_calls(monkeypatch, hover_log, **kwargs)
+    assert n_short == n_long
+    assert n_long < 20

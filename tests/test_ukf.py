@@ -232,6 +232,36 @@ def test_update_folds_attitude_error_into_reference():
     assert np.linalg.norm(out.q_ref) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_gate_thresholds_cached_per_dimension(monkeypatch):
+    from scipy.stats import chi2
+
+    calls = []
+
+    class CountingChi2:
+        @staticmethod
+        def ppf(q, dim):
+            calls.append(dim)
+            return chi2.ppf(q, dim)
+
+    ukf.gate_threshold.cache_clear()
+    monkeypatch.setattr(ukf, "chi2", CountingChi2)
+    rng = np.random.default_rng(70)
+    for dim in (3, 8, 12):
+        A = rng.normal(size=(dim, dim))
+        S = A @ A.T + dim * np.eye(dim)
+        for _ in range(20):
+            innov = rng.normal(size=dim) * rng.uniform(0.5, 2.5)
+            d2 = innov @ np.linalg.solve(S, innov)
+            assert ukf.gate_accepts(innov, S) == (d2 <= chi2.ppf(ukf.GATE_QUANTILE, dim))
+    # gated filter updates share the cache
+    b = hover_belief()
+    for _ in range(5):
+        update_odometry(b, odo_at(b, dp=(0.01, 0.0, 0.0)), gate=True)
+        update_pseudo_airflow(b, np.zeros(3), 0.09, gate=True)
+    assert sorted(calls) == [3, 8, 12]
+    ukf.gate_threshold.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # airflow update
 

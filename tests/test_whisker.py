@@ -204,3 +204,16 @@ def test_rig_predict_matches_per_mount():
     for i, m in enumerate(rig.mounts):
         expect = predict_deflection(sensor_airflow(body_airflow(q, wind, v), w, m), m.coeff)
         assert np.allclose(out[i], expect, atol=1e-12)
+
+
+def test_rig_predict_sensor_mask_matches_subrig():
+    rig = default_rig()
+    rng = np.random.default_rng(48)
+    q = quat_normalize(rng.normal(size=(9, 4)))
+    v, w, wind = rng.normal(size=(9, 3)), rng.normal(size=(9, 3)) * 0.3, rng.normal(size=(9, 3))
+    keep = np.array([True, False, True, True])
+    sub = wk.WhiskerRig([m for m, k in zip(rig.mounts, keep) if k])
+    out = rig_predict(q, v, w, wind, rig, sensors=keep)
+    assert out.shape == (9, 3, 2)
+    assert np.array_equal(out, rig_predict(q, v, w, wind, sub))
+    assert np.array_equal(out, rig_predict(q, v, w, wind, rig)[:, keep])
