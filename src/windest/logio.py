@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,18 +72,51 @@ class FlightLog:
         self.channels[name] = Channel(name, t, data, columns)
 
 
+def _write_csv(path, columns, t, data):
+    """Header line, then one row per sample with every value as %.17g.
+
+    Each row is formatted from Python floats with one format string (the
+    same text as one f-string per value) and written on its own, so the
+    file's text is never held whole.
+    """
+    row_fmt = ",".join(["%.17g"] * (len(columns) + 1)) + "\n"
+    with open(path, "w") as fh:
+        fh.write("t," + ",".join(columns) + "\n")
+        for tk, row in zip(t.tolist(), data.tolist()):
+            fh.write(row_fmt % (tk, *row))
+
+
 def save_log(log: FlightLog, directory):
     os.makedirs(directory, exist_ok=True)
     for name, ch in log.channels.items():
-        path = os.path.join(directory, f"{name}.csv")
-        with open(path, "w") as fh:
-            fh.write("t," + ",".join(ch.columns) + "\n")
-            for k in range(ch.t.shape[0]):
-                row = [f"{ch.t[k]:.17g}"] + [f"{v:.17g}" for v in ch.data[k]]
-                fh.write(",".join(row) + "\n")
+        _write_csv(os.path.join(directory, f"{name}.csv"), ch.columns, ch.t, ch.data)
+
+
+def _parse_rows(path, lines, width):
+    """Line-by-line parse of a CSV body that starts on line 2 of `path`."""
+    rows = []
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            raise LogFormatError(f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise LogFormatError(f"{path}:{lineno}: {exc}") from None
+    return np.array(rows) if rows else np.empty((0, width))
 
 
 def _load_csv(path):
+    """(t, data, data column names) of one CSV file.
+
+    The body is parsed in one np.loadtxt call, which reads floats with
+    the same routine as float().  If that fails, or finds rows of another
+    width than the header's (or none), _parse_rows reads the body again:
+    it accepts what float() accepts and names file:line of a bad row.
+    """
     with open(path) as fh:
         header = fh.readline()
         if not header:
@@ -90,21 +124,16 @@ def _load_csv(path):
         cols = [c.strip() for c in header.strip().split(",")]
         if cols[0] != "t":
             raise LogFormatError(f"{path}:1: first column must be 't', got {cols[0]!r}")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(cols):
-                raise LogFormatError(
-                    f"{path}:{lineno}: expected {len(cols)} fields, got {len(parts)}"
-                )
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise LogFormatError(f"{path}:{lineno}: {exc}") from None
-    arr = np.array(rows) if rows else np.empty((0, len(cols)))
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            arr = None
+        if arr is None or arr.shape[1] != len(cols):
+            fh.seek(0)
+            fh.readline()
+            arr = _parse_rows(path, fh, len(cols))
     return arr[:, 0], arr[:, 1:], cols[1:]
 
 
@@ -295,10 +324,7 @@ def save_estimate(path, t, table):
     table = np.asarray(table, dtype=float)
     if table.shape != (t.shape[0], len(ESTIMATE_COLUMNS)):
         raise ValueError(f"estimate table must be (n, {len(ESTIMATE_COLUMNS)})")
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(ESTIMATE_COLUMNS) + "\n")
-        for k in range(t.shape[0]):
-            fh.write(",".join([f"{t[k]:.17g}"] + [f"{v:.17g}" for v in table[k]]) + "\n")
+    _write_csv(path, ESTIMATE_COLUMNS, t, table)
 
 
 def load_estimate(path):

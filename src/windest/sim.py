@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import quat_from_axis_angle, quat_multiply, quat_to_matrix
+from .geometry import cross, quat_from_axis_angle, quat_multiply, quat_to_matrix
 from .vehicle import VehicleParams, VehicleState
 from . import whisker as whisker_mod
 from .whisker import WhiskerRig, default_rig
@@ -421,6 +421,9 @@ def allocation_matrix(arm=ARM_LENGTH, k_moment=K_MOMENT, spin=SPIN_DIRS):
     return B
 
 
+_X_AXIS = np.array([1.0, 0.0, 0.0])
+
+
 class Controller:
     """Cascaded position PID -> thrust direction -> attitude PD -> rotors."""
 
@@ -437,27 +440,31 @@ class Controller:
         par, veh = self.params, self.vehicle
         e_p = sp_p - state.p
         e_v = sp_v - state.v
-        self.integral = np.clip(self.integral + e_p * dt, -par.int_limit, par.int_limit)
+        self.integral = (self.integral + e_p * dt).clip(-par.int_limit, par.int_limit)
         a_cmd = sp_a + par.kp_pos * e_p + par.kd_pos * e_v + par.ki_pos * self.integral
         f_des = veh.mass * (a_cmd + np.array([0.0, 0.0, veh.gravity]))
         R = quat_to_matrix(state.q)
-        b3 = R[:, 2]
         # satisfy the vertical force balance exactly: f = f_des_z / b3_z
-        f_cmd = f_des[2] / max(b3[2], 0.25)
+        f_cmd = f_des[2] / max(R[2, 2], 0.25)
         f_cmd = min(max(f_cmd, 0.0), N_ROTORS * self.k_thrust)
-        # attitude setpoint from the desired force direction, yaw held at 0
+        # attitude setpoint from the desired force direction, yaw held at 0;
+        # its columns are b1, b2, b3.  The norms stay np.linalg.norm: on
+        # 1-D vectors it goes through BLAS ddot, whose rounding
+        # geometry.norm does not reproduce in the last bit.
         n = np.linalg.norm(f_des)
         b3_des = f_des / n if n > 0.1 * veh.mass * veh.gravity else np.array([0.0, 0.0, 1.0])
-        b2_des = np.cross(b3_des, np.array([1.0, 0.0, 0.0]))
+        b2_des = cross(b3_des, _X_AXIS)
         b2_des /= np.linalg.norm(b2_des)
-        b1_des = np.cross(b2_des, b3_des)
-        R_des = np.column_stack([b1_des, b2_des, b3_des])
+        R_des = np.empty((3, 3))
+        R_des[:, 0] = cross(b2_des, b3_des)
+        R_des[:, 1] = b2_des
+        R_des[:, 2] = b3_des
         e_mat = R_des.T @ R - R.T @ R_des
         e_R = 0.5 * np.array([e_mat[2, 1], e_mat[0, 2], e_mat[1, 0]])
         ang_acc = -par.kp_att * e_R - par.kd_att * state.omega
-        tau = veh.inertia @ ang_acc + np.cross(state.omega, veh.inertia @ state.omega)
+        tau = veh.inertia @ ang_acc + cross(state.omega, veh.inertia @ state.omega)
         u = self.B_pinv @ np.concatenate([[f_cmd / self.k_thrust], tau / self.k_thrust])
-        u = np.clip(u, 0.0, 1.0)
+        u = u.clip(0.0, 1.0)
         wrench = self.B @ (self.k_thrust * u)
         return u, wrench
 
@@ -505,8 +512,12 @@ class Scenario:
     controller: ControllerParams = field(default_factory=ControllerParams)
 
 
-# fast scalar RK4 on the packed state (hot path; cross-checked against
-# vehicle.integrate_step in the tests)
+# Fast scalar RK4 on the packed state (hot path; cross-checked against
+# vehicle.integrate_step in the tests).  run_scenario hands it Python
+# floats and lists of floats, not ndarray elements: np.float64 and float
+# are the same IEEE double arithmetic, so the results are bit-identical,
+# but every operation on an np.float64 scalar pays for numpy's scalar
+# dispatch, which more than doubles the cost of a step.
 
 
 def _deriv_fast(s, f, tq, wind, touch, m_inv, mu1, mu2, g, jinv_j):
@@ -548,18 +559,17 @@ def _deriv_fast(s, f, tq, wind, touch, m_inv, mu1, mu2, g, jinv_j):
 
 
 def _rk4_fast(s, f, tq, wind, touch, consts, dt):
+    """One RK4 step of the packed 13-state; returns a new list."""
+    half, sixth = 0.5 * dt, dt / 6.0
     k1 = _deriv_fast(s, f, tq, wind, touch, *consts)
-    s2 = tuple(s[i] + 0.5 * dt * k1[i] for i in range(13))
-    k2 = _deriv_fast(s2, f, tq, wind, touch, *consts)
-    s3 = tuple(s[i] + 0.5 * dt * k2[i] for i in range(13))
-    k3 = _deriv_fast(s3, f, tq, wind, touch, *consts)
-    s4 = tuple(s[i] + dt * k3[i] for i in range(13))
-    k4 = _deriv_fast(s4, f, tq, wind, touch, *consts)
-    out = [s[i] + (dt / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(13)]
+    k2 = _deriv_fast([x + half * k for x, k in zip(s, k1)], f, tq, wind, touch, *consts)
+    k3 = _deriv_fast([x + half * k for x, k in zip(s, k2)], f, tq, wind, touch, *consts)
+    k4 = _deriv_fast([x + dt * k for x, k in zip(s, k3)], f, tq, wind, touch, *consts)
+    out = [x + sixth * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(s, k1, k2, k3, k4)]
     qn = math.sqrt(out[6] ** 2 + out[7] ** 2 + out[8] ** 2 + out[9] ** 2)
     for i in range(6, 10):
         out[i] /= qn
-    return tuple(out)
+    return out
 
 
 TRUTH_COLUMNS = (
@@ -613,7 +623,8 @@ def run_scenario(sc: Scenario) -> FlightLog:
         veh.gravity,
         (veh.inertia_inv.tolist(), veh.inertia.tolist()),
     )
-    packed = tuple(np.concatenate([state.p, state.v, state.q, state.omega]))
+    # the hot loop runs on Python floats; see the note above _deriv_fast
+    packed = np.concatenate([state.p, state.v, state.q, state.omega]).tolist()
 
     truth_rows, odo_rows, imu_rows, whisk_rows, thr_rows = [], [], [], [], []
     t_truth, t_odo, t_imu, t_whisk, t_thr = [], [], [], [], []
@@ -624,13 +635,6 @@ def run_scenario(sc: Scenario) -> FlightLog:
     div_imu = int(SIM_RATE / IMU_RATE)
     div_whisk = int(SIM_RATE / WHISKER_RATE)
     div_thr = int(SIM_RATE / THROTTLE_RATE)
-
-    u = np.zeros(N_ROTORS)
-    wrench_cmd = np.zeros(4)
-    wind = np.zeros(3)
-    touch = np.zeros(3)
-    phase = PHASE_TAKEOFF
-    mean_u2 = 0.0
 
     def build_log():
         log = FlightLog()
@@ -657,20 +661,18 @@ def run_scenario(sc: Scenario) -> FlightLog:
             u, wrench_cmd = ctrl.step(state, sp_p, sp_v, sp_a, 1.0 / TRUTH_RATE)
             wind = sc.wind.at(state.p, t)
             touch = sc.touch.at(t)
-            mean_u2 = float(np.mean(u)) ** 2
-        f_applied = sc.thrust_scale * wrench_cmd[0]
-        tau_applied = sc.thrust_scale * wrench_cmd[1:4]
+            u_list = u.tolist()
+            # sums left to right, as np.mean does over six elements
+            mean_u2 = (sum(u_list) / N_ROTORS) ** 2
+            f_applied = float(sc.thrust_scale * wrench_cmd[0])
+            tau_applied = (sc.thrust_scale * wrench_cmd[1:4]).tolist()
+            wind_f = wind.tolist()
+            touch_f = touch.tolist()
 
         if k % div_truth == 0:
-            d = _deriv_fast(packed, f_applied, tau_applied, wind, touch, *consts)
+            d = _deriv_fast(packed, f_applied, tau_applied, wind_f, touch_f, *consts)
             t_truth.append(t)
-            truth_rows.append(
-                list(packed)
-                + [d[3], d[4], d[5], f_applied]
-                + list(wind)
-                + list(touch)
-                + [float(phase)]
-            )
+            truth_rows.append(packed + [d[3], d[4], d[5], f_applied, *wind_f, *touch_f, float(phase)])
         if k % div_odo == 0:
             p_m = np.array(packed[0:3]) + rng.normal(0.0, noise.odo_pos, 3) if noise.odo_pos else np.array(packed[0:3])
             v_m = np.array(packed[3:6]) + rng.normal(0.0, noise.odo_vel, 3) if noise.odo_vel else np.array(packed[3:6])
@@ -682,7 +684,7 @@ def run_scenario(sc: Scenario) -> FlightLog:
             t_odo.append(t)
             odo_rows.append(list(p_m) + list(q_m) + list(v_m) + list(w_m))
         if k % div_imu == 0:
-            d = _deriv_fast(packed, f_applied, tau_applied, wind, touch, *consts)
+            d = _deriv_fast(packed, f_applied, tau_applied, wind_f, touch_f, *consts)
             a_w = np.array([d[3], d[4], d[5]])
             q_now = np.array(packed[6:10])
             R = quat_to_matrix(q_now)
@@ -693,7 +695,7 @@ def run_scenario(sc: Scenario) -> FlightLog:
             imu_rows.append(list(spec_b + imu_bias))
         if k % div_thr == 0:
             t_thr.append(t)
-            thr_rows.append(list(u) + list(wrench_cmd))
+            thr_rows.append(u_list + wrench_cmd.tolist())
         if k % div_whisk == 0:
             q_now = np.array(packed[6:10])
             v_now = np.array(packed[3:6])
@@ -721,7 +723,7 @@ def run_scenario(sc: Scenario) -> FlightLog:
             t_whisk.append(t)
             whisk_rows.append(row)
 
-        packed = _rk4_fast(packed, f_applied, tau_applied, wind, touch, consts, dt)
+        packed = _rk4_fast(packed, f_applied, tau_applied, wind_f, touch_f, consts, dt)
 
     return build_log()
 

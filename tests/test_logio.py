@@ -72,6 +72,69 @@ def test_load_log_field_count(tmp_path):
         load_log(tmp_path)
 
 
+def test_load_log_hash_in_field_reports_line(tmp_path):
+    log = tiny_log()
+    save_log(log, tmp_path)
+    path = tmp_path / "imu.csv"
+    lines = path.read_text().splitlines()
+    lines[5] = "0.02,1.0,2.0 # note,3.0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LogFormatError, match=r"imu\.csv:6"):
+        load_log(tmp_path)
+
+
+def test_load_log_skips_blank_lines(tmp_path):
+    log = tiny_log()
+    save_log(log, tmp_path)
+    # an empty line in one file, a line of spaces in the other
+    for name, blank in (("imu", ""), ("whisker", "  ")):
+        path = tmp_path / f"{name}.csv"
+        lines = path.read_text().splitlines()
+        lines[3:3] = [blank, blank]
+        path.write_text("\n".join(lines) + "\n")
+    log2 = load_log(tmp_path)
+    for name in ("imu", "whisker"):
+        assert np.array_equal(log2[name].t, log[name].t)
+        assert np.array_equal(log2[name].data, log[name].data)
+
+
+def test_load_log_header_only(tmp_path):
+    (tmp_path / "imu.csv").write_text("t,ax,ay,az\n")
+    ch = load_log(tmp_path)["imu"]
+    assert ch.t.shape == (0,)
+    assert ch.data.shape == (0, 3)
+
+
+SPECIAL_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
+                  1.0, -3.0, 12345678.0, 1e16, 0.1, 1.0 / 3.0]
+
+
+def f_string_csv(columns, t, data):
+    """The CSV text as written one f-string per value."""
+    lines = ["t," + ",".join(columns)]
+    for k in range(t.shape[0]):
+        lines.append(",".join([f"{t[k]:.17g}"] + [f"{v:.17g}" for v in data[k]]))
+    return "\n".join(lines) + "\n"
+
+
+def test_saved_bytes_equal_f_string_reference(tmp_path):
+    rng = np.random.default_rng(64)
+    vals = np.array(SPECIAL_VALUES)
+    table = np.concatenate([rng.permutation(np.resize(vals, 12 * 10)).reshape(10, 12),
+                            rng.normal(size=(5, 12)) * 10.0 ** rng.integers(-300, 300, (5, 12))])
+    t = np.arange(table.shape[0]) * 0.02
+    log = FlightLog()
+    log.add("imu", t, table[:, :3], ["ax", "ay", "az"])
+    save_log(log, tmp_path)
+    assert (tmp_path / "imu.csv").read_text() == f_string_csv(["ax", "ay", "az"], t, table[:, :3])
+    save_estimate(tmp_path / "estimate.csv", t, table)
+    assert (tmp_path / "estimate.csv").read_text() == f_string_csv(logio.ESTIMATE_COLUMNS, t, table)
+    t2, data = load_estimate(tmp_path / "estimate.csv")
+    assert np.array_equal(t2, t)
+    assert np.array_equal(data, table, equal_nan=True)
+    assert np.array_equal(np.signbit(data), np.signbit(table))
+
+
 def test_missing_channel_message():
     log = tiny_log()
     with pytest.raises(KeyError, match="odometry"):
