@@ -1,6 +1,6 @@
 """Wind, drag and touch-force estimation for a whiskered multirotor."""
 
-from .vehicle import VehicleParams, VehicleState, WrenchInput, DisturbanceInput
+from .vehicle import VehicleParams, VehicleState, WrenchInput
 from .whisker import WhiskerRig, SensorMount, default_rig
 from .ukf import BeliefState, ProcessNoise, OdometryMeasurement, FilterOutput
 from .logio import FlightLog, load_log, save_log
@@ -10,7 +10,6 @@ __all__ = [
     "VehicleParams",
     "VehicleState",
     "WrenchInput",
-    "DisturbanceInput",
     "WhiskerRig",
     "SensorMount",
     "default_rig",

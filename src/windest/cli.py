@@ -25,8 +25,6 @@ from .logio import (
 from .pipeline import EstimatorConfig
 from .whisker import WhiskerRig
 
-SCENARIOS = ("hover", "circular", "joystick", "line_gust", "four_phase")
-
 
 def _out_dir(args):
     d = os.environ.get("WINDEST_OUT", ".")
@@ -54,7 +52,7 @@ def cmd_sim(args):
         if args.scenario not in ("circular", "four_phase"):
             raise ValueError(f"--thrust-scale not supported for {args.scenario}")
         kwargs["thrust_scale"] = args.thrust_scale
-    sc = getattr(sim, f"{args.scenario}_scenario")(**kwargs)
+    sc = sim.SCENARIOS[args.scenario](**kwargs)
     log = sim.run_scenario(sc)
     out = args.out or os.path.join(_out_dir(args), f"{args.scenario}_{args.seed}")
     save_log(log, out)
@@ -181,7 +179,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("sim", help="run a closed-loop flight and write its log")
-    s.add_argument("--scenario", choices=SCENARIOS, required=True)
+    s.add_argument("--scenario", choices=sim.SCENARIOS, required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--interference", type=float, default=0.0,
                    help="rotor interference gain (circular/joystick)")

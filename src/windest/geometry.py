@@ -121,29 +121,6 @@ def quat_to_matrix(q):
     )
 
 
-def matrix_to_quat(R):
-    """Inverse of quat_to_matrix (Shepperd's method), w >= 0."""
-    R = np.asarray(R, dtype=float)
-    tr = np.trace(R)
-    if tr > 0.0:
-        s = np.sqrt(tr + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
-        )
-    else:
-        i = int(np.argmax(np.diag(R)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = np.sqrt(max(R[i, i] - R[j, j] - R[k, k] + 1.0, 0.0)) * 2.0
-        q = np.empty(4)
-        q[0] = (R[k, j] - R[j, k]) / s
-        q[1 + i] = 0.25 * s
-        q[1 + j] = (R[j, i] + R[i, j]) / s
-        q[1 + k] = (R[k, i] + R[i, k]) / s
-    if q[0] < 0.0:
-        q = -q
-    return quat_normalize(q)
-
-
 def quat_from_axis_angle(phi):
     """Exponential map: rotation vector (rad) -> unit quaternion."""
     phi = np.asarray(phi, dtype=float)

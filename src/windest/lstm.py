@@ -395,15 +395,3 @@ def build_features(theta, omega, accel, throttle, spin_dirs):
         ]
     )
 
-
-def split_features(x, n_sensors=4, n_rotors=6, spin_dirs=None):
-    """Inverse of build_features: (theta, omega, accel, throttle)."""
-    x = np.asarray(x, dtype=float)
-    k = 2 * n_sensors
-    theta = x[..., :k].reshape(x.shape[:-1] + (n_sensors, 2))
-    omega = x[..., k : k + 3]
-    accel = x[..., k + 3 : k + 6]
-    signed = x[..., k + 6 : k + 6 + n_rotors]
-    if spin_dirs is not None:
-        signed = signed * np.asarray(spin_dirs, dtype=float)
-    return theta, omega, accel, signed

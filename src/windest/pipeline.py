@@ -11,7 +11,7 @@ clock with the fixed estimate-file schema.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -57,73 +57,73 @@ class EstimatorConfig:
     init_sigma_wind: float = 2.0
 
 
+# Config file keys: (key, EstimatorConfig section or "" for a top-level
+# field, field).  Order is the order config_to_dict writes them in; the
+# sensor{i}_* keys of the rig come after, from logio.rig_to_config.
+CONFIG_KEYS = (
+    ("mass_kg", "vehicle", "mass"),
+    ("inertia_kgm2", "vehicle", "inertia"),
+    ("mu1", "vehicle", "mu1"),
+    ("mu2", "vehicle", "mu2"),
+    ("gravity_mps2", "vehicle", "gravity"),
+    ("q_pos", "process", "pos"),
+    ("q_att", "process", "att"),
+    ("q_vel", "process", "vel"),
+    ("q_gyro", "process", "gyro"),
+    ("q_touch", "process", "touch"),
+    ("q_wind", "process", "wind"),
+    ("r_odo_pos_m", "meas", "odo_pos"),
+    ("r_odo_att_rad", "meas", "odo_att"),
+    ("r_odo_vel_mps", "meas", "odo_vel"),
+    ("r_odo_gyro_radps", "meas", "odo_gyro"),
+    ("r_whisker_rad", "meas", "whisker"),
+    ("r_pseudo_mps", "meas", "pseudo"),
+    ("gate_enabled", "", "gate"),
+    ("init_sigma_touch_N", "", "init_sigma_touch"),
+    ("init_sigma_wind_mps", "", "init_sigma_wind"),
+    ("driver_alpha", "driver", "alpha"),
+    ("driver_nsigma", "driver", "nsigma"),
+    ("driver_clamp_rad", "driver", "clamp"),
+)
+
+
 def config_to_dict(cfg: EstimatorConfig):
-    out = {
-        "mass_kg": cfg.vehicle.mass,
-        "inertia_kgm2": cfg.vehicle.inertia.ravel().copy(),
-        "mu1": cfg.vehicle.mu1,
-        "mu2": cfg.vehicle.mu2,
-        "gravity_mps2": cfg.vehicle.gravity,
-        "q_pos": cfg.process.pos,
-        "q_att": cfg.process.att,
-        "q_vel": cfg.process.vel,
-        "q_gyro": cfg.process.gyro,
-        "q_touch": cfg.process.touch,
-        "q_wind": cfg.process.wind,
-        "r_odo_pos_m": cfg.meas.odo_pos,
-        "r_odo_att_rad": cfg.meas.odo_att,
-        "r_odo_vel_mps": cfg.meas.odo_vel,
-        "r_odo_gyro_radps": cfg.meas.odo_gyro,
-        "r_whisker_rad": cfg.meas.whisker,
-        "r_pseudo_mps": cfg.meas.pseudo,
-        "gate_enabled": 1.0 if cfg.gate else 0.0,
-        "init_sigma_touch_N": cfg.init_sigma_touch,
-        "init_sigma_wind_mps": cfg.init_sigma_wind,
-        "driver_alpha": cfg.driver.alpha,
-        "driver_nsigma": cfg.driver.nsigma,
-        "driver_clamp_rad": cfg.driver.clamp,
-    }
+    out = {}
+    for key, section, name in CONFIG_KEYS:
+        val = getattr(getattr(cfg, section) if section else cfg, name)
+        out[key] = val.ravel().copy() if isinstance(val, np.ndarray) else float(val)
     out.update(logio.rig_to_config(cfg.rig))
     return out
 
 
+def _config_value(default, raw):
+    """A file value as the type of the field's default."""
+    if isinstance(default, np.ndarray):
+        return np.asarray(raw, dtype=float).reshape(default.shape)
+    return bool(raw) if isinstance(default, bool) else float(raw)
+
+
 def config_from_dict(d: dict):
+    """EstimatorConfig from parsed config keys; absent keys keep their
+    defaults, and a key the file format does not have raises ValueError."""
     cfg = EstimatorConfig()
-    kw = {
-        "mass": float(d.get("mass_kg", 1.31)),
-        "mu1": float(d.get("mu1", 0.20)),
-        "mu2": float(d.get("mu2", 0.07)),
-        "gravity": float(d.get("gravity_mps2", 9.81)),
-    }
-    if "inertia_kgm2" in d:
-        kw["inertia"] = np.asarray(d["inertia_kgm2"], dtype=float).reshape(3, 3)
-    cfg.vehicle = VehicleParams(**kw)
+    known = {key for key, _, _ in CONFIG_KEYS}
     if "sensor_count" in d:
         cfg.rig = logio.rig_from_config(d)
-    cfg.process = ukf.ProcessNoise(
-        pos=float(d.get("q_pos", cfg.process.pos)),
-        att=float(d.get("q_att", cfg.process.att)),
-        vel=float(d.get("q_vel", cfg.process.vel)),
-        gyro=float(d.get("q_gyro", cfg.process.gyro)),
-        touch=float(d.get("q_touch", cfg.process.touch)),
-        wind=float(d.get("q_wind", cfg.process.wind)),
-    )
-    cfg.meas = MeasurementNoise(
-        odo_pos=float(d.get("r_odo_pos_m", cfg.meas.odo_pos)),
-        odo_att=float(d.get("r_odo_att_rad", cfg.meas.odo_att)),
-        odo_vel=float(d.get("r_odo_vel_mps", cfg.meas.odo_vel)),
-        odo_gyro=float(d.get("r_odo_gyro_radps", cfg.meas.odo_gyro)),
-        whisker=float(d.get("r_whisker_rad", cfg.meas.whisker)),
-        pseudo=float(d.get("r_pseudo_mps", cfg.meas.pseudo)),
-    )
-    cfg.driver = DriverConfig(
-        alpha=float(d.get("driver_alpha", cfg.driver.alpha)),
-        nsigma=float(d.get("driver_nsigma", cfg.driver.nsigma)),
-        clamp=float(d.get("driver_clamp_rad", cfg.driver.clamp)),
-    )
-    cfg.gate = bool(d.get("gate_enabled", 0.0))
-    cfg.init_sigma_touch = float(d.get("init_sigma_touch_N", cfg.init_sigma_touch))
-    cfg.init_sigma_wind = float(d.get("init_sigma_wind_mps", cfg.init_sigma_wind))
+        known.update(logio.rig_to_config(cfg.rig))
+    for key in d:
+        if key not in known:
+            raise ValueError(f"unknown config key {key!r}")
+    fields = {}
+    for key, section, name in CONFIG_KEYS:
+        if key in d:
+            default = getattr(getattr(cfg, section) if section else cfg, name)
+            fields.setdefault(section, {})[name] = _config_value(default, d[key])
+    for section, kw in fields.items():
+        if section:
+            setattr(cfg, section, replace(getattr(cfg, section), **kw))
+        else:
+            cfg = replace(cfg, **kw)
     return cfg
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import cross, quat_from_axis_angle, quat_multiply, quat_to_matrix
-from .vehicle import VehicleParams, VehicleState
+from .vehicle import VehicleParams, VehicleState, deriv, rk4_step, scalar_consts
 from . import whisker as whisker_mod
 from .whisker import WhiskerRig, default_rig
 from .logio import FlightLog
@@ -512,66 +512,6 @@ class Scenario:
     controller: ControllerParams = field(default_factory=ControllerParams)
 
 
-# Fast scalar RK4 on the packed state (hot path; cross-checked against
-# vehicle.integrate_step in the tests).  run_scenario hands it Python
-# floats and lists of floats, not ndarray elements: np.float64 and float
-# are the same IEEE double arithmetic, so the results are bit-identical,
-# but every operation on an np.float64 scalar pays for numpy's scalar
-# dispatch, which more than doubles the cost of a step.
-
-
-def _deriv_fast(s, f, tq, wind, touch, m_inv, mu1, mu2, g, jinv_j):
-    vx, vy, vz = s[3], s[4], s[5]
-    qw, qx, qy, qz = s[6], s[7], s[8], s[9]
-    wx, wy, wz = s[10], s[11], s[12]
-    # thrust along body z, rotated to world
-    tx = 2.0 * (qx * qz + qw * qy) * f
-    ty = 2.0 * (qy * qz - qw * qx) * f
-    tz = (1.0 - 2.0 * (qx * qx + qy * qy)) * f
-    ux, uy, uz = wind[0] - vx, wind[1] - vy, wind[2] - vz
-    sp = math.sqrt(ux * ux + uy * uy + uz * uz)
-    fac = 0.0 if sp < 1e-9 else mu1 + mu2 * sp
-    ax = (tx + fac * ux + touch[0]) * m_inv
-    ay = (ty + fac * uy + touch[1]) * m_inv
-    az = (tz + fac * uz + touch[2]) * m_inv - g
-    jinv, J = jinv_j
-    hx = J[0][0] * wx + J[0][1] * wy + J[0][2] * wz
-    hy = J[1][0] * wx + J[1][1] * wy + J[1][2] * wz
-    hz = J[2][0] * wx + J[2][1] * wy + J[2][2] * wz
-    rx = tq[0] - (wy * hz - wz * hy)
-    ry = tq[1] - (wz * hx - wx * hz)
-    rz = tq[2] - (wx * hy - wy * hx)
-    return (
-        vx,
-        vy,
-        vz,
-        ax,
-        ay,
-        az,
-        0.5 * (-qx * wx - qy * wy - qz * wz),
-        0.5 * (qw * wx + qy * wz - qz * wy),
-        0.5 * (qw * wy - qx * wz + qz * wx),
-        0.5 * (qw * wz + qx * wy - qy * wx),
-        jinv[0][0] * rx + jinv[0][1] * ry + jinv[0][2] * rz,
-        jinv[1][0] * rx + jinv[1][1] * ry + jinv[1][2] * rz,
-        jinv[2][0] * rx + jinv[2][1] * ry + jinv[2][2] * rz,
-    )
-
-
-def _rk4_fast(s, f, tq, wind, touch, consts, dt):
-    """One RK4 step of the packed 13-state; returns a new list."""
-    half, sixth = 0.5 * dt, dt / 6.0
-    k1 = _deriv_fast(s, f, tq, wind, touch, *consts)
-    k2 = _deriv_fast([x + half * k for x, k in zip(s, k1)], f, tq, wind, touch, *consts)
-    k3 = _deriv_fast([x + half * k for x, k in zip(s, k2)], f, tq, wind, touch, *consts)
-    k4 = _deriv_fast([x + dt * k for x, k in zip(s, k3)], f, tq, wind, touch, *consts)
-    out = [x + sixth * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(s, k1, k2, k3, k4)]
-    qn = math.sqrt(out[6] ** 2 + out[7] ** 2 + out[8] ** 2 + out[9] ** 2)
-    for i in range(6, 10):
-        out[i] /= qn
-    return out
-
-
 TRUTH_COLUMNS = (
     ["px", "py", "pz", "vx", "vy", "vz", "qw", "qx", "qy", "qz", "wx", "wy", "wz"]
     + ["ax", "ay", "az", "thrust", "wind_x", "wind_y", "wind_z"]
@@ -616,14 +556,8 @@ def run_scenario(sc: Scenario) -> FlightLog:
     state = VehicleState(p0, np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
     ctrl = Controller(sc.controller, veh)
 
-    consts = (
-        1.0 / veh.mass,
-        veh.mu1,
-        veh.mu2,
-        veh.gravity,
-        (veh.inertia_inv.tolist(), veh.inertia.tolist()),
-    )
-    # the hot loop runs on Python floats; see the note above _deriv_fast
+    consts = scalar_consts(veh)
+    # the hot loop runs on Python floats; see the note above vehicle.scalar_consts
     packed = np.concatenate([state.p, state.v, state.q, state.omega]).tolist()
 
     truth_rows, odo_rows, imu_rows, whisk_rows, thr_rows = [], [], [], [], []
@@ -670,7 +604,7 @@ def run_scenario(sc: Scenario) -> FlightLog:
             touch_f = touch.tolist()
 
         if k % div_truth == 0:
-            d = _deriv_fast(packed, f_applied, tau_applied, wind_f, touch_f, *consts)
+            d = deriv(packed, f_applied, tau_applied, wind_f, touch_f, *consts)
             t_truth.append(t)
             truth_rows.append(packed + [d[3], d[4], d[5], f_applied, *wind_f, *touch_f, float(phase)])
         if k % div_odo == 0:
@@ -684,7 +618,7 @@ def run_scenario(sc: Scenario) -> FlightLog:
             t_odo.append(t)
             odo_rows.append(list(p_m) + list(q_m) + list(v_m) + list(w_m))
         if k % div_imu == 0:
-            d = _deriv_fast(packed, f_applied, tau_applied, wind_f, touch_f, *consts)
+            d = deriv(packed, f_applied, tau_applied, wind_f, touch_f, *consts)
             a_w = np.array([d[3], d[4], d[5]])
             q_now = np.array(packed[6:10])
             R = quat_to_matrix(q_now)
@@ -723,7 +657,7 @@ def run_scenario(sc: Scenario) -> FlightLog:
             t_whisk.append(t)
             whisk_rows.append(row)
 
-        packed = _rk4_fast(packed, f_applied, tau_applied, wind_f, touch_f, consts, dt)
+        packed = rk4_step(packed, f_applied, tau_applied, wind_f, touch_f, consts, dt)
 
     return build_log()
 

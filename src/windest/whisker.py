@@ -71,21 +71,6 @@ def body_airflow(q_wb, v_wind_w, v_w):
     return quat_rotate(qc, v_inf_w)
 
 
-def whisker_drag(v_inf_s, rho, c_d, a_xy):
-    """Aerodynamic force on one whisker fin from sensor-frame airflow.
-
-    Quadratic drag (rho/2) c_d A |v| v with the non-isotropic area
-    A = diag(a_xy, a_xy, 0): the fin presents no area along its spine, so
-    the z component is always zero.
-    """
-    v_inf_s = np.asarray(v_inf_s, dtype=float)
-    speed = np.linalg.norm(v_inf_s, axis=-1, keepdims=True)
-    f = 0.5 * rho * c_d * a_xy * speed * v_inf_s
-    f = f.copy()
-    f[..., 2] = 0.0
-    return f
-
-
 def predict_deflection(v_inf_s, coeff):
     """Deflection angles for sensor-frame relative airflow v_inf_s."""
     v_inf_s = np.asarray(v_inf_s, dtype=float)

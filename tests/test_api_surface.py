@@ -1,0 +1,50 @@
+"""Every public module-level function and class has a caller in the program.
+
+A name that only the tests use is dead weight in the package: it has to
+be kept in step with the code that runs, and nothing that runs checks it.
+The scan is textual: a name counts as used when it appears as a word in
+any Python file under src/ or bench/ outside the lines of its own
+definition (bench/ names the functions it wraps by string).
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "windest"
+
+
+def public_definitions():
+    """(module path, name, first line, last line) of each public def/class."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                out.append((path, node.name, first, node.end_lineno))
+    return out
+
+
+def unreferenced_names():
+    sources = {
+        path: path.read_text().splitlines()
+        for folder in (ROOT / "src", ROOT / "bench")
+        for path in sorted(folder.rglob("*.py"))
+    }
+    unused = []
+    for def_path, name, first, last in public_definitions():
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        used = any(
+            word.search(line)
+            for path, lines in sources.items()
+            for lineno, line in enumerate(lines, start=1)
+            if not (path == def_path and first <= lineno <= last)
+        )
+        if not used:
+            unused.append(name)
+    return unused
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    assert unreferenced_names() == []

@@ -1,10 +1,12 @@
 """CLI subcommands driven in-process, including file round trips."""
 
+import argparse
+
 import numpy as np
 import pytest
 
-from windest import lstm, whisker
-from windest.cli import main
+from windest import lstm, sim, whisker
+from windest.cli import build_parser, main
 from windest.logio import load_estimate, parse_config, save_log
 
 
@@ -125,3 +127,18 @@ def test_eval_nonzero_on_failure(monkeypatch, capsys):
     monkeypatch.setattr(acceptance, "CRITERIA", [forced])
     assert main(["eval", "--only", "1"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_scenario_choices_are_the_simulator_scenarios():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    scenario = next(a for a in sub.choices["sim"]._actions if a.dest == "scenario")
+    assert set(scenario.choices) == set(sim.SCENARIOS)
+
+
+def test_misspelled_config_key_exits_2(hover_dir, tmp_path, capsys):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("mu1 = 0.2\nq_wnd = 0.8\n")
+    assert main(["estimate", str(hover_dir), "--config", str(cfg),
+                 "--out", str(tmp_path / "e.csv")]) == 2
+    assert "q_wnd" in capsys.readouterr().err
+    assert not (tmp_path / "e.csv").exists()

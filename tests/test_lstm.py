@@ -19,7 +19,6 @@ from windest.lstm import (
     make_windows,
     predict_stream,
     save_params,
-    split_features,
     split_windows,
     train,
 )
@@ -298,11 +297,12 @@ def test_feature_round_trip():
     throttle = rng.uniform(0.0, 1.0, size=(9, 6))
     spin = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
     x = build_features(theta, omega, accel, throttle, spin)
-    th2, om2, ac2, thr2 = split_features(x, spin_dirs=spin)
-    assert np.allclose(th2, theta)
-    assert np.allclose(om2, omega)
-    assert np.allclose(ac2, accel)
-    assert np.allclose(thr2, throttle)
+    # layout: 4 sensors x (theta_x, theta_y), omega, accel, signed throttles
+    assert x.shape == (9, 20)
+    assert np.array_equal(x[:, 0:8].reshape(9, 4, 2), theta)
+    assert np.array_equal(x[:, 8:11], omega)
+    assert np.array_equal(x[:, 11:14], accel)
+    assert np.array_equal(x[:, 14:20] * spin, throttle)
 
 
 def test_features_are_body_frame_only():

@@ -5,6 +5,7 @@ import pytest
 
 from windest import logio, lstm, pipeline
 from windest.logio import ESTIMATE_COLUMNS
+from windest.vehicle import VehicleParams
 from windest.whisker import default_rig
 from windest.pipeline import (
     EstimatorConfig,
@@ -163,25 +164,33 @@ def test_truth_query_before_start_raises(circle3_clean):
 
 
 def test_config_round_trip(tmp_path):
-    cfg = EstimatorConfig(gate=True)
-    cfg.process.wind = 0.75
-    cfg.meas.whisker = 0.007
-    cfg.driver.alpha = 0.25
+    """Every key of the table, each set off its default, survives save/parse/load."""
+    inertia = [[0.013, 0.001, 0.0], [0.001, 0.017, 0.0], [0.0, 0.0, 0.029]]
+    cfg = EstimatorConfig(vehicle=VehicleParams(inertia=inertia), gate=True)
+    for _, section, name in pipeline.CONFIG_KEYS:
+        obj = getattr(cfg, section) if section else cfg
+        if isinstance(getattr(obj, name), float):
+            setattr(obj, name, getattr(obj, name) * 1.37 + 0.011)
+    d = config_to_dict(cfg)
+    defaults = config_to_dict(EstimatorConfig())
+    for key, _, _ in pipeline.CONFIG_KEYS:
+        assert not np.array_equal(d[key], defaults[key]), key
     path = tmp_path / "estimator.cfg"
-    logio.save_config(config_to_dict(cfg), path, header="estimator settings")
-    d = logio.parse_config(path)
-    back = config_from_dict(d)
-    assert back.vehicle.mass == pytest.approx(cfg.vehicle.mass)
-    assert back.vehicle.mu1 == pytest.approx(cfg.vehicle.mu1)
-    assert back.vehicle.mu2 == pytest.approx(cfg.vehicle.mu2)
-    assert np.allclose(back.vehicle.inertia, cfg.vehicle.inertia)
-    assert back.process.wind == pytest.approx(0.75)
-    assert back.meas.whisker == pytest.approx(0.007)
-    assert back.driver.alpha == pytest.approx(0.25)
+    logio.save_config(d, path, header="estimator settings")
+    back = config_from_dict(logio.parse_config(path))
     assert back.gate is True
-    assert len(back.rig) == len(cfg.rig)
-    for a, b in zip(back.rig.mounts, cfg.rig.mounts):
-        assert a.name == b.name
-        assert np.allclose(a.r, b.r)
-        assert np.allclose(a.rot, b.rot)
-        assert a.polarity == b.polarity
+    out = config_to_dict(back)
+    assert list(out) == list(d)
+    for key in d:  # the table's keys, then the rig's sensor keys
+        assert np.array_equal(out[key], d[key]), key
+
+
+def test_config_from_dict_rejects_unknown_keys():
+    d = config_to_dict(EstimatorConfig())
+    config_from_dict(d)
+    for bad in ("q_wnd", "sensor4_coeff", "sensor0_coef"):
+        with pytest.raises(ValueError, match=bad):
+            config_from_dict({**d, bad: 0.8})
+    # without sensor_count the file carries no rig, so no sensor key is known
+    with pytest.raises(ValueError, match="sensor0_coeff"):
+        config_from_dict({"mu1": 0.2, "sensor0_coeff": 0.01})

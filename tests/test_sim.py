@@ -212,41 +212,11 @@ def test_truth_bookkeeping_closure(circle3_clean):
     wind = tr.col("wind_x", "wind_y", "wind_z")
     touch = tr.col("touch_x", "touch_y", "touch_z")
     par = sc.vehicle
+    consts = vehicle.scalar_consts(par)
     for k in range(0, tr.t.size, 37):
-        x = VehicleState(np.zeros(3), v[k], q[k], np.zeros(3))
-        u = vehicle.WrenchInput(thrust[k], np.zeros(3))
-        d = vehicle.DisturbanceInput(wind[k], touch[k])
-        _, dv, _, _ = vehicle.continuous_dynamics(x, u, d, par)
-        assert np.allclose(par.mass * a[k], par.mass * dv, atol=1e-6)
-
-
-def test_fast_integrator_matches_reference(circle3_clean):
-    """The scalar-math RK4 used in the loop reproduces the vector-form
-    integrator step for step."""
-    log, sc = circle3_clean
-    tr = log["truth"]
-    par = sc.vehicle
-    rng = np.random.default_rng(70)
-    consts = (
-        1.0 / par.mass, par.mu1, par.mu2, par.gravity,
-        (par.inertia_inv.tolist(), par.inertia.tolist()),
-    )
-    for k in rng.integers(0, tr.t.size, 12):
-        row = tr.data[k]
-        packed = tuple(row[0:13])
-        thrust = row[16]
-        wind = row[17:20]
-        touch = row[20:23]
-        out = sim._rk4_fast(packed, thrust, np.zeros(3), wind, touch, consts, 0.001)
-        x = VehicleState(row[0:3], row[3:6], row[6:10], row[10:13])
-        ref = vehicle.integrate_step(
-            x, vehicle.WrenchInput(thrust, np.zeros(3)),
-            vehicle.DisturbanceInput(wind, touch), par, 0.001,
-        )
-        assert np.allclose(out[0:3], ref.p, atol=1e-12)
-        assert np.allclose(out[3:6], ref.v, atol=1e-12)
-        assert np.allclose(out[6:10], ref.q, atol=1e-12)
-        assert np.allclose(out[10:13], ref.omega, atol=1e-12)
+        x = [0.0] * 3 + v[k].tolist() + q[k].tolist() + [0.0] * 3
+        d = vehicle.deriv(x, thrust[k], [0.0] * 3, wind[k], touch[k], *consts)
+        assert np.allclose(par.mass * a[k], par.mass * np.array(d[3:6]), atol=1e-6)
 
 
 def test_noiseless_angles_match_forward_model(circle3_clean):

@@ -21,7 +21,7 @@ import os
 import numpy as np
 import pytest
 
-from windest import logio, sim
+from windest import logio, sim, vehicle
 from windest.geometry import quat_to_matrix
 from windest.sim import Controller, ControllerParams
 from windest.vehicle import VehicleParams, VehicleState
@@ -73,17 +73,15 @@ def test_golden_flight_runs_every_branch(golden_log):
 def test_rk4_on_floats_equals_rk4_on_numpy_scalars():
     """Python floats and np.float64 scalars give the same bits."""
     rng = np.random.default_rng(80)
-    par = VehicleParams()
-    consts = (1.0 / par.mass, par.mu1, par.mu2, par.gravity,
-              (par.inertia_inv.tolist(), par.inertia.tolist()))
+    consts = vehicle.scalar_consts(VehicleParams())
     for _ in range(200):
         s = rng.normal(size=13)
         s[6:10] /= np.linalg.norm(s[6:10])
         f = rng.uniform(0.0, 24.0)
         tau, wind, touch = rng.normal(size=(3, 3))
-        on_floats = sim._rk4_fast(s.tolist(), float(f), tuple(tau.tolist()),
-                                  tuple(wind.tolist()), tuple(touch.tolist()), consts, 0.001)
-        on_numpy = sim._rk4_fast(tuple(s), np.float64(f), tau, wind, touch, consts, 0.001)
+        on_floats = vehicle.rk4_step(s.tolist(), float(f), tuple(tau.tolist()),
+                                     tuple(wind.tolist()), tuple(touch.tolist()), consts, 0.001)
+        on_numpy = vehicle.rk4_step(tuple(s), np.float64(f), tau, wind, touch, consts, 0.001)
         assert all(type(x) is float for x in on_floats)
         assert np.array_equal(np.array(on_floats), np.array(on_numpy, dtype=float))
 

@@ -4,27 +4,32 @@ import numpy as np
 import pytest
 
 from windest import vehicle
-from windest.geometry import quat_from_axis_angle, quat_multiply, quat_normalize, quat_rotate
-from windest.vehicle import (
-    DisturbanceInput,
-    VehicleParams,
-    VehicleState,
-    WrenchInput,
-    continuous_dynamics,
-    drag_force,
-    integrate_step,
-    relative_airflow_world,
+from windest.geometry import (
+    quat_from_axis_angle,
+    quat_integrate,
+    quat_multiply,
+    quat_normalize,
+    quat_rotate,
 )
+from windest.vehicle import VehicleParams, deriv, drag_force, rk4_step, scalar_consts
+
+ZERO = (0.0, 0.0, 0.0)
+Q_ID = (1.0, 0.0, 0.0, 0.0)
 
 
-def hover_state(p=(0.0, 0.0, 1.0)):
-    return VehicleState(np.array(p), np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
+def pack(p=(0.0, 0.0, 1.0), v=ZERO, q=Q_ID, w=ZERO):
+    """The simulator's packed 13-state [p, v, q, omega] as Python floats."""
+    return [float(x) for x in (*p, *v, *q, *w)]
 
 
-def test_relative_airflow():
-    assert np.allclose(relative_airflow_world([0, 0, 0], [2, 0, 0]), [-2, 0, 0])
-    assert np.allclose(relative_airflow_world([3, 0, 0], [3, 0, 0]), [0, 0, 0])
-    assert np.allclose(relative_airflow_world([1, 2, 3], [0.5, 0, -1]), [0.5, 2, 4])
+def derivative(s, par, thrust=0.0, torque=ZERO, wind=ZERO, touch=ZERO):
+    """vehicle.deriv split into (p_dot, v_dot, q_dot, omega_dot) arrays."""
+    d = np.array(deriv(s, thrust, torque, wind, touch, *scalar_consts(par)))
+    return d[0:3], d[3:6], d[6:10], d[10:13]
+
+
+def step(s, par, dt, thrust=0.0, torque=ZERO, wind=ZERO, touch=ZERO):
+    return rk4_step(s, thrust, torque, wind, touch, scalar_consts(par), dt)
 
 
 def test_drag_magnitude_at_3ms():
@@ -80,70 +85,54 @@ def test_params_validation():
 
 def test_hover_equilibrium():
     par = VehicleParams()
-    x = hover_state()
-    u = WrenchInput(par.mass * par.gravity, np.zeros(3))
-    dp, dv, dq, dw = continuous_dynamics(x, u, DisturbanceInput(), par)
+    dp, dv, dq, dw = derivative(pack(), par, thrust=par.mass * par.gravity)
     assert np.allclose(dp, 0.0) and np.allclose(dv, 0.0, atol=1e-12)
     assert np.allclose(dq, 0.0) and np.allclose(dw, 0.0)
 
 
 def test_free_fall():
     par = VehicleParams(mu1=0.0, mu2=0.0)
-    x = hover_state()
-    x.v = np.array([1.0, -2.0, 0.5])
-    _, dv, _, _ = continuous_dynamics(x, WrenchInput(0.0, np.zeros(3)), DisturbanceInput(), par)
+    _, dv, _, _ = derivative(pack(v=(1.0, -2.0, 0.5)), par)
     assert np.allclose(dv, [0.0, 0.0, -9.81])
 
 
 def test_gyroscopic_term():
     par = VehicleParams()  # diagonal J
-    x = hover_state()
-    x.omega = np.array([1.0, 0.0, 0.0])
-    _, _, _, dw = continuous_dynamics(x, WrenchInput(0.0, np.zeros(3)), DisturbanceInput(), par)
+    _, _, _, dw = derivative(pack(w=(1.0, 0.0, 0.0)), par)
     assert np.allclose(dw, 0.0)
 
     J = np.array([[0.011, 0.002, 0.0], [0.002, 0.013, 0.001], [0.0, 0.001, 0.021]])
     par2 = VehicleParams(inertia=J)
     w = np.array([0.3, -1.1, 0.7])
-    x.omega = w
-    _, _, _, dw = continuous_dynamics(x, WrenchInput(0.0, np.zeros(3)), DisturbanceInput(), par2)
+    _, _, _, dw = derivative(pack(w=w), par2)
     assert np.allclose(dw, np.linalg.inv(J) @ (-np.cross(w, J @ w)), atol=1e-12)
 
 
 def test_touch_force_enters_translation():
     par = VehicleParams()
-    x = hover_state()
-    u = WrenchInput(par.mass * par.gravity, np.zeros(3))
-    d = DisturbanceInput(touch=np.array([0.0, 0.0, -4.0]))
-    _, dv, _, _ = continuous_dynamics(x, u, d, par)
+    _, dv, _, _ = derivative(pack(), par, thrust=par.mass * par.gravity, touch=(0.0, 0.0, -4.0))
     assert np.allclose(dv, [0.0, 0.0, -4.0 / par.mass])
 
 
 def test_integrate_hover_fixed_point():
     par = VehicleParams()
-    x = hover_state()
-    u = WrenchInput(par.mass * par.gravity, np.zeros(3))
-    x2 = integrate_step(x, u, DisturbanceInput(), par, 0.002)
-    assert np.allclose(x2.p, x.p, atol=1e-12)
-    assert np.allclose(x2.v, 0.0, atol=1e-12)
-    assert np.allclose(x2.q, x.q, atol=1e-12)
+    x = pack()
+    x2 = step(x, par, 0.002, thrust=par.mass * par.gravity)
+    assert np.allclose(x2[0:3], x[0:3], atol=1e-12)
+    assert np.allclose(x2[3:6], 0.0, atol=1e-12)
+    assert np.allclose(x2[6:10], x[6:10], atol=1e-12)
 
 
 def test_integrator_order():
     """Step-doubling: RK4 error contracts ~16x when dt halves."""
     par = VehicleParams()
-    x = VehicleState(
-        np.zeros(3), np.array([2.0, 0.5, -0.3]),
-        quat_normalize(np.array([0.9, 0.2, -0.1, 0.3])), np.array([1.0, -2.0, 0.5]),
-    )
-    u = WrenchInput(10.0, np.array([0.01, -0.02, 0.005]))
-    d = DisturbanceInput(wind=np.array([1.0, 0.0, 0.0]))
+    x = pack(ZERO, (2.0, 0.5, -0.3), quat_normalize(np.array([0.9, 0.2, -0.1, 0.3])), (1.0, -2.0, 0.5))
 
     def advance(dt, n):
-        y = x.copy()
+        y = x
         for _ in range(n):
-            y = integrate_step(y, u, d, par, dt)
-        return np.concatenate([y.p, y.v, y.q, y.omega])
+            y = step(y, par, dt, thrust=10.0, torque=(0.01, -0.02, 0.005), wind=(1.0, 0.0, 0.0))
+        return np.array(y)
 
     ref = advance(0.0005, 160)  # fine reference over 0.08 s
     e1 = np.linalg.norm(advance(0.008, 10) - ref)
@@ -152,18 +141,16 @@ def test_integrator_order():
 
 
 def test_integrate_attitude_matches_closed_form():
-    from windest.geometry import quat_integrate
-
     par = VehicleParams(mu1=0.0, mu2=0.0)
     w = np.array([0.4, -0.9, 1.3])
-    x = VehicleState(np.zeros(3), np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]), w)
     # torque canceling the gyroscopic term keeps omega constant
-    u = WrenchInput(0.0, np.cross(w, par.inertia @ w))
-    y = x.copy()
+    torque = tuple(np.cross(w, par.inertia @ w).tolist())
+    y = pack(ZERO, w=w)
     for _ in range(500):
-        y = integrate_step(y, u, DisturbanceInput(), par, 0.002)
-    q_exact = quat_integrate(x.q, w, 1.0)
-    assert min(np.linalg.norm(y.q - q_exact), np.linalg.norm(y.q + q_exact)) < 1e-8
+        y = step(y, par, 0.002, torque=torque)
+    q = np.array(y[6:10])
+    q_exact = quat_integrate(np.array(Q_ID), w, 1.0)
+    assert min(np.linalg.norm(q - q_exact), np.linalg.norm(q + q_exact)) < 1e-8
 
 
 def test_frame_consistency():
@@ -171,32 +158,30 @@ def test_frame_consistency():
     with the dynamics."""
     rng = np.random.default_rng(31)
     R0q = quat_normalize(rng.normal(size=4))
-    x = VehicleState(
-        rng.normal(size=3), rng.normal(size=3),
-        quat_normalize(rng.normal(size=4)), rng.normal(size=3),
-    )
-    u = WrenchInput(9.0, rng.normal(size=3) * 0.01)
-    d = DisturbanceInput(wind=rng.normal(size=3), touch=rng.normal(size=3))
+    p, v, w = rng.normal(size=(3, 3))
+    q = quat_normalize(rng.normal(size=4))
+    torque = rng.normal(size=3) * 0.01
+    wind, touch = rng.normal(size=(2, 3))
 
     par0 = VehicleParams(gravity=0.0)  # gravity is not rotation-invariant; drop it
-    _, dv, _, dw = continuous_dynamics(x, u, d, par0)
-    xr = VehicleState(
-        quat_rotate(R0q, x.p), quat_rotate(R0q, x.v), quat_multiply(R0q, x.q), x.omega
+    _, dv, _, dw = derivative(pack(p, v, q, w), par0, 9.0, torque, wind, touch)
+    xr = pack(quat_rotate(R0q, p), quat_rotate(R0q, v), quat_multiply(R0q, q), w)
+    _, dv_r, _, dw_r = derivative(
+        xr, par0, 9.0, torque, quat_rotate(R0q, wind), quat_rotate(R0q, touch)
     )
-    dr = DisturbanceInput(wind=quat_rotate(R0q, d.wind), touch=quat_rotate(R0q, d.touch))
-    _, dv_r, _, dw_r = continuous_dynamics(xr, u, dr, par0)
     assert np.allclose(dv_r, quat_rotate(R0q, dv), atol=1e-12)
     assert np.allclose(dw_r, dw, atol=1e-12)
 
 
 def test_drag_dissipates_kinetic_energy():
     par = VehicleParams(gravity=0.0)
-    x = VehicleState(np.zeros(3), np.array([3.0, -1.0, 2.0]), np.array([1.0, 0, 0, 0]), np.zeros(3))
-    u = WrenchInput(0.0, np.zeros(3))
-    ke = 0.5 * par.mass * x.v @ x.v
+    x = pack(ZERO, v=(3.0, -1.0, 2.0))
+    v = np.array(x[3:6])
+    ke = 0.5 * par.mass * v @ v
     for _ in range(200):
-        x = integrate_step(x, u, DisturbanceInput(), par, 0.005)
-        ke2 = 0.5 * par.mass * x.v @ x.v
+        x = step(x, par, 0.005)
+        v = np.array(x[3:6])
+        ke2 = 0.5 * par.mass * v @ v
         assert ke2 < ke
         ke = ke2
 
@@ -216,10 +201,7 @@ def test_euler_step_arrays_matches_scalar():
     dt = 0.01
     p2, v2, q2, w2 = vehicle.euler_step_arrays(p, v, q, w, thrust, torque, touch, wind, par, dt)
     for i in range(n):
-        x = VehicleState(p[i], v[i], q[i], w[i])
-        dp, dv, _, dw = continuous_dynamics(
-            x, WrenchInput(thrust, torque), DisturbanceInput(wind, touch[i]), par
-        )
+        dp, dv, _, dw = derivative(pack(p[i], v[i], q[i], w[i]), par, thrust, torque, wind, touch[i])
         assert np.allclose(p2[i], p[i] + dp * dt, atol=1e-12)
         assert np.allclose(v2[i], v[i] + dv * dt, atol=1e-12)
         assert np.allclose(w2[i], w[i] + dw * dt, atol=1e-12)

@@ -16,7 +16,6 @@ from windest.whisker import (
     rig_predict,
     sensor_airflow,
     synthesize_field,
-    whisker_drag,
 )
 
 
@@ -93,21 +92,6 @@ def test_sensor_airflow_matches_hand_evaluation():
         v, w = rng.normal(size=3), rng.normal(size=3)
         expect = rot.T @ (v - np.cross(w, m.r))
         assert np.allclose(sensor_airflow(v, w, m), expect, atol=1e-12)
-
-
-def test_whisker_drag_zero_input():
-    assert np.allclose(whisker_drag([0.0, 0.0, 0.0], 1.2, 1.1, 0.003), 0.0)
-
-
-def test_whisker_drag_no_axial_force():
-    f = whisker_drag([0.0, 0.0, 5.0], 1.2, 1.1, 0.003)
-    assert f[2] == 0.0
-
-
-def test_whisker_drag_quadratic():
-    f1 = whisker_drag([1.0, 2.0, 0.0], 1.2, 1.1, 0.003)
-    f2 = whisker_drag([2.0, 4.0, 0.0], 1.2, 1.1, 0.003)
-    assert np.linalg.norm(f2) == pytest.approx(4.0 * np.linalg.norm(f1))
 
 
 def test_predict_deflection_zero():
