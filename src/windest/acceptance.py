@@ -71,12 +71,7 @@ class Artifacts:
         )
 
     def eval_log_joystick(self):
-        return self._memo(
-            "eval_joy",
-            lambda: run_scenario(
-                sim.joystick_scenario(seed=23, interference=INTERFERENCE_GAIN)
-            ),
-        )
+        return self._memo("eval_joy", lambda: run_scenario(self.eval_scenario()))
 
     def eval_scenario(self):
         return sim.joystick_scenario(seed=23, interference=INTERFERENCE_GAIN)

@@ -35,7 +35,11 @@ def _out_dir(args):
 def _load_config(path):
     if path is None:
         return EstimatorConfig()
-    return pipeline.config_from_dict(parse_config(path))
+    d = parse_config(path)
+    try:
+        return pipeline.config_from_dict(d)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ stacks the body axes expressed in world coordinates as its columns.
 
 Attitude errors use generalized Rodrigues parameters with ``a = 1`` and
 ``f = 2 (a + 1) = 4``, so the error vector equals the rotation angle in
-radians to first order.  Error quaternions compose on the left:
+radians to first order (Crassidis & Markley 2003).  Both are constants:
+the filter relies on ``a = 1``, for which quat_from_mrp's scalar part
+never goes negative.  Error quaternions compose on the left:
 ``q = dq (x) q_ref``.
 
 All functions broadcast over leading axes; the quaternion / vector lives
@@ -36,6 +38,7 @@ import numpy as np
 
 MRP_A = 1.0
 MRP_F = 2.0 * (MRP_A + 1.0)
+SIGMA_JITTER = 1e-12  # added to the covariance diagonal before factorization
 
 
 class CovarianceError(RuntimeError):
@@ -138,7 +141,7 @@ def quat_integrate(q, omega, dt):
     return quat_multiply(q, quat_from_axis_angle(np.asarray(omega, dtype=float) * dt))
 
 
-def mrp_from_quat(dq, a=MRP_A, f=MRP_F):
+def mrp_from_quat(dq):
     """Error quaternion -> generalized Rodrigues parameters.
 
     Flips to the shadow set (negates dq) when the scalar part is negative
@@ -147,25 +150,29 @@ def mrp_from_quat(dq, a=MRP_A, f=MRP_F):
     dq = np.asarray(dq, dtype=float)
     flip = dq[..., :1] < 0.0
     dq = np.where(flip, -dq, dq)
-    return f * dq[..., 1:] / (a + dq[..., :1])
+    return MRP_F * dq[..., 1:] / (MRP_A + dq[..., :1])
 
 
-def quat_from_mrp(p, a=MRP_A, f=MRP_F):
-    """Generalized Rodrigues parameters -> unit error quaternion (w >= 0 for a=1)."""
+def quat_from_mrp(p):
+    """Generalized Rodrigues parameters -> unit error quaternion, w >= 0.
+
+    With a = 1 the scalar part is (f^2 - |p|^2) / (f^2 + |p|^2).
+    """
     p = np.asarray(p, dtype=float)
     n2 = np.sum(p * p, axis=-1, keepdims=True)
-    w = (-a * n2 + f * np.sqrt(f * f + (1.0 - a * a) * n2)) / (f * f + n2)
-    return np.concatenate([w, (a + w) * p / f], axis=-1)
+    f2 = MRP_F * MRP_F
+    w = (f2 - n2) / (f2 + n2)
+    return np.concatenate([w, (MRP_A + w) * p / MRP_F], axis=-1)
 
 
-def mrp_error(q, q_ref, a=MRP_A, f=MRP_F):
+def mrp_error(q, q_ref):
     """Attitude error parameters of q relative to q_ref (q = dq (x) q_ref)."""
-    return mrp_from_quat(quat_multiply(q, quat_conjugate(q_ref)), a=a, f=f)
+    return mrp_from_quat(quat_multiply(q, quat_conjugate(q_ref)))
 
 
-def compose_mrp(q_ref, e, a=MRP_A, f=MRP_F):
+def compose_mrp(q_ref, e):
     """Fold error parameters e onto the reference: returns dq(e) (x) q_ref."""
-    return quat_normalize(quat_multiply(quat_from_mrp(e, a=a, f=f), q_ref))
+    return quat_normalize(quat_multiply(quat_from_mrp(e), q_ref))
 
 
 @dataclass(frozen=True)
@@ -199,19 +206,19 @@ def _factor(cov, jitter):
         raise CovarianceError("covariance is not positive definite") from exc
 
 
-def sigma_points(mean, cov, params: UtParams = UtParams(), jitter=1e-12):
+def sigma_points(mean, cov, params: UtParams = UtParams()):
     """Scaled symmetric sigma points for (mean, cov).
 
-    cov must be symmetric positive semidefinite; a jitter of
-    ``jitter * I`` is added before factorization and the factorization is
-    retried once with a larger bump before failing.
+    cov must be symmetric positive semidefinite; ``SIGMA_JITTER * I`` is
+    added before factorization and the factorization is retried once with
+    a larger bump before failing.
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     n = mean.shape[0]
     lam = params.alpha**2 * (n + params.kappa) - n
     scale = n + lam
-    root = _factor(scale * cov, scale * jitter)
+    root = _factor(scale * cov, scale * SIGMA_JITTER)
     points = np.empty((2 * n + 1, n))
     points[0] = mean
     points[1 : n + 1] = mean + root.T
@@ -223,15 +230,11 @@ def sigma_points(mean, cov, params: UtParams = UtParams(), jitter=1e-12):
     return SigmaPointSet(points, wm, wc)
 
 
-def reconstruct(points, wm, wc, ref=None):
-    """Weighted mean and covariance of transformed sigma points.
-
-    If ref is given, deviations for the covariance are taken about ref
-    instead of the weighted mean (used for cross-covariances).
-    """
+def reconstruct(points, wm, wc):
+    """Weighted mean and covariance of transformed sigma points."""
     points = np.asarray(points, dtype=float)
     mean = wm @ points
-    d = points - (mean if ref is None else ref)
+    d = points - mean
     cov = d.T @ (wc[:, None] * d)
     return mean, 0.5 * (cov + cov.T)
 

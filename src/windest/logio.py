@@ -273,11 +273,12 @@ class WhiskerDriver:
         theta[~accept] = np.nan
         return theta, accept
 
-    def run(self, t, b_stack, calibrate=True):
-        """Drive a whole (n, n_sensors, 3) stream; returns (theta, accept)."""
+    def run(self, t, b_stack):
+        """Calibrate on the first calib_duration seconds, then drive the
+        whole (n, n_sensors, 3) stream; returns (theta, accept)."""
         t = np.asarray(t, dtype=float)
         b_stack = np.asarray(b_stack, dtype=float)
-        if calibrate and t.shape[0]:
+        if t.shape[0]:
             m = int(np.searchsorted(t, t[0] + self.config.calib_duration, side="right"))
             self.calibrate(b_stack[: max(m, 1)])
         thetas = np.empty((t.shape[0], len(self.rig), 2))
@@ -386,15 +387,27 @@ def rig_to_config(rig: WhiskerRig):
 
 
 def rig_from_config(cfg: dict):
-    n = int(cfg["sensor_count"])
+    """WhiskerRig from sensor_count and the sensor{i}_* keys.
+
+    A missing or malformed value raises ValueError naming its key.
+    """
+
+    def value(key, convert):
+        if key not in cfg:
+            raise ValueError(f"missing config key {key!r}")
+        try:
+            return convert(cfg[key])
+        except (TypeError, ValueError):
+            raise ValueError(f"config key {key!r}: bad value {cfg[key]!r}") from None
+
     mounts = []
-    for i in range(n):
+    for i in range(value("sensor_count", int)):
         mounts.append(
             SensorMount(
                 str(cfg.get(f"sensor{i}_name", f"s{i}")),
-                np.asarray(cfg[f"sensor{i}_pos_m"], dtype=float),
-                np.asarray(cfg[f"sensor{i}_rot"], dtype=float).reshape(3, 3),
-                float(cfg[f"sensor{i}_coeff"]),
+                value(f"sensor{i}_pos_m", lambda v: np.asarray(v, dtype=float).reshape(3)),
+                value(f"sensor{i}_rot", lambda v: np.asarray(v, dtype=float).reshape(3, 3)),
+                value(f"sensor{i}_coeff", float),
                 str(cfg.get(f"sensor{i}_polarity", whisker.NORTH_UP)),
             )
         )

@@ -22,6 +22,10 @@ HIDDEN_DIM = 16
 OUTPUT_DIM = 3
 N_LAYERS = 2
 
+SEQ_LEN = 5  # ticks per training window
+BATCH_SIZE = 32  # windows per Adam step
+VAL_FRACTION = 0.2  # tail share of each block's windows held out
+
 
 def _sigmoid(x):
     out = np.empty_like(x)
@@ -41,36 +45,30 @@ class LstmParams:
     hidden_dim: int = HIDDEN_DIM
     output_dim: int = OUTPUT_DIM
 
-    def copy(self):
-        return LstmParams(
-            {k: v.copy() for k, v in self.tensors.items()},
-            self.input_dim,
-            self.hidden_dim,
-            self.output_dim,
-        )
 
-    def size(self):
-        return sum(v.size for v in self.tensors.values())
+def _tensor_shapes(input_dim, hidden_dim, output_dim):
+    shapes = {}
+    for layer in range(N_LAYERS):
+        d_in = input_dim if layer == 0 else hidden_dim
+        shapes[f"w_ih{layer}"] = (4 * hidden_dim, d_in)
+        shapes[f"w_hh{layer}"] = (4 * hidden_dim, hidden_dim)
+        shapes[f"b{layer}"] = (4 * hidden_dim,)
+    shapes["w_out"] = (output_dim, hidden_dim)
+    shapes["b_out"] = (output_dim,)
+    return shapes
 
 
 def init_params(rng, input_dim=INPUT_DIM, hidden_dim=HIDDEN_DIM, output_dim=OUTPUT_DIM):
-    """Uniform(+-1/sqrt(fan_in)) init; forget-gate biases start at +1."""
+    """Uniform(+-1/sqrt(fan_in)) init; forget-gate biases start at +1.
 
-    def u(shape, fan_in):
-        k = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-k, k, size=shape)
-
-    h = hidden_dim
+    The fan-in of a matrix is its width; of a bias, the hidden size.
+    """
     tensors = {}
+    for name, shape in _tensor_shapes(input_dim, hidden_dim, output_dim).items():
+        k = 1.0 / np.sqrt(shape[1] if len(shape) == 2 else hidden_dim)
+        tensors[name] = rng.uniform(-k, k, size=shape)
     for layer in range(N_LAYERS):
-        d_in = input_dim if layer == 0 else hidden_dim
-        tensors[f"w_ih{layer}"] = u((4 * h, d_in), d_in)
-        tensors[f"w_hh{layer}"] = u((4 * h, h), h)
-        b = u((4 * h,), h)
-        b[h : 2 * h] += 1.0  # forget gate bias
-        tensors[f"b{layer}"] = b
-    tensors["w_out"] = u((output_dim, h), h)
-    tensors["b_out"] = u((output_dim,), h)
+        tensors[f"b{layer}"][hidden_dim : 2 * hidden_dim] += 1.0  # forget gate bias
     return LstmParams(tensors, input_dim, hidden_dim, output_dim)
 
 
@@ -196,13 +194,7 @@ def adam_step(tensors, grads, state: AdamState, lr=1e-4, beta1=0.9, beta2=0.999,
 @dataclass
 class TrainConfig:
     epochs: int = 400
-    seq_len: int = 5
-    batch_size: int = 32
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    val_fraction: float = 0.2
     seed: int = 0
 
 
@@ -228,20 +220,20 @@ def split_windows(wx, wy, val_fraction):
     return (wx[:n_train], wy[:n_train]), (wx[n_train:], wy[n_train:])
 
 
-def train(blocks, config: TrainConfig = TrainConfig(), params=None, callback=None):
+def train(blocks, config: TrainConfig = TrainConfig()):
     """Train on a list of (features, labels) streams.
 
-    Each block is windowed and split (contiguous 80/20 by default)
-    independently so validation windows come from unseen stretches of
-    every source flight.  Returns (params, history) where history rows
+    Each block is windowed into SEQ_LEN ticks and split (a contiguous
+    tail of VAL_FRACTION held out) independently so validation windows
+    come from unseen stretches of every source flight.  Returns (params, history) where history rows
     are (epoch, train_loss, val_loss).  Fully deterministic for a fixed
     config seed.
     """
     rng = np.random.default_rng(config.seed)
     tr_x, tr_y, va_x, va_y = [], [], [], []
     for X, Y in blocks:
-        wx, wy = make_windows(X, Y, config.seq_len)
-        (tx, ty), (vx, vy) = split_windows(wx, wy, config.val_fraction)
+        wx, wy = make_windows(X, Y, SEQ_LEN)
+        (tx, ty), (vx, vy) = split_windows(wx, wy, VAL_FRACTION)
         tr_x.append(tx)
         tr_y.append(ty)
         va_x.append(vx)
@@ -250,22 +242,19 @@ def train(blocks, config: TrainConfig = TrainConfig(), params=None, callback=Non
     tr_y = np.concatenate(tr_y)
     va_x = np.concatenate(va_x)
     va_y = np.concatenate(va_y)
-    if params is None:
-        params = init_params(rng, tr_x.shape[2], HIDDEN_DIM, tr_y.shape[2])
+    params = init_params(rng, tr_x.shape[2], HIDDEN_DIM, tr_y.shape[2])
     adam = AdamState()
     history = []
     n = tr_x.shape[0]
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         total = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            idx = order[start : start + BATCH_SIZE]
             xb = tr_x[idx].transpose(1, 0, 2)
             yb = tr_y[idx].transpose(1, 0, 2)
             loss, grads, _ = loss_and_grads(params, xb, yb)
-            adam_step(
-                params.tensors, grads, adam, config.lr, config.beta1, config.beta2, config.eps
-            )
+            adam_step(params.tensors, grads, adam, config.lr)
             total += loss * idx.size
         train_loss = total / n
         val_loss = (
@@ -274,8 +263,6 @@ def train(blocks, config: TrainConfig = TrainConfig(), params=None, callback=Non
             else float("nan")
         )
         history.append((epoch, train_loss, val_loss))
-        if callback is not None:
-            callback(epoch, train_loss, val_loss)
     return params, history
 
 
@@ -326,18 +313,6 @@ def save_params(params: LstmParams, path):
         for name in sorted(params.tensors):
             for j, val in enumerate(params.tensors[name].ravel()):
                 w.writerow([name, j, f"{val:.17g}"])
-
-
-def _tensor_shapes(input_dim, hidden_dim, output_dim):
-    shapes = {}
-    for layer in range(N_LAYERS):
-        d_in = input_dim if layer == 0 else hidden_dim
-        shapes[f"w_ih{layer}"] = (4 * hidden_dim, d_in)
-        shapes[f"w_hh{layer}"] = (4 * hidden_dim, hidden_dim)
-        shapes[f"b{layer}"] = (4 * hidden_dim,)
-    shapes["w_out"] = (output_dim, hidden_dim)
-    shapes["b_out"] = (output_dim,)
-    return shapes
 
 
 def load_params(path):

@@ -17,10 +17,12 @@ import numpy as np
 
 from . import lstm as lstm_mod
 from . import logio, sim, ukf
-from .geometry import UtParams, quat_rotate
+from .geometry import UtParams
 from .logio import DriverConfig, FlightLog, WhiskerDriver
 from .vehicle import VehicleParams, WrenchInput, drag_force
-from .whisker import WhiskerRig, default_rig
+from .whisker import WhiskerRig, body_airflow, default_rig
+
+TRAINING_SKIP_S = 1.0  # s dropped from the start of each training block
 
 
 @dataclass
@@ -96,11 +98,21 @@ def config_to_dict(cfg: EstimatorConfig):
     return out
 
 
-def _config_value(default, raw):
-    """A file value as the type of the field's default."""
-    if isinstance(default, np.ndarray):
-        return np.asarray(raw, dtype=float).reshape(default.shape)
-    return bool(raw) if isinstance(default, bool) else float(raw)
+_BOOL_VALUES = {0.0: False, 1.0: True, "false": False, "true": True}
+
+
+def _config_value(key, default, raw):
+    """A file value as the type of the field's default.
+
+    A boolean takes 0, 1, false or true only.  A value that does not
+    convert raises ValueError naming the key.
+    """
+    try:
+        if isinstance(default, np.ndarray):
+            return np.asarray(raw, dtype=float).reshape(default.shape)
+        return _BOOL_VALUES[raw] if isinstance(default, bool) else float(raw)
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"config key {key!r}: bad value {raw!r}") from None
 
 
 def config_from_dict(d: dict):
@@ -118,7 +130,7 @@ def config_from_dict(d: dict):
     for key, section, name in CONFIG_KEYS:
         if key in d:
             default = getattr(getattr(cfg, section) if section else cfg, name)
-            fields.setdefault(section, {})[name] = _config_value(default, d[key])
+            fields.setdefault(section, {})[name] = _config_value(key, default, d[key])
     for section, kw in fields.items():
         if section:
             setattr(cfg, section, replace(getattr(cfg, section), **kw))
@@ -136,28 +148,31 @@ def driver_angles(log: FlightLog, cfg: EstimatorConfig):
     return ch.t, theta, accept
 
 
-def pseudo_airflow(
-    log: FlightLog, cfg: EstimatorConfig, params: lstm_mod.LstmParams, theta=None, rs=None
-):
-    """LSTM relative-airflow pseudo measurements on the whisker clock.
+def whisker_clock_features(log: FlightLog, cfg: EstimatorConfig):
+    """The LSTM feature stream on the resampled whisker clock: (t, features).
 
-    theta, if given, holds the driver angles already on the resampled
-    clock; rs, if given, is resample_to_clock(log, "whisker").
+    Driver angles on the whisker clock, held onto the resampled clock
+    (the whisker ticks every channel covers), NaN rows of rejected
+    samples filled forward, then stacked with the body rates, specific
+    force and signed throttles.
     """
-    if rs is None:
-        rs = logio.resample_to_clock(log, "whisker")
-    if theta is None:
-        _, theta, _ = driver_angles(log, cfg)
-        idx = logio.zoh_indices(log["whisker"].t, rs.t)
-        theta = theta[idx]
+    t_whisk, theta, _ = driver_angles(log, cfg)
+    rs = logio.resample_to_clock(log, "whisker")
+    theta_rs = theta[logio.zoh_indices(t_whisk, rs.t)]
     feats = lstm_mod.build_features(
-        logio.forward_fill(theta),
+        logio.forward_fill(theta_rs),
         rs["odometry"].col("wx", "wy", "wz"),
         rs["imu"].col("ax", "ay", "az"),
         rs["throttle"].cols("u", sim.N_ROTORS),
         sim.SPIN_DIRS,
     )
-    return rs.t, lstm_mod.predict_stream(params, feats)
+    return rs.t, feats
+
+
+def pseudo_airflow(log: FlightLog, cfg: EstimatorConfig, params: lstm_mod.LstmParams):
+    """LSTM relative-airflow pseudo measurements on the resampled whisker clock."""
+    t, feats = whisker_clock_features(log, cfg)
+    return t, lstm_mod.predict_stream(params, feats)
 
 
 def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=None):
@@ -165,21 +180,22 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
 
     source "model" fuses whisker angles through the deflection model;
     source "lstm" fuses the learned relative-airflow pseudo measurement
-    (weights required).  Returns (t, table) on the whisker clock with
-    the estimate-file schema.
+    (weights required) on the whisker ticks of the resampled clock.
+    Returns (t, table) on the whisker clock with the estimate-file schema.
     """
     if source not in ("model", "lstm"):
         raise ValueError(f"unknown airflow source {source!r}")
     odo_ch = log["odometry"]
     thr_ch = log["throttle"]
-    t_whisk, theta, _ = driver_angles(log, cfg)
-    if source == "lstm":
+    t_whisk = log["whisker"].t
+    if source == "model":
+        _, theta, _ = driver_angles(log, cfg)
+    else:
         if weights is None:
             raise ValueError("lstm source needs weights")
-        rs = logio.resample_to_clock(log, "whisker")
-        theta_rs = theta[logio.zoh_indices(t_whisk, rs.t)]
-        t_pseudo, vinf_pred = pseudo_airflow(log, cfg, weights, theta=theta_rs, rs=rs)
-        pseudo_lookup = {round(t, 9): k for k, t in enumerate(t_pseudo)}
+        t_pseudo, vinf_pred = pseudo_airflow(log, cfg, weights)
+        # the resampled clock is a contiguous run of whisker ticks from k0
+        k0 = int(np.searchsorted(t_whisk, t_pseudo[0]))
     # columns read once, so each event costs the same however long the log
     odo_p = odo_ch.col("px", "py", "pz")
     odo_q = odo_ch.col("qw", "qx", "qy", "qz")
@@ -227,12 +243,10 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
                 belief, _ = ukf.update_airflow(
                     belief, theta[k], cfg.meas.whisker, cfg.rig, cfg.ut, gate=cfg.gate
                 )
-            else:
-                kk = pseudo_lookup.get(round(t, 9))
-                if kk is not None:
-                    belief, _ = ukf.update_pseudo_airflow(
-                        belief, vinf_pred[kk], cfg.meas.pseudo**2, cfg.ut, gate=cfg.gate
-                    )
+            elif 0 <= k - k0 < t_pseudo.shape[0]:
+                belief, _ = ukf.update_pseudo_airflow(
+                    belief, vinf_pred[k - k0], cfg.meas.pseudo**2, cfg.ut, gate=cfg.gate
+                )
             out = ukf.output(belief, cfg.vehicle)
             out_t.append(t)
             out_rows.append(
@@ -243,24 +257,15 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
     return np.array(out_t), np.array(out_rows)
 
 
-def training_block(log: FlightLog, cfg: EstimatorConfig, skip=1.0):
+def training_block(log: FlightLog, cfg: EstimatorConfig):
     """(features, labels) streams for regressor training, whisker clock.
 
-    Labels are the true body-frame relative airflow; the first `skip`
-    seconds (driver calibration window) are dropped.
+    Labels are the true body-frame relative airflow; the first
+    TRAINING_SKIP_S seconds (driver calibration window) are dropped.
     """
-    t_whisk, theta, _ = driver_angles(log, cfg)
-    rs = logio.resample_to_clock(log, "whisker")
-    theta_rs = theta[logio.zoh_indices(t_whisk, rs.t)]
-    feats = lstm_mod.build_features(
-        logio.forward_fill(theta_rs),
-        rs["odometry"].col("wx", "wy", "wz"),
-        rs["imu"].col("ax", "ay", "az"),
-        rs["throttle"].cols("u", sim.N_ROTORS),
-        sim.SPIN_DIRS,
-    )
-    labels = truth_airflow_body(log, rs.t)
-    keep = rs.t >= rs.t[0] + skip
+    t, feats = whisker_clock_features(log, cfg)
+    labels = truth_airflow_body(log, t)
+    keep = t >= t[0] + TRAINING_SKIP_S
     return feats[keep], labels[keep]
 
 
@@ -268,30 +273,22 @@ def training_block(log: FlightLog, cfg: EstimatorConfig, skip=1.0):
 # truth lookups and metrics
 
 
-def truth_sampled(log: FlightLog, t_query):
-    """Truth channel rows held onto arbitrary query times."""
+def truth_cols(log: FlightLog, t_query, *names):
+    """Truth channel columns held onto arbitrary query times, shaped as
+    Channel.col shapes them."""
     tr = log["truth"]
     idx = logio.zoh_indices(tr.t, t_query)
     if np.any(idx < 0):
         raise ValueError("query precedes the truth channel")
-    return tr.data[idx], tr
+    return tr.col(*names)[idx]
+
 
 def truth_airflow_body(log: FlightLog, t_query):
-    rows, tr = truth_sampled(log, t_query)
-    cidx = {c: i for i, c in enumerate(tr.columns)}
-    v = rows[:, [cidx["vx"], cidx["vy"], cidx["vz"]]]
-    q = rows[:, [cidx["qw"], cidx["qx"], cidx["qy"], cidx["qz"]]]
-    wind = rows[:, [cidx["wind_x"], cidx["wind_y"], cidx["wind_z"]]]
-    qc = q.copy()
-    qc[:, 1:] = -qc[:, 1:]
-    return quat_rotate(qc, wind - v)
-
-
-def truth_cols(log: FlightLog, t_query, *names):
-    rows, tr = truth_sampled(log, t_query)
-    cidx = {c: i for i, c in enumerate(tr.columns)}
-    out = rows[:, [cidx[n] for n in names]]
-    return out
+    return body_airflow(
+        truth_cols(log, t_query, "qw", "qx", "qy", "qz"),
+        truth_cols(log, t_query, "wind_x", "wind_y", "wind_z"),
+        truth_cols(log, t_query, "vx", "vy", "vz"),
+    )
 
 
 def truth_drag(log: FlightLog, t_query, vehicle: VehicleParams):

@@ -7,8 +7,8 @@ commanded wrench at 200 Hz.  The integrator runs internally at 1 kHz
 and touch inputs refresh at 500 Hz.
 
 Wind is ambient flow plus cone-shaped gusts (leaf-blower style: a
-centerline speed profile with a cosine falloff toward the cone wall and
-an on/off schedule).  Touch forces are piecewise-linear world-frame
+centerline speed with a cosine falloff toward the cone wall and an
+on/off schedule).  Touch forces are piecewise-linear world-frame
 pulls/pushes.  A configurable rotor-interference channel can add a
 throttle- and airflow-dependent bias to the whisker angles, emulating
 propwash the whisker model does not capture.
@@ -68,7 +68,7 @@ INTERFERENCE_DIRS = np.array(
 
 @dataclass
 class ConeGust:
-    """Conical jet: speed profile along the centerline, cosine falloff
+    """Conical jet: constant speed on the centerline, cosine falloff
     toward the cone wall, active on [t_on, t_off)."""
 
     origin: np.ndarray
@@ -77,7 +77,6 @@ class ConeGust:
     speed: float = 3.6  # m/s on the centerline
     t_on: float = 0.0
     t_off: float = math.inf
-    profile: np.ndarray | None = None  # optional (k, 2) [distance, speed] table
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float)
@@ -86,8 +85,6 @@ class ConeGust:
         if n < 1e-9:
             raise ValueError("gust direction must be nonzero")
         self.direction = d / n
-        if self.profile is not None:
-            self.profile = np.asarray(self.profile, dtype=float)
 
     def velocity(self, p, t):
         if not (self.t_on <= t < self.t_off):
@@ -100,12 +97,8 @@ class ConeGust:
         off_axis = math.atan2(float(np.linalg.norm(radial)), axial)
         if off_axis >= self.half_angle:
             return np.zeros(3)
-        if self.profile is None:
-            s = self.speed
-        else:
-            s = float(np.interp(axial, self.profile[:, 0], self.profile[:, 1]))
         falloff = math.cos(0.5 * math.pi * off_axis / self.half_angle)
-        return s * falloff * self.direction
+        return self.speed * falloff * self.direction
 
 
 @dataclass

@@ -23,8 +23,13 @@ from scipy.signal import butter, filtfilt
 
 from . import whisker
 from .geometry import quat_rotate, quat_conjugate
+from .logio import zoh_indices
+from .vehicle import GRAVITY
 
 MIN_PLANAR_SPEED = 0.2  # m/s, coefficient samples below this are discarded
+MIN_SPEED = 0.5  # m/s, drag samples below this are discarded
+MAX_VERTICAL_RATIO = 0.35  # drag samples need |v_z| below this share of the speed
+CUTOFF_HZ = 4.0  # low-pass corner before differentiating odometry velocity
 _MIN_CC = 0.2  # reject attitudes where cos(roll) cos(pitch) falls below this
 
 
@@ -53,12 +58,12 @@ def roll_pitch_from_quat(q):
     return roll, pitch
 
 
-def thrust_from_attitude(mass, roll, pitch, gravity=9.81):
+def thrust_from_attitude(mass, roll, pitch):
     """Thrust needed to hold altitude at the given tilt, f = m g / (cos r cos p)."""
     cc = math.cos(roll) * math.cos(pitch)
     if cc < _MIN_CC:
         raise ValueError(f"attitude too far from level (cos r cos p = {cc:.3f})")
-    return mass * gravity / cc
+    return mass * GRAVITY / cc
 
 
 def drag_projection(f_thrust, v_dot_body, e_v_body, mass):
@@ -100,71 +105,60 @@ def fit_drag_polynomial(samples):
     return DragFit(float(coef[0]), float(coef[1]), float(np.sqrt(np.mean(resid**2))))
 
 
-def identify_sensor_coefficient(thetas, v_inf_sensor, min_planar_speed=MIN_PLANAR_SPEED):
+def identify_sensor_coefficient(thetas, v_inf_sensor):
     """Median lumped coefficient from paired (deflection, airflow) samples.
 
     thetas: (n, 2) deflection angles; v_inf_sensor: (n, 3) sensor-frame
     relative airflow.  Samples whose planar airflow magnitude falls below
-    min_planar_speed are discarded; raises if none survive.
+    MIN_PLANAR_SPEED are discarded; raises if none survive.
     """
     thetas = np.asarray(thetas, dtype=float)
     v = np.asarray(v_inf_sensor, dtype=float)
     speed = np.linalg.norm(v, axis=1)
     planar = np.linalg.norm(v[:, :2], axis=1)
-    ok = (planar > min_planar_speed) & np.all(np.isfinite(thetas), axis=1)
+    ok = (planar > MIN_PLANAR_SPEED) & np.all(np.isfinite(thetas), axis=1)
     if not np.any(ok):
         raise ValueError("no samples above the planar speed cutoff")
     c = np.linalg.norm(thetas[ok], axis=1) / (speed[ok] * planar[ok])
     return float(np.median(c))
 
 
-def _lowpass(x, fs, cutoff_hz):
+def _lowpass(x, fs):
     if x.shape[0] < 15:
         return x
-    b, a = butter(2, cutoff_hz / (0.5 * fs))
+    b, a = butter(2, CUTOFF_HZ / (0.5 * fs))
     return filtfilt(b, a, x, axis=0)
 
 
-def differentiate_velocity(t, v, cutoff_hz=4.0):
+def differentiate_velocity(t, v):
     """Acceleration from sampled velocity: zero-phase low-pass, then gradient."""
     t = np.asarray(t, dtype=float)
     v = np.asarray(v, dtype=float)
     fs = 1.0 / np.median(np.diff(t))
-    v_f = _lowpass(v, fs, cutoff_hz)
-    return np.gradient(v_f, t, axis=0)
+    return np.gradient(_lowpass(v, fs), t, axis=0)
 
 
-def collect_drag_samples(
-    t,
-    p_q,
-    v_world,
-    mass,
-    gravity=9.81,
-    min_speed=0.5,
-    max_vertical_ratio=0.35,
-    window=None,
-    cutoff_hz=4.0,
-):
+def collect_drag_samples(t, p_q, v_world, mass, window=None):
     """Drag samples from an odometry stream (t, quaternion, world velocity).
 
     Steady-segment selection: planar-dominated motion (|v_z| below
-    max_vertical_ratio of the speed), speed above min_speed, and an
+    MAX_VERTICAL_RATIO of the speed), speed above MIN_SPEED, and an
     optional (t0, t1) window restricting to the execution phase.
     """
     t = np.asarray(t, dtype=float)
     q = np.asarray(p_q, dtype=float)
     v = np.asarray(v_world, dtype=float)
-    a = differentiate_velocity(t, v, cutoff_hz=cutoff_hz)
+    a = differentiate_velocity(t, v)
     samples = []
     for k in range(t.shape[0]):
         if window is not None and not (window[0] <= t[k] <= window[1]):
             continue
         speed = float(np.linalg.norm(v[k]))
-        if speed < min_speed or abs(v[k, 2]) > max_vertical_ratio * speed:
+        if speed < MIN_SPEED or abs(v[k, 2]) > MAX_VERTICAL_RATIO * speed:
             continue
         roll, pitch = roll_pitch_from_quat(q[k])
         try:
-            f_thrust = thrust_from_attitude(mass, roll, pitch, gravity)
+            f_thrust = thrust_from_attitude(mass, roll, pitch)
         except ValueError:
             continue
         qc = quat_conjugate(q[k])
@@ -172,9 +166,7 @@ def collect_drag_samples(
     return samples
 
 
-def collect_drag_samples_truth(
-    t, q, v, a, thrust, wind, touch, mass, gravity=9.81, min_speed=0.5, window=None
-):
+def collect_drag_samples_truth(t, q, v, a, thrust, wind, touch, mass, window=None):
     """Drag samples from full dynamics bookkeeping (simulator truth).
 
     Solves the translational dynamics for the drag force, projects it on
@@ -189,14 +181,14 @@ def collect_drag_samples_truth(
     wind = np.asarray(wind, dtype=float)
     touch = np.asarray(touch, dtype=float)
     thrust_w = quat_rotate(q, np.column_stack([np.zeros_like(thrust), np.zeros_like(thrust), thrust]))
-    g_w = np.array([0.0, 0.0, -gravity])
+    g_w = np.array([0.0, 0.0, -GRAVITY])
     v_inf = wind - v
     speed = np.linalg.norm(v_inf, axis=1)
     samples = []
     for k in range(t.shape[0]):
         if window is not None and not (window[0] <= t[k] <= window[1]):
             continue
-        if speed[k] < min_speed:
+        if speed[k] < MIN_SPEED:
             continue
         e_travel = -v_inf[k] / speed[k]
         force = float((thrust_w[k] + mass * g_w + touch[k] - mass * a[k]) @ e_travel)
@@ -205,15 +197,7 @@ def collect_drag_samples_truth(
 
 
 def identify_rig_coefficients(
-    t_theta,
-    thetas,
-    t_odo,
-    q_odo,
-    v_odo,
-    w_odo,
-    rig: whisker.WhiskerRig,
-    min_planar_speed=MIN_PLANAR_SPEED,
-    window=None,
+    t_theta, thetas, t_odo, q_odo, v_odo, w_odo, rig: whisker.WhiskerRig
 ):
     """Per-sensor lumped coefficients from a no-wind flight.
 
@@ -221,22 +205,17 @@ def identify_rig_coefficients(
     clock; odometry arrays are sampled onto that clock by zero-order
     hold.  Returns an array of median coefficients.
     """
-    t_theta = np.asarray(t_theta, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
-    idx = np.searchsorted(np.asarray(t_odo, dtype=float), t_theta, side="right") - 1
+    idx = zoh_indices(t_odo, t_theta)
     keep = idx >= 0
-    if window is not None:
-        keep &= (t_theta >= window[0]) & (t_theta <= window[1])
     idx = idx[keep]
     thetas = thetas[keep]
     q = np.asarray(q_odo, dtype=float)[idx]
     v = np.asarray(v_odo, dtype=float)[idx]
     w = np.asarray(w_odo, dtype=float)[idx]
-    qc = q.copy()
-    qc[:, 1:] = -qc[:, 1:]
-    v_inf_b = quat_rotate(qc, -v)  # no ambient wind assumed
+    v_inf_b = whisker.body_airflow(q, np.zeros(3), v)  # no ambient wind assumed
     coeffs = []
     for i, m in enumerate(rig.mounts):
         v_s = whisker.sensor_airflow(v_inf_b, w, m)
-        coeffs.append(identify_sensor_coefficient(thetas[:, i], v_s, min_planar_speed))
+        coeffs.append(identify_sensor_coefficient(thetas[:, i], v_s))
     return np.array(coeffs)

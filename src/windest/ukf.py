@@ -26,16 +26,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from . import geometry, vehicle, whisker
-from .geometry import (
-    UtParams,
-    compose_mrp,
-    mrp_error,
-    mrp_from_quat,
-    quat_conjugate,
-    quat_multiply,
-    quat_normalize,
-    sigma_points,
-)
+from .geometry import UtParams, compose_mrp, mrp_error, quat_normalize, sigma_points
 
 IDX_P = slice(0, 3)
 IDX_A = slice(3, 6)
@@ -125,18 +116,17 @@ class FilterOutput:
     drag: np.ndarray  # world [N]
 
 
-def init_belief(t, odo: OdometryMeasurement, p0=None, sigma_touch=2.0, sigma_wind=2.0):
+def init_belief(t, odo: OdometryMeasurement, sigma_touch=2.0, sigma_wind=2.0):
     """Belief anchored at the first odometry sample, disturbances at zero."""
     mean = np.zeros(STATE_DIM)
     mean[IDX_P] = odo.p
     mean[IDX_V] = odo.v
     mean[IDX_W] = odo.omega
-    if p0 is None:
-        p0 = np.zeros((STATE_DIM, STATE_DIM))
-        p0[0:12, 0:12] = odo.cov
-        p0[IDX_F, IDX_F] = sigma_touch**2 * np.eye(3)
-        p0[IDX_WIND, IDX_WIND] = sigma_wind**2 * np.eye(3)
-    return BeliefState(odo.q, mean, np.asarray(p0, dtype=float), t=float(t))
+    p0 = np.zeros((STATE_DIM, STATE_DIM))
+    p0[0:12, 0:12] = odo.cov
+    p0[IDX_F, IDX_F] = sigma_touch**2 * np.eye(3)
+    p0[IDX_WIND, IDX_WIND] = sigma_wind**2 * np.eye(3)
+    return BeliefState(odo.q, mean, p0, t=float(t))
 
 
 def _fold_reference(belief: BeliefState):
@@ -174,13 +164,10 @@ def predict(
         return belief.copy()
     sp = sigma_points(belief.mean, belief.cov, ut)
     pts = sp.points
-    q = quat_normalize(
-        quat_multiply(geometry.quat_from_mrp(pts[:, IDX_A]), belief.q_ref)
-    )
     p2, v2, q2, w2 = vehicle.euler_step_arrays(
         pts[:, IDX_P],
         pts[:, IDX_V],
-        q,
+        compose_mrp(belief.q_ref, pts[:, IDX_A]),
         pts[:, IDX_W],
         u.thrust,
         np.asarray(u.torque, dtype=float),
@@ -190,10 +177,9 @@ def predict(
         dt,
     )
     q_ref = quat_normalize(q2[0])
-    a2 = mrp_from_quat(quat_multiply(q2, quat_conjugate(q_ref)))
     out = np.empty_like(pts)
     out[:, IDX_P] = p2
-    out[:, IDX_A] = a2
+    out[:, IDX_A] = mrp_error(q2, q_ref)
     out[:, IDX_V] = v2
     out[:, IDX_W] = w2
     out[:, IDX_F] = pts[:, IDX_F]
@@ -219,15 +205,16 @@ def _apply_linear_update(belief, innov, h_idx, r_cov, gate):
 
 
 @functools.lru_cache(maxsize=None)
-def gate_threshold(quantile, dim):
-    """Chi-square quantile for a dim-dimensional innovation, computed once."""
-    return float(chi2.ppf(quantile, dim))
+def gate_threshold(dim):
+    """GATE_QUANTILE chi-square quantile for a dim-dimensional innovation,
+    computed once."""
+    return float(chi2.ppf(GATE_QUANTILE, dim))
 
 
-def gate_accepts(innov, S, quantile=GATE_QUANTILE):
-    """Mahalanobis innovation test at the given chi-square quantile."""
+def gate_accepts(innov, S):
+    """Mahalanobis innovation test at the GATE_QUANTILE chi-square quantile."""
     d2 = innov @ np.linalg.solve(S, innov)
-    return d2 <= gate_threshold(quantile, innov.shape[0])
+    return d2 <= gate_threshold(innov.shape[0])
 
 
 def update_odometry(belief: BeliefState, z: OdometryMeasurement, gate=False):
@@ -291,7 +278,7 @@ def update_airflow(
     r_cov = np.diag(np.repeat(sig**2, 2))
 
     def h_batch(pts, q_ref):
-        q = quat_normalize(quat_multiply(geometry.quat_from_mrp(pts[:, IDX_A]), q_ref))
+        q = compose_mrp(q_ref, pts[:, IDX_A])
         pred = whisker.rig_predict(
             q, pts[:, IDX_V], pts[:, IDX_W], pts[:, IDX_WIND], rig, sensors=valid
         )
@@ -320,23 +307,18 @@ def update_pseudo_airflow(
         r_cov = np.diag(r_cov)
 
     def h_batch(pts, q_ref):
-        q = quat_normalize(quat_multiply(geometry.quat_from_mrp(pts[:, IDX_A]), q_ref))
-        qc = q.copy()
-        qc[:, 1:] = -qc[:, 1:]
-        return geometry.quat_rotate(qc, pts[:, IDX_WIND] - pts[:, IDX_V])
+        q = compose_mrp(q_ref, pts[:, IDX_A])
+        return whisker.body_airflow(q, pts[:, IDX_WIND], pts[:, IDX_V])
 
     return _ut_update(belief, z, r_cov, h_batch, ut, gate)
 
 
 def output(belief: BeliefState, params: vehicle.VehicleParams):
     """Read touch force, wind, body relative airflow and drag out of a belief."""
-    q = belief.attitude()
-    v_inf_w = belief.mean[IDX_WIND] - belief.mean[IDX_V]
-    drag = vehicle.drag_force(v_inf_w, params)
-    v_inf_b = geometry.quat_rotate(quat_conjugate(q), v_inf_w)
+    wind, v = belief.mean[IDX_WIND], belief.mean[IDX_V]
     return FilterOutput(
         touch=belief.mean[IDX_F].copy(),
-        wind=belief.mean[IDX_WIND].copy(),
-        v_inf_body=v_inf_b,
-        drag=drag,
+        wind=wind.copy(),
+        v_inf_body=whisker.body_airflow(belief.attitude(), wind, v),
+        drag=vehicle.drag_force(wind - v, params),
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import cross, norm, quat_rotate
+from .geometry import cross, norm, quat_conjugate, quat_rotate
 
 NORTH_UP = "north_up"
 SOUTH_UP = "south_up"
@@ -46,12 +46,12 @@ def decode_field(b, polarity=NORTH_UP):
     return np.where(b[..., 2:3] > 0.0, theta, np.nan)
 
 
-def synthesize_field(theta, polarity=NORTH_UP, bz0=DEFAULT_BZ0):
+def synthesize_field(theta, polarity=NORTH_UP):
     """Deflection angles -> magnetic field sample (decode_field inverse)."""
     theta = np.asarray(theta, dtype=float)
-    bx = bz0 * np.tan(theta[..., 1])
-    by = -bz0 * np.tan(theta[..., 0])
-    bz = np.broadcast_to(bz0, bx.shape)
+    bx = DEFAULT_BZ0 * np.tan(theta[..., 1])
+    by = -DEFAULT_BZ0 * np.tan(theta[..., 0])
+    bz = np.broadcast_to(DEFAULT_BZ0, bx.shape)
     b = np.stack([bx, by, bz], axis=-1)
     if polarity == SOUTH_UP:
         b = -b
@@ -62,13 +62,12 @@ def body_airflow(q_wb, v_wind_w, v_w):
     """Relative airflow at the centre of mass, body frame.
 
     World-frame wind minus world-frame vehicle velocity, rotated into the
-    body by the inverse of q_wb.  Broadcasts over leading axes.
+    body by the inverse of q_wb.  Broadcasts over leading axes.  This is
+    the one place the filter, the truth labels and the rig identification
+    derive v_inf from.
     """
-    q_wb = np.asarray(q_wb, dtype=float)
-    qc = q_wb.copy()
-    qc[..., 1:] = -qc[..., 1:]
     v_inf_w = np.asarray(v_wind_w, dtype=float) - np.asarray(v_w, dtype=float)
-    return quat_rotate(qc, v_inf_w)
+    return quat_rotate(quat_conjugate(q_wb), v_inf_w)
 
 
 def predict_deflection(v_inf_s, coeff):

@@ -142,3 +142,23 @@ def test_misspelled_config_key_exits_2(hover_dir, tmp_path, capsys):
                  "--out", str(tmp_path / "e.csv")]) == 2
     assert "q_wnd" in capsys.readouterr().err
     assert not (tmp_path / "e.csv").exists()
+
+
+def test_non_numeric_config_value_exits_2(hover_dir, tmp_path, capsys):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("mu1 = fast\n")
+    assert main(["estimate", str(hover_dir), "--config", str(cfg),
+                 "--out", str(tmp_path / "e.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "mu1" in err
+    assert not (tmp_path / "e.csv").exists()
+
+
+def test_missing_sensor_key_exits_2(hover_dir, tmp_path, capsys):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("sensor_count = 1\nsensor0_coeff = 0.01\n")
+    assert main(["estimate", str(hover_dir), "--config", str(cfg),
+                 "--out", str(tmp_path / "e.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "sensor0_pos_m" in err
+    assert not (tmp_path / "e.csv").exists()

@@ -160,7 +160,7 @@ def test_truth_drag_magnitude(circle3_clean):
 def test_truth_query_before_start_raises(circle3_clean):
     log, _ = circle3_clean
     with pytest.raises(ValueError):
-        pipeline.truth_sampled(log, np.array([-1.0]))
+        pipeline.truth_cols(log, np.array([-1.0]), "vx")
 
 
 def test_config_round_trip(tmp_path):
@@ -194,3 +194,20 @@ def test_config_from_dict_rejects_unknown_keys():
     # without sensor_count the file carries no rig, so no sensor key is known
     with pytest.raises(ValueError, match="sensor0_coeff"):
         config_from_dict({"mu1": 0.2, "sensor0_coeff": 0.01})
+
+
+@pytest.mark.parametrize(
+    "text, gate", [("false", False), ("0", False), ("true", True), ("1", True)]
+)
+def test_gate_enabled_reads_booleans(tmp_path, text, gate):
+    path = tmp_path / "gate.cfg"
+    path.write_text(f"gate_enabled = {text}\n")
+    assert config_from_dict(logio.parse_config(path)).gate is gate
+
+
+@pytest.mark.parametrize("text", ["yes", "False", "2", "0 1"])
+def test_gate_enabled_rejects_other_values(tmp_path, text):
+    path = tmp_path / "gate.cfg"
+    path.write_text(f"gate_enabled = {text}\n")
+    with pytest.raises(ValueError, match="gate_enabled"):
+        config_from_dict(logio.parse_config(path))

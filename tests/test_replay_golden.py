@@ -10,6 +10,12 @@ fixtures below simulate:
     golden_estimate_lstm.csv   run_estimate(log, EstimatorConfig(), "lstm",
                                weights=lstm.init_params(np.random.default_rng(0)))
                                on sim.hover_scenario(seed=8, duration=2.0)
+    golden_estimate_lstm_imu_trimmed.csv
+                               the LSTM route as above on the same hover
+                               flight with its imu channel cut to
+                               [2.0, 9.0] s, written by the replay that
+                               matched pseudo measurements to whisker
+                               ticks by timestamp
 
 A change that alters the simulator's output for these seeds must
 regenerate them from the replay as it was before the change.
@@ -57,6 +63,18 @@ def test_model_route_matches_golden(model_log):
 def test_lstm_route_matches_golden(hover_log, weights):
     t, table = pipeline.run_estimate(hover_log, pipeline.EstimatorConfig(), "lstm", weights=weights)
     assert_matches_golden("golden_estimate_lstm.csv", t, table)
+
+
+def test_lstm_route_outside_resampled_window_matches_golden(hover_log, weights):
+    """Whisker ticks outside the window every channel covers get no pseudo
+    update but still one estimate row each."""
+    imu = hover_log["imu"]
+    keep = (imu.t >= 2.0) & (imu.t <= 9.0)
+    log = FlightLog(dict(hover_log.channels))
+    log.channels["imu"] = Channel("imu", imu.t[keep], imu.data[keep], list(imu.columns))
+    t, table = pipeline.run_estimate(log, pipeline.EstimatorConfig(), "lstm", weights=weights)
+    assert np.array_equal(t, log["whisker"].t)
+    assert_matches_golden("golden_estimate_lstm_imu_trimmed.csv", t, table)
 
 
 def truncated(log: FlightLog, t_end):

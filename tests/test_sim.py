@@ -64,13 +64,6 @@ def test_wind_schedule():
     assert np.allclose(g.velocity(p, 5.0), 0.0)
 
 
-def test_wind_distance_profile():
-    prof = np.array([[0.0, 4.0], [2.0, 2.0], [4.0, 0.0]])
-    g = ConeGust(origin=[0.0, 0.0, 0.0], direction=[1.0, 0.0, 0.0], profile=prof)
-    assert np.linalg.norm(g.velocity([2.0, 0.0, 0.0], 0.0)) == pytest.approx(2.0)
-    assert np.linalg.norm(g.velocity([3.0, 0.0, 0.0], 0.0)) == pytest.approx(1.0)
-
-
 def test_touch_profile_ramp():
     prof = TouchProfile([TouchEvent(1.0, 3.0, [0.0, 0.0, 0.0], [0.0, 0.0, -4.0])])
     assert np.allclose(prof.at(0.5), 0.0)
