@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, lstm, pipeline, sim, sysid, ukf, vehicle, whisker
-from .logio import DriverConfig, WhiskerDriver, recovery_samples
+from .logio import DRAG_COLS, TOUCH_COLS, WIND_COLS, DriverConfig, WhiskerDriver, recovery_samples
 from .pipeline import EstimatorConfig, airflow_rms, run_estimate, window_mask
 from .sim import NoiseSpec, run_scenario
 
@@ -176,7 +176,7 @@ def criterion_3(art: Artifacts):
     log = run_scenario(sc)
     t, table = run_estimate(log, cfg)
     mask = window_mask(t, (sc.plan.t_execute + 4.0, sc.plan.t_land - 1.0))
-    drag = float(np.median(np.linalg.norm(table[mask, 9:12], axis=1)))
+    drag = float(np.median(np.linalg.norm(table[mask, DRAG_COLS], axis=1)))
     passed = abs(drag - 1.23) <= 0.15
     return CriterionResult(
         3, "drag at 3 m/s", passed, f"median drag {drag:.3f} N vs 1.23 +/- 0.15 N"
@@ -191,7 +191,7 @@ def criterion_4(art: Artifacts):
     t, table = run_estimate(log, cfg)
     truth_wind = pipeline.truth_cols(log, t, "wind_x", "wind_y", "wind_z")
     truth_mag = np.linalg.norm(truth_wind, axis=1)
-    est_mag = np.linalg.norm(table[:, 3:6], axis=1)
+    est_mag = np.linalg.norm(table[:, WIND_COLS], axis=1)
 
     in_cone = truth_mag > 0.5
     # outside: away from the cone and clear of the exit transient
@@ -222,8 +222,8 @@ def _four_phase_metrics(thrust_scale):
     phase = 10.0
     wind_only = window_mask(t, (t0 + phase + 2.0, t0 + 2.0 * phase - 2.0))
     pull_only = window_mask(t, (t0 + 3.0 * phase + 2.0, t0 + 4.0 * phase - 2.0))
-    touch_est = np.linalg.norm(table[:, 0:3], axis=1)
-    drag_est = np.linalg.norm(table[:, 9:12], axis=1)
+    touch_est = np.linalg.norm(table[:, TOUCH_COLS], axis=1)
+    drag_est = np.linalg.norm(table[:, DRAG_COLS], axis=1)
     drag_true = np.linalg.norm(pipeline.truth_drag(log, t, cfg.vehicle), axis=1)
     return {
         "touch_in_wind": float(touch_est[wind_only].mean()),
@@ -318,7 +318,9 @@ def criterion_7(art: Artifacts):
         cov = A @ A.T + 0.1 * np.eye(n)
         M = rng.normal(0.0, 1.0, (m, n))
         b = rng.normal(0.0, 1.0, m)
-        out_mean, out_cov, cross = geometry.unscented_transform(mean, cov, lambda x: M @ x + b)
+        out_mean, out_cov, cross = geometry.unscented_transform(
+            mean, cov, lambda pts: pts @ M.T + b
+        )
         scale = max(1.0, float(np.abs(out_cov).max()))
         err_mean = float(np.abs(out_mean - (M @ mean + b)).max())
         err_cov = float(np.abs(out_cov - M @ cov @ M.T).max()) / scale

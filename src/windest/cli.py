@@ -14,6 +14,9 @@ import numpy as np
 
 from . import acceptance, lstm, pipeline, sim, sysid
 from .logio import (
+    DRAG_COLS,
+    TOUCH_COLS,
+    WIND_COLS,
     LogFormatError,
     load_estimate,
     load_log,
@@ -132,7 +135,7 @@ def cmd_replay(args):
     print(f"airflow rms [m/s]: x {r[0]:.3f}  y {r[1]:.3f}  z {r[2]:.3f}")
 
     drag_true = np.linalg.norm(pipeline.truth_drag(log, t, cfg.vehicle), axis=1)
-    drag_est = np.linalg.norm(table[:, 9:12], axis=1)
+    drag_est = np.linalg.norm(table[:, DRAG_COLS], axis=1)
     err = pipeline.rms(drag_est - drag_true)
     print(f"drag magnitude rms error [N]: {err:.3f} (truth mean {drag_true.mean():.3f})")
 
@@ -142,8 +145,8 @@ def cmd_replay(args):
     touch_true = np.linalg.norm(
         pipeline.truth_cols(log, t, "touch_x", "touch_y", "touch_z"), axis=1
     )
-    wind_est = np.linalg.norm(table[:, 3:6], axis=1)
-    touch_est = np.linalg.norm(table[:, 0:3], axis=1)
+    wind_est = np.linalg.norm(table[:, WIND_COLS], axis=1)
+    touch_est = np.linalg.norm(table[:, TOUCH_COLS], axis=1)
     for label, mask in (("wind phase", wind_true > 0.1), ("touch phase", touch_true > 0.1)):
         if not np.any(mask):
             print(f"{label}: none")

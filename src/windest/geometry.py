@@ -17,6 +17,15 @@ never goes negative.  Error quaternions compose on the left:
 All functions broadcast over leading axes; the quaternion / vector lives
 on the last axis.
 
+Sigma points
+------------
+The scaled symmetric set of Wan & van der Merwe with constant weights
+``UT_ALPHA = 0.1``, ``UT_BETA = 2`` and ``UT_KAPPA = 0``.
+``unscented_transform`` is the one place sigma-point statistics (mean,
+covariance and input-output cross covariance) are formed for a
+measurement; the filter's process update needs no cross covariance and
+calls ``sigma_points`` and ``reconstruct`` directly.
+
 Explicit kernels
 ----------------
 ``cross``, ``dot`` and ``norm`` work on the last axis with one numpy
@@ -39,6 +48,10 @@ import numpy as np
 MRP_A = 1.0
 MRP_F = 2.0 * (MRP_A + 1.0)
 SIGMA_JITTER = 1e-12  # added to the covariance diagonal before factorization
+# scaled sigma-point weights (Wan/van der Merwe parameterization)
+UT_ALPHA = 0.1
+UT_BETA = 2.0
+UT_KAPPA = 0.0
 
 
 class CovarianceError(RuntimeError):
@@ -175,15 +188,6 @@ def compose_mrp(q_ref, e):
     return quat_normalize(quat_multiply(quat_from_mrp(e), q_ref))
 
 
-@dataclass(frozen=True)
-class UtParams:
-    """Scaled sigma-point weights (Wan/van der Merwe parameterization)."""
-
-    alpha: float = 0.1
-    beta: float = 2.0
-    kappa: float = 0.0
-
-
 @dataclass
 class SigmaPointSet:
     points: np.ndarray  # (2n+1, n), row 0 is the mean
@@ -206,7 +210,7 @@ def _factor(cov, jitter):
         raise CovarianceError("covariance is not positive definite") from exc
 
 
-def sigma_points(mean, cov, params: UtParams = UtParams()):
+def sigma_points(mean, cov):
     """Scaled symmetric sigma points for (mean, cov).
 
     cov must be symmetric positive semidefinite; ``SIGMA_JITTER * I`` is
@@ -216,7 +220,7 @@ def sigma_points(mean, cov, params: UtParams = UtParams()):
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     n = mean.shape[0]
-    lam = params.alpha**2 * (n + params.kappa) - n
+    lam = UT_ALPHA**2 * (n + UT_KAPPA) - n
     scale = n + lam
     root = _factor(scale * cov, scale * SIGMA_JITTER)
     points = np.empty((2 * n + 1, n))
@@ -226,7 +230,7 @@ def sigma_points(mean, cov, params: UtParams = UtParams()):
     wm = np.full(2 * n + 1, 1.0 / (2.0 * scale))
     wc = wm.copy()
     wm[0] = lam / scale
-    wc[0] = wm[0] + (1.0 - params.alpha**2 + params.beta)
+    wc[0] = wm[0] + (1.0 - UT_ALPHA**2 + UT_BETA)
     return SigmaPointSet(points, wm, wc)
 
 
@@ -239,17 +243,16 @@ def reconstruct(points, wm, wc):
     return mean, 0.5 * (cov + cov.T)
 
 
-def unscented_transform(mean, cov, func, params: UtParams = UtParams()):
+def unscented_transform(mean, cov, func):
     """Propagate (mean, cov) through func via the unscented transform.
 
-    func maps an n-vector to an m-vector.  Returns (mean_y, cov_y,
-    cross_xy) where cross_xy is the (n, m) input-output cross covariance.
+    func maps the stacked sigma points (2n+1, n) to stacked outputs
+    (2n+1, m).  Returns (mean_y, cov_y, cross_xy) where cross_xy is the
+    (n, m) input-output cross covariance.
     """
-    sp = sigma_points(mean, cov, params)
-    ys = np.array([np.asarray(func(p), dtype=float) for p in sp.points])
-    mean_y = sp.wm @ ys
-    dy = ys - mean_y
-    dx = sp.points - np.asarray(mean, dtype=float)
-    cov_y = dy.T @ (sp.wc[:, None] * dy)
-    cross = dx.T @ (sp.wc[:, None] * dy)
-    return mean_y, 0.5 * (cov_y + cov_y.T), cross
+    sp = sigma_points(mean, cov)
+    ys = func(sp.points)
+    mean_y, cov_y = reconstruct(ys, sp.wm, sp.wc)
+    dx = sp.points - mean
+    cross = dx.T @ (sp.wc[:, None] * (ys - mean_y))
+    return mean_y, cov_y, cross

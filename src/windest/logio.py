@@ -211,7 +211,9 @@ class DriverConfig:
     nsigma: float = 6.0  # outlier gate width
     threshold_floor: float = 1.0  # counts; keeps the gate sane on clean data
     clamp: float = 0.5  # rad, hard limit on decoded angles
-    calib_duration: float = 0.8  # s of startup data used for offsets/thresholds
+
+
+CALIB_DURATION_S = 0.8  # s of startup data used for offsets/thresholds
 
 
 def recovery_samples(threshold, step, alpha):
@@ -236,9 +238,6 @@ class WhiskerDriver:
         self.lp = None  # (n, 3) low-pass reference, seeded on calibrate/first sample
         self.thresholds = np.full((n, 3), config.threshold_floor)
         self.offsets = np.zeros((n, 2))
-        # south-up mounts decode the negated field
-        south_up = [m.polarity == whisker.SOUTH_UP for m in rig.mounts]
-        self.sign = np.where(south_up, -1.0, 1.0).reshape(n, 1)
 
     def calibrate(self, b_window):
         """Startup calibration from an (m, n_sensors, 3) stack of rest data.
@@ -253,8 +252,7 @@ class WhiskerDriver:
         self.lp = b.mean(axis=0)
         sig = b.std(axis=0)
         self.thresholds = np.maximum(self.config.nsigma * sig, self.config.threshold_floor)
-        for i, m in enumerate(self.rig.mounts):
-            self.offsets[i] = whisker.decode_field(b[:, i], m.polarity).mean(axis=0)
+        self.offsets = whisker.decode_field(self.rig.sign * b).mean(axis=0)
         return self.offsets
 
     def process(self, b_row):
@@ -268,18 +266,18 @@ class WhiskerDriver:
             self.lp = b.copy()
         accept = np.all(np.abs(b - self.lp) <= self.thresholds, axis=1)
         self.lp = (1.0 - self.config.alpha) * self.lp + self.config.alpha * b
-        raw = whisker.decode_field(self.sign * b) - self.offsets
+        raw = whisker.decode_field(self.rig.sign * b) - self.offsets
         theta = np.clip(raw, -self.config.clamp, self.config.clamp)
         theta[~accept] = np.nan
         return theta, accept
 
     def run(self, t, b_stack):
-        """Calibrate on the first calib_duration seconds, then drive the
+        """Calibrate on the first CALIB_DURATION_S seconds, then drive the
         whole (n, n_sensors, 3) stream; returns (theta, accept)."""
         t = np.asarray(t, dtype=float)
         b_stack = np.asarray(b_stack, dtype=float)
         if t.shape[0]:
-            m = int(np.searchsorted(t, t[0] + self.config.calib_duration, side="right"))
+            m = int(np.searchsorted(t, t[0] + CALIB_DURATION_S, side="right"))
             self.calibrate(b_stack[: max(m, 1)])
         thetas = np.empty((t.shape[0], len(self.rig), 2))
         accepts = np.empty((t.shape[0], len(self.rig)), dtype=bool)
@@ -317,6 +315,11 @@ ESTIMATE_COLUMNS = [
     "drag_y",
     "drag_z",
 ]
+# the four 3-vectors of an estimate row, as column slices of the table
+TOUCH_COLS = slice(0, 3)
+WIND_COLS = slice(3, 6)
+VINF_COLS = slice(6, 9)
+DRAG_COLS = slice(9, 12)
 
 
 def save_estimate(path, t, table):

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import lstm as lstm_mod
 from . import logio, sim, ukf
-from .geometry import UtParams
 from .logio import DriverConfig, FlightLog, WhiskerDriver
 from .vehicle import VehicleParams, WrenchInput, drag_force
 from .whisker import WhiskerRig, body_airflow, default_rig
@@ -53,7 +52,6 @@ class EstimatorConfig:
     process: ukf.ProcessNoise = field(default_factory=ukf.ProcessNoise)
     meas: MeasurementNoise = field(default_factory=MeasurementNoise)
     driver: DriverConfig = field(default_factory=DriverConfig)
-    ut: UtParams = field(default_factory=UtParams)
     gate: bool = False
     init_sigma_touch: float = 2.0
     init_sigma_wind: float = 2.0
@@ -154,10 +152,16 @@ def whisker_clock_features(log: FlightLog, cfg: EstimatorConfig):
     Driver angles on the whisker clock, held onto the resampled clock
     (the whisker ticks every channel covers), NaN rows of rejected
     samples filled forward, then stacked with the body rates, specific
-    force and signed throttles.
+    force and signed throttles.  Raises ValueError when no whisker tick
+    falls inside the window every channel covers.
     """
     t_whisk, theta, _ = driver_angles(log, cfg)
     rs = logio.resample_to_clock(log, "whisker")
+    if rs.t.shape[0] == 0:
+        raise ValueError(
+            "log channels do not overlap: no whisker tick lies inside the "
+            "time span every channel covers"
+        )
     theta_rs = theta[logio.zoh_indices(t_whisk, rs.t)]
     feats = lstm_mod.build_features(
         logio.forward_fill(theta_rs),
@@ -232,7 +236,7 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
             continue
         dt = t - belief.t
         if dt > 1e-12:
-            belief = ukf.predict(belief, wrench, dt, cfg.process, cfg.vehicle, cfg.ut)
+            belief = ukf.predict(belief, wrench, dt, cfg.process, cfg.vehicle)
         if kind == 0:
             wrench = WrenchInput(float(thr_f[k]), thr_tau[k])
         elif kind == 1:
@@ -241,17 +245,20 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
         else:
             if source == "model":
                 belief, _ = ukf.update_airflow(
-                    belief, theta[k], cfg.meas.whisker, cfg.rig, cfg.ut, gate=cfg.gate
+                    belief, theta[k], cfg.meas.whisker, cfg.rig, gate=cfg.gate
                 )
             elif 0 <= k - k0 < t_pseudo.shape[0]:
                 belief, _ = ukf.update_pseudo_airflow(
-                    belief, vinf_pred[k - k0], cfg.meas.pseudo**2, cfg.ut, gate=cfg.gate
+                    belief, vinf_pred[k - k0], cfg.meas.pseudo**2, gate=cfg.gate
                 )
             out = ukf.output(belief, cfg.vehicle)
+            row = np.empty(len(logio.ESTIMATE_COLUMNS))
+            row[logio.TOUCH_COLS] = out.touch
+            row[logio.WIND_COLS] = out.wind
+            row[logio.VINF_COLS] = out.v_inf_body
+            row[logio.DRAG_COLS] = out.drag
             out_t.append(t)
-            out_rows.append(
-                np.concatenate([out.touch, out.wind, out.v_inf_body, out.drag])
-            )
+            out_rows.append(row)
     if not out_rows:
         raise ValueError("log produced no estimates (no odometry before whisker data?)")
     return np.array(out_t), np.array(out_rows)
@@ -308,7 +315,7 @@ def airflow_rms(log: FlightLog, t_est, table, window=None):
     if window is not None:
         mask &= (t_est >= window[0]) & (t_est <= window[1])
     truth = truth_airflow_body(log, t_est[mask])
-    est = np.asarray(table, dtype=float)[mask, 6:9]
+    est = np.asarray(table, dtype=float)[mask, logio.VINF_COLS]
     return rms(est - truth)
 
 

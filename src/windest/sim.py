@@ -17,7 +17,7 @@ propwash the whisker model does not capture.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -630,10 +630,9 @@ def run_scenario(sc: Scenario) -> FlightLog:
             theta_true = whisker_mod.rig_predict(q_now, v_now, w_now, wind, sc.rig)
             if noise.interference_gain:
                 R = quat_to_matrix(q_now)
-                v_inf_b = R.T @ (wind - v_now)
-                for i, m in enumerate(sc.rig.mounts):
-                    v_s = whisker_mod.sensor_airflow(v_inf_b, w_now, m)
-                    planar = math.hypot(v_s[0], v_s[1])
+                v_s = whisker_mod.rig_airflow(R.T @ (wind - v_now), w_now, sc.rig)
+                for i in range(n_sensors):
+                    planar = math.hypot(v_s[i, 0], v_s[i, 1])
                     gain = noise.interference_gain * mean_u2
                     theta_true[i] += gain * (1.0 + 0.8 * math.tanh(planar / 2.0)) * int_dirs[i]
             theta_meas = theta_true + offsets
@@ -641,12 +640,12 @@ def run_scenario(sc: Scenario) -> FlightLog:
                 theta_meas = theta_meas + rng.normal(0.0, noise.whisker_angle, (n_sensors, 2))
             # spring end stops
             theta_meas = np.clip(theta_meas, -THETA_LIMIT, THETA_LIMIT)
+            b = sc.rig.sign * whisker_mod.synthesize_field(theta_meas)
             row = []
-            for i, m in enumerate(sc.rig.mounts):
-                b = whisker_mod.synthesize_field(theta_meas[i], m.polarity)
+            for i in range(n_sensors):
                 if noise.outlier_prob and rng.random() < noise.outlier_prob:
-                    b[rng.integers(0, 3)] += noise.outlier_mag * rng.choice([-1.0, 1.0])
-                row += [theta_meas[i][0], theta_meas[i][1], b[0], b[1], b[2]]
+                    b[i, rng.integers(0, 3)] += noise.outlier_mag * rng.choice([-1.0, 1.0])
+                row += [theta_meas[i][0], theta_meas[i][1], b[i, 0], b[i, 1], b[i, 2]]
             t_whisk.append(t)
             whisk_rows.append(row)
 
@@ -660,45 +659,39 @@ def run_scenario(sc: Scenario) -> FlightLog:
 
 
 def circular_scenario(seed=1, noise=None, speeds=(1.0, 2.0, 3.0, 4.0, 5.0), hold=8.0,
-                      radius=2.5, interference=0.0, wind=None, thrust_scale=1.0):
+                      interference=0.0, thrust_scale=1.0):
     noise = NoiseSpec() if noise is None else noise
     if interference:
-        noise.interference_gain = interference
-    traj = CircleTrajectory(radius=radius, speeds=speeds, hold=hold)
+        noise = replace(noise, interference_gain=interference)
+    traj = CircleTrajectory(radius=2.5, speeds=speeds, hold=hold)
     return Scenario(
-        "circular",
-        FlightPlan(traj),
-        wind=wind if wind is not None else WindField(),
-        noise=noise,
-        seed=seed,
-        thrust_scale=thrust_scale,
+        "circular", FlightPlan(traj), noise=noise, seed=seed, thrust_scale=thrust_scale
     )
 
 
-def joystick_scenario(seed=2, noise=None, duration=45.0, vmax=4.0, interference=0.0):
+def joystick_scenario(seed=2, noise=None, interference=0.0):
     noise = NoiseSpec() if noise is None else noise
     if interference:
-        noise.interference_gain = interference
-    traj = JoystickTrajectory(seed=seed + 1000, duration=duration, vmax=vmax)
+        noise = replace(noise, interference_gain=interference)
+    traj = JoystickTrajectory(seed=seed + 1000, duration=45.0, vmax=4.0)
     return Scenario("joystick", FlightPlan(traj), noise=noise, seed=seed)
 
 
-def line_gust_scenario(seed=3, noise=None, speed=3.6):
+def line_gust_scenario(seed=3, noise=None):
     noise = NoiseSpec() if noise is None else noise
     traj = LineTrajectory(p0=np.array([-5.0, 0.0, 1.5]), p1=np.array([5.0, 0.0, 1.5]))
     gust = ConeGust(
         origin=np.array([0.0, 2.8, 1.5]),
         direction=np.array([0.0, -1.0, 0.0]),
         half_angle=0.45,
-        speed=speed,
+        speed=3.6,
     )
     return Scenario(
         "line_gust", FlightPlan(traj), wind=WindField(gusts=[gust]), noise=noise, seed=seed
     )
 
 
-def four_phase_scenario(seed=4, noise=None, thrust_scale=1.0, pull=4.0, wind_speed=3.6,
-                        phase_len=10.0):
+def four_phase_scenario(seed=4, noise=None, thrust_scale=1.0, phase_len=10.0):
     """Hover; gust on; gust + ramping pull; pull only. Landing afterwards."""
     noise = NoiseSpec() if noise is None else noise
     traj = HoverTrajectory(point=np.array([0.0, 0.0, 1.5]), duration=4.0 * phase_len)
@@ -708,15 +701,15 @@ def four_phase_scenario(seed=4, noise=None, thrust_scale=1.0, pull=4.0, wind_spe
         origin=np.array([2.5, 0.0, 1.5]),
         direction=np.array([-1.0, 0.0, 0.0]),
         half_angle=0.35,
-        speed=wind_speed,
+        speed=3.6,
         t_on=t0 + phase_len,
         t_off=t0 + 3.0 * phase_len,
     )
-    pull_dir = np.array([0.0, 0.0, -1.0])
+    pull = np.array([0.0, 0.0, -4.0])  # N, downward
     touch = TouchProfile(
         [
-            TouchEvent(t0 + 2.0 * phase_len, t0 + 3.0 * phase_len, np.zeros(3), pull * pull_dir),
-            TouchEvent(t0 + 3.0 * phase_len, t0 + 4.0 * phase_len, pull * pull_dir, pull * pull_dir),
+            TouchEvent(t0 + 2.0 * phase_len, t0 + 3.0 * phase_len, np.zeros(3), pull),
+            TouchEvent(t0 + 3.0 * phase_len, t0 + 4.0 * phase_len, pull, pull),
         ]
     )
     return Scenario(
@@ -730,16 +723,10 @@ def four_phase_scenario(seed=4, noise=None, thrust_scale=1.0, pull=4.0, wind_spe
     )
 
 
-def hover_scenario(seed=5, noise=None, duration=8.0, wind=None):
+def hover_scenario(seed=5, noise=None, duration=8.0):
     noise = NoiseSpec() if noise is None else noise
     traj = HoverTrajectory(duration=duration)
-    return Scenario(
-        "hover",
-        FlightPlan(traj),
-        wind=wind if wind is not None else WindField(),
-        noise=noise,
-        seed=seed,
-    )
+    return Scenario("hover", FlightPlan(traj), noise=noise, seed=seed)
 
 
 SCENARIOS = {

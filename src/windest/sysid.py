@@ -214,8 +214,7 @@ def identify_rig_coefficients(
     v = np.asarray(v_odo, dtype=float)[idx]
     w = np.asarray(w_odo, dtype=float)[idx]
     v_inf_b = whisker.body_airflow(q, np.zeros(3), v)  # no ambient wind assumed
-    coeffs = []
-    for i, m in enumerate(rig.mounts):
-        v_s = whisker.sensor_airflow(v_inf_b, w, m)
-        coeffs.append(identify_sensor_coefficient(thetas[:, i], v_s))
-    return np.array(coeffs)
+    v_s = whisker.rig_airflow(v_inf_b, w, rig)
+    return np.array(
+        [identify_sensor_coefficient(thetas[:, i], v_s[:, i]) for i in range(len(rig))]
+    )

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from . import geometry, vehicle, whisker
-from .geometry import UtParams, compose_mrp, mrp_error, quat_normalize, sigma_points
+from .geometry import compose_mrp, mrp_error, quat_normalize, sigma_points, unscented_transform
 
 IDX_P = slice(0, 3)
 IDX_A = slice(3, 6)
@@ -147,7 +147,6 @@ def predict(
     dt: float,
     noise: ProcessNoise,
     params: vehicle.VehicleParams,
-    ut: UtParams = UtParams(),
 ):
     """Process update: propagate sigma points with the vehicle model.
 
@@ -162,7 +161,7 @@ def predict(
         raise ValueError(f"dt {dt} exceeds single-step limit {MAX_PREDICT_DT}")
     if dt == 0.0:
         return belief.copy()
-    sp = sigma_points(belief.mean, belief.cov, ut)
+    sp = sigma_points(belief.mean, belief.cov)
     pts = sp.points
     p2, v2, q2, w2 = vehicle.euler_step_arrays(
         pts[:, IDX_P],
@@ -229,23 +228,17 @@ def update_odometry(belief: BeliefState, z: OdometryMeasurement, gate=False):
     return _apply_linear_update(belief, innov, slice(0, 12), z.cov, gate)
 
 
-def _ut_update(belief, z, r_cov, h_batch, ut, gate):
+def _ut_update(belief, z, r_cov, h_batch, gate):
     """Unscented measurement update with vectorized measurement map h_batch.
 
-    h_batch maps stacked sigma points (m, 18) plus the reference
-    quaternion to stacked predicted measurements (m, k).
+    h_batch maps stacked sigma points (m, 18) to stacked predicted
+    measurements (m, k).
     """
-    sp = sigma_points(belief.mean, belief.cov, ut)
-    ys = h_batch(sp.points, belief.q_ref)
-    y_mean = sp.wm @ ys
-    dy = ys - y_mean
-    dx = sp.points - belief.mean
-    S = dy.T @ (sp.wc[:, None] * dy) + r_cov
-    S = 0.5 * (S + S.T)
+    y_mean, cov_y, cross = unscented_transform(belief.mean, belief.cov, h_batch)
+    S = cov_y + r_cov
     innov = z - y_mean
     if gate and not gate_accepts(innov, S):
         return belief, False
-    cross = dx.T @ (sp.wc[:, None] * dy)
     K = np.linalg.solve(S.T, cross.T).T
     mean = belief.mean + K @ innov
     cov = belief.cov - K @ S @ K.T
@@ -253,19 +246,12 @@ def _ut_update(belief, z, r_cov, h_batch, ut, gate):
     return _fold_reference(out), True
 
 
-def update_airflow(
-    belief: BeliefState,
-    theta,
-    r_sigma,
-    rig: whisker.WhiskerRig,
-    ut: UtParams = UtParams(),
-    gate=False,
-):
+def update_airflow(belief: BeliefState, theta, r_sigma, rig: whisker.WhiskerRig, gate=False):
     """Fuse whisker deflection angles, shape (n_sensors, 2).
 
     Rows with any non-finite entry are dropped (sensor invalid this
-    tick).  r_sigma is the per-angle noise standard deviation (scalar or
-    per-sensor array).  Returns (belief, accepted).
+    tick).  r_sigma is the noise standard deviation of every angle.
+    Returns (belief, accepted).
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (len(rig), 2):
@@ -274,43 +260,32 @@ def update_airflow(
     if not np.any(valid):
         return belief.copy(), False
     z = theta[valid].ravel()
-    sig = np.broadcast_to(np.asarray(r_sigma, dtype=float), (len(rig),))[valid]
-    r_cov = np.diag(np.repeat(sig**2, 2))
+    r_cov = r_sigma**2 * np.eye(z.shape[0])
 
-    def h_batch(pts, q_ref):
-        q = compose_mrp(q_ref, pts[:, IDX_A])
+    def h_batch(pts):
+        q = compose_mrp(belief.q_ref, pts[:, IDX_A])
         pred = whisker.rig_predict(
             q, pts[:, IDX_V], pts[:, IDX_W], pts[:, IDX_WIND], rig, sensors=valid
         )
         return pred.reshape(pts.shape[0], -1)
 
-    return _ut_update(belief, z, r_cov, h_batch, ut, gate)
+    return _ut_update(belief, z, r_cov, h_batch, gate)
 
 
-def update_pseudo_airflow(
-    belief: BeliefState,
-    v_inf_body,
-    r_cov,
-    ut: UtParams = UtParams(),
-    gate=False,
-):
+def update_pseudo_airflow(belief: BeliefState, v_inf_body, r_var, gate=False):
     """Fuse a body-frame relative-airflow vector from an external regressor.
 
-    The predicted measurement rotates (wind - velocity) into the body
-    frame, so the update tightens wind, velocity and attitude jointly.
+    r_var is the noise variance of each component.  The predicted
+    measurement rotates (wind - velocity) into the body frame, so the
+    update tightens wind, velocity and attitude jointly.
     """
     z = np.asarray(v_inf_body, dtype=float)
-    r_cov = np.asarray(r_cov, dtype=float)
-    if r_cov.ndim == 0:
-        r_cov = float(r_cov) * np.eye(3)
-    elif r_cov.ndim == 1:
-        r_cov = np.diag(r_cov)
 
-    def h_batch(pts, q_ref):
-        q = compose_mrp(q_ref, pts[:, IDX_A])
+    def h_batch(pts):
+        q = compose_mrp(belief.q_ref, pts[:, IDX_A])
         return whisker.body_airflow(q, pts[:, IDX_WIND], pts[:, IDX_V])
 
-    return _ut_update(belief, z, r_cov, h_batch, ut, gate)
+    return _ut_update(belief, z, r_var * np.eye(3), h_batch, gate)
 
 
 def output(belief: BeliefState, params: vehicle.VehicleParams):

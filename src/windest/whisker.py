@@ -11,6 +11,11 @@ where v_inf_S is the relative airflow in the sensor frame and |.| is the
 full 3-norm.  Sensor frames are given by their position r on the body
 and the rotation `rot` whose columns are the sensor axes in body
 coordinates (v_B = rot @ v_S).
+
+A mount's polarity is the sign of its magnet: south-up mounts see the
+negated field.  The rig stacks it once as ``WhiskerRig.sign`` (+1 or -1
+per mount, shape (n, 1)); callers multiply a field stack by it before
+decode_field and after synthesize_field, which work in north-up terms.
 """
 
 from __future__ import annotations
@@ -28,34 +33,27 @@ DEFAULT_COEFF = 0.01  # rad per (m/s)^2, lumped spring/arm/field constant
 DEFAULT_BZ0 = 100.0  # nominal axial field count at rest
 
 
-def decode_field(b, polarity=NORTH_UP):
-    """Magnetic field sample -> deflection angles (theta_x, theta_y).
+def decode_field(b):
+    """North-up magnetic field sample -> deflection angles (theta_x, theta_y).
 
-    South-up mounts negate the field before the arctangents.  A corrected
-    axial component b_z <= 0 means the magnet has left the working range;
-    those samples decode to NaN.  Broadcasts over leading axes.
+    A corrected axial component b_z <= 0 means the magnet has left the
+    working range; those samples decode to NaN.  Broadcasts over leading
+    axes.
     """
     b = np.asarray(b, dtype=float)
-    if polarity == SOUTH_UP:
-        b = -b
-    elif polarity != NORTH_UP:
-        raise ValueError(f"unknown polarity {polarity!r}")
     theta_x = -np.arctan2(b[..., 1], b[..., 2])
     theta_y = np.arctan2(b[..., 0], b[..., 2])
     theta = np.stack([theta_x, theta_y], axis=-1)
     return np.where(b[..., 2:3] > 0.0, theta, np.nan)
 
 
-def synthesize_field(theta, polarity=NORTH_UP):
-    """Deflection angles -> magnetic field sample (decode_field inverse)."""
+def synthesize_field(theta):
+    """Deflection angles -> north-up magnetic field sample (decode_field inverse)."""
     theta = np.asarray(theta, dtype=float)
     bx = DEFAULT_BZ0 * np.tan(theta[..., 1])
     by = -DEFAULT_BZ0 * np.tan(theta[..., 0])
     bz = np.broadcast_to(DEFAULT_BZ0, bx.shape)
-    b = np.stack([bx, by, bz], axis=-1)
-    if polarity == SOUTH_UP:
-        b = -b
-    return b
+    return np.stack([bx, by, bz], axis=-1)
 
 
 def body_airflow(q_wb, v_wind_w, v_w):
@@ -98,25 +96,13 @@ class SensorMount:
             raise ValueError(f"mount {self.name}: unknown polarity {self.polarity!r}")
 
 
-def sensor_airflow(v_inf_b, omega, mount: SensorMount):
-    """Relative airflow at the mount, sensor frame.
-
-    Subtracts the rotational sweep omega x r of the mount point before
-    rotating into the sensor axes.  Broadcasts over leading axes of
-    v_inf_b / omega.
-    """
-    v_inf_b = np.asarray(v_inf_b, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    local = v_inf_b - cross(omega, mount.r)
-    return local @ mount.rot  # (rot.T @ local.T).T
-
-
 @dataclass
 class WhiskerRig:
     """The sensor mounts of one vehicle, fixed after construction.
 
-    The mount positions, rotations and coefficients are also stacked once
-    into arrays (r (n, 3), rot (n, 3, 3), coeff (n,)) for rig_predict.
+    The mount positions, rotations, coefficients and polarity signs are
+    also stacked once into arrays (r (n, 3), rot (n, 3, 3), coeff (n,),
+    sign (n, 1)).
     """
 
     mounts: list[SensorMount] = field(default_factory=list)
@@ -125,6 +111,8 @@ class WhiskerRig:
         self.r = np.array([m.r for m in self.mounts]).reshape(-1, 3)
         self.rot = np.array([m.rot for m in self.mounts]).reshape(-1, 3, 3)
         self.coeff = np.array([m.coeff for m in self.mounts], dtype=float)
+        south_up = [m.polarity == SOUTH_UP for m in self.mounts]
+        self.sign = np.where(south_up, -1.0, 1.0).reshape(-1, 1)
 
     def __len__(self):
         return len(self.mounts)
@@ -159,23 +147,34 @@ def default_rig():
     )
 
 
+def rig_airflow(v_inf_b, omega_b, rig: WhiskerRig, sensors=None):
+    """Relative airflow at every mount, sensor frame, shape (..., n_sensors, 3).
+
+    Subtracts each mount point's rotational sweep omega_b x r from the
+    body-frame airflow v_inf_b, then rotates into the sensor axes.  Inputs
+    may carry leading batch axes (broadcast together).  sensors (a boolean
+    mask or index array over the mounts) restricts the result to those
+    mounts, in mount order.
+    """
+    r, rot = rig.r, rig.rot
+    if sensors is not None:
+        r, rot = r[sensors], rot[sensors]
+    v_inf_b = np.asarray(v_inf_b, dtype=float)
+    omega_b = np.asarray(omega_b, dtype=float)
+    batch = (1,) * (max(v_inf_b.ndim, omega_b.ndim) - 1)
+    # mount-major (n, ..., 3): each mount's rotation is its own (..., 3) @ (3, 3)
+    # product, which rounds the same whether the rig has one mount or many
+    local = v_inf_b - cross(omega_b, r.reshape((-1,) + batch + (3,)))
+    return np.stack([local[i] @ rot[i] for i in range(len(r))], axis=-2)
+
+
 def rig_predict(q_wb, v_w, omega_b, v_wind_w, rig: WhiskerRig, sensors=None):
     """Predicted deflections for every mount, shape (..., n_sensors, 2).
 
     Inputs may carry a leading batch axis (all broadcast together):
     attitude q_wb, world velocity v_w, body rates omega_b and world wind
-    v_wind_w.  sensors (a boolean mask or index array over the mounts)
-    restricts the prediction to those mounts, in mount order.
+    v_wind_w.  sensors restricts the prediction as in rig_airflow.
     """
-    r, rot, coeff = rig.r, rig.rot, rig.coeff
-    if sensors is not None:
-        r, rot, coeff = r[sensors], rot[sensors], coeff[sensors]
-    v_inf_b = body_airflow(q_wb, v_wind_w, v_w)
-    omega_b = np.asarray(omega_b, dtype=float)
-    batch = (1,) * (max(v_inf_b.ndim, omega_b.ndim) - 1)
-    # mount-major (n, ..., 3): each mount's slice is the array sensor_airflow
-    # would rotate, so its matrix product rounds exactly as it does there
-    local = v_inf_b - cross(omega_b, r.reshape((-1,) + batch + (3,)))
-    v_s = np.stack([local[i] @ rot[i] for i in range(len(r))])
-    theta = predict_deflection(v_s, coeff.reshape((-1,) + batch))
-    return theta.transpose(tuple(range(1, theta.ndim - 1)) + (0, theta.ndim - 1))
+    coeff = rig.coeff if sensors is None else rig.coeff[sensors]
+    v_s = rig_airflow(body_airflow(q_wb, v_wind_w, v_w), omega_b, rig, sensors)
+    return predict_deflection(v_s, coeff)

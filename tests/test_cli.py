@@ -7,7 +7,7 @@ import pytest
 
 from windest import lstm, sim, whisker
 from windest.cli import build_parser, main
-from windest.logio import load_estimate, parse_config, save_log
+from windest.logio import Channel, FlightLog, load_estimate, parse_config, save_log
 
 
 @pytest.fixture()
@@ -162,3 +162,23 @@ def test_missing_sensor_key_exits_2(hover_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(cfg) in err and "sensor0_pos_m" in err
     assert not (tmp_path / "e.csv").exists()
+
+
+def test_channels_without_a_common_whisker_tick_exit_2(hover_clean, tmp_path, capsys):
+    # imu rows only between two whisker ticks: no tick lies in the span
+    # every channel covers, so the LSTM feature stream is empty
+    log, _ = hover_clean
+    t_w, imu = log["whisker"].t, log["imu"]
+    keep = (imu.t > t_w[100]) & (imu.t < t_w[101])
+    assert keep.any()
+    cut = FlightLog(dict(log.channels))
+    cut.channels["imu"] = Channel("imu", imu.t[keep], imu.data[keep], list(imu.columns))
+    d = tmp_path / "cut"
+    save_log(cut, str(d))
+    w = tmp_path / "w.csv"
+    lstm.save_params(lstm.init_params(np.random.default_rng(0)), str(w))
+    assert main(["estimate", str(d), "--airflow-source", "lstm", "--weights", str(w),
+                 "--out", str(tmp_path / "e.csv")]) == 2
+    assert "do not overlap" in capsys.readouterr().err
+    assert main(["train", str(d), "--epochs", "1", "--out", str(tmp_path / "w2.csv")]) == 2
+    assert "do not overlap" in capsys.readouterr().err

@@ -6,7 +6,6 @@ import pytest
 from windest import geometry as geo
 from windest.geometry import (
     CovarianceError,
-    UtParams,
     compose_mrp,
     mrp_error,
     mrp_from_quat,
@@ -280,7 +279,7 @@ def test_sigma_points_rejects_indefinite():
 
 def test_ut_affine_example():
     mean, cov, cross = unscented_transform(
-        np.array([1.0, 2.0]), np.eye(2), lambda x: 2.0 * x
+        np.array([1.0, 2.0]), np.eye(2), lambda pts: 2.0 * pts
     )
     assert np.allclose(mean, [2.0, 4.0], atol=1e-8)
     assert np.allclose(cov, 4.0 * np.eye(2), atol=1e-8)
@@ -289,7 +288,7 @@ def test_ut_affine_example():
 
 def test_ut_constant_map():
     mean, cov, cross = unscented_transform(
-        np.zeros(3), np.eye(3), lambda x: np.array([5.0])
+        np.zeros(3), np.eye(3), lambda pts: np.full((pts.shape[0], 1), 5.0)
     )
     assert np.allclose(mean, [5.0])
     assert np.allclose(cov, 0.0, atol=1e-12)
@@ -298,7 +297,7 @@ def test_ut_constant_map():
 
 def test_ut_square_matches_monte_carlo():
     mean, _, _ = unscented_transform(
-        np.zeros(1), np.eye(1), lambda x: x**2
+        np.zeros(1), np.eye(1), lambda pts: pts**2
     )
     rng = np.random.default_rng(21)
     mc = np.mean(rng.normal(size=1_000_000) ** 2)
@@ -314,7 +313,7 @@ def test_ut_random_affine_sweep():
         b = rng.normal(size=m)
         mean = rng.normal(size=n)
         cov = random_cov(rng, n)
-        my, cy, cxy = unscented_transform(mean, cov, lambda x: x @ A.T + b)
+        my, cy, cxy = unscented_transform(mean, cov, lambda pts: pts @ A.T + b)
         scale = max(1.0, np.abs(cov).max(), np.abs(A).max() ** 2)
         assert np.allclose(my, A @ mean + b, atol=1e-8 * scale)
         assert np.allclose(cy, A @ cov @ A.T, atol=1e-8 * scale)

@@ -291,22 +291,26 @@ def test_driver_clamps_angles():
 
 
 def test_driver_decode_matches_per_mount_decode():
-    """One decode call for the tick gives each mount's own decode, bit for bit."""
+    """One decode call for the calibration window and for each tick gives each
+    mount's own decode, bit for bit."""
     rig = default_rig()
     rng = np.random.default_rng(63)
     cfg = DriverConfig(threshold_floor=30.0, clamp=0.3)
     drv = WhiskerDriver(rig, cfg)
-    polarity = np.array([1.0 if m.polarity == whisker.NORTH_UP else -1.0 for m in rig.mounts])
-    rest = polarity[:, None] * np.array([0.0, 0.0, 100.0])
-    drv.calibrate(rest + rng.normal(0.0, 2.0, size=(30, len(rig), 3)))
+    rest = rig.sign * np.array([0.0, 0.0, 100.0])
+    window = rest + rng.normal(0.0, 2.0, size=(30, len(rig), 3))
+    drv.calibrate(window)
+    for i in range(len(rig)):
+        expect = whisker.decode_field(rig.sign[i] * window[:, i]).mean(axis=0)
+        assert np.array_equal(drv.offsets[i], expect)
     rejected = 0
     for _ in range(200):
         b = rest + rng.normal(0.0, 25.0, size=(len(rig), 3))
         accept = np.all(np.abs(b - drv.lp) <= drv.thresholds, axis=1)
         expect = np.full((len(rig), 2), np.nan)
-        for i, m in enumerate(rig.mounts):
+        for i in range(len(rig)):
             if accept[i]:
-                raw = whisker.decode_field(b[i], m.polarity) - drv.offsets[i]
+                raw = whisker.decode_field(rig.sign[i] * b[i]) - drv.offsets[i]
                 expect[i] = np.clip(raw, -cfg.clamp, cfg.clamp)
         theta, got = drv.process(b)
         assert np.array_equal(got, accept)

@@ -7,6 +7,13 @@ fixtures below simulate:
 
     golden_estimate_model.csv  run_estimate(log, EstimatorConfig(), "model")
                                on sim.four_phase_scenario(seed=7, phase_len=0.5)
+    golden_estimate_model_gated.csv
+                               the model route as above with
+                               EstimatorConfig(gate=True), written by the
+                               replay whose measurement updates formed the
+                               innovation covariance inline; the gate
+                               rejects 55 of 619 airflow and 134 of 1237
+                               odometry updates on this flight
     golden_estimate_lstm.csv   run_estimate(log, EstimatorConfig(), "lstm",
                                weights=lstm.init_params(np.random.default_rng(0)))
                                on sim.hover_scenario(seed=8, duration=2.0)
@@ -58,6 +65,11 @@ def assert_matches_golden(name, t, table):
 def test_model_route_matches_golden(model_log):
     t, table = pipeline.run_estimate(model_log, pipeline.EstimatorConfig(), "model")
     assert_matches_golden("golden_estimate_model.csv", t, table)
+
+
+def test_gated_model_route_matches_golden(model_log):
+    t, table = pipeline.run_estimate(model_log, pipeline.EstimatorConfig(gate=True), "model")
+    assert_matches_golden("golden_estimate_model_gated.csv", t, table)
 
 
 def test_lstm_route_matches_golden(hover_log, weights):

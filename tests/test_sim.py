@@ -315,6 +315,14 @@ def test_interference_bias_present():
     assert diff.max() > 5e-3  # propwash bias visible against the clean run
 
 
+@pytest.mark.parametrize("factory", [sim.circular_scenario, sim.joystick_scenario])
+def test_interference_leaves_the_callers_noise_spec_alone(factory):
+    noise = NoiseSpec.none()
+    sc = factory(noise=noise, interference=0.18)
+    assert sc.noise.interference_gain == 0.18
+    assert noise == NoiseSpec.none()
+
+
 def test_divergence_raises_with_partial_log():
     bad = ControllerParams(kp_pos=np.array([-30.0, -30.0, 8.0]))
     sc = sim.hover_scenario(noise=NoiseSpec.none(), duration=30.0)

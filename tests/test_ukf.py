@@ -374,6 +374,34 @@ def test_pseudo_wind_convergence():
     assert np.linalg.norm(b.mean[IDX_WIND] - target) < 0.1
 
 
+def test_pseudo_update_is_the_kalman_step_of_the_unscented_transform():
+    """update_pseudo_airflow forms its statistics with geometry's transform."""
+    rng = np.random.default_rng(12)
+    A = rng.normal(0.0, 0.1, (STATE_DIM, STATE_DIM))
+    mean = rng.normal(0.0, 0.5, STATE_DIM)
+    cov = A @ A.T + 0.01 * np.eye(STATE_DIM)
+    b = BeliefState(quat_from_axis_angle(rng.normal(size=3)), mean, cov)
+    z, r_var = rng.normal(size=3), 0.05**2
+
+    def h(pts):
+        q = geometry.compose_mrp(b.q_ref, pts[:, IDX_A])
+        return whisker.body_airflow(q, pts[:, IDX_WIND], pts[:, IDX_V])
+
+    y, cov_y, cross = geometry.unscented_transform(b.mean, b.cov, h)
+    S = cov_y + r_var * np.eye(3)
+    K = np.linalg.solve(S.T, cross.T).T
+    m = b.mean + K @ (z - y)
+    P = b.cov - K @ S @ K.T
+    q_ref = geometry.compose_mrp(b.q_ref, m[IDX_A])
+    m[IDX_A] = 0.0
+
+    out, ok = update_pseudo_airflow(b, z, r_var)
+    assert ok
+    assert np.array_equal(out.mean, m)
+    assert np.array_equal(out.cov, 0.5 * (P + P.T))
+    assert np.array_equal(out.q_ref, q_ref)
+
+
 def test_pseudo_update_respects_attitude_frame():
     # the same body-frame reading under a 90 degree yaw pins the wind on
     # a different world axis

@@ -6,17 +6,32 @@ import pytest
 from windest import whisker as wk
 from windest.geometry import quat_normalize, quat_rotate, quat_conjugate
 from windest.whisker import (
-    NORTH_UP,
     SOUTH_UP,
     SensorMount,
+    WhiskerRig,
     body_airflow,
     decode_field,
     default_rig,
     predict_deflection,
+    rig_airflow,
     rig_predict,
-    sensor_airflow,
     synthesize_field,
 )
+
+
+def north_south_rig():
+    """Two co-located identity mounts, north-up then south-up."""
+    return WhiskerRig(
+        [
+            SensorMount("north", [0.0, 0.0, 0.0], np.eye(3)),
+            SensorMount("south", [0.0, 0.0, 0.0], np.eye(3), polarity=SOUTH_UP),
+        ]
+    )
+
+
+def mount_airflow(v_inf_b, omega_b, m):
+    """Sensor-frame airflow of a single mount, through a one-mount rig."""
+    return rig_airflow(v_inf_b, omega_b, WhiskerRig([m]))[..., 0, :]
 
 
 def test_decode_at_rest():
@@ -30,30 +45,32 @@ def test_decode_known_angle():
     assert th[0] == pytest.approx(0.0)
 
 
+def test_rig_sign():
+    assert np.array_equal(north_south_rig().sign, [[1.0], [-1.0]])
+    assert np.array_equal(default_rig().sign, [[1.0], [1.0], [-1.0], [-1.0]])
+
+
 def test_decode_polarity():
-    th_south = decode_field([-1.0, -2.0, -5.0], SOUTH_UP)
-    th_north = decode_field([1.0, 2.0, 5.0], NORTH_UP)
+    rig = north_south_rig()
+    th_north, th_south = decode_field(rig.sign * np.array([[1.0, 2.0, 5.0], [-1.0, -2.0, -5.0]]))
     assert np.allclose(th_south, th_north)
-
-
-def test_decode_bad_polarity():
-    with pytest.raises(ValueError):
-        decode_field([0.0, 0.0, 5.0], "sideways")
 
 
 def test_decode_invalid_when_field_reversed():
     # corrected b_z <= 0: magnet out of range, reading unusable
     assert np.all(np.isnan(decode_field([1.0, 2.0, -5.0])))
     assert np.all(np.isnan(decode_field([0.0, 0.0, 0.0])))
-    assert np.all(np.isnan(decode_field([1.0, 2.0, 5.0], SOUTH_UP)))
+    south = north_south_rig().sign[1]
+    assert np.all(np.isnan(decode_field(south * np.array([1.0, 2.0, 5.0]))))
 
 
 def test_decode_synthesize_round_trip():
     rng = np.random.default_rng(40)
-    for pol in (NORTH_UP, SOUTH_UP):
-        th = rng.uniform(-1.0, 1.0, size=(50, 2))
-        b = synthesize_field(th, pol)
-        assert np.allclose(decode_field(b, pol), th, atol=1e-12)
+    sign = north_south_rig().sign
+    th = rng.uniform(-1.0, 1.0, size=(50, 2, 2))  # (samples, north/south mount, angles)
+    b = sign * synthesize_field(th)
+    assert np.all(b[:, 1, 2] < 0.0)  # the south-up mount sees the negated field
+    assert np.allclose(decode_field(sign * b), th, atol=1e-12)
 
 
 def test_body_airflow_examples():
@@ -68,19 +85,19 @@ def test_body_airflow_examples():
     assert np.allclose(body_airflow(q, v, v), 0.0, atol=1e-12)
 
 
-def test_sensor_airflow_identity_mount():
+def test_rig_airflow_identity_mount():
     m = SensorMount("s", [0.1, 0.0, 0.0], np.eye(3))
     v = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(sensor_airflow(v, np.zeros(3), m), v)
+    assert np.allclose(mount_airflow(v, np.zeros(3), m), v)
 
 
-def test_sensor_airflow_sweep_term():
+def test_rig_airflow_sweep_term():
     m = SensorMount("s", [1.0, 0.0, 0.0], np.eye(3))
-    out = sensor_airflow(np.zeros(3), np.array([0.0, 0.0, 1.0]), m)
+    out = mount_airflow(np.zeros(3), np.array([0.0, 0.0, 1.0]), m)
     assert np.allclose(out, [0.0, -1.0, 0.0])
 
 
-def test_sensor_airflow_matches_hand_evaluation():
+def test_rig_airflow_matches_hand_evaluation():
     rng = np.random.default_rng(42)
     for _ in range(20):
         q = quat_normalize(rng.normal(size=4))
@@ -91,7 +108,19 @@ def test_sensor_airflow_matches_hand_evaluation():
         m = SensorMount("s", rng.normal(size=3) * 0.2, rot)
         v, w = rng.normal(size=3), rng.normal(size=3)
         expect = rot.T @ (v - np.cross(w, m.r))
-        assert np.allclose(sensor_airflow(v, w, m), expect, atol=1e-12)
+        assert np.allclose(mount_airflow(v, w, m), expect, atol=1e-12)
+
+
+def test_rig_airflow_batch_matches_each_mount_bitwise():
+    """All mounts at once, batched or not, round as each mount alone."""
+    rig = default_rig()
+    rng = np.random.default_rng(49)
+    v, w = rng.normal(size=(9, 3)), rng.normal(size=(9, 3))
+    out = rig_airflow(v, w, rig)
+    assert out.shape == (9, len(rig), 3)
+    for i, m in enumerate(rig.mounts):
+        assert np.array_equal(out[:, i], mount_airflow(v, w, m))
+        assert np.array_equal(rig_airflow(v[0], w[0], rig)[i], mount_airflow(v[0], w[0], m))
 
 
 def test_predict_deflection_zero():
@@ -143,7 +172,7 @@ def test_composition_consistency():
         q = quat_normalize(rng.normal(size=4))
         v, w, wind = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
         chained = predict_deflection(
-            sensor_airflow(body_airflow(q, wind, v), w, m), m.coeff
+            mount_airflow(body_airflow(q, wind, v), w, m), m.coeff
         )
         v_inf_s = m.rot.T @ (quat_rotate(quat_conjugate(q), wind - v) - np.cross(w, m.r))
         speed = np.linalg.norm(v_inf_s)
@@ -186,7 +215,7 @@ def test_rig_predict_matches_per_mount():
     v, w, wind = rng.normal(size=3), rng.normal(size=3) * 0.3, rng.normal(size=3)
     out = rig_predict(q, v, w, wind, rig)
     for i, m in enumerate(rig.mounts):
-        expect = predict_deflection(sensor_airflow(body_airflow(q, wind, v), w, m), m.coeff)
+        expect = predict_deflection(mount_airflow(body_airflow(q, wind, v), w, m), m.coeff)
         assert np.allclose(out[i], expect, atol=1e-12)
 
 
