@@ -137,16 +137,40 @@ def _load_csv(path):
     return arr[:, 0], arr[:, 1:], cols[1:]
 
 
+def _row_lineno(path, k):
+    """File line of body row k (from 0), counting blank lines as the file has them."""
+    with open(path) as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            if line.strip():
+                if k == 0:
+                    return lineno
+                k -= 1
+
+
 def load_log(directory) -> FlightLog:
+    """Every channel CSV of a log directory.
+
+    A channel whose t is not finite and strictly increasing (swapped or
+    duplicate rows) raises LogFormatError at the first offending row.
+    """
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"log directory {directory} does not exist")
     log = FlightLog()
     for fn in sorted(os.listdir(directory)):
         if not fn.endswith(".csv") or fn == "estimate.csv":
             continue
-        name = fn[:-4]
-        t, data, columns = _load_csv(os.path.join(directory, fn))
-        log.add(name, t, data, columns)
+        path = os.path.join(directory, fn)
+        t, data, columns = _load_csv(path)
+        bad = ~np.isfinite(t)
+        bad[1:] |= t[1:] <= t[:-1]
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise LogFormatError(
+                f"{path}:{_row_lineno(path, k)}: t = {float(t[k])} does not come after the "
+                "previous row's; times must be finite and strictly increasing"
+            )
+        log.add(fn[:-4], t, data, columns)
     if not log.channels:
         raise LogFormatError(f"{directory}: no channel CSVs found")
     return log
@@ -244,11 +268,15 @@ class WhiskerDriver:
 
         Sets per-sensor angle offsets (mean decoded deflection), the
         outlier thresholds (nsigma * component std, floored) and seeds
-        the low-pass reference.
+        the low-pass reference.  Rows holding a non-finite value are left
+        out; a window with none left raises ValueError.
         """
         b = np.asarray(b_window, dtype=float)
         if b.ndim != 3 or b.shape[1] != len(self.rig):
             raise ValueError("calibration window must be (m, n_sensors, 3)")
+        b = b[np.isfinite(b).all(axis=(1, 2))]
+        if b.shape[0] == 0:
+            raise ValueError("whisker channel: no finite row in the calibration window")
         self.lp = b.mean(axis=0)
         sig = b.std(axis=0)
         self.thresholds = np.maximum(self.config.nsigma * sig, self.config.threshold_floor)
@@ -259,13 +287,15 @@ class WhiskerDriver:
         """One tick of raw fields (n_sensors, 3) -> angles (n_sensors, 2).
 
         Rejected sensors come back NaN; the low-pass reference is
-        updated either way.
+        updated either way, except by non-finite components (their
+        sensors are rejected).
         """
         b = np.asarray(b_row, dtype=float)
         if self.lp is None:
             self.lp = b.copy()
         accept = np.all(np.abs(b - self.lp) <= self.thresholds, axis=1)
-        self.lp = (1.0 - self.config.alpha) * self.lp + self.config.alpha * b
+        blend = (1.0 - self.config.alpha) * self.lp + self.config.alpha * b
+        self.lp = np.where(np.isfinite(b), blend, self.lp)
         raw = whisker.decode_field(self.rig.sign * b) - self.offsets
         theta = np.clip(raw, -self.config.clamp, self.config.clamp)
         theta[~accept] = np.nan

@@ -25,25 +25,35 @@ N_LAYERS = 2
 SEQ_LEN = 5  # ticks per training window
 BATCH_SIZE = 32  # windows per Adam step
 VAL_FRACTION = 0.2  # tail share of each block's windows held out
+ADAM_BETA1 = 0.9  # Adam's moment decay rates and denominator floor
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+FD_STEP = 1e-5  # central-difference step of gradient_check
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+# Gate activation s * tanh(s * z) + 1 - s per block (input, forget, cell,
+# output): the sigmoid 0.5 * tanh(0.5 * z) + 0.5 (no exp to overflow) at
+# s = 0.5, tanh at s = 1.
+GATE_SLOPE = np.array([0.5, 0.5, 1.0, 0.5])[:, None]
 
 
 @dataclass
 class LstmParams:
-    """Weight tensors keyed by name; wrapped dict so optimizers can iterate."""
+    """Weight tensors keyed by name, which also give the network's dims."""
 
     tensors: dict[str, np.ndarray]
-    input_dim: int = INPUT_DIM
-    hidden_dim: int = HIDDEN_DIM
-    output_dim: int = OUTPUT_DIM
+
+    @property
+    def input_dim(self):
+        return self.tensors["w_ih0"].shape[1]
+
+    @property
+    def hidden_dim(self):
+        return self.tensors["w_hh0"].shape[1]
+
+    @property
+    def output_dim(self):
+        return self.tensors["w_out"].shape[0]
 
 
 def _tensor_shapes(input_dim, hidden_dim, output_dim):
@@ -69,58 +79,42 @@ def init_params(rng, input_dim=INPUT_DIM, hidden_dim=HIDDEN_DIM, output_dim=OUTP
         tensors[name] = rng.uniform(-k, k, size=shape)
     for layer in range(N_LAYERS):
         tensors[f"b{layer}"][hidden_dim : 2 * hidden_dim] += 1.0  # forget gate bias
-    return LstmParams(tensors, input_dim, hidden_dim, output_dim)
-
-
-def zero_state(params: LstmParams, batch):
-    h = np.zeros((N_LAYERS, batch, params.hidden_dim))
-    return h, h.copy()
-
-
-def _cell(x, h_prev, c_prev, w_ih, w_hh, b):
-    nh = h_prev.shape[-1]
-    z = x @ w_ih.T + h_prev @ w_hh.T + b
-    i = _sigmoid(z[:, :nh])
-    f = _sigmoid(z[:, nh : 2 * nh])
-    g = np.tanh(z[:, 2 * nh : 3 * nh])
-    o = _sigmoid(z[:, 3 * nh :])
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    return i, f, g, o, c, tc, o * tc
+    return LstmParams(tensors)
 
 
 def forward(params: LstmParams, x, state=None, want_cache=False):
-    """Run the network over x of shape (T, B, input_dim).
+    """Run the network over x of shape (T, B, input_dim), layer by layer.
 
-    Returns (y, state, cache) with y of shape (T, B, output_dim); cache
-    is None unless requested (it holds what backward() needs).
+    Each layer projects its whole input with one GEMM over all T*B rows;
+    only h @ w_hh.T is left inside the time loop.  Returns (y, state,
+    cache) with y of shape (T, B, output_dim).  The cache, None unless
+    requested, holds each layer's input (T, B, D), gate activations
+    (T, B, 4, H) and h, c (T + 1, B, H) with the initial state in row 0.
     """
     x = np.asarray(x, dtype=float)
     T, B, _ = x.shape
-    if state is None:
-        state = zero_state(params, B)
-    # lists of per-layer arrays, rebound (never mutated) so cached views stay valid
-    h = [state[0][layer] for layer in range(N_LAYERS)]
-    c = [state[1][layer] for layer in range(N_LAYERS)]
+    nh = params.hidden_dim
+    h0, c0 = np.zeros((2, N_LAYERS, B, nh)) if state is None else state
     ts = params.tensors
-    y = np.empty((T, B, params.output_dim))
-    cache = [] if want_cache else None
-    for t in range(T):
-        step = [] if want_cache else None
-        inp = x[t]
-        for layer in range(N_LAYERS):
-            h_prev, c_prev = h[layer], c[layer]
-            i, f, g, o, cc, tc, hh = _cell(
-                inp, h_prev, c_prev, ts[f"w_ih{layer}"], ts[f"w_hh{layer}"], ts[f"b{layer}"]
-            )
-            if want_cache:
-                step.append((inp, h_prev, c_prev, i, f, g, o, cc, tc))
-            h[layer], c[layer] = hh, cc
-            inp = hh
-        y[t] = inp @ ts["w_out"].T + ts["b_out"]
+    inp, cache, h_n, c_n = x, [], [], []
+    for layer in range(N_LAYERS):
+        w_ih, w_hh, b = ts[f"w_ih{layer}"], ts[f"w_hh{layer}"], ts[f"b{layer}"]
+        gates = (inp.reshape(T * B, -1) @ w_ih.T).reshape(T, B, 4, nh)
+        gates += b.reshape(4, nh)  # in place, so no second (T, B, 4H) array is made
+        h, c = np.empty((2, T + 1, B, nh))
+        h[0], c[0] = h0[layer], c0[layer]
+        for t in range(T):
+            z = gates[t] + (h[t] @ w_hh.T).reshape(B, 4, nh)
+            a = gates[t] = GATE_SLOPE * np.tanh(GATE_SLOPE * z) + (1.0 - GATE_SLOPE)
+            c[t + 1] = a[:, 1] * c[t] + a[:, 0] * a[:, 2]
+            h[t + 1] = a[:, 3] * np.tanh(c[t + 1])
         if want_cache:
-            cache.append(step)
-    return y, (np.stack(h), np.stack(c)), cache
+            cache.append((inp, gates, h, c))
+        h_n.append(h[-1])
+        c_n.append(c[-1])
+        inp = h[1:]
+    y = (inp.reshape(T * B, nh) @ ts["w_out"].T + ts["b_out"]).reshape(T, B, -1)
+    return y, (np.stack(h_n), np.stack(c_n)), cache if want_cache else None
 
 
 def loss_only(params: LstmParams, x, targets, state=None):
@@ -130,40 +124,45 @@ def loss_only(params: LstmParams, x, targets, state=None):
 
 
 def loss_and_grads(params: LstmParams, x, targets, state=None):
-    """MSE loss (mean over all output elements) and gradients via BPTT."""
-    x = np.asarray(x, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    T, B, _ = x.shape
+    """MSE loss (mean over all output elements) and gradients via BPTT.
+
+    A reversed time loop per layer fills the gate pre-activation
+    gradients dz (T, B, 4, H); each weight gradient is then one GEMM (or
+    sum) over all T*B rows.
+    """
     y, final_state, cache = forward(params, x, state, want_cache=True)
-    err = y - targets
+    T, B, _ = y.shape
+    err = y - np.asarray(targets, dtype=float)
     loss = float(np.mean(err**2))
-    dy_all = (2.0 / err.size) * err
+    dy = ((2.0 / err.size) * err).reshape(T * B, -1)
     ts = params.tensors
-    grads = {k: np.zeros_like(v) for k, v in ts.items()}
-    nh = params.hidden_dim
-    dh_next = np.zeros((N_LAYERS, B, nh))
-    dc_next = np.zeros((N_LAYERS, B, nh))
-    for t in range(T - 1, -1, -1):
-        dy = dy_all[t]
-        h_top = cache[t][N_LAYERS - 1][8] * cache[t][N_LAYERS - 1][6]  # o * tanh(c)
-        grads["w_out"] += dy.T @ h_top
-        grads["b_out"] += dy.sum(axis=0)
-        d_inp = dy @ ts["w_out"]
-        for layer in range(N_LAYERS - 1, -1, -1):
-            inp, h_prev, c_prev, i, f, g, o, cc, tc = cache[t][layer]
-            dh = d_inp + dh_next[layer]
-            dc = dh * o * (1.0 - tc * tc) + dc_next[layer]
-            dzo = dh * tc * o * (1.0 - o)
-            dzi = dc * g * i * (1.0 - i)
-            dzf = dc * c_prev * f * (1.0 - f)
-            dzg = dc * i * (1.0 - g * g)
-            dz = np.concatenate([dzi, dzf, dzg, dzo], axis=1)
-            grads[f"w_ih{layer}"] += dz.T @ inp
-            grads[f"w_hh{layer}"] += dz.T @ h_prev
-            grads[f"b{layer}"] += dz.sum(axis=0)
-            d_inp = dz @ ts[f"w_ih{layer}"]
-            dh_next[layer] = dz @ ts[f"w_hh{layer}"]
-            dc_next[layer] = dc * f
+    _, _, h_top, _ = cache[-1]
+    grads = {"w_out": dy.T @ h_top[1:].reshape(T * B, -1), "b_out": dy.sum(axis=0)}
+    dh_in = (dy @ ts["w_out"]).reshape(T, B, -1)
+    for layer in range(N_LAYERS - 1, -1, -1):
+        inp, gates, h, c = cache[layer]
+        i, f, g, o = (gates[:, :, k] for k in range(4))
+        tc = np.tanh(c[1:])
+        # dc/dz of the input, forget and cell gates, dh/dz of the output gate
+        dstate_dz = np.stack(
+            [g * i * (1.0 - i), c[:-1] * f * (1.0 - f), i * (1.0 - g * g), tc * o * (1.0 - o)],
+            axis=2,
+        )
+        dc_dh = o * (1.0 - tc * tc)
+        dz = np.empty_like(gates)
+        dh_next = dc_next = 0.0
+        for t in range(T - 1, -1, -1):
+            dh = dh_in[t] + dh_next
+            dc = dh * dc_dh[t] + dc_next
+            dz[t, :, :3] = dc[:, None] * dstate_dz[t, :, :3]
+            dz[t, :, 3] = dh * dstate_dz[t, :, 3]
+            dh_next = dz[t].reshape(B, -1) @ ts[f"w_hh{layer}"]
+            dc_next = dc * f[t]
+        dz = dz.reshape(T * B, -1)
+        grads[f"w_ih{layer}"] = dz.T @ inp.reshape(T * B, -1)
+        grads[f"w_hh{layer}"] = dz.T @ h[:-1].reshape(T * B, -1)
+        grads[f"b{layer}"] = dz.sum(axis=0)
+        dh_in = (dz @ ts[f"w_ih{layer}"]).reshape(T, B, -1)
     return loss, grads, final_state
 
 
@@ -174,20 +173,20 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(tensors, grads, state: AdamState, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(tensors, grads, state: AdamState, lr=1e-4):
     """One bias-corrected Adam update, applied in place to tensors."""
     state.t += 1
-    b1t = 1.0 - beta1**state.t
-    b2t = 1.0 - beta2**state.t
+    b1t = 1.0 - ADAM_BETA1**state.t
+    b2t = 1.0 - ADAM_BETA2**state.t
     for k, g in grads.items():
         if k not in state.m:
             state.m[k] = np.zeros_like(g)
             state.v[k] = np.zeros_like(g)
-        state.m[k] = beta1 * state.m[k] + (1.0 - beta1) * g
-        state.v[k] = beta2 * state.v[k] + (1.0 - beta2) * g * g
+        state.m[k] = ADAM_BETA1 * state.m[k] + (1.0 - ADAM_BETA1) * g
+        state.v[k] = ADAM_BETA2 * state.v[k] + (1.0 - ADAM_BETA2) * g * g
         m_hat = state.m[k] / b1t
         v_hat = state.v[k] / b2t
-        tensors[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        tensors[k] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return tensors
 
 
@@ -273,7 +272,7 @@ def predict_stream(params: LstmParams, features):
     return y[:, 0, :]
 
 
-def gradient_check(params: LstmParams, x, targets, h=1e-5):
+def gradient_check(params: LstmParams, x, targets):
     """Relative disagreement between BPTT and central finite differences.
 
     Compares per tensor at the norm level, ||num - bp|| / (||num|| +
@@ -289,12 +288,12 @@ def gradient_check(params: LstmParams, x, targets, h=1e-5):
         num = np.empty(flat.size)
         for j in range(flat.size):
             keep = flat[j]
-            flat[j] = keep + h
+            flat[j] = keep + FD_STEP
             lp = loss_only(params, x, targets)
-            flat[j] = keep - h
+            flat[j] = keep - FD_STEP
             lm = loss_only(params, x, targets)
             flat[j] = keep
-            num[j] = (lp - lm) / (2.0 * h)
+            num[j] = (lp - lm) / (2.0 * FD_STEP)
         denom = max(1e-8, float(np.linalg.norm(num) + np.linalg.norm(gflat)))
         worst = max(worst, float(np.linalg.norm(num - gflat)) / denom)
     return worst
@@ -347,7 +346,7 @@ def load_params(path):
         if flat.size != int(np.prod(shape)):
             raise ValueError(f"{path}: tensor {name} has {flat.size} values, wants {shape}")
         tensors[name] = flat.reshape(shape)
-    return LstmParams(tensors, *dims)
+    return LstmParams(tensors)
 
 
 def build_features(theta, omega, accel, throttle, spin_dirs):

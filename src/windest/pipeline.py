@@ -11,6 +11,7 @@ clock with the fixed estimate-file schema.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -150,10 +151,11 @@ def whisker_clock_features(log: FlightLog, cfg: EstimatorConfig):
     """The LSTM feature stream on the resampled whisker clock: (t, features).
 
     Driver angles on the whisker clock, held onto the resampled clock
-    (the whisker ticks every channel covers), NaN rows of rejected
-    samples filled forward, then stacked with the body rates, specific
-    force and signed throttles.  Raises ValueError when no whisker tick
-    falls inside the window every channel covers.
+    (the whisker ticks every channel covers), then stacked with the body
+    rates, specific force and signed throttles.  Each block's non-finite
+    rows (rejected samples, NaN log values) are filled forward.  Raises
+    ValueError when no whisker tick falls inside the window every
+    channel covers.
     """
     t_whisk, theta, _ = driver_angles(log, cfg)
     rs = logio.resample_to_clock(log, "whisker")
@@ -165,9 +167,9 @@ def whisker_clock_features(log: FlightLog, cfg: EstimatorConfig):
     theta_rs = theta[logio.zoh_indices(t_whisk, rs.t)]
     feats = lstm_mod.build_features(
         logio.forward_fill(theta_rs),
-        rs["odometry"].col("wx", "wy", "wz"),
-        rs["imu"].col("ax", "ay", "az"),
-        rs["throttle"].cols("u", sim.N_ROTORS),
+        logio.forward_fill(rs["odometry"].col("wx", "wy", "wz")),
+        logio.forward_fill(rs["imu"].col("ax", "ay", "az")),
+        logio.forward_fill(rs["throttle"].cols("u", sim.N_ROTORS)),
         sim.SPIN_DIRS,
     )
     return rs.t, feats
@@ -186,6 +188,10 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
     source "lstm" fuses the learned relative-airflow pseudo measurement
     (weights required) on the whisker ticks of the resampled clock.
     Returns (t, table) on the whisker clock with the estimate-file schema.
+
+    An odometry or throttle row holding a non-finite value is left out.
+    A gap between events longer than ukf.MAX_PREDICT_DT is predicted in
+    equal steps no longer than that.
     """
     if source not in ("model", "lstm"):
         raise ValueError(f"unknown airflow source {source!r}")
@@ -210,10 +216,10 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
 
     # event table: (t, kind, row); kinds ordered so commands refresh first
     events = []
-    for k, t in enumerate(thr_ch.t):
-        events.append((t, 0, k))
-    for k, t in enumerate(odo_ch.t):
-        events.append((t, 1, k))
+    for k in np.flatnonzero(np.isfinite(thr_ch.data).all(axis=1)):
+        events.append((thr_ch.t[k], 0, k))
+    for k in np.flatnonzero(np.isfinite(odo_ch.data).all(axis=1)):
+        events.append((odo_ch.t[k], 1, k))
     for k, t in enumerate(t_whisk):
         events.append((t, 2, k))
     events.sort(key=lambda e: (e[0], e[1]))
@@ -236,7 +242,11 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
             continue
         dt = t - belief.t
         if dt > 1e-12:
-            belief = ukf.predict(belief, wrench, dt, cfg.process, cfg.vehicle)
+            n = math.ceil(dt / ukf.MAX_PREDICT_DT)
+            if dt / n > ukf.MAX_PREDICT_DT:  # dt / MAX_PREDICT_DT rounded down to n
+                n += 1
+            for _ in range(n):
+                belief = ukf.predict(belief, wrench, dt / n, cfg.process, cfg.vehicle)
         if kind == 0:
             wrench = WrenchInput(float(thr_f[k]), thr_tau[k])
         elif kind == 1:

@@ -1,0 +1,129 @@
+"""What the replay does with each log defect, pinned on one hover flight.
+
+Defects come from tests/faults.py: swapped rows in a saved file, a
+non-finite value in one row, and a window missing from every channel.
+"""
+
+import numpy as np
+import pytest
+
+from faults import drop_window, set_value, swap_lines
+from windest import lstm, pipeline, sim
+from windest.cli import main
+from windest.logio import (
+    FlightLog,
+    LogFormatError,
+    WhiskerDriver,
+    load_log,
+    save_log,
+    whisker_fields,
+)
+from windest.pipeline import EstimatorConfig, run_estimate
+
+ROUTES = ("model", "lstm")
+
+
+@pytest.fixture(scope="module")
+def hover_log():
+    return sim.run_scenario(sim.hover_scenario(seed=8, duration=2.0))
+
+
+@pytest.fixture(scope="module")
+def weights():
+    return lstm.init_params(np.random.default_rng(0))
+
+
+def estimate(log, route, weights):
+    return run_estimate(log, EstimatorConfig(), route, weights=weights if route == "lstm" else None)
+
+
+def without_row(log, channel, row):
+    ch = log[channel]
+    out = FlightLog(dict(log.channels))
+    out.add(channel, np.delete(ch.t, row), np.delete(ch.data, row, axis=0), ch.columns)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# time order
+
+
+def test_swapped_rows_fail_at_load_with_file_and_line(hover_log, tmp_path, capsys):
+    save_log(hover_log, tmp_path)
+    swap_lines(tmp_path / "throttle.csv", 100, 101)
+    with pytest.raises(LogFormatError, match=r"throttle\.csv:101: "):
+        load_log(tmp_path)
+    assert main(["estimate", str(tmp_path), "--out", str(tmp_path / "e.csv")]) == 2
+    assert "throttle.csv:101" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [("0.0,1\n\n0.1,2\n0.1,3\n0.2,4\n", 5), ("nan,1\n0.1,2\n", 2)],
+    ids=["duplicate-after-blank-line", "nan-first"],
+)
+def test_bad_time_is_named_by_the_files_own_line(tmp_path, body, line):
+    (tmp_path / "imu.csv").write_text("t,ax\n" + body)
+    with pytest.raises(LogFormatError, match=rf"imu\.csv:{line}: "):
+        load_log(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# non-finite values
+
+
+@pytest.mark.parametrize("channel, column", [("odometry", "px"), ("throttle", "f_cmd")])
+def test_nonfinite_row_is_left_out_on_the_model_route(hover_log, channel, column):
+    log, row = set_value(hover_log, channel, column, 6.0)
+    t, table = estimate(log, "model", None)
+    t_ref, table_ref = estimate(without_row(hover_log, channel, row), "model", None)
+    assert np.array_equal(t, t_ref)
+    assert np.array_equal(table, table_ref)
+
+
+@pytest.mark.parametrize(
+    "channel, column", [("imu", "ax"), ("throttle", "u0"), ("odometry", "wx"), ("odometry", "px")]
+)
+def test_nonfinite_value_leaves_the_lstm_route_finite(hover_log, weights, channel, column):
+    log, _ = set_value(hover_log, channel, column, 6.0)
+    _, table = estimate(log, "lstm", weights)
+    assert np.all(np.isfinite(table))
+
+
+def test_nonfinite_field_is_rejected_and_kept_out_of_the_reference(hover_log, weights):
+    log, tick = set_value(hover_log, "whisker", "bx_0", hover_log["whisker"].t[192])
+    _, theta, accept = pipeline.driver_angles(log, EstimatorConfig())
+    _, _, accept_ref = pipeline.driver_angles(hover_log, EstimatorConfig())
+    assert tick == 192
+    assert not accept[192, 0] and np.all(np.isnan(theta[192, 0]))
+    assert np.array_equal(np.delete(accept, 192, axis=0), np.delete(accept_ref, 192, axis=0))
+    for route in ROUTES:
+        _, table = estimate(log, route, weights)
+        assert np.all(np.isfinite(table))
+
+
+def test_calibration_leaves_out_nonfinite_rows(hover_log):
+    b = whisker_fields(hover_log)[:40]
+    rig = EstimatorConfig().rig
+    bad = b.copy()
+    bad[5, 2, 1] = np.inf
+    drv, ref = WhiskerDriver(rig), WhiskerDriver(rig)
+    drv.calibrate(bad)
+    ref.calibrate(np.delete(b, 5, axis=0))
+    for name in ("lp", "thresholds", "offsets"):
+        assert np.array_equal(getattr(drv, name), getattr(ref, name))
+    with pytest.raises(ValueError, match="whisker"):
+        WhiskerDriver(rig).calibrate(np.full_like(b, np.nan))
+
+
+# ---------------------------------------------------------------------------
+# gaps
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_gap_in_every_channel_is_predicted_in_steps(hover_log, weights, route):
+    log = drop_window(hover_log, 6.0, 6.15)
+    t, table = estimate(log, route, weights)
+    assert np.all(np.isfinite(table))
+    assert not np.any((t > 6.0) & (t < 6.15))
+    assert np.any(t >= 6.15)
