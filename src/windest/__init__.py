@@ -1,6 +1,6 @@
 """Wind, drag and touch-force estimation for a whiskered multirotor."""
 
-from .vehicle import VehicleParams, VehicleState, WrenchInput
+from .vehicle import VehicleParams, WrenchInput
 from .whisker import WhiskerRig, SensorMount, default_rig
 from .ukf import BeliefState, ProcessNoise, OdometryMeasurement, FilterOutput
 from .logio import FlightLog, load_log, save_log
@@ -8,7 +8,6 @@ from .sim import Scenario, run_scenario
 
 __all__ = [
     "VehicleParams",
-    "VehicleState",
     "WrenchInput",
     "WhiskerRig",
     "SensorMount",

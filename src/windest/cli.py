@@ -60,8 +60,13 @@ def cmd_sim(args):
             raise ValueError(f"--thrust-scale not supported for {args.scenario}")
         kwargs["thrust_scale"] = args.thrust_scale
     sc = sim.SCENARIOS[args.scenario](**kwargs)
-    log = sim.run_scenario(sc)
     out = args.out or os.path.join(_out_dir(args), f"{args.scenario}_{args.seed}")
+    try:
+        log = sim.run_scenario(sc)
+    except sim.SimulationDiverged as exc:
+        save_log(exc.partial_log, out)
+        print(f"error: {exc}; partial log written to {out}", file=sys.stderr)
+        return 2
     save_log(log, out)
     for name in sorted(log.channels):
         ch = log[name]

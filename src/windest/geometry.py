@@ -126,8 +126,9 @@ def quat_rotate(q, v):
 
 
 def quat_to_matrix(q):
-    """Rotation matrix with the same action as quat_rotate(q, .)."""
-    w, x, y, z = (float(c) for c in np.asarray(q, dtype=float))
+    """Rotation matrix with the same action as quat_rotate(q, .); q is
+    one quaternion, an array or a sequence of floats."""
+    w, x, y, z = map(float, q)
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import cross, quat_from_axis_angle, quat_multiply, quat_to_matrix
-from .vehicle import VehicleParams, VehicleState, deriv, rk4_step, scalar_consts
+from .geometry import quat_from_axis_angle, quat_multiply, quat_to_matrix
+from .vehicle import VehicleParams, deriv, rk4_step, scalar_consts
 from . import whisker as whisker_mod
 from .whisker import WhiskerRig, default_rig
 from .logio import FlightLog
@@ -414,7 +414,31 @@ def allocation_matrix(arm=ARM_LENGTH, k_moment=K_MOMENT, spin=SPIN_DIRS):
     return B
 
 
-_X_AXIS = np.array([1.0, 0.0, 0.0])
+_X_AXIS = (1.0, 0.0, 0.0)
+
+
+def _norm(x):
+    """np.linalg.norm of a 1-D array, which it computes as sqrt(x.dot(x))
+    (BLAS ddot), without its dispatch."""
+    return math.sqrt(x.dot(x))
+
+
+def _cross(a, b):
+    """a x b on 3-sequences of floats, with geometry.cross's terms."""
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _normalize_quat(s):
+    """The packed state s with its quaternion normalized as
+    geometry.quat_normalize does it (left-to-right sum of squares, then
+    one division per component), on Python floats."""
+    qw, qx, qy, qz = s[6:10]
+    n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+    return s[:6] + [qw / n, qx / n, qy / n, qz / n] + s[10:]
 
 
 class Controller:
@@ -426,39 +450,70 @@ class Controller:
         self.k_thrust = k_thrust
         self.B = allocation_matrix()
         self.B_pinv = np.linalg.pinv(self.B)
-        self.integral = np.zeros(3)
+        self.integral = [0.0, 0.0, 0.0]
+        self._gains = tuple(
+            np.asarray(g, dtype=float).tolist()
+            for g in (params.kp_pos, params.kd_pos, params.ki_pos, params.kp_att, params.kd_att)
+        )
 
-    def step(self, state: VehicleState, sp_p, sp_v, sp_a, dt):
-        """One control tick; returns (throttles, commanded wrench [f, tau])."""
+    def step(self, s, sp_p, sp_v, sp_a, dt):
+        """One control tick on the packed state s (vehicle.deriv's layout,
+        unit quaternion) and set-point arrays; returns (throttles,
+        commanded wrench [f, tau])."""
+        # Python floats, each operation in numpy's elementwise order.  The
+        # products whose rounding comes from BLAS stay numpy calls: the two
+        # norms (ddot), the attitude error matrix, the two inertia products
+        # and the allocation products (gemv), and the throttle clip next to
+        # them.  Python sums left to right and rounds differently in 11%
+        # (norm) to 70% (3x3 matrix-vector) of cases.
         par, veh = self.params, self.vehicle
-        e_p = sp_p - state.p
-        e_v = sp_v - state.v
-        self.integral = (self.integral + e_p * dt).clip(-par.int_limit, par.int_limit)
-        a_cmd = sp_a + par.kp_pos * e_p + par.kd_pos * e_v + par.ki_pos * self.integral
-        f_des = veh.mass * (a_cmd + np.array([0.0, 0.0, veh.gravity]))
-        R = quat_to_matrix(state.q)
+        (kpx, kpy, kpz), (kdx, kdy, kdz), (kix, kiy, kiz), kp_att, kd_att = self._gains
+        lim, mass, g = par.int_limit, veh.mass, veh.gravity
+        px, py, pz, vx, vy, vz = s[0:6]
+        w = s[10:13]
+        spx, spy, spz = sp_p.tolist()
+        svx, svy, svz = sp_v.tolist()
+        sax, say, saz = sp_a.tolist()
+        ex, ey, ez = spx - px, spy - py, spz - pz
+        ix, iy, iz = self.integral
+        ix = min(max(ix + ex * dt, -lim), lim)
+        iy = min(max(iy + ey * dt, -lim), lim)
+        iz = min(max(iz + ez * dt, -lim), lim)
+        self.integral = [ix, iy, iz]
+        # the "+ 0.0" terms are the x and y of numpy's gravity vector: they
+        # turn a -0.0 into +0.0 as numpy does
+        f_des = (
+            mass * (sax + kpx * ex + kdx * (svx - vx) + kix * ix + 0.0),
+            mass * (say + kpy * ey + kdy * (svy - vy) + kiy * iy + 0.0),
+            mass * (saz + kpz * ez + kdz * (svz - vz) + kiz * iz + g),
+        )
+        R = quat_to_matrix(s[6:10])
         # satisfy the vertical force balance exactly: f = f_des_z / b3_z
-        f_cmd = f_des[2] / max(R[2, 2], 0.25)
+        f_cmd = f_des[2] / max(R.item(2, 2), 0.25)
         f_cmd = min(max(f_cmd, 0.0), N_ROTORS * self.k_thrust)
         # attitude setpoint from the desired force direction, yaw held at 0;
-        # its columns are b1, b2, b3.  The norms stay np.linalg.norm: on
-        # 1-D vectors it goes through BLAS ddot, whose rounding
-        # geometry.norm does not reproduce in the last bit.
-        n = np.linalg.norm(f_des)
-        b3_des = f_des / n if n > 0.1 * veh.mass * veh.gravity else np.array([0.0, 0.0, 1.0])
-        b2_des = cross(b3_des, _X_AXIS)
-        b2_des /= np.linalg.norm(b2_des)
-        R_des = np.empty((3, 3))
-        R_des[:, 0] = cross(b2_des, b3_des)
-        R_des[:, 1] = b2_des
-        R_des[:, 2] = b3_des
-        e_mat = R_des.T @ R - R.T @ R_des
-        e_R = 0.5 * np.array([e_mat[2, 1], e_mat[0, 2], e_mat[1, 0]])
-        ang_acc = -par.kp_att * e_R - par.kd_att * state.omega
-        tau = veh.inertia @ ang_acc + cross(state.omega, veh.inertia @ state.omega)
-        u = self.B_pinv @ np.concatenate([[f_cmd / self.k_thrust], tau / self.k_thrust])
+        # its columns are b1, b2, b3
+        n = _norm(np.array(f_des))
+        b3 = (f_des[0] / n, f_des[1] / n, f_des[2] / n) if n > 0.1 * mass * g else (0.0, 0.0, 1.0)
+        b2 = _cross(b3, _X_AXIS)
+        n = _norm(np.array(b2))
+        b2 = (b2[0] / n, b2[1] / n, b2[2] / n)
+        b1 = _cross(b2, b3)
+        R_des = np.array([[b1[0], b2[0], b3[0]], [b1[1], b2[1], b3[1]], [b1[2], b2[2], b3[2]]])
+        e = (R_des.T @ R - R.T @ R_des).tolist()
+        e_R = (0.5 * e[2][1], 0.5 * e[0][2], 0.5 * e[1][0])
+        ang_acc = np.array([
+            -kp_att[0] * e_R[0] - kd_att[0] * w[0],
+            -kp_att[1] * e_R[1] - kd_att[1] * w[1],
+            -kp_att[2] * e_R[2] - kd_att[2] * w[2],
+        ])
+        J = veh.inertia
+        gx, gy, gz = _cross(w, (J @ np.array(w)).tolist())
+        tx, ty, tz = (J @ ang_acc).tolist()
+        k = self.k_thrust
+        u = self.B_pinv @ np.array([f_cmd / k, (tx + gx) / k, (ty + gy) / k, (tz + gz) / k])
         u = u.clip(0.0, 1.0)
-        wrench = self.B @ (self.k_thrust * u)
+        wrench = self.B @ (k * u)
         return u, wrench
 
 
@@ -546,12 +601,11 @@ def run_scenario(sc: Scenario) -> FlightLog:
     dt = 1.0 / SIM_RATE
     n_steps = int(round(plan.duration * SIM_RATE)) + 1
     p0, _, _, _ = plan.setpoint(0.0)
-    state = VehicleState(p0, np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
     ctrl = Controller(sc.controller, veh)
 
     consts = scalar_consts(veh)
     # the hot loop runs on Python floats; see the note above vehicle.scalar_consts
-    packed = np.concatenate([state.p, state.v, state.q, state.omega]).tolist()
+    packed = p0.tolist() + [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
     truth_rows, odo_rows, imu_rows, whisk_rows, thr_rows = [], [], [], [], []
     t_truth, t_odo, t_imu, t_whisk, t_thr = [], [], [], [], []
@@ -575,18 +629,18 @@ def run_scenario(sc: Scenario) -> FlightLog:
     for k in range(n_steps):
         t = k * dt
         if k % div_ctrl == 0:
-            state = VehicleState(
-                np.array(packed[0:3]), np.array(packed[3:6]), np.array(packed[6:10]), np.array(packed[10:13])
-            )
-            if np.linalg.norm(state.p) > DIVERGENCE_BOUND:
+            p_now = np.array(packed[0:3])
+            dist = _norm(p_now)
+            if dist > DIVERGENCE_BOUND:
                 raise SimulationDiverged(
-                    f"vehicle left the arena at t={t:.2f}s (|p|="
-                    f"{np.linalg.norm(state.p):.1f} m)",
-                    build_log(),
+                    f"vehicle left the arena at t={t:.2f}s (|p|={dist:.1f} m)", build_log()
                 )
             sp_p, sp_v, sp_a, phase = plan.setpoint(t)
-            u, wrench_cmd = ctrl.step(state, sp_p, sp_v, sp_a, 1.0 / TRUTH_RATE)
-            wind = sc.wind.at(state.p, t)
+            # the controller sees the quaternion normalized with
+            # quat_normalize's rounding; the RK4 step's own renormalization
+            # rounds differently, and the integration goes on from packed
+            u, wrench_cmd = ctrl.step(_normalize_quat(packed), sp_p, sp_v, sp_a, 1.0 / TRUTH_RATE)
+            wind = sc.wind.at(p_now, t)
             touch = sc.touch.at(t)
             u_list = u.tolist()
             # sums left to right, as np.mean does over six elements
@@ -596,8 +650,10 @@ def run_scenario(sc: Scenario) -> FlightLog:
             wind_f = wind.tolist()
             touch_f = touch.tolist()
 
+        # the start-of-step derivative: the truth and IMU rows' acceleration
+        # and the RK4 step's first stage
+        d = deriv(packed, f_applied, tau_applied, wind_f, touch_f, *consts)
         if k % div_truth == 0:
-            d = deriv(packed, f_applied, tau_applied, wind_f, touch_f, *consts)
             t_truth.append(t)
             truth_rows.append(packed + [d[3], d[4], d[5], f_applied, *wind_f, *touch_f, float(phase)])
         if k % div_odo == 0:
@@ -611,10 +667,8 @@ def run_scenario(sc: Scenario) -> FlightLog:
             t_odo.append(t)
             odo_rows.append(list(p_m) + list(q_m) + list(v_m) + list(w_m))
         if k % div_imu == 0:
-            d = deriv(packed, f_applied, tau_applied, wind_f, touch_f, *consts)
             a_w = np.array([d[3], d[4], d[5]])
-            q_now = np.array(packed[6:10])
-            R = quat_to_matrix(q_now)
+            R = quat_to_matrix(packed[6:10])
             spec_b = R.T @ (a_w - np.array([0.0, 0.0, -veh.gravity]))
             if noise.imu_accel:
                 spec_b = spec_b + rng.normal(0.0, noise.imu_accel, 3)
@@ -649,7 +703,7 @@ def run_scenario(sc: Scenario) -> FlightLog:
             t_whisk.append(t)
             whisk_rows.append(row)
 
-        packed = rk4_step(packed, f_applied, tau_applied, wind_f, touch_f, consts, dt)
+        packed = rk4_step(packed, d, f_applied, tau_applied, wind_f, touch_f, consts, dt)
 
     return build_log()
 

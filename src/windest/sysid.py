@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import butter, filtfilt
 
 from . import whisker
 from .geometry import quat_rotate, quat_conjugate
@@ -126,6 +125,9 @@ def identify_sensor_coefficient(thetas, v_inf_sensor):
 def _lowpass(x, fs):
     if x.shape[0] < 15:
         return x
+    # imported here: scipy.signal loads scipy.stats (~0.3 s), which only sysid needs
+    from scipy.signal import butter, filtfilt
+
     b, a = butter(2, CUTOFF_HZ / (0.5 * fs))
     return filtfilt(b, a, x, axis=0)
 

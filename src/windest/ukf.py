@@ -23,7 +23,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
 
 from . import geometry, vehicle, whisker
 from .geometry import compose_mrp, mrp_error, quat_normalize, sigma_points, unscented_transform
@@ -207,6 +206,9 @@ def _apply_linear_update(belief, innov, h_idx, r_cov, gate):
 def gate_threshold(dim):
     """GATE_QUANTILE chi-square quantile for a dim-dimensional innovation,
     computed once."""
+    # imported here: scipy.stats takes ~0.3 s to load and only a gated replay needs it
+    from scipy.stats import chi2
+
     return float(chi2.ppf(GATE_QUANTILE, dim))
 
 

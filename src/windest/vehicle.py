@@ -16,7 +16,14 @@ integrator per caller: ``rk4_step`` (over ``deriv``) advances the
 simulator's single packed 13-state on Python floats, and
 ``euler_step_arrays`` advances the filter's 37 sigma points as one
 numpy batch.  They stay two because a numpy step costs about the same
-~100 us on one state as on 37, several times the ~17 us scalar RK4 step.
+on one state as on 37 (37 vs 41 us on a 2-core x86 host, Python
+3.11, numpy 2.4), several times the scalar RK4 step: ``deriv`` takes
+0.8 us and ``rk4_step`` 5.6 us on the same host.
+
+``rk4_step`` takes its first stage ``k1 = deriv(s, ...)`` from the
+caller.  The simulator needs that start-of-step derivative anyway (the
+truth and IMU rows carry its acceleration), so each 1 kHz tick
+evaluates ``deriv`` four times, not five or six.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import cross, norm, quat_integrate, quat_normalize, quat_rotate
+from .geometry import cross, norm, quat_integrate, quat_rotate
 
 GRAVITY = 9.81
 _DRAG_EPS = 1e-9
@@ -62,20 +69,6 @@ class VehicleParams:
     @property
     def gravity_vec(self):
         return np.array([0.0, 0.0, -self.gravity])
-
-
-@dataclass
-class VehicleState:
-    p: np.ndarray  # position, world [m]
-    v: np.ndarray  # velocity, world [m/s]
-    q: np.ndarray  # q_WB, scalar first
-    omega: np.ndarray  # body rates [rad/s]
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        self.q = quat_normalize(self.q)
-        self.omega = np.asarray(self.omega, dtype=float)
 
 
 @dataclass
@@ -156,11 +149,11 @@ def deriv(s, f, tq, wind, touch, m_inv, mu1, mu2, g, jinv_j):
     )
 
 
-def rk4_step(s, f, tq, wind, touch, consts, dt):
-    """One RK4 step of the packed state with inputs held constant; returns
-    a new list with the quaternion renormalized."""
+def rk4_step(s, k1, f, tq, wind, touch, consts, dt):
+    """One RK4 step of the packed state with inputs held constant, from
+    k1 = deriv(s, f, tq, wind, touch, *consts); returns a new list with
+    the quaternion renormalized."""
     half, sixth = 0.5 * dt, dt / 6.0
-    k1 = deriv(s, f, tq, wind, touch, *consts)
     k2 = deriv([x + half * k for x, k in zip(s, k1)], f, tq, wind, touch, *consts)
     k3 = deriv([x + half * k for x, k in zip(s, k2)], f, tq, wind, touch, *consts)
     k4 = deriv([x + dt * k for x, k in zip(s, k3)], f, tq, wind, touch, *consts)

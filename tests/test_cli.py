@@ -1,13 +1,19 @@
 """CLI subcommands driven in-process, including file round trips."""
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from windest import lstm, sim, whisker
 from windest.cli import build_parser, main
-from windest.logio import Channel, FlightLog, load_estimate, parse_config, save_log
+from windest.logio import Channel, FlightLog, load_estimate, load_log, parse_config, save_log
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -77,6 +83,28 @@ def test_env_var_sets_default_out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("WINDEST_OUT", str(tmp_path / "outs"))
     assert main(["sim", "--scenario", "hover", "--seed", "3"]) == 0
     assert (tmp_path / "outs" / "hover_3" / "truth.csv").exists()
+
+
+def test_diverged_flight_writes_partial_log_and_exits_2(tmp_path, capsys):
+    out = tmp_path / "weak"
+    rc = main(["sim", "--scenario", "four_phase", "--thrust-scale", "0.2", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: vehicle left the arena at t=")
+    assert err.endswith(f"; partial log written to {out}\n")
+    log = load_log(str(out))
+    assert sorted(log.channels) == ["imu", "odometry", "throttle", "truth", "whisker"]
+    # the flight ends where it left the arena, long before the plan does
+    assert 0.0 < log["truth"].t[-1] < sim.four_phase_scenario().plan.duration / 2
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy.stats alone takes about 0.3 s to import; the CLI loads scipy
+    only inside the gate threshold and the sysid low-pass filter."""
+    code = "import sys, windest.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"
 
 
 def test_scenario_flag_validation(capsys):

@@ -21,7 +21,7 @@ from windest.sim import (
     allocation_matrix,
     run_scenario,
 )
-from windest.vehicle import VehicleParams, VehicleState
+from windest.vehicle import VehicleParams
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +151,7 @@ def test_plan_phase_sequence():
 def test_controller_hover_thrust():
     par = VehicleParams()
     ctrl = Controller(ControllerParams(), par)
-    state = VehicleState([0.0, 0.0, 1.5], np.zeros(3), [1.0, 0.0, 0.0, 0.0], np.zeros(3))
+    state = [0.0, 0.0, 1.5, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
     u, wrench = ctrl.step(state, np.array([0.0, 0.0, 1.5]), np.zeros(3), np.zeros(3), 0.002)
     assert wrench[0] == pytest.approx(par.mass * par.gravity, rel=1e-6)
     assert np.allclose(wrench[1:], 0.0, atol=1e-9)
@@ -163,7 +163,7 @@ def test_controller_hover_thrust():
 def test_controller_climb_request():
     par = VehicleParams()
     ctrl = Controller(ControllerParams(), par)
-    state = VehicleState([0.0, 0.0, 1.0], np.zeros(3), [1.0, 0.0, 0.0, 0.0], np.zeros(3))
+    state = [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
     u, wrench = ctrl.step(state, np.array([0.0, 0.0, 1.5]), np.zeros(3), np.zeros(3), 0.002)
     assert wrench[0] > par.mass * par.gravity
     assert np.allclose(wrench[1:], 0.0, atol=1e-9)

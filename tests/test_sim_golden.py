@@ -22,9 +22,9 @@ import numpy as np
 import pytest
 
 from windest import logio, sim, vehicle
-from windest.geometry import quat_to_matrix
+from windest.geometry import quat_normalize, quat_to_matrix
 from windest.sim import Controller, ControllerParams
-from windest.vehicle import VehicleParams, VehicleState
+from windest.vehicle import VehicleParams
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "golden_sim")
 TOL = 1e-9
@@ -79,26 +79,42 @@ def test_rk4_on_floats_equals_rk4_on_numpy_scalars():
         s[6:10] /= np.linalg.norm(s[6:10])
         f = rng.uniform(0.0, 24.0)
         tau, wind, touch = rng.normal(size=(3, 3))
-        on_floats = vehicle.rk4_step(s.tolist(), float(f), tuple(tau.tolist()),
-                                     tuple(wind.tolist()), tuple(touch.tolist()), consts, 0.001)
-        on_numpy = vehicle.rk4_step(tuple(s), np.float64(f), tau, wind, touch, consts, 0.001)
+        floats = (float(f), tuple(tau.tolist()), tuple(wind.tolist()), tuple(touch.tolist()))
+        scalars = (np.float64(f), tau, wind, touch)
+        on_floats = vehicle.rk4_step(s.tolist(), vehicle.deriv(s.tolist(), *floats, *consts),
+                                     *floats, consts, 0.001)
+        on_numpy = vehicle.rk4_step(tuple(s), vehicle.deriv(tuple(s), *scalars, *consts),
+                                    *scalars, consts, 0.001)
         assert all(type(x) is float for x in on_floats)
         assert np.array_equal(np.array(on_floats), np.array(on_numpy, dtype=float))
 
 
-def reference_step(ctrl, state, sp_p, sp_v, sp_a, dt):
-    """Controller.step as written with np.cross and np.column_stack."""
+def reference_step(ctrl, s, sp_p, sp_v, sp_a, dt, hits):
+    """Controller.step as written on numpy arrays with np.cross and
+    np.column_stack; adds the name of each saturating branch taken to hits."""
     par, veh = ctrl.params, ctrl.vehicle
-    e_p = sp_p - state.p
-    e_v = sp_v - state.v
-    ctrl.integral = np.clip(ctrl.integral + e_p * dt, -par.int_limit, par.int_limit)
+    p, v, q, omega = (np.array(s[i:j]) for i, j in ((0, 3), (3, 6), (6, 10), (10, 13)))
+    e_p = sp_p - p
+    e_v = sp_v - v
+    integral = ctrl.integral + e_p * dt
+    if np.any(np.abs(integral) > par.int_limit):
+        hits.add("integral clip")
+    ctrl.integral = np.clip(integral, -par.int_limit, par.int_limit)
     a_cmd = sp_a + par.kp_pos * e_p + par.kd_pos * e_v + par.ki_pos * ctrl.integral
     f_des = veh.mass * (a_cmd + np.array([0.0, 0.0, veh.gravity]))
-    R = quat_to_matrix(state.q)
+    R = quat_to_matrix(q)
     b3 = R[:, 2]
+    if b3[2] < 0.25:
+        hits.add("R22 floor")
     f_cmd = f_des[2] / max(b3[2], 0.25)
+    if f_cmd < 0.0:
+        hits.add("f_cmd at 0")
+    if f_cmd > sim.N_ROTORS * ctrl.k_thrust:
+        hits.add("f_cmd at max")
     f_cmd = min(max(f_cmd, 0.0), sim.N_ROTORS * ctrl.k_thrust)
     n = np.linalg.norm(f_des)
+    if not n > 0.1 * veh.mass * veh.gravity:
+        hits.add("b3 = e_z")
     b3_des = f_des / n if n > 0.1 * veh.mass * veh.gravity else np.array([0.0, 0.0, 1.0])
     b2_des = np.cross(b3_des, np.array([1.0, 0.0, 0.0]))
     b2_des /= np.linalg.norm(b2_des)
@@ -106,9 +122,13 @@ def reference_step(ctrl, state, sp_p, sp_v, sp_a, dt):
     R_des = np.column_stack([b1_des, b2_des, b3_des])
     e_mat = R_des.T @ R - R.T @ R_des
     e_R = 0.5 * np.array([e_mat[2, 1], e_mat[0, 2], e_mat[1, 0]])
-    ang_acc = -par.kp_att * e_R - par.kd_att * state.omega
-    tau = veh.inertia @ ang_acc + np.cross(state.omega, veh.inertia @ state.omega)
+    ang_acc = -par.kp_att * e_R - par.kd_att * omega
+    tau = veh.inertia @ ang_acc + np.cross(omega, veh.inertia @ omega)
     u = ctrl.B_pinv @ np.concatenate([[f_cmd / ctrl.k_thrust], tau / ctrl.k_thrust])
+    if np.any(u < 0.0):
+        hits.add("throttle at 0")
+    if np.any(u > 1.0):
+        hits.add("throttle at 1")
     u = np.clip(u, 0.0, 1.0)
     wrench = ctrl.B @ (ctrl.k_thrust * u)
     return u, wrench
@@ -118,18 +138,44 @@ def test_controller_step_equals_reference_formula():
     rng = np.random.default_rng(81)
     par = VehicleParams()
     fast, ref = Controller(ControllerParams(), par), Controller(ControllerParams(), par)
-    for k in range(500):
-        # small errors, saturating errors, and set-points too low to define a thrust axis
-        scale = (0.1, 1.0, 10.0)[k % 3]
-        state = VehicleState(rng.normal(size=3) * scale, rng.normal(size=3) * scale,
-                             rng.normal(size=4), rng.normal(size=3) * scale)
-        sp_p, sp_v = rng.normal(size=(2, 3)) * scale
-        sp_a = rng.normal(size=3) * scale if k % 7 else np.array([0.0, 0.0, -par.gravity])
+    hits = set()
+
+    def check(state, sp_p, sp_v, sp_a):
         u, wrench = fast.step(state, sp_p, sp_v, sp_a, 0.002)
-        u_ref, wrench_ref = reference_step(ref, state, sp_p, sp_v, sp_a, 0.002)
+        u_ref, wrench_ref = reference_step(ref, state, sp_p, sp_v, sp_a, 0.002, hits)
         assert np.array_equal(u, u_ref)
         assert np.array_equal(wrench, wrench_ref)
         assert np.array_equal(fast.integral, ref.integral)
+
+    for k in range(500):
+        # small errors, saturating errors, and set-points too low to define a thrust axis
+        scale = (0.1, 1.0, 10.0)[k % 3]
+        p, v, q, w = (rng.normal(size=3) * scale, rng.normal(size=3) * scale,
+                      quat_normalize(rng.normal(size=4)), rng.normal(size=3) * scale)
+        state = np.concatenate([p, v, q, w]).tolist()
+        sp_p, sp_v = rng.normal(size=(2, 3)) * scale
+        sp_a = rng.normal(size=3) * scale if k % 7 else np.array([0.0, 0.0, -par.gravity])
+        check(state, sp_p, sp_v, sp_a)
+    # a held kilometre of position error drives the integral into its clip,
+    # one sign and then the other
+    hover = [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    for sign in (1.0, -1.0):
+        for _ in range(20):
+            check(hover, sign * np.array([1000.0, -1000.0, 1000.0]), np.zeros(3), np.zeros(3))
+    assert hits == {"integral clip", "R22 floor", "f_cmd at 0", "f_cmd at max", "b3 = e_z",
+                    "throttle at 0", "throttle at 1"}
+
+
+def test_loop_quaternion_normalization_equals_quat_normalize():
+    """run_scenario hands the controller its quaternion normalized on floats."""
+    rng = np.random.default_rng(83)
+    for _ in range(2000):
+        s = rng.normal(size=13)
+        s[6:10] *= 10.0 ** rng.uniform(-3.0, 3.0)
+        out = sim._normalize_quat(s.tolist())
+        assert all(type(x) is float for x in out)
+        assert np.array_equal(out[6:10], quat_normalize(s[6:10]))
+        assert out[:6] + out[10:] == s[:6].tolist() + s[10:].tolist()
 
 
 def test_python_sum_of_throttles_equals_numpy_mean():

@@ -233,6 +233,7 @@ def test_update_folds_attitude_error_into_reference():
 
 
 def test_gate_thresholds_cached_per_dimension(monkeypatch):
+    import scipy.stats
     from scipy.stats import chi2
 
     calls = []
@@ -244,7 +245,7 @@ def test_gate_thresholds_cached_per_dimension(monkeypatch):
             return chi2.ppf(q, dim)
 
     ukf.gate_threshold.cache_clear()
-    monkeypatch.setattr(ukf, "chi2", CountingChi2)
+    monkeypatch.setattr(scipy.stats, "chi2", CountingChi2)
     rng = np.random.default_rng(70)
     for dim in (3, 8, 12):
         A = rng.normal(size=(dim, dim))

@@ -29,7 +29,9 @@ def derivative(s, par, thrust=0.0, torque=ZERO, wind=ZERO, touch=ZERO):
 
 
 def step(s, par, dt, thrust=0.0, torque=ZERO, wind=ZERO, touch=ZERO):
-    return rk4_step(s, thrust, torque, wind, touch, scalar_consts(par), dt)
+    consts = scalar_consts(par)
+    k1 = deriv(s, thrust, torque, wind, touch, *consts)
+    return rk4_step(s, k1, thrust, torque, wind, touch, consts, dt)
 
 
 def test_drag_magnitude_at_3ms():
