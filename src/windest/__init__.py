@@ -2,7 +2,7 @@
 
 from .vehicle import VehicleParams, WrenchInput
 from .whisker import WhiskerRig, SensorMount, default_rig
-from .ukf import BeliefState, ProcessNoise, OdometryMeasurement, FilterOutput
+from .ukf import BeliefState, ProcessNoise, OdometryMeasurement
 from .logio import FlightLog, load_log, save_log
 from .sim import Scenario, run_scenario
 
@@ -15,7 +15,6 @@ __all__ = [
     "BeliefState",
     "ProcessNoise",
     "OdometryMeasurement",
-    "FilterOutput",
     "FlightLog",
     "load_log",
     "save_log",

@@ -15,7 +15,9 @@ never goes negative.  Error quaternions compose on the left:
 ``q = dq (x) q_ref``.
 
 All functions broadcast over leading axes; the quaternion / vector lives
-on the last axis.
+on the last axis.  They take float ndarrays and convert nothing (only
+quat_to_matrix also takes a sequence): the filter calls them several
+times per event, and every caller already holds arrays.
 
 Sigma points
 ------------
@@ -60,8 +62,6 @@ class CovarianceError(RuntimeError):
 
 def cross(a, b):
     """a x b over the last axis (length 3), broadcasting like np.cross."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     c0 = a1 * b2 - a2 * b1
@@ -74,8 +74,6 @@ def cross(a, b):
 
 def dot(a, b):
     """Sum of a * b over the last axis, summed left to right."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     s = a[..., 0] * b[..., 0]
     for k in range(1, a.shape[-1]):
         s = s + a[..., k] * b[..., k]
@@ -89,7 +87,6 @@ def norm(x, keepdims=False):
 
 
 def quat_normalize(q):
-    q = np.asarray(q, dtype=float)
     n = norm(q, keepdims=True)
     if (n < 1e-12).any():
         raise ValueError("cannot normalize a zero quaternion")
@@ -97,7 +94,6 @@ def quat_normalize(q):
 
 
 def quat_conjugate(q):
-    q = np.asarray(q, dtype=float)
     out = q.copy()
     out[..., 1:] = -out[..., 1:]
     return out
@@ -105,8 +101,6 @@ def quat_conjugate(q):
 
 def quat_multiply(a, b):
     """Hamilton product a (x) b, broadcasting over leading axes."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     aw, av = a[..., :1], a[..., 1:]
     bw, bv = b[..., :1], b[..., 1:]
     w = a[..., 0] * b[..., 0] - dot(av, bv)
@@ -118,8 +112,6 @@ def quat_multiply(a, b):
 
 def quat_rotate(q, v):
     """Rotate vector(s) v by quaternion(s) q (frame of q's columns)."""
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
     qw, qv = q[..., :1], q[..., 1:]
     t = 2.0 * cross(qv, v)
     return v + qw * t + cross(qv, t)
@@ -140,7 +132,6 @@ def quat_to_matrix(q):
 
 def quat_from_axis_angle(phi):
     """Exponential map: rotation vector (rad) -> unit quaternion."""
-    phi = np.asarray(phi, dtype=float)
     half = 0.5 * norm(phi, keepdims=True)
     # sin(half)/angle, continuous through zero
     k = 0.5 * np.sinc(half / np.pi)
@@ -152,7 +143,7 @@ def quat_from_axis_angle(phi):
 
 def quat_integrate(q, omega, dt):
     """Advance q by body rate omega held constant over dt (exact exponential)."""
-    return quat_multiply(q, quat_from_axis_angle(np.asarray(omega, dtype=float) * dt))
+    return quat_multiply(q, quat_from_axis_angle(omega * dt))
 
 
 def mrp_from_quat(dq):
@@ -161,7 +152,6 @@ def mrp_from_quat(dq):
     Flips to the shadow set (negates dq) when the scalar part is negative
     so the parameters stay bounded near +/- pi.
     """
-    dq = np.asarray(dq, dtype=float)
     flip = dq[..., :1] < 0.0
     dq = np.where(flip, -dq, dq)
     return MRP_F * dq[..., 1:] / (MRP_A + dq[..., :1])
@@ -172,7 +162,6 @@ def quat_from_mrp(p):
 
     With a = 1 the scalar part is (f^2 - |p|^2) / (f^2 + |p|^2).
     """
-    p = np.asarray(p, dtype=float)
     n2 = np.sum(p * p, axis=-1, keepdims=True)
     f2 = MRP_F * MRP_F
     w = (f2 - n2) / (f2 + n2)
@@ -218,8 +207,6 @@ def sigma_points(mean, cov):
     added before factorization and the factorization is retried once with
     a larger bump before failing.
     """
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
     n = mean.shape[0]
     lam = UT_ALPHA**2 * (n + UT_KAPPA) - n
     scale = n + lam
@@ -237,7 +224,6 @@ def sigma_points(mean, cov):
 
 def reconstruct(points, wm, wc):
     """Weighted mean and covariance of transformed sigma points."""
-    points = np.asarray(points, dtype=float)
     mean = wm @ points
     d = points - mean
     cov = d.T @ (wc[:, None] * d)

@@ -11,7 +11,6 @@ clock with the fixed estimate-file schema.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -151,18 +150,20 @@ def whisker_clock_features(log: FlightLog, cfg: EstimatorConfig):
     """The LSTM feature stream on the resampled whisker clock: (t, features).
 
     Driver angles on the whisker clock, held onto the resampled clock
-    (the whisker ticks every channel covers), then stacked with the body
-    rates, specific force and signed throttles.  Each block's non-finite
-    rows (rejected samples, NaN log values) are filled forward.  Raises
-    ValueError when no whisker tick falls inside the window every
-    channel covers.
+    (the whisker ticks that the four sensor channels, whisker, odometry,
+    imu and throttle, all cover; truth plays no part), then stacked with
+    the body rates, specific force and signed throttles.  Each block's
+    non-finite rows (rejected samples, NaN log values) are filled
+    forward.  Raises ValueError when no whisker tick falls inside the
+    window the sensor channels cover.
     """
     t_whisk, theta, _ = driver_angles(log, cfg)
-    rs = logio.resample_to_clock(log, "whisker")
+    sensors = FlightLog({name: log[name] for name in ("whisker", "odometry", "imu", "throttle")})
+    rs = logio.resample_to_clock(sensors, "whisker")
     if rs.t.shape[0] == 0:
         raise ValueError(
             "log channels do not overlap: no whisker tick lies inside the "
-            "time span every channel covers"
+            "time span every sensor channel covers"
         )
     theta_rs = theta[logio.zoh_indices(t_whisk, rs.t)]
     feats = lstm_mod.build_features(
@@ -190,8 +191,8 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
     Returns (t, table) on the whisker clock with the estimate-file schema.
 
     An odometry or throttle row holding a non-finite value is left out.
-    A gap between events longer than ukf.MAX_PREDICT_DT is predicted in
-    equal steps no longer than that.
+    ukf.predict splits a gap between events longer than
+    ukf.MAX_PREDICT_DT into equal steps.
     """
     if source not in ("model", "lstm"):
         raise ValueError(f"unknown airflow source {source!r}")
@@ -242,11 +243,7 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
             continue
         dt = t - belief.t
         if dt > 1e-12:
-            n = math.ceil(dt / ukf.MAX_PREDICT_DT)
-            if dt / n > ukf.MAX_PREDICT_DT:  # dt / MAX_PREDICT_DT rounded down to n
-                n += 1
-            for _ in range(n):
-                belief = ukf.predict(belief, wrench, dt / n, cfg.process, cfg.vehicle)
+            belief = ukf.predict(belief, wrench, dt, cfg.process, cfg.vehicle)
         if kind == 0:
             wrench = WrenchInput(float(thr_f[k]), thr_tau[k])
         elif kind == 1:
@@ -261,14 +258,8 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
                 belief, _ = ukf.update_pseudo_airflow(
                     belief, vinf_pred[k - k0], cfg.meas.pseudo**2, gate=cfg.gate
                 )
-            out = ukf.output(belief, cfg.vehicle)
-            row = np.empty(len(logio.ESTIMATE_COLUMNS))
-            row[logio.TOUCH_COLS] = out.touch
-            row[logio.WIND_COLS] = out.wind
-            row[logio.VINF_COLS] = out.v_inf_body
-            row[logio.DRAG_COLS] = out.drag
             out_t.append(t)
-            out_rows.append(row)
+            out_rows.append(ukf.output(belief, cfg.vehicle))
     if not out_rows:
         raise ValueError("log produced no estimates (no odometry before whisker data?)")
     return np.array(out_t), np.array(out_rows)

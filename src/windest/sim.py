@@ -683,8 +683,9 @@ def run_scenario(sc: Scenario) -> FlightLog:
             w_now = np.array(packed[10:13])
             theta_true = whisker_mod.rig_predict(q_now, v_now, w_now, wind, sc.rig)
             if noise.interference_gain:
-                R = quat_to_matrix(q_now)
-                v_s = whisker_mod.rig_airflow(R.T @ (wind - v_now), w_now, sc.rig)
+                v_s = whisker_mod.rig_airflow(
+                    whisker_mod.body_airflow(q_now, wind, v_now), w_now, sc.rig
+                )
                 for i in range(n_sensors):
                     planar = math.hypot(v_s[i, 0], v_s[i, 1])
                     gain = noise.interference_gain * mean_u2

@@ -15,16 +15,23 @@ polynomial drag on (wind - velocity), gravity and the touch force, which
 is what renders the two disturbances separable once airflow sensing is
 fused.  The attitude error is folded into the reference quaternion after
 every measurement update.
+
+Belief contract: a BeliefState's q_ref is a unit quaternion when the
+belief is made (every producer hands over a unit one: the odometry
+measurement, predict and compose_mrp), and no belief is mutated after a
+function here returns it.  So nothing re-normalizes or copies a belief
+between events, and a step that changes nothing returns its input.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, vehicle, whisker
+from . import geometry, logio, vehicle, whisker
 from .geometry import compose_mrp, mrp_error, quat_normalize, sigma_points, unscented_transform
 
 IDX_P = slice(0, 3)
@@ -36,7 +43,7 @@ IDX_WIND = slice(15, 18)
 STATE_DIM = 18
 
 GATE_QUANTILE = 0.997
-MAX_PREDICT_DT = 0.1  # s, one Euler step stays accurate below this
+MAX_PREDICT_DT = 0.1  # s, longest Euler step; predict splits longer gaps
 
 
 @dataclass
@@ -47,16 +54,6 @@ class BeliefState:
     mean: np.ndarray
     cov: np.ndarray
     t: float = 0.0
-
-    def __post_init__(self):
-        self.q_ref = quat_normalize(self.q_ref)
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.cov = np.asarray(self.cov, dtype=float)
-        if self.mean.shape != (STATE_DIM,) or self.cov.shape != (STATE_DIM, STATE_DIM):
-            raise ValueError("belief must be 18-dimensional")
-
-    def copy(self):
-        return BeliefState(self.q_ref.copy(), self.mean.copy(), self.cov.copy(), self.t)
 
     def attitude(self):
         """Full attitude estimate (reference composed with the error mean)."""
@@ -97,22 +94,12 @@ class OdometryMeasurement:
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=float)
-        self.q = quat_normalize(self.q)
+        self.q = quat_normalize(np.asarray(self.q, dtype=float))
         self.v = np.asarray(self.v, dtype=float)
         self.omega = np.asarray(self.omega, dtype=float)
         self.cov = np.asarray(self.cov, dtype=float)
         if self.cov.shape != (12, 12):
             raise ValueError("odometry covariance must be 12x12")
-
-
-@dataclass
-class FilterOutput:
-    """Physical quantities read out of a belief."""
-
-    touch: np.ndarray  # world [N]
-    wind: np.ndarray  # world [m/s]
-    v_inf_body: np.ndarray  # relative airflow, body [m/s]
-    drag: np.ndarray  # world [N]
 
 
 def init_belief(t, odo: OdometryMeasurement, sigma_touch=2.0, sigma_wind=2.0):
@@ -128,18 +115,6 @@ def init_belief(t, odo: OdometryMeasurement, sigma_touch=2.0, sigma_wind=2.0):
     return BeliefState(odo.q, mean, p0, t=float(t))
 
 
-def _fold_reference(belief: BeliefState):
-    """Zero the attitude-error mean by composing it onto the reference.
-
-    First-order reset: covariance is left unchanged.
-    """
-    e = belief.mean[IDX_A]
-    if e @ e > 0.0:
-        belief.q_ref = compose_mrp(belief.q_ref, e)
-        belief.mean[IDX_A] = 0.0
-    return belief
-
-
 def predict(
     belief: BeliefState,
     u: vehicle.WrenchInput,
@@ -147,59 +122,51 @@ def predict(
     noise: ProcessNoise,
     params: vehicle.VehicleParams,
 ):
-    """Process update: propagate sigma points with the vehicle model.
+    """Process update over dt: propagate sigma points with the vehicle model.
 
-    Each sigma point is advanced one explicit-Euler step (the filter runs
-    at command rate, where Euler is adequate); touch force and wind are
-    held (random walk).  The new reference quaternion is the propagated
-    central point; all points are re-expressed as errors about it.
+    Each sigma point is advanced by explicit Euler (the filter runs at
+    command rate, where Euler is adequate) in equal steps no longer than
+    MAX_PREDICT_DT, so a gap in the log costs several steps, not
+    accuracy; touch force and wind are held (random walk).  After each
+    step the new reference quaternion is the propagated central point
+    and all points are re-expressed as errors about it.
     """
     if dt < 0.0:
         raise ValueError("negative dt")
-    if dt > MAX_PREDICT_DT:
-        raise ValueError(f"dt {dt} exceeds single-step limit {MAX_PREDICT_DT}")
     if dt == 0.0:
-        return belief.copy()
-    sp = sigma_points(belief.mean, belief.cov)
-    pts = sp.points
-    p2, v2, q2, w2 = vehicle.euler_step_arrays(
-        pts[:, IDX_P],
-        pts[:, IDX_V],
-        compose_mrp(belief.q_ref, pts[:, IDX_A]),
-        pts[:, IDX_W],
-        u.thrust,
-        np.asarray(u.torque, dtype=float),
-        pts[:, IDX_F],
-        pts[:, IDX_WIND],
-        params,
-        dt,
-    )
-    q_ref = quat_normalize(q2[0])
-    out = np.empty_like(pts)
-    out[:, IDX_P] = p2
-    out[:, IDX_A] = mrp_error(q2, q_ref)
-    out[:, IDX_V] = v2
-    out[:, IDX_W] = w2
-    out[:, IDX_F] = pts[:, IDX_F]
-    out[:, IDX_WIND] = pts[:, IDX_WIND]
-    mean, cov = geometry.reconstruct(out, sp.wm, sp.wc)
-    cov += noise.matrix(dt)
-    return BeliefState(q_ref, mean, cov, belief.t + dt)
-
-
-def _apply_linear_update(belief, innov, h_idx, r_cov, gate):
-    """Kalman update for a measurement that reads state block h_idx directly."""
-    P = belief.cov
-    S = P[h_idx, h_idx] + r_cov
-    if gate and not gate_accepts(innov, S):
-        return belief, False
-    K = np.linalg.solve(S.T, P[:, h_idx].T).T  # P H^T S^-1
-    mean = belief.mean + K @ innov
-    ikh = np.eye(STATE_DIM)
-    ikh[:, h_idx] -= K
-    cov = ikh @ P @ ikh.T + K @ r_cov @ K.T
-    out = BeliefState(belief.q_ref.copy(), mean, 0.5 * (cov + cov.T), belief.t)
-    return _fold_reference(out), True
+        return belief
+    n = math.ceil(dt / MAX_PREDICT_DT)
+    if dt / n > MAX_PREDICT_DT:  # dt / MAX_PREDICT_DT rounded down to n
+        n += 1
+    h = dt / n
+    q_noise = noise.matrix(h)
+    for _ in range(n):
+        sp = sigma_points(belief.mean, belief.cov)
+        pts = sp.points
+        p2, v2, q2, w2 = vehicle.euler_step_arrays(
+            pts[:, IDX_P],
+            pts[:, IDX_V],
+            compose_mrp(belief.q_ref, pts[:, IDX_A]),
+            pts[:, IDX_W],
+            u.thrust,
+            u.torque,
+            pts[:, IDX_F],
+            pts[:, IDX_WIND],
+            params,
+            h,
+        )
+        q_ref = quat_normalize(q2[0])
+        out = np.empty_like(pts)
+        out[:, IDX_P] = p2
+        out[:, IDX_A] = mrp_error(q2, q_ref)
+        out[:, IDX_V] = v2
+        out[:, IDX_W] = w2
+        out[:, IDX_F] = pts[:, IDX_F]
+        out[:, IDX_WIND] = pts[:, IDX_WIND]
+        mean, cov = geometry.reconstruct(out, sp.wm, sp.wc)
+        cov += q_noise
+        belief = BeliefState(q_ref, mean, cov, belief.t + h)
+    return belief
 
 
 @functools.lru_cache(maxsize=None)
@@ -218,16 +185,37 @@ def gate_accepts(innov, S):
     return d2 <= gate_threshold(innov.shape[0])
 
 
+def _posterior(belief: BeliefState, mean, cov):
+    """The belief after a measurement update to (mean, cov).
+
+    The attitude-error mean is folded into the reference (first-order
+    reset, covariance unchanged) and the covariance symmetrized.
+    """
+    q_ref = belief.q_ref
+    e = mean[IDX_A]
+    if e @ e > 0.0:
+        q_ref = compose_mrp(q_ref, e)
+        mean[IDX_A] = 0.0
+    return BeliefState(q_ref, mean, 0.5 * (cov + cov.T), belief.t)
+
+
 def update_odometry(belief: BeliefState, z: OdometryMeasurement, gate=False):
     """Fuse a pose/twist measurement (linear in the error state).
 
     The attitude part is converted to error parameters about the current
     reference.  Returns (belief, accepted).
     """
-    z_att = mrp_error(z.q, belief.q_ref)
-    z_vec = np.concatenate([z.p, z_att, z.v, z.omega])
+    z_vec = np.concatenate([z.p, mrp_error(z.q, belief.q_ref), z.v, z.omega])
     innov = z_vec - belief.mean[0:12]
-    return _apply_linear_update(belief, innov, slice(0, 12), z.cov, gate)
+    P = belief.cov
+    S = P[0:12, 0:12] + z.cov
+    if gate and not gate_accepts(innov, S):
+        return belief, False
+    K = np.linalg.solve(S.T, P[:, 0:12].T).T  # P H^T S^-1
+    ikh = np.eye(STATE_DIM)
+    ikh[:, 0:12] -= K
+    cov = ikh @ P @ ikh.T + K @ z.cov @ K.T
+    return _posterior(belief, belief.mean + K @ innov, cov), True
 
 
 def _ut_update(belief, z, r_cov, h_batch, gate):
@@ -242,10 +230,7 @@ def _ut_update(belief, z, r_cov, h_batch, gate):
     if gate and not gate_accepts(innov, S):
         return belief, False
     K = np.linalg.solve(S.T, cross.T).T
-    mean = belief.mean + K @ innov
-    cov = belief.cov - K @ S @ K.T
-    out = BeliefState(belief.q_ref.copy(), mean, 0.5 * (cov + cov.T), belief.t)
-    return _fold_reference(out), True
+    return _posterior(belief, belief.mean + K @ innov, belief.cov - K @ S @ K.T), True
 
 
 def update_airflow(belief: BeliefState, theta, r_sigma, rig: whisker.WhiskerRig, gate=False):
@@ -260,7 +245,7 @@ def update_airflow(belief: BeliefState, theta, r_sigma, rig: whisker.WhiskerRig,
         raise ValueError(f"expected {(len(rig), 2)} angles, got {theta.shape}")
     valid = np.all(np.isfinite(theta), axis=1)
     if not np.any(valid):
-        return belief.copy(), False
+        return belief, False
     z = theta[valid].ravel()
     r_cov = r_sigma**2 * np.eye(z.shape[0])
 
@@ -281,21 +266,20 @@ def update_pseudo_airflow(belief: BeliefState, v_inf_body, r_var, gate=False):
     measurement rotates (wind - velocity) into the body frame, so the
     update tightens wind, velocity and attitude jointly.
     """
-    z = np.asarray(v_inf_body, dtype=float)
-
     def h_batch(pts):
         q = compose_mrp(belief.q_ref, pts[:, IDX_A])
         return whisker.body_airflow(q, pts[:, IDX_WIND], pts[:, IDX_V])
 
-    return _ut_update(belief, z, r_var * np.eye(3), h_batch, gate)
+    return _ut_update(belief, v_inf_body, r_var * np.eye(3), h_batch, gate)
 
 
 def output(belief: BeliefState, params: vehicle.VehicleParams):
-    """Read touch force, wind, body relative airflow and drag out of a belief."""
+    """One estimate row, in logio.ESTIMATE_COLUMNS order: touch force and
+    wind (world), relative airflow (body) and drag (world)."""
     wind, v = belief.mean[IDX_WIND], belief.mean[IDX_V]
-    return FilterOutput(
-        touch=belief.mean[IDX_F].copy(),
-        wind=wind.copy(),
-        v_inf_body=whisker.body_airflow(belief.attitude(), wind, v),
-        drag=vehicle.drag_force(wind - v, params),
-    )
+    row = np.empty(len(logio.ESTIMATE_COLUMNS))
+    row[logio.TOUCH_COLS] = belief.mean[IDX_F]
+    row[logio.WIND_COLS] = wind
+    row[logio.VINF_COLS] = whisker.body_airflow(belief.attitude(), wind, v)
+    row[logio.DRAG_COLS] = vehicle.drag_force(wind - v, params)
+    return row

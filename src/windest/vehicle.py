@@ -83,7 +83,6 @@ def drag_force(v_inf, params: VehicleParams):
     Broadcasts over leading axes; exactly zero below a 1e-9 m/s speed
     floor to avoid a 0/0 direction.
     """
-    v_inf = np.asarray(v_inf, dtype=float)
     speed = norm(v_inf, keepdims=True)
     factor = np.where(speed < _DRAG_EPS, 0.0, params.mu1 + params.mu2 * speed)
     return factor * v_inf

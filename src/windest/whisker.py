@@ -64,13 +64,11 @@ def body_airflow(q_wb, v_wind_w, v_w):
     the one place the filter, the truth labels and the rig identification
     derive v_inf from.
     """
-    v_inf_w = np.asarray(v_wind_w, dtype=float) - np.asarray(v_w, dtype=float)
-    return quat_rotate(quat_conjugate(q_wb), v_inf_w)
+    return quat_rotate(quat_conjugate(q_wb), v_wind_w - v_w)
 
 
 def predict_deflection(v_inf_s, coeff):
     """Deflection angles for sensor-frame relative airflow v_inf_s."""
-    v_inf_s = np.asarray(v_inf_s, dtype=float)
     speed = norm(v_inf_s)
     theta_x = -coeff * speed * v_inf_s[..., 1]
     theta_y = coeff * speed * v_inf_s[..., 0]
@@ -159,8 +157,6 @@ def rig_airflow(v_inf_b, omega_b, rig: WhiskerRig, sensors=None):
     r, rot = rig.r, rig.rot
     if sensors is not None:
         r, rot = r[sensors], rot[sensors]
-    v_inf_b = np.asarray(v_inf_b, dtype=float)
-    omega_b = np.asarray(omega_b, dtype=float)
     batch = (1,) * (max(v_inf_b.ndim, omega_b.ndim) - 1)
     # mount-major (n, ..., 3): each mount's rotation is its own (..., 3) @ (3, 3)
     # product, which rounds the same whether the rig has one mount or many

@@ -1,10 +1,14 @@
-"""Every public module-level function and class has a caller in the program.
+"""The package's surface stays small.
 
-A name that only the tests use is dead weight in the package: it has to
-be kept in step with the code that runs, and nothing that runs checks it.
-The scan is textual: a name counts as used when it appears as a word in
-any Python file under src/ or bench/ outside the lines of its own
-definition (bench/ names the functions it wraps by string).
+Every public module-level function and class has a caller in the
+program.  A name that only the tests use is dead weight in the package:
+it has to be kept in step with the code that runs, and nothing that runs
+checks it.  The scan is textual: a name counts as used when it appears as
+a word in any Python file under src/ or bench/ outside the lines of its
+own definition (bench/ names the functions it wraps by string).
+
+The number of settable values does not grow (see
+test_settable_values_do_not_grow).
 """
 
 import ast
@@ -48,3 +52,43 @@ def unreferenced_names():
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     assert unreferenced_names() == []
+
+
+# Defaulted parameters plus @dataclass fields in src/windest after the
+# last change that moved it.
+SETTABLE_VALUES = 185
+
+
+def _is_dataclass(node):
+    for d in node.decorator_list:
+        f = d.func if isinstance(d, ast.Call) else d
+        if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def settable_values():
+    """Defaulted parameters (functions, methods, lambdas) plus @dataclass
+    fields over src/windest."""
+    n = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                n += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                n += sum(isinstance(s, ast.AnnAssign) for s in node.body)
+    return n
+
+
+def test_settable_values_do_not_grow():
+    """Each defaulted parameter or dataclass field is a value some caller
+    may set, so it has to work at every setting.  A value no caller sets
+    belongs in a constant.
+
+    To add one anyway, raise SETTABLE_VALUES by the number added and say
+    in the change's description which caller sets each new value and why
+    a constant will not do.  When a change removes some, lower the number
+    to the new count so the ratchet holds there.
+    """
+    assert settable_values() <= SETTABLE_VALUES

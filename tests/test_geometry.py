@@ -35,13 +35,13 @@ def random_quats(rng, n):
 
 
 def test_rotate_identity():
-    assert np.allclose(quat_rotate(QI, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+    assert np.allclose(quat_rotate(QI, np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
 
 
 def test_rotate_quarter_yaw():
     s = np.sqrt(0.5)
     q = np.array([s, 0.0, 0.0, s])
-    assert np.allclose(quat_rotate(q, [1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-12)
+    assert np.allclose(quat_rotate(q, np.array([1.0, 0.0, 0.0])), [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_rotate_matches_matrix_path():
@@ -95,14 +95,14 @@ def test_matrix_round_trip():
 
 
 def test_axis_angle_basics():
-    assert np.allclose(quat_from_axis_angle([0.0, 0.0, 0.0]), QI)
-    q = quat_from_axis_angle([0.0, 0.0, np.pi / 2])
+    assert np.allclose(quat_from_axis_angle(np.array([0.0, 0.0, 0.0])), QI)
+    q = quat_from_axis_angle(np.array([0.0, 0.0, np.pi / 2]))
     assert np.allclose(q, [np.sqrt(0.5), 0.0, 0.0, np.sqrt(0.5)])
 
 
 def test_axis_angle_tiny_rotation_stable():
     # sinc form must not lose the direction for angles near the fp floor
-    q = quat_from_axis_angle([1e-12, 0.0, 0.0])
+    q = quat_from_axis_angle(np.array([1e-12, 0.0, 0.0]))
     assert abs(np.linalg.norm(q) - 1.0) < 1e-15
     assert q[1] == pytest.approx(0.5e-12, rel=1e-6)
 
@@ -114,7 +114,7 @@ def test_integrate_zero_rate():
 
 
 def test_integrate_quarter_turn():
-    q = quat_integrate(QI, [0.0, 0.0, np.pi / 2], 1.0)
+    q = quat_integrate(QI, np.array([0.0, 0.0, np.pi / 2]), 1.0)
     assert np.allclose(q, [np.sqrt(0.5), 0.0, 0.0, np.sqrt(0.5)], atol=1e-12)
 
 
@@ -213,7 +213,7 @@ def test_mrp_shadow_set_bounded():
     rng = np.random.default_rng(12)
     for q in random_quats(rng, 200):
         assert np.linalg.norm(mrp_from_quat(q)) <= geo.MRP_F + 1e-9
-    q_pi = quat_from_axis_angle([np.pi, 0.0, 0.0])
+    q_pi = quat_from_axis_angle(np.array([np.pi, 0.0, 0.0]))
     assert np.linalg.norm(mrp_from_quat(q_pi)) == pytest.approx(geo.MRP_F)
 
 
@@ -228,7 +228,7 @@ def test_mrp_error_small_angle():
     angle itself to first order."""
     q_ref = quat_normalize(np.array([0.9, 0.1, -0.3, 0.2]))
     for delta in (1e-3, 1e-5):
-        q = quat_multiply(quat_from_axis_angle([delta, 0.0, 0.0]), q_ref)
+        q = quat_multiply(quat_from_axis_angle(np.array([delta, 0.0, 0.0])), q_ref)
         e = mrp_error(q, q_ref)
         assert e[0] == pytest.approx(delta, rel=1e-4)
         assert abs(e[1]) < 1e-12 and abs(e[2]) < 1e-12

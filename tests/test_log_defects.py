@@ -2,6 +2,7 @@
 
 Defects come from tests/faults.py: swapped rows in a saved file, a
 non-finite value in one row, and a window missing from every channel.
+A truth channel that is cut short or missing changes no estimate.
 """
 
 import numpy as np
@@ -127,3 +128,23 @@ def test_gap_in_every_channel_is_predicted_in_steps(hover_log, weights, route):
     assert np.all(np.isfinite(table))
     assert not np.any((t > 6.0) & (t < 6.15))
     assert np.any(t >= 6.15)
+
+
+# ---------------------------------------------------------------------------
+# ground truth
+
+
+def test_lstm_route_does_not_read_truth(hover_log, weights):
+    """The learned route's window is the span the sensor channels cover:
+    cutting the truth channel short or dropping it leaves the estimate
+    bit for bit as it is."""
+    t_ref, table_ref = estimate(hover_log, "lstm", weights)
+    truth = hover_log["truth"]
+    keep = (truth.t >= 2.0) & (truth.t <= 9.0)
+    cut = FlightLog(dict(hover_log.channels))
+    cut.add("truth", truth.t[keep], truth.data[keep], truth.columns)
+    dropped = FlightLog({k: ch for k, ch in hover_log.channels.items() if k != "truth"})
+    for log in (cut, dropped):
+        t, table = estimate(log, "lstm", weights)
+        assert np.array_equal(t, t_ref)
+        assert np.array_equal(table, table_ref)

@@ -33,7 +33,7 @@ import os
 import numpy as np
 import pytest
 
-from windest import logio, lstm, pipeline, sim
+from windest import geometry, logio, lstm, pipeline, sim, ukf
 from windest.logio import Channel, FlightLog
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -120,3 +120,30 @@ def test_column_reads_do_not_grow_with_log_length(monkeypatch, hover_log, weight
     n_long = col_calls(monkeypatch, hover_log, **kwargs)
     assert n_short == n_long
     assert n_long < 20
+
+
+def test_reference_quaternion_is_normalized_where_it_is_made(monkeypatch, model_log):
+    """Each filter step normalizes two quaternions: its sigma-point
+    attitudes (compose_mrp) and the reference it makes (the measured
+    odometry quaternion, the fold of the attitude error, or predict's
+    central point); each estimate row normalizes its attitude.  Nothing
+    normalizes a belief's q_ref again (the replay of this flight made
+    13,600 calls when the belief did, 9,268 after)."""
+    counts = {"normalize": 0, "steps": 0, "rows": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    normalize = counting("normalize", geometry.quat_normalize)
+    monkeypatch.setattr(geometry, "quat_normalize", normalize)
+    monkeypatch.setattr(ukf, "quat_normalize", normalize)
+    for name in ("predict", "update_odometry", "update_airflow"):
+        monkeypatch.setattr(ukf, name, counting("steps", getattr(ukf, name)))
+    monkeypatch.setattr(ukf, "output", counting("rows", ukf.output))
+    pipeline.run_estimate(model_log, pipeline.EstimatorConfig(), "model")
+    assert counts["steps"] == 4331  # no gap: one Euler step per predict
+    assert counts["normalize"] <= 2 * counts["steps"] + counts["rows"]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from windest import geometry, ukf, vehicle, whisker
+from windest import geometry, logio, ukf, vehicle, whisker
 from windest.geometry import (
     mrp_error,
     mrp_from_quat,
@@ -78,11 +78,24 @@ def test_predict_dt_validation():
     params = VehicleParams()
     with pytest.raises(ValueError):
         predict(b, hover_wrench(), -0.01, zero_noise(), params)
-    with pytest.raises(ValueError):
-        predict(b, hover_wrench(), 0.11, zero_noise(), params)
     out = predict(b, hover_wrench(), 0.0, zero_noise(), params)
     assert np.array_equal(out.mean, b.mean)
-    assert out is not b
+    assert out is b
+
+
+def test_predict_splits_a_long_gap_into_equal_steps():
+    b = hover_belief()
+    b.mean[IDX_V] = (0.4, -0.2, 0.1)
+    u = WrenchInput(14.0, np.array([0.002, -0.001, 0.0005]))
+    noise, params = ProcessNoise(), VehicleParams()
+    out = predict(b, u, 0.25, noise, params)
+    ref = b
+    for _ in range(3):
+        ref = predict(ref, u, 0.25 / 3, noise, params)
+    assert np.array_equal(out.q_ref, ref.q_ref)
+    assert np.array_equal(out.mean, ref.mean)
+    assert np.array_equal(out.cov, ref.cov)
+    assert out.t == ref.t
 
 
 def test_predict_hover_fixed_point():
@@ -328,8 +341,7 @@ def test_airflow_all_invalid_is_a_noop():
     b = hover_belief()
     out, ok = update_airflow(b, np.full((len(rig), 2), np.nan), 0.005, rig)
     assert not ok
-    assert np.array_equal(out.mean, b.mean)
-    assert out is not b
+    assert out is b
 
 
 def test_airflow_shape_check():
@@ -422,27 +434,28 @@ def test_pseudo_update_respects_attitude_frame():
 
 
 def test_output_still_air():
-    out = output(hover_belief(), VehicleParams())
-    assert np.allclose(out.drag, 0.0)
-    assert np.allclose(out.v_inf_body, 0.0)
-    assert np.allclose(out.wind, 0.0)
+    row = output(hover_belief(), VehicleParams())
+    assert row.shape == (len(logio.ESTIMATE_COLUMNS),)
+    assert np.allclose(row[logio.DRAG_COLS], 0.0)
+    assert np.allclose(row[logio.VINF_COLS], 0.0)
+    assert np.allclose(row[logio.WIND_COLS], 0.0)
 
 
 def test_output_drag_magnitude():
     b = hover_belief(wind=(3.6, 0.0, 0.0))
-    out = output(b, VehicleParams())
-    assert np.linalg.norm(out.drag) == pytest.approx(1.6272, abs=1e-9)
+    drag = output(b, VehicleParams())[logio.DRAG_COLS]
+    assert np.linalg.norm(drag) == pytest.approx(1.6272, abs=1e-9)
     # drag is parallel to the world-frame relative airflow
     v_inf_w = b.mean[IDX_WIND] - b.mean[IDX_V]
-    cross = np.cross(out.drag, v_inf_w)
+    cross = np.cross(drag, v_inf_w)
     assert np.allclose(cross, 0.0, atol=1e-12)
 
 
 def test_output_touch_passthrough():
     b = hover_belief()
     b.mean[IDX_F] = (0.5, -1.0, 2.0)
-    out = output(b, VehicleParams())
-    assert np.array_equal(out.touch, [0.5, -1.0, 2.0])
+    row = output(b, VehicleParams())
+    assert np.array_equal(row[logio.TOUCH_COLS], [0.5, -1.0, 2.0])
 
 
 def test_output_body_frame_airflow():
@@ -451,9 +464,9 @@ def test_output_body_frame_airflow():
     mean[IDX_V] = (1.0, 0.0, 0.0)
     mean[IDX_WIND] = (3.0, 0.0, 0.0)
     b = BeliefState(yaw90, mean, np.eye(STATE_DIM))
-    out = output(b, VehicleParams())
+    v_inf_body = output(b, VehicleParams())[logio.VINF_COLS]
     R = quat_to_matrix(yaw90)
-    assert np.allclose(out.v_inf_body, R.T @ np.array([2.0, 0.0, 0.0]), atol=1e-12)
+    assert np.allclose(v_inf_body, R.T @ np.array([2.0, 0.0, 0.0]), atol=1e-12)
 
 
 def test_init_belief_blocks():

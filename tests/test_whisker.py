@@ -74,11 +74,10 @@ def test_decode_synthesize_round_trip():
 
 
 def test_body_airflow_examples():
-    assert np.allclose(body_airflow([1, 0, 0, 0], [0, 0, 0], [1, 0, 0]), [-1, 0, 0])
+    x = np.array([1.0, 0.0, 0.0])
+    assert np.allclose(body_airflow(np.array([1.0, 0, 0, 0]), np.zeros(3), x), [-1, 0, 0])
     s = np.sqrt(0.5)
-    assert np.allclose(
-        body_airflow([s, 0, 0, s], [1, 0, 0], [0, 0, 0]), [0, -1, 0], atol=1e-12
-    )
+    assert np.allclose(body_airflow(np.array([s, 0, 0, s]), x, np.zeros(3)), [0, -1, 0], atol=1e-12)
     rng = np.random.default_rng(41)
     q = quat_normalize(rng.normal(size=4))
     v = rng.normal(size=3)
@@ -124,18 +123,18 @@ def test_rig_airflow_batch_matches_each_mount_bitwise():
 
 
 def test_predict_deflection_zero():
-    assert np.allclose(predict_deflection([0.0, 0.0, 0.0], 0.01), [0.0, 0.0])
+    assert np.allclose(predict_deflection(np.zeros(3), 0.01), [0.0, 0.0])
 
 
 def test_predict_deflection_example():
-    th = predict_deflection([2.0, 0.0, 0.0], 0.01)
+    th = predict_deflection(np.array([2.0, 0.0, 0.0]), 0.01)
     assert th[0] == pytest.approx(0.0)
     assert th[1] == pytest.approx(0.04)
 
 
 def test_predict_deflection_z_insensitive():
     for w in (-3.0, 0.5, 7.0):
-        assert np.allclose(predict_deflection([0.0, 0.0, w], 0.01), [0.0, 0.0])
+        assert np.allclose(predict_deflection(np.array([0.0, 0.0, w]), 0.01), [0.0, 0.0])
 
 
 def test_predict_deflection_magnitude():
@@ -200,10 +199,11 @@ def test_rig_predict_shape_and_batch():
     rig = default_rig()
     rng = np.random.default_rng(46)
     q = quat_normalize(rng.normal(size=4))
-    single = rig_predict(q, [1.0, 0, 0], [0, 0, 0.2], [0.5, 0, 0], rig)
+    v, w, wind = np.array([1.0, 0, 0]), np.array([0, 0, 0.2]), np.array([0.5, 0, 0])
+    single = rig_predict(q, v, w, wind, rig)
     assert single.shape == (4, 2)
     qb = np.tile(q, (6, 1))
-    batch = rig_predict(qb, np.tile([1.0, 0, 0], (6, 1)), [0, 0, 0.2], [0.5, 0, 0], rig)
+    batch = rig_predict(qb, np.tile(v, (6, 1)), w, wind, rig)
     assert batch.shape == (6, 4, 2)
     assert np.allclose(batch[3], single)
 
