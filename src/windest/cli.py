@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import acceptance, lstm, pipeline, sim, sysid
+from .geometry import CovarianceError
 from .logio import (
     DRAG_COLS,
     TOUCH_COLS,
@@ -232,8 +233,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    # LogFormatError is a ValueError
-    except (FileNotFoundError, NotADirectoryError, ValueError) as e:
+    # LogFormatError is a ValueError; a covariance the filter cannot
+    # factorize in the middle of a replay is a CovarianceError
+    except (FileNotFoundError, NotADirectoryError, ValueError, CovarianceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

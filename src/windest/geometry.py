@@ -14,15 +14,37 @@ the filter relies on ``a = 1``, for which quat_from_mrp's scalar part
 never goes negative.  Error quaternions compose on the left:
 ``q = dq (x) q_ref``.
 
-All functions broadcast over leading axes; the quaternion / vector lives
-on the last axis.  They take float ndarrays and convert nothing (only
-quat_to_matrix also takes a sequence): the filter calls them several
-times per event, and every caller already holds arrays.
+Two layouts
+-----------
+The simulator, whisker and sysid kernels (``quat_multiply``,
+``quat_rotate``, ``quat_normalize``, ``quat_conjugate``,
+``quat_to_matrix``) broadcast over leading axes with the quaternion /
+vector on the last axis.  They take float ndarrays and convert nothing
+(only quat_to_matrix also takes a sequence).
+
+The filter's attitude algebra (``quat_multiply_rows``,
+``quat_normalize_rows``, ``quat_from_axis_angle``, ``quat_integrate``,
+``quat_from_mrp``, ``mrp_from_quat``, ``mrp_error``, ``compose_mrp``)
+works on component rows: a quaternion is its rows ``(w, x, y, z)`` and a
+vector its rows ``(x, y, z)``, given as a tuple or as a (4, m) / (3, m)
+array, and each row is an (m,) array (one component of a sigma batch) or
+a scalar (one quaternion; a (4,) array is its four rows).  Results come
+back as tuples of rows; quat_integrate takes its rate as an array.
+
+The filter steps 37 sigma points at each of thousands of events, where
+the cost is the number of numpy calls, not the arithmetic.  On rows each
+product or sum is one call, with no last-axis slicing, ``np.empty`` or
+assembly around it, and the filter reads the sigma set's rows as views
+of the transposed points, once per step.  An elementwise operation
+rounds the same whatever the shape of its operands, and each row kernel
+keeps the term order of the last-axis formula it replaced, so a batch
+and a single quaternion get the bits the last-axis kernels gave.
 
 Sigma points
 ------------
-The scaled symmetric set of Wan & van der Merwe with constant weights
-``UT_ALPHA = 0.1``, ``UT_BETA = 2`` and ``UT_KAPPA = 0``.
+The scaled symmetric set of Wan & van der Merwe with constant
+parameters ``UT_ALPHA = 0.1``, ``UT_BETA = 2`` and ``UT_KAPPA = 0``; its
+weights are made once per dimension and shared (read-only) by every set.
 ``unscented_transform`` is the one place sigma-point statistics (mean,
 covariance and input-output cross covariance) are formed for a
 measurement; the filter's process update needs no cross covariance and
@@ -31,18 +53,20 @@ calls ``sigma_points`` and ``reconstruct`` directly.
 Explicit kernels
 ----------------
 ``cross``, ``dot`` and ``norm`` work on the last axis with one numpy
-operation per vector component, and the quaternion functions are built
-on them.  The filter calls them once per sigma point batch (37 rows) at
-every event, where ``np.cross`` spends most of its time in ``moveaxis``
-and axis normalization rather than arithmetic, and ``np.linalg.norm``
-and ``np.sum`` pay for a general reduction.  The kernels keep numpy's
-term order (``np.cross``'s products, left-to-right sums as numpy's
-reductions take them over a short last axis), so they agree with the
-calls they replace bit for bit.
+operation per vector component, and the last-axis quaternion functions
+are built on them.  The whisker measurement maps call them once per
+sigma point batch (37 rows) at every update, where ``np.cross`` spends
+most of its time in ``moveaxis`` and axis normalization rather than
+arithmetic, and ``np.linalg.norm`` and ``np.sum`` pay for a general
+reduction.  The kernels keep numpy's term order (``np.cross``'s
+products, left-to-right sums as numpy's reductions take them over a
+short last axis), so they agree with the calls they replace bit for
+bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,31 +154,57 @@ def quat_to_matrix(q):
     )
 
 
+# ---------------------------------------------------------------------------
+# filter attitude algebra on component rows
+
+
+def quat_multiply_rows(a, b):
+    """Hamilton product a (x) b of quaternions given as component rows,
+    with quat_multiply's terms in quat_multiply's order."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b0 - (a1 * b1 + a2 * b2 + a3 * b3),
+        a0 * b1 + b0 * a1 + (a2 * b3 - a3 * b2),
+        a0 * b2 + b0 * a2 + (a3 * b1 - a1 * b3),
+        a0 * b3 + b0 * a3 + (a1 * b2 - a2 * b1),
+    )
+
+
+def quat_normalize_rows(q):
+    """Unit quaternion(s) from component rows, as quat_normalize rounds."""
+    w, x, y, z = q
+    n = np.sqrt(w * w + x * x + y * y + z * z)
+    if (n < 1e-12).any():
+        raise ValueError("cannot normalize a zero quaternion")
+    return w / n, x / n, y / n, z / n
+
+
 def quat_from_axis_angle(phi):
     """Exponential map: rotation vector (rad) -> unit quaternion."""
-    half = 0.5 * norm(phi, keepdims=True)
+    phi0, phi1, phi2 = phi
+    half = 0.5 * np.sqrt(phi0 * phi0 + phi1 * phi1 + phi2 * phi2)
     # sin(half)/angle, continuous through zero
     k = 0.5 * np.sinc(half / np.pi)
-    out = np.empty(phi.shape[:-1] + (4,))
-    out[..., :1] = np.cos(half)
-    out[..., 1:] = k * phi
-    return out
+    return np.cos(half), k * phi0, k * phi1, k * phi2
 
 
 def quat_integrate(q, omega, dt):
     """Advance q by body rate omega held constant over dt (exact exponential)."""
-    return quat_multiply(q, quat_from_axis_angle(omega * dt))
+    return quat_multiply_rows(q, quat_from_axis_angle(omega * dt))
 
 
 def mrp_from_quat(dq):
     """Error quaternion -> generalized Rodrigues parameters.
 
     Flips to the shadow set (negates dq) when the scalar part is negative
-    so the parameters stay bounded near +/- pi.
+    so the parameters stay bounded near +/- pi: the sign goes into the
+    scale and the denominator becomes a + |w|.
     """
-    flip = dq[..., :1] < 0.0
-    dq = np.where(flip, -dq, dq)
-    return MRP_F * dq[..., 1:] / (MRP_A + dq[..., :1])
+    w, x, y, z = dq
+    scale = np.where(w < 0.0, -MRP_F, MRP_F)
+    den = MRP_A + np.abs(w)
+    return scale * x / den, scale * y / den, scale * z / den
 
 
 def quat_from_mrp(p):
@@ -162,20 +212,23 @@ def quat_from_mrp(p):
 
     With a = 1 the scalar part is (f^2 - |p|^2) / (f^2 + |p|^2).
     """
-    n2 = np.sum(p * p, axis=-1, keepdims=True)
+    p0, p1, p2 = p
+    n2 = p0 * p0 + p1 * p1 + p2 * p2
     f2 = MRP_F * MRP_F
     w = (f2 - n2) / (f2 + n2)
-    return np.concatenate([w, (MRP_A + w) * p / MRP_F], axis=-1)
+    s = MRP_A + w
+    return w, s * p0 / MRP_F, s * p1 / MRP_F, s * p2 / MRP_F
 
 
 def mrp_error(q, q_ref):
     """Attitude error parameters of q relative to q_ref (q = dq (x) q_ref)."""
-    return mrp_from_quat(quat_multiply(q, quat_conjugate(q_ref)))
+    r0, r1, r2, r3 = q_ref
+    return mrp_from_quat(quat_multiply_rows(q, (r0, -r1, -r2, -r3)))
 
 
 def compose_mrp(q_ref, e):
     """Fold error parameters e onto the reference: returns dq(e) (x) q_ref."""
-    return quat_normalize(quat_multiply(quat_from_mrp(e), q_ref))
+    return quat_normalize_rows(quat_multiply_rows(quat_from_mrp(e), q_ref))
 
 
 @dataclass
@@ -208,18 +261,27 @@ def sigma_points(mean, cov):
     a larger bump before failing.
     """
     n = mean.shape[0]
-    lam = UT_ALPHA**2 * (n + UT_KAPPA) - n
-    scale = n + lam
+    scale, wm, wc = _sigma_constants(n)
     root = _factor(scale * cov, scale * SIGMA_JITTER)
     points = np.empty((2 * n + 1, n))
     points[0] = mean
     points[1 : n + 1] = mean + root.T
     points[n + 1 :] = mean - root.T
+    return SigmaPointSet(points, wm, wc)
+
+
+@functools.lru_cache(maxsize=None)
+def _sigma_constants(n):
+    """The spread scale n + lambda and the (read-only) mean and covariance
+    weights of the n-dimensional set, made once per dimension."""
+    lam = UT_ALPHA**2 * (n + UT_KAPPA) - n
+    scale = n + lam
     wm = np.full(2 * n + 1, 1.0 / (2.0 * scale))
     wc = wm.copy()
     wm[0] = lam / scale
     wc[0] = wm[0] + (1.0 - UT_ALPHA**2 + UT_BETA)
-    return SigmaPointSet(points, wm, wc)
+    wm.flags.writeable = wc.flags.writeable = False
+    return scale, wm, wc
 
 
 def reconstruct(points, wm, wc):

@@ -29,6 +29,7 @@ ADAM_BETA1 = 0.9  # Adam's moment decay rates and denominator floor
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 FD_STEP = 1e-5  # central-difference step of gradient_check
+FORWARD_CHUNK = 1024  # time steps per block of a forward pass without a cache
 
 
 # Gate activation s * tanh(s * z) + 1 - s per block (input, forget, cell,
@@ -90,30 +91,40 @@ def forward(params: LstmParams, x, state=None, want_cache=False):
     cache) with y of shape (T, B, output_dim).  The cache, None unless
     requested, holds each layer's input (T, B, D), gate activations
     (T, B, 4, H) and h, c (T + 1, B, H) with the initial state in row 0.
+
+    Without a cache the time axis runs in blocks of FORWARD_CHUNK steps,
+    each block through both layers, with (h, c) carried from block to
+    block, so a long stream holds one block's gate and state arrays, not
+    the whole stream's; with a cache the block is all of T.  A block's
+    GEMM rows round as the same rows of a whole-stream GEMM, except in a
+    one-row product, so a one-step remainder joins the block before it.
     """
     x = np.asarray(x, dtype=float)
     T, B, _ = x.shape
     nh = params.hidden_dim
-    h0, c0 = np.zeros((2, N_LAYERS, B, nh)) if state is None else state
+    h_n, c_n = (list(s) for s in (np.zeros((2, N_LAYERS, B, nh)) if state is None else state))
     ts = params.tensors
-    inp, cache, h_n, c_n = x, [], [], []
-    for layer in range(N_LAYERS):
-        w_ih, w_hh, b = ts[f"w_ih{layer}"], ts[f"w_hh{layer}"], ts[f"b{layer}"]
-        gates = (inp.reshape(T * B, -1) @ w_ih.T).reshape(T, B, 4, nh)
-        gates += b.reshape(4, nh)  # in place, so no second (T, B, 4H) array is made
-        h, c = np.empty((2, T + 1, B, nh))
-        h[0], c[0] = h0[layer], c0[layer]
-        for t in range(T):
-            z = gates[t] + (h[t] @ w_hh.T).reshape(B, 4, nh)
-            a = gates[t] = GATE_SLOPE * np.tanh(GATE_SLOPE * z) + (1.0 - GATE_SLOPE)
-            c[t + 1] = a[:, 1] * c[t] + a[:, 0] * a[:, 2]
-            h[t + 1] = a[:, 3] * np.tanh(c[t + 1])
-        if want_cache:
-            cache.append((inp, gates, h, c))
-        h_n.append(h[-1])
-        c_n.append(c[-1])
-        inp = h[1:]
-    y = (inp.reshape(T * B, nh) @ ts["w_out"].T + ts["b_out"]).reshape(T, B, -1)
+    y = np.empty((T, B, params.output_dim))
+    cache = []
+    starts = list(range(0, max(T - 1, 1), max(T, 1) if want_cache else FORWARD_CHUNK))
+    for t0, t1 in zip(starts, starts[1:] + [T]):
+        n, inp = t1 - t0, x[t0:t1]
+        for layer in range(N_LAYERS):
+            w_ih, w_hh, b = ts[f"w_ih{layer}"], ts[f"w_hh{layer}"], ts[f"b{layer}"]
+            gates = (inp.reshape(n * B, -1) @ w_ih.T).reshape(n, B, 4, nh)
+            gates += b.reshape(4, nh)  # in place, so no second (n, B, 4H) array is made
+            h, c = np.empty((2, n + 1, B, nh))
+            h[0], c[0] = h_n[layer], c_n[layer]
+            for t in range(n):
+                z = gates[t] + (h[t] @ w_hh.T).reshape(B, 4, nh)
+                a = gates[t] = GATE_SLOPE * np.tanh(GATE_SLOPE * z) + (1.0 - GATE_SLOPE)
+                c[t + 1] = a[:, 1] * c[t] + a[:, 0] * a[:, 2]
+                h[t + 1] = a[:, 3] * np.tanh(c[t + 1])
+            if want_cache:
+                cache.append((inp, gates, h, c))
+            h_n[layer], c_n[layer] = h[-1], c[-1]
+            inp = h[1:]
+        y[t0:t1] = (inp.reshape(n * B, nh) @ ts["w_out"].T + ts["b_out"]).reshape(n, B, -1)
     return y, (np.stack(h_n), np.stack(c_n)), cache if want_cache else None
 
 

@@ -662,7 +662,7 @@ def run_scenario(sc: Scenario) -> FlightLog:
             q_m = np.array(packed[6:10])
             rot = _random_quat_perturb(rng, noise.odo_att)
             if rot is not None:
-                q_m = quat_multiply(quat_from_axis_angle(rot), q_m)
+                q_m = quat_multiply(np.array(quat_from_axis_angle(rot)), q_m)
             w_m = np.array(packed[10:13]) + rng.normal(0.0, noise.odo_gyro, 3) if noise.odo_gyro else np.array(packed[10:13])
             t_odo.append(t)
             odo_rows.append(list(p_m) + list(q_m) + list(v_m) + list(w_m))

@@ -57,7 +57,7 @@ class BeliefState:
 
     def attitude(self):
         """Full attitude estimate (reference composed with the error mean)."""
-        return compose_mrp(self.q_ref, self.mean[IDX_A])
+        return np.array(compose_mrp(self.q_ref, self.mean[IDX_A]))
 
 
 @dataclass
@@ -130,6 +130,11 @@ def predict(
     accuracy; touch force and wind are held (random walk).  After each
     step the new reference quaternion is the propagated central point
     and all points are re-expressed as errors about it.
+
+    A step reads its sigma set once, as component rows (views of the
+    transposed points): composing the attitudes with the reference, the
+    Euler step, the new reference and the errors about it all run on
+    the (37,) rows with geometry's row kernels.
     """
     if dt < 0.0:
         raise ValueError("negative dt")
@@ -142,30 +147,29 @@ def predict(
     q_noise = noise.matrix(h)
     for _ in range(n):
         sp = sigma_points(belief.mean, belief.cov)
-        pts = sp.points
-        p2, v2, q2, w2 = vehicle.euler_step_arrays(
-            pts[:, IDX_P],
-            pts[:, IDX_V],
-            compose_mrp(belief.q_ref, pts[:, IDX_A]),
-            pts[:, IDX_W],
+        x = sp.points.T
+        # the propagated set goes row by row into a C-ordered (37, 18)
+        # array: reconstruct's BLAS products round by their operands' layout
+        out = np.empty_like(sp.points)
+        y = out.T
+        y[IDX_P], y[IDX_V], q2, y[IDX_W] = vehicle.euler_step_arrays(
+            x[IDX_P],
+            x[IDX_V],
+            compose_mrp(belief.q_ref, x[IDX_A]),
+            x[IDX_W],
             u.thrust,
             u.torque,
-            pts[:, IDX_F],
-            pts[:, IDX_WIND],
+            x[IDX_F],
+            x[IDX_WIND],
             params,
             h,
         )
-        q_ref = quat_normalize(q2[0])
-        out = np.empty_like(pts)
-        out[:, IDX_P] = p2
-        out[:, IDX_A] = mrp_error(q2, q_ref)
-        out[:, IDX_V] = v2
-        out[:, IDX_W] = w2
-        out[:, IDX_F] = pts[:, IDX_F]
-        out[:, IDX_WIND] = pts[:, IDX_WIND]
+        q_ref = geometry.quat_normalize_rows([c[0] for c in q2])
+        y[IDX_A] = mrp_error(q2, q_ref)
+        y[IDX_F], y[IDX_WIND] = x[IDX_F], x[IDX_WIND]  # held
         mean, cov = geometry.reconstruct(out, sp.wm, sp.wc)
         cov += q_noise
-        belief = BeliefState(q_ref, mean, cov, belief.t + h)
+        belief = BeliefState(np.array(q_ref), mean, cov, belief.t + h)
     return belief
 
 
@@ -194,7 +198,7 @@ def _posterior(belief: BeliefState, mean, cov):
     q_ref = belief.q_ref
     e = mean[IDX_A]
     if e @ e > 0.0:
-        q_ref = compose_mrp(q_ref, e)
+        q_ref = np.array(compose_mrp(q_ref, e))
         mean[IDX_A] = 0.0
     return BeliefState(q_ref, mean, 0.5 * (cov + cov.T), belief.t)
 
@@ -250,7 +254,7 @@ def update_airflow(belief: BeliefState, theta, r_sigma, rig: whisker.WhiskerRig,
     r_cov = r_sigma**2 * np.eye(z.shape[0])
 
     def h_batch(pts):
-        q = compose_mrp(belief.q_ref, pts[:, IDX_A])
+        q = np.array(compose_mrp(belief.q_ref, pts.T[IDX_A])).T
         pred = whisker.rig_predict(
             q, pts[:, IDX_V], pts[:, IDX_W], pts[:, IDX_WIND], rig, sensors=valid
         )
@@ -267,7 +271,7 @@ def update_pseudo_airflow(belief: BeliefState, v_inf_body, r_var, gate=False):
     update tightens wind, velocity and attitude jointly.
     """
     def h_batch(pts):
-        q = compose_mrp(belief.q_ref, pts[:, IDX_A])
+        q = np.array(compose_mrp(belief.q_ref, pts.T[IDX_A])).T
         return whisker.body_airflow(q, pts[:, IDX_WIND], pts[:, IDX_V])
 
     return _ut_update(belief, v_inf_body, r_var * np.eye(3), h_batch, gate)

@@ -15,10 +15,14 @@ This is the only module that encodes these equations, with one
 integrator per caller: ``rk4_step`` (over ``deriv``) advances the
 simulator's single packed 13-state on Python floats, and
 ``euler_step_arrays`` advances the filter's 37 sigma points as one
-numpy batch.  They stay two because a numpy step costs about the same
-on one state as on 37 (37 vs 41 us on a 2-core x86 host, Python
-3.11, numpy 2.4), several times the scalar RK4 step: ``deriv`` takes
-0.8 us and ``rk4_step`` 5.6 us on the same host.
+numpy batch.  The batch is in component rows, the layout of the
+filter's attitude algebra in ``geometry``: each vector is a (3, m)
+array (rows of the transposed sigma points) and the attitude is the
+rows (w, x, y, z).  They stay two because a numpy step costs about the
+same on one state as on 37 (29 vs 30 us on a 2-core x86 host, Python
+3.11, numpy 2.4; 36 vs 39 us with the states on the last axis), several
+times the scalar RK4 step: ``deriv`` takes 0.9 us and ``rk4_step``
+5.8 us on the same host.
 
 ``rk4_step`` takes its first stage ``k1 = deriv(s, ...)`` from the
 caller.  The simulator needs that start-of-step derivative anyway (the
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import cross, norm, quat_integrate, quat_rotate
+from .geometry import norm, quat_integrate
 
 GRAVITY = 9.81
 _DRAG_EPS = 1e-9
@@ -83,9 +87,12 @@ def drag_force(v_inf, params: VehicleParams):
     Broadcasts over leading axes; exactly zero below a 1e-9 m/s speed
     floor to avoid a 0/0 direction.
     """
-    speed = norm(v_inf, keepdims=True)
-    factor = np.where(speed < _DRAG_EPS, 0.0, params.mu1 + params.mu2 * speed)
-    return factor * v_inf
+    return _drag_factor(norm(v_inf, keepdims=True), params) * v_inf
+
+
+def _drag_factor(speed, params: VehicleParams):
+    """Drag force per unit relative airflow at the given speed."""
+    return np.where(speed < _DRAG_EPS, 0.0, params.mu1 + params.mu2 * speed)
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +171,30 @@ def rk4_step(s, k1, f, tq, wind, touch, consts, dt):
 
 
 def euler_step_arrays(p, v, q, w, thrust, torque, touch, v_wind, params: VehicleParams, dt):
-    """Vectorized explicit-Euler step over stacked states (filter side).
+    """Vectorized explicit-Euler step over a batch of m states (filter side).
 
-    All array arguments carry a leading batch axis; thrust and torque are
-    shared across the batch.  Returns the advanced (p, v, q, w).
+    The states come in component rows: p, v, w, touch and v_wind are
+    (3, m) arrays and q is the rows (w, x, y, z), each (m,); thrust and
+    torque are shared across the batch.  Returns the advanced (p, v, q, w)
+    in the same layout.
     """
-    thrust_w = quat_rotate(q, np.array([0.0, 0.0, float(thrust)]))
-    v_dot = (thrust_w + drag_force(v_wind - v, params) + touch) / params.mass + params.gravity_vec
-    w_dot = (torque - cross(w, w @ params.inertia.T)) @ params.inertia_inv.T
+    qw, qx, qy, qz = q
+    # quat_rotate(q, (0, 0, thrust)) without its terms in the zero components
+    a = qx * (2.0 * thrust)
+    b = qy * (2.0 * thrust)
+    u = v_wind - v
+    drag = _drag_factor(np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2]), params) * u
+    force = np.array(
+        (
+            qw * b + qz * a + drag[0] + touch[0],
+            qz * b - qw * a + drag[1] + touch[1],
+            thrust - (qx * a + qy * b) + drag[2] + touch[2],
+        )
+    )
+    v_dot = force / params.mass
+    v_dot[2] -= params.gravity
+    # J w_dot = tau - w x J w, each 3x3 product one GEMM over the batch
+    h = params.inertia @ w
+    gyro = np.array((w[1] * h[2] - w[2] * h[1], w[2] * h[0] - w[0] * h[2], w[0] * h[1] - w[1] * h[0]))
+    w_dot = params.inertia_inv @ (torque[:, None] - gyro)
     return p + v * dt, v + v_dot * dt, quat_integrate(q, w, dt), w + w_dot * dt

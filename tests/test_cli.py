@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from windest import lstm, sim, whisker
+from windest import lstm, sim, ukf, whisker
 from windest.cli import build_parser, main
 from windest.logio import Channel, FlightLog, load_estimate, load_log, parse_config, save_log
 
@@ -72,6 +72,28 @@ def test_malformed_log_line_diagnostic(tmp_path, capsys):
     (d / "odometry.csv").write_text("t,px\n0.0,1.0\n0.1,banana\n")
     assert main(["estimate", str(d)]) == 2
     assert "odometry.csv:3" in capsys.readouterr().err
+
+
+def test_covariance_error_mid_replay_exits_2(hover_dir, tmp_path, monkeypatch, capsys):
+    """A belief whose covariance stops being positive definite makes the
+    next predict's factorization fail: the replay ends with an error
+    line and exit 2, not a traceback."""
+    update = ukf.update_odometry
+    calls = []
+
+    def breaking(belief, z, gate=False):
+        belief, ok = update(belief, z, gate=gate)
+        calls.append(belief.t)
+        if len(calls) == 50:
+            belief = ukf.BeliefState(belief.q_ref, belief.mean, -belief.cov, belief.t)
+        return belief, ok
+
+    monkeypatch.setattr(ukf, "update_odometry", breaking)
+    assert main(["estimate", str(hover_dir), "--out", str(tmp_path / "est.csv")]) == 2
+    assert len(calls) == 50
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "not positive definite" in err
 
 
 def test_missing_log_directory(tmp_path, capsys):

@@ -228,7 +228,7 @@ def test_mrp_error_small_angle():
     angle itself to first order."""
     q_ref = quat_normalize(np.array([0.9, 0.1, -0.3, 0.2]))
     for delta in (1e-3, 1e-5):
-        q = quat_multiply(quat_from_axis_angle(np.array([delta, 0.0, 0.0])), q_ref)
+        q = quat_multiply(np.array(quat_from_axis_angle(np.array([delta, 0.0, 0.0]))), q_ref)
         e = mrp_error(q, q_ref)
         assert e[0] == pytest.approx(delta, rel=1e-4)
         assert abs(e[1]) < 1e-12 and abs(e[2]) < 1e-12
@@ -239,6 +239,134 @@ def test_mrp_error_round_trip():
     for qa, qb in zip(random_quats(rng, 50), random_quats(rng, 50)):
         q2 = compose_mrp(qb, mrp_error(qa, qb))
         assert min(np.linalg.norm(q2 - qa), np.linalg.norm(q2 + qa)) < 1e-9
+
+
+# --------------------------------------------------------------------------
+# the filter's row kernels against the last-axis formulas they replaced
+#
+# The reference forms below are the filter's attitude functions as they
+# stood on the last axis; every row kernel must give their bits, on a
+# sigma batch and on one quaternion.
+
+
+def ref_quat_from_mrp(p):
+    n2 = np.sum(p * p, axis=-1, keepdims=True)
+    f2 = geo.MRP_F * geo.MRP_F
+    w = (f2 - n2) / (f2 + n2)
+    return np.concatenate([w, (geo.MRP_A + w) * p / geo.MRP_F], axis=-1)
+
+
+def ref_mrp_from_quat(dq):
+    flip = dq[..., :1] < 0.0
+    dq = np.where(flip, -dq, dq)
+    return geo.MRP_F * dq[..., 1:] / (geo.MRP_A + dq[..., :1])
+
+
+def ref_mrp_error(q, q_ref):
+    return ref_mrp_from_quat(quat_multiply(q, quat_conjugate(q_ref)))
+
+
+def ref_compose_mrp(q_ref, e):
+    return quat_normalize(quat_multiply(ref_quat_from_mrp(e), q_ref))
+
+
+def ref_quat_from_axis_angle(phi):
+    half = 0.5 * geo.norm(phi, keepdims=True)
+    k = 0.5 * np.sinc(half / np.pi)
+    return np.concatenate([np.cos(half), k * phi], axis=-1)
+
+
+def ref_quat_integrate(q, omega, dt):
+    return quat_multiply(q, ref_quat_from_axis_angle(omega * dt))
+
+
+def last_axis(rows):
+    """Component rows (a tuple of (m,) rows or scalars) stacked on the last axis."""
+    return np.stack(np.broadcast_arrays(*rows), axis=-1)
+
+
+def assert_same_bits(rows, ref):
+    got = last_axis(rows)
+    assert got.shape == ref.shape
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def row_batch(rng, m):
+    """Quaternions (about half with w < 0), error parameters over eight
+    decades, rates and a reference, as last-axis arrays."""
+    q = random_quats(rng, m)
+    e = rng.normal(size=(m, 3)) * 10.0 ** rng.uniform(-6.0, 0.5, size=(m, 1))
+    return q, e, rng.normal(size=(m, 3)), random_quats(rng, 1)[0]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_row_kernels_match_last_axis_batches_bitwise(seed):
+    rng = np.random.default_rng(40 + seed)
+    q, e, w, q_ref = row_batch(rng, 37)
+    q2 = random_quats(rng, 37)
+    assert (q[:, 0] < 0.0).any() and (q[:, 0] > 0.0).any()
+    assert_same_bits(geo.quat_multiply_rows(q.T, q2.T), quat_multiply(q, q2))
+    assert_same_bits(geo.quat_multiply_rows(q.T, q_ref), quat_multiply(q, q_ref))
+    assert_same_bits(geo.quat_normalize_rows(3.0 * q.T), quat_normalize(3.0 * q))
+    assert_same_bits(quat_integrate(q.T, w.T, 0.005), ref_quat_integrate(q, w, 0.005))
+    assert_same_bits(quat_from_mrp(e.T), ref_quat_from_mrp(e))
+    assert_same_bits(mrp_from_quat(q.T), ref_mrp_from_quat(q))
+    assert_same_bits(mrp_error(q.T, q_ref), ref_mrp_error(q, q_ref))
+    assert_same_bits(compose_mrp(q_ref, e.T), ref_compose_mrp(q_ref, e))
+    # rows read as views of a transposed (m, k) array, as the filter reads them
+    pts = np.concatenate([q, e], axis=1)
+    assert_same_bits(compose_mrp(q_ref, pts.T[4:7]), ref_compose_mrp(q_ref, e))
+    assert_same_bits(mrp_error(pts.T[0:4], q_ref), ref_mrp_error(q, q_ref))
+
+
+def test_row_kernels_match_last_axis_single_quaternions_bitwise():
+    rng = np.random.default_rng(50)
+    q, e, w, q_ref = row_batch(rng, 20)
+    for i in range(20):
+        assert_same_bits(geo.quat_multiply_rows(q[i], q_ref), quat_multiply(q[i], q_ref))
+        assert_same_bits(geo.quat_normalize_rows(3.0 * q[i]), quat_normalize(3.0 * q[i]))
+        assert_same_bits(quat_integrate(q[i], w[i], 0.01), ref_quat_integrate(q[i], w[i], 0.01))
+        assert_same_bits(quat_from_mrp(e[i]), ref_quat_from_mrp(e[i]))
+        assert_same_bits(mrp_from_quat(q[i]), ref_mrp_from_quat(q[i]))
+        assert_same_bits(mrp_error(q[i], q_ref), ref_mrp_error(q[i], q_ref))
+        assert_same_bits(compose_mrp(q_ref, e[i]), ref_compose_mrp(q_ref, e[i]))
+        # one quaternion rounds as the same quaternion in a batch
+        assert_same_bits(compose_mrp(q_ref, e[i]), ref_compose_mrp(q_ref, e)[i])
+
+
+def test_row_mrp_from_quat_flips_to_the_shadow_set_bitwise():
+    rng = np.random.default_rng(51)
+    q = random_quats(rng, 40)
+    q[:, 0] = -np.abs(q[:, 0])
+    q[0, 0], q[1, 0] = -0.0, 0.0  # signed zero scalar parts are not flipped
+    assert_same_bits(mrp_from_quat(q.T), ref_mrp_from_quat(q))
+    # w < 0: the parameters of -q, whose scalar part is positive
+    assert_same_bits(mrp_from_quat(q[2:].T), ref_mrp_from_quat(-q[2:]))
+    for qi in q:
+        assert_same_bits(mrp_from_quat(qi), ref_mrp_from_quat(qi))
+
+
+def test_row_zero_mrp_is_the_reference_bitwise():
+    rng = np.random.default_rng(52)
+    q_ref = random_quats(rng, 1)[0]
+    zero = np.zeros((5, 3))
+    assert_same_bits(quat_from_mrp(zero.T), ref_quat_from_mrp(zero))
+    assert_same_bits(quat_from_mrp(zero[0]), QI)
+    assert_same_bits(compose_mrp(q_ref, zero.T), ref_compose_mrp(q_ref, zero))
+    assert_same_bits(compose_mrp(q_ref, zero[0]), ref_compose_mrp(q_ref, zero[0]))
+    assert_same_bits(mrp_error(q_ref, q_ref), ref_mrp_error(q_ref, q_ref))
+
+
+def test_row_normalize_rejects_zero_quaternion():
+    q = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="zero quaternion"):
+        geo.quat_normalize_rows(q.T)
+    with pytest.raises(ValueError, match="zero quaternion"):
+        geo.quat_normalize_rows(q[1])
+    with pytest.raises(ValueError, match="zero quaternion"):
+        compose_mrp(q[1], np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="zero quaternion"):
+        compose_mrp(q[1], np.zeros(3))
 
 
 # --------------------------------------------------------------------------

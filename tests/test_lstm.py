@@ -237,6 +237,22 @@ def test_long_sequence_stays_finite():
     assert np.all(np.isfinite(c))
 
 
+@pytest.mark.parametrize("extra", [1, 2, 517])
+def test_forward_in_blocks_equals_cached_forward_bitwise(extra):
+    """Without a cache the forward runs FORWARD_CHUNK steps at a time;
+    over several blocks (a one-step remainder joins the last block) its
+    output and final state are the whole-stream forward's bits."""
+    p = init_params(np.random.default_rng(18))
+    rng = np.random.default_rng(19)
+    x = rng.normal(size=(3 * lstm.FORWARD_CHUNK + extra, 1, 20))
+    state = tuple(rng.normal(size=(2, 2, 1, 16)))
+    y, (h, c), cache = forward(p, x, state)
+    y_ref, (h_ref, c_ref), cache_ref = forward(p, x, state, want_cache=True)
+    assert cache is None and len(cache_ref) == 2
+    for a, b in ((y, y_ref), (h, h_ref), (c, c_ref)):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def test_save_load_round_trip(tmp_path):
     p = init_params(np.random.default_rng(17))
     path = tmp_path / "weights.csv"

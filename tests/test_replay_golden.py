@@ -28,7 +28,9 @@ A change that alters the simulator's output for these seeds must
 regenerate them from the replay as it was before the change.
 """
 
+import cProfile
 import os
+import pstats
 
 import numpy as np
 import pytest
@@ -38,6 +40,9 @@ from windest.logio import Channel, FlightLog
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 TOL = 1e-9
+# Python-level calls per event of the golden model-route replay after the
+# last change that moved it (90.7 when it was set)
+CALLS_PER_EVENT = 91
 
 
 @pytest.fixture(scope="module")
@@ -138,12 +143,35 @@ def test_reference_quaternion_is_normalized_where_it_is_made(monkeypatch, model_
 
         return wrapped
 
+    # the measured quaternion goes through the last-axis kernel, every
+    # other normalization through the row kernel
     normalize = counting("normalize", geometry.quat_normalize)
     monkeypatch.setattr(geometry, "quat_normalize", normalize)
     monkeypatch.setattr(ukf, "quat_normalize", normalize)
+    monkeypatch.setattr(
+        geometry, "quat_normalize_rows", counting("normalize", geometry.quat_normalize_rows)
+    )
     for name in ("predict", "update_odometry", "update_airflow"):
         monkeypatch.setattr(ukf, name, counting("steps", getattr(ukf, name)))
     monkeypatch.setattr(ukf, "output", counting("rows", ukf.output))
     pipeline.run_estimate(model_log, pipeline.EstimatorConfig(), "model")
     assert counts["steps"] == 4331  # no gap: one Euler step per predict
     assert counts["normalize"] <= 2 * counts["steps"] + counts["rows"]
+
+
+def test_python_calls_per_event_do_not_grow(model_log):
+    """The replay's cost is mostly the fixed cost of each Python and numpy
+    call on small arrays, so the calls it makes per event (cProfile's
+    total_calls over the golden model-route replay, divided by the
+    throttle, odometry and whisker rows it replays) must not grow.
+
+    To add calls anyway, raise CALLS_PER_EVENT to just above the new
+    count and say in the change's description what the calls buy and
+    what they cost in the benchmark's op_s.  When a change lowers the
+    count, lower CALLS_PER_EVENT to just above the new count so the
+    ratchet holds there.
+    """
+    events = sum(model_log[name].t.shape[0] for name in ("throttle", "odometry", "whisker"))
+    profile = cProfile.Profile()
+    profile.runcall(pipeline.run_estimate, model_log, pipeline.EstimatorConfig(), "model")
+    assert pstats.Stats(profile).total_calls / events <= CALLS_PER_EVENT

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
+from test_geometry import ref_compose_mrp, ref_mrp_error, ref_quat_integrate
 from windest import geometry, logio, ukf, vehicle, whisker
 from windest.geometry import (
     mrp_error,
-    mrp_from_quat,
-    quat_conjugate,
     quat_from_axis_angle,
     quat_from_mrp,
     quat_multiply,
@@ -123,7 +122,7 @@ def test_predict_wind_noise_grows_wind_block_only():
 def test_predict_matches_monte_carlo_mean():
     rng = np.random.default_rng(7)
     params = VehicleParams()
-    q_ref = quat_from_axis_angle(0.35 * np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0))
+    q_ref = np.array(quat_from_axis_angle(0.35 * np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)))
     mean = np.zeros(STATE_DIM)
     mean[IDX_P] = (0.0, 0.0, 1.5)
     mean[IDX_V] = (0.3, -0.2, 0.1)
@@ -146,22 +145,88 @@ def test_predict_matches_monte_carlo_mean():
 
     n = 100_000
     x = rng.multivariate_normal(mean, cov, size=n)
-    q = quat_multiply(quat_from_mrp(x[:, IDX_A]), q_ref)
+    rows = x.T
+    q = geometry.quat_multiply_rows(quat_from_mrp(rows[IDX_A]), q_ref)
     p2, v2, q2, w2 = vehicle.euler_step_arrays(
-        x[:, IDX_P], x[:, IDX_V], q, x[:, IDX_W],
-        u.thrust, np.asarray(u.torque), x[:, IDX_F], x[:, IDX_WIND], params, dt,
+        rows[IDX_P], rows[IDX_V], q, rows[IDX_W],
+        u.thrust, np.asarray(u.torque), rows[IDX_F], rows[IDX_WIND], params, dt,
     )
     samples = np.empty_like(x)
-    samples[:, IDX_P] = p2
-    samples[:, IDX_A] = mrp_from_quat(quat_multiply(q2, quat_conjugate(out.q_ref)))
-    samples[:, IDX_V] = v2
-    samples[:, IDX_W] = w2
+    samples[:, IDX_P] = p2.T
+    samples[:, IDX_A] = np.transpose(mrp_error(q2, out.q_ref))
+    samples[:, IDX_V] = v2.T
+    samples[:, IDX_W] = w2.T
     samples[:, IDX_F] = x[:, IDX_F]
     samples[:, IDX_WIND] = x[:, IDX_WIND]
 
     mc_mean = samples.mean(axis=0)
     mc_std = samples.std(axis=0)
     assert np.all(np.abs(out.mean - mc_mean) <= 3.0 * mc_std / np.sqrt(n) + 1e-12)
+
+
+def ref_euler_step_arrays(p, v, q, w, thrust, torque, touch, v_wind, params, dt):
+    """The filter's Euler step on the last axis, as it stood before rows."""
+    thrust_w = quat_rotate(q, np.array([0.0, 0.0, float(thrust)]))
+    v_dot = (thrust_w + vehicle.drag_force(v_wind - v, params) + touch) / params.mass + params.gravity_vec
+    w_dot = (torque - geometry.cross(w, w @ params.inertia.T)) @ params.inertia_inv.T
+    return p + v * dt, v + v_dot * dt, ref_quat_integrate(q, w, dt), w + w_dot * dt
+
+
+def ref_predict(belief, u, dt, noise, params):
+    """predict on last-axis sigma points, one kernel call per substep
+    stage, as it stood before the attitude algebra moved to rows."""
+    n = int(np.ceil(dt / ukf.MAX_PREDICT_DT))
+    if dt / n > ukf.MAX_PREDICT_DT:
+        n += 1
+    h = dt / n
+    q_noise = noise.matrix(h)
+    for _ in range(n):
+        sp = geometry.sigma_points(belief.mean, belief.cov)
+        pts = sp.points
+        p2, v2, q2, w2 = ref_euler_step_arrays(
+            pts[:, IDX_P], pts[:, IDX_V], ref_compose_mrp(belief.q_ref, pts[:, IDX_A]),
+            pts[:, IDX_W], u.thrust, u.torque, pts[:, IDX_F], pts[:, IDX_WIND], params, h,
+        )
+        q_ref = geometry.quat_normalize(q2[0])
+        out = np.empty_like(pts)
+        out[:, IDX_P] = p2
+        out[:, IDX_A] = ref_mrp_error(q2, q_ref)
+        out[:, IDX_V] = v2
+        out[:, IDX_W] = w2
+        out[:, IDX_F] = pts[:, IDX_F]
+        out[:, IDX_WIND] = pts[:, IDX_WIND]
+        mean, cov = geometry.reconstruct(out, sp.wm, sp.wc)
+        cov += q_noise
+        belief = BeliefState(q_ref, mean, cov, belief.t + h)
+    return belief
+
+
+def test_predict_matches_last_axis_predict_bitwise():
+    """200 random beliefs, wrenches and vehicles (a third with a full
+    inertia matrix), steps of 5 ms and gaps that split into several
+    Euler steps: the same bits as the last-axis predict."""
+    rng = np.random.default_rng(60)
+    noise = ProcessNoise()
+    for i in range(200):
+        A = rng.normal(0.0, 0.1, (STATE_DIM, STATE_DIM))
+        cov = A @ A.T + 1e-4 * np.eye(STATE_DIM)
+        mean = rng.normal(0.0, 1.0, STATE_DIM)
+        mean[IDX_A] *= 0.05
+        q_ref = geometry.quat_normalize(rng.normal(size=4))
+        belief = BeliefState(q_ref, mean, cov, t=float(i))
+        thrust = 0.0 if i % 10 == 0 else float(rng.uniform(5.0, 20.0))
+        u = WrenchInput(thrust, rng.normal(0.0, 0.02, 3))
+        inertia = np.diag(rng.uniform(0.01, 0.03, 3))
+        if i % 3 == 0:
+            inertia[0, 1] = inertia[1, 0] = rng.uniform(-1e-3, 1e-3)
+            inertia[1, 2] = inertia[2, 1] = rng.uniform(-1e-3, 1e-3)
+        params = VehicleParams(mass=float(rng.uniform(1.0, 2.0)), inertia=inertia)
+        dt = (0.005, 0.0317, 0.35)[i % 3]
+        got = predict(belief, u, dt, noise, params)
+        ref = ref_predict(belief, u, dt, noise, params)
+        for a, b in ((got.q_ref, ref.q_ref), (got.mean, ref.mean), (got.cov, ref.cov)):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert got.t == ref.t
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +297,7 @@ def test_update_odometry_gate():
 
 def test_update_folds_attitude_error_into_reference():
     b = hover_belief()
-    rot = quat_from_axis_angle(np.array([0.0, 0.0, 0.05]))
+    rot = np.array(quat_from_axis_angle(np.array([0.0, 0.0, 0.05])))
     z = OdometryMeasurement(
         b.mean[IDX_P], quat_multiply(rot, b.q_ref), b.mean[IDX_V], b.mean[IDX_W],
         diag_odo_cov(),
@@ -393,11 +458,11 @@ def test_pseudo_update_is_the_kalman_step_of_the_unscented_transform():
     A = rng.normal(0.0, 0.1, (STATE_DIM, STATE_DIM))
     mean = rng.normal(0.0, 0.5, STATE_DIM)
     cov = A @ A.T + 0.01 * np.eye(STATE_DIM)
-    b = BeliefState(quat_from_axis_angle(rng.normal(size=3)), mean, cov)
+    b = BeliefState(np.array(quat_from_axis_angle(rng.normal(size=3))), mean, cov)
     z, r_var = rng.normal(size=3), 0.05**2
 
     def h(pts):
-        q = geometry.compose_mrp(b.q_ref, pts[:, IDX_A])
+        q = np.transpose(geometry.compose_mrp(b.q_ref, pts.T[IDX_A]))
         return whisker.body_airflow(q, pts[:, IDX_WIND], pts[:, IDX_V])
 
     y, cov_y, cross = geometry.unscented_transform(b.mean, b.cov, h)
@@ -405,7 +470,7 @@ def test_pseudo_update_is_the_kalman_step_of_the_unscented_transform():
     K = np.linalg.solve(S.T, cross.T).T
     m = b.mean + K @ (z - y)
     P = b.cov - K @ S @ K.T
-    q_ref = geometry.compose_mrp(b.q_ref, m[IDX_A])
+    q_ref = np.array(geometry.compose_mrp(b.q_ref, m[IDX_A]))
     m[IDX_A] = 0.0
 
     out, ok = update_pseudo_airflow(b, z, r_var)
@@ -418,7 +483,7 @@ def test_pseudo_update_is_the_kalman_step_of_the_unscented_transform():
 def test_pseudo_update_respects_attitude_frame():
     # the same body-frame reading under a 90 degree yaw pins the wind on
     # a different world axis
-    yaw90 = quat_from_axis_angle(np.array([0.0, 0.0, np.pi / 2.0]))
+    yaw90 = np.array(quat_from_axis_angle(np.array([0.0, 0.0, np.pi / 2.0])))
     mean = np.zeros(STATE_DIM)
     mean[IDX_P] = (0.0, 0.0, 1.5)
     b = BeliefState(yaw90, mean, hover_belief().cov)
@@ -459,7 +524,7 @@ def test_output_touch_passthrough():
 
 
 def test_output_body_frame_airflow():
-    yaw90 = quat_from_axis_angle(np.array([0.0, 0.0, np.pi / 2.0]))
+    yaw90 = np.array(quat_from_axis_angle(np.array([0.0, 0.0, np.pi / 2.0])))
     mean = np.zeros(STATE_DIM)
     mean[IDX_V] = (1.0, 0.0, 0.0)
     mean[IDX_WIND] = (3.0, 0.0, 0.0)
@@ -507,7 +572,7 @@ def test_randomized_steps_stay_numerically_sound():
         b = predict(b, u, rng.uniform(0.002, 0.02), noise, params)
         _assert_healthy(b)
         if k % 3 == 0:
-            q = quat_multiply(quat_from_axis_angle(rng.normal(0.0, 0.01, 3)), b.attitude())
+            q = quat_multiply(np.array(quat_from_axis_angle(rng.normal(0.0, 0.01, 3))), b.attitude())
             z = OdometryMeasurement(
                 b.mean[IDX_P] + rng.normal(0.0, 0.05, 3), q,
                 b.mean[IDX_V] + rng.normal(0.0, 0.05, 3),
@@ -574,26 +639,26 @@ def test_nees_consistency_band():
     for run in range(runs):
         rng = np.random.default_rng(1000 + run)
         x = mean0 + rng.multivariate_normal(np.zeros(STATE_DIM), P0)
-        q_true = quat_multiply(quat_from_mrp(x[IDX_A]), Q_ID)
+        q_true = quat_multiply(np.array(quat_from_mrp(x[IDX_A])), Q_ID)
         x[IDX_A] = 0.0
         b = BeliefState(Q_ID.copy(), mean0.copy(), P0.copy())
         for k in range(steps):
             b = predict(b, u, dt, noise, params)
             p2, v2, q2, w2 = vehicle.euler_step_arrays(
-                x[None, IDX_P], x[None, IDX_V], q_true[None], x[None, IDX_W],
-                u.thrust, np.asarray(u.torque), x[None, IDX_F], x[None, IDX_WIND],
+                x[IDX_P, None], x[IDX_V, None], q_true[:, None], x[IDX_W, None],
+                u.thrust, np.asarray(u.torque), x[IDX_F, None], x[IDX_WIND, None],
                 params, dt,
             )
-            x[IDX_P], x[IDX_V], x[IDX_W] = p2[0], v2[0], w2[0]
-            q_true = q2[0]
+            x[IDX_P], x[IDX_V], x[IDX_W] = p2[:, 0], v2[:, 0], w2[:, 0]
+            q_true = np.array(q2)[:, 0]
             wiggle = rng.normal(0.0, 1.0, STATE_DIM) * step_sigma
-            q_true = quat_multiply(quat_from_axis_angle(wiggle[IDX_A]), q_true)
+            q_true = quat_multiply(np.array(quat_from_axis_angle(wiggle[IDX_A])), q_true)
             wiggle[IDX_A] = 0.0
             x = x + wiggle
             if k % 2 == 0:
                 z = OdometryMeasurement(
                     x[IDX_P] + rng.normal(0.0, 0.01, 3),
-                    quat_multiply(quat_from_axis_angle(rng.normal(0.0, 0.005, 3)), q_true),
+                    quat_multiply(np.array(quat_from_axis_angle(rng.normal(0.0, 0.005, 3))), q_true),
                     x[IDX_V] + rng.normal(0.0, 0.02, 3),
                     x[IDX_W] + rng.normal(0.0, 0.005, 3),
                     odo_cov,

@@ -201,11 +201,14 @@ def test_euler_step_arrays_matches_scalar():
     touch = rng.normal(size=(n, 3))
     wind = np.array([1.0, -0.5, 0.0])
     dt = 0.01
-    p2, v2, q2, w2 = vehicle.euler_step_arrays(p, v, q, w, thrust, torque, touch, wind, par, dt)
+    p2, v2, q2, w2 = vehicle.euler_step_arrays(
+        p.T, v.T, q.T, w.T, thrust, torque, touch.T, wind[:, None], par, dt
+    )
+    p2, v2, q2, w2 = p2.T, v2.T, np.transpose(q2), w2.T
     for i in range(n):
         dp, dv, _, dw = derivative(pack(p[i], v[i], q[i], w[i]), par, thrust, torque, wind, touch[i])
         assert np.allclose(p2[i], p[i] + dp * dt, atol=1e-12)
         assert np.allclose(v2[i], v[i] + dv * dt, atol=1e-12)
         assert np.allclose(w2[i], w[i] + dw * dt, atol=1e-12)
-        q_ref = quat_multiply(q[i], quat_from_axis_angle(w[i] * dt))
+        q_ref = quat_multiply(q[i], np.array(quat_from_axis_angle(w[i] * dt)))
         assert np.allclose(q2[i], q_ref, atol=1e-12)
