@@ -275,8 +275,8 @@ def criterion_6(art: Artifacts):
         if k % 3 == 0:
             z = ukf.OdometryMeasurement(
                 belief.mean[0:3] + rng.normal(0.0, 0.05, 3),
-                geometry.quat_multiply(
-                    np.array(geometry.quat_from_axis_angle(rng.normal(0.0, 0.01, 3))),
+                geometry.quat_multiply_rows(
+                    geometry.quat_from_axis_angle(rng.normal(0.0, 0.01, 3)),
                     belief.attitude(),
                 ),
                 belief.mean[6:9] + rng.normal(0.0, 0.05, 3),

@@ -16,20 +16,22 @@ never goes negative.  Error quaternions compose on the left:
 
 Two layouts
 -----------
-The simulator, whisker and sysid kernels (``quat_multiply``,
-``quat_rotate``, ``quat_normalize``, ``quat_conjugate``,
+The whisker and sysid kernels (``quat_rotate``, ``quat_conjugate``,
 ``quat_to_matrix``) broadcast over leading axes with the quaternion /
 vector on the last axis.  They take float ndarrays and convert nothing
 (only quat_to_matrix also takes a sequence).
 
-The filter's attitude algebra (``quat_multiply_rows``,
-``quat_normalize_rows``, ``quat_from_axis_angle``, ``quat_integrate``,
-``quat_from_mrp``, ``mrp_from_quat``, ``mrp_error``, ``compose_mrp``)
-works on component rows: a quaternion is its rows ``(w, x, y, z)`` and a
-vector its rows ``(x, y, z)``, given as a tuple or as a (4, m) / (3, m)
-array, and each row is an (m,) array (one component of a sigma batch) or
-a scalar (one quaternion; a (4,) array is its four rows).  Results come
-back as tuples of rows; quat_integrate takes its rate as an array.
+The quaternion product and normalization (``quat_multiply_rows``,
+``quat_normalize_rows``) and the filter's attitude algebra built on them
+(``quat_from_axis_angle``, ``quat_integrate``, ``quat_from_mrp``,
+``mrp_from_quat``, ``mrp_error``, ``compose_mrp``) work on component
+rows: a quaternion is its rows ``(w, x, y, z)`` and a vector its rows
+``(x, y, z)``, given as a tuple or as a (4, m) / (3, m) array, and each
+row is an (m,) array (one component of a sigma batch) or a scalar (one
+quaternion; a (4,) array is its four rows).  Results come
+back as tuples of rows; quat_integrate takes its rate as an array.  The
+simulator's odometry noise and the odometry measurement call the same
+two kernels on one quaternion.
 
 The filter steps 37 sigma points at each of thousands of events, where
 the cost is the number of numpy calls, not the arithmetic.  On rows each
@@ -53,15 +55,14 @@ calls ``sigma_points`` and ``reconstruct`` directly.
 Explicit kernels
 ----------------
 ``cross``, ``dot`` and ``norm`` work on the last axis with one numpy
-operation per vector component, and the last-axis quaternion functions
-are built on them.  The whisker measurement maps call them once per
-sigma point batch (37 rows) at every update, where ``np.cross`` spends
-most of its time in ``moveaxis`` and axis normalization rather than
-arithmetic, and ``np.linalg.norm`` and ``np.sum`` pay for a general
-reduction.  The kernels keep numpy's term order (``np.cross``'s
-products, left-to-right sums as numpy's reductions take them over a
-short last axis), so they agree with the calls they replace bit for
-bit.
+operation per vector component, and quat_rotate is built on them.
+The whisker measurement maps call them once per sigma point batch (37
+rows) at every update, where ``np.cross`` spends most of its time in
+``moveaxis`` and axis normalization rather than arithmetic, and
+``np.linalg.norm`` and ``np.sum`` pay for a general reduction.  The
+kernels keep numpy's term order (``np.cross``'s products, left-to-right
+sums as numpy's reductions take them over a short last axis), so they
+agree with the calls they replace bit for bit.
 """
 
 from __future__ import annotations
@@ -110,27 +111,9 @@ def norm(x, keepdims=False):
     return n[..., None] if keepdims else n
 
 
-def quat_normalize(q):
-    n = norm(q, keepdims=True)
-    if (n < 1e-12).any():
-        raise ValueError("cannot normalize a zero quaternion")
-    return q / n
-
-
 def quat_conjugate(q):
     out = q.copy()
     out[..., 1:] = -out[..., 1:]
-    return out
-
-
-def quat_multiply(a, b):
-    """Hamilton product a (x) b, broadcasting over leading axes."""
-    aw, av = a[..., :1], a[..., 1:]
-    bw, bv = b[..., :1], b[..., 1:]
-    w = a[..., 0] * b[..., 0] - dot(av, bv)
-    out = np.empty(w.shape + (4,))
-    out[..., 0] = w
-    out[..., 1:] = aw * bv + bw * av + cross(av, bv)
     return out
 
 
@@ -155,12 +138,15 @@ def quat_to_matrix(q):
 
 
 # ---------------------------------------------------------------------------
-# filter attitude algebra on component rows
+# quaternion algebra on component rows
 
 
 def quat_multiply_rows(a, b):
-    """Hamilton product a (x) b of quaternions given as component rows,
-    with quat_multiply's terms in quat_multiply's order."""
+    """Hamilton product a (x) b of quaternions given as component rows.
+
+    The scalar part subtracts the vector parts' dot product summed left
+    to right; each vector component adds aw * bv, bw * av and the cross
+    product's term, in that order."""
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
     return (
@@ -172,7 +158,8 @@ def quat_multiply_rows(a, b):
 
 
 def quat_normalize_rows(q):
-    """Unit quaternion(s) from component rows, as quat_normalize rounds."""
+    """Unit quaternion(s) from component rows: one square root of the
+    left-to-right sum of squares, then one division per component."""
     w, x, y, z = q
     n = np.sqrt(w * w + x * x + y * y + z * z)
     if (n < 1e-12).any():

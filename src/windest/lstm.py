@@ -106,7 +106,10 @@ def forward(params: LstmParams, x, state=None, want_cache=False):
     ts = params.tensors
     y = np.empty((T, B, params.output_dim))
     cache = []
-    starts = list(range(0, max(T - 1, 1), max(T, 1) if want_cache else FORWARD_CHUNK))
+    block = T if want_cache else FORWARD_CHUNK
+    starts = list(range(0, T, max(block, 1)))
+    if len(starts) > 1 and T - starts[-1] == 1:
+        starts.pop()  # a one-step remainder joins the block before it
     for t0, t1 in zip(starts, starts[1:] + [T]):
         n, inp = t1 - t0, x[t0:t1]
         for layer in range(N_LAYERS):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import quat_from_axis_angle, quat_multiply, quat_to_matrix
+from .geometry import quat_from_axis_angle, quat_multiply_rows, quat_to_matrix
 from .vehicle import VehicleParams, deriv, rk4_step, scalar_consts
 from . import whisker as whisker_mod
 from .whisker import WhiskerRig, default_rig
@@ -434,8 +434,8 @@ def _cross(a, b):
 
 def _normalize_quat(s):
     """The packed state s with its quaternion normalized as
-    geometry.quat_normalize does it (left-to-right sum of squares, then
-    one division per component), on Python floats."""
+    geometry.quat_normalize_rows does it (left-to-right sum of squares,
+    then one division per component), on Python floats."""
     qw, qx, qy, qz = s[6:10]
     n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
     return s[:6] + [qw / n, qx / n, qy / n, qz / n] + s[10:]
@@ -637,8 +637,9 @@ def run_scenario(sc: Scenario) -> FlightLog:
                 )
             sp_p, sp_v, sp_a, phase = plan.setpoint(t)
             # the controller sees the quaternion normalized with
-            # quat_normalize's rounding; the RK4 step's own renormalization
-            # rounds differently, and the integration goes on from packed
+            # quat_normalize_rows' rounding; the RK4 step's own
+            # renormalization rounds differently, and the integration goes
+            # on from packed
             u, wrench_cmd = ctrl.step(_normalize_quat(packed), sp_p, sp_v, sp_a, 1.0 / TRUTH_RATE)
             wind = sc.wind.at(p_now, t)
             touch = sc.touch.at(t)
@@ -662,7 +663,7 @@ def run_scenario(sc: Scenario) -> FlightLog:
             q_m = np.array(packed[6:10])
             rot = _random_quat_perturb(rng, noise.odo_att)
             if rot is not None:
-                q_m = quat_multiply(np.array(quat_from_axis_angle(rot)), q_m)
+                q_m = quat_multiply_rows(quat_from_axis_angle(rot), q_m)
             w_m = np.array(packed[10:13]) + rng.normal(0.0, noise.odo_gyro, 3) if noise.odo_gyro else np.array(packed[10:13])
             t_odo.append(t)
             odo_rows.append(list(p_m) + list(q_m) + list(v_m) + list(w_m))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, logio, vehicle, whisker
-from .geometry import compose_mrp, mrp_error, quat_normalize, sigma_points, unscented_transform
+from .geometry import compose_mrp, mrp_error, sigma_points, unscented_transform
 
 IDX_P = slice(0, 3)
 IDX_A = slice(3, 6)
@@ -94,7 +94,7 @@ class OdometryMeasurement:
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=float)
-        self.q = quat_normalize(np.asarray(self.q, dtype=float))
+        self.q = np.array(geometry.quat_normalize_rows(np.asarray(self.q, dtype=float)))
         self.v = np.asarray(self.v, dtype=float)
         self.omega = np.asarray(self.omega, dtype=float)
         self.cov = np.asarray(self.cov, dtype=float)

@@ -253,6 +253,15 @@ def test_forward_in_blocks_equals_cached_forward_bitwise(extra):
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def test_empty_stream_gives_no_rows_and_keeps_the_state():
+    p = init_params(np.random.default_rng(20))
+    state = tuple(np.random.default_rng(21).normal(size=(2, 2, 1, 16)))
+    y, (h, c), _ = forward(p, np.zeros((0, 1, 20)), state)
+    assert y.shape == (0, 1, 3)
+    assert np.array_equal(h, state[0]) and np.array_equal(c, state[1])
+    assert lstm.predict_stream(p, np.zeros((0, 20))).shape == (0, 3)
+
+
 def test_save_load_round_trip(tmp_path):
     p = init_params(np.random.default_rng(17))
     path = tmp_path / "weights.csv"

@@ -143,11 +143,6 @@ def test_reference_quaternion_is_normalized_where_it_is_made(monkeypatch, model_
 
         return wrapped
 
-    # the measured quaternion goes through the last-axis kernel, every
-    # other normalization through the row kernel
-    normalize = counting("normalize", geometry.quat_normalize)
-    monkeypatch.setattr(geometry, "quat_normalize", normalize)
-    monkeypatch.setattr(ukf, "quat_normalize", normalize)
     monkeypatch.setattr(
         geometry, "quat_normalize_rows", counting("normalize", geometry.quat_normalize_rows)
     )
@@ -170,6 +165,12 @@ def test_python_calls_per_event_do_not_grow(model_log):
     what they cost in the benchmark's op_s.  When a change lowers the
     count, lower CALLS_PER_EVENT to just above the new count so the
     ratchet holds there.
+
+    The ceiling was measured (90.5 calls per event) with numpy 2.4.6 and
+    Python 3.11.7.  cProfile also counts the Python-level and builtin
+    frames inside numpy, so an upgrade of either can move the count
+    with no change to this code: re-measure it then on the parent
+    commit and on the change, and reset the ceiling from the parent's.
     """
     events = sum(model_log[name].t.shape[0] for name in ("throttle", "odometry", "whisker"))
     profile = cProfile.Profile()

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from windest import logio, sim, vehicle
-from windest.geometry import quat_normalize, quat_to_matrix
+from windest.geometry import quat_normalize_rows, quat_to_matrix
 from windest.sim import Controller, ControllerParams
 from windest.vehicle import VehicleParams
 
@@ -151,7 +151,7 @@ def test_controller_step_equals_reference_formula():
         # small errors, saturating errors, and set-points too low to define a thrust axis
         scale = (0.1, 1.0, 10.0)[k % 3]
         p, v, q, w = (rng.normal(size=3) * scale, rng.normal(size=3) * scale,
-                      quat_normalize(rng.normal(size=4)), rng.normal(size=3) * scale)
+                      quat_normalize_rows(rng.normal(size=4)), rng.normal(size=3) * scale)
         state = np.concatenate([p, v, q, w]).tolist()
         sp_p, sp_v = rng.normal(size=(2, 3)) * scale
         sp_a = rng.normal(size=3) * scale if k % 7 else np.array([0.0, 0.0, -par.gravity])
@@ -174,7 +174,7 @@ def test_loop_quaternion_normalization_equals_quat_normalize():
         s[6:10] *= 10.0 ** rng.uniform(-3.0, 3.0)
         out = sim._normalize_quat(s.tolist())
         assert all(type(x) is float for x in out)
-        assert np.array_equal(out[6:10], quat_normalize(s[6:10]))
+        assert np.array_equal(out[6:10], quat_normalize_rows(s[6:10]))
         assert out[:6] + out[10:] == s[:6].tolist() + s[10:].tolist()
 
 

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from test_geometry import ref_compose_mrp, ref_mrp_error, ref_quat_integrate
+from test_geometry import ref_compose_mrp, ref_mrp_error, ref_quat_integrate, ref_quat_normalize
 from windest import geometry, logio, ukf, vehicle, whisker
 from windest.geometry import (
     mrp_error,
     quat_from_axis_angle,
     quat_from_mrp,
-    quat_multiply,
+    quat_multiply_rows,
     quat_rotate,
     quat_to_matrix,
 )
@@ -146,7 +146,7 @@ def test_predict_matches_monte_carlo_mean():
     n = 100_000
     x = rng.multivariate_normal(mean, cov, size=n)
     rows = x.T
-    q = geometry.quat_multiply_rows(quat_from_mrp(rows[IDX_A]), q_ref)
+    q = quat_multiply_rows(quat_from_mrp(rows[IDX_A]), q_ref)
     p2, v2, q2, w2 = vehicle.euler_step_arrays(
         rows[IDX_P], rows[IDX_V], q, rows[IDX_W],
         u.thrust, np.asarray(u.torque), rows[IDX_F], rows[IDX_WIND], params, dt,
@@ -187,7 +187,7 @@ def ref_predict(belief, u, dt, noise, params):
             pts[:, IDX_P], pts[:, IDX_V], ref_compose_mrp(belief.q_ref, pts[:, IDX_A]),
             pts[:, IDX_W], u.thrust, u.torque, pts[:, IDX_F], pts[:, IDX_WIND], params, h,
         )
-        q_ref = geometry.quat_normalize(q2[0])
+        q_ref = ref_quat_normalize(q2[0])
         out = np.empty_like(pts)
         out[:, IDX_P] = p2
         out[:, IDX_A] = ref_mrp_error(q2, q_ref)
@@ -212,7 +212,7 @@ def test_predict_matches_last_axis_predict_bitwise():
         cov = A @ A.T + 1e-4 * np.eye(STATE_DIM)
         mean = rng.normal(0.0, 1.0, STATE_DIM)
         mean[IDX_A] *= 0.05
-        q_ref = geometry.quat_normalize(rng.normal(size=4))
+        q_ref = np.array(geometry.quat_normalize_rows(rng.normal(size=4)))
         belief = BeliefState(q_ref, mean, cov, t=float(i))
         thrust = 0.0 if i % 10 == 0 else float(rng.uniform(5.0, 20.0))
         u = WrenchInput(thrust, rng.normal(0.0, 0.02, 3))
@@ -297,9 +297,9 @@ def test_update_odometry_gate():
 
 def test_update_folds_attitude_error_into_reference():
     b = hover_belief()
-    rot = np.array(quat_from_axis_angle(np.array([0.0, 0.0, 0.05])))
+    rot = quat_from_axis_angle(np.array([0.0, 0.0, 0.05]))
     z = OdometryMeasurement(
-        b.mean[IDX_P], quat_multiply(rot, b.q_ref), b.mean[IDX_V], b.mean[IDX_W],
+        b.mean[IDX_P], quat_multiply_rows(rot, b.q_ref), b.mean[IDX_V], b.mean[IDX_W],
         diag_odo_cov(),
     )
     out, ok = update_odometry(b, z)
@@ -572,7 +572,7 @@ def test_randomized_steps_stay_numerically_sound():
         b = predict(b, u, rng.uniform(0.002, 0.02), noise, params)
         _assert_healthy(b)
         if k % 3 == 0:
-            q = quat_multiply(np.array(quat_from_axis_angle(rng.normal(0.0, 0.01, 3))), b.attitude())
+            q = quat_multiply_rows(quat_from_axis_angle(rng.normal(0.0, 0.01, 3)), b.attitude())
             z = OdometryMeasurement(
                 b.mean[IDX_P] + rng.normal(0.0, 0.05, 3), q,
                 b.mean[IDX_V] + rng.normal(0.0, 0.05, 3),
@@ -639,7 +639,7 @@ def test_nees_consistency_band():
     for run in range(runs):
         rng = np.random.default_rng(1000 + run)
         x = mean0 + rng.multivariate_normal(np.zeros(STATE_DIM), P0)
-        q_true = quat_multiply(np.array(quat_from_mrp(x[IDX_A])), Q_ID)
+        q_true = np.array(quat_multiply_rows(quat_from_mrp(x[IDX_A]), Q_ID))
         x[IDX_A] = 0.0
         b = BeliefState(Q_ID.copy(), mean0.copy(), P0.copy())
         for k in range(steps):
@@ -652,13 +652,13 @@ def test_nees_consistency_band():
             x[IDX_P], x[IDX_V], x[IDX_W] = p2[:, 0], v2[:, 0], w2[:, 0]
             q_true = np.array(q2)[:, 0]
             wiggle = rng.normal(0.0, 1.0, STATE_DIM) * step_sigma
-            q_true = quat_multiply(np.array(quat_from_axis_angle(wiggle[IDX_A])), q_true)
+            q_true = np.array(quat_multiply_rows(quat_from_axis_angle(wiggle[IDX_A]), q_true))
             wiggle[IDX_A] = 0.0
             x = x + wiggle
             if k % 2 == 0:
                 z = OdometryMeasurement(
                     x[IDX_P] + rng.normal(0.0, 0.01, 3),
-                    quat_multiply(np.array(quat_from_axis_angle(rng.normal(0.0, 0.005, 3))), q_true),
+                    quat_multiply_rows(quat_from_axis_angle(rng.normal(0.0, 0.005, 3)), q_true),
                     x[IDX_V] + rng.normal(0.0, 0.02, 3),
                     x[IDX_W] + rng.normal(0.0, 0.005, 3),
                     odo_cov,

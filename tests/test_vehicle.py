@@ -7,8 +7,8 @@ from windest import vehicle
 from windest.geometry import (
     quat_from_axis_angle,
     quat_integrate,
-    quat_multiply,
-    quat_normalize,
+    quat_multiply_rows,
+    quat_normalize_rows,
     quat_rotate,
 )
 from windest.vehicle import VehicleParams, deriv, drag_force, rk4_step, scalar_consts
@@ -58,7 +58,7 @@ def test_drag_parallel_and_monotone():
     rng = np.random.default_rng(30)
     prev = 0.0
     for s in np.linspace(0.1, 8.0, 25):
-        v = s * quat_rotate(quat_normalize(rng.normal(size=4)), np.array([1.0, 0.0, 0.0]))
+        v = s * quat_rotate(np.array(quat_normalize_rows(rng.normal(size=4))), np.array([1.0, 0.0, 0.0]))
         f = drag_force(v, par)
         cr = np.linalg.norm(np.cross(f, v))
         assert cr < 1e-12 * np.linalg.norm(f) * np.linalg.norm(v)
@@ -128,7 +128,7 @@ def test_integrate_hover_fixed_point():
 def test_integrator_order():
     """Step-doubling: RK4 error contracts ~16x when dt halves."""
     par = VehicleParams()
-    x = pack(ZERO, (2.0, 0.5, -0.3), quat_normalize(np.array([0.9, 0.2, -0.1, 0.3])), (1.0, -2.0, 0.5))
+    x = pack(ZERO, (2.0, 0.5, -0.3), quat_normalize_rows(np.array([0.9, 0.2, -0.1, 0.3])), (1.0, -2.0, 0.5))
 
     def advance(dt, n):
         y = x
@@ -159,15 +159,15 @@ def test_frame_consistency():
     """A fixed world rotation applied to all world quantities commutes
     with the dynamics."""
     rng = np.random.default_rng(31)
-    R0q = quat_normalize(rng.normal(size=4))
+    R0q = np.array(quat_normalize_rows(rng.normal(size=4)))
     p, v, w = rng.normal(size=(3, 3))
-    q = quat_normalize(rng.normal(size=4))
+    q = quat_normalize_rows(rng.normal(size=4))
     torque = rng.normal(size=3) * 0.01
     wind, touch = rng.normal(size=(2, 3))
 
     par0 = VehicleParams(gravity=0.0)  # gravity is not rotation-invariant; drop it
     _, dv, _, dw = derivative(pack(p, v, q, w), par0, 9.0, torque, wind, touch)
-    xr = pack(quat_rotate(R0q, p), quat_rotate(R0q, v), quat_multiply(R0q, q), w)
+    xr = pack(quat_rotate(R0q, p), quat_rotate(R0q, v), quat_multiply_rows(R0q, q), w)
     _, dv_r, _, dw_r = derivative(
         xr, par0, 9.0, torque, quat_rotate(R0q, wind), quat_rotate(R0q, touch)
     )
@@ -210,5 +210,5 @@ def test_euler_step_arrays_matches_scalar():
         assert np.allclose(p2[i], p[i] + dp * dt, atol=1e-12)
         assert np.allclose(v2[i], v[i] + dv * dt, atol=1e-12)
         assert np.allclose(w2[i], w[i] + dw * dt, atol=1e-12)
-        q_ref = quat_multiply(q[i], np.array(quat_from_axis_angle(w[i] * dt)))
+        q_ref = quat_multiply_rows(q[i], quat_from_axis_angle(w[i] * dt))
         assert np.allclose(q2[i], q_ref, atol=1e-12)
