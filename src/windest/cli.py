@@ -16,6 +16,7 @@ from . import acceptance, lstm, pipeline, sim, sysid
 from .geometry import CovarianceError
 from .logio import (
     DRAG_COLS,
+    SENSOR_CHANNELS,
     TOUCH_COLS,
     WIND_COLS,
     load_estimate,
@@ -119,7 +120,7 @@ def cmd_train(args):
 
 def cmd_estimate(args):
     cfg = _load_config(args.config)
-    log = load_log(args.log)
+    log = load_log(args.log, *SENSOR_CHANNELS)
     weights = None
     if args.airflow_source == "lstm":
         if args.weights is None:

@@ -14,8 +14,8 @@ the filter relies on ``a = 1``, for which quat_from_mrp's scalar part
 never goes negative.  Error quaternions compose on the left:
 ``q = dq (x) q_ref``.
 
-Two layouts
------------
+Two layouts, and blocks
+-----------------------
 The whisker and sysid kernels (``quat_rotate``, ``quat_conjugate``,
 ``quat_to_matrix``) broadcast over leading axes with the quaternion /
 vector on the last axis.  They take float ndarrays and convert nothing
@@ -28,19 +28,31 @@ The quaternion product and normalization (``quat_multiply_rows``,
 rows: a quaternion is its rows ``(w, x, y, z)`` and a vector its rows
 ``(x, y, z)``, given as a tuple or as a (4, m) / (3, m) array, and each
 row is an (m,) array (one component of a sigma batch) or a scalar (one
-quaternion; a (4,) array is its four rows).  Results come
-back as tuples of rows; quat_integrate takes its rate as an array.  The
-simulator's odometry noise and the odometry measurement call the same
-two kernels on one quaternion.
+quaternion; a (4,) array is its four rows).  Results come back as
+tuples of rows, except that quat_normalize_rows (and so compose_mrp)
+returns a (4,) / (4, m) array, which unpacks into the same rows;
+quat_integrate takes its rate as an array.  The simulator's odometry
+noise and the odometry measurement call the same two kernels on one
+quaternion.
 
 The filter steps 37 sigma points at each of thousands of events, where
 the cost is the number of numpy calls, not the arithmetic.  On rows each
 product or sum is one call, with no last-axis slicing, ``np.empty`` or
-assembly around it, and the filter reads the sigma set's rows as views
-of the transposed points, once per step.  An elementwise operation
-rounds the same whatever the shape of its operands, and each row kernel
-keeps the term order of the last-axis formula it replaced, so a batch
-and a single quaternion get the bits the last-axis kernels gave.
+assembly around it.  An elementwise operation rounds the same whatever
+the shape of its operands, and each row kernel keeps the term order of
+the last-axis formula it replaced, so a batch and a single quaternion
+get the bits the last-axis kernels gave.
+
+The process update goes one step further and works on blocks: it holds
+the transposed sigma set as one C-ordered (18, 37) array, so each state
+block is a contiguous (3, 37) or (4, 37) array that one numpy call
+covers (the row functions take a block, which unpacks into its rows).
+There, a product with one fixed quaternion, the composition with the
+reference and the errors about the new reference, is one 4x4 matrix
+product, ``quat_right_matrix(r) @ q``.  It sums its terms in another
+order than quat_multiply_rows, so it rounds differently in the last
+bits; the product that differs per point, the quaternion integration,
+stays on rows.
 
 Sigma points
 ------------
@@ -158,13 +170,15 @@ def quat_multiply_rows(a, b):
 
 
 def quat_normalize_rows(q):
-    """Unit quaternion(s) from component rows: one square root of the
-    left-to-right sum of squares, then one division per component."""
+    """Unit quaternion(s) from component rows, as a (4,) or (4, m) array:
+    one square root of the left-to-right sum of squares, then one
+    division."""
+    q = np.asarray(q)
     w, x, y, z = q
     n = np.sqrt(w * w + x * x + y * y + z * z)
     if (n < 1e-12).any():
         raise ValueError("cannot normalize a zero quaternion")
-    return w / n, x / n, y / n, z / n
+    return q / n
 
 
 def quat_from_axis_angle(phi):
@@ -213,6 +227,20 @@ def mrp_error(q, q_ref):
     return mrp_from_quat(quat_multiply_rows(q, (r0, -r1, -r2, -r3)))
 
 
+# a (x) r = R(r) @ a, with R(r) = r[_RIGHT_IDX] * _RIGHT_SIGN
+_RIGHT_IDX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_RIGHT_SIGN = np.array(
+    [[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0]]
+)
+
+
+def quat_right_matrix(r):
+    """The 4x4 matrix of the product with r on the right: a (x) r is
+    quat_right_matrix(r) @ a for a (4,) or (4, m) array a.  Its transpose
+    is the matrix of the conjugate, a (x) r* (r a (4,) array)."""
+    return r[_RIGHT_IDX] * _RIGHT_SIGN
+
+
 def compose_mrp(q_ref, e):
     """Fold error parameters e onto the reference: returns dq(e) (x) q_ref."""
     return quat_normalize_rows(quat_multiply_rows(quat_from_mrp(e), q_ref))
@@ -226,13 +254,13 @@ class SigmaPointSet:
 
 
 def _factor(cov, jitter):
-    cov = 0.5 * (cov + cov.T)
-    n = cov.shape[0]
+    """Lower Cholesky factor of cov + jitter (a diagonal matrix)."""
     try:
-        return np.linalg.cholesky(cov + jitter * np.eye(n))
+        return np.linalg.cholesky(cov + jitter)
     except np.linalg.LinAlgError:
         pass
     # one retry with a trace-scaled bump, then give up loudly
+    n = cov.shape[0]
     bump = max(1.0, np.trace(cov) / n) * 1e-9
     try:
         return np.linalg.cholesky(cov + bump * np.eye(n))
@@ -243,13 +271,14 @@ def _factor(cov, jitter):
 def sigma_points(mean, cov):
     """Scaled symmetric sigma points for (mean, cov).
 
-    cov must be symmetric positive semidefinite; ``SIGMA_JITTER * I`` is
-    added before factorization and the factorization is retried once with
-    a larger bump before failing.
+    cov must be symmetric positive semidefinite (the factorization reads
+    its lower triangle, and every covariance the filter makes is exactly
+    symmetric); ``SIGMA_JITTER * I`` is added before factorization and
+    the factorization is retried once with a larger bump before failing.
     """
     n = mean.shape[0]
-    scale, wm, wc = _sigma_constants(n)
-    root = _factor(scale * cov, scale * SIGMA_JITTER)
+    scale, wm, wc, jitter = _sigma_constants(n)
+    root = _factor(scale * cov, jitter)
     points = np.empty((2 * n + 1, n))
     points[0] = mean
     points[1 : n + 1] = mean + root.T
@@ -259,16 +288,18 @@ def sigma_points(mean, cov):
 
 @functools.lru_cache(maxsize=None)
 def _sigma_constants(n):
-    """The spread scale n + lambda and the (read-only) mean and covariance
-    weights of the n-dimensional set, made once per dimension."""
+    """The spread scale n + lambda, the (read-only) mean and covariance
+    weights and the scaled jitter matrix of the n-dimensional set, made
+    once per dimension."""
     lam = UT_ALPHA**2 * (n + UT_KAPPA) - n
     scale = n + lam
     wm = np.full(2 * n + 1, 1.0 / (2.0 * scale))
     wc = wm.copy()
     wm[0] = lam / scale
     wc[0] = wm[0] + (1.0 - UT_ALPHA**2 + UT_BETA)
-    wm.flags.writeable = wc.flags.writeable = False
-    return scale, wm, wc
+    jitter = scale * SIGMA_JITTER * np.eye(n)
+    wm.flags.writeable = wc.flags.writeable = jitter.flags.writeable = False
+    return scale, wm, wc, jitter
 
 
 def reconstruct(points, wm, wc):

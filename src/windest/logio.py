@@ -3,7 +3,8 @@
 A log is a directory of per-channel CSV files (`truth.csv`,
 `odometry.csv`, `imu.csv`, `whisker.csv`, `throttle.csv`), each with a
 time column followed by named data columns.  Values are written with
-%.17g so a save/load round trip is bit-exact.
+%.17g so a save/load round trip is bit-exact.  A replay reads only the
+SENSOR_CHANNELS; truth is read to score one or to fit the regressor.
 
 The whisker driver turns raw magnetometer triples into deflection
 angles: per-component outlier gate against a low-pass reference (the
@@ -23,6 +24,10 @@ import numpy as np
 
 from . import whisker
 from .whisker import WhiskerRig, SensorMount
+
+
+# the channels a replay reads; the truth channel is only for scoring
+SENSOR_CHANNELS = ("whisker", "odometry", "imu", "throttle")
 
 
 class LogFormatError(ValueError):
@@ -148,8 +153,10 @@ def _row_lineno(path, k):
                 k -= 1
 
 
-def load_log(directory) -> FlightLog:
-    """Every channel CSV of a log directory.
+def load_log(directory, *names) -> FlightLog:
+    """The channel CSVs of a log directory: those of the named channels
+    that it has, or every channel when no name is given.  A file that is
+    not named is not opened.
 
     A channel whose t is not finite and strictly increasing (swapped or
     duplicate rows) raises LogFormatError at the first offending row.
@@ -158,7 +165,7 @@ def load_log(directory) -> FlightLog:
         raise FileNotFoundError(f"log directory {directory} does not exist")
     log = FlightLog()
     for fn in sorted(os.listdir(directory)):
-        if not fn.endswith(".csv") or fn == "estimate.csv":
+        if not fn.endswith(".csv") or fn == "estimate.csv" or (names and fn[:-4] not in names):
             continue
         path = os.path.join(directory, fn)
         t, data, columns = _load_csv(path)
@@ -172,7 +179,8 @@ def load_log(directory) -> FlightLog:
             )
         log.add(fn[:-4], t, data, columns)
     if not log.channels:
-        raise LogFormatError(f"{directory}: no channel CSVs found")
+        wanted = f" of {', '.join(names)}" if names else ""
+        raise LogFormatError(f"{directory}: no channel CSVs{wanted} found")
     return log
 
 

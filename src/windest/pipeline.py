@@ -150,15 +150,14 @@ def whisker_clock_features(log: FlightLog, cfg: EstimatorConfig):
     """The LSTM feature stream on the resampled whisker clock: (t, features).
 
     Driver angles on the whisker clock, held onto the resampled clock
-    (the whisker ticks that the four sensor channels, whisker, odometry,
-    imu and throttle, all cover; truth plays no part), then stacked with
-    the body rates, specific force and signed throttles.  Each block's
-    non-finite rows (rejected samples, NaN log values) are filled
-    forward.  Raises ValueError when no whisker tick falls inside the
-    window the sensor channels cover.
+    (the whisker ticks that all of logio.SENSOR_CHANNELS cover; truth
+    plays no part), then stacked with the body rates, specific force and
+    signed throttles.  Each block's non-finite rows (rejected samples,
+    NaN log values) are filled forward.  Raises ValueError when no
+    whisker tick falls inside the window the sensor channels cover.
     """
     t_whisk, theta, _ = driver_angles(log, cfg)
-    sensors = FlightLog({name: log[name] for name in ("whisker", "odometry", "imu", "throttle")})
+    sensors = FlightLog({name: log[name] for name in logio.SENSOR_CHANNELS})
     rs = logio.resample_to_clock(sensors, "whisker")
     if rs.t.shape[0] == 0:
         raise ValueError(

@@ -32,7 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, logio, vehicle, whisker
-from .geometry import compose_mrp, mrp_error, sigma_points, unscented_transform
+from .geometry import (
+    compose_mrp,
+    mrp_error,
+    mrp_from_quat,
+    quat_from_mrp,
+    sigma_points,
+    unscented_transform,
+)
 
 IDX_P = slice(0, 3)
 IDX_A = slice(3, 6)
@@ -40,6 +47,7 @@ IDX_V = slice(6, 9)
 IDX_W = slice(9, 12)
 IDX_F = slice(12, 15)
 IDX_WIND = slice(15, 18)
+IDX_HELD = slice(12, 18)  # touch force and wind, held by the process model
 STATE_DIM = 18
 
 GATE_QUANTILE = 0.997
@@ -57,10 +65,10 @@ class BeliefState:
 
     def attitude(self):
         """Full attitude estimate (reference composed with the error mean)."""
-        return np.array(compose_mrp(self.q_ref, self.mean[IDX_A]))
+        return compose_mrp(self.q_ref, self.mean[IDX_A])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProcessNoise:
     """Continuous-time process noise densities (diagonal), scaled by dt."""
 
@@ -71,7 +79,10 @@ class ProcessNoise:
     touch: float = 1.0  # N^2/s
     wind: float = 0.5  # (m/s)^2/s
 
-    def matrix(self, dt):
+    @functools.cached_property
+    def density(self):
+        """The (18,) diagonal of the density matrix, made once per noise
+        model (read-only; the model is frozen, so it never goes stale)."""
         d = np.empty(STATE_DIM)
         d[IDX_P] = self.pos
         d[IDX_A] = self.att
@@ -79,7 +90,8 @@ class ProcessNoise:
         d[IDX_W] = self.gyro
         d[IDX_F] = self.touch
         d[IDX_WIND] = self.wind
-        return np.diag(d * dt)
+        d.flags.writeable = False
+        return d
 
 
 @dataclass
@@ -94,7 +106,7 @@ class OdometryMeasurement:
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=float)
-        self.q = np.array(geometry.quat_normalize_rows(np.asarray(self.q, dtype=float)))
+        self.q = geometry.quat_normalize_rows(np.asarray(self.q, dtype=float))
         self.v = np.asarray(self.v, dtype=float)
         self.omega = np.asarray(self.omega, dtype=float)
         self.cov = np.asarray(self.cov, dtype=float)
@@ -131,10 +143,12 @@ def predict(
     step the new reference quaternion is the propagated central point
     and all points are re-expressed as errors about it.
 
-    A step reads its sigma set once, as component rows (views of the
-    transposed points): composing the attitudes with the reference, the
-    Euler step, the new reference and the errors about it all run on
-    the (37,) rows with geometry's row kernels.
+    A step is one pass over its sigma set, transposed into a C-ordered
+    (18, 37) block: the attitudes composed with the reference (one 4x4
+    matrix product), the Euler step on (3, 37) / (4, 37) blocks, the new
+    reference and the errors about it (one more 4x4 product), then the
+    held disturbances copied, the statistics formed and the noise added
+    to the covariance diagonal.
     """
     if dt < 0.0:
         raise ValueError("negative dt")
@@ -144,32 +158,25 @@ def predict(
     if dt / n > MAX_PREDICT_DT:  # dt / MAX_PREDICT_DT rounded down to n
         n += 1
     h = dt / n
-    q_noise = noise.matrix(h)
+    noise_diag = noise.density * h
     for _ in range(n):
         sp = sigma_points(belief.mean, belief.cov)
-        x = sp.points.T
-        # the propagated set goes row by row into a C-ordered (37, 18)
-        # array: reconstruct's BLAS products round by their operands' layout
-        out = np.empty_like(sp.points)
-        y = out.T
-        y[IDX_P], y[IDX_V], q2, y[IDX_W] = vehicle.euler_step_arrays(
-            x[IDX_P],
-            x[IDX_V],
-            compose_mrp(belief.q_ref, x[IDX_A]),
-            x[IDX_W],
-            u.thrust,
-            u.torque,
-            x[IDX_F],
-            x[IDX_WIND],
-            params,
-            h,
+        # the set transposed, C-ordered: each state block is a contiguous
+        # (k, 37) array, on which numpy runs one inner loop per operation
+        x = np.ascontiguousarray(sp.points.T)
+        y = np.empty_like(x)
+        q = geometry.quat_normalize_rows(
+            geometry.quat_right_matrix(belief.q_ref) @ quat_from_mrp(x[IDX_A])
         )
-        q_ref = geometry.quat_normalize_rows([c[0] for c in q2])
-        y[IDX_A] = mrp_error(q2, q_ref)
-        y[IDX_F], y[IDX_WIND] = x[IDX_F], x[IDX_WIND]  # held
-        mean, cov = geometry.reconstruct(out, sp.wm, sp.wc)
-        cov += q_noise
-        belief = BeliefState(np.array(q_ref), mean, cov, belief.t + h)
+        y[IDX_P], y[IDX_V], q2, y[IDX_W] = vehicle.euler_step_arrays(
+            x[IDX_P], x[IDX_V], q, x[IDX_W], u.thrust, u.torque, x[IDX_F], x[IDX_WIND], params, h
+        )
+        q_ref = geometry.quat_normalize_rows(q2[:, 0])
+        y[IDX_A] = mrp_from_quat(geometry.quat_right_matrix(q_ref).T @ q2)
+        y[IDX_HELD] = x[IDX_HELD]
+        mean, cov = geometry.reconstruct(y.T, sp.wm, sp.wc)
+        cov.flat[:: STATE_DIM + 1] += noise_diag
+        belief = BeliefState(q_ref, mean, cov, belief.t + h)
     return belief
 
 
@@ -198,7 +205,7 @@ def _posterior(belief: BeliefState, mean, cov):
     q_ref = belief.q_ref
     e = mean[IDX_A]
     if e @ e > 0.0:
-        q_ref = np.array(compose_mrp(q_ref, e))
+        q_ref = compose_mrp(q_ref, e)
         mean[IDX_A] = 0.0
     return BeliefState(q_ref, mean, 0.5 * (cov + cov.T), belief.t)
 
@@ -254,7 +261,7 @@ def update_airflow(belief: BeliefState, theta, r_sigma, rig: whisker.WhiskerRig,
     r_cov = r_sigma**2 * np.eye(z.shape[0])
 
     def h_batch(pts):
-        q = np.array(compose_mrp(belief.q_ref, pts.T[IDX_A])).T
+        q = compose_mrp(belief.q_ref, pts.T[IDX_A]).T
         pred = whisker.rig_predict(
             q, pts[:, IDX_V], pts[:, IDX_W], pts[:, IDX_WIND], rig, sensors=valid
         )
@@ -271,7 +278,7 @@ def update_pseudo_airflow(belief: BeliefState, v_inf_body, r_var, gate=False):
     update tightens wind, velocity and attitude jointly.
     """
     def h_batch(pts):
-        q = np.array(compose_mrp(belief.q_ref, pts.T[IDX_A])).T
+        q = compose_mrp(belief.q_ref, pts.T[IDX_A]).T
         return whisker.body_airflow(q, pts[:, IDX_WIND], pts[:, IDX_V])
 
     return _ut_update(belief, v_inf_body, r_var * np.eye(3), h_batch, gate)

@@ -15,14 +15,18 @@ This is the only module that encodes these equations, with one
 integrator per caller: ``rk4_step`` (over ``deriv``) advances the
 simulator's single packed 13-state on Python floats, and
 ``euler_step_arrays`` advances the filter's 37 sigma points as one
-numpy batch.  The batch is in component rows, the layout of the
-filter's attitude algebra in ``geometry``: each vector is a (3, m)
-array (rows of the transposed sigma points) and the attitude is the
-rows (w, x, y, z).  They stay two because a numpy step costs about the
-same on one state as on 37 (29 vs 30 us on a 2-core x86 host, Python
-3.11, numpy 2.4; 36 vs 39 us with the states on the last axis), several
-times the scalar RK4 step: ``deriv`` takes 0.9 us and ``rk4_step``
-5.8 us on the same host.
+numpy batch.  The batch is in component blocks, the layout of the
+filter's process update: each vector is a (3, m) array (rows of the
+transposed sigma points) and the attitude a (4, m) array.  The thrust
+direction and the gyroscopic term are quadratic in the state, so each
+is one matrix product over the outer products vec(q q^T) and
+vec(w w^T), with J^-1 folded into the gyroscopic form once per
+VehicleParams; the quaternion integration, a product that differs per
+point, runs on geometry's rows.  They stay two because a numpy step
+costs the same on one state as on 37 (26.5 us either way on a 2-core
+x86 host, AMD EPYC, Python 3.11, numpy 2.4; 28-30 us with every
+operation on rows), several times the scalar RK4 step: ``deriv`` takes
+0.9 us and ``rk4_step`` 5.5 us on the same host.
 
 ``rk4_step`` takes its first stage ``k1 = deriv(s, ...)`` from the
 caller.  The simulator needs that start-of-step derivative anyway (the
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import norm, quat_integrate
+from .geometry import cross, norm, quat_integrate
 
 GRAVITY = 9.81
 _DRAG_EPS = 1e-9
@@ -69,6 +73,11 @@ class VehicleParams:
         if np.any(np.linalg.eigvalsh(self.inertia) <= 0.0):
             raise ValueError("inertia must be positive definite")
         self.inertia_inv = np.linalg.inv(self.inertia)
+        # J^-1 (w x J w) = _gyro_form @ vec(w w^T), entry 3 j + l of
+        # vec(w w^T) being w_j w_l: w x J w is the sum of w_j w_l (e_j x J e_l)
+        self._gyro_form = self.inertia_inv @ np.array(
+            [cross(e, col) for e in np.eye(3) for col in self.inertia.T]
+        ).T
 
     @property
     def gravity_vec(self):
@@ -79,6 +88,16 @@ class VehicleParams:
 class WrenchInput:
     thrust: float  # collective thrust along body z [N]
     torque: np.ndarray  # body torque [N m]
+
+
+# the body z axis in world coordinates (the third column of the rotation
+# matrix of a unit quaternion q) is _BODY_Z_FORM @ vec(q q^T), entry 4 j + k
+# of vec(q q^T) being q_j q_k:
+#   (2 (w y + x z), 2 (y z - w x), w^2 - x^2 - y^2 + z^2)
+_BODY_Z_FORM = np.zeros((3, 16))
+_BODY_Z_FORM[0, [2, 7, 8, 13]] = 1.0
+_BODY_Z_FORM[1, [11, 14]], _BODY_Z_FORM[1, [1, 4]] = 1.0, -1.0
+_BODY_Z_FORM[2, [0, 15]], _BODY_Z_FORM[2, [5, 10]] = 1.0, -1.0
 
 
 def drag_force(v_inf, params: VehicleParams):
@@ -173,28 +192,18 @@ def rk4_step(s, k1, f, tq, wind, touch, consts, dt):
 def euler_step_arrays(p, v, q, w, thrust, torque, touch, v_wind, params: VehicleParams, dt):
     """Vectorized explicit-Euler step over a batch of m states (filter side).
 
-    The states come in component rows: p, v, w, touch and v_wind are
-    (3, m) arrays and q is the rows (w, x, y, z), each (m,); thrust and
-    torque are shared across the batch.  Returns the advanced (p, v, q, w)
-    in the same layout.
+    The states come in component blocks: p, v, w, touch and v_wind are
+    (3, m) arrays (v_wind may broadcast) and q is a (4, m) array of unit
+    quaternions; thrust and torque are shared across the batch.  Returns
+    the advanced (p, v, q, w) in the same layout.
     """
-    qw, qx, qy, qz = q
-    # quat_rotate(q, (0, 0, thrust)) without its terms in the zero components
-    a = qx * (2.0 * thrust)
-    b = qy * (2.0 * thrust)
+    # thrust along the body z axis, from the quadratic form of q
+    qq = (q[:, None] * q).reshape(16, -1)
     u = v_wind - v
     drag = _drag_factor(np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2]), params) * u
-    force = np.array(
-        (
-            qw * b + qz * a + drag[0] + touch[0],
-            qz * b - qw * a + drag[1] + touch[1],
-            thrust - (qx * a + qy * b) + drag[2] + touch[2],
-        )
-    )
-    v_dot = force / params.mass
+    v_dot = ((thrust * _BODY_Z_FORM) @ qq + drag + touch) / params.mass
     v_dot[2] -= params.gravity
-    # J w_dot = tau - w x J w, each 3x3 product one GEMM over the batch
-    h = params.inertia @ w
-    gyro = np.array((w[1] * h[2] - w[2] * h[1], w[2] * h[0] - w[0] * h[2], w[0] * h[1] - w[1] * h[0]))
-    w_dot = params.inertia_inv @ (torque[:, None] - gyro)
-    return p + v * dt, v + v_dot * dt, quat_integrate(q, w, dt), w + w_dot * dt
+    # J w_dot = tau - w x J w, the gyroscopic term one product over vec(w w^T)
+    ww = (w[:, None] * w).reshape(9, -1)
+    w_dot = (params.inertia_inv @ torque)[:, None] - params._gyro_form @ ww
+    return p + v * dt, v + v_dot * dt, np.array(quat_integrate(q, w, dt)), w + w_dot * dt

@@ -61,6 +61,31 @@ def test_model_vs_lstm_schema_identical(hover_dir, tmp_path):
         assert fa.readline() == fb.readline()
 
 
+@pytest.mark.parametrize("source", ["model", "lstm"])
+def test_estimate_does_not_read_truth(hover_dir, tmp_path, capsys, source):
+    """estimate opens only the sensor channels: with truth.csv garbled or
+    missing it writes the same bytes.  replay still reads truth."""
+    args = []
+    if source == "lstm":
+        w = tmp_path / "w.csv"
+        lstm.save_params(lstm.init_params(np.random.default_rng(0)), str(w))
+        args = ["--airflow-source", "lstm", "--weights", str(w)]
+    ref = tmp_path / "ref.csv"
+    assert main(["estimate", str(hover_dir), "--out", str(ref), *args]) == 0
+    truth = hover_dir / "truth.csv"
+    truth.write_text("t,px\n0.0,banana\n")
+    garbled = tmp_path / "garbled.csv"
+    assert main(["estimate", str(hover_dir), "--out", str(garbled), *args]) == 0
+    assert garbled.read_bytes() == ref.read_bytes()
+    capsys.readouterr()
+    assert main(["replay", str(hover_dir), str(garbled)]) == 2
+    assert "truth.csv:2" in capsys.readouterr().err
+    truth.unlink()
+    missing = tmp_path / "missing.csv"
+    assert main(["estimate", str(hover_dir), "--out", str(missing), *args]) == 0
+    assert missing.read_bytes() == ref.read_bytes()
+
+
 def test_lstm_source_requires_weights(hover_dir, capsys):
     assert main(["estimate", str(hover_dir), "--airflow-source", "lstm"]) == 2
     assert "--weights" in capsys.readouterr().err

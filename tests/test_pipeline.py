@@ -1,5 +1,7 @@
 """Estimate replay over logs: both airflow routes, metrics, config."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -170,7 +172,11 @@ def test_config_round_trip(tmp_path):
     for _, section, name in pipeline.CONFIG_KEYS:
         obj = getattr(cfg, section) if section else cfg
         if isinstance(getattr(obj, name), float):
-            setattr(obj, name, getattr(obj, name) * 1.37 + 0.011)
+            value = getattr(obj, name) * 1.37 + 0.011
+            if section:  # ProcessNoise is frozen: replace, as config_from_dict does
+                setattr(cfg, section, replace(obj, **{name: value}))
+            else:
+                setattr(cfg, name, value)
     d = config_to_dict(cfg)
     defaults = config_to_dict(EstimatorConfig())
     for key, _, _ in pipeline.CONFIG_KEYS:

@@ -41,8 +41,8 @@ from windest.logio import Channel, FlightLog
 DATA = os.path.join(os.path.dirname(__file__), "data")
 TOL = 1e-9
 # Python-level calls per event of the golden model-route replay after the
-# last change that moved it (90.7 when it was set)
-CALLS_PER_EVENT = 91
+# last change that moved it (82.96 when it was set)
+CALLS_PER_EVENT = 83
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +100,38 @@ def truncated(log: FlightLog, t_end):
         keep = ch.t <= t_end
         out.channels[name] = Channel(name, ch.t[keep], ch.data[keep], list(ch.columns))
     return out
+
+
+@pytest.fixture(scope="module")
+def long_log():
+    return sim.run_scenario(sim.four_phase_scenario(seed=7, phase_len=2.0))
+
+
+@pytest.fixture(scope="module")
+def full_replays(long_log, weights):
+    return {
+        source: pipeline.run_estimate(
+            long_log, pipeline.EstimatorConfig(), source, weights if source == "lstm" else None
+        )
+        for source in ("model", "lstm")
+    }
+
+
+@pytest.mark.parametrize("cut", [5.0, 10.0])
+@pytest.mark.parametrize("source", ["model", "lstm"])
+def test_replay_is_causal(long_log, weights, full_replays, source, cut):
+    """A replay of the log cut at t = cut writes, bit for bit, the rows
+    the full replay writes up to the cut: no estimate row depends on a
+    later sample (18.4 s four_phase flight)."""
+    t, table = pipeline.run_estimate(
+        truncated(long_log, cut), pipeline.EstimatorConfig(), source,
+        weights if source == "lstm" else None,
+    )
+    t_full, table_full = full_replays[source]
+    n = t.shape[0]
+    assert t[-1] == cut and n < t_full.shape[0]
+    assert np.array_equal(t, t_full[:n])
+    assert np.array_equal(table.view(np.uint64), table_full[:n].view(np.uint64))
 
 
 def col_calls(monkeypatch, log, **kwargs):
@@ -166,8 +198,9 @@ def test_python_calls_per_event_do_not_grow(model_log):
     count, lower CALLS_PER_EVENT to just above the new count so the
     ratchet holds there.
 
-    The ceiling was measured (90.5 calls per event) with numpy 2.4.6 and
-    Python 3.11.7.  cProfile also counts the Python-level and builtin
+    The ceiling was measured (82.96 calls per event, 90.4 before the
+    predict step became one pass over the sigma block) with numpy 2.4.6
+    and Python 3.11.7.  cProfile also counts the Python-level and builtin
     frames inside numpy, so an upgrade of either can move the count
     with no change to this code: re-measure it then on the parent
     commit and on the change, and reset the ceiling from the parent's.
