@@ -275,9 +275,11 @@ def criterion_6(art: Artifacts):
         if k % 3 == 0:
             z = ukf.OdometryMeasurement(
                 belief.mean[0:3] + rng.normal(0.0, 0.05, 3),
-                geometry.quat_multiply_rows(
-                    geometry.quat_from_axis_angle(rng.normal(0.0, 0.01, 3)),
-                    belief.attitude(),
+                geometry.quat_normalize_rows(
+                    geometry.quat_multiply_rows(
+                        geometry.quat_from_axis_angle(rng.normal(0.0, 0.01, 3)),
+                        belief.attitude(),
+                    )
                 ),
                 belief.mean[6:9] + rng.normal(0.0, 0.05, 3),
                 belief.mean[9:12] + rng.normal(0.0, 0.02, 3),
@@ -319,7 +321,7 @@ def criterion_7(art: Artifacts):
         M = rng.normal(0.0, 1.0, (m, n))
         b = rng.normal(0.0, 1.0, m)
         out_mean, out_cov, cross = geometry.unscented_transform(
-            mean, cov, lambda pts: pts @ M.T + b
+            mean, cov, lambda pts: M @ pts + b[:, None]
         )
         scale = max(1.0, float(np.abs(out_cov).max()))
         err_mean = float(np.abs(out_mean - (M @ mean + b)).max())

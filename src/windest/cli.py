@@ -16,7 +16,6 @@ from . import acceptance, lstm, pipeline, sim, sysid
 from .geometry import CovarianceError
 from .logio import (
     DRAG_COLS,
-    SENSOR_CHANNELS,
     TOUCH_COLS,
     WIND_COLS,
     load_estimate,
@@ -120,7 +119,7 @@ def cmd_train(args):
 
 def cmd_estimate(args):
     cfg = _load_config(args.config)
-    log = load_log(args.log, *SENSOR_CHANNELS)
+    log = load_log(args.log, *pipeline.ROUTE_CHANNELS[args.airflow_source])
     weights = None
     if args.airflow_source == "lstm":
         if args.weights is None:
@@ -135,7 +134,7 @@ def cmd_estimate(args):
 
 def cmd_replay(args):
     cfg = _load_config(args.config)
-    log = load_log(args.log)
+    log = load_log(args.log, "truth")
     t, table = load_estimate(args.estimate)
     r = pipeline.airflow_rms(log, t, table)
     print(f"airflow rms [m/s]: x {r[0]:.3f}  y {r[1]:.3f}  z {r[2]:.3f}")

@@ -16,7 +16,7 @@ never goes negative.  Error quaternions compose on the left:
 
 Two layouts, and blocks
 -----------------------
-The whisker and sysid kernels (``quat_rotate``, ``quat_conjugate``,
+The sysid kernels (``quat_rotate``, ``quat_conjugate``,
 ``quat_to_matrix``) broadcast over leading axes with the quaternion /
 vector on the last axis.  They take float ndarrays and convert nothing
 (only quat_to_matrix also takes a sequence).
@@ -31,9 +31,11 @@ row is an (m,) array (one component of a sigma batch) or a scalar (one
 quaternion; a (4,) array is its four rows).  Results come back as
 tuples of rows, except that quat_normalize_rows (and so compose_mrp)
 returns a (4,) / (4, m) array, which unpacks into the same rows;
-quat_integrate takes its rate as an array.  The simulator's odometry
-noise and the odometry measurement call the same two kernels on one
-quaternion.
+quat_integrate takes its rate as an array.  On one quaternion the
+filter hands them Python floats (``.tolist()``: the fold of an update
+into the reference, the odometry error, the estimate row's attitude),
+which round as numpy scalars do at a fraction of the cost; the
+simulator's odometry noise calls the same kernels on one quaternion.
 
 The filter steps 37 sigma points at each of thousands of events, where
 the cost is the number of numpy calls, not the arithmetic.  On rows each
@@ -43,44 +45,47 @@ the shape of its operands, and each row kernel keeps the term order of
 the last-axis formula it replaced, so a batch and a single quaternion
 get the bits the last-axis kernels gave.
 
-The process update goes one step further and works on blocks: it holds
-the transposed sigma set as one C-ordered (18, 37) array, so each state
-block is a contiguous (3, 37) or (4, 37) array that one numpy call
-covers (the row functions take a block, which unpacks into its rows).
-There, a product with one fixed quaternion, the composition with the
-reference and the errors about the new reference, is one 4x4 matrix
-product, ``quat_right_matrix(r) @ q``.  It sums its terms in another
-order than quat_multiply_rows, so it rounds differently in the last
-bits; the product that differs per point, the quaternion integration,
-stays on rows.
+The filter goes one step further and works on blocks, from the draw to
+the update: ``sigma_points`` writes the set as one C-ordered (n, 2n+1)
+array with the points as columns, so each state block is a contiguous
+(3, 37) or (4, 37) array that one numpy call covers (the row functions
+take a block, which unpacks into its rows), and ``reconstruct`` and
+``unscented_transform`` take blocks.  There, a product with one fixed
+quaternion, the composition with the reference and the errors about the
+new reference, is one 4x4 matrix product, ``quat_right_matrix(r) @ q``.
+It sums its terms in another order than quat_multiply_rows, so it rounds
+differently in the last bits; the product that differs per point, the
+quaternion integration, stays on rows.  The whisker kernels (the body
+airflow, each mount's airflow and the deflections, in whisker.py) take
+the same component-first blocks.
 
 Sigma points
 ------------
 The scaled symmetric set of Wan & van der Merwe with constant
 parameters ``UT_ALPHA = 0.1``, ``UT_BETA = 2`` and ``UT_KAPPA = 0``; its
-weights are made once per dimension and shared (read-only) by every set.
-``unscented_transform`` is the one place sigma-point statistics (mean,
-covariance and input-output cross covariance) are formed for a
+weights are made once per dimension and shared (read-only) by every
+set, so a block of 2n+1 transformed points names its weights by its
+width.  ``unscented_transform`` is the one place sigma-point statistics
+(mean, covariance and input-output cross covariance) are formed for a
 measurement; the filter's process update needs no cross covariance and
 calls ``sigma_points`` and ``reconstruct`` directly.
 
 Explicit kernels
 ----------------
 ``cross``, ``dot`` and ``norm`` work on the last axis with one numpy
-operation per vector component, and quat_rotate is built on them.
-The whisker measurement maps call them once per sigma point batch (37
-rows) at every update, where ``np.cross`` spends most of its time in
-``moveaxis`` and axis normalization rather than arithmetic, and
-``np.linalg.norm`` and ``np.sum`` pay for a general reduction.  The
-kernels keep numpy's term order (``np.cross``'s products, left-to-right
-sums as numpy's reductions take them over a short last axis), so they
-agree with the calls they replace bit for bit.
+operation per vector component, and quat_rotate is built on them; the
+drag force and the constant matrices of the vehicle and the rig use
+them too.  ``np.cross`` spends most of its time in ``moveaxis`` and
+axis normalization rather than arithmetic, and ``np.linalg.norm`` and
+``np.sum`` pay for a general reduction.  The kernels keep numpy's term
+order (``np.cross``'s products, left-to-right sums as numpy's
+reductions take them over a short last axis), so they agree with the
+calls they replace bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,6 +96,7 @@ SIGMA_JITTER = 1e-12  # added to the covariance diagonal before factorization
 UT_ALPHA = 0.1
 UT_BETA = 2.0
 UT_KAPPA = 0.0
+_TINY = np.finfo(float).smallest_subnormal
 
 
 class CovarianceError(RuntimeError):
@@ -173,20 +179,21 @@ def quat_normalize_rows(q):
     """Unit quaternion(s) from component rows, as a (4,) or (4, m) array:
     one square root of the left-to-right sum of squares, then one
     division."""
-    q = np.asarray(q)
     w, x, y, z = q
     n = np.sqrt(w * w + x * x + y * y + z * z)
     if (n < 1e-12).any():
         raise ValueError("cannot normalize a zero quaternion")
-    return q / n
+    return np.asarray(q) / n
 
 
 def quat_from_axis_angle(phi):
     """Exponential map: rotation vector (rad) -> unit quaternion."""
     phi0, phi1, phi2 = phi
-    half = 0.5 * np.sqrt(phi0 * phi0 + phi1 * phi1 + phi2 * phi2)
-    # sin(half)/angle, continuous through zero
-    k = 0.5 * np.sinc(half / np.pi)
+    angle = np.sqrt(phi0 * phi0 + phi1 * phi1 + phi2 * phi2)
+    half = 0.5 * angle
+    # sin(half) / angle; the smallest subnormal leaves every nonzero angle
+    # as it is and turns 0 / 0 at zero rate into 0 / tiny = 0
+    k = np.sin(half) / np.maximum(angle, _TINY)
     return np.cos(half), k * phi0, k * phi1, k * phi2
 
 
@@ -246,13 +253,6 @@ def compose_mrp(q_ref, e):
     return quat_normalize_rows(quat_multiply_rows(quat_from_mrp(e), q_ref))
 
 
-@dataclass
-class SigmaPointSet:
-    points: np.ndarray  # (2n+1, n), row 0 is the mean
-    wm: np.ndarray  # (2n+1,) mean weights
-    wc: np.ndarray  # (2n+1,) covariance weights
-
-
 def _factor(cov, jitter):
     """Lower Cholesky factor of cov + jitter (a diagonal matrix)."""
     try:
@@ -269,21 +269,18 @@ def _factor(cov, jitter):
 
 
 def sigma_points(mean, cov):
-    """Scaled symmetric sigma points for (mean, cov).
+    """Scaled symmetric sigma points for (mean, cov), as the C-ordered
+    (n, 2n+1) block whose columns are the points (column 0 is the mean).
 
     cov must be symmetric positive semidefinite (the factorization reads
     its lower triangle, and every covariance the filter makes is exactly
     symmetric); ``SIGMA_JITTER * I`` is added before factorization and
     the factorization is retried once with a larger bump before failing.
     """
-    n = mean.shape[0]
-    scale, wm, wc, jitter = _sigma_constants(n)
+    scale, _, _, jitter = _sigma_constants(mean.shape[0])
     root = _factor(scale * cov, jitter)
-    points = np.empty((2 * n + 1, n))
-    points[0] = mean
-    points[1 : n + 1] = mean + root.T
-    points[n + 1 :] = mean - root.T
-    return SigmaPointSet(points, wm, wc)
+    m = mean[:, None]
+    return np.concatenate((m, m + root, m - root), axis=1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -302,24 +299,26 @@ def _sigma_constants(n):
     return scale, wm, wc, jitter
 
 
-def reconstruct(points, wm, wc):
-    """Weighted mean and covariance of transformed sigma points."""
-    mean = wm @ points
-    d = points - mean
-    cov = d.T @ (wc[:, None] * d)
+def reconstruct(ys):
+    """Weighted mean (k,) and covariance (k, k) of a (k, 2n+1) block of
+    transformed sigma points, with the weights of the n-dimensional set."""
+    _, wm, wc, _ = _sigma_constants(ys.shape[1] // 2)
+    mean = ys @ wm
+    d = ys - mean[:, None]
+    cov = d @ (d * wc).T
     return mean, 0.5 * (cov + cov.T)
 
 
 def unscented_transform(mean, cov, func):
     """Propagate (mean, cov) through func via the unscented transform.
 
-    func maps the stacked sigma points (2n+1, n) to stacked outputs
-    (2n+1, m).  Returns (mean_y, cov_y, cross_xy) where cross_xy is the
-    (n, m) input-output cross covariance.
+    func maps the (n, 2n+1) block of sigma points to the (k, 2n+1) block
+    of their images.  Returns (mean_y, cov_y, cross_xy) where cross_xy is
+    the (n, k) input-output cross covariance.
     """
-    sp = sigma_points(mean, cov)
-    ys = func(sp.points)
-    mean_y, cov_y = reconstruct(ys, sp.wm, sp.wc)
-    dx = sp.points - mean
-    cross = dx.T @ (sp.wc[:, None] * (ys - mean_y))
+    xs = sigma_points(mean, cov)
+    ys = func(xs)
+    mean_y, cov_y = reconstruct(ys)
+    _, _, wc, _ = _sigma_constants(mean.shape[0])
+    cross = (xs - mean[:, None]) @ ((ys - mean_y[:, None]) * wc).T
     return mean_y, cov_y, cross

@@ -4,7 +4,8 @@ A log is a directory of per-channel CSV files (`truth.csv`,
 `odometry.csv`, `imu.csv`, `whisker.csv`, `throttle.csv`), each with a
 time column followed by named data columns.  Values are written with
 %.17g so a save/load round trip is bit-exact.  A replay reads only the
-SENSOR_CHANNELS; truth is read to score one or to fit the regressor.
+channels of its airflow source (pipeline.ROUTE_CHANNELS); truth is read
+to score one or to fit the regressor.
 
 The whisker driver turns raw magnetometer triples into deflection
 angles: per-component outlier gate against a low-pass reference (the
@@ -24,10 +25,6 @@ import numpy as np
 
 from . import whisker
 from .whisker import WhiskerRig, SensorMount
-
-
-# the channels a replay reads; the truth channel is only for scoring
-SENSOR_CHANNELS = ("whisker", "odometry", "imu", "throttle")
 
 
 class LogFormatError(ValueError):
@@ -154,9 +151,10 @@ def _row_lineno(path, k):
 
 
 def load_log(directory, *names) -> FlightLog:
-    """The channel CSVs of a log directory: those of the named channels
-    that it has, or every channel when no name is given.  A file that is
-    not named is not opened.
+    """The channel CSVs of a log directory: those of the named channels,
+    or every channel when no name is given.  A file that is not named is
+    not opened, and a named one that is missing raises FileNotFoundError
+    naming it.
 
     A channel whose t is not finite and strictly increasing (swapped or
     duplicate rows) raises LogFormatError at the first offending row.
@@ -178,9 +176,11 @@ def load_log(directory, *names) -> FlightLog:
                 "previous row's; times must be finite and strictly increasing"
             )
         log.add(fn[:-4], t, data, columns)
+    missing = [f"{name}.csv" for name in names if name not in log.channels]
+    if missing:
+        raise FileNotFoundError(f"{directory}: no {', '.join(missing)}")
     if not log.channels:
-        wanted = f" of {', '.join(names)}" if names else ""
-        raise LogFormatError(f"{directory}: no channel CSVs{wanted} found")
+        raise LogFormatError(f"{directory}: no channel CSVs found")
     return log
 
 

@@ -16,12 +16,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import lstm as lstm_mod
-from . import logio, sim, ukf
+from . import geometry, logio, sim, ukf
 from .logio import DriverConfig, FlightLog, WhiskerDriver
 from .vehicle import VehicleParams, WrenchInput, drag_force
 from .whisker import WhiskerRig, body_airflow, default_rig
 
 TRAINING_SKIP_S = 1.0  # s dropped from the start of each training block
+# the log channels each airflow source replays: the LSTM's features add
+# the IMU's specific force; truth plays no part in either
+ROUTE_CHANNELS = {
+    "model": ("whisker", "odometry", "throttle"),
+    "lstm": ("whisker", "odometry", "imu", "throttle"),
+}
 
 
 @dataclass
@@ -150,14 +156,14 @@ def whisker_clock_features(log: FlightLog, cfg: EstimatorConfig):
     """The LSTM feature stream on the resampled whisker clock: (t, features).
 
     Driver angles on the whisker clock, held onto the resampled clock
-    (the whisker ticks that all of logio.SENSOR_CHANNELS cover; truth
-    plays no part), then stacked with the body rates, specific force and
+    (the whisker ticks that all of the LSTM route's ROUTE_CHANNELS
+    cover), then stacked with the body rates, specific force and
     signed throttles.  Each block's non-finite rows (rejected samples,
     NaN log values) are filled forward.  Raises ValueError when no
     whisker tick falls inside the window the sensor channels cover.
     """
     t_whisk, theta, _ = driver_angles(log, cfg)
-    sensors = FlightLog({name: log[name] for name in logio.SENSOR_CHANNELS})
+    sensors = FlightLog({name: log[name] for name in ROUTE_CHANNELS["lstm"]})
     rs = logio.resample_to_clock(sensors, "whisker")
     if rs.t.shape[0] == 0:
         raise ValueError(
@@ -193,7 +199,7 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
     ukf.predict splits a gap between events longer than
     ukf.MAX_PREDICT_DT into equal steps.
     """
-    if source not in ("model", "lstm"):
+    if source not in ROUTE_CHANNELS:
         raise ValueError(f"unknown airflow source {source!r}")
     odo_ch = log["odometry"]
     thr_ch = log["throttle"]
@@ -208,7 +214,9 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
         k0 = int(np.searchsorted(t_whisk, t_pseudo[0]))
     # columns read once, so each event costs the same however long the log
     odo_p = odo_ch.col("px", "py", "pz")
-    odo_q = odo_ch.col("qw", "qx", "qy", "qz")
+    # unit quaternions, normalized once (a non-finite row stays out of
+    # the events and its NaN passes the zero check)
+    odo_q = geometry.quat_normalize_rows(odo_ch.col("qw", "qx", "qy", "qz").T).T.copy()
     odo_v = odo_ch.col("vx", "vy", "vz")
     odo_w = odo_ch.col("wx", "wy", "wz")
     thr_f = thr_ch.col("f_cmd")
@@ -292,10 +300,10 @@ def truth_cols(log: FlightLog, t_query, *names):
 
 def truth_airflow_body(log: FlightLog, t_query):
     return body_airflow(
-        truth_cols(log, t_query, "qw", "qx", "qy", "qz"),
-        truth_cols(log, t_query, "wind_x", "wind_y", "wind_z"),
-        truth_cols(log, t_query, "vx", "vy", "vz"),
-    )
+        truth_cols(log, t_query, "qw", "qx", "qy", "qz").T,
+        truth_cols(log, t_query, "wind_x", "wind_y", "wind_z").T,
+        truth_cols(log, t_query, "vx", "vy", "vz").T,
+    ).T
 
 
 def truth_drag(log: FlightLog, t_query, vehicle: VehicleParams):

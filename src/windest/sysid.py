@@ -215,8 +215,8 @@ def identify_rig_coefficients(
     q = np.asarray(q_odo, dtype=float)[idx]
     v = np.asarray(v_odo, dtype=float)[idx]
     w = np.asarray(w_odo, dtype=float)[idx]
-    v_inf_b = whisker.body_airflow(q, np.zeros(3), v)  # no ambient wind assumed
-    v_s = whisker.rig_airflow(v_inf_b, w, rig)
+    v_inf_b = whisker.body_airflow(q.T, np.zeros((3, 1)), v.T)  # no ambient wind assumed
+    v_s = whisker.rig_airflow(v_inf_b, w.T, rig)
     return np.array(
-        [identify_sensor_coefficient(thetas[:, i], v_s[:, i]) for i in range(len(rig))]
+        [identify_sensor_coefficient(thetas[:, i], v_s[i].T) for i in range(len(rig))]
     )

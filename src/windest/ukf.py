@@ -64,8 +64,9 @@ class BeliefState:
     t: float = 0.0
 
     def attitude(self):
-        """Full attitude estimate (reference composed with the error mean)."""
-        return compose_mrp(self.q_ref, self.mean[IDX_A])
+        """Full attitude estimate (reference composed with the error mean),
+        formed on Python floats."""
+        return compose_mrp(self.q_ref.tolist(), self.mean[IDX_A].tolist())
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,8 @@ class ProcessNoise:
 
 @dataclass
 class OdometryMeasurement:
-    """Pose/twist measurement: position, attitude, velocity, body rates."""
+    """Pose/twist measurement: position, attitude (a unit quaternion: the
+    replay normalizes its odometry column once), velocity, body rates."""
 
     p: np.ndarray
     q: np.ndarray
@@ -106,7 +108,7 @@ class OdometryMeasurement:
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=float)
-        self.q = geometry.quat_normalize_rows(np.asarray(self.q, dtype=float))
+        self.q = np.asarray(self.q, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
         self.omega = np.asarray(self.omega, dtype=float)
         self.cov = np.asarray(self.cov, dtype=float)
@@ -127,6 +129,14 @@ def init_belief(t, odo: OdometryMeasurement, sigma_touch=2.0, sigma_wind=2.0):
     return BeliefState(odo.q, mean, p0, t=float(t))
 
 
+def _attitudes(q_ref, x):
+    """The attitudes of the sigma block x about q_ref: each point's error
+    quaternion times q_ref, one 4x4 matrix product, then normalized."""
+    return geometry.quat_normalize_rows(
+        geometry.quat_right_matrix(q_ref) @ quat_from_mrp(x[IDX_A])
+    )
+
+
 def predict(
     belief: BeliefState,
     u: vehicle.WrenchInput,
@@ -143,12 +153,11 @@ def predict(
     step the new reference quaternion is the propagated central point
     and all points are re-expressed as errors about it.
 
-    A step is one pass over its sigma set, transposed into a C-ordered
-    (18, 37) block: the attitudes composed with the reference (one 4x4
-    matrix product), the Euler step on (3, 37) / (4, 37) blocks, the new
-    reference and the errors about it (one more 4x4 product), then the
-    held disturbances copied, the statistics formed and the noise added
-    to the covariance diagonal.
+    A step is one pass over its (18, 37) sigma block: the attitudes
+    composed with the reference (one 4x4 matrix product), the Euler step
+    on (3, 37) / (4, 37) blocks, the new reference and the errors about
+    it (one more 4x4 product), then the held disturbances copied, the
+    statistics formed and the noise added to the covariance diagonal.
     """
     if dt < 0.0:
         raise ValueError("negative dt")
@@ -160,21 +169,16 @@ def predict(
     h = dt / n
     noise_diag = noise.density * h
     for _ in range(n):
-        sp = sigma_points(belief.mean, belief.cov)
-        # the set transposed, C-ordered: each state block is a contiguous
-        # (k, 37) array, on which numpy runs one inner loop per operation
-        x = np.ascontiguousarray(sp.points.T)
+        x = sigma_points(belief.mean, belief.cov)
         y = np.empty_like(x)
-        q = geometry.quat_normalize_rows(
-            geometry.quat_right_matrix(belief.q_ref) @ quat_from_mrp(x[IDX_A])
-        )
+        q = _attitudes(belief.q_ref, x)
         y[IDX_P], y[IDX_V], q2, y[IDX_W] = vehicle.euler_step_arrays(
             x[IDX_P], x[IDX_V], q, x[IDX_W], u.thrust, u.torque, x[IDX_F], x[IDX_WIND], params, h
         )
         q_ref = geometry.quat_normalize_rows(q2[:, 0])
         y[IDX_A] = mrp_from_quat(geometry.quat_right_matrix(q_ref).T @ q2)
         y[IDX_HELD] = x[IDX_HELD]
-        mean, cov = geometry.reconstruct(y.T, sp.wm, sp.wc)
+        mean, cov = geometry.reconstruct(y)
         cov.flat[:: STATE_DIM + 1] += noise_diag
         belief = BeliefState(q_ref, mean, cov, belief.t + h)
     return belief
@@ -200,12 +204,13 @@ def _posterior(belief: BeliefState, mean, cov):
     """The belief after a measurement update to (mean, cov).
 
     The attitude-error mean is folded into the reference (first-order
-    reset, covariance unchanged) and the covariance symmetrized.
+    reset, covariance unchanged; compose_mrp on Python floats) and the
+    covariance symmetrized.
     """
     q_ref = belief.q_ref
     e = mean[IDX_A]
     if e @ e > 0.0:
-        q_ref = compose_mrp(q_ref, e)
+        q_ref = compose_mrp(q_ref.tolist(), e.tolist())
         mean[IDX_A] = 0.0
     return BeliefState(q_ref, mean, 0.5 * (cov + cov.T), belief.t)
 
@@ -214,9 +219,10 @@ def update_odometry(belief: BeliefState, z: OdometryMeasurement, gate=False):
     """Fuse a pose/twist measurement (linear in the error state).
 
     The attitude part is converted to error parameters about the current
-    reference.  Returns (belief, accepted).
+    reference (mrp_error on Python floats).  Returns (belief, accepted).
     """
-    z_vec = np.concatenate([z.p, mrp_error(z.q, belief.q_ref), z.v, z.omega])
+    e = mrp_error(z.q.tolist(), belief.q_ref.tolist())
+    z_vec = np.concatenate([z.p, e, z.v, z.omega])
     innov = z_vec - belief.mean[0:12]
     P = belief.cov
     S = P[0:12, 0:12] + z.cov
@@ -229,14 +235,12 @@ def update_odometry(belief: BeliefState, z: OdometryMeasurement, gate=False):
     return _posterior(belief, belief.mean + K @ innov, cov), True
 
 
-def _ut_update(belief, z, r_cov, h_batch, gate):
-    """Unscented measurement update with vectorized measurement map h_batch.
-
-    h_batch maps stacked sigma points (m, 18) to stacked predicted
-    measurements (m, k).
-    """
-    y_mean, cov_y, cross = unscented_transform(belief.mean, belief.cov, h_batch)
-    S = cov_y + r_cov
+def _ut_update(belief, z, r_var, h, gate):
+    """Unscented measurement update with the measurement map h, which
+    takes the (18, 37) sigma block to the (k, 37) block of predicted
+    measurements, and noise variance r_var on every component."""
+    y_mean, S, cross = unscented_transform(belief.mean, belief.cov, h)
+    S.flat[:: S.shape[0] + 1] += r_var
     innov = z - y_mean
     if gate and not gate_accepts(innov, S):
         return belief, False
@@ -257,17 +261,14 @@ def update_airflow(belief: BeliefState, theta, r_sigma, rig: whisker.WhiskerRig,
     valid = np.all(np.isfinite(theta), axis=1)
     if not np.any(valid):
         return belief, False
-    z = theta[valid].ravel()
-    r_cov = r_sigma**2 * np.eye(z.shape[0])
 
-    def h_batch(pts):
-        q = compose_mrp(belief.q_ref, pts.T[IDX_A]).T
+    def h(x):
         pred = whisker.rig_predict(
-            q, pts[:, IDX_V], pts[:, IDX_W], pts[:, IDX_WIND], rig, sensors=valid
+            _attitudes(belief.q_ref, x), x[IDX_V], x[IDX_W], x[IDX_WIND], rig, sensors=valid
         )
-        return pred.reshape(pts.shape[0], -1)
+        return pred.reshape(-1, x.shape[1])
 
-    return _ut_update(belief, z, r_cov, h_batch, gate)
+    return _ut_update(belief, theta[valid].ravel(), r_sigma**2, h, gate)
 
 
 def update_pseudo_airflow(belief: BeliefState, v_inf_body, r_var, gate=False):
@@ -277,11 +278,10 @@ def update_pseudo_airflow(belief: BeliefState, v_inf_body, r_var, gate=False):
     measurement rotates (wind - velocity) into the body frame, so the
     update tightens wind, velocity and attitude jointly.
     """
-    def h_batch(pts):
-        q = compose_mrp(belief.q_ref, pts.T[IDX_A]).T
-        return whisker.body_airflow(q, pts[:, IDX_WIND], pts[:, IDX_V])
+    def h(x):
+        return whisker.body_airflow(_attitudes(belief.q_ref, x), x[IDX_WIND], x[IDX_V])
 
-    return _ut_update(belief, v_inf_body, r_var * np.eye(3), h_batch, gate)
+    return _ut_update(belief, v_inf_body, r_var, h, gate)
 
 
 def output(belief: BeliefState, params: vehicle.VehicleParams):

@@ -16,6 +16,17 @@ A mount's polarity is the sign of its magnet: south-up mounts see the
 negated field.  The rig stacks it once as ``WhiskerRig.sign`` (+1 or -1
 per mount, shape (n, 1)); callers multiply a field stack by it before
 decode_field and after synthesize_field, which work in north-up terms.
+
+The measurement model (body_airflow, rig_airflow, predict_deflection,
+rig_predict) works on component-first arrays: a (4,) quaternion and
+(3,) vectors are one state, and (4, m) / (3, m) blocks are m states, the
+filter's 37 sigma points or a log's samples (pass (N, 3) columns
+transposed).  Each kernel is a few numpy calls whatever m is: the body
+airflow is one quadratic form over vec(q q^T) times the airflow, and all
+mounts' sensor-frame airflow is one (3 n, 6) product with the rig's
+stacked airflow map.  These are the only derivations of v_inf and of
+the deflection model; the simulator, the filter, the truth labels and
+the rig identification all call them.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import cross, norm, quat_conjugate, quat_rotate
+from .geometry import cross
 
 NORTH_UP = "north_up"
 SOUTH_UP = "south_up"
@@ -56,23 +67,53 @@ def synthesize_field(theta):
     return np.stack([bx, by, bz], axis=-1)
 
 
+def _body_frame_form():
+    """R(q)^T of a unit quaternion q as a quadratic form: entry 3 i + a of
+    _body_frame_form() @ vec(q q^T) is R(q)^T[i, a], entry 4 j + k of
+    vec(q q^T) being q_j q_k.  With q = (w, v),
+    R(q)^T = (w^2 - |v|^2) I + 2 v v^T - 2 w [v]x."""
+    f = np.zeros((3, 3, 4, 4))
+    for i in range(3):
+        f[i, i, 0, 0] = 1.0
+        for a in range(3):
+            f[i, i, 1 + a, 1 + a] -= 1.0
+            f[i, a, 1 + i, 1 + a] += 1.0
+            f[i, a, 1 + a, 1 + i] += 1.0
+        # -2 w [v]x[i, a] is +2 w v_k for (i, a, k) cyclic, -2 w v_k for (a, i, k)
+        a, k = (i + 1) % 3, (i + 2) % 3
+        f[i, a, 0, 1 + k] = f[i, a, 1 + k, 0] = 1.0
+        f[a, i, 0, 1 + k] = f[a, i, 1 + k, 0] = -1.0
+    return f.reshape(9, 16)
+
+
+_BODY_FRAME_FORM = _body_frame_form()
+
+
 def body_airflow(q_wb, v_wind_w, v_w):
     """Relative airflow at the centre of mass, body frame.
 
     World-frame wind minus world-frame vehicle velocity, rotated into the
-    body by the inverse of q_wb.  Broadcasts over leading axes.  This is
-    the one place the filter, the truth labels and the rig identification
-    derive v_inf from.
+    body by the inverse of q_wb: R(q_wb)^T, one quadratic form over
+    vec(q q^T), times the airflow.  Component-first: q_wb is a (4,) unit
+    quaternion and the vectors (3,) arrays (one state), or (4, m) and
+    (3, m) blocks (the vectors may be (3, 1)); returns (3,) or (3, m).
+    This is the one place the filter, the truth labels and the rig
+    identification derive v_inf from.
     """
-    return quat_rotate(quat_conjugate(q_wb), v_wind_w - v_w)
+    batch = q_wb.shape[1:]
+    qq = (q_wb[:, None] * q_wb).reshape((16,) + batch)
+    rt = (_BODY_FRAME_FORM @ qq).reshape((3, 3) + batch)
+    return np.add.reduce(rt * (v_wind_w - v_w), axis=1)
 
 
 def predict_deflection(v_inf_s, coeff):
-    """Deflection angles for sensor-frame relative airflow v_inf_s."""
-    speed = norm(v_inf_s)
-    theta_x = -coeff * speed * v_inf_s[..., 1]
-    theta_y = coeff * speed * v_inf_s[..., 0]
-    return np.stack([theta_x, theta_y], axis=-1)
+    """Deflection angles (theta_x, theta_y) for sensor-frame relative
+    airflow v_inf_s, component-first: a (3, ...) array gives (2, ...),
+    with coeff broadcasting against the trailing axes."""
+    speed = np.sqrt(np.add.reduce(v_inf_s * v_inf_s))
+    theta = v_inf_s[1::-1] * (coeff * speed)
+    theta[0] *= -1.0
+    return theta
 
 
 @dataclass
@@ -98,19 +139,23 @@ class SensorMount:
 class WhiskerRig:
     """The sensor mounts of one vehicle, fixed after construction.
 
-    The mount positions, rotations, coefficients and polarity signs are
-    also stacked once into arrays (r (n, 3), rot (n, 3, 3), coeff (n,),
-    sign (n, 1)).
+    The mounts are also stacked once into arrays: the coefficients
+    coeff (n,), the polarity signs sign (n, 1) and the airflow map
+    airflow_matrix (n, 3, 6), whose block i takes the body-frame airflow
+    and rates [v_b; omega] to mount i's sensor-frame airflow
+    rot_i^T (v_b + r_i x omega).
     """
 
     mounts: list[SensorMount] = field(default_factory=list)
 
     def __post_init__(self):
-        self.r = np.array([m.r for m in self.mounts]).reshape(-1, 3)
-        self.rot = np.array([m.rot for m in self.mounts]).reshape(-1, 3, 3)
         self.coeff = np.array([m.coeff for m in self.mounts], dtype=float)
         south_up = [m.polarity == SOUTH_UP for m in self.mounts]
         self.sign = np.where(south_up, -1.0, 1.0).reshape(-1, 1)
+        # r x omega = [r]x omega, and the rows of [r]x's transpose are r x e_j
+        self.airflow_matrix = np.array(
+            [np.hstack((m.rot.T, m.rot.T @ cross(m.r, np.eye(3)).T)) for m in self.mounts]
+        ).reshape(-1, 3, 6)
 
     def __len__(self):
         return len(self.mounts)
@@ -146,31 +191,31 @@ def default_rig():
 
 
 def rig_airflow(v_inf_b, omega_b, rig: WhiskerRig, sensors=None):
-    """Relative airflow at every mount, sensor frame, shape (..., n_sensors, 3).
+    """Relative airflow at every mount, sensor frame: (n_sensors, 3) for
+    one state, (n_sensors, 3, m) for (3, m) blocks.
 
-    Subtracts each mount point's rotational sweep omega_b x r from the
-    body-frame airflow v_inf_b, then rotates into the sensor axes.  Inputs
-    may carry leading batch axes (broadcast together).  sensors (a boolean
-    mask or index array over the mounts) restricts the result to those
+    Each mount's rotational sweep is taken off the body-frame airflow
+    v_inf_b and the result rotated into the sensor axes, all mounts in
+    one product with the rig's airflow_matrix.  sensors (a boolean mask
+    or index array over the mounts) restricts the result to those
     mounts, in mount order.
     """
-    r, rot = rig.r, rig.rot
-    if sensors is not None:
-        r, rot = r[sensors], rot[sensors]
-    batch = (1,) * (max(v_inf_b.ndim, omega_b.ndim) - 1)
-    # mount-major (n, ..., 3): each mount's rotation is its own (..., 3) @ (3, 3)
-    # product, which rounds the same whether the rig has one mount or many
-    local = v_inf_b - cross(omega_b, r.reshape((-1,) + batch + (3,)))
-    return np.stack([local[i] @ rot[i] for i in range(len(r))], axis=-2)
+    a = rig.airflow_matrix if sensors is None else rig.airflow_matrix[sensors]
+    state = np.concatenate((v_inf_b, omega_b))
+    return (a.reshape(-1, 6) @ state).reshape((-1, 3) + state.shape[1:])
 
 
 def rig_predict(q_wb, v_w, omega_b, v_wind_w, rig: WhiskerRig, sensors=None):
-    """Predicted deflections for every mount, shape (..., n_sensors, 2).
+    """Predicted deflections for every mount: (n_sensors, 2) for one
+    state, (n_sensors, 2, m) for blocks.
 
-    Inputs may carry a leading batch axis (all broadcast together):
-    attitude q_wb, world velocity v_w, body rates omega_b and world wind
-    v_wind_w.  sensors restricts the prediction as in rig_airflow.
+    Component-first inputs as body_airflow takes them: attitude q_wb,
+    world velocity v_w, body rates omega_b and world wind v_wind_w, each
+    (4,) / (3,) or (4, m) / (3, m) (v_wind_w may be (3, 1)).  sensors
+    restricts the prediction as in rig_airflow.
     """
     coeff = rig.coeff if sensors is None else rig.coeff[sensors]
     v_s = rig_airflow(body_airflow(q_wb, v_wind_w, v_w), omega_b, rig, sensors)
-    return predict_deflection(v_s, coeff)
+    # each mount's components first, the mounts next: coeff on the mount axis
+    theta = predict_deflection(v_s.swapaxes(0, 1), coeff.reshape((-1,) + (1,) * (v_s.ndim - 2)))
+    return theta.swapaxes(0, 1)

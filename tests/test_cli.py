@@ -86,6 +86,46 @@ def test_estimate_does_not_read_truth(hover_dir, tmp_path, capsys, source):
     assert missing.read_bytes() == ref.read_bytes()
 
 
+def test_model_estimate_does_not_read_imu(hover_dir, tmp_path, capsys):
+    """The model route opens only its channels (pipeline.ROUTE_CHANNELS):
+    with imu.csv garbled or missing it writes the same bytes, while the
+    LSTM route, whose features need the IMU, reports the garbled file."""
+    ref = tmp_path / "ref.csv"
+    assert main(["estimate", str(hover_dir), "--out", str(ref)]) == 0
+    imu = hover_dir / "imu.csv"
+    imu.write_text("t,ax\n0.0,banana\n")
+    garbled = tmp_path / "garbled.csv"
+    assert main(["estimate", str(hover_dir), "--out", str(garbled)]) == 0
+    assert garbled.read_bytes() == ref.read_bytes()
+    w = tmp_path / "w.csv"
+    lstm.save_params(lstm.init_params(np.random.default_rng(0)), str(w))
+    capsys.readouterr()
+    lstm_args = ["--airflow-source", "lstm", "--weights", str(w)]
+    assert main(["estimate", str(hover_dir), "--out", str(tmp_path / "l.csv"), *lstm_args]) == 2
+    assert "imu.csv:2" in capsys.readouterr().err
+    imu.unlink()
+    missing = tmp_path / "missing.csv"
+    assert main(["estimate", str(hover_dir), "--out", str(missing)]) == 0
+    assert missing.read_bytes() == ref.read_bytes()
+
+
+def test_replay_without_truth_exits_2(hover_dir, tmp_path, capsys):
+    """replay scores against truth.csv; without it, an error line names the
+    file and the exit status is 2.  So does estimate without a channel its
+    route reads."""
+    est = tmp_path / "est.csv"
+    assert main(["estimate", str(hover_dir), "--out", str(est)]) == 0
+    (hover_dir / "truth.csv").unlink()
+    capsys.readouterr()
+    assert main(["replay", str(hover_dir), str(est)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "truth.csv" in err
+    (hover_dir / "odometry.csv").unlink()
+    assert main(["estimate", str(hover_dir), "--out", str(est)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "odometry.csv" in err
+
+
 def test_lstm_source_requires_weights(hover_dir, capsys):
     assert main(["estimate", str(hover_dir), "--airflow-source", "lstm"]) == 2
     assert "--weights" in capsys.readouterr().err

@@ -101,10 +101,38 @@ def test_axis_angle_basics():
 
 
 def test_axis_angle_tiny_rotation_stable():
-    # sinc form must not lose the direction for angles near the fp floor
+    # sin(half) / angle must not lose the direction for angles near the fp floor
     q = quat_from_axis_angle(np.array([1e-12, 0.0, 0.0]))
     assert abs(np.linalg.norm(q) - 1.0) < 1e-15
     assert q[1] == pytest.approx(0.5e-12, rel=1e-6)
+
+
+def test_axis_angle_zero_rate_is_exact():
+    """A zero rotation vector, alone or in a batch, is the identity with
+    no NaN."""
+    assert_same_bits(quat_from_axis_angle(np.zeros(3)), QI)
+    phi = np.zeros((3, 4))
+    phi[:, 1] = (0.1, -0.2, 0.3)
+    q = np.array(quat_from_axis_angle(phi))
+    assert np.all(np.isfinite(q))
+    assert np.array_equal(q[:, [0, 2, 3]], np.tile(QI[:, None], (1, 3)))
+
+
+def sinc_quat_from_axis_angle(phi):
+    """The exponential map as written with np.sinc, before ufuncs alone."""
+    half = 0.5 * geo.norm(phi, keepdims=True)
+    k = 0.5 * np.sinc(half / np.pi)
+    return np.concatenate([np.cos(half), k * phi], axis=-1)
+
+
+def test_axis_angle_matches_the_sinc_form():
+    """sin(half) / angle and np.sinc's sin(pi x) / (pi x) at x = half / pi
+    differ only where pi * (half / pi) does not round back to half: by at
+    most 1.7e-15 on rotation vectors over nine decades."""
+    rng = np.random.default_rng(11)
+    phi = rng.normal(size=(20000, 3)) * 10.0 ** rng.uniform(-8.0, 1.0, size=(20000, 1))
+    got = last_axis(quat_from_axis_angle(phi.T))
+    assert np.max(np.abs(got - sinc_quat_from_axis_angle(phi))) <= 4e-15
 
 
 def test_integrate_zero_rate():
@@ -285,8 +313,9 @@ def ref_compose_mrp(q_ref, e):
 
 
 def ref_quat_from_axis_angle(phi):
-    half = 0.5 * geo.norm(phi, keepdims=True)
-    k = 0.5 * np.sinc(half / np.pi)
+    angle = geo.norm(phi, keepdims=True)
+    half = 0.5 * angle
+    k = np.sin(half) / np.maximum(angle, np.finfo(float).smallest_subnormal)
     return np.concatenate([np.cos(half), k * phi], axis=-1)
 
 
@@ -390,15 +419,57 @@ def random_cov(rng, n, scale=1.0):
     return scale * (A @ A.T + n * np.eye(n))
 
 
+# The reference forms below are the sigma points, reconstruction and
+# transform as they stood on the (2n+1, n) last-axis layout, with the
+# weights passed along; the tolerance tests of the filter's updates run
+# their references on them.
+
+
+def ref_sigma_points(mean, cov):
+    scale, wm, wc, jitter = geo._sigma_constants(mean.shape[0])
+    root = geo._factor(scale * cov, jitter)
+    points = np.empty((2 * mean.shape[0] + 1, mean.shape[0]))
+    points[0] = mean
+    points[1 : mean.shape[0] + 1] = mean + root.T
+    points[mean.shape[0] + 1 :] = mean - root.T
+    return points, wm, wc
+
+
+def ref_reconstruct(points, wm, wc):
+    mean = wm @ points
+    d = points - mean
+    cov = d.T @ (wc[:, None] * d)
+    return mean, 0.5 * (cov + cov.T)
+
+
+def ref_unscented_transform(mean, cov, func):
+    points, wm, wc = ref_sigma_points(mean, cov)
+    ys = func(points)
+    mean_y, cov_y = ref_reconstruct(ys, wm, wc)
+    cross = (points - mean).T @ (wc[:, None] * (ys - mean_y))
+    return mean_y, cov_y, cross
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 18])
+def test_sigma_points_are_the_reference_set_transposed_bitwise(n):
+    rng = np.random.default_rng(30 + n)
+    mean = rng.normal(size=n)
+    cov = random_cov(rng, n)
+    xs = sigma_points(mean, cov)
+    assert xs.shape == (n, 2 * n + 1) and xs.flags.c_contiguous
+    assert np.array_equal(xs, ref_sigma_points(mean, cov)[0].T)
+
+
 @pytest.mark.parametrize("n", [1, 3, 6, 18])
 def test_sigma_point_reconstruction(n):
     rng = np.random.default_rng(20 + n)
     mean = rng.normal(size=n)
     cov = random_cov(rng, n)
-    sp = sigma_points(mean, cov)
-    assert sp.points.shape == (2 * n + 1, n)
-    assert np.sum(sp.wm) == pytest.approx(1.0)
-    m2, c2 = reconstruct(sp.points, sp.wm, sp.wc)
+    xs = sigma_points(mean, cov)
+    assert xs.shape == (n, 2 * n + 1)
+    # the mean weights sum to one
+    assert reconstruct(np.ones((1, 2 * n + 1)))[0][0] == pytest.approx(1.0)
+    m2, c2 = reconstruct(xs)
     assert np.allclose(m2, mean, atol=1e-9)
     assert np.allclose(c2, cov, atol=1e-9 * max(1.0, np.abs(cov).max()))
 
@@ -406,8 +477,7 @@ def test_sigma_point_reconstruction(n):
 def test_sigma_points_jitter_repairs_semidefinite():
     # rank-deficient but symmetric: jitter must make the factorization go
     cov = np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-    sp = sigma_points(np.zeros(3), cov)
-    m2, c2 = reconstruct(sp.points, sp.wm, sp.wc)
+    m2, c2 = reconstruct(sigma_points(np.zeros(3), cov))
     assert np.allclose(c2, cov, atol=1e-6)
 
 
@@ -419,7 +489,7 @@ def test_sigma_points_rejects_indefinite():
 
 def test_ut_affine_example():
     mean, cov, cross = unscented_transform(
-        np.array([1.0, 2.0]), np.eye(2), lambda pts: 2.0 * pts
+        np.array([1.0, 2.0]), np.eye(2), lambda xs: 2.0 * xs
     )
     assert np.allclose(mean, [2.0, 4.0], atol=1e-8)
     assert np.allclose(cov, 4.0 * np.eye(2), atol=1e-8)
@@ -428,7 +498,7 @@ def test_ut_affine_example():
 
 def test_ut_constant_map():
     mean, cov, cross = unscented_transform(
-        np.zeros(3), np.eye(3), lambda pts: np.full((pts.shape[0], 1), 5.0)
+        np.zeros(3), np.eye(3), lambda xs: np.full((1, xs.shape[1]), 5.0)
     )
     assert np.allclose(mean, [5.0])
     assert np.allclose(cov, 0.0, atol=1e-12)
@@ -437,7 +507,7 @@ def test_ut_constant_map():
 
 def test_ut_square_matches_monte_carlo():
     mean, _, _ = unscented_transform(
-        np.zeros(1), np.eye(1), lambda pts: pts**2
+        np.zeros(1), np.eye(1), lambda xs: xs**2
     )
     rng = np.random.default_rng(21)
     mc = np.mean(rng.normal(size=1_000_000) ** 2)
@@ -453,8 +523,12 @@ def test_ut_random_affine_sweep():
         b = rng.normal(size=m)
         mean = rng.normal(size=n)
         cov = random_cov(rng, n)
-        my, cy, cxy = unscented_transform(mean, cov, lambda pts: pts @ A.T + b)
+        my, cy, cxy = unscented_transform(mean, cov, lambda xs: A @ xs + b[:, None])
         scale = max(1.0, np.abs(cov).max(), np.abs(A).max() ** 2)
         assert np.allclose(my, A @ mean + b, atol=1e-8 * scale)
         assert np.allclose(cy, A @ cov @ A.T, atol=1e-8 * scale)
         assert np.allclose(cxy, cov @ A.T, atol=1e-8 * scale)
+        # the block transform is the reference's to rounding
+        ref = ref_unscented_transform(mean, cov, lambda pts: pts @ A.T + b)
+        for got, want in zip((my, cy, cxy), ref):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -225,7 +225,7 @@ def test_noiseless_angles_match_forward_model(circle3_clean):
     v = tr.col("vx", "vy", "vz")[idx]
     w = tr.col("wx", "wy", "wz")[idx]
     wind = tr.col("wind_x", "wind_y", "wind_z")[idx]
-    expect = whisker.rig_predict(q, v, w, wind, sc.rig)
+    expect = whisker.rig_predict(q.T, v.T, w.T, wind.T, sc.rig).transpose(2, 0, 1)
     assert np.allclose(got, expect, atol=1e-12)
 
 

@@ -97,7 +97,7 @@ def test_fit_scale_consistency():
 def test_coefficient_noiseless():
     rng = np.random.default_rng(53)
     v = rng.uniform(-3.0, 3.0, size=(200, 3))
-    th = whisker.predict_deflection(v, 0.01)
+    th = whisker.predict_deflection(v.T, 0.01).T
     c = identify_sensor_coefficient(th, v)
     assert c == pytest.approx(0.01, abs=1e-9)
 
@@ -105,7 +105,7 @@ def test_coefficient_noiseless():
 def test_coefficient_with_noise():
     rng = np.random.default_rng(54)
     v = rng.uniform(-3.0, 3.0, size=(500, 3))
-    th = whisker.predict_deflection(v, 0.01)
+    th = whisker.predict_deflection(v.T, 0.01).T
     th = th * (1.0 + 0.10 * rng.normal(size=th.shape))
     c = identify_sensor_coefficient(th, v)
     assert c == pytest.approx(0.01, rel=0.05)
@@ -114,7 +114,7 @@ def test_coefficient_with_noise():
 def test_coefficient_pure_z_fails():
     v = np.zeros((50, 3))
     v[:, 2] = np.linspace(0.5, 3.0, 50)
-    th = whisker.predict_deflection(v, 0.01)
+    th = whisker.predict_deflection(v.T, 0.01).T
     with pytest.raises(ValueError):
         identify_sensor_coefficient(th, v)
 
@@ -124,7 +124,7 @@ def test_coefficient_rotation_invariant():
     unchanged (only norms enter)."""
     rng = np.random.default_rng(55)
     v = rng.uniform(-3.0, 3.0, size=(100, 3))
-    th = whisker.predict_deflection(v, 0.01)
+    th = whisker.predict_deflection(v.T, 0.01).T
     phi = rng.uniform(-np.pi, np.pi, 100)
     c, s = np.cos(phi), np.sin(phi)
     v_rot = np.column_stack([c * v[:, 0] - s * v[:, 1], s * v[:, 0] + c * v[:, 1], v[:, 2]])

@@ -5,7 +5,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from test_geometry import ref_compose_mrp, ref_mrp_error, ref_quat_integrate, ref_quat_normalize
+from test_geometry import (
+    ref_compose_mrp,
+    ref_mrp_error,
+    ref_quat_integrate,
+    ref_quat_normalize,
+    ref_reconstruct,
+    ref_sigma_points,
+    ref_unscented_transform,
+)
+from test_whisker import ref_body_airflow, ref_rig_predict
 from windest import geometry, logio, ukf, vehicle, whisker
 from windest.geometry import (
     mrp_error,
@@ -184,8 +193,7 @@ def ref_predict(belief, u, dt, noise, params):
     h = dt / n
     q_noise = np.diag(noise.density * h)
     for _ in range(n):
-        sp = geometry.sigma_points(belief.mean, belief.cov)
-        pts = sp.points
+        pts, wm, wc = ref_sigma_points(belief.mean, belief.cov)
         p2, v2, q2, w2 = ref_euler_step_arrays(
             pts[:, IDX_P], pts[:, IDX_V], ref_compose_mrp(belief.q_ref, pts[:, IDX_A]),
             pts[:, IDX_W], u.thrust, u.torque, pts[:, IDX_F], pts[:, IDX_WIND], params, h,
@@ -198,7 +206,7 @@ def ref_predict(belief, u, dt, noise, params):
         out[:, IDX_W] = w2
         out[:, IDX_F] = pts[:, IDX_F]
         out[:, IDX_WIND] = pts[:, IDX_WIND]
-        mean, cov = geometry.reconstruct(out, sp.wm, sp.wc)
+        mean, cov = ref_reconstruct(out, wm, wc)
         cov += q_noise
         belief = BeliefState(q_ref, mean, cov, belief.t + h)
     return belief
@@ -473,9 +481,9 @@ def test_pseudo_update_is_the_kalman_step_of_the_unscented_transform():
     b = BeliefState(np.array(quat_from_axis_angle(rng.normal(size=3))), mean, cov)
     z, r_var = rng.normal(size=3), 0.05**2
 
-    def h(pts):
-        q = np.transpose(geometry.compose_mrp(b.q_ref, pts.T[IDX_A]))
-        return whisker.body_airflow(q, pts[:, IDX_WIND], pts[:, IDX_V])
+    def h(x):
+        q = geometry.quat_normalize_rows(geometry.quat_right_matrix(b.q_ref) @ quat_from_mrp(x[IDX_A]))
+        return whisker.body_airflow(q, x[IDX_WIND], x[IDX_V])
 
     y, cov_y, cross = geometry.unscented_transform(b.mean, b.cov, h)
     S = cov_y + r_var * np.eye(3)
@@ -544,6 +552,117 @@ def test_output_body_frame_airflow():
     v_inf_body = output(b, VehicleParams())[logio.VINF_COLS]
     R = quat_to_matrix(yaw90)
     assert np.allclose(v_inf_body, R.T @ np.array([2.0, 0.0, 0.0]), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the measurement side against its last-axis references
+#
+# The references are the whisker updates, the posterior fold and the
+# estimate row as they stood on the (37, 18) last-axis sigma set: the
+# attitudes by compose_mrp on rows, the references' last-axis whisker
+# kernels, the transform with its weights passed along.  The block
+# updates form the attitudes, the body airflow and the mounts' airflow
+# as matrix products, which round differently in the last bits.
+
+# largest difference from the references, relative to the largest entry
+# of the reference array; fixed before the updates moved to blocks
+UPDATE_REL_TOL = 1e-12
+
+
+def ref_posterior(belief, mean, cov):
+    q_ref = belief.q_ref
+    e = mean[IDX_A]
+    if e @ e > 0.0:
+        q_ref = ref_compose_mrp(q_ref, e)
+        mean[IDX_A] = 0.0
+    return BeliefState(q_ref, mean, 0.5 * (cov + cov.T), belief.t)
+
+
+def ref_ut_update(belief, z, r_cov, h_batch):
+    y_mean, cov_y, cross = ref_unscented_transform(belief.mean, belief.cov, h_batch)
+    S = cov_y + r_cov
+    K = np.linalg.solve(S.T, cross.T).T
+    return ref_posterior(belief, belief.mean + K @ (z - y_mean), belief.cov - K @ S @ K.T)
+
+
+def ref_update_airflow(belief, theta, r_sigma, rig):
+    valid = np.all(np.isfinite(theta), axis=1)
+    if not np.any(valid):
+        return belief
+    z = theta[valid].ravel()
+
+    def h_batch(pts):
+        q = ref_compose_mrp(belief.q_ref, pts[:, IDX_A])
+        pred = ref_rig_predict(q, pts[:, IDX_V], pts[:, IDX_W], pts[:, IDX_WIND], rig, valid)
+        return pred.reshape(pts.shape[0], -1)
+
+    return ref_ut_update(belief, z, r_sigma**2 * np.eye(z.shape[0]), h_batch)
+
+
+def ref_update_pseudo_airflow(belief, v_inf_body, r_var):
+    def h_batch(pts):
+        q = ref_compose_mrp(belief.q_ref, pts[:, IDX_A])
+        return ref_body_airflow(q, pts[:, IDX_WIND], pts[:, IDX_V])
+
+    return ref_ut_update(belief, v_inf_body, r_var * np.eye(3), h_batch)
+
+
+def ref_output(belief, params):
+    wind, v = belief.mean[IDX_WIND], belief.mean[IDX_V]
+    row = np.empty(len(logio.ESTIMATE_COLUMNS))
+    row[logio.TOUCH_COLS] = belief.mean[IDX_F]
+    row[logio.WIND_COLS] = wind
+    row[logio.VINF_COLS] = ref_body_airflow(ref_compose_mrp(belief.q_ref, belief.mean[IDX_A]), wind, v)
+    row[logio.DRAG_COLS] = vehicle.drag_force(wind - v, params)
+    return row
+
+
+def assert_belief_within_tol(got, ref):
+    for a, b in ((got.q_ref, ref.q_ref), (got.mean, ref.mean), (got.cov, ref.cov)):
+        assert np.max(np.abs(a - b)) <= UPDATE_REL_TOL * np.max(np.abs(b))
+    assert got.t == ref.t
+
+
+def random_belief(rng, t):
+    A = rng.normal(0.0, 0.1, (STATE_DIM, STATE_DIM))
+    mean = rng.normal(0.0, 1.0, STATE_DIM)
+    mean[IDX_A] *= 0.05
+    q_ref = geometry.quat_normalize_rows(rng.normal(size=4))
+    return BeliefState(q_ref, mean, A @ A.T + 1e-4 * np.eye(STATE_DIM), t=t)
+
+
+def test_measurement_side_matches_reference_updates():
+    """200 random beliefs: each whisker update (every fifth with one
+    sensor invalid, every twentieth with all invalid), pseudo update and
+    estimate row within UPDATE_REL_TOL of the references."""
+    rng = np.random.default_rng(61)
+    rig = default_rig()
+    params = VehicleParams()
+    for i in range(200):
+        b = random_belief(rng, float(i))
+        x = b.mean + rng.multivariate_normal(np.zeros(STATE_DIM), b.cov)
+        q_true = geometry.compose_mrp(b.q_ref, x[IDX_A])
+        theta = whisker.rig_predict(q_true, x[IDX_V], x[IDX_W], x[IDX_WIND], rig)
+        theta = theta + rng.normal(0.0, 0.005, theta.shape)
+        if i % 20 == 0:
+            theta[:] = np.nan
+        elif i % 5 == 0:
+            theta[rng.integers(len(rig)), rng.integers(2)] = np.nan
+        got, ok = update_airflow(b, theta, 0.005, rig)
+        ref = ref_update_airflow(b, theta, 0.005, rig)
+        assert ok == (i % 20 != 0)
+        if not ok:
+            assert got is b and ref is b
+        else:
+            assert_belief_within_tol(got, ref)
+
+        z = whisker.body_airflow(q_true, x[IDX_WIND], x[IDX_V]) + rng.normal(0.0, 0.3, 3)
+        got, ok = update_pseudo_airflow(b, z, 0.3**2)
+        assert ok
+        assert_belief_within_tol(got, ref_update_pseudo_airflow(b, z, 0.3**2))
+
+        row, ref_row = output(b, params), ref_output(b, params)
+        assert np.max(np.abs(row - ref_row)) <= UPDATE_REL_TOL * np.max(np.abs(ref_row))
 
 
 def test_init_belief_blocks():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from windest import whisker as wk
-from windest.geometry import quat_normalize_rows, quat_rotate, quat_conjugate
+from windest.geometry import cross, norm, quat_normalize_rows, quat_rotate, quat_conjugate
 from windest.whisker import (
     SOUTH_UP,
     SensorMount,
@@ -31,7 +31,7 @@ def north_south_rig():
 
 def mount_airflow(v_inf_b, omega_b, m):
     """Sensor-frame airflow of a single mount, through a one-mount rig."""
-    return rig_airflow(v_inf_b, omega_b, WhiskerRig([m]))[..., 0, :]
+    return rig_airflow(v_inf_b, omega_b, WhiskerRig([m]))[0]
 
 
 def test_decode_at_rest():
@@ -114,12 +114,14 @@ def test_rig_airflow_batch_matches_each_mount_bitwise():
     """All mounts at once, batched or not, round as each mount alone."""
     rig = default_rig()
     rng = np.random.default_rng(49)
-    v, w = rng.normal(size=(9, 3)), rng.normal(size=(9, 3))
+    v, w = rng.normal(size=(3, 9)), rng.normal(size=(3, 9))
     out = rig_airflow(v, w, rig)
-    assert out.shape == (9, len(rig), 3)
+    assert out.shape == (len(rig), 3, 9)
     for i, m in enumerate(rig.mounts):
-        assert np.array_equal(out[:, i], mount_airflow(v, w, m))
-        assert np.array_equal(rig_airflow(v[0], w[0], rig)[i], mount_airflow(v[0], w[0], m))
+        assert np.array_equal(out[i], mount_airflow(v, w, m))
+        assert np.array_equal(
+            rig_airflow(v[:, 0], w[:, 0], rig)[i], mount_airflow(v[:, 0], w[:, 0], m)
+        )
 
 
 def test_predict_deflection_zero():
@@ -202,10 +204,9 @@ def test_rig_predict_shape_and_batch():
     v, w, wind = np.array([1.0, 0, 0]), np.array([0, 0, 0.2]), np.array([0.5, 0, 0])
     single = rig_predict(q, v, w, wind, rig)
     assert single.shape == (4, 2)
-    qb = np.tile(q, (6, 1))
-    batch = rig_predict(qb, np.tile(v, (6, 1)), w, wind, rig)
-    assert batch.shape == (6, 4, 2)
-    assert np.allclose(batch[3], single)
+    batch = rig_predict(*(np.tile(x[:, None], (1, 6)) for x in (q, v, w)), wind[:, None], rig)
+    assert batch.shape == (4, 2, 6)
+    assert np.allclose(batch[..., 3], single)
 
 
 def test_rig_predict_matches_per_mount():
@@ -222,11 +223,84 @@ def test_rig_predict_matches_per_mount():
 def test_rig_predict_sensor_mask_matches_subrig():
     rig = default_rig()
     rng = np.random.default_rng(48)
-    q = np.stack(quat_normalize_rows(rng.normal(size=(9, 4)).T), axis=-1)
-    v, w, wind = rng.normal(size=(9, 3)), rng.normal(size=(9, 3)) * 0.3, rng.normal(size=(9, 3))
+    q = quat_normalize_rows(rng.normal(size=(4, 9)))
+    v, w, wind = rng.normal(size=(3, 9)), rng.normal(size=(3, 9)) * 0.3, rng.normal(size=(3, 9))
     keep = np.array([True, False, True, True])
     sub = wk.WhiskerRig([m for m, k in zip(rig.mounts, keep) if k])
     out = rig_predict(q, v, w, wind, rig, sensors=keep)
-    assert out.shape == (9, 3, 2)
+    assert out.shape == (3, 2, 9)
     assert np.array_equal(out, rig_predict(q, v, w, wind, sub))
-    assert np.array_equal(out, rig_predict(q, v, w, wind, rig)[:, keep])
+    assert np.array_equal(out, rig_predict(q, v, w, wind, rig)[keep])
+
+
+# ---------------------------------------------------------------------------
+# the whisker kernels against their last-axis references
+#
+# ref_body_airflow and ref_rig_predict are the body airflow and the rig's
+# deflections as they stood on the last axis (quaternion and vectors on
+# the last axis, leading batch axes, one (..., 3) @ (3, 3) product per
+# mount).  The component-first kernels form the body airflow as one
+# quadratic form and every mount's airflow as one (3 n, 6) product, which
+# round differently in the last bits.
+
+# largest difference from the references, relative to the largest entry
+# of the reference array; fixed before the kernels moved to blocks
+WHISKER_REL_TOL = 1e-12
+
+
+def ref_body_airflow(q_wb, v_wind_w, v_w):
+    return quat_rotate(quat_conjugate(q_wb), v_wind_w - v_w)
+
+
+def ref_rig_predict(q_wb, v_w, omega_b, v_wind_w, rig, sensors=None):
+    idx = np.arange(len(rig)) if sensors is None else np.arange(len(rig))[sensors]
+    r = np.array([rig.mounts[i].r for i in idx]).reshape(-1, 3)
+    rot = np.array([rig.mounts[i].rot for i in idx]).reshape(-1, 3, 3)
+    coeff = rig.coeff[idx]
+    v_inf_b = ref_body_airflow(q_wb, v_wind_w, v_w)
+    batch = (1,) * (max(v_inf_b.ndim, omega_b.ndim) - 1)
+    local = v_inf_b - cross(omega_b, r.reshape((-1,) + batch + (3,)))
+    v_s = np.stack([local[i] @ rot[i] for i in range(len(r))], axis=-2)
+    speed = norm(v_s)
+    return np.stack([-coeff * speed * v_s[..., 1], coeff * speed * v_s[..., 0]], axis=-1)
+
+
+def random_rig(rng):
+    mounts = []
+    for i in range(int(rng.integers(1, 6))):
+        q = quat_normalize_rows(rng.normal(size=4))
+        rot = np.array([quat_rotate(q, e) for e in np.eye(3)]).T
+        mounts.append(SensorMount(f"s{i}", rng.normal(0.0, 0.2, 3), rot, float(rng.uniform(0.005, 0.02))))
+    return WhiskerRig(mounts)
+
+
+def assert_within_tol(got, ref):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= WHISKER_REL_TOL * np.max(np.abs(ref))
+
+
+def test_whisker_kernels_match_last_axis_references():
+    """200 random states as one block and one at a time, on the default
+    rig and on random rigs, with and without a sensor mask: body airflow
+    and deflections within WHISKER_REL_TOL of the references."""
+    rng = np.random.default_rng(56)
+    m = 200
+    q = quat_normalize_rows(rng.normal(size=(4, m)))
+    v, w, wind = rng.normal(0.0, 2.0, (3, m)), rng.normal(0.0, 0.5, (3, m)), rng.normal(0.0, 2.0, (3, m))
+    assert_within_tol(body_airflow(q, wind, v).T, ref_body_airflow(q.T, wind.T, v.T))
+    for rig in [default_rig()] + [random_rig(rng) for _ in range(5)]:
+        ref = ref_rig_predict(q.T, v.T, w.T, wind.T, rig)
+        assert_within_tol(rig_predict(q, v, w, wind, rig).transpose(2, 0, 1), ref)
+        mask = rng.random(len(rig)) < 0.6
+        if mask.any():
+            assert_within_tol(
+                rig_predict(q, v, w, wind, rig, sensors=mask).transpose(2, 0, 1),
+                ref_rig_predict(q.T, v.T, w.T, wind.T, rig, sensors=mask),
+            )
+        for k in range(0, m, 20):
+            args = q[:, k], v[:, k], w[:, k], wind[:, k]
+            assert_within_tol(rig_predict(*args, rig), ref[k])
+            assert_within_tol(
+                body_airflow(q[:, k], wind[:, k], v[:, k]),
+                ref_body_airflow(q[:, k], wind[:, k], v[:, k]),
+            )
