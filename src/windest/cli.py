@@ -76,17 +76,21 @@ def cmd_sim(args):
 
 
 def cmd_sysid(args):
-    log = load_log(args.log)
+    log = load_log(args.log, "odometry", "whisker")
     cfg = EstimatorConfig()
     odo = log["odometry"]
-    q = odo.col("qw", "qx", "qy", "qz")
-    v = odo.col("vx", "vy", "vz")
-    w = odo.col("wx", "wy", "wz")
+    # an odometry row holding a non-finite value is left out, as the replay
+    # leaves it out: the low-pass before differentiating would spread it
+    keep = np.isfinite(odo.data).all(axis=1)
+    t_odo = odo.t[keep]
+    q = odo.col("qw", "qx", "qy", "qz")[keep]
+    v = odo.col("vx", "vy", "vz")[keep]
+    w = odo.col("wx", "wy", "wz")[keep]
 
-    samples = sysid.collect_drag_samples(odo.t, q, v, cfg.vehicle.mass)
+    samples = sysid.collect_drag_samples(t_odo, q, v, cfg.vehicle.mass)
     fit = sysid.fit_drag_polynomial(samples)
     t_theta, theta, _ = pipeline.driver_angles(log, cfg)
-    coeffs = sysid.identify_rig_coefficients(t_theta, theta, odo.t, q, v, w, cfg.rig)
+    coeffs = sysid.identify_rig_coefficients(t_theta, theta, t_odo, q, v, w, cfg.rig)
 
     cfg.vehicle = replace(cfg.vehicle, mu1=fit.mu1, mu2=fit.mu2)
     cfg.rig = WhiskerRig(

@@ -2,10 +2,10 @@
 
 Conventions
 -----------
-Quaternions are scalar-first ndarrays ``[w, x, y, z]`` composed with the
-Hamilton product.  ``q_WB`` rotates body-frame vectors into the world
-frame: ``v_W = quat_rotate(q_WB, v_B)``, i.e. ``quat_to_matrix(q_WB)``
-stacks the body axes expressed in world coordinates as its columns.
+Quaternions are scalar-first ``[w, x, y, z]`` composed with the Hamilton
+product.  ``q_WB`` rotates body-frame vectors into the world frame:
+``v_W = R(q_WB) v_B``, where ``R(q_WB)`` (``quat_to_matrix``) stacks the
+body axes expressed in world coordinates as its columns.
 
 Attitude errors use generalized Rodrigues parameters with ``a = 1`` and
 ``f = 2 (a + 1) = 4``, so the error vector equals the rotation angle in
@@ -14,12 +14,10 @@ the filter relies on ``a = 1``, for which quat_from_mrp's scalar part
 never goes negative.  Error quaternions compose on the left:
 ``q = dq (x) q_ref``.
 
-Two layouts, and blocks
------------------------
-The sysid kernels (``quat_rotate``, ``quat_conjugate``,
-``quat_to_matrix``) broadcast over leading axes with the quaternion /
-vector on the last axis.  They take float ndarrays and convert nothing
-(only quat_to_matrix also takes a sequence).
+Rows and blocks
+---------------
+Everything here is component-first, except ``quat_to_matrix``, which
+forms one R(q) on Python floats for the simulator's control tick.
 
 The quaternion product and normalization (``quat_multiply_rows``,
 ``quat_normalize_rows``) and the filter's attitude algebra built on them
@@ -39,11 +37,9 @@ simulator's odometry noise calls the same kernels on one quaternion.
 
 The filter steps 37 sigma points at each of thousands of events, where
 the cost is the number of numpy calls, not the arithmetic.  On rows each
-product or sum is one call, with no last-axis slicing, ``np.empty`` or
-assembly around it.  An elementwise operation rounds the same whatever
-the shape of its operands, and each row kernel keeps the term order of
-the last-axis formula it replaced, so a batch and a single quaternion
-get the bits the last-axis kernels gave.
+product or sum is one call, with no slicing, ``np.empty`` or assembly
+around it.  An elementwise operation rounds the same whatever the shape
+of its operands, so a batch and a single quaternion get the same bits.
 
 The filter goes one step further and works on blocks, from the draw to
 the update: ``sigma_points`` writes the set as one C-ordered (n, 2n+1)
@@ -55,9 +51,17 @@ quaternion, the composition with the reference and the errors about the
 new reference, is one 4x4 matrix product, ``quat_right_matrix(r) @ q``.
 It sums its terms in another order than quat_multiply_rows, so it rounds
 differently in the last bits; the product that differs per point, the
-quaternion integration, stays on rows.  The whisker kernels (the body
-airflow, each mount's airflow and the deflections, in whisker.py) take
-the same component-first blocks.
+quaternion integration, stays on rows.
+
+The rotation matrix
+-------------------
+R(q) is quadratic in q, so ``ROTATION_FORM``, a constant (9, 16)
+matrix, takes vec(q q^T) to vec(R(q)), and one matrix product rotates a
+whole block.  It is the one array encoding of R(q): read row-major it is
+R^T (``rotation_transposed``: the whisker kernels' body airflow and
+sysid's body-frame kinematics), and its rows 6:9, R's third column, give
+the filter's thrust direction (vehicle.euler_step_arrays) and sysid's
+world thrust and R33 = cos(roll) cos(pitch).
 
 Sigma points
 ------------
@@ -69,18 +73,6 @@ width.  ``unscented_transform`` is the one place sigma-point statistics
 (mean, covariance and input-output cross covariance) are formed for a
 measurement; the filter's process update needs no cross covariance and
 calls ``sigma_points`` and ``reconstruct`` directly.
-
-Explicit kernels
-----------------
-``cross``, ``dot`` and ``norm`` work on the last axis with one numpy
-operation per vector component, and quat_rotate is built on them; the
-drag force and the constant matrices of the vehicle and the rig use
-them too.  ``np.cross`` spends most of its time in ``moveaxis`` and
-axis normalization rather than arithmetic, and ``np.linalg.norm`` and
-``np.sum`` pay for a general reduction.  The kernels keep numpy's term
-order (``np.cross``'s products, left-to-right sums as numpy's
-reductions take them over a short last axis), so they agree with the
-calls they replace bit for bit.
 """
 
 from __future__ import annotations
@@ -103,48 +95,9 @@ class CovarianceError(RuntimeError):
     """Raised when a covariance cannot be factorized even after jitter."""
 
 
-def cross(a, b):
-    """a x b over the last axis (length 3), broadcasting like np.cross."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    c0 = a1 * b2 - a2 * b1
-    out = np.empty(c0.shape + (3,))
-    out[..., 0] = c0
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
-
-
-def dot(a, b):
-    """Sum of a * b over the last axis, summed left to right."""
-    s = a[..., 0] * b[..., 0]
-    for k in range(1, a.shape[-1]):
-        s = s + a[..., k] * b[..., k]
-    return s
-
-
-def norm(x, keepdims=False):
-    """Euclidean norm over the last axis."""
-    n = np.sqrt(dot(x, x))
-    return n[..., None] if keepdims else n
-
-
-def quat_conjugate(q):
-    out = q.copy()
-    out[..., 1:] = -out[..., 1:]
-    return out
-
-
-def quat_rotate(q, v):
-    """Rotate vector(s) v by quaternion(s) q (frame of q's columns)."""
-    qw, qv = q[..., :1], q[..., 1:]
-    t = 2.0 * cross(qv, v)
-    return v + qw * t + cross(qv, t)
-
-
 def quat_to_matrix(q):
-    """Rotation matrix with the same action as quat_rotate(q, .); q is
-    one quaternion, an array or a sequence of floats."""
+    """The rotation matrix R(q) of one quaternion, an array or a sequence
+    of floats, on Python floats (the simulator's control tick)."""
     w, x, y, z = map(float, q)
     return np.array(
         [
@@ -153,6 +106,39 @@ def quat_to_matrix(q):
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
     )
+
+
+def _rotation_form():
+    """vec(R(q)) of a unit quaternion q as a quadratic form: entry 3 c + r
+    of _rotation_form() @ vec(q q^T) is R(q)[r, c] (vec stacks the
+    columns), entry 4 j + k of vec(q q^T) being q_j q_k.  With
+    q = (w, v), R(q) = (w^2 - |v|^2) I + 2 v v^T + 2 w [v]x."""
+    f = np.zeros((3, 3, 4, 4))  # f[c, r] is the form of R[r, c]
+    for c in range(3):
+        f[c, c, 0, 0] = 1.0
+        for r in range(3):
+            f[c, c, 1 + r, 1 + r] -= 1.0
+            f[c, r, 1 + c, 1 + r] += 1.0
+            f[c, r, 1 + r, 1 + c] += 1.0
+        # 2 w [v]x[r, c] is +2 w v_k for (c, r, k) cyclic, -2 w v_k for (r, c, k)
+        r, k = (c + 1) % 3, (c + 2) % 3
+        f[c, r, 0, 1 + k] = f[c, r, 1 + k, 0] = 1.0
+        f[r, c, 0, 1 + k] = f[r, c, 1 + k, 0] = -1.0
+    return f.reshape(9, 16)
+
+
+ROTATION_FORM = _rotation_form()
+ROTATION_FORM.flags.writeable = False
+
+
+def rotation_transposed(q):
+    """R(q)^T of a (4,) unit quaternion as a (3, 3) array, or of each
+    column of a (4, m) block as a (3, 3, m) array: ROTATION_FORM times
+    vec(q q^T), read row-major.  Row c is R's column c, body axis c in
+    world coordinates."""
+    batch = q.shape[1:]
+    qq = (q[:, None] * q).reshape((16,) + batch)
+    return (ROTATION_FORM @ qq).reshape((3, 3) + batch)
 
 
 # ---------------------------------------------------------------------------

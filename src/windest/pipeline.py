@@ -309,7 +309,7 @@ def truth_airflow_body(log: FlightLog, t_query):
 def truth_drag(log: FlightLog, t_query, vehicle: VehicleParams):
     v = truth_cols(log, t_query, "vx", "vy", "vz")
     wind = truth_cols(log, t_query, "wind_x", "wind_y", "wind_z")
-    return drag_force(wind - v, vehicle)
+    return drag_force((wind - v).T, vehicle).T
 
 
 def rms(x, axis=0):

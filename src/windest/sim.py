@@ -402,15 +402,15 @@ class ControllerParams:
     kd_att: np.ndarray = field(default_factory=lambda: np.array([24.0, 24.0, 14.0]))
 
 
-def allocation_matrix(arm=ARM_LENGTH, k_moment=K_MOMENT, spin=SPIN_DIRS):
+def allocation_matrix():
     """Rows map rotor forces to (collective force, body torques)."""
     B = np.zeros((4, N_ROTORS))
     for i in range(N_ROTORS):
         phi = math.radians(30.0) + i * math.radians(60.0)
         B[0, i] = 1.0
-        B[1, i] = arm * math.sin(phi)
-        B[2, i] = -arm * math.cos(phi)
-        B[3, i] = -spin[i] * k_moment
+        B[1, i] = ARM_LENGTH * math.sin(phi)
+        B[2, i] = -ARM_LENGTH * math.cos(phi)
+        B[3, i] = -SPIN_DIRS[i] * K_MOMENT
     return B
 
 
@@ -424,7 +424,7 @@ def _norm(x):
 
 
 def _cross(a, b):
-    """a x b on 3-sequences of floats, with geometry.cross's terms."""
+    """a x b on 3-sequences of floats, with np.cross's terms."""
     return (
         a[1] * b[2] - a[2] * b[1],
         a[2] * b[0] - a[0] * b[2],
@@ -444,10 +444,9 @@ def _normalize_quat(s):
 class Controller:
     """Cascaded position PID -> thrust direction -> attitude PD -> rotors."""
 
-    def __init__(self, params: ControllerParams, vehicle: VehicleParams, k_thrust=K_THRUST):
+    def __init__(self, params: ControllerParams, vehicle: VehicleParams):
         self.params = params
         self.vehicle = vehicle
-        self.k_thrust = k_thrust
         self.B = allocation_matrix()
         self.B_pinv = np.linalg.pinv(self.B)
         self.integral = [0.0, 0.0, 0.0]
@@ -490,7 +489,7 @@ class Controller:
         R = quat_to_matrix(s[6:10])
         # satisfy the vertical force balance exactly: f = f_des_z / b3_z
         f_cmd = f_des[2] / max(R.item(2, 2), 0.25)
-        f_cmd = min(max(f_cmd, 0.0), N_ROTORS * self.k_thrust)
+        f_cmd = min(max(f_cmd, 0.0), N_ROTORS * K_THRUST)
         # attitude setpoint from the desired force direction, yaw held at 0;
         # its columns are b1, b2, b3
         n = _norm(np.array(f_des))
@@ -510,7 +509,7 @@ class Controller:
         J = veh.inertia
         gx, gy, gz = _cross(w, (J @ np.array(w)).tolist())
         tx, ty, tz = (J @ ang_acc).tolist()
-        k = self.k_thrust
+        k = K_THRUST
         u = self.B_pinv @ np.array([f_cmd / k, (tx + gx) / k, (ty + gy) / k, (tz + gz) / k])
         u = u.clip(0.0, 1.0)
         wrench = self.B @ (k * u)

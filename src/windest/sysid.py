@@ -3,9 +3,12 @@
 Drag: during steady translation the projection of (body-frame thrust
 minus inertial acceleration) onto the direction of travel isolates the
 aerodynamic drag magnitude; thrust itself is recovered from the attitude
-needed to hold altitude, f = m g / (cos(roll) cos(pitch)).  Fitting
-force against speed with a no-intercept [v, v^2] basis yields (mu1,
-mu2).
+needed to hold altitude, f = m g / R33, where R33 = cos(roll) cos(pitch)
+is the world z component of the body z axis.  Fitting force against
+speed with a no-intercept [v, v^2] basis yields (mu1, mu2).  The
+rotations (acceleration and velocity into the body frame, thrust into
+the world) and R33 all come from geometry.rotation_transposed, one
+product over the log's samples.
 
 Whisker coefficient: with no ambient wind the relative airflow at a
 mount follows from odometry alone, and each paired sample gives
@@ -15,13 +18,12 @@ median over sufficiently fast planar samples.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import whisker
-from .geometry import quat_rotate, quat_conjugate
+from .geometry import rotation_transposed
 from .logio import zoh_indices
 from .vehicle import GRAVITY
 
@@ -29,7 +31,7 @@ MIN_PLANAR_SPEED = 0.2  # m/s, coefficient samples below this are discarded
 MIN_SPEED = 0.5  # m/s, drag samples below this are discarded
 MAX_VERTICAL_RATIO = 0.35  # drag samples need |v_z| below this share of the speed
 CUTOFF_HZ = 4.0  # low-pass corner before differentiating odometry velocity
-_MIN_CC = 0.2  # reject attitudes where cos(roll) cos(pitch) falls below this
+_MIN_CC = 0.2  # reject attitudes where R33 = cos(roll) cos(pitch) falls below this
 
 
 @dataclass
@@ -49,20 +51,12 @@ class DragFit:
         return self.mu1 * speed + self.mu2 * speed**2
 
 
-def roll_pitch_from_quat(q):
-    """ZYX roll and pitch of q_WB."""
-    w, x, y, z = (float(c) for c in np.asarray(q, dtype=float))
-    roll = math.atan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
-    pitch = math.asin(max(-1.0, min(1.0, 2.0 * (w * y - z * x))))
-    return roll, pitch
-
-
-def thrust_from_attitude(mass, roll, pitch):
-    """Thrust needed to hold altitude at the given tilt, f = m g / (cos r cos p)."""
-    cc = math.cos(roll) * math.cos(pitch)
-    if cc < _MIN_CC:
-        raise ValueError(f"attitude too far from level (cos r cos p = {cc:.3f})")
-    return mass * GRAVITY / cc
+def thrust_from_attitude(mass, r33):
+    """Thrust needed to hold altitude at the given tilt, f = m g / R33,
+    with R33 = cos(roll) cos(pitch) the world z component of body z."""
+    if r33 < _MIN_CC:
+        raise ValueError(f"attitude too far from level (cos r cos p = {r33:.3f})")
+    return mass * GRAVITY / r33
 
 
 def drag_projection(f_thrust, v_dot_body, e_v_body, mass):
@@ -151,6 +145,10 @@ def collect_drag_samples(t, p_q, v_world, mass, window=None):
     q = np.asarray(p_q, dtype=float)
     v = np.asarray(v_world, dtype=float)
     a = differentiate_velocity(t, v)
+    rt = rotation_transposed(q.T)
+    a_body = np.add.reduce(rt * a.T, axis=1).T
+    v_body = np.add.reduce(rt * v.T, axis=1).T
+    r33 = rt[2, 2].tolist()
     samples = []
     for k in range(t.shape[0]):
         if window is not None and not (window[0] <= t[k] <= window[1]):
@@ -158,13 +156,11 @@ def collect_drag_samples(t, p_q, v_world, mass, window=None):
         speed = float(np.linalg.norm(v[k]))
         if speed < MIN_SPEED or abs(v[k, 2]) > MAX_VERTICAL_RATIO * speed:
             continue
-        roll, pitch = roll_pitch_from_quat(q[k])
         try:
-            f_thrust = thrust_from_attitude(mass, roll, pitch)
+            f_thrust = thrust_from_attitude(mass, r33[k])
         except ValueError:
             continue
-        qc = quat_conjugate(q[k])
-        samples.append(drag_sample(f_thrust, quat_rotate(qc, a[k]), quat_rotate(qc, v[k]), mass))
+        samples.append(drag_sample(f_thrust, a_body[k], v_body[k], mass))
     return samples
 
 
@@ -182,7 +178,7 @@ def collect_drag_samples_truth(t, q, v, a, thrust, wind, touch, mass, window=Non
     thrust = np.asarray(thrust, dtype=float)
     wind = np.asarray(wind, dtype=float)
     touch = np.asarray(touch, dtype=float)
-    thrust_w = quat_rotate(q, np.column_stack([np.zeros_like(thrust), np.zeros_like(thrust), thrust]))
+    thrust_w = (rotation_transposed(q.T)[2] * thrust).T  # R(q) e3 f
     g_w = np.array([0.0, 0.0, -GRAVITY])
     v_inf = wind - v
     speed = np.linalg.norm(v_inf, axis=1)

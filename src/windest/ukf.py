@@ -116,8 +116,9 @@ class OdometryMeasurement:
             raise ValueError("odometry covariance must be 12x12")
 
 
-def init_belief(t, odo: OdometryMeasurement, sigma_touch=2.0, sigma_wind=2.0):
-    """Belief anchored at the first odometry sample, disturbances at zero."""
+def init_belief(t, odo: OdometryMeasurement, sigma_touch, sigma_wind):
+    """Belief anchored at the first odometry sample, disturbances at zero
+    with standard deviations sigma_touch (N) and sigma_wind (m/s)."""
     mean = np.zeros(STATE_DIM)
     mean[IDX_P] = odo.p
     mean[IDX_V] = odo.v

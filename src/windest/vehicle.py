@@ -20,18 +20,23 @@ filter's process update: each vector is a (3, m) array (rows of the
 transposed sigma points) and the attitude a (4, m) array.  The thrust
 direction and the gyroscopic term are quadratic in the state, so each
 is one matrix product over the outer products vec(q q^T) and
-vec(w w^T), with J^-1 folded into the gyroscopic form once per
-VehicleParams; the quaternion integration, a product that differs per
-point, runs on geometry's rows.  They stay two because a numpy step
-costs the same on one state as on 37 (26.5 us either way on a 2-core
-x86 host, AMD EPYC, Python 3.11, numpy 2.4; 28-30 us with every
-operation on rows), several times the scalar RK4 step: ``deriv`` takes
-0.9 us and ``rk4_step`` 5.5 us on the same host.
+vec(w w^T): the thrust direction with the rows of geometry.ROTATION_FORM
+that give R(q)'s third column, the gyroscopic term with a form that
+folds in J^-1 once per VehicleParams; the quaternion integration, a
+product that differs per point, runs on geometry's rows.  They stay two
+because a numpy step costs the same on one state as on 37 (26.5 us
+either way on a 2-core x86 host, AMD EPYC, Python 3.11, numpy 2.4;
+28-30 us with every operation on rows), several times the scalar RK4
+step: ``deriv`` takes 0.9 us and ``rk4_step`` 5.5 us on the same host.
 
 ``rk4_step`` takes its first stage ``k1 = deriv(s, ...)`` from the
 caller.  The simulator needs that start-of-step derivative anyway (the
 truth and IMU rows carry its acceleration), so each 1 kHz tick
 evaluates ``deriv`` four times, not five or six.
+
+``drag_force`` is the drag law's one array form, component-first like
+the filter's step, which calls it; so do the estimate rows and the
+truth labels.  ``deriv`` spells it out on Python floats.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import cross, norm, quat_integrate
+from .geometry import ROTATION_FORM, quat_integrate
 
 GRAVITY = 9.81
 _DRAG_EPS = 1e-9
@@ -76,12 +81,8 @@ class VehicleParams:
         # J^-1 (w x J w) = _gyro_form @ vec(w w^T), entry 3 j + l of
         # vec(w w^T) being w_j w_l: w x J w is the sum of w_j w_l (e_j x J e_l)
         self._gyro_form = self.inertia_inv @ np.array(
-            [cross(e, col) for e in np.eye(3) for col in self.inertia.T]
+            [np.cross(e, col) for e in np.eye(3) for col in self.inertia.T]
         ).T
-
-    @property
-    def gravity_vec(self):
-        return np.array([0.0, 0.0, -self.gravity])
 
 
 @dataclass
@@ -90,28 +91,15 @@ class WrenchInput:
     torque: np.ndarray  # body torque [N m]
 
 
-# the body z axis in world coordinates (the third column of the rotation
-# matrix of a unit quaternion q) is _BODY_Z_FORM @ vec(q q^T), entry 4 j + k
-# of vec(q q^T) being q_j q_k:
-#   (2 (w y + x z), 2 (y z - w x), w^2 - x^2 - y^2 + z^2)
-_BODY_Z_FORM = np.zeros((3, 16))
-_BODY_Z_FORM[0, [2, 7, 8, 13]] = 1.0
-_BODY_Z_FORM[1, [11, 14]], _BODY_Z_FORM[1, [1, 4]] = 1.0, -1.0
-_BODY_Z_FORM[2, [0, 15]], _BODY_Z_FORM[2, [5, 10]] = 1.0, -1.0
-
-
 def drag_force(v_inf, params: VehicleParams):
     """Isotropic drag (mu1 s + mu2 s^2) along the relative airflow.
 
-    Broadcasts over leading axes; exactly zero below a 1e-9 m/s speed
+    Component-first: v_inf is a (3,) vector or a (3, m) block (pass
+    (N, 3) columns transposed).  Exactly zero below a 1e-9 m/s speed
     floor to avoid a 0/0 direction.
     """
-    return _drag_factor(norm(v_inf, keepdims=True), params) * v_inf
-
-
-def _drag_factor(speed, params: VehicleParams):
-    """Drag force per unit relative airflow at the given speed."""
-    return np.where(speed < _DRAG_EPS, 0.0, params.mu1 + params.mu2 * speed)
+    speed = np.sqrt(v_inf[0] * v_inf[0] + v_inf[1] * v_inf[1] + v_inf[2] * v_inf[2])
+    return np.where(speed < _DRAG_EPS, 0.0, params.mu1 + params.mu2 * speed) * v_inf
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +185,11 @@ def euler_step_arrays(p, v, q, w, thrust, torque, touch, v_wind, params: Vehicle
     quaternions; thrust and torque are shared across the batch.  Returns
     the advanced (p, v, q, w) in the same layout.
     """
-    # thrust along the body z axis, from the quadratic form of q
+    # thrust along the body z axis, R(q)'s third column: rows 6:9 of the
+    # quadratic form of R(q)
     qq = (q[:, None] * q).reshape(16, -1)
-    u = v_wind - v
-    drag = _drag_factor(np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2]), params) * u
-    v_dot = ((thrust * _BODY_Z_FORM) @ qq + drag + touch) / params.mass
+    drag = drag_force(v_wind - v, params)
+    v_dot = ((thrust * ROTATION_FORM[6:]) @ qq + drag + touch) / params.mass
     v_dot[2] -= params.gravity
     # J w_dot = tau - w x J w, the gyroscopic term one product over vec(w w^T)
     ww = (w[:, None] * w).reshape(9, -1)

@@ -22,9 +22,9 @@ rig_predict) works on component-first arrays: a (4,) quaternion and
 (3,) vectors are one state, and (4, m) / (3, m) blocks are m states, the
 filter's 37 sigma points or a log's samples (pass (N, 3) columns
 transposed).  Each kernel is a few numpy calls whatever m is: the body
-airflow is one quadratic form over vec(q q^T) times the airflow, and all
-mounts' sensor-frame airflow is one (3 n, 6) product with the rig's
-stacked airflow map.  These are the only derivations of v_inf and of
+airflow is R(q)^T, from geometry's one quadratic form over vec(q q^T),
+times the airflow, and all mounts' sensor-frame airflow is one (3 n, 6)
+product with the rig's stacked airflow map.  These are the only derivations of v_inf and of
 the deflection model; the simulator, the filter, the truth labels and
 the rig identification all call them.
 """
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import cross
+from .geometry import rotation_transposed
 
 NORTH_UP = "north_up"
 SOUTH_UP = "south_up"
@@ -67,43 +67,19 @@ def synthesize_field(theta):
     return np.stack([bx, by, bz], axis=-1)
 
 
-def _body_frame_form():
-    """R(q)^T of a unit quaternion q as a quadratic form: entry 3 i + a of
-    _body_frame_form() @ vec(q q^T) is R(q)^T[i, a], entry 4 j + k of
-    vec(q q^T) being q_j q_k.  With q = (w, v),
-    R(q)^T = (w^2 - |v|^2) I + 2 v v^T - 2 w [v]x."""
-    f = np.zeros((3, 3, 4, 4))
-    for i in range(3):
-        f[i, i, 0, 0] = 1.0
-        for a in range(3):
-            f[i, i, 1 + a, 1 + a] -= 1.0
-            f[i, a, 1 + i, 1 + a] += 1.0
-            f[i, a, 1 + a, 1 + i] += 1.0
-        # -2 w [v]x[i, a] is +2 w v_k for (i, a, k) cyclic, -2 w v_k for (a, i, k)
-        a, k = (i + 1) % 3, (i + 2) % 3
-        f[i, a, 0, 1 + k] = f[i, a, 1 + k, 0] = 1.0
-        f[a, i, 0, 1 + k] = f[a, i, 1 + k, 0] = -1.0
-    return f.reshape(9, 16)
-
-
-_BODY_FRAME_FORM = _body_frame_form()
-
-
 def body_airflow(q_wb, v_wind_w, v_w):
     """Relative airflow at the centre of mass, body frame.
 
     World-frame wind minus world-frame vehicle velocity, rotated into the
-    body by the inverse of q_wb: R(q_wb)^T, one quadratic form over
-    vec(q q^T), times the airflow.  Component-first: q_wb is a (4,) unit
-    quaternion and the vectors (3,) arrays (one state), or (4, m) and
-    (3, m) blocks (the vectors may be (3, 1)); returns (3,) or (3, m).
+    body by the inverse of q_wb: R(q_wb)^T (geometry.rotation_transposed,
+    one quadratic form over vec(q q^T)) times the airflow.
+    Component-first: q_wb is a (4,) unit quaternion and the vectors (3,)
+    arrays (one state), or (4, m) and (3, m) blocks (the vectors may be
+    (3, 1)); returns (3,) or (3, m).
     This is the one place the filter, the truth labels and the rig
     identification derive v_inf from.
     """
-    batch = q_wb.shape[1:]
-    qq = (q_wb[:, None] * q_wb).reshape((16,) + batch)
-    rt = (_BODY_FRAME_FORM @ qq).reshape((3, 3) + batch)
-    return np.add.reduce(rt * (v_wind_w - v_w), axis=1)
+    return np.add.reduce(rotation_transposed(q_wb) * (v_wind_w - v_w), axis=1)
 
 
 def predict_deflection(v_inf_s, coeff):
@@ -154,7 +130,7 @@ class WhiskerRig:
         self.sign = np.where(south_up, -1.0, 1.0).reshape(-1, 1)
         # r x omega = [r]x omega, and the rows of [r]x's transpose are r x e_j
         self.airflow_matrix = np.array(
-            [np.hstack((m.rot.T, m.rot.T @ cross(m.r, np.eye(3)).T)) for m in self.mounts]
+            [np.hstack((m.rot.T, m.rot.T @ np.cross(m.r, np.eye(3)).T)) for m in self.mounts]
         ).reshape(-1, 3, 6)
 
     def __len__(self):

@@ -1,11 +1,12 @@
 """The package's surface stays small.
 
-Every public module-level function and class has a caller in the
-program.  A name that only the tests use is dead weight in the package:
-it has to be kept in step with the code that runs, and nothing that runs
-checks it.  The scan is textual: a name counts as used when it appears as
-a word in any Python file under src/ or bench/ outside the lines of its
-own definition (bench/ names the functions it wraps by string).
+Every public module-level function and class, and every public method
+and property of a class, has a caller in the program.  A name that only
+the tests use is dead weight in the package: it has to be kept in step
+with the code that runs, and nothing that runs checks it.  The scan is
+textual: a name counts as used when it appears as a word in any Python
+file under src/ or bench/ outside the lines of its own definition
+(bench/ names the functions it wraps by string).
 
 The number of settable values does not grow (see
 test_settable_values_do_not_grow).
@@ -19,14 +20,26 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "windest"
 
 
+def _public(nodes):
+    return [
+        n for n in nodes
+        if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")
+    ]
+
+
 def public_definitions():
-    """(module path, name, first line, last line) of each public def/class."""
+    """(module path, name, word, first line, last line) of each public
+    def/class at module level and each public method or property of a
+    class; word is the name that a caller writes."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                out.append((path, node.name, first, node.end_lineno))
+        for node in _public(ast.parse(path.read_text()).body):
+            defs = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{m.name}", m) for m in _public(node.body)]
+            for name, d in defs:
+                first = min([d.lineno] + [x.lineno for x in d.decorator_list])
+                out.append((path, name, d.name, first, d.end_lineno))
     return out
 
 
@@ -37,10 +50,10 @@ def unreferenced_names():
         for path in sorted(folder.rglob("*.py"))
     }
     unused = []
-    for def_path, name, first, last in public_definitions():
-        word = re.compile(rf"\b{re.escape(name)}\b")
+    for def_path, name, word, first, last in public_definitions():
+        pattern = re.compile(rf"\b{re.escape(word)}\b")
         used = any(
-            word.search(line)
+            pattern.search(line)
             for path, lines in sources.items()
             for lineno, line in enumerate(lines, start=1)
             if not (path == def_path and first <= lineno <= last)
@@ -56,7 +69,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 
 # Defaulted parameters plus @dataclass fields in src/windest after the
 # last change that moved it.
-SETTABLE_VALUES = 182
+SETTABLE_VALUES = 175
 
 
 def _is_dataclass(node):

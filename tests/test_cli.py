@@ -215,6 +215,20 @@ def test_sysid_writes_usable_params(circle_multi_clean, hover_dir, tmp_path, cap
     assert main(["estimate", str(hover_dir), "--config", str(out), "--out", str(est)]) == 0
 
 
+def test_sysid_reads_only_odometry_and_whisker(circle_multi_clean, tmp_path):
+    """sysid opens only the channels it fits on: with the other files
+    garbled it writes the same bytes."""
+    log, _ = circle_multi_clean
+    d = tmp_path / "circ"
+    save_log(log, str(d))
+    ref, garbled = tmp_path / "ref.cfg", tmp_path / "garbled.cfg"
+    assert main(["sysid", str(d), "--out", str(ref)]) == 0
+    for name in ("truth", "imu", "throttle"):
+        (d / f"{name}.csv").write_text("t,x\n0.0,banana\n")
+    assert main(["sysid", str(d), "--out", str(garbled)]) == 0
+    assert garbled.read_bytes() == ref.read_bytes()
+
+
 def test_train_writes_weights(hover_dir, tmp_path):
     out = tmp_path / "w.csv"
     assert main(["train", str(hover_dir), "--epochs", "2", "--out", str(out)]) == 0

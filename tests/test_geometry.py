@@ -9,15 +9,14 @@ from windest.geometry import (
     compose_mrp,
     mrp_error,
     mrp_from_quat,
-    quat_conjugate,
     quat_from_axis_angle,
     quat_from_mrp,
     quat_integrate,
     quat_multiply_rows,
     quat_normalize_rows,
-    quat_rotate,
     quat_to_matrix,
     reconstruct,
+    rotation_transposed,
     sigma_points,
     unscented_transform,
 )
@@ -34,31 +33,51 @@ def random_quats(rng, n):
 # quaternions
 
 
+def rotation(q):
+    """R(q) from the quadratic form, for (4,) or (4, m)."""
+    return np.swapaxes(rotation_transposed(q), 0, 1)
+
+
 def test_rotate_identity():
-    assert np.allclose(quat_rotate(QI, np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
+    assert np.array_equal(rotation_transposed(QI), np.eye(3))
+    assert np.array_equal(rotation(QI) @ np.array([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
 
 def test_rotate_quarter_yaw():
     s = np.sqrt(0.5)
     q = np.array([s, 0.0, 0.0, s])
-    assert np.allclose(quat_rotate(q, np.array([1.0, 0.0, 0.0])), [0.0, 1.0, 0.0], atol=1e-12)
+    assert np.allclose(rotation(q) @ np.array([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_rotate_matches_matrix_path():
     rng = np.random.default_rng(3)
     for q in random_quats(rng, 100):
         v = rng.normal(size=3)
-        assert np.allclose(quat_rotate(q, v), quat_to_matrix(q) @ v, atol=1e-12)
+        assert np.allclose(rotation(q), quat_to_matrix(q), atol=1e-15)
+        assert np.allclose(rotation(q) @ v, quat_to_matrix(q) @ v, atol=1e-12)
 
 
 def test_rotate_broadcasts():
     rng = np.random.default_rng(4)
     q = random_quats(rng, 12)
-    v = rng.normal(size=(12, 3))
-    out = quat_rotate(q, v)
-    assert out.shape == (12, 3)
+    out = rotation_transposed(q.T)
+    assert out.shape == (3, 3, 12)
     for i in range(12):
-        assert np.allclose(out[i], quat_rotate(q[i], v[i]))
+        assert np.allclose(out[:, :, i], quat_to_matrix(q[i]).T, atol=1e-15)
+        assert np.allclose(out[:, :, i], rotation_transposed(q[i]), atol=1e-15)
+
+
+def test_rotation_form_third_column_is_body_z():
+    """Rows 6:9 of the form, which the filter's thrust direction reads, are
+    R's third column: (2 (w y + x z), 2 (y z - w x), w^2 - x^2 - y^2 + z^2)."""
+    rng = np.random.default_rng(15)
+    q = random_quats(rng, 20).T
+    w, x, y, z = q
+    qq = (q[:, None] * q).reshape(16, -1)
+    body_z = np.array([2 * (w * y + x * z), 2 * (y * z - w * x), w * w - x * x - y * y + z * z])
+    assert np.allclose(geo.ROTATION_FORM[6:] @ qq, body_z, atol=1e-15)
+    assert np.array_equal(geo.ROTATION_FORM[6:] @ qq, rotation_transposed(q)[2])
+    assert set(np.unique(geo.ROTATION_FORM)) == {-1.0, 0.0, 1.0}
 
 
 def test_multiply_composes_rotations():
@@ -66,15 +85,17 @@ def test_multiply_composes_rotations():
     for _ in range(50):
         qa, qb = random_quats(rng, 2)
         v = rng.normal(size=3)
-        a_then_b = quat_rotate(np.array(quat_multiply_rows(qa, qb)), v)
-        assert np.allclose(a_then_b, quat_rotate(qa, quat_rotate(qb, v)), atol=1e-12)
+        a_then_b = rotation(np.array(quat_multiply_rows(qa, qb))) @ v
+        assert np.allclose(a_then_b, rotation(qa) @ (rotation(qb) @ v), atol=1e-12)
 
 
 def test_conjugate_inverts():
     rng = np.random.default_rng(6)
     for q in random_quats(rng, 30):
         v = rng.normal(size=3)
-        back = quat_rotate(quat_conjugate(q), quat_rotate(q, v))
+        conjugate = q * [1.0, -1.0, -1.0, -1.0]
+        assert np.allclose(rotation(conjugate), rotation_transposed(q), atol=1e-15)
+        back = rotation_transposed(q) @ (rotation(q) @ v)
         assert np.allclose(back, v, atol=1e-12)
 
 
@@ -120,7 +141,7 @@ def test_axis_angle_zero_rate_is_exact():
 
 def sinc_quat_from_axis_angle(phi):
     """The exponential map as written with np.sinc, before ufuncs alone."""
-    half = 0.5 * geo.norm(phi, keepdims=True)
+    half = 0.5 * np.linalg.norm(phi, axis=-1, keepdims=True)
     k = 0.5 * np.sinc(half / np.pi)
     return np.concatenate([np.cos(half), k * phi], axis=-1)
 
@@ -156,7 +177,7 @@ def test_integrate_two_half_steps():
 
 
 # --------------------------------------------------------------------------
-# explicit last-axis kernels
+# the quaternion product against the np.cross formula
 
 
 def np_cross_multiply(a, b):
@@ -167,33 +188,6 @@ def np_cross_multiply(a, b):
     return np.concatenate([w, aw * bv + bw * av + np.cross(av, bv)], axis=-1)
 
 
-def np_cross_rotate(q, v):
-    qw, qv = q[..., :1], q[..., 1:]
-    t = 2.0 * np.cross(qv, v)
-    return v + qw * t + np.cross(qv, t)
-
-
-@pytest.mark.parametrize("shapes", [((50, 3), (50, 3)), ((50, 3), (3,)), ((3,), (3,)),
-                                    ((3,), (50, 3)), ((4, 7, 3), (7, 3))])
-def test_cross_matches_numpy_bitwise(shapes):
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=shapes[0]) * 10.0 ** rng.integers(-6, 6, size=shapes[0])
-    b = rng.normal(size=shapes[1])
-    got = geo.cross(a, b)
-    assert got.shape == np.cross(a, b).shape
-    assert np.array_equal(got, np.cross(a, b))
-
-
-@pytest.mark.parametrize("shape", [(3,), (40, 3), (40, 4), (4,), (5, 6, 3)])
-def test_norm_and_dot_match_numpy_bitwise(shape):
-    rng = np.random.default_rng(12)
-    x = rng.normal(size=shape) * rng.uniform(1e-3, 1e3, size=shape)
-    y = rng.normal(size=shape)
-    assert np.array_equal(geo.norm(x), np.linalg.norm(x, axis=-1))
-    assert np.array_equal(geo.norm(x, keepdims=True), np.linalg.norm(x, axis=-1, keepdims=True))
-    assert np.array_equal(geo.dot(x, y), np.sum(x * y, axis=-1))
-
-
 def test_multiply_matches_np_cross_formula_bitwise():
     rng = np.random.default_rng(13)
     a, b = random_quats(rng, 30), random_quats(rng, 30)
@@ -201,15 +195,6 @@ def test_multiply_matches_np_cross_formula_bitwise():
     assert_same_bits(quat_multiply_rows(a[0], b.T), np_cross_multiply(a[0], b))
     assert_same_bits(quat_multiply_rows(a.T, b[0]), np_cross_multiply(a, b[0]))
     assert_same_bits(quat_multiply_rows(a[0], b[0]), np_cross_multiply(a[0], b[0]))
-
-
-def test_rotate_matches_np_cross_formula_bitwise():
-    rng = np.random.default_rng(14)
-    q, v = random_quats(rng, 30), rng.normal(size=(30, 3))
-    assert np.array_equal(quat_rotate(q, v), np_cross_rotate(q, v))
-    assert np.array_equal(quat_rotate(q[0], v), np_cross_rotate(q[0], v))
-    assert np.array_equal(quat_rotate(q, v[0]), np_cross_rotate(q, v[0]))
-    assert quat_rotate(q[0], v).shape == (30, 3)
 
 
 def test_normalize_rejects_zero_in_batch():
@@ -280,15 +265,15 @@ def test_mrp_error_round_trip():
 def ref_quat_multiply(a, b):
     aw, av = a[..., :1], a[..., 1:]
     bw, bv = b[..., :1], b[..., 1:]
-    w = a[..., 0] * b[..., 0] - geo.dot(av, bv)
+    w = a[..., 0] * b[..., 0] - np.sum(av * bv, axis=-1)
     out = np.empty(w.shape + (4,))
     out[..., 0] = w
-    out[..., 1:] = aw * bv + bw * av + geo.cross(av, bv)
+    out[..., 1:] = aw * bv + bw * av + np.cross(av, bv)
     return out
 
 
 def ref_quat_normalize(q):
-    return q / geo.norm(q, keepdims=True)
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
 
 def ref_quat_from_mrp(p):
@@ -305,7 +290,7 @@ def ref_mrp_from_quat(dq):
 
 
 def ref_mrp_error(q, q_ref):
-    return ref_mrp_from_quat(ref_quat_multiply(q, quat_conjugate(q_ref)))
+    return ref_mrp_from_quat(ref_quat_multiply(q, q_ref * [1.0, -1.0, -1.0, -1.0]))
 
 
 def ref_compose_mrp(q_ref, e):
@@ -313,7 +298,7 @@ def ref_compose_mrp(q_ref, e):
 
 
 def ref_quat_from_axis_angle(phi):
-    angle = geo.norm(phi, keepdims=True)
+    angle = np.linalg.norm(phi, axis=-1, keepdims=True)
     half = 0.5 * angle
     k = np.sin(half) / np.maximum(angle, np.finfo(float).smallest_subnormal)
     return np.concatenate([np.cos(half), k * phi], axis=-1)

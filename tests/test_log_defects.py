@@ -2,7 +2,8 @@
 
 Defects come from tests/faults.py: swapped rows in a saved file, a
 non-finite value in one row, and a window missing from every channel.
-A truth channel that is cut short or missing changes no estimate.
+A truth channel that is cut short or missing changes no estimate.  The
+non-finite odometry row is pinned for sysid too, on a circular flight.
 """
 
 import numpy as np
@@ -115,6 +116,18 @@ def test_calibration_leaves_out_nonfinite_rows(hover_log):
         assert np.array_equal(getattr(drv, name), getattr(ref, name))
     with pytest.raises(ValueError, match="whisker"):
         WhiskerDriver(rig).calibrate(np.full_like(b, np.nan))
+
+
+def test_nonfinite_odometry_row_is_left_out_of_sysid(circle_multi_clean, tmp_path):
+    """A NaN velocity would spread over the whole low-passed signal that
+    sysid differentiates; the row is left out, as the replay leaves it out."""
+    log, _ = circle_multi_clean
+    bad, row = set_value(log, "odometry", "vx", log["odometry"].t[500])
+    assert row == 500
+    for name, flight in (("nan", bad), ("ref", without_row(log, "odometry", row))):
+        save_log(flight, tmp_path / name)
+        assert main(["sysid", str(tmp_path / name), "--out", str(tmp_path / f"{name}.cfg")]) == 0
+    assert (tmp_path / "nan.cfg").read_bytes() == (tmp_path / "ref.cfg").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ def test_controller_hover_thrust():
     assert np.allclose(wrench[1:], 0.0, atol=1e-9)
     # throttles reproduce the commanded wrench through the declared map
     B = allocation_matrix()
-    assert np.allclose(B @ (ctrl.k_thrust * u), wrench, atol=1e-9)
+    assert np.allclose(B @ (sim.K_THRUST * u), wrench, atol=1e-9)
 
 
 def test_controller_climb_request():

@@ -109,9 +109,9 @@ def reference_step(ctrl, s, sp_p, sp_v, sp_a, dt, hits):
     f_cmd = f_des[2] / max(b3[2], 0.25)
     if f_cmd < 0.0:
         hits.add("f_cmd at 0")
-    if f_cmd > sim.N_ROTORS * ctrl.k_thrust:
+    if f_cmd > sim.N_ROTORS * sim.K_THRUST:
         hits.add("f_cmd at max")
-    f_cmd = min(max(f_cmd, 0.0), sim.N_ROTORS * ctrl.k_thrust)
+    f_cmd = min(max(f_cmd, 0.0), sim.N_ROTORS * sim.K_THRUST)
     n = np.linalg.norm(f_des)
     if not n > 0.1 * veh.mass * veh.gravity:
         hits.add("b3 = e_z")
@@ -124,13 +124,13 @@ def reference_step(ctrl, s, sp_p, sp_v, sp_a, dt, hits):
     e_R = 0.5 * np.array([e_mat[2, 1], e_mat[0, 2], e_mat[1, 0]])
     ang_acc = -par.kp_att * e_R - par.kd_att * omega
     tau = veh.inertia @ ang_acc + np.cross(omega, veh.inertia @ omega)
-    u = ctrl.B_pinv @ np.concatenate([[f_cmd / ctrl.k_thrust], tau / ctrl.k_thrust])
+    u = ctrl.B_pinv @ np.concatenate([[f_cmd / sim.K_THRUST], tau / sim.K_THRUST])
     if np.any(u < 0.0):
         hits.add("throttle at 0")
     if np.any(u > 1.0):
         hits.add("throttle at 1")
     u = np.clip(u, 0.0, 1.0)
-    wrench = ctrl.B @ (ctrl.k_thrust * u)
+    wrench = ctrl.B @ (sim.K_THRUST * u)
     return u, wrench
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from windest import sim, sysid, whisker
+from windest.geometry import quat_from_axis_angle, quat_multiply_rows, rotation_transposed
 from windest.sysid import (
     DragSample,
     collect_drag_samples,
@@ -16,19 +17,34 @@ from windest.sysid import (
 )
 
 
+def r33(roll, pitch, yaw=0.0):
+    """R33 of the ZYX attitude (yaw, pitch, roll), from the rotation form."""
+    q = quat_multiply_rows(
+        quat_from_axis_angle(np.array([0.0, 0.0, yaw])),
+        quat_multiply_rows(
+            quat_from_axis_angle(np.array([0.0, pitch, 0.0])),
+            quat_from_axis_angle(np.array([roll, 0.0, 0.0])),
+        ),
+    )
+    return float(rotation_transposed(np.array(q))[2, 2])
+
+
 def test_thrust_level():
-    assert thrust_from_attitude(1.31, 0.0, 0.0) == pytest.approx(12.8511)
-    assert thrust_from_attitude(1.0, 0.0, 0.0) == pytest.approx(9.81)
+    assert r33(0.0, 0.0, 1.3) == 1.0
+    assert thrust_from_attitude(1.31, r33(0.0, 0.0)) == pytest.approx(12.8511)
+    assert thrust_from_attitude(1.0, r33(0.0, 0.0)) == pytest.approx(9.81)
 
 
 def test_thrust_tilted():
-    f = thrust_from_attitude(1.31, np.radians(30), np.radians(30))
+    """R33 is cos(roll) cos(pitch), whatever the yaw."""
+    assert r33(np.radians(30), np.radians(30), 2.0) == pytest.approx(0.75, abs=1e-15)
+    f = thrust_from_attitude(1.31, r33(np.radians(30), np.radians(30)))
     assert f == pytest.approx(12.8511 / 0.75)
 
 
 def test_thrust_near_singular():
-    with pytest.raises(ValueError):
-        thrust_from_attitude(1.31, np.radians(85), np.radians(80))
+    with pytest.raises(ValueError, match="too far from level"):
+        thrust_from_attitude(1.31, r33(np.radians(85), np.radians(80)))
 
 
 def test_drag_projection_level_flight():

@@ -9,7 +9,7 @@ from windest.geometry import (
     quat_integrate,
     quat_multiply_rows,
     quat_normalize_rows,
-    quat_rotate,
+    quat_to_matrix,
 )
 from windest.vehicle import VehicleParams, deriv, drag_force, rk4_step, scalar_consts
 
@@ -58,7 +58,7 @@ def test_drag_parallel_and_monotone():
     rng = np.random.default_rng(30)
     prev = 0.0
     for s in np.linspace(0.1, 8.0, 25):
-        v = s * quat_rotate(np.array(quat_normalize_rows(rng.normal(size=4))), np.array([1.0, 0.0, 0.0]))
+        v = s * quat_to_matrix(quat_normalize_rows(rng.normal(size=4)))[:, 0]
         f = drag_force(v, par)
         cr = np.linalg.norm(np.cross(f, v))
         assert cr < 1e-12 * np.linalg.norm(f) * np.linalg.norm(v)
@@ -68,12 +68,19 @@ def test_drag_parallel_and_monotone():
 
 
 def test_drag_broadcasts():
+    """Component-first: a (3, m) block is m airflows, each with the bits it
+    gets alone."""
     par = VehicleParams()
-    v = np.array([[3.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 3.6, 0.0]])
+    v = np.array([[3.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 3.6, 0.0], [0.0, 0.0, 1e-10]]).T
     f = drag_force(v, par)
-    assert f.shape == (3, 3)
-    assert np.linalg.norm(f[0]) == pytest.approx(1.23)
-    assert np.all(f[1] == 0.0)
+    assert f.shape == (3, 4)
+    assert np.linalg.norm(f[:, 0]) == pytest.approx(1.23)
+    assert np.all(f[:, 1] == 0.0) and np.all(f[:, 3] == 0.0)
+    rng = np.random.default_rng(33)
+    v = rng.normal(size=(3, 200)) * 10.0 ** rng.uniform(-3.0, 1.0, size=200)
+    f = drag_force(v, par)
+    for i in range(200):
+        assert np.array_equal(f[:, i], drag_force(v[:, i], par))
 
 
 def test_params_validation():
@@ -167,11 +174,10 @@ def test_frame_consistency():
 
     par0 = VehicleParams(gravity=0.0)  # gravity is not rotation-invariant; drop it
     _, dv, _, dw = derivative(pack(p, v, q, w), par0, 9.0, torque, wind, touch)
-    xr = pack(quat_rotate(R0q, p), quat_rotate(R0q, v), quat_multiply_rows(R0q, q), w)
-    _, dv_r, _, dw_r = derivative(
-        xr, par0, 9.0, torque, quat_rotate(R0q, wind), quat_rotate(R0q, touch)
-    )
-    assert np.allclose(dv_r, quat_rotate(R0q, dv), atol=1e-12)
+    R0 = quat_to_matrix(R0q)
+    xr = pack(R0 @ p, R0 @ v, quat_multiply_rows(R0q, q), w)
+    _, dv_r, _, dw_r = derivative(xr, par0, 9.0, torque, R0 @ wind, R0 @ touch)
+    assert np.allclose(dv_r, R0 @ dv, atol=1e-12)
     assert np.allclose(dw_r, dw, atol=1e-12)
 
 
