@@ -164,12 +164,17 @@ def quat_multiply_rows(a, b):
 def quat_normalize_rows(q):
     """Unit quaternion(s) from component rows, as a (4,) or (4, m) array:
     one square root of the left-to-right sum of squares, then one
-    division."""
-    w, x, y, z = q
-    n = np.sqrt(w * w + x * x + y * y + z * z)
+    division.  An array is one block expression (add.reduce sums its
+    four rows left to right, so the bits are the rows' bits)."""
+    if type(q) is np.ndarray:  # not isinstance: one Python-level call fewer
+        n = np.sqrt(np.add.reduce(q * q))
+    else:
+        w, x, y, z = q
+        n = np.sqrt(w * w + x * x + y * y + z * z)
+        q = np.asarray(q)
     if (n < 1e-12).any():
         raise ValueError("cannot normalize a zero quaternion")
-    return np.asarray(q) / n
+    return q / n
 
 
 def quat_from_axis_angle(phi):

@@ -14,16 +14,27 @@ Whisker coefficient: with no ambient wind the relative airflow at a
 mount follows from odometry alone, and each paired sample gives
 c = |theta| / (|v_inf| |v_inf_xy|); the per-sensor estimate is the
 median over sufficiently fast planar samples.
+
+Velocity is low-passed before it is differentiated, with no phase lag:
+an order-2 Butterworth filter with its corner at CUTOFF_HZ, from the
+bilinear transform pre-warped to that corner, run forward and then
+backward over the samples (what scipy.signal.filtfilt does by default,
+on numpy alone).  Each end is padded with 9 samples (3 x the filter's 3
+taps) by odd extension, and each pass starts from the filter's
+steady-state initial conditions scaled by its first input (Gustafsson,
+"Determining the initial states in forward-backward filtering", IEEE
+TSP 44(4), 1996).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import whisker
-from .geometry import rotation_transposed
+from .geometry import quat_normalize_rows, rotation_transposed
 from .logio import zoh_indices
 from .vehicle import GRAVITY
 
@@ -32,6 +43,8 @@ MIN_SPEED = 0.5  # m/s, drag samples below this are discarded
 MAX_VERTICAL_RATIO = 0.35  # drag samples need |v_z| below this share of the speed
 CUTOFF_HZ = 4.0  # low-pass corner before differentiating odometry velocity
 _MIN_CC = 0.2  # reject attitudes where R33 = cos(roll) cos(pitch) falls below this
+_PAD = 9  # odd-extension samples at each end of the low-pass input: 3 x its 3 taps
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass
@@ -116,14 +129,48 @@ def identify_sensor_coefficient(thetas, v_inf_sensor):
     return float(np.median(c))
 
 
+def _butter2(fs):
+    """Coefficients (b, a) of the 2nd-order Butterworth low-pass with
+    corner CUTOFF_HZ at sample rate fs: the bilinear transform of
+    1 / (s^2 + sqrt(2) s + 1), pre-warped so the corner lands on CUTOFF_HZ."""
+    k = math.tan(math.pi * CUTOFF_HZ / fs)
+    d = 1.0 + _SQRT2 * k + k * k
+    g = k * k / d
+    return (g, 2.0 * g, g), (1.0, 2.0 * (k * k - 1.0) / d, (1.0 - _SQRT2 * k + k * k) / d)
+
+
+def _lfilter(b, a, x, z0, z1):
+    """One pass of the transposed direct-form-II recursion over the floats
+    x, from the state (z0, z1); returns the outputs as a list."""
+    b0, b1, b2 = b
+    _, a1, a2 = a
+    y = []
+    for xn in x:
+        yn = b0 * xn + z0
+        z0 = b1 * xn - a1 * yn + z1
+        z1 = b2 * xn - a2 * yn
+        y.append(yn)
+    return y
+
+
 def _lowpass(x, fs):
+    """Zero-phase low-pass of each column of the (n, k) array x (see the
+    module docstring); fewer than 15 rows pass through unchanged."""
     if x.shape[0] < 15:
         return x
-    # imported here: scipy.signal loads scipy.stats (~0.3 s), which only sysid needs
-    from scipy.signal import butter, filtfilt
-
-    b, a = butter(2, CUTOFF_HZ / (0.5 * fs))
-    return filtfilt(b, a, x, axis=0)
+    b, a = _butter2(fs)
+    # steady-state initial conditions for a unit step: (I - companion(a)^T) zi = b[1:] - a[1:] b0
+    zi0, zi1 = np.linalg.solve(
+        [[1.0 + a[1], -1.0], [a[2], 1.0]], [b[1] - a[1] * b[0], b[2] - a[2] * b[0]]
+    ).tolist()
+    ext = np.concatenate([2.0 * x[:1] - x[_PAD:0:-1], x, 2.0 * x[-1:] - x[-2:-_PAD - 2:-1]])
+    cols = []
+    for col in ext.T.tolist():
+        fwd = _lfilter(b, a, col, zi0 * col[0], zi1 * col[0])
+        bwd = _lfilter(b, a, reversed(fwd), zi0 * fwd[-1], zi1 * fwd[-1])
+        bwd.reverse()
+        cols.append(bwd[_PAD:-_PAD])
+    return np.array(cols).T
 
 
 def differentiate_velocity(t, v):
@@ -142,10 +189,12 @@ def collect_drag_samples(t, p_q, v_world, mass, window=None):
     optional (t0, t1) window restricting to the execution phase.
     """
     t = np.asarray(t, dtype=float)
-    q = np.asarray(p_q, dtype=float)
+    # R(q) is quadratic in q, so the rotations and R33 need unit quaternions:
+    # normalize the column once, as the replay does
+    q = quat_normalize_rows(np.asarray(p_q, dtype=float).T)
     v = np.asarray(v_world, dtype=float)
     a = differentiate_velocity(t, v)
-    rt = rotation_transposed(q.T)
+    rt = rotation_transposed(q)
     a_body = np.add.reduce(rt * a.T, axis=1).T
     v_body = np.add.reduce(rt * v.T, axis=1).T
     r33 = rt[2, 2].tolist()

@@ -185,13 +185,33 @@ def test_diverged_flight_writes_partial_log_and_exits_2(tmp_path, capsys):
     assert 0.0 < log["truth"].t[-1] < sim.four_phase_scenario().plan.duration / 2
 
 
-def test_cli_import_loads_no_scipy():
-    """scipy.stats alone takes about 0.3 s to import; the CLI loads scipy
-    only inside the gate threshold and the sysid low-pass filter."""
-    code = "import sys, windest.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def _scipy_modules_after(code):
+    """The scipy modules loaded by running `code` in a fresh interpreter."""
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "[]"
+    return res.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy.stats alone takes about 0.3 s to import; the CLI loads scipy
+    only inside the chi-square gate threshold."""
+    assert _scipy_modules_after("import windest.cli") == "[]"
+
+
+def test_sysid_and_train_load_no_scipy(circle_multi_clean, tmp_path):
+    """The offline fit (sysid's low-pass included) runs on numpy alone."""
+    log, _ = circle_multi_clean
+    d, cfg, weights = tmp_path / "circ", tmp_path / "params.cfg", tmp_path / "weights.csv"
+    save_log(log, str(d))
+    code = (
+        "from windest.cli import main\n"
+        f"assert main(['sysid', {str(d)!r}, '--out', {str(cfg)!r}]) == 0\n"
+        f"assert main(['train', {str(d)!r}, '--config', {str(cfg)!r}, '--epochs', '1', "
+        f"'--out', {str(weights)!r}]) == 0"
+    )
+    assert _scipy_modules_after(code) == "[]"
+    assert weights.exists()
 
 
 def test_scenario_flag_validation(capsys):

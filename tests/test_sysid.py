@@ -223,3 +223,40 @@ def test_differentiate_velocity_linear_ramp():
     mid = slice(50, -50)
     assert np.allclose(a[mid, 0], 2.0, atol=1e-3)
     assert np.allclose(a[mid, 1], -1.0, atol=1e-3)
+
+
+def test_drag_fit_does_not_depend_on_quaternion_scale(circle_multi_clean):
+    """R(q) is quadratic in q, so collect_drag_samples normalizes the
+    odometry attitude first: a column scaled by 1.01 (which unnormalized
+    would move mu2 by about 6%) gives the same fit."""
+    log, sc = circle_multi_clean
+    odo = log["odometry"]
+    q = odo.col("qw", "qx", "qy", "qz")
+
+    def fit(q):
+        return fit_drag_polynomial(
+            collect_drag_samples(odo.t, q, odo.col("vx", "vy", "vz"), sc.vehicle.mass)
+        )
+
+    unit, scaled = fit(q), fit(1.01 * q)
+    assert scaled.mu1 == pytest.approx(unit.mu1, abs=1e-12)
+    assert scaled.mu2 == pytest.approx(unit.mu2, abs=1e-12)
+
+
+@pytest.mark.parametrize("fs, n", [(100.0, 2650), (50.0, 1000), (100.0, 15)])
+def test_lowpass_matches_scipy_filtfilt(fs, n):
+    """The numpy low-pass is scipy's default filtfilt of the order-2
+    Butterworth at CUTOFF_HZ, to rounding."""
+    signal = pytest.importorskip("scipy.signal")
+    rng = np.random.default_rng(int(fs) + n)
+    x = np.cumsum(rng.normal(size=(n, 3)), axis=0)
+    x *= 100.0 / np.abs(x).max()
+    ref = signal.filtfilt(*signal.butter(2, sysid.CUTOFF_HZ / (0.5 * fs)), x, axis=0)
+    y = sysid._lowpass(x, fs)
+    assert y.shape == x.shape
+    assert np.abs(y - ref).max() <= 1e-12 * np.abs(x).max()
+
+
+def test_lowpass_passes_short_input_through():
+    x = np.arange(42.0).reshape(14, 3)
+    assert sysid._lowpass(x, 100.0) is x
