@@ -16,8 +16,11 @@ never goes negative.  Error quaternions compose on the left:
 
 Rows and blocks
 ---------------
-Everything here is component-first, except ``quat_to_matrix``, which
-forms one R(q) on Python floats for the simulator's control tick.
+Everything here is component-first.  ``quat_to_matrix`` forms R(q)
+entry by entry: one matrix on Python floats for the simulator's control
+tick, or a (3, 3, m) block that the simulator's IMU pass stacks into one
+C-ordered matrix per tick, so that each tick's R^T (a - g) is the BLAS
+matrix-vector product of one matrix and rounds the same.
 
 The quaternion product and normalization (``quat_multiply_rows``,
 ``quat_normalize_rows``) and the filter's attitude algebra built on them
@@ -28,12 +31,14 @@ rows: a quaternion is its rows ``(w, x, y, z)`` and a vector its rows
 row is an (m,) array (one component of a sigma batch) or a scalar (one
 quaternion; a (4,) array is its four rows).  Results come back as
 tuples of rows, except that quat_normalize_rows (and so compose_mrp)
-returns a (4,) / (4, m) array, which unpacks into the same rows;
+returns a (4,) / (4, m) array and quat_from_mrp a (4, m) array for a
+(3, m) one, which unpack into the same rows;
 quat_integrate takes its rate as an array.  On one quaternion the
 filter hands them Python floats (``.tolist()``: the fold of an update
 into the reference, the odometry error, the estimate row's attitude),
 which round as numpy scalars do at a fraction of the cost; the
-simulator's odometry noise calls the same kernels on one quaternion.
+simulator's odometry noise calls the same kernels on the rows of all
+its ticks at once.
 
 The filter steps 37 sigma points at each of thousands of events, where
 the cost is the number of numpy calls, not the arithmetic.  On rows each
@@ -96,9 +101,10 @@ class CovarianceError(RuntimeError):
 
 
 def quat_to_matrix(q):
-    """The rotation matrix R(q) of one quaternion, an array or a sequence
-    of floats, on Python floats (the simulator's control tick)."""
-    w, x, y, z = map(float, q)
+    """The rotation matrix R(q) from component rows: (3, 3) for one
+    quaternion (Python floats in the simulator's control tick), or
+    (3, 3, m) for a (4, m) block, entry by entry the same bits."""
+    w, x, y, z = q
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
@@ -172,7 +178,8 @@ def quat_normalize_rows(q):
         w, x, y, z = q
         n = np.sqrt(w * w + x * x + y * y + z * z)
         q = np.asarray(q)
-    if (n < 1e-12).any():
+    # .any() without its Python-level wrapper
+    if np.logical_or.reduce(n < 1e-12, axis=None):
         raise ValueError("cannot normalize a zero quaternion")
     return q / n
 
@@ -209,11 +216,18 @@ def mrp_from_quat(dq):
 def quat_from_mrp(p):
     """Generalized Rodrigues parameters -> unit error quaternion, w >= 0.
 
-    With a = 1 the scalar part is (f^2 - |p|^2) / (f^2 + |p|^2).
+    With a = 1 the scalar part is (f^2 - |p|^2) / (f^2 + |p|^2).  A
+    (3, m) array is one block expression returning a (4, m) array
+    (add.reduce sums its three rows left to right, so the bits are the
+    rows' bits); rows return a tuple of rows.
     """
+    f2 = MRP_F * MRP_F
+    if type(p) is np.ndarray and p.ndim == 2:  # not isinstance: one call fewer
+        n2 = np.add.reduce(p * p)
+        w = (f2 - n2) / (f2 + n2)
+        return np.concatenate((w[None], (MRP_A + w) * p / MRP_F))
     p0, p1, p2 = p
     n2 = p0 * p0 + p1 * p1 + p2 * p2
-    f2 = MRP_F * MRP_F
     w = (f2 - n2) / (f2 + n2)
     s = MRP_A + w
     return w, s * p0 / MRP_F, s * p1 / MRP_F, s * p2 / MRP_F

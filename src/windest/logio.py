@@ -430,16 +430,20 @@ def rig_to_config(rig: WhiskerRig):
 def rig_from_config(cfg: dict):
     """WhiskerRig from sensor_count and the sensor{i}_* keys.
 
-    A missing or malformed value raises ValueError naming its key.
+    A missing, malformed or non-finite value raises ValueError naming
+    its key.
     """
 
     def value(key, convert):
         if key not in cfg:
             raise ValueError(f"missing config key {key!r}")
         try:
-            return convert(cfg[key])
+            out = convert(cfg[key])
         except (TypeError, ValueError):
             raise ValueError(f"config key {key!r}: bad value {cfg[key]!r}") from None
+        if not np.isfinite(out).all():
+            raise ValueError(f"config key {key!r}: value {cfg[key]!r} is not finite")
+        return out
 
     mounts = []
     for i in range(value("sensor_count", int)):

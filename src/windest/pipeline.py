@@ -109,14 +109,18 @@ def _config_value(key, default, raw):
     """A file value as the type of the field's default.
 
     A boolean takes 0, 1, false or true only.  A value that does not
-    convert raises ValueError naming the key.
+    convert, or a nan or inf, raises ValueError naming the key.
     """
     try:
         if isinstance(default, np.ndarray):
-            return np.asarray(raw, dtype=float).reshape(default.shape)
-        return _BOOL_VALUES[raw] if isinstance(default, bool) else float(raw)
+            value = np.asarray(raw, dtype=float).reshape(default.shape)
+        else:
+            value = _BOOL_VALUES[raw] if isinstance(default, bool) else float(raw)
     except (KeyError, TypeError, ValueError):
         raise ValueError(f"config key {key!r}: bad value {raw!r}") from None
+    if not np.isfinite(value).all():
+        raise ValueError(f"config key {key!r}: value {raw!r} is not finite")
+    return value
 
 
 def config_from_dict(d: dict):

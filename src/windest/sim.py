@@ -12,6 +12,31 @@ on/off schedule).  Touch forces are piecewise-linear world-frame
 pulls/pushes.  A configurable rotor-interference channel can add a
 throttle- and airflow-dependent bias to the whisker angles, emulating
 propwash the whisker model does not capture.
+
+The 1 kHz loop flies the vehicle and nothing else: each control tick
+takes the set-point, Controller.step, the wind and the touch force, and
+each tick one vehicle.deriv and one RK4 step, on Python floats.  It
+writes the truth and throttle rows and, at each sensor tick, only what
+that channel is made from: the packed state (odometry), the quaternion
+and start-of-step acceleration (IMU), and the state with the tick's wind
+and mean squared throttle (whisker).  None of the sensors feeds back.
+
+After the loop (and on the SimulationDiverged path, over the ticks flown)
+each sensor channel is built in one pass over its ticks, on the same
+component-first kernels the filter runs on its sigma blocks: the
+odometry attitude noise with quat_from_axis_angle and
+quat_multiply_rows, the IMU's R(q)^T (a - g) as one stacked product, and
+each mount's airflow once per whisker tick (rig_airflow of
+body_airflow), which both the deflection and the interference bias
+read.  The noise comes first, from one loop over the sensor ticks that
+makes every draw in tick order and, within a tick, in channel order:
+the odometry's position, velocity, attitude and gyro noise, then the
+IMU's, then the whisker angles', then each mount's outlier draws.  The
+order is part of each seed's noise realization (moving one draw
+re-draws all that follow), and tests/test_sim_golden.py pins it:
+truth, odometry, IMU and throttle match that flight to the bit, and
+the whisker channel to 1e-9 (its airflow products are matrix-matrix
+products over all ticks, which round differently in the last bits).
 """
 
 from __future__ import annotations
@@ -457,14 +482,14 @@ class Controller:
 
     def step(self, s, sp_p, sp_v, sp_a, dt):
         """One control tick on the packed state s (vehicle.deriv's layout,
-        unit quaternion) and set-point arrays; returns (throttles,
-        commanded wrench [f, tau])."""
+        unit quaternion) and set-point arrays; returns (throttles, a list
+        of floats, and the commanded wrench [f, tau], an array)."""
         # Python floats, each operation in numpy's elementwise order.  The
         # products whose rounding comes from BLAS stay numpy calls: the two
-        # norms (ddot), the attitude error matrix, the two inertia products
-        # and the allocation products (gemv), and the throttle clip next to
-        # them.  Python sums left to right and rounds differently in 11%
-        # (norm) to 70% (3x3 matrix-vector) of cases.
+        # norms (ddot), the attitude matrix R_des^T R, the two inertia
+        # products and the allocation products (gemv).  Python sums left to
+        # right and rounds differently in 11% (norm) to 70% (3x3
+        # matrix-vector) of cases.
         par, veh = self.params, self.vehicle
         (kpx, kpy, kpz), (kdx, kdy, kdz), (kix, kiy, kiz), kp_att, kd_att = self._gains
         lim, mass, g = par.int_limit, veh.mass, veh.gravity
@@ -499,8 +524,9 @@ class Controller:
         b2 = (b2[0] / n, b2[1] / n, b2[2] / n)
         b1 = _cross(b2, b3)
         R_des = np.array([[b1[0], b2[0], b3[0]], [b1[1], b2[1], b3[1]], [b1[2], b2[2], b3[2]]])
-        e = (R_des.T @ R - R.T @ R_des).tolist()
-        e_R = (0.5 * e[2][1], 0.5 * e[0][2], 0.5 * e[1][0])
+        # the skew part of M = R_des^T R: R^T R_des is M^T to the bit
+        M = (R_des.T @ R).tolist()
+        e_R = (0.5 * (M[2][1] - M[1][2]), 0.5 * (M[0][2] - M[2][0]), 0.5 * (M[1][0] - M[0][1]))
         ang_acc = np.array([
             -kp_att[0] * e_R[0] - kd_att[0] * w[0],
             -kp_att[1] * e_R[1] - kd_att[1] * w[1],
@@ -511,8 +537,9 @@ class Controller:
         tx, ty, tz = (J @ ang_acc).tolist()
         k = K_THRUST
         u = self.B_pinv @ np.array([f_cmd / k, (tx + gx) / k, (ty + gy) / k, (tz + gz) / k])
-        u = u.clip(0.0, 1.0)
-        wrench = self.B @ (k * u)
+        # np.clip's result, -0.0 and NaN included
+        u = [0.0 if x < 0.0 else 1.0 if x > 1.0 else x for x in u.tolist()]
+        wrench = self.B @ np.array([k * x for x in u])
         return u, wrench
 
 
@@ -576,14 +603,114 @@ def whisker_columns(n_sensors):
     return cols
 
 
-def _random_quat_perturb(rng, sigma):
-    if sigma == 0.0:
-        return None
-    return rng.normal(0.0, sigma, 3)
+_DIV_CTRL = int(SIM_RATE / TRUTH_RATE)  # controller + input refresh
+_DIV_TRUTH = int(SIM_RATE / TRUTH_RATE)
+_DIV_ODO = int(SIM_RATE / ODO_RATE)
+_DIV_IMU = int(SIM_RATE / IMU_RATE)
+_DIV_WHISK = int(SIM_RATE / WHISKER_RATE)
+_DIV_THR = int(SIM_RATE / THROTTLE_RATE)
+_DIV_SENSOR = math.gcd(_DIV_ODO, _DIV_IMU, _DIV_WHISK)  # every sensor tick is a multiple
+
+_ODO_NOISE = ("odo_pos", "odo_vel", "odo_att", "odo_gyro")
+
+
+def _draw_sensor_noise(rng, noise: NoiseSpec, n_ticks, n_sensors):
+    """Every per-tick draw of the sensor channels over the simulator's
+    first n_ticks ticks, one tick after another, each tick in channel
+    order: odometry (position, velocity, attitude, gyro), IMU, whisker
+    angles, then each mount's outlier draws.  A zero noise level makes
+    no draw.
+
+    Returns (odo, imu, angles, outliers): odo a dict from each nonzero
+    _ODO_NOISE level to its (n_odo, 3) draws, imu (n_imu, 3) and angles
+    (n_whisk, n_sensors, 2) or None at zero level, and outliers the
+    (whisker tick, mount, field component, offset) of each spike.
+    """
+    odo = {name: [] for name in _ODO_NOISE if getattr(noise, name)}
+    odo_draws = [(rows, getattr(noise, name)) for name, rows in odo.items()]
+    imu, angles, outliers = [], [], []
+    for k in range(0, n_ticks, _DIV_SENSOR):
+        if k % _DIV_ODO == 0:
+            for rows, sigma in odo_draws:
+                rows.append(rng.normal(0.0, sigma, 3))
+        if k % _DIV_IMU == 0 and noise.imu_accel:
+            imu.append(rng.normal(0.0, noise.imu_accel, 3))
+        if k % _DIV_WHISK == 0:
+            if noise.whisker_angle:
+                angles.append(rng.normal(0.0, noise.whisker_angle, (n_sensors, 2)))
+            for i in range(n_sensors if noise.outlier_prob else 0):
+                if rng.random() < noise.outlier_prob:
+                    comp = rng.integers(0, 3)
+                    outliers.append(
+                        (k // _DIV_WHISK, i, comp, noise.outlier_mag * rng.choice([-1.0, 1.0]))
+                    )
+    return (
+        {name: np.array(rows).reshape(-1, 3) for name, rows in odo.items()},
+        np.array(imu).reshape(-1, 3) if noise.imu_accel else None,
+        np.array(angles).reshape(-1, n_sensors, 2) if noise.whisker_angle else None,
+        outliers,
+    )
+
+
+def _odometry_rows(states, draws):
+    """Odometry rows from the (n, 13) packed states at the odometry ticks
+    and the dict of their noise draws: position, velocity and gyro noise
+    added, the attitude perturbed by the exponential of its draw on the
+    left."""
+    p, v, q, w = states[:, 0:3], states[:, 3:6], states[:, 6:10], states[:, 10:13]
+    if "odo_pos" in draws:
+        p = p + draws["odo_pos"]
+    if "odo_vel" in draws:
+        v = v + draws["odo_vel"]
+    if "odo_att" in draws:
+        q = np.array(quat_multiply_rows(quat_from_axis_angle(draws["odo_att"].T), q.T)).T
+    if "odo_gyro" in draws:
+        w = w + draws["odo_gyro"]
+    return np.concatenate((p, q, v, w), axis=1)
+
+
+def _imu_rows(src, gravity, draws, bias):
+    """Specific force rows R(q)^T (a - g) + noise + bias from the (n, 7)
+    rows [q, a] at the IMU ticks.  The rotations are stacked as one
+    C-ordered matrix per tick, so that each product is the matrix-vector
+    product of one tick's matrix, with its rounding."""
+    R = np.ascontiguousarray(quat_to_matrix(src[:, 0:4].T).transpose(2, 0, 1))
+    a = src[:, 4:7] - np.array([0.0, 0.0, -gravity])
+    spec = (R.swapaxes(1, 2) @ a[:, :, None])[:, :, 0]
+    if draws is not None:
+        spec = spec + draws
+    return spec + bias
+
+
+def _whisker_rows(src, rig: WhiskerRig, noise: NoiseSpec, offsets, angles, outliers):
+    """Whisker rows from the (n, 17) rows [packed state, wind, mean
+    throttle squared] at the whisker ticks: each mount's airflow formed
+    once, its deflection plus the rotor-interference bias, the offsets
+    and angle noise, the end stops, the synthesized field and the
+    outlier spikes."""
+    n_sensors = len(rig)
+    q, v, w, wind = src[:, 6:10].T, src[:, 3:6].T, src[:, 10:13].T, src[:, 13:16].T
+    # each mount's airflow (n_sensors, 3, m), then its deflection (2, n_sensors, m)
+    v_s = whisker_mod.rig_airflow(whisker_mod.body_airflow(q, wind, v), w, rig)
+    theta = whisker_mod.predict_deflection(v_s.swapaxes(0, 1), rig.coeff[:, None])
+    if noise.interference_gain:
+        int_dirs = INTERFERENCE_DIRS[np.arange(n_sensors) % len(INTERFERENCE_DIRS)]
+        planar = np.hypot(v_s[:, 0], v_s[:, 1])
+        bias = noise.interference_gain * src[:, 16] * (1.0 + 0.8 * np.tanh(planar / 2.0))
+        theta = theta + bias * int_dirs.T[:, :, None]
+    theta = theta.transpose(2, 1, 0) + offsets  # (m, n_sensors, 2)
+    if angles is not None:
+        theta = theta + angles
+    # spring end stops
+    theta = np.clip(theta, -THETA_LIMIT, THETA_LIMIT)
+    b = rig.sign * whisker_mod.synthesize_field(theta)
+    for j, i, comp, spike in outliers:
+        b[j, i, comp] += spike
+    return np.concatenate((theta, b), axis=2).reshape(-1, 5 * n_sensors)
 
 
 def run_scenario(sc: Scenario) -> FlightLog:
-    """Fly the scenario closed-loop and synthesize all sensor channels."""
+    """Fly the scenario closed-loop, then synthesize the sensor channels."""
     rng = np.random.default_rng(sc.seed)
     noise = sc.noise
     veh = sc.vehicle
@@ -594,7 +721,6 @@ def run_scenario(sc: Scenario) -> FlightLog:
         if noise.whisker_offset
         else np.zeros((n_sensors, 2))
     )
-    int_dirs = np.array([INTERFERENCE_DIRS[i % len(INTERFERENCE_DIRS)] for i in range(n_sensors)])
 
     plan = sc.plan
     dt = 1.0 / SIM_RATE
@@ -606,33 +732,42 @@ def run_scenario(sc: Scenario) -> FlightLog:
     # the hot loop runs on Python floats; see the note above vehicle.scalar_consts
     packed = p0.tolist() + [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
-    truth_rows, odo_rows, imu_rows, whisk_rows, thr_rows = [], [], [], [], []
-    t_truth, t_odo, t_imu, t_whisk, t_thr = [], [], [], [], []
+    truth_rows, thr_rows, t_truth, t_thr = [], [], [], []
+    # what each sensor channel needs from its ticks
+    odo_src, imu_src, whisk_src = [], [], []
 
-    div_ctrl = int(SIM_RATE / TRUTH_RATE)  # controller + input refresh
-    div_truth = int(SIM_RATE / TRUTH_RATE)
-    div_odo = int(SIM_RATE / ODO_RATE)
-    div_imu = int(SIM_RATE / IMU_RATE)
-    div_whisk = int(SIM_RATE / WHISKER_RATE)
-    div_thr = int(SIM_RATE / THROTTLE_RATE)
+    def build_log(n_ticks):
+        """The log of the first n_ticks ticks, each sensor channel built
+        in one pass after its noise is drawn."""
+        odo, imu, angles, outliers = _draw_sensor_noise(rng, noise, n_ticks, n_sensors)
 
-    def build_log():
+        def ticks(div):
+            return np.arange(0, n_ticks, div) * dt
+
         log = FlightLog()
-        log.add("truth", t_truth, truth_rows, TRUTH_COLUMNS)
-        log.add("odometry", t_odo, odo_rows, ODO_COLUMNS)
-        log.add("imu", t_imu, imu_rows, IMU_COLUMNS)
-        log.add("whisker", t_whisk, whisk_rows, whisker_columns(n_sensors))
-        log.add("throttle", t_thr, thr_rows, THROTTLE_COLUMNS)
+        log.add("truth", t_truth, np.array(truth_rows).reshape(-1, len(TRUTH_COLUMNS)),
+                TRUTH_COLUMNS)
+        log.add("odometry", ticks(_DIV_ODO),
+                _odometry_rows(np.array(odo_src).reshape(-1, 13), odo), ODO_COLUMNS)
+        log.add("imu", ticks(_DIV_IMU),
+                _imu_rows(np.array(imu_src).reshape(-1, 7), veh.gravity, imu, imu_bias),
+                IMU_COLUMNS)
+        log.add("whisker", ticks(_DIV_WHISK),
+                _whisker_rows(np.array(whisk_src).reshape(-1, 17), sc.rig, noise, offsets,
+                              angles, outliers),
+                whisker_columns(n_sensors))
+        log.add("throttle", t_thr, np.array(thr_rows).reshape(-1, len(THROTTLE_COLUMNS)),
+                THROTTLE_COLUMNS)
         return log
 
     for k in range(n_steps):
         t = k * dt
-        if k % div_ctrl == 0:
+        if k % _DIV_CTRL == 0:
             p_now = np.array(packed[0:3])
             dist = _norm(p_now)
             if dist > DIVERGENCE_BOUND:
                 raise SimulationDiverged(
-                    f"vehicle left the arena at t={t:.2f}s (|p|={dist:.1f} m)", build_log()
+                    f"vehicle left the arena at t={t:.2f}s (|p|={dist:.1f} m)", build_log(k)
                 )
             sp_p, sp_v, sp_a, phase = plan.setpoint(t)
             # the controller sees the quaternion normalized with
@@ -642,9 +777,6 @@ def run_scenario(sc: Scenario) -> FlightLog:
             u, wrench_cmd = ctrl.step(_normalize_quat(packed), sp_p, sp_v, sp_a, 1.0 / TRUTH_RATE)
             wind = sc.wind.at(p_now, t)
             touch = sc.touch.at(t)
-            u_list = u.tolist()
-            # sums left to right, as np.mean does over six elements
-            mean_u2 = (sum(u_list) / N_ROTORS) ** 2
             f_applied = float(sc.thrust_scale * wrench_cmd[0])
             tau_applied = (sc.thrust_scale * wrench_cmd[1:4]).tolist()
             wind_f = wind.tolist()
@@ -653,60 +785,23 @@ def run_scenario(sc: Scenario) -> FlightLog:
         # the start-of-step derivative: the truth and IMU rows' acceleration
         # and the RK4 step's first stage
         d = deriv(packed, f_applied, tau_applied, wind_f, touch_f, *consts)
-        if k % div_truth == 0:
+        if k % _DIV_TRUTH == 0:
             t_truth.append(t)
             truth_rows.append(packed + [d[3], d[4], d[5], f_applied, *wind_f, *touch_f, float(phase)])
-        if k % div_odo == 0:
-            p_m = np.array(packed[0:3]) + rng.normal(0.0, noise.odo_pos, 3) if noise.odo_pos else np.array(packed[0:3])
-            v_m = np.array(packed[3:6]) + rng.normal(0.0, noise.odo_vel, 3) if noise.odo_vel else np.array(packed[3:6])
-            q_m = np.array(packed[6:10])
-            rot = _random_quat_perturb(rng, noise.odo_att)
-            if rot is not None:
-                q_m = quat_multiply_rows(quat_from_axis_angle(rot), q_m)
-            w_m = np.array(packed[10:13]) + rng.normal(0.0, noise.odo_gyro, 3) if noise.odo_gyro else np.array(packed[10:13])
-            t_odo.append(t)
-            odo_rows.append(list(p_m) + list(q_m) + list(v_m) + list(w_m))
-        if k % div_imu == 0:
-            a_w = np.array([d[3], d[4], d[5]])
-            R = quat_to_matrix(packed[6:10])
-            spec_b = R.T @ (a_w - np.array([0.0, 0.0, -veh.gravity]))
-            if noise.imu_accel:
-                spec_b = spec_b + rng.normal(0.0, noise.imu_accel, 3)
-            t_imu.append(t)
-            imu_rows.append(list(spec_b + imu_bias))
-        if k % div_thr == 0:
+        if k % _DIV_ODO == 0:
+            odo_src.append(packed)
+        if k % _DIV_IMU == 0:
+            imu_src.append(packed[6:10] + [d[3], d[4], d[5]])
+        if k % _DIV_THR == 0:
             t_thr.append(t)
-            thr_rows.append(u_list + wrench_cmd.tolist())
-        if k % div_whisk == 0:
-            q_now = np.array(packed[6:10])
-            v_now = np.array(packed[3:6])
-            w_now = np.array(packed[10:13])
-            theta_true = whisker_mod.rig_predict(q_now, v_now, w_now, wind, sc.rig)
-            if noise.interference_gain:
-                v_s = whisker_mod.rig_airflow(
-                    whisker_mod.body_airflow(q_now, wind, v_now), w_now, sc.rig
-                )
-                for i in range(n_sensors):
-                    planar = math.hypot(v_s[i, 0], v_s[i, 1])
-                    gain = noise.interference_gain * mean_u2
-                    theta_true[i] += gain * (1.0 + 0.8 * math.tanh(planar / 2.0)) * int_dirs[i]
-            theta_meas = theta_true + offsets
-            if noise.whisker_angle:
-                theta_meas = theta_meas + rng.normal(0.0, noise.whisker_angle, (n_sensors, 2))
-            # spring end stops
-            theta_meas = np.clip(theta_meas, -THETA_LIMIT, THETA_LIMIT)
-            b = sc.rig.sign * whisker_mod.synthesize_field(theta_meas)
-            row = []
-            for i in range(n_sensors):
-                if noise.outlier_prob and rng.random() < noise.outlier_prob:
-                    b[i, rng.integers(0, 3)] += noise.outlier_mag * rng.choice([-1.0, 1.0])
-                row += [theta_meas[i][0], theta_meas[i][1], b[i, 0], b[i, 1], b[i, 2]]
-            t_whisk.append(t)
-            whisk_rows.append(row)
+            thr_rows.append(u + wrench_cmd.tolist())
+        if k % _DIV_WHISK == 0:
+            # sums left to right, as np.mean does over six elements
+            whisk_src.append(packed + wind_f + [(sum(u) / N_ROTORS) ** 2])
 
         packed = rk4_step(packed, d, f_applied, tau_applied, wind_f, touch_f, consts, dt)
 
-    return build_log()
+    return build_log(n_steps)
 
 
 # ---------------------------------------------------------------------------

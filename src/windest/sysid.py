@@ -250,17 +250,19 @@ def identify_rig_coefficients(
 
     thetas: (n, n_sensors, 2) offset-corrected deflections on their own
     clock; odometry arrays are sampled onto that clock by zero-order
-    hold.  Returns an array of median coefficients.
+    hold, the quaternion column normalized first (R(q) is quadratic in
+    q).  Returns an array of median coefficients.
     """
     thetas = np.asarray(thetas, dtype=float)
     idx = zoh_indices(t_odo, t_theta)
     keep = idx >= 0
     idx = idx[keep]
     thetas = thetas[keep]
-    q = np.asarray(q_odo, dtype=float)[idx]
+    # normalize the column once, as the replay does
+    q = quat_normalize_rows(np.asarray(q_odo, dtype=float).T)[:, idx]
     v = np.asarray(v_odo, dtype=float)[idx]
     w = np.asarray(w_odo, dtype=float)[idx]
-    v_inf_b = whisker.body_airflow(q.T, np.zeros((3, 1)), v.T)  # no ambient wind assumed
+    v_inf_b = whisker.body_airflow(q, np.zeros((3, 1)), v.T)  # no ambient wind assumed
     v_s = whisker.rig_airflow(v_inf_b, w.T, rig)
     return np.array(
         [identify_sensor_coefficient(thetas[:, i], v_s[i].T) for i in range(len(rig))]

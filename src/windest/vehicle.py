@@ -27,12 +27,15 @@ product that differs per point, runs on geometry's rows.  They stay two
 because a numpy step costs the same on one state as on 37 (26.5 us
 either way on a 2-core x86 host, AMD EPYC, Python 3.11, numpy 2.4;
 28-30 us with every operation on rows), several times the scalar RK4
-step: ``deriv`` takes 0.9 us and ``rk4_step`` 5.5 us on the same host.
+step: ``deriv`` takes about 1 us and ``rk4_step`` 5 us on the same host.
 
 ``rk4_step`` takes its first stage ``k1 = deriv(s, ...)`` from the
 caller.  The simulator needs that start-of-step derivative anyway (the
 truth and IMU rows carry its acceleration), so each 1 kHz tick
-evaluates ``deriv`` four times, not five or six.
+evaluates the derivative four times, not five or six.  The three later
+stages hand ``_rates`` the ten values the derivative reads as
+arguments, so no state list is built per stage (a fifth of the step's
+cost).
 
 ``drag_force`` is the drag law's one array form, component-first like
 the filter's step, which calls it; so do the estimate rows and the
@@ -125,9 +128,14 @@ def scalar_consts(params: VehicleParams):
 
 def deriv(s, f, tq, wind, touch, m_inv, mu1, mu2, g, jinv_j):
     """Time derivative of the packed state s under thrust f and torque tq."""
-    vx, vy, vz = s[3], s[4], s[5]
-    qw, qx, qy, qz = s[6], s[7], s[8], s[9]
-    wx, wy, wz = s[10], s[11], s[12]
+    return _rates(*s[3:13], f, tq, wind, touch, m_inv, mu1, mu2, g, jinv_j)
+
+
+def _rates(vx, vy, vz, qw, qx, qy, qz, wx, wy, wz,
+           f, tq, wind, touch, m_inv, mu1, mu2, g, jinv_j):
+    """deriv on the ten values of the packed state it reads (the position
+    does not enter), so that RK4's stages pass them without building a
+    state list."""
     # thrust along body z, rotated to world
     tx = 2.0 * (qx * qz + qw * qy) * f
     ty = 2.0 * (qy * qz - qw * qx) * f
@@ -162,18 +170,28 @@ def deriv(s, f, tq, wind, touch, m_inv, mu1, mu2, g, jinv_j):
     )
 
 
+def _stage_rates(s, k, h, f, tq, wind, touch, consts):
+    """deriv at the RK4 stage s + h k."""
+    return _rates(
+        s[3] + h * k[3], s[4] + h * k[4], s[5] + h * k[5],
+        s[6] + h * k[6], s[7] + h * k[7], s[8] + h * k[8], s[9] + h * k[9],
+        s[10] + h * k[10], s[11] + h * k[11], s[12] + h * k[12],
+        f, tq, wind, touch, *consts,
+    )
+
+
 def rk4_step(s, k1, f, tq, wind, touch, consts, dt):
     """One RK4 step of the packed state with inputs held constant, from
     k1 = deriv(s, f, tq, wind, touch, *consts); returns a new list with
     the quaternion renormalized."""
     half, sixth = 0.5 * dt, dt / 6.0
-    k2 = deriv([x + half * k for x, k in zip(s, k1)], f, tq, wind, touch, *consts)
-    k3 = deriv([x + half * k for x, k in zip(s, k2)], f, tq, wind, touch, *consts)
-    k4 = deriv([x + dt * k for x, k in zip(s, k3)], f, tq, wind, touch, *consts)
+    k2 = _stage_rates(s, k1, half, f, tq, wind, touch, consts)
+    k3 = _stage_rates(s, k2, half, f, tq, wind, touch, consts)
+    k4 = _stage_rates(s, k3, dt, f, tq, wind, touch, consts)
     out = [x + sixth * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(s, k1, k2, k3, k4)]
-    qn = math.sqrt(out[6] ** 2 + out[7] ** 2 + out[8] ** 2 + out[9] ** 2)
-    for i in range(6, 10):
-        out[i] /= qn
+    qw, qx, qy, qz = out[6:10]
+    qn = math.sqrt(qw ** 2 + qx ** 2 + qy ** 2 + qz ** 2)
+    out[6:10] = qw / qn, qx / qn, qy / qn, qz / qn
     return out
 
 

@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from windest import lstm, sim, ukf, whisker
+from windest import lstm, pipeline, sim, ukf, whisker
 from windest.cli import build_parser, main
-from windest.logio import Channel, FlightLog, load_estimate, load_log, parse_config, save_log
+from windest.logio import (
+    Channel, FlightLog, load_estimate, load_log, parse_config, save_config, save_log,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -300,6 +302,20 @@ def test_non_numeric_config_value_exits_2(hover_dir, tmp_path, capsys):
                  "--out", str(tmp_path / "e.csv")]) == 2
     err = capsys.readouterr().err
     assert str(cfg) in err and "mu1" in err
+    assert not (tmp_path / "e.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [("mass_kg", "nan"), ("mu2", "inf"),
+                                        ("sensor0_coeff", "nan")])
+def test_non_finite_config_value_exits_2(hover_dir, tmp_path, capsys, key, value):
+    cfg = tmp_path / "params.cfg"
+    d = pipeline.config_to_dict(pipeline.EstimatorConfig())
+    d[key] = value
+    save_config(d, str(cfg))
+    assert main(["estimate", str(hover_dir), "--config", str(cfg),
+                 "--out", str(tmp_path / "e.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and key in err and "not finite" in err
     assert not (tmp_path / "e.csv").exists()
 
 

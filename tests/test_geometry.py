@@ -374,6 +374,30 @@ def test_row_mrp_from_quat_flips_to_the_shadow_set_bitwise():
         assert_same_bits(mrp_from_quat(qi), ref_mrp_from_quat(qi))
 
 
+@pytest.mark.parametrize("m", [1, 2, 37, 500])
+def test_quat_from_mrp_block_matches_rows_bitwise(m):
+    """A (3, m) array takes the block path and returns one (4, m) array
+    with the bits of the row form; contiguous rows of a C-ordered block
+    (the filter's sigma block) and strided rows of a transposed one."""
+    rng = np.random.default_rng(60 + m)
+    sigma = rng.normal(size=(18, m)) * 10.0 ** rng.uniform(-6.0, 0.5, size=(1, m))
+    sigma[6:9, 0] = 0.0
+    for block in (sigma[6:9], np.ascontiguousarray(sigma[6:9].T).T):
+        q = quat_from_mrp(block)
+        assert type(q) is np.ndarray and q.shape == (4, m)
+        rows = np.array(quat_from_mrp(tuple(block)))
+        assert np.array_equal(q.view(np.uint64), rows.view(np.uint64))
+
+
+def test_quat_to_matrix_block_matches_single_quaternions_bitwise():
+    rng = np.random.default_rng(61)
+    q = random_quats(rng, 300)
+    block = quat_to_matrix(q.T)
+    assert block.shape == (3, 3, 300)
+    single = np.stack([quat_to_matrix(qi.tolist()) for qi in q], axis=-1)
+    assert np.array_equal(block.view(np.uint64), single.view(np.uint64))
+
+
 def test_row_zero_mrp_is_the_reference_bitwise():
     rng = np.random.default_rng(52)
     q_ref = random_quats(rng, 1)[0]

@@ -41,8 +41,8 @@ from windest.logio import Channel, FlightLog
 DATA = os.path.join(os.path.dirname(__file__), "data")
 TOL = 1e-9
 # Python-level calls per event of the golden model-route replay after the
-# last change that moved it (74.44 when it was set)
-CALLS_PER_EVENT = 75
+# last change that moved it (72.16 when it was set)
+CALLS_PER_EVENT = 73
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +199,9 @@ def test_python_calls_per_event_do_not_grow(model_log):
     count, lower CALLS_PER_EVENT to just above the new count so the
     ratchet holds there.
 
-    The ceiling was measured (74.44 calls per event, 82.96 before the
+    The ceiling was measured (72.16 calls per event, 74.44 before
+    quat_normalize_rows' zero check left ndarray.any's Python wrapper
+    and quat_from_mrp got its block path, 82.96 before the
     whisker updates moved onto the sigma block, 90.4 before the predict
     step became one pass over it) with numpy 2.4.6 and Python 3.11.7.  cProfile also counts the Python-level and builtin
     frames inside numpy, so an upgrade of either can move the count

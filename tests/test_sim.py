@@ -157,7 +157,7 @@ def test_controller_hover_thrust():
     assert np.allclose(wrench[1:], 0.0, atol=1e-9)
     # throttles reproduce the commanded wrench through the declared map
     B = allocation_matrix()
-    assert np.allclose(B @ (sim.K_THRUST * u), wrench, atol=1e-9)
+    assert np.allclose(B @ (sim.K_THRUST * np.array(u)), wrench, atol=1e-9)
 
 
 def test_controller_climb_request():
@@ -330,8 +330,18 @@ def test_divergence_raises_with_partial_log():
     with pytest.raises(SimulationDiverged) as info:
         run_scenario(sc)
     partial = info.value.partial_log
-    assert "truth" in partial
-    assert partial["truth"].t.size > 0
+    # the last control tick recorded is the one before the divergence tick
+    t_div = partial["truth"].t[-1] + 1.0 / sim.TRUTH_RATE
+    assert t_div > 1.0
+    for name, rate in [("truth", sim.TRUTH_RATE), ("odometry", sim.ODO_RATE),
+                       ("imu", sim.IMU_RATE), ("whisker", sim.WHISKER_RATE),
+                       ("throttle", sim.THROTTLE_RATE)]:
+        ch = partial[name]
+        assert ch.t[0] == 0.0, name
+        assert np.allclose(np.diff(ch.t), 1.0 / rate, atol=1e-9), name
+        # every tick of the channel's clock before the divergence tick
+        assert 0.0 < t_div - ch.t[-1] <= 1.0 / rate + 1e-9, name
+        assert np.all(np.isfinite(ch.data)), name
 
 
 def test_odometry_noise_levels():

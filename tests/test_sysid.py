@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from windest import sim, sysid, whisker
+from windest import pipeline, sim, sysid, whisker
 from windest.geometry import quat_from_axis_angle, quat_multiply_rows, rotation_transposed
 from windest.sysid import (
     DragSample,
@@ -241,6 +241,25 @@ def test_drag_fit_does_not_depend_on_quaternion_scale(circle_multi_clean):
     unit, scaled = fit(q), fit(1.01 * q)
     assert scaled.mu1 == pytest.approx(unit.mu1, abs=1e-12)
     assert scaled.mu2 == pytest.approx(unit.mu2, abs=1e-12)
+
+
+def test_rig_coefficients_do_not_depend_on_quaternion_scale(circle_multi_clean):
+    """identify_rig_coefficients normalizes the odometry attitude too: a
+    column scaled by 1.01 (which unnormalized would move each coefficient
+    by about 4%) gives the same four coefficients."""
+    log, sc = circle_multi_clean
+    odo = log["odometry"]
+    t_theta, theta, _ = pipeline.driver_angles(log, pipeline.EstimatorConfig())
+    q = odo.col("qw", "qx", "qy", "qz")
+
+    def coeffs(q):
+        return sysid.identify_rig_coefficients(
+            t_theta, theta, odo.t, q, odo.col("vx", "vy", "vz"), odo.col("wx", "wy", "wz"), sc.rig
+        )
+
+    unit, scaled = coeffs(q), coeffs(1.01 * q)
+    assert unit.shape == (len(sc.rig),)
+    assert np.all(np.abs(scaled - unit) <= 1e-12 * np.abs(unit))
 
 
 @pytest.mark.parametrize("fs, n", [(100.0, 2650), (50.0, 1000), (100.0, 15)])
