@@ -17,10 +17,11 @@ never goes negative.  Error quaternions compose on the left:
 Rows and blocks
 ---------------
 Everything here is component-first.  ``quat_to_matrix`` forms R(q)
-entry by entry: one matrix on Python floats for the simulator's control
-tick, or a (3, 3, m) block that the simulator's IMU pass stacks into one
-C-ordered matrix per tick, so that each tick's R^T (a - g) is the BLAS
-matrix-vector product of one matrix and rounds the same.
+entry by entry (the simulator's controller writes the same entries out
+on Python floats): one matrix for one quaternion, or a (3, 3, m) block
+that the simulator's IMU pass stacks into one C-ordered matrix per
+tick, so that each tick's R^T (a - g) is the BLAS matrix-vector product
+of one matrix and rounds the same.
 
 The quaternion product and normalization (``quat_multiply_rows``,
 ``quat_normalize_rows``) and the filter's attitude algebra built on them
@@ -102,8 +103,8 @@ class CovarianceError(RuntimeError):
 
 def quat_to_matrix(q):
     """The rotation matrix R(q) from component rows: (3, 3) for one
-    quaternion (Python floats in the simulator's control tick), or
-    (3, 3, m) for a (4, m) block, entry by entry the same bits."""
+    quaternion, or (3, 3, m) for a (4, m) block, entry by entry the same
+    bits."""
     w, x, y, z = q
     return np.array(
         [

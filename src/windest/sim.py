@@ -13,22 +13,31 @@ pulls/pushes.  A configurable rotor-interference channel can add a
 throttle- and airflow-dependent bias to the whisker angles, emulating
 propwash the whisker model does not capture.
 
-The 1 kHz loop flies the vehicle and nothing else: each control tick
-takes the set-point, Controller.step, the wind and the touch force, and
-each tick one vehicle.deriv and one RK4 step, on Python floats.  It
-writes the truth and throttle rows and, at each sensor tick, only what
-that channel is made from: the packed state (odometry), the quaternion
-and start-of-step acceleration (IMU), and the state with the tick's wind
-and mean squared throttle (whisker).  None of the sensors feeds back.
+Before the loop, the inputs that depend on time alone are built in one
+block pass over the control-tick clock (the loop's own k * dt values):
+the plan's set-points [p, v, a] and phases and the touch forces, each
+entry the bits of the scalar formula (tests/test_sim_golden.py keeps
+those as its reference).  The wind depends on where the vehicle is, so
+it stays in the loop.
+
+The 1 kHz loop flies the vehicle and nothing else, on Python floats:
+each control tick checks the divergence guard, reads its set-point and
+touch rows, runs Controller.step and evaluates the wind, and each tick
+runs one vehicle.deriv and one RK4 step.  It writes the truth rows (up to
+the wind) and throttle rows and, at each sensor tick, only what that
+channel is made from: the packed state (odometry), the quaternion and
+start-of-step acceleration (IMU), and the state with the tick's wind and
+mean squared throttle (whisker).  None of the sensors feeds back.
 
 After the loop (and on the SimulationDiverged path, over the ticks flown)
-each sensor channel is built in one pass over its ticks, on the same
-component-first kernels the filter runs on its sigma blocks: the
-odometry attitude noise with quat_from_axis_angle and
-quat_multiply_rows, the IMU's R(q)^T (a - g) as one stacked product, and
-each mount's airflow once per whisker tick (rig_airflow of
-body_airflow), which both the deflection and the interference bias
-read.  The noise comes first, from one loop over the sensor ticks that
+the truth rows take their touch and phase columns from the block pass,
+the channel clocks are built as k * dt arrays, and each sensor channel
+is built in one pass over its ticks, on the same component-first
+kernels the filter runs on its sigma blocks: the odometry attitude
+noise with quat_from_axis_angle and quat_multiply_rows, the IMU's
+R(q)^T (a - g) as one stacked product, and each mount's airflow once
+per whisker tick (rig_airflow of body_airflow), which both the
+deflection and the interference bias read.  The noise comes first, from one loop over the sensor ticks that
 makes every draw in tick order and, within a tick, in channel order:
 the odometry's position, velocity, attitude and gyro noise, then the
 IMU's, then the whisker angles', then each mount's outlier draws.  The
@@ -36,7 +45,8 @@ order is part of each seed's noise realization (moving one draw
 re-draws all that follow), and tests/test_sim_golden.py pins it:
 truth, odometry, IMU and throttle match that flight to the bit, and
 the whisker channel to 1e-9 (its airflow products are matrix-matrix
-products over all ticks, which round differently in the last bits).
+products over all ticks, whose rounding depends on how BLAS blocks
+them).
 """
 
 from __future__ import annotations
@@ -161,23 +171,34 @@ class TouchEvent:
 class TouchProfile:
     events: list[TouchEvent] = field(default_factory=list)
 
-    def at(self, t):
-        f = np.zeros(3)
+    def forces(self, t):
+        """The summed event forces at each time of the 1-D array t, an
+        (n, 3) array."""
+        f = np.zeros((t.shape[0], 3))
         for ev in self.events:
-            if ev.t0 <= t < ev.t1:
-                f += ev.f0 + (ev.f1 - ev.f0) * ((t - ev.t0) / (ev.t1 - ev.t0))
+            on = (ev.t0 <= t) & (t < ev.t1)
+            f[on] += ev.f0 + (ev.f1 - ev.f0) * ((t[on] - ev.t0) / (ev.t1 - ev.t0))[:, None]
         return f
 
 
 # ---------------------------------------------------------------------------
 # trajectory primitives (position, velocity, acceleration; all C1)
+#
+# Each trajectory's states(t) and the plan's setpoints(t) evaluate a whole
+# 1-D array of times at once, into one (n, 9) row [p, v, a] per time.
+# Every entry is the scalar formula's value to the bit: the same operations
+# in the same order on each element, and libm's sin, cos and pow where the
+# formula calls them.
 
 
 def _smoothstep5(u):
-    """Quintic smoothstep and its first two derivatives on [0, 1]."""
-    u = min(max(u, 0.0), 1.0)
+    """Quintic smoothstep and its first two derivatives on [0, 1], at each
+    element of the array u."""
+    u = np.clip(u, 0.0, 1.0)
     s = u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
-    ds = 30.0 * u * u * (1.0 - u) ** 2
+    # (1 - u)^2 by libm's pow, as Python's ** takes it; numpy squares it as
+    # a product, which rounds differently in about one case in a thousand
+    ds = 30.0 * u * u * np.array([(1.0 - x) ** 2 for x in u.tolist()]).reshape(u.shape)
     dds = 60.0 * u * (1.0 - 3.0 * u + 2.0 * u * u)
     return s, ds, dds
 
@@ -213,26 +234,29 @@ class CircleTrajectory:
             prev = om
         segs.append((t, self.ramp, prev, -prev / self.ramp, theta))
         t += self.ramp
-        self._segments = segs
+        self._segments = np.array(segs)
         self.duration = t
 
-    def state(self, t):
-        t = min(max(t, 0.0), self.duration)
-        seg = self._segments[-1]
-        for s in self._segments:
-            if t < s[0] + s[1]:
-                seg = s
-                break
-        t0, _, om0, slope, th0 = seg
+    def states(self, t):
+        t = np.clip(t, 0.0, self.duration)
+        segs = self._segments
+        # the first segment that ends after t, else the last
+        ends = segs[:, 0] + segs[:, 1]
+        i = np.minimum(np.searchsorted(ends, t, side="right"), len(segs) - 1)
+        t0, _, om0, slope, th0 = segs[i].T
         tau = t - t0
         om = om0 + slope * tau
         th = th0 + om0 * tau + 0.5 * slope * tau * tau
-        ct, st = math.cos(th), math.sin(th)
+        ct, st = np.cos(th), np.sin(th)
         r = self.radius
-        p = self.center + np.array([r * ct, r * st, 0.0])
-        v = r * om * np.array([-st, ct, 0.0])
-        a = r * slope * np.array([-st, ct, 0.0]) - r * om * om * np.array([ct, st, 0.0])
-        return p, v, a
+        ro, rs, roo = r * om, r * slope, r * om * om
+        cx, cy, cz = self.center.tolist()
+        columns = (
+            cx + r * ct, cy + r * st, cz + 0.0,
+            ro * -st, ro * ct, ro * 0.0,
+            rs * -st - roo * ct, rs * ct - roo * st, rs * 0.0 - roo * 0.0,
+        )
+        return np.stack(np.broadcast_arrays(*columns), axis=1)
 
 
 @dataclass
@@ -259,20 +283,19 @@ class LineTrajectory:
         self.t_cruise = max(0.0, (self.length - 2.0 * self.d_acc) / v)
         self.duration = 2.0 * self.t_acc + self.t_cruise
 
-    def state(self, t):
-        t = min(max(t, 0.0), self.duration)
+    def states(self, t):
+        t = np.clip(t, 0.0, self.duration)
         a_max, v = self.accel, self.v_cruise
-        if t < self.t_acc:
-            s = 0.5 * a_max * t * t
-            sv, sa = a_max * t, a_max
-        elif t < self.t_acc + self.t_cruise:
-            s = self.d_acc + v * (t - self.t_acc)
-            sv, sa = v, 0.0
-        else:
-            tau = self.duration - t
-            s = self.length - 0.5 * a_max * tau * tau
-            sv, sa = a_max * tau, -a_max
-        return self.p0 + s * self.dir, sv * self.dir, sa * self.dir
+        tau = self.duration - t
+        # accelerating, cruising, else braking
+        acc, cruise = t < self.t_acc, t < self.t_acc + self.t_cruise
+        s = np.where(acc, 0.5 * a_max * t * t,
+                     np.where(cruise, self.d_acc + v * (t - self.t_acc),
+                              self.length - 0.5 * a_max * tau * tau))
+        sv = np.where(acc, a_max * t, np.where(cruise, v, a_max * tau))
+        sa = np.where(acc, a_max, np.where(cruise, 0.0, -a_max))
+        d = self.dir
+        return np.concatenate((self.p0 + s[:, None] * d, sv[:, None] * d, sa[:, None] * d), axis=1)
 
 
 @dataclass
@@ -316,18 +339,17 @@ class JoystickTrajectory:
             ps.append(ps[-1] + 0.5 * T * (self._vs[k] + self._vs[k + 1]))
         self._ps = np.array(ps)
 
-    def state(self, t):
-        t = min(max(t, 0.0), self.duration - 1e-12)
+    def states(self, t):
+        t = np.clip(t, 0.0, self.duration - 1e-12)
         T = self.wp_period
-        k = int(t // T)
+        k = (t // T).astype(int)
         s = t - k * T
-        va, vb = self._vs[k], self._vs[k + 1]
-        dv = vb - va
-        c = math.cos(math.pi * s / T)
-        p = self._ps[k] + va * s + dv * (0.5 * s - (T / (2.0 * math.pi)) * math.sin(math.pi * s / T))
-        v = va + dv * 0.5 * (1.0 - c)
-        a = dv * (math.pi / (2.0 * T)) * math.sin(math.pi * s / T)
-        return p, v, a
+        va, dv = self._vs[k], self._vs[k + 1] - self._vs[k]
+        c, sn = np.cos(math.pi * s / T), np.sin(math.pi * s / T)
+        p = self._ps[k] + va * s[:, None] + dv * (0.5 * s - (T / (2.0 * math.pi)) * sn)[:, None]
+        v = va + dv * 0.5 * (1.0 - c)[:, None]
+        a = dv * (math.pi / (2.0 * T)) * sn[:, None]
+        return np.concatenate((p, v, a), axis=1)
 
 
 @dataclass
@@ -338,8 +360,8 @@ class HoverTrajectory:
     def __post_init__(self):
         self.point = np.asarray(self.point, dtype=float)
 
-    def state(self, t):
-        return self.point.copy(), np.zeros(3), np.zeros(3)
+    def states(self, t):
+        return np.tile(np.concatenate((self.point, np.zeros(6))), (t.shape[0], 1))
 
 
 @dataclass
@@ -355,8 +377,7 @@ class FlightPlan:
     ground_xy: np.ndarray | None = None
 
     def __post_init__(self):
-        p_start, _, _ = self.traj.state(0.0)
-        p_end, _, _ = self.traj.state(self.traj.duration)
+        p_start, p_end = self.traj.states(np.array([0.0, self.traj.duration]))[:, 0:3]
         if self.ground_xy is None:
             self.ground_xy = p_start[:2].copy()
         self.ground_xy = np.asarray(self.ground_xy, dtype=float)
@@ -372,45 +393,45 @@ class FlightPlan:
         self.t_land = self.t_execute + self.traj.duration
         self.duration = self.t_land + self.land + self.tail
 
-    def setpoint(self, t):
-        """Returns (p, v, a, phase)."""
-        if t < self.t_takeoff:
-            return self._p_ground.copy(), np.zeros(3), np.zeros(3), PHASE_TAKEOFF
-        if t < self.t_goto:
-            u = (t - self.t_takeoff) / self.takeoff
-            s, ds, dds = _smoothstep5(u)
-            dz = self._p_hover[2]
-            p = self._p_ground + np.array([0.0, 0.0, s * dz])
-            v = np.array([0.0, 0.0, ds * dz / self.takeoff])
-            a = np.array([0.0, 0.0, dds * dz / self.takeoff**2])
-            return p, v, a, PHASE_TAKEOFF
-        if t < self.t_execute:
-            u = (t - self.t_goto) / self.goto
-            s, ds, dds = _smoothstep5(u)
-            d = self._p_start - self._p_hover
-            return (
-                self._p_hover + s * d,
-                d * ds / self.goto,
-                d * dds / self.goto**2,
-                PHASE_GOTO,
-            )
-        if t < self.t_land:
-            p, v, a = self.traj.state(t - self.t_execute)
-            return p, v, a, PHASE_EXECUTE
-        if t < self.t_land + self.land:
-            u = (t - self.t_land) / self.land
-            s, ds, dds = _smoothstep5(u)
-            dz = -self._p_end[2]
-            p = self._p_end + np.array([0.0, 0.0, s * dz])
-            v = np.array([0.0, 0.0, ds * dz / self.land])
-            a = np.array([0.0, 0.0, dds * dz / self.land**2])
-            return p, v, a, PHASE_LAND
-        return (
-            np.array([self._p_end[0], self._p_end[1], 0.0]),
-            np.zeros(3),
-            np.zeros(3),
-            PHASE_LAND,
+    def setpoints(self, t):
+        """The set-points [p, v, a] at each time of the 1-D array t, an
+        (n, 9) array, and the flight phase of each, an (n,) int array."""
+        sp = np.zeros((t.shape[0], 9))
+        stage = np.searchsorted(
+            [self.t_takeoff, self.t_goto, self.t_execute, self.t_land, self.t_land + self.land],
+            t, side="right",
         )
+        phase = np.array([PHASE_TAKEOFF, PHASE_TAKEOFF, PHASE_GOTO, PHASE_EXECUTE, PHASE_LAND,
+                          PHASE_LAND])[stage]
+        sp[stage == 0, 0:3] = self._p_ground
+        on = stage == 1
+        sp[on] = _vertical(self._p_ground, self._p_hover[2],
+                           (t[on] - self.t_takeoff) / self.takeoff, self.takeoff)
+        on = stage == 2
+        s, ds, dds = _smoothstep5((t[on] - self.t_goto) / self.goto)
+        d = self._p_start - self._p_hover
+        sp[on] = np.concatenate(
+            (self._p_hover + s[:, None] * d, d * ds[:, None] / self.goto,
+             d * dds[:, None] / self.goto**2),
+            axis=1,
+        )
+        on = stage == 3
+        sp[on] = self.traj.states(t[on] - self.t_execute)
+        on = stage == 4
+        sp[on] = _vertical(self._p_end, -self._p_end[2], (t[on] - self.t_land) / self.land,
+                           self.land)
+        sp[stage == 5, 0:2] = self._p_end[0:2]
+        return sp, phase
+
+
+def _vertical(p0, dz, u, duration):
+    """Set-point rows of a smoothstep climb (dz > 0) or descent from p0
+    over duration, at the normalized times u."""
+    s, ds, dds = _smoothstep5(u)
+    x, y, z = p0.tolist()
+    columns = (x + 0.0, y + 0.0, z + s * dz, 0.0, 0.0, ds * dz / duration,
+               0.0, 0.0, dds * dz / duration**2)
+    return np.stack(np.broadcast_arrays(*columns), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -439,24 +460,6 @@ def allocation_matrix():
     return B
 
 
-_X_AXIS = (1.0, 0.0, 0.0)
-
-
-def _norm(x):
-    """np.linalg.norm of a 1-D array, which it computes as sqrt(x.dot(x))
-    (BLAS ddot), without its dispatch."""
-    return math.sqrt(x.dot(x))
-
-
-def _cross(a, b):
-    """a x b on 3-sequences of floats, with np.cross's terms."""
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
 def _normalize_quat(s):
     """The packed state s with its quaternion normalized as
     geometry.quat_normalize_rows does it (left-to-right sum of squares,
@@ -466,80 +469,86 @@ def _normalize_quat(s):
     return s[:6] + [qw / n, qx / n, qy / n, qz / n] + s[10:]
 
 
+def _tuples(a):
+    """A 2-D array as a tuple of row tuples of Python floats."""
+    return tuple(map(tuple, np.asarray(a, dtype=float).tolist()))
+
+
 class Controller:
-    """Cascaded position PID -> thrust direction -> attitude PD -> rotors."""
+    """Cascaded position PID -> thrust direction -> attitude PD -> rotors.
+
+    step runs on Python floats alone, as straight-line sums over the gains,
+    the inertia and the allocation matrices, which __init__ converts to
+    tuples once: a numpy call on a 3-vector costs more than the arithmetic
+    it does.
+    """
 
     def __init__(self, params: ControllerParams, vehicle: VehicleParams):
         self.params = params
         self.vehicle = vehicle
-        self.B = allocation_matrix()
-        self.B_pinv = np.linalg.pinv(self.B)
-        self.integral = [0.0, 0.0, 0.0]
-        self._gains = tuple(
-            np.asarray(g, dtype=float).tolist()
-            for g in (params.kp_pos, params.kd_pos, params.ki_pos, params.kp_att, params.kd_att)
+        B = allocation_matrix()
+        self._alloc, self._alloc_pinv = _tuples(B), _tuples(np.linalg.pinv(B))
+        self._inertia = _tuples(vehicle.inertia)
+        self._gains = _tuples(
+            [params.kp_pos, params.kd_pos, params.ki_pos, params.kp_att, params.kd_att]
         )
+        self.integral = [0.0, 0.0, 0.0]
 
-    def step(self, s, sp_p, sp_v, sp_a, dt):
+    def step(self, s, sp, dt):
         """One control tick on the packed state s (vehicle.deriv's layout,
-        unit quaternion) and set-point arrays; returns (throttles, a list
-        of floats, and the commanded wrench [f, tau], an array)."""
-        # Python floats, each operation in numpy's elementwise order.  The
-        # products whose rounding comes from BLAS stay numpy calls: the two
-        # norms (ddot), the attitude matrix R_des^T R, the two inertia
-        # products and the allocation products (gemv).  Python sums left to
-        # right and rounds differently in 11% (norm) to 70% (3x3
-        # matrix-vector) of cases.
-        par, veh = self.params, self.vehicle
+        unit quaternion) and the set-point row sp = [p, v, a], 9 floats;
+        returns the six throttles and the commanded wrench
+        [f, tau_x, tau_y, tau_z], lists of floats."""
         (kpx, kpy, kpz), (kdx, kdy, kdz), (kix, kiy, kiz), kp_att, kd_att = self._gains
-        lim, mass, g = par.int_limit, veh.mass, veh.gravity
-        px, py, pz, vx, vy, vz = s[0:6]
-        w = s[10:13]
-        spx, spy, spz = sp_p.tolist()
-        svx, svy, svz = sp_v.tolist()
-        sax, say, saz = sp_a.tolist()
+        lim, mass, g = self.params.int_limit, self.vehicle.mass, self.vehicle.gravity
+        px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = s
+        spx, spy, spz, svx, svy, svz, sax, say, saz = sp
         ex, ey, ez = spx - px, spy - py, spz - pz
         ix, iy, iz = self.integral
         ix = min(max(ix + ex * dt, -lim), lim)
         iy = min(max(iy + ey * dt, -lim), lim)
         iz = min(max(iz + ez * dt, -lim), lim)
         self.integral = [ix, iy, iz]
-        # the "+ 0.0" terms are the x and y of numpy's gravity vector: they
-        # turn a -0.0 into +0.0 as numpy does
-        f_des = (
-            mass * (sax + kpx * ex + kdx * (svx - vx) + kix * ix + 0.0),
-            mass * (say + kpy * ey + kdy * (svy - vy) + kiy * iy + 0.0),
-            mass * (saz + kpz * ez + kdz * (svz - vz) + kiz * iz + g),
-        )
-        R = quat_to_matrix(s[6:10])
+        fx = mass * (sax + kpx * ex + kdx * (svx - vx) + kix * ix)
+        fy = mass * (say + kpy * ey + kdy * (svy - vy) + kiy * iy)
+        fz = mass * (saz + kpz * ez + kdz * (svz - vz) + kiz * iz + g)
+        # R(q), entry by entry as geometry.quat_to_matrix forms it
+        r00, r01, r02 = 1 - 2 * (qy * qy + qz * qz), 2 * (qx * qy - qw * qz), 2 * (qx * qz + qw * qy)
+        r10, r11, r12 = 2 * (qx * qy + qw * qz), 1 - 2 * (qx * qx + qz * qz), 2 * (qy * qz - qw * qx)
+        r20, r21, r22 = 2 * (qx * qz - qw * qy), 2 * (qy * qz + qw * qx), 1 - 2 * (qx * qx + qy * qy)
         # satisfy the vertical force balance exactly: f = f_des_z / b3_z
-        f_cmd = f_des[2] / max(R.item(2, 2), 0.25)
+        f_cmd = fz / max(r22, 0.25)
         f_cmd = min(max(f_cmd, 0.0), N_ROTORS * K_THRUST)
-        # attitude setpoint from the desired force direction, yaw held at 0;
-        # its columns are b1, b2, b3
-        n = _norm(np.array(f_des))
-        b3 = (f_des[0] / n, f_des[1] / n, f_des[2] / n) if n > 0.1 * mass * g else (0.0, 0.0, 1.0)
-        b2 = _cross(b3, _X_AXIS)
-        n = _norm(np.array(b2))
-        b2 = (b2[0] / n, b2[1] / n, b2[2] / n)
-        b1 = _cross(b2, b3)
-        R_des = np.array([[b1[0], b2[0], b3[0]], [b1[1], b2[1], b3[1]], [b1[2], b2[2], b3[2]]])
-        # the skew part of M = R_des^T R: R^T R_des is M^T to the bit
-        M = (R_des.T @ R).tolist()
-        e_R = (0.5 * (M[2][1] - M[1][2]), 0.5 * (M[0][2] - M[2][0]), 0.5 * (M[1][0] - M[0][1]))
-        ang_acc = np.array([
-            -kp_att[0] * e_R[0] - kd_att[0] * w[0],
-            -kp_att[1] * e_R[1] - kd_att[1] * w[1],
-            -kp_att[2] * e_R[2] - kd_att[2] * w[2],
-        ])
-        J = veh.inertia
-        gx, gy, gz = _cross(w, (J @ np.array(w)).tolist())
-        tx, ty, tz = (J @ ang_acc).tolist()
+        # attitude set-point R_des = [b1 b2 b3] from the desired force
+        # direction b3, yaw held at 0: b2 = b3 x e_x / |b3 x e_x|, b1 = b2 x b3
+        n = math.sqrt(fx * fx + fy * fy + fz * fz)
+        b3x, b3y, b3z = (fx / n, fy / n, fz / n) if n > 0.1 * mass * g else (0.0, 0.0, 1.0)
+        n = math.sqrt(b3z * b3z + b3y * b3y)
+        b2y, b2z = b3z / n, -b3y / n
+        b1x, b1y, b1z = b2y * b3z - b2z * b3y, b2z * b3x, -b2y * b3x
+        # e_R = vee(M - M^T) / 2 with M = R_des^T R, M_ij = b_i . R e_j
+        e0 = 0.5 * ((b3x * r01 + b3y * r11 + b3z * r21) - (b2y * r12 + b2z * r22))
+        e1 = 0.5 * ((b1x * r02 + b1y * r12 + b1z * r22) - (b3x * r00 + b3y * r10 + b3z * r20))
+        e2 = 0.5 * ((b2y * r10 + b2z * r20) - (b1x * r01 + b1y * r11 + b1z * r21))
+        a0 = -kp_att[0] * e0 - kd_att[0] * wx
+        a1 = -kp_att[1] * e1 - kd_att[1] * wy
+        a2 = -kp_att[2] * e2 - kd_att[2] * wz
+        # torque J a + w x J w
+        (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = self._inertia
+        hx = j00 * wx + j01 * wy + j02 * wz
+        hy = j10 * wx + j11 * wy + j12 * wz
+        hz = j20 * wx + j21 * wy + j22 * wz
         k = K_THRUST
-        u = self.B_pinv @ np.array([f_cmd / k, (tx + gx) / k, (ty + gy) / k, (tz + gz) / k])
+        c0 = f_cmd / k
+        c1 = (j00 * a0 + j01 * a1 + j02 * a2 + (wy * hz - wz * hy)) / k
+        c2 = (j10 * a0 + j11 * a1 + j12 * a2 + (wz * hx - wx * hz)) / k
+        c3 = (j20 * a0 + j21 * a1 + j22 * a2 + (wx * hy - wy * hx)) / k
+        u = [p0 * c0 + p1 * c1 + p2 * c2 + p3 * c3 for p0, p1, p2, p3 in self._alloc_pinv]
         # np.clip's result, -0.0 and NaN included
-        u = [0.0 if x < 0.0 else 1.0 if x > 1.0 else x for x in u.tolist()]
-        wrench = self.B @ np.array([k * x for x in u])
+        u = [0.0 if x < 0.0 else 1.0 if x > 1.0 else x for x in u]
+        f0, f1, f2, f3, f4, f5 = [k * x for x in u]
+        wrench = [b0 * f0 + b1 * f1 + b2 * f2 + b3 * f3 + b4 * f4 + b5 * f5
+                  for b0, b1, b2, b3, b4, b5 in self._alloc]
         return u, wrench
 
 
@@ -603,8 +612,7 @@ def whisker_columns(n_sensors):
     return cols
 
 
-_DIV_CTRL = int(SIM_RATE / TRUTH_RATE)  # controller + input refresh
-_DIV_TRUTH = int(SIM_RATE / TRUTH_RATE)
+_DIV_CTRL = int(SIM_RATE / TRUTH_RATE)  # controller + input refresh, one truth row each
 _DIV_ODO = int(SIM_RATE / ODO_RATE)
 _DIV_IMU = int(SIM_RATE / IMU_RATE)
 _DIV_WHISK = int(SIM_RATE / WHISKER_RATE)
@@ -725,14 +733,20 @@ def run_scenario(sc: Scenario) -> FlightLog:
     plan = sc.plan
     dt = 1.0 / SIM_RATE
     n_steps = int(round(plan.duration * SIM_RATE)) + 1
-    p0, _, _, _ = plan.setpoint(0.0)
+    # the open-loop inputs of every control tick, on the loop's own clock
+    t_ctrl = np.arange(0, n_steps, _DIV_CTRL) * dt
+    setpoints, phases = plan.setpoints(t_ctrl)
+    touches = sc.touch.forces(t_ctrl)
+    sp_rows, touch_rows = setpoints.tolist(), touches.tolist()
     ctrl = Controller(sc.controller, veh)
+    scale = float(sc.thrust_scale)
 
     consts = scalar_consts(veh)
     # the hot loop runs on Python floats; see the note above vehicle.scalar_consts
-    packed = p0.tolist() + [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    packed = sp_rows[0][0:3] + [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
-    truth_rows, thr_rows, t_truth, t_thr = [], [], [], []
+    # truth rows up to the wind (touch and phase are joined after the loop)
+    truth_rows, thr_rows = [], []
     # what each sensor channel needs from its ticks
     odo_src, imu_src, whisk_src = [], [], []
 
@@ -744,9 +758,14 @@ def run_scenario(sc: Scenario) -> FlightLog:
         def ticks(div):
             return np.arange(0, n_ticks, div) * dt
 
+        m = len(truth_rows)
+        truth = np.concatenate(
+            (np.array(truth_rows).reshape(m, len(TRUTH_COLUMNS) - 4), touches[:m],
+             phases[:m, None]),
+            axis=1,
+        )
         log = FlightLog()
-        log.add("truth", t_truth, np.array(truth_rows).reshape(-1, len(TRUTH_COLUMNS)),
-                TRUTH_COLUMNS)
+        log.add("truth", ticks(_DIV_CTRL), truth, TRUTH_COLUMNS)
         log.add("odometry", ticks(_DIV_ODO),
                 _odometry_rows(np.array(odo_src).reshape(-1, 13), odo), ODO_COLUMNS)
         log.add("imu", ticks(_DIV_IMU),
@@ -756,45 +775,41 @@ def run_scenario(sc: Scenario) -> FlightLog:
                 _whisker_rows(np.array(whisk_src).reshape(-1, 17), sc.rig, noise, offsets,
                               angles, outliers),
                 whisker_columns(n_sensors))
-        log.add("throttle", t_thr, np.array(thr_rows).reshape(-1, len(THROTTLE_COLUMNS)),
-                THROTTLE_COLUMNS)
+        log.add("throttle", ticks(_DIV_THR),
+                np.array(thr_rows).reshape(-1, len(THROTTLE_COLUMNS)), THROTTLE_COLUMNS)
         return log
 
     for k in range(n_steps):
-        t = k * dt
         if k % _DIV_CTRL == 0:
-            p_now = np.array(packed[0:3])
-            dist = _norm(p_now)
-            if dist > DIVERGENCE_BOUND:
+            j = k // _DIV_CTRL
+            px, py, pz = packed[0:3]
+            dist = math.sqrt(px * px + py * py + pz * pz)
+            # written so that a NaN position fails it too
+            if not dist <= DIVERGENCE_BOUND:
                 raise SimulationDiverged(
-                    f"vehicle left the arena at t={t:.2f}s (|p|={dist:.1f} m)", build_log(k)
+                    f"vehicle left the arena at t={k * dt:.2f}s (|p|={dist:.1f} m)", build_log(k)
                 )
-            sp_p, sp_v, sp_a, phase = plan.setpoint(t)
             # the controller sees the quaternion normalized with
             # quat_normalize_rows' rounding; the RK4 step's own
             # renormalization rounds differently, and the integration goes
             # on from packed
-            u, wrench_cmd = ctrl.step(_normalize_quat(packed), sp_p, sp_v, sp_a, 1.0 / TRUTH_RATE)
-            wind = sc.wind.at(p_now, t)
-            touch = sc.touch.at(t)
-            f_applied = float(sc.thrust_scale * wrench_cmd[0])
-            tau_applied = (sc.thrust_scale * wrench_cmd[1:4]).tolist()
-            wind_f = wind.tolist()
-            touch_f = touch.tolist()
+            u, wrench_cmd = ctrl.step(_normalize_quat(packed), sp_rows[j], 1.0 / TRUTH_RATE)
+            wind_f = sc.wind.at(packed[0:3], k * dt).tolist()
+            touch_f = touch_rows[j]
+            f_applied = scale * wrench_cmd[0]
+            tau_applied = [scale * wrench_cmd[1], scale * wrench_cmd[2], scale * wrench_cmd[3]]
 
         # the start-of-step derivative: the truth and IMU rows' acceleration
         # and the RK4 step's first stage
         d = deriv(packed, f_applied, tau_applied, wind_f, touch_f, *consts)
-        if k % _DIV_TRUTH == 0:
-            t_truth.append(t)
-            truth_rows.append(packed + [d[3], d[4], d[5], f_applied, *wind_f, *touch_f, float(phase)])
+        if k % _DIV_CTRL == 0:
+            truth_rows.append(packed + [d[3], d[4], d[5], f_applied] + wind_f)
         if k % _DIV_ODO == 0:
             odo_src.append(packed)
         if k % _DIV_IMU == 0:
             imu_src.append(packed[6:10] + [d[3], d[4], d[5]])
         if k % _DIV_THR == 0:
-            t_thr.append(t)
-            thr_rows.append(u + wrench_cmd.tolist())
+            thr_rows.append(u + wrench_cmd)
         if k % _DIV_WHISK == 0:
             # sums left to right, as np.mean does over six elements
             whisk_src.append(packed + wind_f + [(sum(u) / N_ROTORS) ** 2])

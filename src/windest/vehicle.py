@@ -74,8 +74,10 @@ class VehicleParams:
 
     def __post_init__(self):
         self.inertia = np.asarray(self.inertia, dtype=float)
-        if self.mass <= 0.0:
-            raise ValueError("mass must be positive")
+        for name in ("mass", "gravity"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, not {value!r}")
         if self.inertia.shape != (3, 3) or not np.allclose(self.inertia, self.inertia.T):
             raise ValueError("inertia must be a symmetric 3x3 matrix")
         if np.any(np.linalg.eigvalsh(self.inertia) <= 0.0):

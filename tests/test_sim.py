@@ -66,9 +66,10 @@ def test_wind_schedule():
 
 def test_touch_profile_ramp():
     prof = TouchProfile([TouchEvent(1.0, 3.0, [0.0, 0.0, 0.0], [0.0, 0.0, -4.0])])
-    assert np.allclose(prof.at(0.5), 0.0)
-    assert np.allclose(prof.at(2.0), [0.0, 0.0, -2.0])
-    assert np.allclose(prof.at(3.0), 0.0)  # half-open interval
+    f = prof.forces(np.array([0.5, 2.0, 3.0]))
+    assert np.allclose(f[0], 0.0)
+    assert np.allclose(f[1], [0.0, 0.0, -2.0])
+    assert np.allclose(f[2], 0.0)  # half-open interval
 
 
 # ---------------------------------------------------------------------------
@@ -78,67 +79,59 @@ def test_touch_profile_ramp():
 def test_circle_speed_exact_during_hold():
     traj = CircleTrajectory(speeds=(1.0, 3.0), hold=6.0, ramp=2.0)
     # holds sit at [ramp, ramp+hold) then [2 ramp+hold, ...)
-    for t in np.linspace(2.5, 7.5, 13):
-        _, v, _ = traj.state(t)
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-9)
-    for t in np.linspace(10.5, 15.5, 13):
-        _, v, _ = traj.state(t)
-        assert np.linalg.norm(v) == pytest.approx(3.0, abs=1e-9)
+    v = traj.states(np.linspace(2.5, 7.5, 13))[:, 3:6]
+    assert np.allclose(np.linalg.norm(v, axis=1), 1.0, rtol=0.0, atol=1e-9)
+    v = traj.states(np.linspace(10.5, 15.5, 13))[:, 3:6]
+    assert np.allclose(np.linalg.norm(v, axis=1), 3.0, rtol=0.0, atol=1e-9)
 
 
 def test_circle_stays_on_circle():
     traj = CircleTrajectory(radius=2.5)
-    for t in np.linspace(0.0, traj.duration, 200):
-        p, _, _ = traj.state(t)
-        assert np.hypot(p[0] - traj.center[0], p[1] - traj.center[1]) == pytest.approx(2.5)
+    p = traj.states(np.linspace(0.0, traj.duration, 200))
+    r = np.hypot(p[:, 0] - traj.center[0], p[:, 1] - traj.center[1])
+    assert r.tolist() == pytest.approx([2.5] * 200)
 
 
 def test_line_reaches_endpoints_in_order():
     traj = LineTrajectory(p0=[-5.0, 0.0, 1.5], p1=[5.0, 0.0, 1.5], vmax=1.5)
-    p_start, v0, _ = traj.state(0.0)
-    p_end, v1, _ = traj.state(traj.duration)
+    (p_start, v0), (p_end, v1) = traj.states(np.array([0.0, traj.duration]))[:, 0:6].reshape(2, 2, 3)
     assert np.allclose(p_start, [-5.0, 0.0, 1.5])
     assert np.allclose(p_end, [5.0, 0.0, 1.5], atol=1e-9)
     assert np.allclose(v0, 0.0) and np.allclose(v1, 0.0, atol=1e-9)
-    xs = [traj.state(t)[0][0] for t in np.linspace(0.0, traj.duration, 100)]
-    assert np.all(np.diff(xs) >= -1e-12)
-    for t in np.linspace(0.0, traj.duration, 100):
-        assert np.linalg.norm(traj.state(t)[1]) <= 1.5 + 1e-9
+    sp = traj.states(np.linspace(0.0, traj.duration, 100))
+    assert np.all(np.diff(sp[:, 0]) >= -1e-12)
+    assert np.all(np.linalg.norm(sp[:, 3:6], axis=1) <= 1.5 + 1e-9)
 
 
 def test_joystick_bounded_and_c1():
     traj = JoystickTrajectory(seed=9, duration=20.0, vmax=4.0)
-    ts = np.linspace(0.0, traj.duration - 1e-6, 500)
-    vs = np.array([traj.state(t)[1] for t in ts])
+    vs = traj.states(np.linspace(0.0, traj.duration - 1e-6, 500))[:, 3:6]
     assert np.max(np.linalg.norm(vs, axis=1)) <= 4.0 + 1e-9
     # velocity continuous: finite-difference of position tracks v
-    dt = 1e-4
-    for t in (3.1, 7.7, 12.3):
-        p0 = traj.state(t - dt)[0]
-        p1 = traj.state(t + dt)[0]
-        assert np.allclose((p1 - p0) / (2 * dt), traj.state(t)[1], atol=1e-4)
+    t, dt = np.array([3.1, 7.7, 12.3]), 1e-4
+    p0, p1, v = traj.states(t - dt)[:, 0:3], traj.states(t + dt)[:, 0:3], traj.states(t)[:, 3:6]
+    assert np.allclose((p1 - p0) / (2 * dt), v, atol=1e-4)
 
 
 def test_plan_starts_grounded():
     plan = FlightPlan(CircleTrajectory())
-    p, v, a, phase = plan.setpoint(0.0)
-    assert p[2] == 0.0
-    assert np.allclose(v, 0.0) and np.allclose(a, 0.0)
+    sp, phase = plan.setpoints(np.array([0.0]))
+    assert sp[0, 2] == 0.0
+    assert np.all(sp[0, 3:9] == 0.0)
+    assert phase[0] == sim.PHASE_TAKEOFF
 
 
 def test_plan_setpoints_c1():
     plan = FlightPlan(CircleTrajectory(speeds=(2.0,), hold=4.0))
-    dt = 1e-5
-    for t in np.linspace(0.5, plan.duration - 0.5, 40):
-        p0 = plan.setpoint(t - dt)[0]
-        p1 = plan.setpoint(t + dt)[0]
-        v = plan.setpoint(t)[1]
-        assert np.allclose((p1 - p0) / (2 * dt), v, atol=1e-3)
+    t, dt = np.linspace(0.5, plan.duration - 0.5, 40), 1e-5
+    p0, p1 = plan.setpoints(t - dt)[0][:, 0:3], plan.setpoints(t + dt)[0][:, 0:3]
+    v = plan.setpoints(t)[0][:, 3:6]
+    assert np.allclose((p1 - p0) / (2 * dt), v, atol=1e-3)
 
 
 def test_plan_phase_sequence():
     plan = FlightPlan(CircleTrajectory(speeds=(2.0,), hold=4.0))
-    phases = [plan.setpoint(t)[3] for t in np.arange(0.0, plan.duration, 0.25)]
+    phases = plan.setpoints(np.arange(0.0, plan.duration, 0.25))[1].tolist()
     # strip consecutive duplicates
     seq = [phases[0]] + [p for a, p in zip(phases, phases[1:]) if p != a]
     assert seq == [sim.PHASE_TAKEOFF, sim.PHASE_GOTO, sim.PHASE_EXECUTE, sim.PHASE_LAND]
@@ -152,7 +145,7 @@ def test_controller_hover_thrust():
     par = VehicleParams()
     ctrl = Controller(ControllerParams(), par)
     state = [0.0, 0.0, 1.5, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-    u, wrench = ctrl.step(state, np.array([0.0, 0.0, 1.5]), np.zeros(3), np.zeros(3), 0.002)
+    u, wrench = ctrl.step(state, [0.0, 0.0, 1.5] + [0.0] * 6, 0.002)
     assert wrench[0] == pytest.approx(par.mass * par.gravity, rel=1e-6)
     assert np.allclose(wrench[1:], 0.0, atol=1e-9)
     # throttles reproduce the commanded wrench through the declared map
@@ -164,7 +157,7 @@ def test_controller_climb_request():
     par = VehicleParams()
     ctrl = Controller(ControllerParams(), par)
     state = [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-    u, wrench = ctrl.step(state, np.array([0.0, 0.0, 1.5]), np.zeros(3), np.zeros(3), 0.002)
+    u, wrench = ctrl.step(state, [0.0, 0.0, 1.5] + [0.0] * 6, 0.002)
     assert wrench[0] > par.mass * par.gravity
     assert np.allclose(wrench[1:], 0.0, atol=1e-9)
 
@@ -342,6 +335,20 @@ def test_divergence_raises_with_partial_log():
         # every tick of the channel's clock before the divergence tick
         assert 0.0 < t_div - ch.t[-1] <= 1.0 / rate + 1e-9, name
         assert np.all(np.isfinite(ch.data)), name
+
+
+def test_non_finite_state_raises_with_finite_partial_log():
+    """A NaN position fails the divergence guard: the flight stops at the
+    first control tick that sees it, and the partial log holds only the
+    ticks before it, all finite."""
+    sc = sim.hover_scenario(noise=NoiseSpec.none(), duration=1.0)
+    sc.vehicle = VehicleParams(mu2=np.inf)
+    with pytest.raises(SimulationDiverged) as info:
+        run_scenario(sc)
+    assert "|p|=nan" in str(info.value)
+    truth = info.value.partial_log["truth"]
+    assert truth.t.size > 0
+    assert np.all(np.isfinite(truth.data))
 
 
 def test_odometry_noise_levels():

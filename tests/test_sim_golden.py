@@ -1,9 +1,10 @@
 """Simulator regression guards: a golden flight and bitwise kernel checks.
 
 The CSVs in tests/data/golden_sim were written with logio.save_log by
-the simulator as it stood before its hot loop moved to Python floats and
-explicit cross products, on the flight `golden_scenario` builds (truth
-kept at every fifth row, the other channels whole):
+the simulator as it stood after its controller moved onto Python floats
+(straight-line sums in place of numpy's BLAS products, which round
+differently in the last bits), on the flight `golden_scenario` builds
+(truth kept at every fifth row, the other channels whole):
 
     log = sim.run_scenario(golden_scenario())
     log.channels["truth"] = decimated truth (TRUTH_STRIDE)
@@ -12,17 +13,26 @@ kept at every fifth row, the other channels whole):
 The flight is short but runs every branch of the loop: a cone gust and
 a touch ramp on the hover, rotor interference, whisker outliers and the
 default noise (attitude noise on odometry included).  A change that
-alters the simulator's output on purpose must regenerate the files from
-the simulator as it was before the change and say why they moved.
+alters the simulator's output on purpose must first show that the new
+flight stays close to the files, then regenerate them and say why they
+moved.  The last move: every channel within 1.5e-14 of the files the
+numpy controller wrote.
 
 Truth, odometry, IMU and throttle must match the files to the bit, which
 also pins the order of the noise draws (one draw moved re-draws all
 that follow).  The whisker channel is held to TOL: its block pass forms
-the airflow with matrix-matrix products where the files' simulator made
-one matrix-vector product per tick, so it moves in the last bits.
+the airflow with matrix-matrix products over all ticks, whose rounding
+depends on how BLAS blocks them.
+
+The set-points and touch forces the simulator builds in one block pass
+before its loop are checked to the bit against the scalar formulas
+below (ref_*), which evaluate one time at a time.
 """
 
+import cProfile
+import math
 import os
+import pstats
 
 import numpy as np
 import pytest
@@ -36,6 +46,10 @@ DATA = os.path.join(os.path.dirname(__file__), "data", "golden_sim")
 TOL = 1e-9
 TRUTH_STRIDE = 5
 BITWISE_CHANNELS = ("truth", "odometry", "imu", "throttle")
+# Python-level calls per control tick of the golden flight after the last
+# change that moved it (59.25 when it was set; see
+# test_python_calls_per_control_tick_do_not_grow)
+CALLS_PER_TICK = 60
 
 
 def golden_scenario():
@@ -78,6 +92,138 @@ def test_golden_flight_runs_every_branch(golden_log):
     # outliers put raw field components far from the clean synthesized field
     b = logio.whisker_fields(golden_log)
     assert np.max(np.abs(b - np.median(b, axis=0))) > 50.0
+
+
+# ---------------------------------------------------------------------------
+# the open-loop inputs: scalar reference formulas, one time at a time
+
+
+def ref_smoothstep5(u):
+    u = min(max(u, 0.0), 1.0)
+    s = u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
+    ds = 30.0 * u * u * (1.0 - u) ** 2
+    dds = 60.0 * u * (1.0 - 3.0 * u + 2.0 * u * u)
+    return s, ds, dds
+
+
+def ref_circle_state(traj, t):
+    t = min(max(t, 0.0), traj.duration)
+    seg = traj._segments[-1]
+    for sg in traj._segments:
+        if t < sg[0] + sg[1]:
+            seg = sg
+            break
+    t0, _, om0, slope, th0 = seg.tolist()
+    tau = t - t0
+    om = om0 + slope * tau
+    th = th0 + om0 * tau + 0.5 * slope * tau * tau
+    ct, st = math.cos(th), math.sin(th)
+    r = traj.radius
+    p = traj.center + np.array([r * ct, r * st, 0.0])
+    v = r * om * np.array([-st, ct, 0.0])
+    a = r * slope * np.array([-st, ct, 0.0]) - r * om * om * np.array([ct, st, 0.0])
+    return p, v, a
+
+
+def ref_line_state(traj, t):
+    t = min(max(t, 0.0), traj.duration)
+    a_max, v = traj.accel, traj.v_cruise
+    if t < traj.t_acc:
+        s = 0.5 * a_max * t * t
+        sv, sa = a_max * t, a_max
+    elif t < traj.t_acc + traj.t_cruise:
+        s = traj.d_acc + v * (t - traj.t_acc)
+        sv, sa = v, 0.0
+    else:
+        tau = traj.duration - t
+        s = traj.length - 0.5 * a_max * tau * tau
+        sv, sa = a_max * tau, -a_max
+    return traj.p0 + s * traj.dir, sv * traj.dir, sa * traj.dir
+
+
+def ref_joystick_state(traj, t):
+    t = min(max(t, 0.0), traj.duration - 1e-12)
+    T = traj.wp_period
+    k = int(t // T)
+    s = t - k * T
+    va, vb = traj._vs[k], traj._vs[k + 1]
+    dv = vb - va
+    c = math.cos(math.pi * s / T)
+    p = traj._ps[k] + va * s + dv * (0.5 * s - (T / (2.0 * math.pi)) * math.sin(math.pi * s / T))
+    v = va + dv * 0.5 * (1.0 - c)
+    a = dv * (math.pi / (2.0 * T)) * math.sin(math.pi * s / T)
+    return p, v, a
+
+
+def ref_hover_state(traj, t):
+    return traj.point.copy(), np.zeros(3), np.zeros(3)
+
+
+REF_STATE = {
+    sim.CircleTrajectory: ref_circle_state,
+    sim.LineTrajectory: ref_line_state,
+    sim.JoystickTrajectory: ref_joystick_state,
+    sim.HoverTrajectory: ref_hover_state,
+}
+
+
+def ref_setpoint(plan, t):
+    """(p, v, a, phase) of the plan at time t."""
+    if t < plan.t_takeoff:
+        return plan._p_ground.copy(), np.zeros(3), np.zeros(3), sim.PHASE_TAKEOFF
+    if t < plan.t_goto:
+        u = (t - plan.t_takeoff) / plan.takeoff
+        s, ds, dds = ref_smoothstep5(u)
+        dz = plan._p_hover[2]
+        p = plan._p_ground + np.array([0.0, 0.0, s * dz])
+        v = np.array([0.0, 0.0, ds * dz / plan.takeoff])
+        a = np.array([0.0, 0.0, dds * dz / plan.takeoff**2])
+        return p, v, a, sim.PHASE_TAKEOFF
+    if t < plan.t_execute:
+        u = (t - plan.t_goto) / plan.goto
+        s, ds, dds = ref_smoothstep5(u)
+        d = plan._p_start - plan._p_hover
+        return plan._p_hover + s * d, d * ds / plan.goto, d * dds / plan.goto**2, sim.PHASE_GOTO
+    if t < plan.t_land:
+        p, v, a = REF_STATE[type(plan.traj)](plan.traj, t - plan.t_execute)
+        return p, v, a, sim.PHASE_EXECUTE
+    if t < plan.t_land + plan.land:
+        u = (t - plan.t_land) / plan.land
+        s, ds, dds = ref_smoothstep5(u)
+        dz = -plan._p_end[2]
+        p = plan._p_end + np.array([0.0, 0.0, s * dz])
+        v = np.array([0.0, 0.0, ds * dz / plan.land])
+        a = np.array([0.0, 0.0, dds * dz / plan.land**2])
+        return p, v, a, sim.PHASE_LAND
+    return np.array([plan._p_end[0], plan._p_end[1], 0.0]), np.zeros(3), np.zeros(3), sim.PHASE_LAND
+
+
+def ref_touch(profile, t):
+    f = np.zeros(3)
+    for ev in profile.events:
+        if ev.t0 <= t < ev.t1:
+            f += ev.f0 + (ev.f1 - ev.f0) * ((t - ev.t0) / (ev.t1 - ev.t0))
+    return f
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", sorted(sim.SCENARIOS) + ["golden"])
+def test_block_inputs_equal_scalar_reference_on_every_control_tick(name):
+    sc = golden_scenario() if name == "golden" else sim.SCENARIOS[name]()
+    n_steps = int(round(sc.plan.duration * sim.SIM_RATE)) + 1
+    # the simulator's control-tick clock, the loop's k * dt to the bit
+    dt = 1.0 / sim.SIM_RATE
+    t = np.arange(0, n_steps, sim._DIV_CTRL) * dt
+    assert t.tolist() == [k * dt for k in range(0, n_steps, sim._DIV_CTRL)]
+    sp, phase = sc.plan.setpoints(t)
+    ref = [ref_setpoint(sc.plan, x) for x in t.tolist()]
+    assert same_bits(sp, [np.concatenate(r[0:3]) for r in ref])
+    assert phase.tolist() == [r[3] for r in ref]
+    assert same_bits(sc.touch.forces(t), [ref_touch(sc.touch, x) for x in t.tolist()])
 
 
 def test_rk4_on_floats_equals_rk4_on_numpy_scalars():
@@ -134,27 +280,34 @@ def reference_step(ctrl, s, sp_p, sp_v, sp_a, dt, hits):
     e_R = 0.5 * np.array([e_mat[2, 1], e_mat[0, 2], e_mat[1, 0]])
     ang_acc = -par.kp_att * e_R - par.kd_att * omega
     tau = veh.inertia @ ang_acc + np.cross(omega, veh.inertia @ omega)
-    u = ctrl.B_pinv @ np.concatenate([[f_cmd / sim.K_THRUST], tau / sim.K_THRUST])
+    B = sim.allocation_matrix()
+    u = np.linalg.pinv(B) @ np.concatenate([[f_cmd / sim.K_THRUST], tau / sim.K_THRUST])
     if np.any(u < 0.0):
         hits.add("throttle at 0")
     if np.any(u > 1.0):
         hits.add("throttle at 1")
     u = np.clip(u, 0.0, 1.0)
-    wrench = ctrl.B @ (sim.K_THRUST * u)
+    wrench = B @ (sim.K_THRUST * u)
     return u, wrench
 
 
 def test_controller_step_equals_reference_formula():
+    """Controller.step sums on Python floats left to right where the
+    reference's numpy products sum in BLAS's order, so the two agree to a
+    bound, not to the bit: 1e-15 on the throttles (which lie in [0, 1])
+    and 1e-15 of the wrench's largest entry.  The integral does the same
+    operations on both sides and matches exactly."""
     rng = np.random.default_rng(81)
     par = VehicleParams()
     fast, ref = Controller(ControllerParams(), par), Controller(ControllerParams(), par)
     hits = set()
 
     def check(state, sp_p, sp_v, sp_a):
-        u, wrench = fast.step(state, sp_p, sp_v, sp_a, 0.002)
+        u, wrench = fast.step(state, np.concatenate([sp_p, sp_v, sp_a]).tolist(), 0.002)
         u_ref, wrench_ref = reference_step(ref, state, sp_p, sp_v, sp_a, 0.002, hits)
-        assert np.array_equal(u, u_ref)
-        assert np.array_equal(wrench, wrench_ref)
+        assert all(type(x) is float for x in u + wrench)
+        assert np.max(np.abs(np.array(u) - u_ref)) <= 1e-15
+        assert np.max(np.abs(np.array(wrench) - wrench_ref)) <= 1e-15 * np.max(np.abs(wrench_ref))
         assert np.array_equal(fast.integral, ref.integral)
 
     for k in range(500):
@@ -195,3 +348,30 @@ def test_python_sum_of_throttles_equals_numpy_mean():
     for _ in range(20000):
         u = np.clip(rng.uniform(-0.3, 1.3, sim.N_ROTORS), 0.0, 1.0)
         assert sum(u.tolist()) / sim.N_ROTORS == float(np.mean(u))
+
+
+def test_python_calls_per_control_tick_do_not_grow(golden_log):
+    """The simulator's cost is mostly the fixed cost of each Python call
+    in its loop, so the calls it makes per control tick (cProfile's
+    total_calls over the golden flight, divided by its truth rows, one per
+    control tick) must not grow.
+
+    To add calls anyway, raise CALLS_PER_TICK to just above the new count
+    and say in the change's description what the calls buy and what they
+    cost in the benchmark's setup_s.  When a change lowers the count,
+    lower CALLS_PER_TICK to just above the new count so the ratchet holds
+    there.
+
+    The ceiling was measured (59.25 calls per tick, 95.3 before the
+    set-points and touch forces left the loop and Controller.step left
+    numpy) with numpy 2.4.6 and Python 3.11.7, on a flight after the
+    first (golden_log's), whose imports add about 1.8 calls per tick.
+    The count includes numpy's Python-level frames, so an upgrade of
+    either can move it with no change to this code: re-measure it then on
+    the parent commit and on the change, and reset the ceiling from the
+    parent's.
+    """
+    profile = cProfile.Profile()
+    log = profile.runcall(sim.run_scenario, golden_scenario())
+    ticks = log["truth"].t.shape[0]
+    assert pstats.Stats(profile).total_calls / ticks <= CALLS_PER_TICK

@@ -1,5 +1,7 @@
 """Rigid-body model: drag polynomial, dynamics rows, integrator order."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -83,9 +85,14 @@ def test_drag_broadcasts():
         assert np.array_equal(f[:, i], drag_force(v[:, i], par))
 
 
+@pytest.mark.parametrize("name", ["mass", "gravity"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_params_reject_mass_and_gravity_outside_domain(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        VehicleParams(**{name: value})
+
+
 def test_params_validation():
-    with pytest.raises(ValueError):
-        VehicleParams(mass=0.0)
     with pytest.raises(ValueError):
         VehicleParams(inertia=np.diag([1.0, -1.0, 1.0]))
     with pytest.raises(ValueError):
@@ -172,22 +179,25 @@ def test_frame_consistency():
     torque = rng.normal(size=3) * 0.01
     wind, touch = rng.normal(size=(2, 3))
 
-    par0 = VehicleParams(gravity=0.0)  # gravity is not rotation-invariant; drop it
-    _, dv, _, dw = derivative(pack(p, v, q, w), par0, 9.0, torque, wind, touch)
+    par = VehicleParams()
+    g = np.array([0.0, 0.0, par.gravity])  # gravity is not rotation-invariant; take it out
+    _, dv, _, dw = derivative(pack(p, v, q, w), par, 9.0, torque, wind, touch)
     R0 = quat_to_matrix(R0q)
     xr = pack(R0 @ p, R0 @ v, quat_multiply_rows(R0q, q), w)
-    _, dv_r, _, dw_r = derivative(xr, par0, 9.0, torque, R0 @ wind, R0 @ touch)
-    assert np.allclose(dv_r, R0 @ dv, atol=1e-12)
+    _, dv_r, _, dw_r = derivative(xr, par, 9.0, torque, R0 @ wind, R0 @ touch)
+    assert np.allclose(dv_r + g, R0 @ (dv + g), atol=1e-12)
     assert np.allclose(dw_r, dw, atol=1e-12)
 
 
 def test_drag_dissipates_kinetic_energy():
-    par = VehicleParams(gravity=0.0)
+    par = VehicleParams()
+    # a vertical support force holds the vehicle against gravity
+    support = (0.0, 0.0, par.mass * par.gravity)
     x = pack(ZERO, v=(3.0, -1.0, 2.0))
     v = np.array(x[3:6])
     ke = 0.5 * par.mass * v @ v
     for _ in range(200):
-        x = step(x, par, 0.005)
+        x = step(x, par, 0.005, touch=support)
         v = np.array(x[3:6])
         ke2 = 0.5 * par.mass * v @ v
         assert ke2 < ke
