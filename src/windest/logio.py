@@ -5,7 +5,9 @@ A log is a directory of per-channel CSV files (`truth.csv`,
 time column followed by named data columns.  Values are written with
 %.17g so a save/load round trip is bit-exact.  A replay reads only the
 channels of its airflow source (pipeline.ROUTE_CHANNELS); truth is read
-to score one or to fit the regressor.
+to score one or to fit the regressor.  save_log writes a log on two
+processes, each formatting half of every channel's rows; save_estimate
+writes its one table in this process.
 
 The whisker driver turns raw magnetometer triples into deflection
 angles: per-component outlier gate against a low-pass reference (the
@@ -74,24 +76,104 @@ class FlightLog:
         self.channels[name] = Channel(name, t, data, columns)
 
 
-def _write_csv(path, columns, t, data):
-    """Header line, then one row per sample with every value as %.17g.
+# rows formatted by one % operation
+_BLOCK_ROWS = 512
 
-    Each row is formatted from Python floats with one format string (the
-    same text as one f-string per value) and written on its own, so the
-    file's text is never held whole.
+
+def _csv_blocks(t, data):
+    """The CSV body of (t, data): one row per sample, every value as %.17g,
+    in strings of _BLOCK_ROWS rows.
+
+    Each block is formatted from Python floats with one % operation, the
+    row format repeated once per row (the same text as one f-string per
+    value).
     """
-    row_fmt = ",".join(["%.17g"] * (len(columns) + 1)) + "\n"
+    table = np.column_stack((t, data))
+    row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    for i in range(0, table.shape[0], _BLOCK_ROWS):
+        block = table[i : i + _BLOCK_ROWS]
+        yield (row_fmt * block.shape[0]) % tuple(block.ravel().tolist())
+
+
+def _write_csv(path, columns, t, data):
+    """Header line, then the body of _csv_blocks, written block by block,
+    so the file's text is never held whole.
+
+    save_estimate writes its table with it, and so does save_log where it
+    cannot fork; save_log's child writes each channel's first half with
+    it, which takes no BLAS call.
+    """
     with open(path, "w") as fh:
         fh.write("t," + ",".join(columns) + "\n")
-        for tk, row in zip(t.tolist(), data.tolist()):
-            fh.write(row_fmt % (tk, *row))
+        fh.writelines(_csv_blocks(t, data))
 
 
 def save_log(log: FlightLog, directory):
+    """Write each channel to directory/<name>.csv (see _write_csv), on two
+    processes.
+
+    Each channel's rows are split at n // 2, and one os.fork() per call
+    starts a child that writes every file's header and first half and
+    leaves with os._exit: status 0, or 1 after sending the exception's
+    text, which names the file, up a pipe.  The child only formats with
+    Python % and writes files, so it makes no BLAS call (numpy's BLAS may
+    hold threads the fork did not copy).  Meanwhile the parent formats
+    the second halves and holds their text, about half the log's; it
+    reaps the child in a finally, so no child is left behind even when
+    the parent raises, and appends its halves once the child has written
+    the first.  A failed child raises OSError with its message.  Where
+    os.fork is missing or fails, every file is written in this process.
+    """
     os.makedirs(directory, exist_ok=True)
-    for name, ch in log.channels.items():
-        _write_csv(os.path.join(directory, f"{name}.csv"), ch.columns, ch.t, ch.data)
+    files = [(os.path.join(directory, f"{name}.csv"), ch) for name, ch in log.channels.items()]
+    fork = getattr(os, "fork", None)
+    pid = None
+    if fork is not None:
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+    if pid is None:
+        for path, ch in files:
+            _write_csv(path, ch.columns, ch.t, ch.data)
+        return
+    if pid == 0:
+        os.close(read_fd)
+        _write_first_halves(files, write_fd)
+    os.close(write_fd)
+    tails = []
+    try:
+        for _, ch in files:
+            h = len(ch.t) // 2
+            tails.append(list(_csv_blocks(ch.t[h:], ch.data[h:])))
+    finally:
+        with os.fdopen(read_fd, "rb") as pipe:
+            message = pipe.read().decode(errors="replace")
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        raise OSError(message or f"save_log: the writer process ended with exit code {code}")
+    for (path, _), tail in zip(files, tails):
+        with open(path, "a") as fh:
+            fh.writelines(tail)
+
+
+def _write_first_halves(files, write_fd):
+    """save_log's child: each file's header and first half, then os._exit,
+    with status 1, and the failure's text on write_fd, if a file fails.
+    It never returns: the caller's stack belongs to the parent."""
+    status = 1
+    try:
+        for path, ch in files:
+            h = len(ch.t) // 2
+            _write_csv(path, ch.columns, ch.t[:h], ch.data[:h])
+        status = 0
+    except Exception as exc:
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(f"{path}: {type(exc).__name__}: {exc}".encode())
+    finally:
+        os._exit(status)
 
 
 def _parse_rows(path, lines, width):
@@ -311,17 +393,35 @@ class WhiskerDriver:
 
     def run(self, t, b_stack):
         """Calibrate on the first CALIB_DURATION_S seconds, then drive the
-        whole (n, n_sensors, 3) stream; returns (theta, accept)."""
+        whole (n, n_sensors, 3) stream; returns (theta, accept), each tick
+        with the bits process gives it.
+
+        Only the low-pass recursion runs tick by tick, on Python floats;
+        the gate against each tick's pre-update reference, the decode, the
+        offsets, the clamp and the NaN marking are one pass over the stream.
+        """
         t = np.asarray(t, dtype=float)
         b_stack = np.asarray(b_stack, dtype=float)
-        if t.shape[0]:
-            m = int(np.searchsorted(t, t[0] + CALIB_DURATION_S, side="right"))
-            self.calibrate(b_stack[: max(m, 1)])
-        thetas = np.empty((t.shape[0], len(self.rig), 2))
-        accepts = np.empty((t.shape[0], len(self.rig)), dtype=bool)
-        for k in range(t.shape[0]):
-            thetas[k], accepts[k] = self.process(b_stack[k])
-        return thetas, accepts
+        n = t.shape[0]
+        if n == 0:
+            return np.empty((0, len(self.rig), 2)), np.empty((0, len(self.rig)), dtype=bool)
+        m = int(np.searchsorted(t, t[0] + CALIB_DURATION_S, side="right"))
+        self.calibrate(b_stack[: max(m, 1)])
+        alpha = self.config.alpha
+        keep = 1.0 - alpha
+        lp = self.lp.ravel().tolist()
+        refs = []
+        for row in b_stack.reshape(n, -1).tolist():
+            refs.append(lp)
+            # x - x == 0.0 holds for finite x only: NaN and inf leave lp
+            lp = [keep * r + alpha * x if x - x == 0.0 else r for r, x in zip(lp, row)]
+        self.lp = np.array(lp).reshape(self.lp.shape)
+        ref = np.array(refs).reshape(b_stack.shape)
+        accept = np.all(np.abs(b_stack - ref) <= self.thresholds, axis=2)
+        raw = whisker.decode_field(self.rig.sign * b_stack) - self.offsets
+        theta = np.clip(raw, -self.config.clamp, self.config.clamp)
+        theta[~accept] = np.nan
+        return theta, accept
 
 
 def whisker_fields(log: FlightLog):

@@ -23,11 +23,12 @@ it stays in the loop.
 The 1 kHz loop flies the vehicle and nothing else, on Python floats:
 each control tick checks the divergence guard, reads its set-point and
 touch rows, runs Controller.step and evaluates the wind, and each tick
-runs one vehicle.deriv and one RK4 step.  It writes the truth rows (up to
-the wind) and throttle rows and, at each sensor tick, only what that
-channel is made from: the packed state (odometry), the quaternion and
-start-of-step acceleration (IMU), and the state with the tick's wind and
-mean squared throttle (whisker).  None of the sensors feeds back.
+runs one vehicle.rk4_step, which also returns the start-of-step
+acceleration.  It writes the truth rows (up to the wind) and throttle
+rows and, at each sensor tick, only what that channel is made from: the
+packed state (odometry), the quaternion and start-of-step acceleration
+(IMU), and the state with the tick's wind and mean squared throttle
+(whisker).  None of the sensors feeds back.
 
 After the loop (and on the SimulationDiverged path, over the ticks flown)
 the truth rows take their touch and phase columns from the block pass,
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import quat_from_axis_angle, quat_multiply_rows, quat_to_matrix
-from .vehicle import VehicleParams, deriv, rk4_step, scalar_consts
+from .vehicle import VehicleParams, rk4_step, scalar_consts
 from . import whisker as whisker_mod
 from .whisker import WhiskerRig, default_rig
 from .logio import FlightLog
@@ -495,7 +496,7 @@ class Controller:
         self.integral = [0.0, 0.0, 0.0]
 
     def step(self, s, sp, dt):
-        """One control tick on the packed state s (vehicle.deriv's layout,
+        """One control tick on the packed state s (vehicle.rk4_step's layout,
         unit quaternion) and the set-point row sp = [p, v, a], 9 floats;
         returns the six throttles and the commanded wrench
         [f, tau_x, tau_y, tau_z], lists of floats."""
@@ -799,22 +800,20 @@ def run_scenario(sc: Scenario) -> FlightLog:
             f_applied = scale * wrench_cmd[0]
             tau_applied = [scale * wrench_cmd[1], scale * wrench_cmd[2], scale * wrench_cmd[3]]
 
-        # the start-of-step derivative: the truth and IMU rows' acceleration
-        # and the RK4 step's first stage
-        d = deriv(packed, f_applied, tau_applied, wind_f, touch_f, *consts)
+        # acc, the start-of-step acceleration, goes into the truth and IMU rows
+        acc, packed_next = rk4_step(packed, f_applied, tau_applied, wind_f, touch_f, consts, dt)
         if k % _DIV_CTRL == 0:
-            truth_rows.append(packed + [d[3], d[4], d[5], f_applied] + wind_f)
+            truth_rows.append(packed + acc + [f_applied] + wind_f)
         if k % _DIV_ODO == 0:
             odo_src.append(packed)
         if k % _DIV_IMU == 0:
-            imu_src.append(packed[6:10] + [d[3], d[4], d[5]])
+            imu_src.append(packed[6:10] + acc)
         if k % _DIV_THR == 0:
             thr_rows.append(u + wrench_cmd)
         if k % _DIV_WHISK == 0:
             # sums left to right, as np.mean does over six elements
             whisk_src.append(packed + wind_f + [(sum(u) / N_ROTORS) ** 2])
-
-        packed = rk4_step(packed, d, f_applied, tau_applied, wind_f, touch_f, consts, dt)
+        packed = packed_next
 
     return build_log(n_steps)
 

@@ -13,6 +13,7 @@ from faults import drop_window, set_value, swap_lines
 from windest import lstm, pipeline, sim
 from windest.cli import main
 from windest.logio import (
+    CALIB_DURATION_S,
     FlightLog,
     LogFormatError,
     WhiskerDriver,
@@ -102,6 +103,31 @@ def test_nonfinite_field_is_rejected_and_kept_out_of_the_reference(hover_log, we
     for route in ROUTES:
         _, table = estimate(log, route, weights)
         assert np.all(np.isfinite(table))
+
+
+def test_driver_run_equals_process_tick_by_tick(hover_log):
+    """run's block pass gives every tick the bits that process gives it, and
+    leaves the same reference, on a stream with NaN and inf fields (one in
+    the calibration window) and rejected spikes."""
+    t = hover_log["whisker"].t
+    b = whisker_fields(hover_log).copy()
+    rng = np.random.default_rng(67)
+    rows = rng.choice(np.arange(60, t.size), 45, replace=False)
+    sensor, comp = rng.integers(0, 4, 45), rng.integers(0, 3, 45)
+    b[rows[:15], sensor[:15], comp[:15]] = np.nan
+    b[rows[15:30], sensor[15:30], comp[15:30]] = np.inf * rng.choice([-1.0, 1.0], 15)
+    b[rows[30:], sensor[30:], comp[30:]] += 400.0 * rng.choice([-1.0, 1.0], 15)
+    b[5, 1, 2] = np.inf
+    rig = EstimatorConfig().rig
+    drv, ref = WhiskerDriver(rig), WhiskerDriver(rig)
+    theta, accept = drv.run(t, b)
+    ref.calibrate(b[: int(np.searchsorted(t, t[0] + CALIB_DURATION_S, side="right"))])
+    for k in range(t.size):
+        theta_k, accept_k = ref.process(b[k])
+        assert theta[k].tobytes() == theta_k.tobytes()
+        assert np.array_equal(accept[k], accept_k)
+    assert drv.lp.tobytes() == ref.lp.tobytes()
+    assert (~accept).sum() >= 45
 
 
 def test_calibration_leaves_out_nonfinite_rows(hover_log):

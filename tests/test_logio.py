@@ -1,5 +1,8 @@
 """Log files, resampling, the outlier-rejecting driver, config files."""
 
+import errno
+import os
+
 import numpy as np
 import pytest
 
@@ -133,6 +136,80 @@ def test_saved_bytes_equal_f_string_reference(tmp_path):
     assert np.array_equal(t2, t)
     assert np.array_equal(data, table, equal_nan=True)
     assert np.array_equal(np.signbit(data), np.signbit(table))
+
+
+def odd_sized_log():
+    """Channels of 0, 1, 2, 7 and 2 * _BLOCK_ROWS + 3 rows, the special
+    values spread over them."""
+    rng = np.random.default_rng(66)
+    log = FlightLog()
+    for n in (0, 1, 2, 7, 2 * logio._BLOCK_ROWS + 3):
+        vals = np.resize(rng.permutation(SPECIAL_VALUES), 3 * n).reshape(n, 3)
+        wide = rng.random((n, 3)) < 0.5
+        vals[wide] = rng.normal(size=wide.sum()) * 10.0 ** rng.integers(-300, 300, wide.sum())
+        log.add(f"c{n}", np.arange(n) * 0.02, vals, ["a", "b", "c"])
+    return log
+
+
+def saved_texts(log, directory):
+    save_log(log, directory)
+    return {name: (directory / f"{name}.csv").read_text() for name in log.channels}
+
+
+def test_save_log_equals_f_string_reference_at_every_length(tmp_path):
+    """The two processes' halves join into the one-f-string-per-value text,
+    with an empty, a one-row and an odd second half among the channels."""
+    log = odd_sized_log()
+    texts = saved_texts(log, tmp_path)
+    for name, ch in log.channels.items():
+        assert texts[name] == f_string_csv(ch.columns, ch.t, ch.data)
+
+
+def fork_failing(*args):
+    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("no_fork", ["deleted", "raising"])
+def test_save_log_without_fork_writes_the_same_bytes(tmp_path, monkeypatch, no_fork):
+    log = odd_sized_log()
+    forked = saved_texts(log, tmp_path / "forked")
+    if no_fork == "deleted":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", fork_failing)
+    assert saved_texts(log, tmp_path / "in_process") == forked
+
+
+def test_failure_in_the_writer_process_raises_in_the_caller(tmp_path, monkeypatch):
+    """A file the child fails on is named by an OSError in the parent, and
+    the child is reaped."""
+    parent, write_csv = os.getpid(), logio._write_csv
+
+    def fail_in_child(path, *args):
+        if os.getpid() != parent and path.endswith("c7.csv"):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write_csv(path, *args)
+
+    monkeypatch.setattr(logio, "_write_csv", fail_in_child)
+    with pytest.raises(OSError, match=r"c7\.csv: OSError: .*No space left on device"):
+        save_log(odd_sized_log(), tmp_path)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failure_in_the_caller_leaves_no_writer_process(tmp_path, monkeypatch):
+    parent, csv_blocks = os.getpid(), logio._csv_blocks
+
+    def fail_in_parent(t, data):
+        if os.getpid() == parent:
+            raise MemoryError
+        return csv_blocks(t, data)
+
+    monkeypatch.setattr(logio, "_csv_blocks", fail_in_parent)
+    with pytest.raises(MemoryError):
+        save_log(odd_sized_log(), tmp_path)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_missing_channel_message():

@@ -47,9 +47,9 @@ TOL = 1e-9
 TRUTH_STRIDE = 5
 BITWISE_CHANNELS = ("truth", "odometry", "imu", "throttle")
 # Python-level calls per control tick of the golden flight after the last
-# change that moved it (59.25 when it was set; see
+# change that moved it (41.3 when it was set; see
 # test_python_calls_per_control_tick_do_not_grow)
-CALLS_PER_TICK = 60
+CALLS_PER_TICK = 42
 
 
 def golden_scenario():
@@ -237,12 +237,11 @@ def test_rk4_on_floats_equals_rk4_on_numpy_scalars():
         tau, wind, touch = rng.normal(size=(3, 3))
         floats = (float(f), tuple(tau.tolist()), tuple(wind.tolist()), tuple(touch.tolist()))
         scalars = (np.float64(f), tau, wind, touch)
-        on_floats = vehicle.rk4_step(s.tolist(), vehicle.deriv(s.tolist(), *floats, *consts),
-                                     *floats, consts, 0.001)
-        on_numpy = vehicle.rk4_step(tuple(s), vehicle.deriv(tuple(s), *scalars, *consts),
-                                    *scalars, consts, 0.001)
-        assert all(type(x) is float for x in on_floats)
+        acc_f, on_floats = vehicle.rk4_step(s.tolist(), *floats, consts, 0.001)
+        acc_n, on_numpy = vehicle.rk4_step(tuple(s), *scalars, consts, 0.001)
+        assert all(type(x) is float for x in on_floats + acc_f)
         assert np.array_equal(np.array(on_floats), np.array(on_numpy, dtype=float))
+        assert np.array_equal(np.array(acc_f), np.array(acc_n, dtype=float))
 
 
 def reference_step(ctrl, s, sp_p, sp_v, sp_a, dt, hits):
@@ -362,10 +361,11 @@ def test_python_calls_per_control_tick_do_not_grow(golden_log):
     lower CALLS_PER_TICK to just above the new count so the ratchet holds
     there.
 
-    The ceiling was measured (59.25 calls per tick, 95.3 before the
-    set-points and touch forces left the loop and Controller.step left
-    numpy) with numpy 2.4.6 and Python 3.11.7, on a flight after the
-    first (golden_log's), whose imports add about 1.8 calls per tick.
+    The ceiling was measured (41.3 calls per tick; 59.3 before the RK4
+    step became one flat call, 95.3 before the set-points and touch
+    forces left the loop and Controller.step left numpy) with numpy 2.4.6
+    and Python 3.11.7, on a flight after the first (golden_log's), whose
+    imports add about 1.8 calls per tick.
     The count includes numpy's Python-level frames, so an upgrade of
     either can move it with no change to this code: re-measure it then on
     the parent commit and on the change, and reset the ceiling from the

@@ -13,7 +13,7 @@ from windest.geometry import (
     quat_normalize_rows,
     quat_to_matrix,
 )
-from windest.vehicle import VehicleParams, deriv, drag_force, rk4_step, scalar_consts
+from windest.vehicle import VehicleParams, drag_force, rk4_step, scalar_consts
 
 ZERO = (0.0, 0.0, 0.0)
 Q_ID = (1.0, 0.0, 0.0, 0.0)
@@ -24,16 +24,93 @@ def pack(p=(0.0, 0.0, 1.0), v=ZERO, q=Q_ID, w=ZERO):
     return [float(x) for x in (*p, *v, *q, *w)]
 
 
+# ---------------------------------------------------------------------------
+# reference forms: the derivative as a function of its own and RK4 over it
+#
+# rk4_step writes its four stages out on local floats; these are the same
+# expressions, one derivative call per stage, and the flat step must give
+# their bits.  The dynamics tests below check the physics on ref_deriv.
+
+
+def ref_deriv(s, f, tq, wind, touch, par):
+    """Time derivative of the packed state s under thrust f and torque tq."""
+    m_inv, mu1, mu2, g = 1.0 / par.mass, par.mu1, par.mu2, par.gravity
+    J, jinv = par.inertia.tolist(), par.inertia_inv.tolist()
+    vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = s[3:13]
+    tx = 2.0 * (qx * qz + qw * qy) * f
+    ty = 2.0 * (qy * qz - qw * qx) * f
+    tz = (1.0 - 2.0 * (qx * qx + qy * qy)) * f
+    ux, uy, uz = wind[0] - vx, wind[1] - vy, wind[2] - vz
+    sp = math.sqrt(ux * ux + uy * uy + uz * uz)
+    fac = 0.0 if sp < 1e-9 else mu1 + mu2 * sp
+    ax = (tx + fac * ux + touch[0]) * m_inv
+    ay = (ty + fac * uy + touch[1]) * m_inv
+    az = (tz + fac * uz + touch[2]) * m_inv - g
+    hx = J[0][0] * wx + J[0][1] * wy + J[0][2] * wz
+    hy = J[1][0] * wx + J[1][1] * wy + J[1][2] * wz
+    hz = J[2][0] * wx + J[2][1] * wy + J[2][2] * wz
+    rx = tq[0] - (wy * hz - wz * hy)
+    ry = tq[1] - (wz * hx - wx * hz)
+    rz = tq[2] - (wx * hy - wy * hx)
+    return [
+        vx, vy, vz, ax, ay, az,
+        0.5 * (-qx * wx - qy * wy - qz * wz),
+        0.5 * (qw * wx + qy * wz - qz * wy),
+        0.5 * (qw * wy - qx * wz + qz * wx),
+        0.5 * (qw * wz + qx * wy - qy * wx),
+        jinv[0][0] * rx + jinv[0][1] * ry + jinv[0][2] * rz,
+        jinv[1][0] * rx + jinv[1][1] * ry + jinv[1][2] * rz,
+        jinv[2][0] * rx + jinv[2][1] * ry + jinv[2][2] * rz,
+    ]
+
+
+def ref_rk4_step(s, f, tq, wind, touch, par, dt):
+    """RK4 over ref_deriv, quaternion renormalized; returns (k1, next state)."""
+    half, sixth = 0.5 * dt, dt / 6.0
+    k1 = ref_deriv(s, f, tq, wind, touch, par)
+    k2 = ref_deriv([x + half * k for x, k in zip(s, k1)], f, tq, wind, touch, par)
+    k3 = ref_deriv([x + half * k for x, k in zip(s, k2)], f, tq, wind, touch, par)
+    k4 = ref_deriv([x + dt * k for x, k in zip(s, k3)], f, tq, wind, touch, par)
+    out = [x + sixth * (a + 2.0 * b + 2.0 * c + d) for x, a, b, c, d in zip(s, k1, k2, k3, k4)]
+    qw, qx, qy, qz = out[6:10]
+    qn = math.sqrt(qw ** 2 + qx ** 2 + qy ** 2 + qz ** 2)
+    out[6:10] = qw / qn, qx / qn, qy / qn, qz / qn
+    return k1, out
+
+
 def derivative(s, par, thrust=0.0, torque=ZERO, wind=ZERO, touch=ZERO):
-    """vehicle.deriv split into (p_dot, v_dot, q_dot, omega_dot) arrays."""
-    d = np.array(deriv(s, thrust, torque, wind, touch, *scalar_consts(par)))
+    """ref_deriv split into (p_dot, v_dot, q_dot, omega_dot) arrays."""
+    d = np.array(ref_deriv(s, thrust, torque, wind, touch, par))
     return d[0:3], d[3:6], d[6:10], d[10:13]
 
 
 def step(s, par, dt, thrust=0.0, torque=ZERO, wind=ZERO, touch=ZERO):
+    return rk4_step(s, thrust, torque, wind, touch, scalar_consts(par), dt)[1]
+
+
+def test_flat_rk4_step_equals_the_reference_bitwise():
+    """The flat step gives the reference's next state and start-of-step
+    acceleration to the bit, on random states, a non-diagonal inertia,
+    and states at zero airspeed (the drag floor) and just above it."""
+    par = VehicleParams(inertia=np.array([[0.011, 0.002, 0.0], [0.002, 0.013, 0.001],
+                                          [0.0, 0.001, 0.021]]))
     consts = scalar_consts(par)
-    k1 = deriv(s, thrust, torque, wind, touch, *consts)
-    return rk4_step(s, k1, thrust, torque, wind, touch, consts, dt)
+    rng = np.random.default_rng(34)
+    for i in range(3000):
+        s = rng.normal(size=13) * 10.0 ** rng.uniform(-2.0, 1.0)
+        s[6:10] /= np.linalg.norm(s[6:10])
+        s = s.tolist()
+        f = float(rng.uniform(0.0, 24.0))
+        tq, wind, touch = rng.normal(size=(3, 3)).tolist()
+        if i % 4 == 0:
+            wind = s[3:6]  # zero airspeed: no drag
+        elif i % 4 == 1:
+            wind = [x + 1e-10 for x in s[3:6]]
+        k1, ref = ref_rk4_step(s, f, tq, wind, touch, par, 0.001)
+        acc, out = rk4_step(s, f, tq, wind, touch, consts, 0.001)
+        assert all(type(x) is float for x in out + acc)
+        assert np.array(out).tobytes() == np.array(ref).tobytes()
+        assert np.array(acc).tobytes() == np.array(k1[3:6]).tobytes()
 
 
 def test_drag_magnitude_at_3ms():
