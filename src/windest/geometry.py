@@ -25,16 +25,16 @@ of one matrix and rounds the same.
 
 The quaternion product and normalization (``quat_multiply_rows``,
 ``quat_normalize_rows``) and the filter's attitude algebra built on them
-(``quat_from_axis_angle``, ``quat_integrate``, ``quat_from_mrp``,
-``mrp_from_quat``, ``mrp_error``, ``compose_mrp``) work on component
-rows: a quaternion is its rows ``(w, x, y, z)`` and a vector its rows
-``(x, y, z)``, given as a tuple or as a (4, m) / (3, m) array, and each
-row is an (m,) array (one component of a sigma batch) or a scalar (one
-quaternion; a (4,) array is its four rows).  Results come back as
-tuples of rows, except that quat_normalize_rows (and so compose_mrp)
-returns a (4,) / (4, m) array and quat_from_mrp a (4, m) array for a
-(3, m) one, which unpack into the same rows;
-quat_integrate takes its rate as an array.  On one quaternion the
+(``quat_from_axis_angle``, ``quat_from_mrp``, ``mrp_from_quat``,
+``mrp_error``, ``compose_mrp``) work on component rows: a quaternion is
+its rows ``(w, x, y, z)`` and a vector its rows ``(x, y, z)``, given as
+a tuple or as a (4, m) / (3, m) array, and each row is an (m,) array
+(one component of a sigma batch) or a scalar (one quaternion; a (4,)
+array is its four rows).  Results come back as tuples of rows, except
+that quat_normalize_rows (and so compose_mrp) returns a (4,) / (4, m)
+array, and quat_from_mrp a (4, m) array for a (3, m) one and
+mrp_from_quat a (3, m) array for a (4, m) one, which unpack into the
+same rows.  On one quaternion the
 filter hands them Python floats (``.tolist()``: the fold of an update
 into the reference, the odometry error, the estimate row's attitude),
 which round as numpy scalars do at a fraction of the cost; the
@@ -56,8 +56,15 @@ take a block, which unpacks into its rows), and ``reconstruct`` and
 quaternion, the composition with the reference and the errors about the
 new reference, is one 4x4 matrix product, ``quat_right_matrix(r) @ q``.
 It sums its terms in another order than quat_multiply_rows, so it rounds
-differently in the last bits; the product that differs per point, the
-quaternion integration, stays on rows.
+differently in the last bits.  The product that differs per point, the
+quaternion integration ``quat_integrate``, is a block form too: the
+Hamilton product is bilinear, so ``_HAMILTON_FORM``, a constant (4, 16)
+matrix, takes vec(q b^T) to q (x) b, and one matrix product advances
+the whole (4, m) block by its (4, m) block b of exponential maps.  It
+takes arrays only, and rounds differently from quat_multiply_rows in
+the last bits as the 4x4 products do.  The simulator keeps the row
+kernels (quat_from_axis_angle and quat_multiply_rows for its odometry
+noise), so its bits do not depend on the filter's forms.
 
 The rotation matrix
 -------------------
@@ -196,18 +203,18 @@ def quat_from_axis_angle(phi):
     return np.cos(half), k * phi0, k * phi1, k * phi2
 
 
-def quat_integrate(q, omega, dt):
-    """Advance q by body rate omega held constant over dt (exact exponential)."""
-    return quat_multiply_rows(q, quat_from_axis_angle(omega * dt))
-
-
 def mrp_from_quat(dq):
     """Error quaternion -> generalized Rodrigues parameters.
 
     Flips to the shadow set (negates dq) when the scalar part is negative
     so the parameters stay bounded near +/- pi: the sign goes into the
-    scale and the denominator becomes a + |w|.
+    scale and the denominator becomes a + |w|.  A (4, m) array is one
+    block expression returning a (3, m) array with the rows' bits; rows
+    return a tuple of rows.
     """
+    if type(dq) is np.ndarray and dq.ndim == 2:  # not isinstance: one call fewer
+        w = dq[0]
+        return np.where(w < 0.0, -MRP_F, MRP_F) * dq[1:] / (MRP_A + np.abs(w))
     w, x, y, z = dq
     scale = np.where(w < 0.0, -MRP_F, MRP_F)
     den = MRP_A + np.abs(w)
@@ -252,6 +259,40 @@ def quat_right_matrix(r):
     quat_right_matrix(r) @ a for a (4,) or (4, m) array a.  Its transpose
     is the matrix of the conjugate, a (x) r* (r a (4,) array)."""
     return r[_RIGHT_IDX] * _RIGHT_SIGN
+
+
+def _hamilton_form():
+    """The Hamilton product as a bilinear form: entry i of
+    _hamilton_form() @ vec(a b^T) is (a (x) b)_i, entry 4 j + k of
+    vec(a b^T) being a_j b_k.  Row i holds quat_right_matrix's entry
+    (i, j), the sign of a_j b_k with k = _RIGHT_IDX[i, j]."""
+    h = np.zeros((4, 4, 4))
+    for i in range(4):
+        h[i, range(4), _RIGHT_IDX[i]] = _RIGHT_SIGN[i]
+    return h.reshape(4, 16)
+
+
+_HAMILTON_FORM = _hamilton_form()
+_HAMILTON_FORM.flags.writeable = False
+
+
+def quat_integrate(q, omega, dt):
+    """Advance q by body rate omega held constant over dt (exact
+    exponential): q (x) exp(omega dt / 2) for a (4,) array q and (3,)
+    omega, or column by column for (4, m) and (3, m) blocks.
+
+    One block form: the exponential map b as one (4, m) block (the
+    angle's sum of squares left to right, sin(half) / angle as in
+    quat_from_axis_angle), then _HAMILTON_FORM times vec(q b^T).  The
+    matrix product sums each component's four terms in another order
+    than quat_multiply_rows, so the two differ in the last bits; at zero
+    rate b is (1, 0, 0, 0) and q comes back as it was."""
+    phi = omega * dt
+    angle = np.sqrt(np.add.reduce(phi * phi))
+    half = 0.5 * angle
+    k = np.sin(half) / np.maximum(angle, _TINY)
+    b = np.concatenate((np.cos(half)[None], k * phi))
+    return _HAMILTON_FORM @ (q[:, None] * b).reshape((16,) + q.shape[1:])
 
 
 def compose_mrp(q_ref, e):

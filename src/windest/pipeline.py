@@ -93,6 +93,20 @@ CONFIG_KEYS = (
 )
 
 
+# The bounds of the noise and driver keys, with their wording: a negative
+# process density, or a noise or initial sigma at or below zero, makes a
+# covariance that stops factorizing in the middle of a replay, and a
+# low-pass blend outside (0, 1] makes the driver's filter hold or diverge.
+_CONFIG_BOUNDS = {
+    **{key: ("must be >= 0", lambda v: v >= 0.0)
+       for key, section, _ in CONFIG_KEYS if section == "process"},
+    **{key: ("must be > 0", lambda v: v > 0.0)
+       for key, section, name in CONFIG_KEYS
+       if section == "meas" or name.startswith("init_sigma")},
+    "driver_alpha": ("must lie in (0, 1]", lambda v: 0.0 < v <= 1.0),
+}
+
+
 def config_to_dict(cfg: EstimatorConfig):
     out = {}
     for key, section, name in CONFIG_KEYS:
@@ -109,7 +123,8 @@ def _config_value(key, default, raw):
     """A file value as the type of the field's default.
 
     A boolean takes 0, 1, false or true only.  A value that does not
-    convert, or a nan or inf, raises ValueError naming the key.
+    convert, a nan or inf, or a value outside the key's bounds
+    (_CONFIG_BOUNDS) raises ValueError naming the key.
     """
     try:
         if isinstance(default, np.ndarray):
@@ -120,6 +135,10 @@ def _config_value(key, default, raw):
         raise ValueError(f"config key {key!r}: bad value {raw!r}") from None
     if not np.isfinite(value).all():
         raise ValueError(f"config key {key!r}: value {raw!r} is not finite")
+    if key in _CONFIG_BOUNDS:
+        wording, holds = _CONFIG_BOUNDS[key]
+        if not holds(value):
+            raise ValueError(f"config key {key!r}: value {raw!r} {wording}")
     return value
 
 

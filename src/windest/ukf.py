@@ -9,7 +9,9 @@ The 18-dimensional error state stacks
     [12:15] touch force (world)
     [15:18] wind velocity (world)
 
-with a reference quaternion carried alongside.  Touch force and wind
+(the slices IDX_P ... IDX_WIND, defined in vehicle, whose Euler step
+reads the sigma block in this layout) with a reference quaternion
+carried alongside.  Touch force and wind
 evolve as random walks; the dynamics model ties velocity to thrust,
 polynomial drag on (wind - velocity), gravity and the touch force, which
 is what renders the two disturbances separable once airflow sensing is
@@ -40,15 +42,9 @@ from .geometry import (
     sigma_points,
     unscented_transform,
 )
+from .vehicle import IDX_A, IDX_F, IDX_P, IDX_V, IDX_W, IDX_WIND, STATE_DIM
 
-IDX_P = slice(0, 3)
-IDX_A = slice(3, 6)
-IDX_V = slice(6, 9)
-IDX_W = slice(9, 12)
-IDX_F = slice(12, 15)
-IDX_WIND = slice(15, 18)
 IDX_HELD = slice(12, 18)  # touch force and wind, held by the process model
-STATE_DIM = 18
 
 GATE_QUANTILE = 0.997
 MAX_PREDICT_DT = 0.1  # s, longest Euler step; predict splits longer gaps
@@ -132,10 +128,10 @@ def init_belief(t, odo: OdometryMeasurement, sigma_touch, sigma_wind):
 
 def _attitudes(q_ref, x):
     """The attitudes of the sigma block x about q_ref: each point's error
-    quaternion times q_ref, one 4x4 matrix product, then normalized."""
-    return geometry.quat_normalize_rows(
-        geometry.quat_right_matrix(q_ref) @ quat_from_mrp(x[IDX_A])
-    )
+    quaternion times q_ref, one 4x4 matrix product.  Both factors are unit
+    quaternions (quat_from_mrp's and the belief's), so the product is one
+    to round-off and is not normalized again."""
+    return geometry.quat_right_matrix(q_ref) @ quat_from_mrp(x[IDX_A])
 
 
 def predict(
@@ -155,10 +151,14 @@ def predict(
     and all points are re-expressed as errors about it.
 
     A step is one pass over its (18, 37) sigma block: the attitudes
-    composed with the reference (one 4x4 matrix product), the Euler step
-    on (3, 37) / (4, 37) blocks, the new reference and the errors about
-    it (one more 4x4 product), then the held disturbances copied, the
-    statistics formed and the noise added to the covariance diagonal.
+    composed with the reference (one 4x4 matrix product of unit
+    quaternions, not normalized again), the Euler step, which reads the
+    block and writes position, velocity and rates into the output block
+    (the wrench's terms formed once per call), the new reference (the
+    central point normalized on Python floats) and the errors about it
+    (one more 4x4 product and one block expression), then the held
+    disturbances copied, the statistics formed and the noise added to the
+    covariance diagonal.
     """
     if dt < 0.0:
         raise ValueError("negative dt")
@@ -169,14 +169,16 @@ def predict(
         n += 1
     h = dt / n
     noise_diag = noise.density * h
+    wrench = vehicle.wrench_terms(u, params)
     for _ in range(n):
         x = sigma_points(belief.mean, belief.cov)
         y = np.empty_like(x)
-        q = _attitudes(belief.q_ref, x)
-        y[IDX_P], y[IDX_V], q2, y[IDX_W] = vehicle.euler_step_arrays(
-            x[IDX_P], x[IDX_V], q, x[IDX_W], u.thrust, u.torque, x[IDX_F], x[IDX_WIND], params, h
-        )
-        q_ref = geometry.quat_normalize_rows(q2[:, 0])
+        q2 = vehicle.euler_step_arrays(x, _attitudes(belief.q_ref, x), wrench, params, h, y)
+        # the new reference, the central point normalized on Python floats
+        # (quat_normalize_rows' operations and bits)
+        w, a, b, c = q2[:, 0].tolist()
+        s = math.sqrt(w * w + a * a + b * b + c * c)
+        q_ref = np.array((w / s, a / s, b / s, c / s))
         y[IDX_A] = mrp_from_quat(geometry.quat_right_matrix(q_ref).T @ q2)
         y[IDX_HELD] = x[IDX_HELD]
         mean, cov = geometry.reconstruct(y)
@@ -185,14 +187,47 @@ def predict(
     return belief
 
 
+def _chi2_sf(x, dim):
+    """The chi-square survival function 1 - F(x; dim) on math alone:
+    Q(dim / 2, x / 2), the regularized upper incomplete gamma function,
+    built up from Q(1/2, y) = erfc(sqrt(y)) or Q(1, y) = exp(-y) by the
+    recurrence Q(a + 1, y) = Q(a, y) + y^a e^-y / Gamma(a + 1), whose
+    terms are all positive (no cancellation in the tail)."""
+    y = 0.5 * x
+    if dim % 2:
+        a, q, term = 0.5, math.erfc(math.sqrt(y)), math.sqrt(y / math.pi) * 2.0 * math.exp(-y)
+    else:
+        a, q, term = 1.0, math.exp(-y), y * math.exp(-y)
+    while a < 0.5 * dim:
+        q += term
+        a += 1.0
+        term *= y / a
+    return q
+
+
+def chi2_quantile(p, dim):
+    """The p quantile of the chi-square distribution with dim degrees of
+    freedom, by bisection on _chi2_sf down to adjacent doubles: the
+    smallest x found with 1 - F(x) <= 1 - p."""
+    tail = 1.0 - p
+    lo, hi = 0.0, float(dim)
+    while _chi2_sf(hi, dim) > tail:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return hi
+        if _chi2_sf(mid, dim) > tail:
+            lo = mid
+        else:
+            hi = mid
+
+
 @functools.lru_cache(maxsize=None)
 def gate_threshold(dim):
     """GATE_QUANTILE chi-square quantile for a dim-dimensional innovation,
     computed once."""
-    # imported here: scipy.stats takes ~0.3 s to load and only a gated replay needs it
-    from scipy.stats import chi2
-
-    return float(chi2.ppf(GATE_QUANTILE, dim))
+    return chi2_quantile(GATE_QUANTILE, dim)
 
 
 def gate_accepts(innov, S):

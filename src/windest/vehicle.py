@@ -14,19 +14,24 @@ with everything expressed in world coordinates except omega and tau
 This is the only module that encodes these equations, with one
 integrator per caller: ``rk4_step`` advances the simulator's single
 packed 13-state on Python floats, and ``euler_step_arrays`` advances the
-filter's 37 sigma points as one numpy batch.  The batch is in component
-blocks, the layout of the filter's process update: each vector is a
-(3, m) array (rows of the transposed sigma points) and the attitude a
-(4, m) array.  The thrust direction and the gyroscopic term are
+filter's 37 sigma points as one numpy batch.  The batch is the filter's
+(18, m) sigma block itself, one row per state component and the points
+as columns, in the layout ``IDX_P`` ... ``IDX_WIND`` defined here; the
+attitude comes beside it as a (4, m) block of quaternions (the block's
+attitude rows hold the filter's error parameters).  The step writes the
+advanced position, velocity and rates into the rows of the filter's
+output block with ``out=`` and returns the advanced attitude.  The
+commanded wrench's terms come from ``wrench_terms`` once per input, not
+once per step.  The thrust direction and the gyroscopic term are
 quadratic in the state, so each is one matrix product over the outer
 products vec(q q^T) and vec(w w^T): the thrust direction with the rows
 of geometry.ROTATION_FORM that give R(q)'s third column, the gyroscopic
 term with a form that folds in J^-1 once per VehicleParams; the
-quaternion integration, a product that differs per point, runs on
-geometry's rows.  They stay two because a numpy step costs the same on
-one state as on 37 (26.5 us either way on a 2-core x86 host, AMD EPYC,
-Python 3.11, numpy 2.4; 28-30 us with every operation on rows), several
-times the scalar RK4 step (about 4 us on the same host).
+quaternion integration is geometry.quat_integrate's (4, 16) block form
+of the Hamilton product.  They stay two integrators because a numpy
+step costs about the same on one state as on 37 (15.6 and 17.7 us on a
+2-core x86 host, AMD EPYC, Python 3.11, numpy 2.4), several times the
+scalar RK4 step (about 4 us on the same host).
 
 ``rk4_step`` is one flat function: a loop over its four stages on local
 floats, with no call, list or tuple per stage, because in CPython the
@@ -54,6 +59,19 @@ from .geometry import ROTATION_FORM, quat_integrate
 
 GRAVITY = 9.81
 _DRAG_EPS = 1e-9
+
+# The rows of the filter's (18, m) sigma block, one per state component:
+# position, attitude error (error parameters about the filter's reference
+# quaternion), velocity, body rates, touch force and wind; world frame
+# except the rates.  euler_step_arrays reads the block in this layout and
+# the filter (ukf) names its state by these slices.
+IDX_P = slice(0, 3)
+IDX_A = slice(3, 6)
+IDX_V = slice(6, 9)
+IDX_W = slice(9, 12)
+IDX_F = slice(12, 15)
+IDX_WIND = slice(15, 18)
+STATE_DIM = 18
 
 
 def _default_inertia():
@@ -104,8 +122,10 @@ def drag_force(v_inf, params: VehicleParams):
     (N, 3) columns transposed).  Exactly zero below a 1e-9 m/s speed
     floor to avoid a 0/0 direction.
     """
-    speed = np.sqrt(v_inf[0] * v_inf[0] + v_inf[1] * v_inf[1] + v_inf[2] * v_inf[2])
-    return np.where(speed < _DRAG_EPS, 0.0, params.mu1 + params.mu2 * speed) * v_inf
+    # add.reduce sums the three squares left to right; the factor times
+    # the mask (1 or 0) is itself or zero, so the floor needs no np.where
+    speed = np.sqrt(np.add.reduce(v_inf * v_inf))
+    return (params.mu1 + params.mu2 * speed) * (speed >= _DRAG_EPS) * v_inf
 
 
 # ---------------------------------------------------------------------------
@@ -204,21 +224,37 @@ def rk4_step(s, f, tq, wind, touch, consts, dt):
     ]
 
 
-def euler_step_arrays(p, v, q, w, thrust, torque, touch, v_wind, params: VehicleParams, dt):
-    """Vectorized explicit-Euler step over a batch of m states (filter side).
+def wrench_terms(u: WrenchInput, params: VehicleParams):
+    """The commanded wrench's terms of euler_step_arrays, formed once per
+    input and shared by its steps: the thrust times the rows of
+    geometry.ROTATION_FORM that give R(q)'s third column (the body z
+    axis, the thrust direction) as a (3, 16) form over vec(q q^T), and
+    J^-1 tau as a (3, 1) column."""
+    return u.thrust * ROTATION_FORM[6:], (params.inertia_inv @ u.torque)[:, None]
 
-    The states come in component blocks: p, v, w, touch and v_wind are
-    (3, m) arrays (v_wind may broadcast) and q is a (4, m) array of unit
-    quaternions; thrust and torque are shared across the batch.  Returns
-    the advanced (p, v, q, w) in the same layout.
+
+def euler_step_arrays(x, q, wrench, params: VehicleParams, dt, out):
+    """Vectorized explicit-Euler step over the filter's (18, m) sigma
+    block x (filter side).
+
+    x holds m states as columns, in the rows IDX_P ... IDX_WIND; the
+    attitude comes as q, a (4, m) block of unit quaternions (the
+    filter's attitude rows hold error parameters), and the input as
+    wrench_terms(u, params), shared across the batch.  Writes the
+    advanced position, velocity and body rates into the rows IDX_P,
+    IDX_V and IDX_W of out, an (18, m) block, and returns the advanced
+    attitude as a (4, m) block (geometry.quat_integrate).
     """
-    # thrust along the body z axis, R(q)'s third column: rows 6:9 of the
-    # quadratic form of R(q)
+    thrust_form, tau_term = wrench
+    v, w = x[IDX_V], x[IDX_W]
     qq = (q[:, None] * q).reshape(16, -1)
-    drag = drag_force(v_wind - v, params)
-    v_dot = ((thrust * ROTATION_FORM[6:]) @ qq + drag + touch) / params.mass
+    drag = drag_force(x[IDX_WIND] - v, params)
+    v_dot = (thrust_form @ qq + drag + x[IDX_F]) / params.mass
     v_dot[2] -= params.gravity
     # J w_dot = tau - w x J w, the gyroscopic term one product over vec(w w^T)
     ww = (w[:, None] * w).reshape(9, -1)
-    w_dot = (params.inertia_inv @ torque)[:, None] - params._gyro_form @ ww
-    return p + v * dt, v + v_dot * dt, np.array(quat_integrate(q, w, dt)), w + w_dot * dt
+    w_dot = tau_term - params._gyro_form @ ww
+    np.add(x[IDX_P], v * dt, out=out[IDX_P])
+    np.add(v, v_dot * dt, out=out[IDX_V])
+    np.add(w, w_dot * dt, out=out[IDX_W])
+    return quat_integrate(q, w, dt)

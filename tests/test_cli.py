@@ -319,6 +319,30 @@ def test_non_finite_config_value_exits_2(hover_dir, tmp_path, capsys, key, value
     assert not (tmp_path / "e.csv").exists()
 
 
+@pytest.mark.parametrize("key, value, wording", [
+    ("q_wind", "-1", ">= 0"),
+    ("r_whisker_rad", "0", "> 0"),
+    ("r_odo_pos_m", "-0.1", "> 0"),
+    ("init_sigma_touch_N", "0", "> 0"),
+    ("driver_alpha", "1.5", "(0, 1]"),
+    ("driver_alpha", "0", "(0, 1]"),
+])
+def test_config_value_out_of_bounds_exits_2(hover_dir, tmp_path, capsys, key, value, wording):
+    """A noise or driver value outside its domain stops at load, naming
+    the file and the key, before any replay (a negative density or a zero
+    sigma used to end the replay midway with a covariance error, a
+    negative sigma or alpha 1.5 to exit 0)."""
+    cfg = tmp_path / "params.cfg"
+    d = pipeline.config_to_dict(pipeline.EstimatorConfig())
+    d[key] = value
+    save_config(d, str(cfg))
+    assert main(["estimate", str(hover_dir), "--config", str(cfg),
+                 "--out", str(tmp_path / "e.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and key in err and wording in err
+    assert not (tmp_path / "e.csv").exists()
+
+
 def test_missing_sensor_key_exits_2(hover_dir, tmp_path, capsys):
     cfg = tmp_path / "params.cfg"
     cfg.write_text("sensor_count = 1\nsensor0_coeff = 0.01\n")

@@ -176,6 +176,36 @@ def test_integrate_two_half_steps():
         assert np.allclose(full, half, atol=1e-12)
 
 
+# each component of a (x) b for unit a and b is a sum of four products whose
+# magnitudes sum to at most |a| |b| = 1, so any two summation orders agree to
+# within 2 * 4 eps (4 eps each from the exact sum); measured: 1 eps
+INTEGRATE_ROWS_TOL = 8.0 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_block_integrate_matches_the_row_product(seed):
+    """quat_integrate's (4, 16) form against quat_multiply_rows with
+    quat_from_axis_angle on random (4, m) blocks: rates over nine decades,
+    steps from 1 ms to 1 s, and zero rates, which return q exactly."""
+    rng = np.random.default_rng(70 + seed)
+    for m in (1, 37, 400):
+        q = random_quats(rng, m).T
+        w = rng.normal(size=(3, m)) * 10.0 ** rng.uniform(-6.0, 1.5, size=m)
+        w[:, : m // 4] = 0.0
+        for dt in (0.001, 0.005, 0.1, 1.0):
+            got = quat_integrate(q, w, dt)
+            assert type(got) is np.ndarray and got.shape == (4, m)
+            rows = np.array(quat_multiply_rows(q, quat_from_axis_angle(w * dt)))
+            assert np.max(np.abs(got - rows)) <= INTEGRATE_ROWS_TOL
+            assert np.array_equal(got[:, : m // 4], q[:, : m // 4])
+    # one (4,) quaternion and (3,) rate
+    for q, w in zip(random_quats(rng, 20), rng.normal(size=(20, 3))):
+        got = quat_integrate(q, w, 0.01)
+        assert got.shape == (4,)
+        rows = np.array(quat_multiply_rows(q, quat_from_axis_angle(w * 0.01)))
+        assert np.max(np.abs(got - rows)) <= INTEGRATE_ROWS_TOL
+
+
 # --------------------------------------------------------------------------
 # the quaternion product against the np.cross formula
 
@@ -330,13 +360,12 @@ def row_batch(rng, m):
 @pytest.mark.parametrize("seed", range(5))
 def test_row_kernels_match_last_axis_batches_bitwise(seed):
     rng = np.random.default_rng(40 + seed)
-    q, e, w, q_ref = row_batch(rng, 37)
+    q, e, _, q_ref = row_batch(rng, 37)
     q2 = random_quats(rng, 37)
     assert (q[:, 0] < 0.0).any() and (q[:, 0] > 0.0).any()
     assert_same_bits(quat_multiply_rows(q.T, q2.T), ref_quat_multiply(q, q2))
     assert_same_bits(quat_multiply_rows(q.T, q_ref), ref_quat_multiply(q, q_ref))
     assert_same_bits(quat_normalize_rows(3.0 * q.T), ref_quat_normalize(3.0 * q))
-    assert_same_bits(quat_integrate(q.T, w.T, 0.005), ref_quat_integrate(q, w, 0.005))
     assert_same_bits(quat_from_mrp(e.T), ref_quat_from_mrp(e))
     assert_same_bits(mrp_from_quat(q.T), ref_mrp_from_quat(q))
     assert_same_bits(mrp_error(q.T, q_ref), ref_mrp_error(q, q_ref))
@@ -349,11 +378,10 @@ def test_row_kernels_match_last_axis_batches_bitwise(seed):
 
 def test_row_kernels_match_last_axis_single_quaternions_bitwise():
     rng = np.random.default_rng(50)
-    q, e, w, q_ref = row_batch(rng, 20)
+    q, e, _, q_ref = row_batch(rng, 20)
     for i in range(20):
         assert_same_bits(quat_multiply_rows(q[i], q_ref), ref_quat_multiply(q[i], q_ref))
         assert_same_bits(quat_normalize_rows(3.0 * q[i]), ref_quat_normalize(3.0 * q[i]))
-        assert_same_bits(quat_integrate(q[i], w[i], 0.01), ref_quat_integrate(q[i], w[i], 0.01))
         assert_same_bits(quat_from_mrp(e[i]), ref_quat_from_mrp(e[i]))
         assert_same_bits(mrp_from_quat(q[i]), ref_mrp_from_quat(q[i]))
         assert_same_bits(mrp_error(q[i], q_ref), ref_mrp_error(q[i], q_ref))

@@ -191,6 +191,18 @@ def test_config_round_trip(tmp_path):
         assert np.array_equal(out[key], d[key]), key
 
 
+def test_config_bounds_admit_their_closed_ends():
+    """Zero process densities and a driver blend of 1 load; the values
+    just outside are refused with the key's name."""
+    d = {key: 0.0 for key, section, _ in pipeline.CONFIG_KEYS if section == "process"}
+    d["driver_alpha"] = 1.0
+    cfg = config_from_dict(d)
+    assert cfg.process.wind == 0.0 and cfg.driver.alpha == 1.0
+    for key, value in (("q_pos", -1e-300), ("driver_alpha", 1.0 + 1e-15), ("r_pseudo_mps", 0.0)):
+        with pytest.raises(ValueError, match=key):
+            config_from_dict({key: value})
+
+
 def test_config_from_dict_rejects_unknown_keys():
     d = config_to_dict(EstimatorConfig())
     config_from_dict(d)

@@ -294,10 +294,13 @@ def test_euler_step_arrays_matches_scalar():
     touch = rng.normal(size=(n, 3))
     wind = np.array([1.0, -0.5, 0.0])
     dt = 0.01
-    p2, v2, q2, w2 = vehicle.euler_step_arrays(
-        p.T, v.T, q.T, w.T, thrust, torque, touch.T, wind[:, None], par, dt
-    )
-    p2, v2, q2, w2 = p2.T, v2.T, np.transpose(q2), w2.T
+    x = np.full((vehicle.STATE_DIM, n), np.nan)  # the attitude rows are not read
+    x[vehicle.IDX_P], x[vehicle.IDX_V], x[vehicle.IDX_W] = p.T, v.T, w.T
+    x[vehicle.IDX_F], x[vehicle.IDX_WIND] = touch.T, wind[:, None]
+    y = np.full_like(x, np.nan)
+    wrench = vehicle.wrench_terms(vehicle.WrenchInput(thrust, torque), par)
+    q2 = vehicle.euler_step_arrays(x, q.T, wrench, par, dt, y)
+    p2, v2, q2, w2 = y[vehicle.IDX_P].T, y[vehicle.IDX_V].T, q2.T, y[vehicle.IDX_W].T
     for i in range(n):
         dp, dv, _, dw = derivative(pack(p[i], v[i], q[i], w[i]), par, thrust, torque, wind, touch[i])
         assert np.allclose(p2[i], p[i] + dp * dt, atol=1e-12)
