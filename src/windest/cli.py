@@ -8,6 +8,7 @@ default output directory; explicit --out flags win.
 import argparse
 import os
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -61,16 +62,21 @@ def cmd_sim(args):
         kwargs["thrust_scale"] = args.thrust_scale
     sc = sim.SCENARIOS[args.scenario](**kwargs)
     out = args.out or os.path.join(_out_dir(), f"{args.scenario}_{args.seed}")
+    start = time.perf_counter()
     try:
         log = sim.run_scenario(sc)
     except sim.SimulationDiverged as exc:
         save_log(exc.partial_log, out)
         print(f"error: {exc}; partial log written to {out}", file=sys.stderr)
         return 2
+    wall = time.perf_counter() - start
     save_log(log, out)
     for name in sorted(log.channels):
         ch = log[name]
         print(f"{name}: {ch.t.size} rows, {ch.t[0]:.2f}..{ch.t[-1]:.2f} s")
+    flight = sc.plan.duration
+    print(f"simulated {flight:.2f} s of flight in {wall:.3f} s wall time: "
+          f"realtime factor {flight / wall:.1f}, {wall / flight:.4f} s per flight-second")
     print(f"log written to {out}")
     return 0
 

@@ -2,9 +2,10 @@
 
 Produces multi-rate logs: ground truth at 500 Hz, odometry at 100 Hz,
 IMU specific force at 200 Hz, whisker fields at 50 Hz and throttle +
-commanded wrench at 200 Hz.  The integrator runs internally at 1 kHz
-(RK4) so every channel clock lands on exact ticks; the controller, wind
-and touch inputs refresh at 500 Hz.
+commanded wrench at 200 Hz.  Every channel clock lands on whole ticks
+of a 1 kHz clock (checked at import); the controller, wind and touch
+inputs refresh at the 500 Hz control tick, and odometry and whisker
+rows fall on control ticks.
 
 Wind is ambient flow plus cone-shaped gusts (leaf-blower style: a
 centerline speed with a cosine falloff toward the cone wall and an
@@ -14,40 +15,49 @@ throttle- and airflow-dependent bias to the whisker angles, emulating
 propwash the whisker model does not capture.
 
 Before the loop, the inputs that depend on time alone are built in one
-block pass over the control-tick clock (the loop's own k * dt values):
-the plan's set-points [p, v, a] and phases and the touch forces, each
-entry the bits of the scalar formula (tests/test_sim_golden.py keeps
-those as its reference).  The wind depends on where the vehicle is, so
-it stays in the loop.
+block pass over the control-tick clock (k * dt on the 1 kHz clock): the
+plan's set-points [p, v, a] and phases (plan.FlightPlan.setpoints) and
+the touch forces, each entry the bits of the scalar formula
+(tests/test_sim_golden.py keeps those as its reference).  The wind
+depends on where the vehicle is, so it stays in the loop, on Python
+floats.
 
-The 1 kHz loop flies the vehicle and nothing else, on Python floats:
-each control tick checks the divergence guard, reads its set-point and
-touch rows, runs Controller.step and evaluates the wind, and each tick
-runs one vehicle.rk4_step, which also returns the start-of-step
-acceleration.  It writes the truth rows (up to the wind) and throttle
-rows and, at each sensor tick, only what that channel is made from: the
-packed state (odometry), the quaternion and start-of-step acceleration
-(IMU), and the state with the tick's wind and mean squared throttle
-(whisker).  None of the sensors feeds back.
+The loop flies the vehicle and nothing else, on Python floats, one
+control tick at a time: it checks the divergence guard, reads its
+set-point and touch rows, runs Controller.step, evaluates the wind and
+takes one vehicle.rk4_step over the 2 ms tick, which also returns the
+start-of-step acceleration.  Where an IMU tick falls 1 ms into the
+control tick, it takes two 1 ms steps instead, and the mid state's
+quaternion with the second step's start-of-step acceleration is that
+IMU tick's row [q, a].  Per control tick it keeps one truth row (up to
+the touch and phase) and one command row [u, wrench].  None of the
+sensors feeds back.
 
-After the loop (and on the SimulationDiverged path, over the ticks flown)
-the truth rows take their touch and phase columns from the block pass,
-the channel clocks are built as k * dt arrays, and each sensor channel
-is built in one pass over its ticks, on the same component-first
-kernels the filter runs on its sigma blocks: the odometry attitude
-noise with quat_from_axis_angle and quat_multiply_rows, the IMU's
-R(q)^T (a - g) as one stacked product, and each mount's airflow once
-per whisker tick (rig_airflow of body_airflow), which both the
-deflection and the interference bias read.  The noise comes first, from one loop over the sensor ticks that
-makes every draw in tick order and, within a tick, in channel order:
-the odometry's position, velocity, attitude and gyro noise, then the
-IMU's, then the whisker angles', then each mount's outlier draws.  The
-order is part of each seed's noise realization (moving one draw
-re-draws all that follow), and tests/test_sim_golden.py pins it:
-truth, odometry, IMU and throttle match that flight to the bit, and
-the whisker channel to 1e-9 (its airflow products are matrix-matrix
-products over all ticks, whose rounding depends on how BLAS blocks
-them).
+After the loop (and on the SimulationDiverged path, over the ticks
+flown) each sensor channel is sliced from those rows: odometry and
+whisker take the truth rows of their control ticks, throttle the
+command rows, and IMU the truth rows of its ticks on control ticks with
+the mid-tick rows between them.  The truth rows take their touch and
+phase columns from the block pass, the channel clocks are built as
+k * dt arrays, and each sensor channel is built in one pass over its
+ticks, on the same component-first kernels the filter runs on its sigma
+blocks: the odometry attitude noise with quat_from_axis_angle and
+quat_multiply_rows, the IMU's R(q)^T (a - g) as one stacked product,
+and each mount's airflow once per whisker tick (rig_airflow of
+body_airflow), which both the deflection and the interference bias
+read.
+
+The noise comes first, in the order a loop over the sensor ticks would
+draw it: tick after tick and, within a tick, the odometry's position,
+velocity, attitude and gyro noise, then the IMU's, then the whisker
+angles', then each mount's outlier draws.  All the Gaussian draws are
+one standard normal block, scaled channel by channel, cut only where
+outlier draws come between them.  The order is part of each seed's
+noise realization (moving one draw re-draws all that follow), and
+tests/test_sim_golden.py pins it: truth, odometry, IMU and throttle
+match that flight to the bit, and the whisker channel to 1e-9 (its
+airflow products are matrix-matrix products over all ticks, whose
+rounding depends on how BLAS blocks them).
 """
 
 from __future__ import annotations
@@ -62,6 +72,17 @@ from .vehicle import VehicleParams, rk4_step, scalar_consts
 from . import whisker as whisker_mod
 from .whisker import WhiskerRig, default_rig
 from .logio import FlightLog
+from .plan import (  # noqa: F401  (the plan's names are the simulator's API too)
+    PHASE_EXECUTE,
+    PHASE_GOTO,
+    PHASE_LAND,
+    PHASE_TAKEOFF,
+    CircleTrajectory,
+    FlightPlan,
+    HoverTrajectory,
+    JoystickTrajectory,
+    LineTrajectory,
+)
 
 SIM_RATE = 1000.0
 TRUTH_RATE = 500.0
@@ -75,11 +96,6 @@ SPIN_DIRS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 ARM_LENGTH = 0.25  # m
 K_THRUST = 4.0  # N per unit throttle
 K_MOMENT = 0.016  # N m of yaw moment per N of rotor force
-
-PHASE_TAKEOFF = 0
-PHASE_GOTO = 1
-PHASE_EXECUTE = 2
-PHASE_LAND = 3
 
 THETA_LIMIT = 0.5  # rad, mechanical end stop of the whisker spring
 DIVERGENCE_BOUND = 25.0  # m, controller blow-up guard
@@ -101,6 +117,8 @@ INTERFERENCE_DIRS = np.array(
 # ---------------------------------------------------------------------------
 # wind and touch
 
+_ZERO3 = (0.0, 0.0, 0.0)
+
 
 @dataclass
 class ConeGust:
@@ -121,20 +139,26 @@ class ConeGust:
         if n < 1e-9:
             raise ValueError("gust direction must be nonzero")
         self.direction = d / n
+        self._floats = tuple(self.origin.tolist()) + tuple(self.direction.tolist())
 
     def velocity(self, p, t):
+        """The gust velocity at the point p (3 floats) at time t, a tuple of
+        3 floats; computed on Python floats, as the simulator's loop calls
+        it once per control tick."""
         if not (self.t_on <= t < self.t_off):
-            return np.zeros(3)
-        rel = np.asarray(p, dtype=float) - self.origin
-        axial = float(rel @ self.direction)
+            return _ZERO3
+        ox, oy, oz, dx, dy, dz = self._floats
+        px, py, pz = p
+        rx, ry, rz = px - ox, py - oy, pz - oz
+        axial = rx * dx + ry * dy + rz * dz
         if axial < 0.05:
-            return np.zeros(3)
-        radial = rel - axial * self.direction
-        off_axis = math.atan2(float(np.linalg.norm(radial)), axial)
+            return _ZERO3
+        cx, cy, cz = rx - axial * dx, ry - axial * dy, rz - axial * dz
+        off_axis = math.atan2(math.sqrt(cx * cx + cy * cy + cz * cz), axial)
         if off_axis >= self.half_angle:
-            return np.zeros(3)
-        falloff = math.cos(0.5 * math.pi * off_axis / self.half_angle)
-        return self.speed * falloff * self.direction
+            return _ZERO3
+        s = self.speed * math.cos(0.5 * math.pi * off_axis / self.half_angle)
+        return s * dx, s * dy, s * dz
 
 
 @dataclass
@@ -144,12 +168,16 @@ class WindField:
 
     def __post_init__(self):
         self.ambient = np.asarray(self.ambient, dtype=float)
+        self._ambient = tuple(self.ambient.tolist())
 
     def at(self, p, t):
-        w = self.ambient.copy()
+        """The wind at the point p at time t, a list of 3 floats: the
+        ambient flow plus each gust's velocity."""
+        wx, wy, wz = self._ambient
         for g in self.gusts:
-            w += g.velocity(p, t)
-        return w
+            gx, gy, gz = g.velocity(p, t)
+            wx, wy, wz = wx + gx, wy + gy, wz + gz
+        return [wx, wy, wz]
 
 
 @dataclass
@@ -180,259 +208,6 @@ class TouchProfile:
             on = (ev.t0 <= t) & (t < ev.t1)
             f[on] += ev.f0 + (ev.f1 - ev.f0) * ((t[on] - ev.t0) / (ev.t1 - ev.t0))[:, None]
         return f
-
-
-# ---------------------------------------------------------------------------
-# trajectory primitives (position, velocity, acceleration; all C1)
-#
-# Each trajectory's states(t) and the plan's setpoints(t) evaluate a whole
-# 1-D array of times at once, into one (n, 9) row [p, v, a] per time.
-# Every entry is the scalar formula's value to the bit: the same operations
-# in the same order on each element, and libm's sin, cos and pow where the
-# formula calls them.
-
-
-def _smoothstep5(u):
-    """Quintic smoothstep and its first two derivatives on [0, 1], at each
-    element of the array u."""
-    u = np.clip(u, 0.0, 1.0)
-    s = u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
-    # (1 - u)^2 by libm's pow, as Python's ** takes it; numpy squares it as
-    # a product, which rounds differently in about one case in a thousand
-    ds = 30.0 * u * u * np.array([(1.0 - x) ** 2 for x in u.tolist()]).reshape(u.shape)
-    dds = 60.0 * u * (1.0 - 3.0 * u + 2.0 * u * u)
-    return s, ds, dds
-
-
-@dataclass
-class CircleTrajectory:
-    """Horizontal circle flown at a staircase of speeds.
-
-    Angular rate ramps linearly between speed steps (and from/to rest),
-    so the speed setpoint is exact during each hold.
-    """
-
-    center: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.5]))
-    radius: float = 2.5
-    speeds: tuple = (1.0, 2.0, 3.0, 4.0, 5.0)
-    hold: float = 8.0
-    ramp: float = 2.0
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float)
-        omegas = [s / self.radius for s in self.speeds]
-        segs = []  # (t0, duration, omega0, slope, theta0)
-        t = 0.0
-        theta = 0.0
-        prev = 0.0
-        for om in omegas:
-            segs.append((t, self.ramp, prev, (om - prev) / self.ramp, theta))
-            theta += 0.5 * (prev + om) * self.ramp
-            t += self.ramp
-            segs.append((t, self.hold, om, 0.0, theta))
-            theta += om * self.hold
-            t += self.hold
-            prev = om
-        segs.append((t, self.ramp, prev, -prev / self.ramp, theta))
-        t += self.ramp
-        self._segments = np.array(segs)
-        self.duration = t
-
-    def states(self, t):
-        t = np.clip(t, 0.0, self.duration)
-        segs = self._segments
-        # the first segment that ends after t, else the last
-        ends = segs[:, 0] + segs[:, 1]
-        i = np.minimum(np.searchsorted(ends, t, side="right"), len(segs) - 1)
-        t0, _, om0, slope, th0 = segs[i].T
-        tau = t - t0
-        om = om0 + slope * tau
-        th = th0 + om0 * tau + 0.5 * slope * tau * tau
-        ct, st = np.cos(th), np.sin(th)
-        r = self.radius
-        ro, rs, roo = r * om, r * slope, r * om * om
-        cx, cy, cz = self.center.tolist()
-        columns = (
-            cx + r * ct, cy + r * st, cz + 0.0,
-            ro * -st, ro * ct, ro * 0.0,
-            rs * -st - roo * ct, rs * ct - roo * st, rs * 0.0 - roo * 0.0,
-        )
-        return np.stack(np.broadcast_arrays(*columns), axis=1)
-
-
-@dataclass
-class LineTrajectory:
-    """Straight segment with a trapezoidal (or triangular) speed profile."""
-
-    p0: np.ndarray = field(default_factory=lambda: np.array([-5.0, 0.0, 1.5]))
-    p1: np.ndarray = field(default_factory=lambda: np.array([5.0, 0.0, 1.5]))
-    vmax: float = 1.5
-    accel: float = 0.8
-
-    def __post_init__(self):
-        self.p0 = np.asarray(self.p0, dtype=float)
-        self.p1 = np.asarray(self.p1, dtype=float)
-        d = self.p1 - self.p0
-        self.length = float(np.linalg.norm(d))
-        if self.length < 1e-9:
-            raise ValueError("degenerate line")
-        self.dir = d / self.length
-        v = min(self.vmax, math.sqrt(self.accel * self.length))
-        self.v_cruise = v
-        self.t_acc = v / self.accel
-        self.d_acc = 0.5 * v * self.t_acc
-        self.t_cruise = max(0.0, (self.length - 2.0 * self.d_acc) / v)
-        self.duration = 2.0 * self.t_acc + self.t_cruise
-
-    def states(self, t):
-        t = np.clip(t, 0.0, self.duration)
-        a_max, v = self.accel, self.v_cruise
-        tau = self.duration - t
-        # accelerating, cruising, else braking
-        acc, cruise = t < self.t_acc, t < self.t_acc + self.t_cruise
-        s = np.where(acc, 0.5 * a_max * t * t,
-                     np.where(cruise, self.d_acc + v * (t - self.t_acc),
-                              self.length - 0.5 * a_max * tau * tau))
-        sv = np.where(acc, a_max * t, np.where(cruise, v, a_max * tau))
-        sa = np.where(acc, a_max, np.where(cruise, 0.0, -a_max))
-        d = self.dir
-        return np.concatenate((self.p0 + s[:, None] * d, sv[:, None] * d, sa[:, None] * d), axis=1)
-
-
-@dataclass
-class JoystickTrajectory:
-    """Seeded wandering velocity profile, cosine-blended between random
-    waypoint velocities every wp_period seconds (C1, bounded to a box)."""
-
-    seed: int = 0
-    duration: float = 45.0
-    vmax: float = 4.0
-    wp_period: float = 2.5
-    start: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 2.0]))
-    box_half: np.ndarray = field(default_factory=lambda: np.array([4.0, 4.0, 1.4]))
-
-    def __post_init__(self):
-        self.start = np.asarray(self.start, dtype=float)
-        self.box_half = np.asarray(self.box_half, dtype=float)
-        rng = np.random.default_rng(self.seed)
-        n_seg = max(1, int(round(self.duration / self.wp_period)))
-        self.duration = n_seg * self.wp_period
-        vs = [np.zeros(3)]
-        pos = self.start.copy()
-        T = self.wp_period
-        for k in range(1, n_seg):
-            raw = rng.normal(size=3)
-            raw[2] *= 0.35
-            raw = raw / max(np.linalg.norm(raw), 1e-9)
-            v = raw * self.vmax * rng.uniform(0.35, 1.0)
-            # steer back toward the box center before committing
-            v -= 0.6 * (pos + vs[-1] * 0.5 * T - self.start) / T
-            n = np.linalg.norm(v)
-            if n > self.vmax:
-                v *= self.vmax / n
-            vs.append(v)
-            pos = pos + 0.5 * T * (vs[-2] + vs[-1])
-        vs.append(np.zeros(3))
-        self._vs = np.array(vs)
-        # segment start positions (cosine blend integrates to the midpoint rule)
-        ps = [self.start.copy()]
-        for k in range(len(vs) - 1):
-            ps.append(ps[-1] + 0.5 * T * (self._vs[k] + self._vs[k + 1]))
-        self._ps = np.array(ps)
-
-    def states(self, t):
-        t = np.clip(t, 0.0, self.duration - 1e-12)
-        T = self.wp_period
-        k = (t // T).astype(int)
-        s = t - k * T
-        va, dv = self._vs[k], self._vs[k + 1] - self._vs[k]
-        c, sn = np.cos(math.pi * s / T), np.sin(math.pi * s / T)
-        p = self._ps[k] + va * s[:, None] + dv * (0.5 * s - (T / (2.0 * math.pi)) * sn)[:, None]
-        v = va + dv * 0.5 * (1.0 - c)[:, None]
-        a = dv * (math.pi / (2.0 * T)) * sn[:, None]
-        return np.concatenate((p, v, a), axis=1)
-
-
-@dataclass
-class HoverTrajectory:
-    point: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.5]))
-    duration: float = 20.0
-
-    def __post_init__(self):
-        self.point = np.asarray(self.point, dtype=float)
-
-    def states(self, t):
-        return np.tile(np.concatenate((self.point, np.zeros(6))), (t.shape[0], 1))
-
-
-@dataclass
-class FlightPlan:
-    """Idle, vertical takeoff, translation to the start point, the
-    mission trajectory, then landing. Setpoints are C1 throughout."""
-
-    traj: object
-    idle: float = 1.0
-    takeoff: float = 3.0
-    land: float = 3.0
-    tail: float = 1.0
-    ground_xy: np.ndarray | None = None
-
-    def __post_init__(self):
-        p_start, p_end = self.traj.states(np.array([0.0, self.traj.duration]))[:, 0:3]
-        if self.ground_xy is None:
-            self.ground_xy = p_start[:2].copy()
-        self.ground_xy = np.asarray(self.ground_xy, dtype=float)
-        self._p_ground = np.array([self.ground_xy[0], self.ground_xy[1], 0.0])
-        self._p_hover = np.array([self.ground_xy[0], self.ground_xy[1], p_start[2]])
-        self._p_start = p_start
-        self._p_end = p_end
-        dist = float(np.linalg.norm(p_start - self._p_hover))
-        self.goto = max(1.5, 1.9 * dist / 1.2)
-        self.t_takeoff = self.idle
-        self.t_goto = self.t_takeoff + self.takeoff
-        self.t_execute = self.t_goto + self.goto
-        self.t_land = self.t_execute + self.traj.duration
-        self.duration = self.t_land + self.land + self.tail
-
-    def setpoints(self, t):
-        """The set-points [p, v, a] at each time of the 1-D array t, an
-        (n, 9) array, and the flight phase of each, an (n,) int array."""
-        sp = np.zeros((t.shape[0], 9))
-        stage = np.searchsorted(
-            [self.t_takeoff, self.t_goto, self.t_execute, self.t_land, self.t_land + self.land],
-            t, side="right",
-        )
-        phase = np.array([PHASE_TAKEOFF, PHASE_TAKEOFF, PHASE_GOTO, PHASE_EXECUTE, PHASE_LAND,
-                          PHASE_LAND])[stage]
-        sp[stage == 0, 0:3] = self._p_ground
-        on = stage == 1
-        sp[on] = _vertical(self._p_ground, self._p_hover[2],
-                           (t[on] - self.t_takeoff) / self.takeoff, self.takeoff)
-        on = stage == 2
-        s, ds, dds = _smoothstep5((t[on] - self.t_goto) / self.goto)
-        d = self._p_start - self._p_hover
-        sp[on] = np.concatenate(
-            (self._p_hover + s[:, None] * d, d * ds[:, None] / self.goto,
-             d * dds[:, None] / self.goto**2),
-            axis=1,
-        )
-        on = stage == 3
-        sp[on] = self.traj.states(t[on] - self.t_execute)
-        on = stage == 4
-        sp[on] = _vertical(self._p_end, -self._p_end[2], (t[on] - self.t_land) / self.land,
-                           self.land)
-        sp[stage == 5, 0:2] = self._p_end[0:2]
-        return sp, phase
-
-
-def _vertical(p0, dz, u, duration):
-    """Set-point rows of a smoothstep climb (dz > 0) or descent from p0
-    over duration, at the normalized times u."""
-    s, ds, dds = _smoothstep5(u)
-    x, y, z = p0.tolist()
-    columns = (x + 0.0, y + 0.0, z + s * dz, 0.0, 0.0, ds * dz / duration,
-               0.0, 0.0, dds * dz / duration**2)
-    return np.stack(np.broadcast_arrays(*columns), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -544,13 +319,32 @@ class Controller:
         c1 = (j00 * a0 + j01 * a1 + j02 * a2 + (wy * hz - wz * hy)) / k
         c2 = (j10 * a0 + j11 * a1 + j12 * a2 + (wz * hx - wx * hz)) / k
         c3 = (j20 * a0 + j21 * a1 + j22 * a2 + (wx * hy - wy * hx)) / k
-        u = [p0 * c0 + p1 * c1 + p2 * c2 + p3 * c3 for p0, p1, p2, p3 in self._alloc_pinv]
+        # the six throttles and the wrench written out: in CPython 3.11 a
+        # comprehension is a call of its own
+        ((p00, p01, p02, p03), (p10, p11, p12, p13), (p20, p21, p22, p23),
+         (p30, p31, p32, p33), (p40, p41, p42, p43), (p50, p51, p52, p53)) = self._alloc_pinv
+        u0 = p00 * c0 + p01 * c1 + p02 * c2 + p03 * c3
+        u1 = p10 * c0 + p11 * c1 + p12 * c2 + p13 * c3
+        u2 = p20 * c0 + p21 * c1 + p22 * c2 + p23 * c3
+        u3 = p30 * c0 + p31 * c1 + p32 * c2 + p33 * c3
+        u4 = p40 * c0 + p41 * c1 + p42 * c2 + p43 * c3
+        u5 = p50 * c0 + p51 * c1 + p52 * c2 + p53 * c3
         # np.clip's result, -0.0 and NaN included
-        u = [0.0 if x < 0.0 else 1.0 if x > 1.0 else x for x in u]
-        f0, f1, f2, f3, f4, f5 = [k * x for x in u]
-        wrench = [b0 * f0 + b1 * f1 + b2 * f2 + b3 * f3 + b4 * f4 + b5 * f5
-                  for b0, b1, b2, b3, b4, b5 in self._alloc]
-        return u, wrench
+        u0 = 0.0 if u0 < 0.0 else 1.0 if u0 > 1.0 else u0
+        u1 = 0.0 if u1 < 0.0 else 1.0 if u1 > 1.0 else u1
+        u2 = 0.0 if u2 < 0.0 else 1.0 if u2 > 1.0 else u2
+        u3 = 0.0 if u3 < 0.0 else 1.0 if u3 > 1.0 else u3
+        u4 = 0.0 if u4 < 0.0 else 1.0 if u4 > 1.0 else u4
+        u5 = 0.0 if u5 < 0.0 else 1.0 if u5 > 1.0 else u5
+        f0, f1, f2, f3, f4, f5 = k * u0, k * u1, k * u2, k * u3, k * u4, k * u5
+        ((b00, b01, b02, b03, b04, b05), (b10, b11, b12, b13, b14, b15),
+         (b20, b21, b22, b23, b24, b25), (b30, b31, b32, b33, b34, b35)) = self._alloc
+        return [u0, u1, u2, u3, u4, u5], [
+            b00 * f0 + b01 * f1 + b02 * f2 + b03 * f3 + b04 * f4 + b05 * f5,
+            b10 * f0 + b11 * f1 + b12 * f2 + b13 * f3 + b14 * f4 + b15 * f5,
+            b20 * f0 + b21 * f1 + b22 * f2 + b23 * f3 + b24 * f4 + b25 * f5,
+            b30 * f0 + b31 * f1 + b32 * f2 + b33 * f3 + b34 * f4 + b35 * f5,
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -613,52 +407,85 @@ def whisker_columns(n_sensors):
     return cols
 
 
-_DIV_CTRL = int(SIM_RATE / TRUTH_RATE)  # controller + input refresh, one truth row each
-_DIV_ODO = int(SIM_RATE / ODO_RATE)
-_DIV_IMU = int(SIM_RATE / IMU_RATE)
-_DIV_WHISK = int(SIM_RATE / WHISKER_RATE)
-_DIV_THR = int(SIM_RATE / THROTTLE_RATE)
+def _period_ticks(rate, multiple):
+    """Simulator ticks (1 / SIM_RATE s) per sample of a channel at rate Hz.
+
+    A ValueError names a rate whose period is not a whole number of steps
+    of `multiple` ticks; int() would truncate it and run the channel at
+    another rate."""
+    ticks = SIM_RATE / rate
+    if not (ticks >= multiple and ticks % multiple == 0):
+        raise ValueError(f"channel rate {rate!r} Hz: its period is not a whole number of "
+                         f"{multiple}-tick steps of the {SIM_RATE:g} Hz simulator clock")
+    return int(ticks)
+
+
+# The loop takes one RK4 step per control tick (two 1-tick steps when an
+# IMU tick falls between control ticks), so the control tick must be two
+# simulator ticks, and odometry and whisker rows are control-tick rows.
+_DIV_CTRL = _period_ticks(TRUTH_RATE, 1)
+if _DIV_CTRL != 2:
+    raise ValueError(f"control rate {TRUTH_RATE!r} Hz: the loop steps a 2-tick control tick")
+_DIV_ODO = _period_ticks(ODO_RATE, _DIV_CTRL)
+_DIV_IMU = _period_ticks(IMU_RATE, 1)
+_DIV_WHISK = _period_ticks(WHISKER_RATE, _DIV_CTRL)
+_DIV_THR = _period_ticks(THROTTLE_RATE, 1)
 _DIV_SENSOR = math.gcd(_DIV_ODO, _DIV_IMU, _DIV_WHISK)  # every sensor tick is a multiple
 
 _ODO_NOISE = ("odo_pos", "odo_vel", "odo_att", "odo_gyro")
+# the truth columns of an IMU row [q, a]
+_IMU_SOURCE = [6, 7, 8, 9, 13, 14, 15]
 
 
 def _draw_sensor_noise(rng, noise: NoiseSpec, n_ticks, n_sensors):
     """Every per-tick draw of the sensor channels over the simulator's
-    first n_ticks ticks, one tick after another, each tick in channel
-    order: odometry (position, velocity, attitude, gyro), IMU, whisker
-    angles, then each mount's outlier draws.  A zero noise level makes
-    no draw.
+    first n_ticks ticks, one sensor tick after another, each tick in
+    channel order: odometry (position, velocity, attitude, gyro), IMU,
+    whisker angles, then each mount's outlier draws.  A zero noise level
+    makes no draw.
+
+    rng.normal(0, sigma, n) is 0.0 + sigma * z on the next n values z of
+    the standard normal stream, so one rng.standard_normal block, scaled
+    channel by channel, holds the bits of every draw.  Outlier draws
+    (random, integers, choice) cut that stream after each whisker tick's
+    draws; without outliers it is one block.
 
     Returns (odo, imu, angles, outliers): odo a dict from each nonzero
     _ODO_NOISE level to its (n_odo, 3) draws, imu (n_imu, 3) and angles
     (n_whisk, n_sensors, 2) or None at zero level, and outliers the
     (whisker tick, mount, field component, offset) of each spike.
     """
-    odo = {name: [] for name in _ODO_NOISE if getattr(noise, name)}
-    odo_draws = [(rows, getattr(noise, name)) for name, rows in odo.items()]
-    imu, angles, outliers = [], [], []
-    for k in range(0, n_ticks, _DIV_SENSOR):
-        if k % _DIV_ODO == 0:
-            for rows, sigma in odo_draws:
-                rows.append(rng.normal(0.0, sigma, 3))
-        if k % _DIV_IMU == 0 and noise.imu_accel:
-            imu.append(rng.normal(0.0, noise.imu_accel, 3))
-        if k % _DIV_WHISK == 0:
-            if noise.whisker_angle:
-                angles.append(rng.normal(0.0, noise.whisker_angle, (n_sensors, 2)))
-            for i in range(n_sensors if noise.outlier_prob else 0):
-                if rng.random() < noise.outlier_prob:
-                    comp = rng.integers(0, 3)
-                    outliers.append(
-                        (k // _DIV_WHISK, i, comp, noise.outlier_mag * rng.choice([-1.0, 1.0]))
-                    )
-    return (
-        {name: np.array(rows).reshape(-1, 3) for name, rows in odo.items()},
-        np.array(imu).reshape(-1, 3) if noise.imu_accel else None,
-        np.array(angles).reshape(-1, n_sensors, 2) if noise.whisker_angle else None,
-        outliers,
-    )
+    k = np.arange(0, n_ticks, _DIV_SENSOR)
+    blocks = [(name, getattr(noise, name), 3, k % _DIV_ODO == 0) for name in _ODO_NOISE]
+    blocks += [("imu", noise.imu_accel, 3, k % _DIV_IMU == 0),
+               ("angles", noise.whisker_angle, 2 * n_sensors, k % _DIV_WHISK == 0)]
+    blocks = [b for b in blocks if b[1]]
+    # each sensor tick's draw count, and each block's first draw within its ticks'
+    count = np.zeros(k.size, dtype=int)
+    firsts = []
+    for _, _, size, on in blocks:
+        firsts.append(count[on])
+        count += size * on
+    start = np.cumsum(count) - count
+    cuts = (start + count)[k % _DIV_WHISK == 0].tolist() if noise.outlier_prob else []
+    z, drawn, outliers = [], 0, []
+    for j, cut in enumerate(cuts):
+        z.append(rng.standard_normal(cut - drawn))
+        drawn = cut
+        for i in range(n_sensors):
+            if rng.random() < noise.outlier_prob:
+                comp = rng.integers(0, 3)
+                outliers.append((j, i, comp, noise.outlier_mag * rng.choice([-1.0, 1.0])))
+    z.append(rng.standard_normal(int(count.sum()) - drawn))
+    z = np.concatenate(z)
+    draws = {
+        name: 0.0 + sigma * z[(start[on] + first)[:, None] + np.arange(size)]
+        for (name, sigma, size, on), first in zip(blocks, firsts)
+    }
+    imu, angles = draws.pop("imu", None), draws.pop("angles", None)
+    if angles is not None:
+        angles = angles.reshape(-1, n_sensors, 2)
+    return draws, imu, angles, outliers
 
 
 def _odometry_rows(states, draws):
@@ -691,21 +518,21 @@ def _imu_rows(src, gravity, draws, bias):
     return spec + bias
 
 
-def _whisker_rows(src, rig: WhiskerRig, noise: NoiseSpec, offsets, angles, outliers):
-    """Whisker rows from the (n, 17) rows [packed state, wind, mean
-    throttle squared] at the whisker ticks: each mount's airflow formed
-    once, its deflection plus the rotor-interference bias, the offsets
-    and angle noise, the end stops, the synthesized field and the
-    outlier spikes."""
+def _whisker_rows(truth, mean_sq, rig: WhiskerRig, noise: NoiseSpec, offsets, angles, outliers):
+    """Whisker rows from the (n, 20) truth rows (state, acceleration,
+    thrust, wind) and the mean squared throttle at the whisker ticks:
+    each mount's airflow formed once, its deflection plus the
+    rotor-interference bias, the offsets and angle noise, the end stops,
+    the synthesized field and the outlier spikes."""
     n_sensors = len(rig)
-    q, v, w, wind = src[:, 6:10].T, src[:, 3:6].T, src[:, 10:13].T, src[:, 13:16].T
+    q, v, w, wind = truth[:, 6:10].T, truth[:, 3:6].T, truth[:, 10:13].T, truth[:, 17:20].T
     # each mount's airflow (n_sensors, 3, m), then its deflection (2, n_sensors, m)
     v_s = whisker_mod.rig_airflow(whisker_mod.body_airflow(q, wind, v), w, rig)
     theta = whisker_mod.predict_deflection(v_s.swapaxes(0, 1), rig.coeff[:, None])
     if noise.interference_gain:
         int_dirs = INTERFERENCE_DIRS[np.arange(n_sensors) % len(INTERFERENCE_DIRS)]
         planar = np.hypot(v_s[:, 0], v_s[:, 1])
-        bias = noise.interference_gain * src[:, 16] * (1.0 + 0.8 * np.tanh(planar / 2.0))
+        bias = noise.interference_gain * mean_sq * (1.0 + 0.8 * np.tanh(planar / 2.0))
         theta = theta + bias * int_dirs.T[:, :, None]
     theta = theta.transpose(2, 1, 0) + offsets  # (m, n_sensors, 2)
     if angles is not None:
@@ -733,86 +560,87 @@ def run_scenario(sc: Scenario) -> FlightLog:
 
     plan = sc.plan
     dt = 1.0 / SIM_RATE
+    h = 1.0 / TRUTH_RATE
     n_steps = int(round(plan.duration * SIM_RATE)) + 1
-    # the open-loop inputs of every control tick, on the loop's own clock
+    # the open-loop inputs of every control tick, on the clock k * dt
     t_ctrl = np.arange(0, n_steps, _DIV_CTRL) * dt
     setpoints, phases = plan.setpoints(t_ctrl)
     touches = sc.touch.forces(t_ctrl)
-    sp_rows, touch_rows = setpoints.tolist(), touches.tolist()
+    # the control ticks whose second simulator tick is an IMU tick
+    split = (np.arange(1, n_steps + 1, _DIV_CTRL) % _DIV_IMU == 0).tolist()
     ctrl = Controller(sc.controller, veh)
     scale = float(sc.thrust_scale)
 
     consts = scalar_consts(veh)
     # the hot loop runs on Python floats; see the note above vehicle.scalar_consts
-    packed = sp_rows[0][0:3] + [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    packed = setpoints[0, 0:3].tolist() + [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
-    # truth rows up to the wind (touch and phase are joined after the loop)
-    truth_rows, thr_rows = [], []
-    # what each sensor channel needs from its ticks
-    odo_src, imu_src, whisk_src = [], [], []
+    # per control tick: the truth row up to the wind (touch and phase are
+    # joined after the loop) and the command row [u, wrench]; per IMU tick
+    # between control ticks, the row [q, a]
+    truth_rows, cmd_rows, imu_rows = [], [], []
 
     def build_log(n_ticks):
-        """The log of the first n_ticks ticks, each sensor channel built
-        in one pass after its noise is drawn."""
+        """The log of the first n_ticks simulator ticks, each sensor
+        channel sliced from the rows and built in one pass after its noise
+        is drawn."""
         odo, imu, angles, outliers = _draw_sensor_noise(rng, noise, n_ticks, n_sensors)
-
-        def ticks(div):
-            return np.arange(0, n_ticks, div) * dt
-
         m = len(truth_rows)
-        truth = np.concatenate(
-            (np.array(truth_rows).reshape(m, len(TRUTH_COLUMNS) - 4), touches[:m],
-             phases[:m, None]),
-            axis=1,
-        )
+        truth = np.array(truth_rows).reshape(m, len(TRUTH_COLUMNS) - 4)
+        cmd = np.array(cmd_rows).reshape(m, len(THROTTLE_COLUMNS))
+        # each channel's ticks k on the simulator clock; k // _DIV_CTRL is
+        # the control tick each falls in
         log = FlightLog()
-        log.add("truth", ticks(_DIV_CTRL), truth, TRUTH_COLUMNS)
-        log.add("odometry", ticks(_DIV_ODO),
-                _odometry_rows(np.array(odo_src).reshape(-1, 13), odo), ODO_COLUMNS)
-        log.add("imu", ticks(_DIV_IMU),
-                _imu_rows(np.array(imu_src).reshape(-1, 7), veh.gravity, imu, imu_bias),
-                IMU_COLUMNS)
-        log.add("whisker", ticks(_DIV_WHISK),
-                _whisker_rows(np.array(whisk_src).reshape(-1, 17), sc.rig, noise, offsets,
-                              angles, outliers),
+        k = np.arange(0, n_ticks, _DIV_CTRL)
+        log.add("truth", k * dt, np.concatenate((truth, touches[:m], phases[:m, None]), axis=1),
+                TRUTH_COLUMNS)
+        k = np.arange(0, n_ticks, _DIV_ODO)
+        log.add("odometry", k * dt, _odometry_rows(truth[k // _DIV_CTRL, 0:13], odo), ODO_COLUMNS)
+        k = np.arange(0, n_ticks, _DIV_IMU)
+        on_ctrl = k % _DIV_CTRL == 0
+        src = np.empty((k.size, 7))
+        src[on_ctrl] = truth[k[on_ctrl] // _DIV_CTRL][:, _IMU_SOURCE]
+        src[~on_ctrl] = np.array(imu_rows).reshape(-1, 7)[: k.size - on_ctrl.sum()]
+        log.add("imu", k * dt, _imu_rows(src, veh.gravity, imu, imu_bias), IMU_COLUMNS)
+        k = np.arange(0, n_ticks, _DIV_WHISK)
+        u = cmd[k // _DIV_CTRL, 0:N_ROTORS]
+        # the mean squared throttle, its sum left to right
+        mean_sq = ((u[:, 0] + u[:, 1] + u[:, 2] + u[:, 3] + u[:, 4] + u[:, 5]) / N_ROTORS) ** 2
+        log.add("whisker", k * dt,
+                _whisker_rows(truth[k // _DIV_CTRL], mean_sq, sc.rig, noise, offsets, angles,
+                              outliers),
                 whisker_columns(n_sensors))
-        log.add("throttle", ticks(_DIV_THR),
-                np.array(thr_rows).reshape(-1, len(THROTTLE_COLUMNS)), THROTTLE_COLUMNS)
+        k = np.arange(0, n_ticks, _DIV_THR)
+        log.add("throttle", k * dt, cmd[k // _DIV_CTRL], THROTTLE_COLUMNS)
         return log
 
-    for k in range(n_steps):
-        if k % _DIV_CTRL == 0:
-            j = k // _DIV_CTRL
-            px, py, pz = packed[0:3]
-            dist = math.sqrt(px * px + py * py + pz * pz)
-            # written so that a NaN position fails it too
-            if not dist <= DIVERGENCE_BOUND:
-                raise SimulationDiverged(
-                    f"vehicle left the arena at t={k * dt:.2f}s (|p|={dist:.1f} m)", build_log(k)
-                )
-            # the controller sees the quaternion normalized with
-            # quat_normalize_rows' rounding; the RK4 step's own
-            # renormalization rounds differently, and the integration goes
-            # on from packed
-            u, wrench_cmd = ctrl.step(_normalize_quat(packed), sp_rows[j], 1.0 / TRUTH_RATE)
-            wind_f = sc.wind.at(packed[0:3], k * dt).tolist()
-            touch_f = touch_rows[j]
-            f_applied = scale * wrench_cmd[0]
-            tau_applied = [scale * wrench_cmd[1], scale * wrench_cmd[2], scale * wrench_cmd[3]]
-
+    for sp, touch_f, t, two_steps in zip(setpoints.tolist(), touches.tolist(), t_ctrl.tolist(),
+                                         split):
+        px, py, pz = packed[0:3]
+        dist = math.sqrt(px * px + py * py + pz * pz)
+        # written so that a NaN position fails it too
+        if not dist <= DIVERGENCE_BOUND:
+            raise SimulationDiverged(
+                f"vehicle left the arena at t={t:.2f}s (|p|={dist:.1f} m)",
+                build_log(len(truth_rows) * _DIV_CTRL),
+            )
+        # the controller sees the quaternion normalized with
+        # quat_normalize_rows' rounding; the RK4 step's own renormalization
+        # rounds differently, and the integration goes on from packed
+        u, wrench_cmd = ctrl.step(_normalize_quat(packed), sp, h)
+        wind_f = sc.wind.at((px, py, pz), t)
+        f_applied = scale * wrench_cmd[0]
+        tau_applied = [scale * wrench_cmd[1], scale * wrench_cmd[2], scale * wrench_cmd[3]]
         # acc, the start-of-step acceleration, goes into the truth and IMU rows
-        acc, packed_next = rk4_step(packed, f_applied, tau_applied, wind_f, touch_f, consts, dt)
-        if k % _DIV_CTRL == 0:
-            truth_rows.append(packed + acc + [f_applied] + wind_f)
-        if k % _DIV_ODO == 0:
-            odo_src.append(packed)
-        if k % _DIV_IMU == 0:
-            imu_src.append(packed[6:10] + acc)
-        if k % _DIV_THR == 0:
-            thr_rows.append(u + wrench_cmd)
-        if k % _DIV_WHISK == 0:
-            # sums left to right, as np.mean does over six elements
-            whisk_src.append(packed + wind_f + [(sum(u) / N_ROTORS) ** 2])
+        if two_steps:
+            acc, mid = rk4_step(packed, f_applied, tau_applied, wind_f, touch_f, consts, dt)
+            acc_mid, packed_next = rk4_step(mid, f_applied, tau_applied, wind_f, touch_f,
+                                            consts, dt)
+            imu_rows.append(mid[6:10] + acc_mid)
+        else:
+            acc, packed_next = rk4_step(packed, f_applied, tau_applied, wind_f, touch_f, consts, h)
+        truth_rows.append([*packed, *acc, f_applied, *wind_f])
+        cmd_rows.append(u + wrench_cmd)
         packed = packed_next
 
     return build_log(n_steps)

@@ -41,7 +41,9 @@ expressions; writing the four stages out would save about 0.7 us of a
 4.3 us step at four times the code.  The first stage is
 the derivative at the start of the step, whose acceleration the
 simulator's truth and IMU rows carry, so the step returns it too; each
-1 kHz tick evaluates the derivative four times, not five.
+step evaluates the derivative four times, not five.  The simulator
+takes one step per 2 ms control tick, or two 1 ms steps on the control
+ticks an IMU tick falls inside.
 
 ``drag_force`` is the drag law's one array form, component-first like
 the filter's step, which calls it; so do the estimate rows and the

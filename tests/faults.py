@@ -18,6 +18,16 @@ def drop_window(log: FlightLog, t0, t1):
     return out
 
 
+def truncate_channel(log: FlightLog, channel, t):
+    """Copy of log with channel's rows at or after t removed, the channel
+    ending early as a log whose recording of one sensor stopped."""
+    ch = log[channel]
+    keep = ch.t < t
+    out = FlightLog(dict(log.channels))
+    out.add(channel, ch.t[keep], ch.data[keep], list(ch.columns))
+    return out
+
+
 def set_value(log: FlightLog, channel, column, t, value=np.nan):
     """Copy of log with one value replaced: column of channel's first row at
     or after t.  Returns (log, row)."""

@@ -2,6 +2,7 @@
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -166,6 +167,21 @@ def test_covariance_error_mid_replay_exits_2(hover_dir, tmp_path, monkeypatch, c
 def test_missing_log_directory(tmp_path, capsys):
     assert main(["estimate", str(tmp_path / "nope")]) == 2
     assert "does not exist" in capsys.readouterr().err
+
+
+def test_sim_reports_its_cost(tmp_path, capsys):
+    assert main(["sim", "--scenario", "hover", "--seed", "3", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    cost = re.fullmatch(
+        r"simulated (\S+) s of flight in (\S+) s wall time: "
+        r"realtime factor (\S+), (\S+) s per flight-second", lines[-2])
+    assert cost is not None, lines
+    flight, wall, rtf, per_s = map(float, cost.groups())
+    assert flight == round(sim.hover_scenario().plan.duration, 2)
+    assert wall > 0.0 and rtf > 1.0
+    assert rtf == pytest.approx(flight / wall, rel=0.05)
+    assert per_s == pytest.approx(wall / flight, rel=0.05, abs=1e-4)
+    assert lines[-1] == f"log written to {tmp_path}"
 
 
 def test_env_var_sets_default_out_dir(tmp_path, monkeypatch):

@@ -4,12 +4,15 @@ Defects come from tests/faults.py: swapped rows in a saved file, a
 non-finite value in one row, and a window missing from every channel.
 A truth channel that is cut short or missing changes no estimate.  The
 non-finite odometry row is pinned for sysid too, on a circular flight.
+The pinned tests are the gate; one Hypothesis property test (skipped
+without Hypothesis) composes missing windows, non-finite values and
+channels cut short at random times on the model route.
 """
 
 import numpy as np
 import pytest
 
-from faults import drop_window, set_value, swap_lines
+from faults import drop_window, set_value, swap_lines, truncate_channel
 from windest import lstm, pipeline, sim
 from windest.cli import main
 from windest.logio import (
@@ -22,6 +25,11 @@ from windest.logio import (
     whisker_fields,
 )
 from windest.pipeline import EstimatorConfig, run_estimate
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # Hypothesis comes with the test extra
+    given = None
 
 ROUTES = ("model", "lstm")
 
@@ -187,3 +195,58 @@ def test_lstm_route_does_not_read_truth(hover_log, weights):
         t, table = estimate(log, "lstm", weights)
         assert np.array_equal(t, t_ref)
         assert np.array_equal(table, table_ref)
+
+
+# ---------------------------------------------------------------------------
+# composed faults
+
+
+def apply_fault(log, fault):
+    """log with one fault (kind, channel, column, t, length) of the
+    strategy below applied; each kind leaves every row before t alone."""
+    kind, channel, column, t, length = fault
+    if kind == "drop_window":
+        return drop_window(log, t, t + length)
+    if kind == "truncate_channel":
+        return truncate_channel(log, channel, t)
+    columns = log[channel].columns
+    return set_value(log, channel, columns[column % len(columns)], t)[0]
+
+
+if given is None:
+
+    def test_composed_faults_leave_the_replay_finite_and_causal():
+        pytest.skip("needs Hypothesis")
+
+else:
+    FAULT = st.tuples(
+        st.sampled_from(("drop_window", "set_value", "truncate_channel")),
+        st.sampled_from(pipeline.ROUTE_CHANNELS["model"]),
+        st.integers(0, 31),  # set_value's column, modulo the channel's width
+        # the fault's time, after the driver's calibration window [0, 0.8] s
+        st.floats(CALIB_DURATION_S, 11.5, exclude_min=True),
+        st.floats(0.005, 2.0),  # drop_window's length
+    )
+
+    @pytest.fixture(scope="module")
+    def clean_model_replay(hover_log):
+        return estimate(hover_log, "model", None)
+
+    @settings(max_examples=8, derandomize=True, database=None, deadline=None)
+    @given(faults=st.lists(FAULT, min_size=1, max_size=3))
+    def test_composed_faults_leave_the_replay_finite_and_causal(
+        hover_log, clean_model_replay, faults
+    ):
+        """Missing windows, NaN values and channels cut short, one to three
+        at random channels and times: the model-route replay finishes with
+        finite rows, and its rows before the first fault's time are the
+        clean replay's, bit for bit."""
+        log = hover_log
+        for fault in faults:
+            log = apply_fault(log, fault)
+        t, table = estimate(log, "model", None)
+        assert np.all(np.isfinite(table))
+        t_clean, table_clean = clean_model_replay
+        n = int(np.searchsorted(t_clean, min(fault[3] for fault in faults)))
+        assert np.array_equal(t[:n], t_clean[:n])
+        assert np.array_equal(table[:n].view(np.uint64), table_clean[:n].view(np.uint64))

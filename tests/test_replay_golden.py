@@ -1,17 +1,14 @@
 """Replay regression guards: golden estimate tables and per-event cost.
 
-The tables in tests/data were written with logio.save_estimate by the
-replay as it stood before its hot path was rewritten with explicit
-geometry kernels and columns read once per replay, on the flights the
-fixtures below simulate:
+The tables in tests/data are written by `python tests/regen_golden.py
+replay` (logio.save_estimate of golden_replay below), on the flights
+model_flight and hover_flight simulate:
 
     golden_estimate_model.csv  run_estimate(log, EstimatorConfig(), "model")
                                on sim.four_phase_scenario(seed=7, phase_len=0.5)
     golden_estimate_model_gated.csv
                                the model route as above with
-                               EstimatorConfig(gate=True), written by the
-                               replay whose measurement updates formed the
-                               innovation covariance inline; the gate
+                               EstimatorConfig(gate=True); the gate
                                rejects 55 of 619 airflow and 134 of 1237
                                odometry updates on this flight
     golden_estimate_lstm.csv   run_estimate(log, EstimatorConfig(), "lstm",
@@ -20,12 +17,19 @@ fixtures below simulate:
     golden_estimate_lstm_imu_trimmed.csv
                                the LSTM route as above on the same hover
                                flight with its imu channel cut to
-                               [2.0, 9.0] s, written by the replay that
-                               matched pseudo measurements to whisker
-                               ticks by timestamp
+                               [2.0, 9.0] s
 
 A change that alters the simulator's output for these seeds must
-regenerate them from the replay as it was before the change.
+regenerate them from the replay as it was before the change.  The last
+regeneration followed the simulator's move to one RK4 step per 2 ms
+control tick, with the replay unchanged: the tables moved by at most
+4.2e-11 (model), 4.1e-11 (gated), 5.6e-12 (LSTM) and 4.8e-12 (LSTM, imu
+trimmed).  Before that, they were written by the replay as it stood
+before its hot path was rewritten with explicit geometry kernels and
+columns read once per replay (the gated table by the replay whose
+measurement updates formed the innovation covariance inline, the
+trimmed one by the replay that matched pseudo measurements to whisker
+ticks by timestamp).
 """
 
 import cProfile
@@ -45,19 +49,58 @@ TOL = 1e-9
 CALLS_PER_EVENT = 67
 
 
+def model_flight():
+    return sim.run_scenario(sim.four_phase_scenario(seed=7, phase_len=0.5))
+
+
+def hover_flight():
+    return sim.run_scenario(sim.hover_scenario(seed=8, duration=2.0))
+
+
+def golden_weights():
+    return lstm.init_params(np.random.default_rng(0))
+
+
+def imu_trimmed(log):
+    """The log with its imu channel cut to [2.0, 9.0] s."""
+    imu = log["imu"]
+    keep = (imu.t >= 2.0) & (imu.t <= 9.0)
+    out = FlightLog(dict(log.channels))
+    out.channels["imu"] = Channel("imu", imu.t[keep], imu.data[keep], list(imu.columns))
+    return out
+
+
+GOLDEN_TABLES = (
+    "golden_estimate_model.csv",
+    "golden_estimate_model_gated.csv",
+    "golden_estimate_lstm.csv",
+    "golden_estimate_lstm_imu_trimmed.csv",
+)
+
+
+def golden_replay(name, model_log, hover_log, weights):
+    """The replay whose (t, table) tests/data/<name> holds: the model
+    route on model_log, the LSTM route on hover_log."""
+    config = pipeline.EstimatorConfig(gate=name == "golden_estimate_model_gated.csv")
+    if name.startswith("golden_estimate_model"):
+        return pipeline.run_estimate(model_log, config, "model")
+    log = imu_trimmed(hover_log) if name.endswith("imu_trimmed.csv") else hover_log
+    return pipeline.run_estimate(log, config, "lstm", weights=weights)
+
+
 @pytest.fixture(scope="module")
 def model_log():
-    return sim.run_scenario(sim.four_phase_scenario(seed=7, phase_len=0.5))
+    return model_flight()
 
 
 @pytest.fixture(scope="module")
 def hover_log():
-    return sim.run_scenario(sim.hover_scenario(seed=8, duration=2.0))
+    return hover_flight()
 
 
 @pytest.fixture(scope="module")
 def weights():
-    return lstm.init_params(np.random.default_rng(0))
+    return golden_weights()
 
 
 def assert_matches_golden(name, t, table):
@@ -67,31 +110,29 @@ def assert_matches_golden(name, t, table):
     assert np.max(np.abs(table - table_ref)) <= TOL
 
 
+def replay_golden(name, model_log, hover_log, weights):
+    t, table = golden_replay(name, model_log, hover_log, weights)
+    assert_matches_golden(name, t, table)
+    return t
+
+
 def test_model_route_matches_golden(model_log):
-    t, table = pipeline.run_estimate(model_log, pipeline.EstimatorConfig(), "model")
-    assert_matches_golden("golden_estimate_model.csv", t, table)
+    replay_golden("golden_estimate_model.csv", model_log, None, None)
 
 
 def test_gated_model_route_matches_golden(model_log):
-    t, table = pipeline.run_estimate(model_log, pipeline.EstimatorConfig(gate=True), "model")
-    assert_matches_golden("golden_estimate_model_gated.csv", t, table)
+    replay_golden("golden_estimate_model_gated.csv", model_log, None, None)
 
 
 def test_lstm_route_matches_golden(hover_log, weights):
-    t, table = pipeline.run_estimate(hover_log, pipeline.EstimatorConfig(), "lstm", weights=weights)
-    assert_matches_golden("golden_estimate_lstm.csv", t, table)
+    replay_golden("golden_estimate_lstm.csv", None, hover_log, weights)
 
 
 def test_lstm_route_outside_resampled_window_matches_golden(hover_log, weights):
     """Whisker ticks outside the window every channel covers get no pseudo
     update but still one estimate row each."""
-    imu = hover_log["imu"]
-    keep = (imu.t >= 2.0) & (imu.t <= 9.0)
-    log = FlightLog(dict(hover_log.channels))
-    log.channels["imu"] = Channel("imu", imu.t[keep], imu.data[keep], list(imu.columns))
-    t, table = pipeline.run_estimate(log, pipeline.EstimatorConfig(), "lstm", weights=weights)
-    assert np.array_equal(t, log["whisker"].t)
-    assert_matches_golden("golden_estimate_lstm_imu_trimmed.csv", t, table)
+    t = replay_golden("golden_estimate_lstm_imu_trimmed.csv", None, hover_log, weights)
+    assert np.array_equal(t, hover_log["whisker"].t)
 
 
 def truncated(log: FlightLog, t_end):
