@@ -9,7 +9,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .logio import (
     save_log,
 )
 from .pipeline import EstimatorConfig
-from .whisker import WhiskerRig
 
 
 def _out_dir():
@@ -98,14 +96,15 @@ def cmd_sysid(args):
     t_theta, theta, _ = pipeline.driver_angles(log, cfg)
     coeffs = sysid.identify_rig_coefficients(t_theta, theta, t_odo, q, v, w, cfg.rig)
 
-    cfg.vehicle = replace(cfg.vehicle, mu1=fit.mu1, mu2=fit.mu2)
-    cfg.rig = WhiskerRig(
-        [replace(m, coeff=float(c)) for m, c in zip(cfg.rig.mounts, coeffs)]
-    )
+    params = pipeline.config_to_dict(cfg)
+    params.update(mu1=fit.mu1, mu2=fit.mu2)
+    params.update((f"sensor{i}_coeff", float(c)) for i, c in enumerate(coeffs))
+    try:  # a file that estimate and train would refuse is not written
+        pipeline.config_from_dict(params)
+    except ValueError as exc:
+        raise ValueError(f"{args.log}: fit outside the config domain: {exc}") from None
     out = args.out or os.path.join(_out_dir(), "params.cfg")
-    save_config(
-        pipeline.config_to_dict(cfg), out, header="identified from a still-air flight"
-    )
+    save_config(params, out, header="identified from a still-air flight")
     print(f"drag polynomial: mu1 {fit.mu1:.5f} N s/m, mu2 {fit.mu2:.5f} N s^2/m^2 "
           f"({len(samples)} samples)")
     print("sensor coefficients: " + ", ".join(f"{c:.6g}" for c in coeffs))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import whisker
-from .whisker import WhiskerRig, SensorMount
+from .whisker import WhiskerRig
 
 
 class LogFormatError(ValueError):
@@ -515,45 +515,3 @@ def save_config(cfg: dict, path, header=None):
             else:
                 fh.write(f"{key} = " + " ".join(f"{float(v):.17g}" for v in np.ravel(val)) + "\n")
 
-
-def rig_to_config(rig: WhiskerRig):
-    cfg = {"sensor_count": float(len(rig))}
-    for i, m in enumerate(rig.mounts):
-        cfg[f"sensor{i}_name"] = m.name
-        cfg[f"sensor{i}_pos_m"] = m.r.copy()
-        cfg[f"sensor{i}_rot"] = m.rot.ravel().copy()
-        cfg[f"sensor{i}_coeff"] = m.coeff
-        cfg[f"sensor{i}_polarity"] = m.polarity
-    return cfg
-
-
-def rig_from_config(cfg: dict):
-    """WhiskerRig from sensor_count and the sensor{i}_* keys.
-
-    A missing, malformed or non-finite value raises ValueError naming
-    its key.
-    """
-
-    def value(key, convert):
-        if key not in cfg:
-            raise ValueError(f"missing config key {key!r}")
-        try:
-            out = convert(cfg[key])
-        except (TypeError, ValueError):
-            raise ValueError(f"config key {key!r}: bad value {cfg[key]!r}") from None
-        if not np.isfinite(out).all():
-            raise ValueError(f"config key {key!r}: value {cfg[key]!r} is not finite")
-        return out
-
-    mounts = []
-    for i in range(value("sensor_count", int)):
-        mounts.append(
-            SensorMount(
-                str(cfg.get(f"sensor{i}_name", f"s{i}")),
-                value(f"sensor{i}_pos_m", lambda v: np.asarray(v, dtype=float).reshape(3)),
-                value(f"sensor{i}_rot", lambda v: np.asarray(v, dtype=float).reshape(3, 3)),
-                value(f"sensor{i}_coeff", float),
-                str(cfg.get(f"sensor{i}_polarity", whisker.NORTH_UP)),
-            )
-        )
-    return WhiskerRig(mounts)

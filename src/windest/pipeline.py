@@ -11,6 +11,7 @@ clock with the fixed estimate-file schema.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from . import lstm as lstm_mod
 from . import geometry, logio, sim, ukf
 from .logio import DriverConfig, FlightLog, WhiskerDriver
 from .vehicle import VehicleParams, WrenchInput, drag_force
-from .whisker import WhiskerRig, body_airflow, default_rig
+from .whisker import SensorMount, WhiskerRig, body_airflow, default_rig
 
 TRAINING_SKIP_S = 1.0  # s dropped from the start of each training block
 # the log channels each airflow source replays: the LSTM's features add
@@ -63,107 +64,147 @@ class EstimatorConfig:
     init_sigma_wind: float = 2.0
 
 
-# Config file keys: (key, EstimatorConfig section or "" for a top-level
-# field, field).  Order is the order config_to_dict writes them in; the
-# sensor{i}_* keys of the rig come after, from logio.rig_to_config.
-CONFIG_KEYS = (
-    ("mass_kg", "vehicle", "mass"),
-    ("inertia_kgm2", "vehicle", "inertia"),
-    ("mu1", "vehicle", "mu1"),
-    ("mu2", "vehicle", "mu2"),
-    ("gravity_mps2", "vehicle", "gravity"),
-    ("q_pos", "process", "pos"),
-    ("q_att", "process", "att"),
-    ("q_vel", "process", "vel"),
-    ("q_gyro", "process", "gyro"),
-    ("q_touch", "process", "touch"),
-    ("q_wind", "process", "wind"),
-    ("r_odo_pos_m", "meas", "odo_pos"),
-    ("r_odo_att_rad", "meas", "odo_att"),
-    ("r_odo_vel_mps", "meas", "odo_vel"),
-    ("r_odo_gyro_radps", "meas", "odo_gyro"),
-    ("r_whisker_rad", "meas", "whisker"),
-    ("r_pseudo_mps", "meas", "pseudo"),
-    ("gate_enabled", "", "gate"),
-    ("init_sigma_touch_N", "", "init_sigma_touch"),
-    ("init_sigma_wind_mps", "", "init_sigma_wind"),
-    ("driver_alpha", "driver", "alpha"),
-    ("driver_nsigma", "driver", "nsigma"),
-    ("driver_clamp_rad", "driver", "clamp"),
-)
-
-
-# The bounds of the noise and driver keys, with their wording: a negative
-# process density, or a noise or initial sigma at or below zero, makes a
-# covariance that stops factorizing in the middle of a replay, and a
-# low-pass blend outside (0, 1] makes the driver's filter hold or diverge.
-_CONFIG_BOUNDS = {
-    **{key: ("must be >= 0", lambda v: v >= 0.0)
-       for key, section, _ in CONFIG_KEYS if section == "process"},
-    **{key: ("must be > 0", lambda v: v > 0.0)
-       for key, section, name in CONFIG_KEYS
-       if section == "meas" or name.startswith("init_sigma")},
-    "driver_alpha": ("must lie in (0, 1]", lambda v: 0.0 < v <= 1.0),
+# One config file key: its owner (section, see _config_rows) and the
+# owner's field (attr), how its value reads (kind, _KINDS), the values it
+# admits (domain: _DOMAIN_CHECKS checks those one comparison decides, the
+# owner's own check the rest), its unit and its meaning.
+ConfigKey = namedtuple("ConfigKey", "key section attr kind domain unit meaning")
+# Every key, in the order config_to_dict writes them.  A negative density
+# or a noise sigma <= 0 makes a covariance that stops factorizing midway,
+# a blend outside (0, 1] makes the driver's low-pass hold or diverge, and
+# a negative drag or a coefficient <= 0 (the polarity carries the sign)
+# has no physical meaning.
+CONFIG_SCHEMA = tuple(ConfigKey(*row) for row in (
+    ("mass_kg", "vehicle", "mass", "real", "> 0", "kg", "vehicle mass"),
+    ("inertia_kgm2", "vehicle", "inertia", "3x3 matrix", "symmetric positive definite",
+     "kg m^2", "body inertia, row by row"),
+    ("mu1", "vehicle", "mu1", "real", ">= 0", "N s/m", "linear drag coefficient"),
+    ("mu2", "vehicle", "mu2", "real", ">= 0", "N s^2/m^2", "quadratic drag coefficient"),
+    ("gravity_mps2", "vehicle", "gravity", "real", "> 0", "m/s^2", "gravity"),
+    ("q_pos", "process", "pos", "real", ">= 0", "m^2/s", "position noise density"),
+    ("q_att", "process", "att", "real", ">= 0", "rad^2/s", "attitude noise density"),
+    ("q_vel", "process", "vel", "real", ">= 0", "m^2/s^3", "velocity noise density"),
+    ("q_gyro", "process", "gyro", "real", ">= 0", "rad^2/s^3", "body rate noise density"),
+    ("q_touch", "process", "touch", "real", ">= 0", "N^2/s", "touch force random walk density"),
+    ("q_wind", "process", "wind", "real", ">= 0", "m^2/s^3", "wind random walk density"),
+    ("r_odo_pos_m", "meas", "odo_pos", "real", "> 0", "m", "odometry position sigma"),
+    ("r_odo_att_rad", "meas", "odo_att", "real", "> 0", "rad", "odometry attitude sigma"),
+    ("r_odo_vel_mps", "meas", "odo_vel", "real", "> 0", "m/s", "odometry velocity sigma"),
+    ("r_odo_gyro_radps", "meas", "odo_gyro", "real", "> 0", "rad/s", "odometry body rate sigma"),
+    ("r_whisker_rad", "meas", "whisker", "real", "> 0", "rad", "whisker angle sigma"),
+    ("r_pseudo_mps", "meas", "pseudo", "real", "> 0", "m/s", "learned airflow sigma"),
+    ("gate_enabled", "", "gate", "bool", "0, 1, false or true", "-",
+     "chi-square gate on every update"),
+    ("init_sigma_touch_N", "", "init_sigma_touch", "real", "> 0", "N", "initial touch sigma"),
+    ("init_sigma_wind_mps", "", "init_sigma_wind", "real", "> 0", "m/s", "initial wind sigma"),
+    ("driver_alpha", "driver", "alpha", "real", "in (0, 1]", "-", "driver low-pass blend"),
+    ("driver_nsigma", "driver", "nsigma", "real", "> 0", "-", "driver outlier gate in sigmas"),
+    ("driver_clamp_rad", "driver", "clamp", "real", "> 0", "rad", "limit on decoded angles"),
+    ("sensor_count", "rig", "mounts", "integer", "integer >= 1", "-", "number of whisker mounts"),
+    ("sensor{i}_name", "mount", "name", "text", "any text", "-", "mount name"),
+    ("sensor{i}_pos_m", "mount", "r", "3-vector", "finite", "m", "position on the body"),
+    ("sensor{i}_rot", "mount", "rot", "3x3 matrix", "rotation matrix", "-",
+     "sensor axes as columns, body frame, row by row"),
+    ("sensor{i}_coeff", "mount", "coeff", "real", "> 0", "rad s^2/m^2", "deflection coefficient"),
+    ("sensor{i}_polarity", "mount", "polarity", "text", "north_up or south_up", "-",
+     "magnet pole facing up"),
+))
+# (key, section, field) of the keys EstimatorConfig's own fields hold
+CONFIG_KEYS = tuple(row[:3] for row in CONFIG_SCHEMA if row.section not in ("rig", "mount"))
+# each kind read from a logio.parse_config value: float, float array or str
+_KINDS = {
+    "real": float,
+    "integer": float,
+    "bool": {0.0: False, 1.0: True, "false": False, "true": True}.__getitem__,
+    "3-vector": lambda v: np.asarray(v, dtype=float).reshape(3),
+    "3x3 matrix": lambda v: np.asarray(v, dtype=float).reshape(3, 3),
+    "text": str,
+}
+_DOMAIN_CHECKS = {
+    ">= 0": lambda v: v >= 0.0,
+    "> 0": lambda v: v > 0.0,
+    "in (0, 1]": lambda v: 0.0 < v <= 1.0,
+    "integer >= 1": lambda v: v >= 1.0 and v == int(v),
 }
 
 
+def _config_rows(sensor_count):
+    """CONFIG_SCHEMA with the mount rows once per mount i, {i} filled in and
+    the section "mount{i}"; "" is EstimatorConfig, "rig" sensor_count's."""
+    rows = [row for row in CONFIG_SCHEMA if row.section != "mount"]
+    for i in range(sensor_count):
+        rows += [row._replace(key=row.key.format(i=i), section=f"mount{i}")
+                 for row in CONFIG_SCHEMA if row.section == "mount"]
+    return rows
+
+
+def _owners(cfg: EstimatorConfig):
+    """The object behind each section of _config_rows."""
+    owners = {section: getattr(cfg, section) if section else cfg for _, section, _ in CONFIG_KEYS}
+    owners["rig"] = cfg.rig
+    owners.update((f"mount{i}", m) for i, m in enumerate(cfg.rig.mounts))
+    return owners
+
+
 def config_to_dict(cfg: EstimatorConfig):
+    owners = _owners(cfg)
     out = {}
-    for key, section, name in CONFIG_KEYS:
-        val = getattr(getattr(cfg, section) if section else cfg, name)
-        out[key] = val.ravel().copy() if isinstance(val, np.ndarray) else float(val)
-    out.update(logio.rig_to_config(cfg.rig))
+    for row in _config_rows(len(cfg.rig)):
+        val = getattr(owners[row.section], row.attr)
+        if row.kind == "integer":
+            val = len(val)
+        if row.kind != "text":
+            val = val.ravel().copy() if isinstance(val, np.ndarray) else float(val)
+        out[row.key] = val
     return out
 
 
-_BOOL_VALUES = {0.0: False, 1.0: True, "false": False, "true": True}
-
-
-def _config_value(key, default, raw):
-    """A file value as the type of the field's default.
-
-    A boolean takes 0, 1, false or true only.  A value that does not
-    convert, a nan or inf, or a value outside the key's bounds
-    (_CONFIG_BOUNDS) raises ValueError naming the key.
-    """
+def _config_value(row: ConfigKey, raw):
+    """A file value read as the row's kind.  One that does not read, a nan
+    or inf, or one outside the domain raises ValueError naming the key."""
+    read = _KINDS[row.kind]
     try:
-        if isinstance(default, np.ndarray):
-            value = np.asarray(raw, dtype=float).reshape(default.shape)
-        else:
-            value = _BOOL_VALUES[raw] if isinstance(default, bool) else float(raw)
+        value = read(raw)
     except (KeyError, TypeError, ValueError):
-        raise ValueError(f"config key {key!r}: bad value {raw!r}") from None
-    if not np.isfinite(value).all():
-        raise ValueError(f"config key {key!r}: value {raw!r} is not finite")
-    if key in _CONFIG_BOUNDS:
-        wording, holds = _CONFIG_BOUNDS[key]
-        if not holds(value):
-            raise ValueError(f"config key {key!r}: value {raw!r} {wording}")
+        raise ValueError(f"config key {row.key!r}: bad value {raw!r}") from None
+    if row.kind != "text" and not np.isfinite(value).all():
+        raise ValueError(f"config key {row.key!r}: value {raw!r} is not finite")
+    holds = _DOMAIN_CHECKS.get(row.domain)
+    if holds is not None and not holds(value):
+        raise ValueError(f"config key {row.key!r}: value {raw!r} must be {row.domain}")
     return value
 
 
 def config_from_dict(d: dict):
     """EstimatorConfig from parsed config keys; absent keys keep their
-    defaults, and a key the file format does not have raises ValueError."""
-    cfg = EstimatorConfig()
-    known = {key for key, _, _ in CONFIG_KEYS}
-    if "sensor_count" in d:
-        cfg.rig = logio.rig_from_config(d)
-        known.update(logio.rig_to_config(cfg.rig))
-    for key in d:
-        if key not in known:
-            raise ValueError(f"unknown config key {key!r}")
-    fields = {}
-    for key, section, name in CONFIG_KEYS:
-        if key in d:
-            default = getattr(getattr(cfg, section) if section else cfg, name)
-            fields.setdefault(section, {})[name] = _config_value(key, default, d[key])
-    for section, kw in fields.items():
-        if section:
-            setattr(cfg, section, replace(getattr(cfg, section), **kw))
-        else:
-            cfg = replace(cfg, **kw)
-    return cfg
+    defaults, and sensor_count replaces the rig, whose sensor{i}_* keys
+    must then all be given.  An unknown or missing key, or a value that
+    _config_value or the owner's own check (VehicleParams, SensorMount)
+    refuses, raises ValueError naming the key."""
+    count_row = next(row for row in CONFIG_SCHEMA if row.section == "rig")
+    count = int(_config_value(count_row, d[count_row.key])) if count_row.key in d else 0
+    rows = _config_rows(count)
+    known = {row.key for row in rows}
+    unknown = [key for key in d if key not in known]
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r}")
+    missing = [row.key for row in rows if row.key not in d and row.section.startswith("mount")]
+    if missing:
+        raise ValueError("missing config keys " + ", ".join(map(repr, missing)))
+    owners = _owners(EstimatorConfig())
+    # each key replaces one field, so the owner's own check names its key
+    owners.update((f"mount{i}", SensorMount(f"s{i}", np.zeros(3), np.eye(3))) for i in range(count))
+    for row in rows:
+        if row.key in d and row.section != "rig":
+            value = _config_value(row, d[row.key])
+            try:
+                owners[row.section] = replace(owners[row.section], **{row.attr: value})
+            except ValueError as exc:
+                raise ValueError(f"config key {row.key!r}: {exc}") from None
+    if count:
+        owners["rig"] = WhiskerRig([owners[f"mount{i}"] for i in range(count)])
+    cfg = owners.pop("")
+    return replace(cfg, **{s: v for s, v in owners.items() if not s.startswith("mount")})
 
 
 def driver_angles(log: FlightLog, cfg: EstimatorConfig):

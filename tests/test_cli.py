@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from windest import lstm, pipeline, sim, ukf, whisker
+from windest import lstm, pipeline, sim, sysid, ukf, whisker
 from windest.cli import build_parser, main
 from windest.logio import (
     Channel, FlightLog, load_estimate, load_log, parse_config, save_config, save_log,
@@ -357,6 +357,39 @@ def test_config_value_out_of_bounds_exits_2(hover_dir, tmp_path, capsys, key, va
     err = capsys.readouterr().err
     assert str(cfg) in err and key in err and wording in err
     assert not (tmp_path / "e.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("mu1", -5), ("mu2", -0.5), ("driver_nsigma", -1), ("driver_clamp_rad", 0),
+    ("sensor0_coeff", -0.01), ("sensor0_coeff", 0), ("sensor_count", 0), ("sensor_count", 2.5),
+    ("mass_kg", 0), ("inertia_kgm2", "0 0 0 0 0 0 0 0 0"),
+])
+def test_config_value_outside_its_domain_exits_2(hover_dir, tmp_path, capsys, key, value):
+    """A value outside its key's domain (pipeline.CONFIG_SCHEMA), or one
+    its owner's own check refuses (a zero inertia), exits 2 before the
+    replay with a message naming the file and the key."""
+    cfg = tmp_path / "params.cfg"
+    d = pipeline.config_to_dict(pipeline.EstimatorConfig())
+    d[key] = value
+    save_config(d, str(cfg))
+    assert main(["estimate", str(hover_dir), "--config", str(cfg),
+                 "--out", str(tmp_path / "e.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: config key {key!r}: " in err
+    assert not (tmp_path / "e.csv").exists()
+
+
+def test_sysid_refuses_a_fit_outside_the_domain(circle_multi_clean, tmp_path, monkeypatch, capsys):
+    """A negative drag coefficient from the fit exits 2 naming the key and
+    its value, and writes no params file."""
+    log, _ = circle_multi_clean
+    save_log(log, str(tmp_path / "circ"))
+    monkeypatch.setattr(sysid, "fit_drag_polynomial",
+                        lambda samples: sysid.DragFit(mu1=-0.25, mu2=0.07, rms=0.0))
+    out = tmp_path / "params.cfg"
+    assert main(["sysid", str(tmp_path / "circ"), "--out", str(out)]) == 2
+    assert "config key 'mu1': value -0.25 must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_sensor_key_exits_2(hover_dir, tmp_path, capsys):

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from windest import logio, whisker
+from windest import logio, pipeline, whisker
 from windest.logio import (
     DriverConfig,
     FlightLog,
@@ -17,8 +17,6 @@ from windest.logio import (
     parse_config,
     recovery_samples,
     resample_to_clock,
-    rig_from_config,
-    rig_to_config,
     save_config,
     save_estimate,
     save_log,
@@ -466,8 +464,8 @@ def test_config_error_reports_line(tmp_path):
 def test_rig_config_round_trip(tmp_path):
     rig = default_rig()
     path = tmp_path / "rig.cfg"
-    save_config(rig_to_config(rig), path)
-    rig2 = rig_from_config(parse_config(path))
+    save_config(pipeline.config_to_dict(pipeline.EstimatorConfig(rig=rig)), path)
+    rig2 = pipeline.config_from_dict(parse_config(path)).rig
     assert len(rig2) == len(rig)
     for a, b in zip(rig.mounts, rig2.mounts):
         assert a.name == b.name
