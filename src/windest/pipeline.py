@@ -64,10 +64,9 @@ class EstimatorConfig:
     init_sigma_wind: float = 2.0
 
 
-# One config file key: its owner (section, see _config_rows) and the
-# owner's field (attr), how its value reads (kind, _KINDS), the values it
-# admits (domain: _DOMAIN_CHECKS checks those one comparison decides, the
-# owner's own check the rest), its unit and its meaning.
+# One config file key: its owner (section, see _config_rows) and field
+# (attr), how its value reads (kind, _KINDS), the values it admits (domain:
+# _DOMAIN_CHECKS or else the owner's own check), its unit and meaning.
 ConfigKey = namedtuple("ConfigKey", "key section attr kind domain unit meaning")
 # Every key, in the order config_to_dict writes them.  A negative density
 # or a noise sigma <= 0 makes a covariance that stops factorizing midway,
@@ -183,7 +182,8 @@ def config_from_dict(d: dict):
     refuses, raises ValueError naming the key."""
     count_row = next(row for row in CONFIG_SCHEMA if row.section == "rig")
     count = int(_config_value(count_row, d[count_row.key])) if count_row.key in d else 0
-    rows = _config_rows(count)
+    # a count beyond the file's keys fails the missing-key check, unexpanded
+    rows = _config_rows(min(count, len(d)))
     known = {row.key for row in rows}
     unknown = [key for key in d if key not in known]
     if unknown:

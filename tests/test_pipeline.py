@@ -229,3 +229,12 @@ def test_gate_enabled_rejects_other_values(tmp_path, text):
     path.write_text(f"gate_enabled = {text}\n")
     with pytest.raises(ValueError, match="gate_enabled"):
         config_from_dict(logio.parse_config(path))
+
+
+def test_sensor_count_beyond_the_files_mounts_is_refused_as_missing_keys():
+    """A huge sensor_count is refused by the keys the file lacks, without
+    expanding a row per mount."""
+    d = config_to_dict(EstimatorConfig())
+    with pytest.raises(ValueError, match="missing config keys 'sensor4_name'") as exc:
+        config_from_dict({**d, "sensor_count": 1e5})
+    assert len(str(exc.value)) < 10_000
