@@ -37,9 +37,13 @@ mrp_from_quat a (3, m) array for a (4, m) one, which unpack into the
 same rows.  On one quaternion the
 filter hands them Python floats (``.tolist()``: the fold of an update
 into the reference, the odometry error, the estimate row's attitude),
-which round as numpy scalars do at a fraction of the cost; the
-simulator's odometry noise calls the same kernels on the rows of all
-its ticks at once.
+which round as numpy scalars do at a fraction of the cost.  For float
+rows ``mrp_from_quat`` and ``quat_normalize_rows`` take a path on
+Python arithmetic alone: a conditional for the shadow-set sign, ``abs``
+and ``math.sqrt`` (correctly rounded, as ``np.sqrt``), with the same
+zero check, which a NaN passes as it does on arrays; the results carry
+the bits the numpy path gives.  The simulator's odometry noise calls
+the same kernels on the rows of all its ticks at once.
 
 The filter steps 37 sigma points at each of thousands of events, where
 the cost is the number of numpy calls, not the arithmetic.  On rows each
@@ -91,6 +95,7 @@ calls ``sigma_points`` and ``reconstruct`` directly.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -184,6 +189,11 @@ def quat_normalize_rows(q):
         n = np.sqrt(np.add.reduce(q * q))
     else:
         w, x, y, z = q
+        if type(w) is float:  # one quaternion: math.sqrt rounds as np.sqrt
+            n = math.sqrt(w * w + x * x + y * y + z * z)
+            if n < 1e-12:
+                raise ValueError("cannot normalize a zero quaternion")
+            return np.array((w / n, x / n, y / n, z / n))
         n = np.sqrt(w * w + x * x + y * y + z * z)
         q = np.asarray(q)
     # .any() without its Python-level wrapper
@@ -216,8 +226,12 @@ def mrp_from_quat(dq):
         w = dq[0]
         return np.where(w < 0.0, -MRP_F, MRP_F) * dq[1:] / (MRP_A + np.abs(w))
     w, x, y, z = dq
-    scale = np.where(w < 0.0, -MRP_F, MRP_F)
-    den = MRP_A + np.abs(w)
+    if type(w) is float:
+        scale = -MRP_F if w < 0.0 else MRP_F
+        den = MRP_A + abs(w)
+    else:
+        scale = np.where(w < 0.0, -MRP_F, MRP_F)
+        den = MRP_A + np.abs(w)
     return scale * x / den, scale * y / den, scale * z / den
 
 

@@ -480,8 +480,23 @@ def load_estimate(path):
 # flat key = value config files
 
 
+def _read_config_value(text):
+    """A config file value: text in double quotes as written, a number as
+    a float, several as a float array, anything else as the text."""
+    if len(text) >= 2 and text[0] == text[-1] == '"':
+        return text[1:-1]
+    try:
+        nums = [float(p) for p in text.split()]
+    except ValueError:
+        return text
+    if len(nums) == 1:
+        return nums[0]
+    return np.array(nums) if nums else text
+
+
 def parse_config(path):
-    """key = value file -> dict; values become float, float array or str."""
+    """key = value file -> dict; values become float, float array or str
+    (_read_config_value)."""
     out = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -493,12 +508,7 @@ def parse_config(path):
             key, val = (s.strip() for s in raw.split("=", 1))
             if not key:
                 raise LogFormatError(f"{path}:{lineno}: empty key")
-            parts = val.split()
-            try:
-                nums = [float(p) for p in parts]
-                out[key] = nums[0] if len(nums) == 1 else np.array(nums)
-            except ValueError:
-                out[key] = val
+            out[key] = _read_config_value(val)
     return out
 
 
@@ -509,6 +519,9 @@ def save_config(cfg: dict, path, header=None):
                 fh.write(f"# {line}\n")
         for key, val in cfg.items():
             if isinstance(val, str):
+                read = _read_config_value(val.strip())
+                if not (isinstance(read, str) and read == val):  # "7" would read as 7.0
+                    val = f'"{val}"'
                 fh.write(f"{key} = {val}\n")
             elif np.ndim(val) == 0:
                 fh.write(f"{key} = {float(val):.17g}\n")

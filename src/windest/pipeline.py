@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -110,6 +111,15 @@ CONFIG_SCHEMA = tuple(ConfigKey(*row) for row in (
 ))
 # (key, section, field) of the keys EstimatorConfig's own fields hold
 CONFIG_KEYS = tuple(row[:3] for row in CONFIG_SCHEMA if row.section not in ("rig", "mount"))
+
+
+def _text(value):
+    """Text as it is; a number (unquoted text that reads as one) is refused."""
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not text")
+    return value
+
+
 # each kind read from a logio.parse_config value: float, float array or str
 _KINDS = {
     "real": float,
@@ -117,7 +127,7 @@ _KINDS = {
     "bool": {0.0: False, 1.0: True, "false": False, "true": True}.__getitem__,
     "3-vector": lambda v: np.asarray(v, dtype=float).reshape(3),
     "3x3 matrix": lambda v: np.asarray(v, dtype=float).reshape(3, 3),
-    "text": str,
+    "text": _text,
 }
 _DOMAIN_CHECKS = {
     ">= 0": lambda v: v >= 0.0,
@@ -165,7 +175,8 @@ def _config_value(row: ConfigKey, raw):
     try:
         value = read(raw)
     except (KeyError, TypeError, ValueError):
-        raise ValueError(f"config key {row.key!r}: bad value {raw!r}") from None
+        hint = " (text that reads as a number goes in double quotes)" if row.kind == "text" else ""
+        raise ValueError(f"config key {row.key!r}: bad value {raw!r}{hint}") from None
     if row.kind != "text" and not np.isfinite(value).all():
         raise ValueError(f"config key {row.key!r}: value {raw!r} is not finite")
     holds = _DOMAIN_CHECKS.get(row.domain)
@@ -192,15 +203,23 @@ def config_from_dict(d: dict):
     if missing:
         raise ValueError("missing config keys " + ", ".join(map(repr, missing)))
     owners = _owners(EstimatorConfig())
-    # each key replaces one field, so the owner's own check names its key
     owners.update((f"mount{i}", SensorMount(f"s{i}", np.zeros(3), np.eye(3))) for i in range(count))
-    for row in rows:
-        if row.key in d and row.section != "rig":
-            value = _config_value(row, d[row.key])
-            try:
-                owners[row.section] = replace(owners[row.section], **{row.attr: value})
-            except ValueError as exc:
-                raise ValueError(f"config key {row.key!r}: {exc}") from None
+    # one rebuild per owner (the rows of a section are adjacent); when the
+    # owner's own check refuses, key by key, so the message names the key
+    for section, group in groupby(rows, key=lambda row: row.section):
+        given = [(row, _config_value(row, d[row.key])) for row in group if row.key in d]
+        if not given or section == "rig":
+            continue
+        owner = owners[section]
+        try:
+            owners[section] = replace(owner, **{row.attr: value for row, value in given})
+        except ValueError:
+            for row, value in given:
+                try:
+                    owner = replace(owner, **{row.attr: value})
+                except ValueError as exc:
+                    raise ValueError(f"config key {row.key!r}: {exc}") from None
+            owners[section] = owner
     if count:
         owners["rig"] = WhiskerRig([owners[f"mount{i}"] for i in range(count)])
     cfg = owners.pop("")
@@ -286,20 +305,30 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
     thr_f = thr_ch.col("f_cmd")
     thr_tau = thr_ch.col("tau_x", "tau_y", "tau_z")
 
-    # event table: (t, kind, row); kinds ordered so commands refresh first
-    events = []
-    for k in np.flatnonzero(np.isfinite(thr_ch.data).all(axis=1)):
-        events.append((thr_ch.t[k], 0, k))
-    for k in np.flatnonzero(np.isfinite(odo_ch.data).all(axis=1)):
-        events.append((odo_ch.t[k], 1, k))
-    for k, t in enumerate(t_whisk):
-        events.append((t, 2, k))
-    events.sort(key=lambda e: (e[0], e[1]))
+    # event table: (t, kind, row), ordered by t and at equal t by kind, so
+    # commands refresh first; a stable sort keeps each channel's row order
+    thr_k = np.flatnonzero(np.isfinite(thr_ch.data).all(axis=1))
+    odo_k = np.flatnonzero(np.isfinite(odo_ch.data).all(axis=1))
+    ev_t = np.concatenate((thr_ch.t[thr_k], odo_ch.t[odo_k], t_whisk))
+    ev_kind = np.repeat((0, 1, 2), (thr_k.shape[0], odo_k.shape[0], t_whisk.shape[0]))
+    ev_k = np.concatenate((thr_k, odo_k, np.arange(t_whisk.shape[0])))
+    order = np.lexsort((ev_kind, ev_t))
+    # Python floats and ints: each dt, step and belief.t downstream is a
+    # float with the same bits as the np.float64 it replaces
+    events = zip(ev_t[order].tolist(), ev_kind[order].tolist(), ev_k[order].tolist())
 
+    # looked up per replay, not per event (and not at import: the tracer
+    # and the tests replace these module attributes)
+    predict, update_odometry, output = ukf.predict, ukf.update_odometry, ukf.output
+    update_airflow, update_pseudo_airflow = ukf.update_airflow, ukf.update_pseudo_airflow
+    process, vehicle, gate, rig = cfg.process, cfg.vehicle, cfg.gate, cfg.rig
+    r_whisker, r_pseudo = cfg.meas.whisker, cfg.meas.pseudo**2
     odo_cov = cfg.meas.odometry_cov()
-    wrench = WrenchInput(cfg.vehicle.mass * cfg.vehicle.gravity, np.zeros(3))
+    wrench = WrenchInput(vehicle.mass * vehicle.gravity, np.zeros(3))
     belief = None
-    out_t, out_rows = [], []
+    out_t = np.empty(t_whisk.shape[0])
+    table = np.empty((t_whisk.shape[0], len(logio.ESTIMATE_COLUMNS)))
+    n = 0
 
     def odometry(k):
         return ukf.OdometryMeasurement(odo_p[k], odo_q[k], odo_v[k], odo_w[k], odo_cov)
@@ -314,26 +343,22 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
             continue
         dt = t - belief.t
         if dt > 1e-12:
-            belief = ukf.predict(belief, wrench, dt, cfg.process, cfg.vehicle)
+            belief = predict(belief, wrench, dt, process, vehicle)
         if kind == 0:
             wrench = WrenchInput(float(thr_f[k]), thr_tau[k])
         elif kind == 1:
-            z = odometry(k)
-            belief, _ = ukf.update_odometry(belief, z, gate=cfg.gate)
+            belief, _ = update_odometry(belief, odometry(k), gate=gate)
         else:
             if source == "model":
-                belief, _ = ukf.update_airflow(
-                    belief, theta[k], cfg.meas.whisker, cfg.rig, gate=cfg.gate
-                )
+                belief, _ = update_airflow(belief, theta[k], r_whisker, rig, gate=gate)
             elif 0 <= k - k0 < t_pseudo.shape[0]:
-                belief, _ = ukf.update_pseudo_airflow(
-                    belief, vinf_pred[k - k0], cfg.meas.pseudo**2, gate=cfg.gate
-                )
-            out_t.append(t)
-            out_rows.append(ukf.output(belief, cfg.vehicle))
-    if not out_rows:
+                belief, _ = update_pseudo_airflow(belief, vinf_pred[k - k0], r_pseudo, gate=gate)
+            out_t[n] = t
+            table[n] = output(belief, vehicle)
+            n += 1
+    if not n:
         raise ValueError("log produced no estimates (no odometry before whisker data?)")
-    return np.array(out_t), np.array(out_rows)
+    return out_t[:n], table[:n]
 
 
 def training_block(log: FlightLog, cfg: EstimatorConfig):

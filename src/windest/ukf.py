@@ -175,14 +175,11 @@ def predict(
         y = np.empty_like(x)
         q2 = vehicle.euler_step_arrays(x, _attitudes(belief.q_ref, x), wrench, params, h, y)
         # the new reference, the central point normalized on Python floats
-        # (quat_normalize_rows' operations and bits)
-        w, a, b, c = q2[:, 0].tolist()
-        s = math.sqrt(w * w + a * a + b * b + c * c)
-        q_ref = np.array((w / s, a / s, b / s, c / s))
+        q_ref = geometry.quat_normalize_rows(q2[:, 0].tolist())
         y[IDX_A] = mrp_from_quat(geometry.quat_right_matrix(q_ref).T @ q2)
         y[IDX_HELD] = x[IDX_HELD]
         mean, cov = geometry.reconstruct(y)
-        cov.flat[:: STATE_DIM + 1] += noise_diag
+        cov.reshape(-1)[:: STATE_DIM + 1] += noise_diag  # a view: cov is C-ordered
         belief = BeliefState(q_ref, mean, cov, belief.t + h)
     return belief
 
@@ -255,7 +252,11 @@ def update_odometry(belief: BeliefState, z: OdometryMeasurement, gate=False):
     """Fuse a pose/twist measurement (linear in the error state).
 
     The attitude part is converted to error parameters about the current
-    reference (mrp_error on Python floats).  Returns (belief, accepted).
+    reference (mrp_error on Python floats).  The measurement matrix is
+    H = [I 0] (the first 12 states), so the Joseph form
+    (I - K H) P (I - K H)^T + K R K^T is formed multiplied out:
+    AP = P - K P[:12] and AP - AP[:, :12] K^T + K R K^T, with no 18x18
+    identity and no 18x18x18 product.  Returns (belief, accepted).
     """
     e = mrp_error(z.q.tolist(), belief.q_ref.tolist())
     z_vec = np.concatenate([z.p, e, z.v, z.omega])
@@ -265,9 +266,8 @@ def update_odometry(belief: BeliefState, z: OdometryMeasurement, gate=False):
     if gate and not gate_accepts(innov, S):
         return belief, False
     K = np.linalg.solve(S.T, P[:, 0:12].T).T  # P H^T S^-1
-    ikh = np.eye(STATE_DIM)
-    ikh[:, 0:12] -= K
-    cov = ikh @ P @ ikh.T + K @ z.cov @ K.T
+    AP = P - K @ P[0:12]  # (I - K H) P
+    cov = AP - AP[:, 0:12] @ K.T + K @ z.cov @ K.T
     return _posterior(belief, belief.mean + K @ innov, cov), True
 
 
@@ -276,7 +276,7 @@ def _ut_update(belief, z, r_var, h, gate):
     takes the (18, 37) sigma block to the (k, 37) block of predicted
     measurements, and noise variance r_var on every component."""
     y_mean, S, cross = unscented_transform(belief.mean, belief.cov, h)
-    S.flat[:: S.shape[0] + 1] += r_var
+    S.reshape(-1)[:: S.shape[0] + 1] += r_var
     innov = z - y_mean
     if gate and not gate_accepts(innov, S):
         return belief, False

@@ -388,6 +388,12 @@ def test_row_kernels_match_last_axis_single_quaternions_bitwise():
         assert_same_bits(compose_mrp(q_ref, e[i]), ref_compose_mrp(q_ref, e[i]))
         # one quaternion rounds as the same quaternion in a batch
         assert_same_bits(compose_mrp(q_ref, e[i]), ref_compose_mrp(q_ref, e)[i])
+        # and as Python floats, the path the filter takes on one quaternion
+        qf, rf, ef = q[i].tolist(), q_ref.tolist(), e[i].tolist()
+        assert_same_bits(quat_normalize_rows([3.0 * c for c in qf]), ref_quat_normalize(3.0 * q[i]))
+        assert_same_bits(mrp_from_quat(qf), ref_mrp_from_quat(q[i]))
+        assert_same_bits(mrp_error(qf, rf), ref_mrp_error(q[i], q_ref))
+        assert_same_bits(compose_mrp(rf, ef), ref_compose_mrp(q_ref, e[i]))
 
 
 def test_row_mrp_from_quat_flips_to_the_shadow_set_bitwise():
@@ -400,6 +406,7 @@ def test_row_mrp_from_quat_flips_to_the_shadow_set_bitwise():
     assert_same_bits(mrp_from_quat(q[2:].T), ref_mrp_from_quat(-q[2:]))
     for qi in q:
         assert_same_bits(mrp_from_quat(qi), ref_mrp_from_quat(qi))
+        assert_same_bits(mrp_from_quat(qi.tolist()), ref_mrp_from_quat(qi))
 
 
 @pytest.mark.parametrize("m", [1, 2, 37, 500])
@@ -445,6 +452,16 @@ def test_row_normalize_rejects_zero_quaternion():
         compose_mrp(q[1], np.zeros((3, 4)))
     with pytest.raises(ValueError, match="zero quaternion"):
         compose_mrp(q[1], np.zeros(3))
+    with pytest.raises(ValueError, match="zero quaternion"):
+        quat_normalize_rows(q[1].tolist())
+
+
+def test_float_normalize_passes_nan_as_the_array_path_does():
+    """A NaN quaternion is not refused as zero, on floats or on arrays
+    (the replay leaves non-finite odometry rows out of its events)."""
+    q = [float("nan"), 0.0, 0.0, 1.0]
+    assert np.isnan(quat_normalize_rows(q)).all()
+    assert np.isnan(quat_normalize_rows(np.array(q))).all()
 
 
 # --------------------------------------------------------------------------

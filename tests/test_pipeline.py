@@ -238,3 +238,105 @@ def test_sensor_count_beyond_the_files_mounts_is_refused_as_missing_keys():
     with pytest.raises(ValueError, match="missing config keys 'sensor4_name'") as exc:
         config_from_dict({**d, "sensor_count": 1e5})
     assert len(str(exc.value)) < 10_000
+
+
+def test_text_config_keys_keep_their_text(tmp_path):
+    """Mount names that read as numbers come back as the same text through
+    config_to_dict, save_config, parse_config and config_from_dict (save_config
+    quotes them); the numeric keys still parse as floats."""
+    rig = default_rig()
+    rig.mounts = [replace(m, name=name) for m, name in zip(rig.mounts, ("7", "8.5", "9", "1e1"))]
+    path = tmp_path / "rig.cfg"
+    logio.save_config(config_to_dict(EstimatorConfig(rig=rig)), path)
+    parsed = logio.parse_config(path)
+    assert type(parsed["mu1"]) is float and parsed["sensor_count"] == 4.0
+    back = config_from_dict(parsed).rig
+    assert [m.name for m in back.mounts] == ["7", "8.5", "9", "1e1"]
+    # an unquoted number is no text: refused, naming the key
+    path.write_text(path.read_text().replace('sensor0_name = "7"', "sensor0_name = 7"))
+    with pytest.raises(ValueError, match="config key 'sensor0_name': bad value 7.0"):
+        config_from_dict(logio.parse_config(path))
+
+
+def test_owner_refusal_names_its_key_after_one_rebuild_per_owner():
+    """A full config rebuilds each owner once; when the owner refuses the
+    rebuild, the key whose value it refuses is named."""
+    d = config_to_dict(EstimatorConfig())
+    calls = []
+    post_init = VehicleParams.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        post_init(self)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(VehicleParams, "__post_init__", counting)
+        config_from_dict(d)
+    assert len(calls) == 2  # EstimatorConfig()'s default and the one rebuild
+    for key, value in (("inertia_kgm2", np.zeros(9)), ("sensor2_rot", np.ones(9)),
+                       ("sensor1_polarity", "east_up")):
+        with pytest.raises(ValueError, match=f"config key '{key}': "):
+            config_from_dict({**d, key: value})
+
+
+def shared_time_log(hover_clean):
+    """Throttle, odometry and whisker rows on shared (dyadic) timestamps,
+    t = k / 64: throttle at k = 0..4 with f_cmd 10 + k and a NaN at k = 2,
+    odometry at k = 0..5 with a NaN at k = 3, whisker at k = 1..3."""
+    src, _ = hover_clean
+    out = logio.FlightLog()
+    for name, ks in (("throttle", range(5)), ("odometry", range(6)), ("whisker", range(1, 4))):
+        ch = src[name]
+        data = ch.data[: len(ks)].copy()
+        if name == "throttle":
+            data[:, ch.columns.index("f_cmd")] = [10.0 + k for k in ks]
+            data[2, 0] = np.nan
+        if name == "odometry":
+            data[3, 0] = np.nan
+        out.add(name, [k / 64 for k in ks], data, list(ch.columns))
+    return out
+
+
+def test_rows_at_equal_t_are_taken_throttle_odometry_whisker(monkeypatch, hover_clean):
+    """The replay's event order on its own, recorded at the ukf calls: at
+    equal t a throttle row refreshes the wrench first, then the odometry
+    row updates, then the whisker row; each predict uses the wrench of the
+    last throttle row before it, and the non-finite throttle and odometry
+    rows are left out."""
+    from windest import ukf
+
+    calls = []
+    wrench = pipeline.WrenchInput
+
+    def record_wrench(thrust, torque):
+        calls.append(("throttle", thrust))
+        return wrench(thrust, torque)
+
+    def predict(belief, u, dt, noise, params):
+        calls.append(("predict", belief.t + dt, u.thrust))
+        return replace(belief, t=belief.t + dt)
+
+    def update(kind):
+        def record(belief, *args, **kwargs):
+            calls.append((kind, belief.t))
+            return belief, True
+
+        return record
+
+    monkeypatch.setattr(pipeline, "WrenchInput", record_wrench)
+    monkeypatch.setattr(ukf, "predict", predict)
+    monkeypatch.setattr(ukf, "update_odometry", update("odometry"))
+    monkeypatch.setattr(ukf, "update_airflow", update("whisker"))
+    cfg = EstimatorConfig()
+    t, table = run_estimate(shared_time_log(hover_clean), cfg)
+    hover = cfg.vehicle.mass * cfg.vehicle.gravity
+    assert calls == [
+        ("throttle", hover),  # the wrench before any throttle row
+        # k = 0: the throttle row precedes the belief, made at the odometry row
+        ("predict", 1 / 64, hover), ("throttle", 11.0), ("odometry", 1 / 64), ("whisker", 1 / 64),
+        ("predict", 2 / 64, 11.0), ("odometry", 2 / 64), ("whisker", 2 / 64),
+        ("predict", 3 / 64, 11.0), ("throttle", 13.0), ("whisker", 3 / 64),
+        ("predict", 4 / 64, 13.0), ("throttle", 14.0), ("odometry", 4 / 64),
+        ("predict", 5 / 64, 14.0), ("odometry", 5 / 64),
+    ]
+    assert t.tolist() == [1 / 64, 2 / 64, 3 / 64] and table.shape == (3, len(ESTIMATE_COLUMNS))

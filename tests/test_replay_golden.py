@@ -45,8 +45,8 @@ from windest.logio import Channel, FlightLog
 DATA = os.path.join(os.path.dirname(__file__), "data")
 TOL = 1e-9
 # Python-level calls per event of the golden model-route replay, profiled
-# after one warm-up replay (66.174-66.180 when it was set)
-CALLS_PER_EVENT = 66.25
+# after one warm-up replay (64.033-64.034 when it was set)
+CALLS_PER_EVENT = 64.1
 
 
 def model_flight():
@@ -215,7 +215,9 @@ def test_reference_quaternion_is_normalized_where_it_is_made(monkeypatch, model_
     column once.  Nothing normalizes a belief's q_ref again (the replay
     of this flight made 13,600 calls when the belief did, 9,268 after,
     8,031 with the odometry column normalized once, 2,469 with the
-    sigma-point attitudes and predict's reference left out)."""
+    sigma-point attitudes and predict's reference left out, and 4,944
+    since predict forms its reference through quat_normalize_rows' float
+    path, one call per step)."""
     counts = {"normalize": 0, "steps": 0, "rows": 0}
 
     def counting(key, fn):
@@ -251,11 +253,17 @@ def test_python_calls_per_event_do_not_grow(model_log):
     The replay is profiled after one unprofiled warm-up replay of the
     same log, so first-call work in the process (imports, caches) is not
     counted and the count does not depend on what ran before.  The
-    ceiling was set from three contexts, with the warm-up (without it in
-    brackets): 66.174 (66.176) calls per event in a fresh process running
-    this test alone, 66.180 (66.186) after the replays of
-    tests/test_log_defects.py, and 66.180 (66.180) in the tier-1 session.
-    Before the warm-up it was 67, from 65.89 in a fresh process, 66.17 in
+    ceiling was set from three contexts: 64.033 calls per event in a
+    fresh process running this test alone, 64.034 after the replays of
+    tests/test_log_defects.py, and 64.034 in the tier-1 session, once
+    the replay's events became one lexsorted table on Python floats, its
+    per-event lookups were hoisted and the one-quaternion attitude paths
+    went onto Python floats (63.462-63.463 before predict's new
+    reference, normalized inline, went through quat_normalize_rows'
+    float path).  Before that it was 66.25, set from 66.174
+    (66.176 without the warm-up) in a fresh process, 66.180 (66.186)
+    after tests/test_log_defects.py and 66.180 (66.180) in the tier-1
+    session.  Before the warm-up it was 67, from 65.89 in a fresh process, 66.17 in
     the test session and 66.60 after other replays (measured before the
     simulator's move to the 2 ms control tick); 68.17 and 67.45 before
     the predict step's quaternion integration became one block form and

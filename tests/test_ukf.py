@@ -333,6 +333,24 @@ def test_update_odometry_scalar_gain():
     assert np.allclose(out.mean[1:], b.mean[1:], atol=1e-12)
 
 
+def test_update_odometry_is_the_joseph_form_multiplied_out():
+    """On a full covariance the update's covariance is the Joseph form
+    (I - K H) P (I - K H)^T + K R K^T with H = [I 0], formed with the
+    explicit 18x18 matrices, to round-off."""
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(18, 18))
+    r = rng.normal(size=(12, 12))
+    b = replace(hover_belief(), cov=a @ a.T / 18.0 + 0.01 * np.eye(18))
+    z = odo_at(b, dp=(0.02, -0.01, 0.03), cov=r @ r.T / 12.0 + 1e-3 * np.eye(12))
+    out, ok = update_odometry(b, z)
+    H = np.hstack([np.eye(12), np.zeros((12, 6))])
+    K = b.cov @ H.T @ np.linalg.inv(H @ b.cov @ H.T + z.cov)
+    ikh = np.eye(18) - K @ H
+    joseph = ikh @ b.cov @ ikh.T + K @ z.cov @ K.T
+    assert ok
+    assert np.allclose(out.cov, 0.5 * (joseph + joseph.T), rtol=0.0, atol=1e-12 * np.abs(joseph).max())
+
+
 def test_update_odometry_gate():
     b = hover_belief()
     far = odo_at(b, dp=(5.0, 0.0, 0.0))
