@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -494,13 +495,18 @@ def _read_config_value(text):
     return np.array(nums) if nums else text
 
 
+# a config line up to its comment: runs without '"' or '#', and runs in
+# double quotes (closed, or open to the line's end), where '#' is text
+_CONFIG_CODE = re.compile(r'(?:[^"#]|"[^"]*"?)*')
+
+
 def parse_config(path):
     """key = value file -> dict; values become float, float array or str
-    (_read_config_value)."""
+    (_read_config_value).  '#' starts a comment outside double quotes."""
     out = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            raw = line.split("#", 1)[0].strip()
+            raw = _CONFIG_CODE.match(line).group().strip()
             if not raw:
                 continue
             if "=" not in raw:
@@ -520,7 +526,8 @@ def save_config(cfg: dict, path, header=None):
         for key, val in cfg.items():
             if isinstance(val, str):
                 read = _read_config_value(val.strip())
-                if not (isinstance(read, str) and read == val):  # "7" would read as 7.0
+                # "7" would read as 7.0, and a # outside quotes starts a comment
+                if not (isinstance(read, str) and read == val) or "#" in val:
                     val = f'"{val}"'
                 fh.write(f"{key} = {val}\n")
             elif np.ndim(val) == 0:

@@ -1,9 +1,10 @@
 """Replay estimation over flight logs and score it against truth.
 
-The replay is event-driven: the belief is predicted forward (explicit
-Euler over the error-state sigma points) to every event timestamp in
-order; throttle rows refresh the commanded wrench, odometry rows apply
-the 12-dimensional linear update, whisker rows apply the unscented
+The replay is event-driven: a throttle row closes one command segment
+and opens the next; at each measurement the belief is predicted over
+the segments since the last one (explicit Euler over the error-state
+sigma points, one draw per measurement interval), then odometry rows
+apply the 12-dimensional linear update, whisker rows the unscented
 angle update (model route) or the learned relative-airflow pseudo
 measurement (regressor route).  Estimates are emitted on the whisker
 clock with the fixed estimate-file schema.
@@ -278,9 +279,13 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
     (weights required) on the whisker ticks of the resampled clock.
     Returns (t, table) on the whisker clock with the estimate-file schema.
 
+    A throttle row closes the command segment of the wrench before it
+    and opens one of its own; an odometry or whisker row first hands the
+    segments since the last such row to one ukf.predict, which draws
+    sigma points once per stretch of at most ukf.MAX_PREDICT_DT, so a gap
+    between measurements is split into equal stretches.  Throttle rows
+    before the first odometry row set the wrench the first predict flies.
     An odometry or throttle row holding a non-finite value is left out.
-    ukf.predict splits a gap between events longer than
-    ukf.MAX_PREDICT_DT into equal steps.
     """
     if source not in ROUTE_CHANNELS:
         raise ValueError(f"unknown airflow source {source!r}")
@@ -326,6 +331,9 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
     odo_cov = cfg.meas.odometry_cov()
     wrench = WrenchInput(vehicle.mass * vehicle.gravity, np.zeros(3))
     belief = None
+    # the command segments (wrench, dt) closed since belief.t, and the
+    # start of the open one, which flies the current wrench
+    segments, seg_t = [], 0.0
     out_t = np.empty(t_whisk.shape[0])
     table = np.empty((t_whisk.shape[0], len(logio.ESTIMATE_COLUMNS)))
     n = 0
@@ -334,19 +342,24 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
         return ukf.OdometryMeasurement(odo_p[k], odo_q[k], odo_v[k], odo_w[k], odo_cov)
 
     for t, kind, k in events:
+        if belief is not None and t - seg_t > 1e-12:
+            segments.append((wrench, t - seg_t))
+            seg_t = t
+        if kind == 0:
+            wrench = WrenchInput(float(thr_f[k]), thr_tau[k])
+            continue
         if belief is None:
             if kind == 1:
                 z = odometry(k)
                 belief = ukf.init_belief(
                     t, z, sigma_touch=cfg.init_sigma_touch, sigma_wind=cfg.init_sigma_wind
                 )
+                seg_t = t
             continue
-        dt = t - belief.t
-        if dt > 1e-12:
-            belief = predict(belief, wrench, dt, process, vehicle)
-        if kind == 0:
-            wrench = WrenchInput(float(thr_f[k]), thr_tau[k])
-        elif kind == 1:
+        if segments:
+            belief = predict(belief, segments, process, vehicle)
+            segments = []
+        if kind == 1:
             belief, _ = update_odometry(belief, odometry(k), gate=gate)
         else:
             if source == "model":

@@ -18,6 +18,13 @@ is what renders the two disturbances separable once airflow sensing is
 fused.  The attitude error is folded into the reference quaternion after
 every measurement update.
 
+The process update runs once per measurement interval, not once per
+command: predict takes the commands held since the belief's time as
+segments (wrench, dt), draws its sigma points once per stretch of at
+most MAX_PREDICT_DT and carries them through one Euler step per command
+in the stretch, so the draw, the attitude conversions and the
+statistics are paid once per interval.
+
 Belief contract: a BeliefState's q_ref is a unit quaternion when the
 belief is made (every producer hands over a unit one: the odometry
 measurement, predict and compose_mrp), and no belief is mutated after a
@@ -44,10 +51,9 @@ from .geometry import (
 )
 from .vehicle import IDX_A, IDX_F, IDX_P, IDX_V, IDX_W, IDX_WIND, STATE_DIM
 
-IDX_HELD = slice(12, 18)  # touch force and wind, held by the process model
-
 GATE_QUANTILE = 0.997
-MAX_PREDICT_DT = 0.1  # s, longest Euler step; predict splits longer gaps
+MAX_PREDICT_DT = 0.1  # s, longest stretch of one sigma draw; predict splits longer gaps
+_SLIVER = 1e-12  # s, a segment end this close to a stretch end falls on it
 
 
 @dataclass
@@ -136,49 +142,74 @@ def _attitudes(q_ref, x):
 
 def predict(
     belief: BeliefState,
-    u: vehicle.WrenchInput,
-    dt: float,
+    segments,
     noise: ProcessNoise,
     params: vehicle.VehicleParams,
 ):
-    """Process update over dt: propagate sigma points with the vehicle model.
+    """Process update over the command segments since the belief's time.
 
-    Each sigma point is advanced by explicit Euler (the filter runs at
-    command rate, where Euler is adequate) in equal steps no longer than
-    MAX_PREDICT_DT, so a gap in the log costs several steps, not
-    accuracy; touch force and wind are held (random walk).  After each
-    step the new reference quaternion is the propagated central point
-    and all points are re-expressed as errors about it.
+    segments is a sequence of (wrench, dt): the commanded
+    vehicle.WrenchInput, held over dt seconds, one segment per command,
+    end to end (the replay hands over those between two measurements).
+    Their total is split into equal stretches no longer than
+    MAX_PREDICT_DT, so a gap in the log costs several stretches, not
+    accuracy.  Each stretch draws its sigma points once and carries them
+    through one explicit-Euler step per piece of a segment inside it
+    (the filter runs at command rate, where Euler is adequate); touch
+    force and wind are held (random walk).  At the stretch's end the
+    new reference quaternion is the propagated central point, all
+    points are re-expressed as errors about it, and the statistics are
+    formed once, with the noise density times the stretch's length.  A
+    stretch inside one segment is one step of exactly its length, so one
+    segment gives the bits of one command per call.
 
-    A step is one pass over its (18, 37) sigma block: the attitudes
+    A stretch is one pass over its (18, 37) sigma block: the attitudes
     composed with the reference (one 4x4 matrix product of unit
-    quaternions, not normalized again), the Euler step, which reads the
-    block and writes position, velocity and rates into the output block
-    (the wrench's terms formed once per call), the new reference (the
-    central point normalized on Python floats) and the errors about it
-    (one more 4x4 product and one block expression), then the held
-    disturbances copied, the statistics formed and the noise added to the
-    covariance diagonal.
+    quaternions, not normalized again), the Euler steps, each of which
+    reads the block and writes position, velocity and rates back into it
+    (the wrench's terms formed once per segment) and hands its (4, 37)
+    attitude block to the next, the new reference (the central point
+    normalized on Python floats) and the errors about it (one more 4x4
+    product and one block expression), then the statistics formed and
+    the noise added to the covariance diagonal.
     """
-    if dt < 0.0:
-        raise ValueError("negative dt")
-    if dt == 0.0:
+    steps = []
+    total = 0.0
+    for u, dt in segments:
+        if dt < 0.0:
+            raise ValueError("negative dt")
+        steps.append((vehicle.wrench_terms(u, params), dt))
+        total += dt
+    if total == 0.0:
         return belief
-    n = math.ceil(dt / MAX_PREDICT_DT)
-    if dt / n > MAX_PREDICT_DT:  # dt / MAX_PREDICT_DT rounded down to n
+    n = math.ceil(total / MAX_PREDICT_DT)
+    if total / n > MAX_PREDICT_DT:  # total / MAX_PREDICT_DT rounded down to n
         n += 1
-    h = dt / n
+    h = total / n
     noise_diag = noise.density * h
-    wrench = vehicle.wrench_terms(u, params)
+    steps = iter(steps)
+    wrench, left = next(steps)
     for _ in range(n):
         x = sigma_points(belief.mean, belief.cov)
-        y = np.empty_like(x)
-        q2 = vehicle.euler_step_arrays(x, _attitudes(belief.q_ref, x), wrench, params, h, y)
+        q = _attitudes(belief.q_ref, x)
+        budget = h
+        # whole segments ending inside the stretch (the rounding sliver
+        # left of one that ended with the previous stretch is skipped),
+        # then the piece of the segment that runs past the stretch's end
+        while left < budget - _SLIVER:
+            following = next(steps, None)
+            if following is None:  # the total's rounding, not a segment
+                break
+            if left > _SLIVER:
+                q = vehicle.euler_step_arrays(x, q, wrench, params, left, x)
+                budget -= left
+            wrench, left = following
+        q = vehicle.euler_step_arrays(x, q, wrench, params, budget, x)
+        left -= budget
         # the new reference, the central point normalized on Python floats
-        q_ref = geometry.quat_normalize_rows(q2[:, 0].tolist())
-        y[IDX_A] = mrp_from_quat(geometry.quat_right_matrix(q_ref).T @ q2)
-        y[IDX_HELD] = x[IDX_HELD]
-        mean, cov = geometry.reconstruct(y)
+        q_ref = geometry.quat_normalize_rows(q[:, 0].tolist())
+        x[IDX_A] = mrp_from_quat(geometry.quat_right_matrix(q_ref).T @ q)
+        mean, cov = geometry.reconstruct(x)
         cov.reshape(-1)[:: STATE_DIM + 1] += noise_diag  # a view: cov is C-ordered
         belief = BeliefState(q_ref, mean, cov, belief.t + h)
     return belief

@@ -19,8 +19,10 @@ filter's 37 sigma points as one numpy batch.  The batch is the filter's
 as columns, in the layout ``IDX_P`` ... ``IDX_WIND`` defined here; the
 attitude comes beside it as a (4, m) block of quaternions (the block's
 attitude rows hold the filter's error parameters).  The step writes the
-advanced position, velocity and rates into the rows of the filter's
-output block with ``out=`` and returns the advanced attitude.  The
+advanced position, velocity and rates into the rows of an output block
+with ``out=`` and returns the advanced attitude; the filter passes the
+sigma block itself, so consecutive steps within one draw advance it in
+place.  The
 commanded wrench's terms come from ``wrench_terms`` once per input, not
 once per step.  The thrust direction and the gyroscopic term are
 quadratic in the state, so each is one matrix product over the outer
@@ -244,8 +246,9 @@ def euler_step_arrays(x, q, wrench, params: VehicleParams, dt, out):
     filter's attitude rows hold error parameters), and the input as
     wrench_terms(u, params), shared across the batch.  Writes the
     advanced position, velocity and body rates into the rows IDX_P,
-    IDX_V and IDX_W of out, an (18, m) block, and returns the advanced
-    attitude as a (4, m) block (geometry.quat_integrate).
+    IDX_V and IDX_W of out, an (18, m) block that may be x itself, and
+    returns the advanced attitude as a (4, m) block
+    (geometry.quat_integrate).
     """
     thrust_form, tau_term = wrench
     v, w = x[IDX_V], x[IDX_W]
@@ -256,7 +259,8 @@ def euler_step_arrays(x, q, wrench, params: VehicleParams, dt, out):
     # J w_dot = tau - w x J w, the gyroscopic term one product over vec(w w^T)
     ww = (w[:, None] * w).reshape(9, -1)
     w_dot = tau_term - params._gyro_form @ ww
+    q_next = quat_integrate(q, w, dt)  # before out, which may be x, takes the new rates
     np.add(x[IDX_P], v * dt, out=out[IDX_P])
     np.add(v, v_dot * dt, out=out[IDX_V])
     np.add(w, w_dot * dt, out=out[IDX_W])
-    return quat_integrate(q, w, dt)
+    return q_next

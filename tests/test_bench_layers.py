@@ -29,23 +29,46 @@ def test_every_layer_target_resolves():
         assert callable(fn), layer.target
 
 
-@pytest.mark.parametrize("dt, steps", [(0.005, 1), (0.35, 4)])
-def test_predict_calls_each_step_layer_once_per_euler_step(dt, steps):
-    """Under the traced run's wrappers, a predict of `steps` Euler steps
-    opens one span of each of its three step layers per step."""
+def traced_predict_calls(dts):
+    """The spans per layer of one predict over commands held for dts,
+    under the traced run's wrappers."""
     rng = np.random.default_rng(3)
     A = rng.normal(0.0, 0.1, (STATE_DIM, STATE_DIM))
     q_ref = np.array([1.0, 0.0, 0.0, 0.0])
     belief = ukf.BeliefState(q_ref, rng.normal(0.0, 0.1, STATE_DIM), A @ A.T + 1e-4 * np.eye(STATE_DIM))
     params = VehicleParams()
-    u = WrenchInput(params.mass * params.gravity, np.zeros(3))
+    segments = [(WrenchInput(params.mass * params.gravity + i, np.zeros(3)), dt)
+                for i, dt in enumerate(dts)]
     tracer = spans.Tracer()
     with tracer.installed():
-        ukf.predict(belief, u, dt, ukf.ProcessNoise(), params)
-    calls = collections.Counter(tracer.names[i] for i in tracer.lid)
-    assert calls == {
+        ukf.predict(belief, segments, ukf.ProcessNoise(), params)
+    return collections.Counter(tracer.names[i] for i in tracer.lid)
+
+
+@pytest.mark.parametrize("dt, steps", [(0.005, 1), (0.35, 4)])
+def test_predict_calls_each_step_layer_once_per_euler_step(dt, steps):
+    """Under the traced run's wrappers, a predict of one command over
+    `steps` stretches opens one span of each of its three step layers
+    per stretch."""
+    assert traced_predict_calls([dt]) == {
         "ukf.predict": 1,
         "geometry.sigma_points": steps,
         "vehicle.euler_step_arrays": steps,
         "geometry.reconstruct": steps,
+    }
+
+
+@pytest.mark.parametrize("dts, stretches, steps", [
+    ([0.005, 0.005], 1, 2),
+    ([0.05, 0.05, 0.05], 2, 4),  # stretches of 0.075 s; the middle command splits
+    ([0.1, 0.1], 2, 2),  # a command ends where a stretch ends: no sliver step
+])
+def test_predict_draws_once_per_stretch_and_steps_once_per_piece(dts, stretches, steps):
+    """A predict over several commands draws and reconstructs once per
+    stretch and takes one Euler step per piece of a command in it."""
+    assert traced_predict_calls(dts) == {
+        "ukf.predict": 1,
+        "geometry.sigma_points": stretches,
+        "vehicle.euler_step_arrays": steps,
+        "geometry.reconstruct": stretches,
     }

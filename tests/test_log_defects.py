@@ -1,7 +1,8 @@
 """What the replay does with each log defect, pinned on one hover flight.
 
 Defects come from tests/faults.py: swapped rows in a saved file, a
-non-finite value in one row, and a window missing from every channel.
+non-finite value in one row, and a window missing from every channel or
+from the measurement channels alone while commands keep coming.
 A truth channel that is cut short or missing changes no estimate.  The
 non-finite odometry row is pinned for sysid too, on a circular flight.
 The pinned tests are the gate; one Hypothesis property test (skipped
@@ -16,7 +17,8 @@ import numpy as np
 import pytest
 
 from faults import drop_window, set_value, swap_lines, truncate_channel
-from windest import lstm, pipeline, sim
+from test_replay_golden import record_sigma_draws, truncated
+from windest import lstm, pipeline, sim, ukf
 from windest.cli import main
 from windest.logio import (
     CALIB_DURATION_S,
@@ -178,6 +180,35 @@ def test_gap_in_every_channel_is_predicted_in_steps(hover_log, weights, route):
     assert np.all(np.isfinite(table))
     assert not np.any((t > 6.0) & (t < 6.15))
     assert np.any(t >= 6.15)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_measurement_dropout_under_commands_draws_every_stretch(
+    monkeypatch, hover_log, weights, route
+):
+    """Odometry and whisker rows drop out for 0.35 s while throttle rows
+    keep coming: the predict at the next measurement carries every
+    command since the last one, drawing sigma points at most
+    ukf.MAX_PREDICT_DT apart (4 draws over the 0.36 s interval), and the
+    replay stays finite and causal: cut inside or after the dropout, it
+    writes the full replay's rows bit for bit."""
+    sensors = FlightLog({name: hover_log[name] for name in ("odometry", "whisker")})
+    log = FlightLog({**hover_log.channels, **drop_window(sensors, 6.0, 6.35).channels})
+    assert np.count_nonzero((log["throttle"].t >= 6.0) & (log["throttle"].t < 6.35)) == 70
+    with monkeypatch.context() as m:
+        rec = record_sigma_draws(m)
+        t, table = estimate(log, route, weights)
+    assert rec["draws"] == len(rec["times"])
+    gaps = np.diff(rec["times"])
+    assert gaps.max() <= ukf.MAX_PREDICT_DT
+    assert np.count_nonzero(gaps > 0.05) == 4
+    assert np.all(np.isfinite(table))
+    assert not np.any((t >= 6.0) & (t < 6.35)) and t[-1] > 6.35
+    for cut in (6.2, 7.0):
+        t_cut, table_cut = estimate(truncated(log, cut), route, weights)
+        n = t_cut.shape[0]
+        assert np.array_equal(t_cut, t[:n])
+        assert np.array_equal(table_cut.view(np.uint64), table[:n].view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

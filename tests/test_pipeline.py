@@ -258,6 +258,22 @@ def test_text_config_keys_keep_their_text(tmp_path):
         config_from_dict(logio.parse_config(path))
 
 
+def test_config_text_keeps_a_hash_inside_quotes(tmp_path):
+    """A # inside double quotes is text, outside them a comment: a mount
+    named a#b (or literally '"x" # comment') round-trips through
+    save_config and parse_config, and a quoted value followed by a comment
+    reads as the quoted text."""
+    rig = default_rig()
+    names = ("a#b", '"x" # comment', "c", "d")
+    rig.mounts = [replace(m, name=name) for m, name in zip(rig.mounts, names)]
+    path = tmp_path / "rig.cfg"
+    logio.save_config(config_to_dict(EstimatorConfig(rig=rig)), path)
+    assert 'sensor0_name = "a#b"\n' in path.read_text()
+    assert [m.name for m in config_from_dict(logio.parse_config(path)).rig.mounts] == list(names)
+    path.write_text('sensor0_name = "x" # comment\nmu1 = 0.5 # N s/m\n')
+    assert logio.parse_config(path) == {"sensor0_name": "x", "mu1": 0.5}
+
+
 def test_owner_refusal_names_its_key_after_one_rebuild_per_owner():
     """A full config rebuilds each owner once; when the owner refuses the
     rebuild, the key whose value it refuses is named."""
@@ -282,10 +298,10 @@ def test_owner_refusal_names_its_key_after_one_rebuild_per_owner():
 def shared_time_log(hover_clean):
     """Throttle, odometry and whisker rows on shared (dyadic) timestamps,
     t = k / 64: throttle at k = 0..4 with f_cmd 10 + k and a NaN at k = 2,
-    odometry at k = 0..5 with a NaN at k = 3, whisker at k = 1..3."""
+    odometry at k = 0..5 with a NaN at k = 3, whisker at k = 1, 2 and 5."""
     src, _ = hover_clean
     out = logio.FlightLog()
-    for name, ks in (("throttle", range(5)), ("odometry", range(6)), ("whisker", range(1, 4))):
+    for name, ks in (("throttle", range(5)), ("odometry", range(6)), ("whisker", (1, 2, 5))):
         ch = src[name]
         data = ch.data[: len(ks)].copy()
         if name == "throttle":
@@ -299,10 +315,12 @@ def shared_time_log(hover_clean):
 
 def test_rows_at_equal_t_are_taken_throttle_odometry_whisker(monkeypatch, hover_clean):
     """The replay's event order on its own, recorded at the ukf calls: at
-    equal t a throttle row refreshes the wrench first, then the odometry
-    row updates, then the whisker row; each predict uses the wrench of the
-    last throttle row before it, and the non-finite throttle and odometry
-    rows are left out."""
+    equal t a throttle row first closes the command segment of the wrench
+    before it, then the odometry row predicts and updates, then the
+    whisker row.  Each predict carries the segments (thrust, dt) since the
+    last measurement, each with the wrench of the last throttle row before
+    it (the throttle row at the first odometry row's t included), and the
+    non-finite throttle and odometry rows are left out."""
     from windest import ukf
 
     calls = []
@@ -312,9 +330,10 @@ def test_rows_at_equal_t_are_taken_throttle_odometry_whisker(monkeypatch, hover_
         calls.append(("throttle", thrust))
         return wrench(thrust, torque)
 
-    def predict(belief, u, dt, noise, params):
-        calls.append(("predict", belief.t + dt, u.thrust))
-        return replace(belief, t=belief.t + dt)
+    def predict(belief, segments, noise, params):
+        t = belief.t + sum(dt for _, dt in segments)
+        calls.append(("predict", t, [(u.thrust, dt) for u, dt in segments]))
+        return replace(belief, t=t)
 
     def update(kind):
         def record(belief, *args, **kwargs):
@@ -330,13 +349,16 @@ def test_rows_at_equal_t_are_taken_throttle_odometry_whisker(monkeypatch, hover_
     cfg = EstimatorConfig()
     t, table = run_estimate(shared_time_log(hover_clean), cfg)
     hover = cfg.vehicle.mass * cfg.vehicle.gravity
+    d = 1 / 64
     assert calls == [
         ("throttle", hover),  # the wrench before any throttle row
-        # k = 0: the throttle row precedes the belief, made at the odometry row
-        ("predict", 1 / 64, hover), ("throttle", 11.0), ("odometry", 1 / 64), ("whisker", 1 / 64),
-        ("predict", 2 / 64, 11.0), ("odometry", 2 / 64), ("whisker", 2 / 64),
-        ("predict", 3 / 64, 11.0), ("throttle", 13.0), ("whisker", 3 / 64),
-        ("predict", 4 / 64, 13.0), ("throttle", 14.0), ("odometry", 4 / 64),
-        ("predict", 5 / 64, 14.0), ("odometry", 5 / 64),
+        # k = 0: the throttle row sets the wrench; the odometry row makes the belief
+        ("throttle", 10.0),
+        ("throttle", 11.0), ("predict", d, [(10.0, d)]), ("odometry", d), ("whisker", d),
+        ("predict", 2 * d, [(11.0, d)]), ("odometry", 2 * d), ("whisker", 2 * d),
+        # k = 3: no measurement, so the throttle row only closes a segment
+        ("throttle", 13.0),
+        ("throttle", 14.0), ("predict", 4 * d, [(11.0, d), (13.0, d)]), ("odometry", 4 * d),
+        ("predict", 5 * d, [(14.0, d)]), ("odometry", 5 * d), ("whisker", 5 * d),
     ]
-    assert t.tolist() == [1 / 64, 2 / 64, 3 / 64] and table.shape == (3, len(ESTIMATE_COLUMNS))
+    assert t.tolist() == [d, 2 * d, 5 * d] and table.shape == (3, len(ESTIMATE_COLUMNS))
