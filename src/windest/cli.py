@@ -127,6 +127,9 @@ def cmd_train(args):
 
 
 def cmd_estimate(args):
+    if args.weights is not None and args.airflow_source != "lstm":
+        raise ValueError("--weights is read only with --airflow-source lstm "
+                         f"(the {args.airflow_source} route would ignore it)")
     cfg = _load_config(args.config)
     log = load_log(args.log, *pipeline.ROUTE_CHANNELS[args.airflow_source])
     weights = None
@@ -220,7 +223,7 @@ def build_parser():
     s = sub.add_parser("estimate", help="replay a log through the filter")
     s.add_argument("log", help="log directory")
     s.add_argument("--airflow-source", choices=("model", "lstm"), default="model")
-    s.add_argument("--weights", help="regressor weights (for --airflow-source lstm)")
+    s.add_argument("--weights", help="regressor weights (only with --airflow-source lstm)")
     s.add_argument("--config", help="estimator params file")
     s.add_argument("--out", help="output estimate file")
     s.set_defaults(func=cmd_estimate)

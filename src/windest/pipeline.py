@@ -2,8 +2,9 @@
 
 The replay is event-driven: a throttle row closes one command segment
 and opens the next; at each measurement the belief is predicted over
-the segments since the last one (explicit Euler over the error-state
-sigma points, one draw per measurement interval), then odometry rows
+the segments since the last one (one explicit-Euler step of the
+error-state sigma points per measurement interval, driven by the
+time-weighted mean of the interval's commands), then odometry rows
 apply the 12-dimensional linear update, whisker rows the unscented
 angle update (model route) or the learned relative-airflow pseudo
 measurement (regressor route).  Estimates are emitted on the whisker

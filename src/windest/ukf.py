@@ -21,8 +21,9 @@ every measurement update.
 The process update runs once per measurement interval, not once per
 command: predict takes the commands held since the belief's time as
 segments (wrench, dt), draws its sigma points once per stretch of at
-most MAX_PREDICT_DT and carries them through one Euler step per command
-in the stretch, so the draw, the attitude conversions and the
+most MAX_PREDICT_DT and carries them through one Euler step of the
+stretch's length, driven by the time-weighted mean of the commands in
+the stretch, so the draw, the step, the attitude conversions and the
 statistics are paid once per interval.
 
 Belief contract: a BeliefState's q_ref is a unit quaternion when the
@@ -154,31 +155,35 @@ def predict(
     Their total is split into equal stretches no longer than
     MAX_PREDICT_DT, so a gap in the log costs several stretches, not
     accuracy.  Each stretch draws its sigma points once and carries them
-    through one explicit-Euler step per piece of a segment inside it
-    (the filter runs at command rate, where Euler is adequate); touch
-    force and wind are held (random walk).  At the stretch's end the
-    new reference quaternion is the propagated central point, all
-    points are re-expressed as errors about it, and the statistics are
-    formed once, with the noise density times the stretch's length.  A
-    stretch inside one segment is one step of exactly its length, so one
-    segment gives the bits of one command per call.
+    through one explicit-Euler step of the stretch's length (the filter
+    runs at measurement rate, where Euler is adequate), driven by the
+    time-weighted mean of the commands in the stretch; touch force and
+    wind are held (random walk).  The step's derivative is affine in the
+    command (vehicle.wrench_terms is linear in thrust and torque), so the
+    mean command gives the sum of the commands' own Euler increments
+    from the stretch's start, less their O(h^2) coupling; the step's
+    position term is exact under constant acceleration
+    (vehicle.euler_step_arrays).  At the stretch's end the new reference
+    quaternion is the propagated central point, all points are
+    re-expressed as errors about it, and the statistics are formed once,
+    with the noise density times the stretch's length.  A stretch inside
+    one segment is driven by that segment's command itself, so splitting
+    a gap gives the bits of chained one-command calls.
 
     A stretch is one pass over its (18, 37) sigma block: the attitudes
     composed with the reference (one 4x4 matrix product of unit
-    quaternions, not normalized again), the Euler steps, each of which
-    reads the block and writes position, velocity and rates back into it
-    (the wrench's terms formed once per segment) and hands its (4, 37)
-    attitude block to the next, the new reference (the central point
-    normalized on Python floats) and the errors about it (one more 4x4
-    product and one block expression), then the statistics formed and
-    the noise added to the covariance diagonal.
+    quaternions, not normalized again), the Euler step, which reads the
+    block and writes position, velocity and rates back into it (the
+    wrench's terms formed once per stretch) and returns the (4, 37)
+    attitude block, the new reference (the central point normalized on
+    Python floats) and the errors about it (one more 4x4 product and one
+    block expression), then the statistics formed and the noise added to
+    the covariance diagonal.
     """
-    steps = []
     total = 0.0
-    for u, dt in segments:
+    for _, dt in segments:
         if dt < 0.0:
             raise ValueError("negative dt")
-        steps.append((vehicle.wrench_terms(u, params), dt))
         total += dt
     if total == 0.0:
         return belief
@@ -187,25 +192,35 @@ def predict(
         n += 1
     h = total / n
     noise_diag = noise.density * h
-    steps = iter(steps)
-    wrench, left = next(steps)
+    segments = iter(segments)
+    u, left = next(segments)
     for _ in range(n):
-        x = sigma_points(belief.mean, belief.cov)
-        q = _attitudes(belief.q_ref, x)
+        # the time-weighted sums of the whole segments ending inside the
+        # stretch (the rounding sliver left of one that ended with the
+        # previous stretch is skipped), then the weight of the segment
+        # that runs past the stretch's end
+        thrust = torque = 0.0
         budget = h
-        # whole segments ending inside the stretch (the rounding sliver
-        # left of one that ended with the previous stretch is skipped),
-        # then the piece of the segment that runs past the stretch's end
         while left < budget - _SLIVER:
-            following = next(steps, None)
+            following = next(segments, None)
             if following is None:  # the total's rounding, not a segment
                 break
             if left > _SLIVER:
-                q = vehicle.euler_step_arrays(x, q, wrench, params, left, x)
+                weight = left / h
+                thrust += weight * u.thrust
+                torque += weight * u.torque
                 budget -= left
-            wrench, left = following
-        q = vehicle.euler_step_arrays(x, q, wrench, params, budget, x)
+            u, left = following
+        if budget == h:  # one command over the whole stretch
+            mean_u = u
+        else:
+            weight = budget / h
+            mean_u = vehicle.WrenchInput(thrust + weight * u.thrust, torque + weight * u.torque)
         left -= budget
+        x = sigma_points(belief.mean, belief.cov)
+        q = vehicle.euler_step_arrays(
+            x, _attitudes(belief.q_ref, x), vehicle.wrench_terms(mean_u, params), params, h, x
+        )
         # the new reference, the central point normalized on Python floats
         q_ref = geometry.quat_normalize_rows(q[:, 0].tolist())
         x[IDX_A] = mrp_from_quat(geometry.quat_right_matrix(q_ref).T @ q)

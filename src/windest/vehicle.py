@@ -21,12 +21,15 @@ attitude comes beside it as a (4, m) block of quaternions (the block's
 attitude rows hold the filter's error parameters).  The step writes the
 advanced position, velocity and rates into the rows of an output block
 with ``out=`` and returns the advanced attitude; the filter passes the
-sigma block itself, so consecutive steps within one draw advance it in
-place.  The
-commanded wrench's terms come from ``wrench_terms`` once per input, not
-once per step.  The thrust direction and the gyroscopic term are
-quadratic in the state, so each is one matrix product over the outer
-products vec(q q^T) and vec(w w^T): the thrust direction with the rows
+sigma block itself, so its one step per draw advances the block in
+place.  Position takes the step's second-order term (exact under
+constant acceleration), which matters when one step spans a whole
+measurement interval.  The commanded wrench's terms come from
+``wrench_terms``, which the filter calls once per step with the
+time-weighted mean of the commands the step spans.  The thrust
+direction and the gyroscopic term are quadratic in the state, so each
+is one matrix product over the outer products vec(q q^T) and
+vec(w w^T): the thrust direction with the rows
 of geometry.ROTATION_FORM that give R(q)'s third column, the gyroscopic
 term with a form that folds in J^-1 once per VehicleParams; the
 quaternion integration is geometry.quat_integrate's (4, 16) block form
@@ -249,6 +252,12 @@ def euler_step_arrays(x, q, wrench, params: VehicleParams, dt, out):
     IDX_V and IDX_W of out, an (18, m) block that may be x itself, and
     returns the advanced attitude as a (4, m) block
     (geometry.quat_integrate).
+
+    Velocity and rates take the Euler increment of their derivatives;
+    position advances by (v + 1/2 v_dot dt) dt, the exact position
+    under the step's constant acceleration, so a step as long as a
+    measurement interval keeps the second-order position term that
+    several shorter steps would carry.
     """
     thrust_form, tau_term = wrench
     v, w = x[IDX_V], x[IDX_W]
@@ -260,7 +269,8 @@ def euler_step_arrays(x, q, wrench, params: VehicleParams, dt, out):
     ww = (w[:, None] * w).reshape(9, -1)
     w_dot = tau_term - params._gyro_form @ ww
     q_next = quat_integrate(q, w, dt)  # before out, which may be x, takes the new rates
-    np.add(x[IDX_P], v * dt, out=out[IDX_P])
-    np.add(v, v_dot * dt, out=out[IDX_V])
+    dv = v_dot * dt
+    np.add(x[IDX_P], (v + 0.5 * dv) * dt, out=out[IDX_P])  # before out takes the new v
+    np.add(v, dv, out=out[IDX_V])
     np.add(w, w_dot * dt, out=out[IDX_W])
     return q_next

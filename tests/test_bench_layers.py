@@ -58,17 +58,17 @@ def test_predict_calls_each_step_layer_once_per_euler_step(dt, steps):
     }
 
 
-@pytest.mark.parametrize("dts, stretches, steps", [
-    ([0.005, 0.005], 1, 2),
-    ([0.05, 0.05, 0.05], 2, 4),  # stretches of 0.075 s; the middle command splits
-    ([0.1, 0.1], 2, 2),  # a command ends where a stretch ends: no sliver step
+@pytest.mark.parametrize("dts, stretches", [
+    ([0.005, 0.005], 1),
+    ([0.05, 0.05, 0.05], 2),  # stretches of 0.075 s; the middle command splits
+    ([0.1, 0.1], 2),  # a command ends where a stretch ends: no sliver piece
 ])
-def test_predict_draws_once_per_stretch_and_steps_once_per_piece(dts, stretches, steps):
-    """A predict over several commands draws and reconstructs once per
-    stretch and takes one Euler step per piece of a command in it."""
+def test_predict_draws_and_steps_once_per_stretch(dts, stretches):
+    """A predict over several commands draws, takes one Euler step (with
+    the commands' time-weighted mean) and reconstructs once per stretch."""
     assert traced_predict_calls(dts) == {
         "ukf.predict": 1,
         "geometry.sigma_points": stretches,
-        "vehicle.euler_step_arrays": steps,
+        "vehicle.euler_step_arrays": stretches,
         "geometry.reconstruct": stretches,
     }

@@ -134,6 +134,17 @@ def test_lstm_source_requires_weights(hover_dir, capsys):
     assert "--weights" in capsys.readouterr().err
 
 
+def test_weights_without_lstm_source_exit_2(hover_dir, tmp_path, capsys):
+    """--weights on the model route is refused, not silently ignored."""
+    w = tmp_path / "w.csv"
+    lstm.save_params(lstm.init_params(np.random.default_rng(0)), str(w))
+    est = tmp_path / "est.csv"
+    assert main(["estimate", str(hover_dir), "--weights", str(w), "--out", str(est)]) == 2
+    err = capsys.readouterr().err
+    assert "--weights" in err and "--airflow-source lstm" in err
+    assert not est.exists()
+
+
 def test_malformed_log_line_diagnostic(tmp_path, capsys):
     d = tmp_path / "bad"
     d.mkdir()

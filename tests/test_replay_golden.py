@@ -52,8 +52,8 @@ from windest.logio import Channel, FlightLog
 DATA = os.path.join(os.path.dirname(__file__), "data")
 TOL = 1e-9
 # Python-level calls per event of the golden model-route replay, profiled
-# after one warm-up replay (54.743-54.744 when it was set)
-CALLS_PER_EVENT = 54.8
+# after one warm-up replay (51.602-51.603 when it was set)
+CALLS_PER_EVENT = 51.7
 
 
 def model_flight():
@@ -316,11 +316,15 @@ def test_python_calls_per_event_do_not_grow(model_log):
     The replay is profiled after one unprofiled warm-up replay of the
     same log, so first-call work in the process (imports, caches) is not
     counted and the count does not depend on what ran before.  The
-    ceiling was set from three contexts: 54.743 calls per event in a
-    fresh process running this test alone, 54.744 after the replays of
-    tests/test_log_defects.py, and 54.744 in the tier-1 session, once
-    the replay drew sigma points once per measurement interval (65.317
-    before, on the commit before that change).  The counts before it
+    ceiling was set from three contexts: 51.602 calls per event in a
+    fresh process running this test alone, 51.603 after the replays of
+    tests/test_log_defects.py, and 51.603 in the tier-1 session, once
+    predict took one Euler step per stretch with the commands'
+    time-weighted mean.  Before that it was 54.8, set from 54.743 in a
+    fresh process, 54.744 after tests/test_log_defects.py and 54.744 in
+    the tier-1 session, once the replay drew sigma points once per
+    measurement interval (65.317 before, on the commit before that
+    change).  The counts before it
     were pstats' total_calls, which merges the code objects that share
     a (file, line, name) key and keeps one of them: the generated
     __init__ of the WrenchInput, OdometryMeasurement and BeliefState

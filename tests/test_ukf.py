@@ -184,7 +184,9 @@ def test_two_segment_predict_matches_monte_carlo_mean():
 
 
 def ref_euler_step_arrays(p, v, q, w, thrust, torque, touch, v_wind, params, dt):
-    """The filter's Euler step on the last axis, as it stood before rows."""
+    """The filter's Euler step on the last axis, as it stood before rows,
+    with the position term exact under constant acceleration that the
+    one step per measurement interval takes."""
     qw, qx, qy, qz = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
     body_z = np.stack(
         [2.0 * (qw * qy + qx * qz), 2.0 * (qy * qz - qw * qx), 1.0 - 2.0 * (qx * qx + qy * qy)], axis=-1
@@ -193,7 +195,8 @@ def ref_euler_step_arrays(p, v, q, w, thrust, torque, touch, v_wind, params, dt)
     gravity = np.array([0.0, 0.0, -params.gravity])
     v_dot = (thrust * body_z + drag + touch) / params.mass + gravity
     w_dot = (torque - np.cross(w, w @ params.inertia.T)) @ params.inertia_inv.T
-    return p + v * dt, v + v_dot * dt, ref_quat_integrate(q, w, dt), w + w_dot * dt
+    return (p + (v + 0.5 * v_dot * dt) * dt, v + v_dot * dt, ref_quat_integrate(q, w, dt),
+            w + w_dot * dt)
 
 
 def ref_predict(belief, u, dt, noise, params):
@@ -261,6 +264,30 @@ def test_predict_matches_reference_predict():
         for a, b in ((got.q_ref, ref.q_ref), (got.mean, ref.mean), (got.cov, ref.cov)):
             assert np.max(np.abs(a - b)) <= PREDICT_REL_TOL * np.max(np.abs(b))
         assert got.t == ref.t
+
+
+def test_two_command_stretch_is_the_predict_of_their_weighted_mean():
+    """A stretch over two commands takes one Euler step driven by their
+    time-weighted mean: within PREDICT_REL_TOL of a one-command predict
+    of that mean over the same interval."""
+    rng = np.random.default_rng(62)
+    params, noise = VehicleParams(), ProcessNoise()
+    A = rng.normal(0.0, 0.1, (STATE_DIM, STATE_DIM))
+    mean = rng.normal(0.0, 1.0, STATE_DIM)
+    mean[IDX_A] *= 0.05
+    belief = BeliefState(np.array(geometry.quat_normalize_rows(rng.normal(size=4))), mean,
+                         A @ A.T + 1e-4 * np.eye(STATE_DIM))
+    u1 = WrenchInput(13.0, np.array([0.001, -0.002, 0.0005]))
+    u2 = WrenchInput(15.5, np.array([-0.002, 0.001, 0.001]))
+    got = predict(belief, [(u1, 0.006), (u2, 0.004)], noise, params)
+    u_mean = WrenchInput(0.6 * u1.thrust + 0.4 * u2.thrust, 0.6 * u1.torque + 0.4 * u2.torque)
+    ref = predict(belief, [(u_mean, 0.01)], noise, params)
+    for a, b in ((got.q_ref, ref.q_ref), (got.mean, ref.mean), (got.cov, ref.cov)):
+        assert np.max(np.abs(a - b)) <= PREDICT_REL_TOL * np.max(np.abs(b))
+    assert got.t == ref.t
+    # the second command moves the velocity: the mean is not the first's
+    first = predict(belief, [(u1, 0.01)], noise, params)
+    assert np.max(np.abs(got.mean[IDX_V] - first.mean[IDX_V])) > 1e-4
 
 
 def test_chained_predicts_keep_unit_attitudes():

@@ -303,7 +303,8 @@ def test_euler_step_arrays_matches_scalar():
     p2, v2, q2, w2 = y[vehicle.IDX_P].T, y[vehicle.IDX_V].T, q2.T, y[vehicle.IDX_W].T
     for i in range(n):
         dp, dv, _, dw = derivative(pack(p[i], v[i], q[i], w[i]), par, thrust, torque, wind, touch[i])
-        assert np.allclose(p2[i], p[i] + dp * dt, atol=1e-12)
+        # the position term exact under constant acceleration
+        assert np.allclose(p2[i], p[i] + (dp + 0.5 * dv * dt) * dt, atol=1e-12)
         assert np.allclose(v2[i], v[i] + dv * dt, atol=1e-12)
         assert np.allclose(w2[i], w[i] + dw * dt, atol=1e-12)
         q_ref = quat_multiply_rows(q[i], quat_from_axis_angle(w[i] * dt))
