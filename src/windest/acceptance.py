@@ -271,7 +271,7 @@ def criterion_6(art: Artifacts):
     steps = 10_000
     for k in range(steps):
         u = vehicle.WrenchInput(rng.uniform(0.0, 20.0), rng.uniform(-0.05, 0.05, 3))
-        belief = ukf.predict(belief, [(u, rng.uniform(0.002, 0.02))], noise, params)
+        belief = ukf.predict(belief, u, rng.uniform(0.002, 0.02), noise, params)
         if k % 3 == 0:
             z = ukf.OdometryMeasurement(
                 belief.mean[0:3] + rng.normal(0.0, 0.05, 3),

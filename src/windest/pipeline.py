@@ -1,10 +1,11 @@
 """Replay estimation over flight logs and score it against truth.
 
-The replay is event-driven: a throttle row closes one command segment
-and opens the next; at each measurement the belief is predicted over
-the segments since the last one (one explicit-Euler step of the
-error-state sigma points per measurement interval, driven by the
-time-weighted mean of the interval's commands), then odometry rows
+The replay is event-driven over the measurement rows: at each one the
+belief is predicted over the interval since the last (one
+explicit-Euler step of the error-state sigma points per measurement
+interval, driven by one mean command, the difference of the command's
+running integral over the throttle rows divided by the interval's
+length), then odometry rows
 apply the 12-dimensional linear update, whisker rows the unscented
 angle update (model route) or the learned relative-airflow pseudo
 measurement (regressor route).  Estimates are emitted on the whisker
@@ -280,13 +281,14 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
     (weights required) on the whisker ticks of the resampled clock.
     Returns (t, table) on the whisker clock with the estimate-file schema.
 
-    A throttle row closes the command segment of the wrench before it
-    and opens one of its own; an odometry or whisker row first hands the
-    segments since the last such row to one ukf.predict, which draws
-    sigma points once per stretch of at most ukf.MAX_PREDICT_DT, so a gap
-    between measurements is split into equal stretches.  Throttle rows
-    before the first odometry row set the wrench the first predict flies.
-    An odometry or throttle row holding a non-finite value is left out.
+    Each odometry or whisker row first hands ukf.predict the mean command
+    since the last such row: the difference of the command's running
+    integral (a zero-order hold of [f_cmd, tau] over the finite throttle
+    rows, the hover wrench before the first) divided by the interval.
+    predict draws sigma points once per stretch of at most
+    ukf.MAX_PREDICT_DT, so a gap between measurements is split into
+    equal stretches.  An interval under 1e-12 s is not predicted.  An
+    odometry or throttle row holding a non-finite value is left out.
     """
     if source not in ROUTE_CHANNELS:
         raise ValueError(f"unknown airflow source {source!r}")
@@ -301,6 +303,7 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
         t_pseudo, vinf_pred = pseudo_airflow(log, cfg, weights)
         # the resampled clock is a contiguous run of whisker ticks from k0
         k0 = int(np.searchsorted(t_whisk, t_pseudo[0]))
+    process, vehicle, gate, rig = cfg.process, cfg.vehicle, cfg.gate, cfg.rig
     # columns read once, so each event costs the same however long the log
     odo_p = odo_ch.col("px", "py", "pz")
     # unit quaternions, normalized once (a non-finite row stays out of
@@ -308,33 +311,45 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
     odo_q = geometry.quat_normalize_rows(odo_ch.col("qw", "qx", "qy", "qz").T).T.copy()
     odo_v = odo_ch.col("vx", "vy", "vz")
     odo_w = odo_ch.col("wx", "wy", "wz")
-    thr_f = thr_ch.col("f_cmd")
-    thr_tau = thr_ch.col("tau_x", "tau_y", "tau_z")
 
-    # event table: (t, kind, row), ordered by t and at equal t by kind, so
-    # commands refresh first; a stable sort keeps each channel's row order
+    # the command [f_cmd, tau] held from each knot: the hover wrench from
+    # the first finite throttle row's t (it reaches back before it), then
+    # each finite row; its integral at each knot is a cumsum, which adds
+    # left to right, so no knot's integral depends on a later row
     thr_k = np.flatnonzero(np.isfinite(thr_ch.data).all(axis=1))
+    thr_t = thr_ch.t[thr_k]
+    knot_t = np.concatenate((thr_t[:1] if thr_k.shape[0] else [0.0], thr_t))
+    cmd = np.concatenate(([(vehicle.mass * vehicle.gravity, 0.0, 0.0, 0.0)],
+                          thr_ch.col("f_cmd", "tau_x", "tau_y", "tau_z")[thr_k]))
+    knot_integral = np.zeros_like(cmd)
+    np.cumsum(cmd[:-1] * np.diff(knot_t)[:, None], axis=0, out=knot_integral[1:])
+
+    # event table: (t, kind, row, command integral), odometry (kind 0)
+    # and whisker (kind 1) rows ordered by t and at equal t by kind; a
+    # stable sort keeps each channel's row order
     odo_k = np.flatnonzero(np.isfinite(odo_ch.data).all(axis=1))
-    ev_t = np.concatenate((thr_ch.t[thr_k], odo_ch.t[odo_k], t_whisk))
-    ev_kind = np.repeat((0, 1, 2), (thr_k.shape[0], odo_k.shape[0], t_whisk.shape[0]))
-    ev_k = np.concatenate((thr_k, odo_k, np.arange(t_whisk.shape[0])))
+    ev_t = np.concatenate((odo_ch.t[odo_k], t_whisk))
+    ev_kind = np.repeat((0, 1), (odo_k.shape[0], t_whisk.shape[0]))
+    ev_k = np.concatenate((odo_k, np.arange(t_whisk.shape[0])))
     order = np.lexsort((ev_kind, ev_t))
+    ev_t = ev_t[order]
+    # the integral at each event from the last knot at or before it (the
+    # hover knot for an event before the first)
+    j = np.maximum(np.searchsorted(knot_t, ev_t, side="right") - 1, 0)
+    ev_integral = cmd[j]
+    ev_integral *= (ev_t - knot_t[j])[:, None]
+    ev_integral += knot_integral[j]
     # Python floats and ints: each dt, step and belief.t downstream is a
     # float with the same bits as the np.float64 it replaces
-    events = zip(ev_t[order].tolist(), ev_kind[order].tolist(), ev_k[order].tolist())
+    events = zip(ev_t.tolist(), ev_kind[order].tolist(), ev_k[order].tolist(), ev_integral)
 
     # looked up per replay, not per event (and not at import: the tracer
     # and the tests replace these module attributes)
     predict, update_odometry, output = ukf.predict, ukf.update_odometry, ukf.output
     update_airflow, update_pseudo_airflow = ukf.update_airflow, ukf.update_pseudo_airflow
-    process, vehicle, gate, rig = cfg.process, cfg.vehicle, cfg.gate, cfg.rig
     r_whisker, r_pseudo = cfg.meas.whisker, cfg.meas.pseudo**2
     odo_cov = cfg.meas.odometry_cov()
-    wrench = WrenchInput(vehicle.mass * vehicle.gravity, np.zeros(3))
     belief = None
-    # the command segments (wrench, dt) closed since belief.t, and the
-    # start of the open one, which flies the current wrench
-    segments, seg_t = [], 0.0
     out_t = np.empty(t_whisk.shape[0])
     table = np.empty((t_whisk.shape[0], len(logio.ESTIMATE_COLUMNS)))
     n = 0
@@ -342,25 +357,22 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
     def odometry(k):
         return ukf.OdometryMeasurement(odo_p[k], odo_q[k], odo_v[k], odo_w[k], odo_cov)
 
-    for t, kind, k in events:
-        if belief is not None and t - seg_t > 1e-12:
-            segments.append((wrench, t - seg_t))
-            seg_t = t
-        if kind == 0:
-            wrench = WrenchInput(float(thr_f[k]), thr_tau[k])
-            continue
+    for t, kind, k, integral in events:
         if belief is None:
-            if kind == 1:
+            if kind == 0:
                 z = odometry(k)
                 belief = ukf.init_belief(
                     t, z, sigma_touch=cfg.init_sigma_touch, sigma_wind=cfg.init_sigma_wind
                 )
-                seg_t = t
+                # the time and command integral the belief was last predicted to
+                held_t, held_integral = t, integral
             continue
-        if segments:
-            belief = predict(belief, segments, process, vehicle)
-            segments = []
-        if kind == 1:
+        dt = t - held_t
+        if dt > 1e-12:
+            u = (integral - held_integral) / dt
+            belief = predict(belief, WrenchInput(u[0], u[1:]), dt, process, vehicle)
+            held_t, held_integral = t, integral
+        if kind == 0:
             belief, _ = update_odometry(belief, odometry(k), gate=gate)
         else:
             if source == "model":

@@ -19,12 +19,11 @@ fused.  The attitude error is folded into the reference quaternion after
 every measurement update.
 
 The process update runs once per measurement interval, not once per
-command: predict takes the commands held since the belief's time as
-segments (wrench, dt), draws its sigma points once per stretch of at
-most MAX_PREDICT_DT and carries them through one Euler step of the
-stretch's length, driven by the time-weighted mean of the commands in
-the stretch, so the draw, the step, the attitude conversions and the
-statistics are paid once per interval.
+command: predict takes one command, the mean of those held over the
+interval, draws its sigma points once per stretch of at most
+MAX_PREDICT_DT and carries them through one Euler step of the
+stretch's length, so the draw, the step, the attitude conversions and
+the statistics are paid once per interval.
 
 Belief contract: a BeliefState's q_ref is a unit quaternion when the
 belief is made (every producer hands over a unit one: the odometry
@@ -54,7 +53,6 @@ from .vehicle import IDX_A, IDX_F, IDX_P, IDX_V, IDX_W, IDX_WIND, STATE_DIM
 
 GATE_QUANTILE = 0.997
 MAX_PREDICT_DT = 0.1  # s, longest stretch of one sigma draw; predict splits longer gaps
-_SLIVER = 1e-12  # s, a segment end this close to a stretch end falls on it
 
 
 @dataclass
@@ -143,84 +141,53 @@ def _attitudes(q_ref, x):
 
 def predict(
     belief: BeliefState,
-    segments,
+    u: vehicle.WrenchInput,
+    dt,
     noise: ProcessNoise,
     params: vehicle.VehicleParams,
 ):
-    """Process update over the command segments since the belief's time.
+    """Process update over dt seconds of the command u.
 
-    segments is a sequence of (wrench, dt): the commanded
-    vehicle.WrenchInput, held over dt seconds, one segment per command,
-    end to end (the replay hands over those between two measurements).
-    Their total is split into equal stretches no longer than
+    u is the commanded vehicle.WrenchInput held over the interval (the
+    replay hands over the time-weighted mean of the commands between two
+    measurements).  dt is split into equal stretches no longer than
     MAX_PREDICT_DT, so a gap in the log costs several stretches, not
     accuracy.  Each stretch draws its sigma points once and carries them
     through one explicit-Euler step of the stretch's length (the filter
-    runs at measurement rate, where Euler is adequate), driven by the
-    time-weighted mean of the commands in the stretch; touch force and
+    runs at measurement rate, where Euler is adequate); touch force and
     wind are held (random walk).  The step's derivative is affine in the
     command (vehicle.wrench_terms is linear in thrust and torque), so the
     mean command gives the sum of the commands' own Euler increments
-    from the stretch's start, less their O(h^2) coupling; the step's
+    from the interval's start, less their O(h^2) coupling; the step's
     position term is exact under constant acceleration
     (vehicle.euler_step_arrays).  At the stretch's end the new reference
     quaternion is the propagated central point, all points are
     re-expressed as errors about it, and the statistics are formed once,
-    with the noise density times the stretch's length.  A stretch inside
-    one segment is driven by that segment's command itself, so splitting
-    a gap gives the bits of chained one-command calls.
+    with the noise density times the stretch's length.
 
     A stretch is one pass over its (18, 37) sigma block: the attitudes
     composed with the reference (one 4x4 matrix product of unit
     quaternions, not normalized again), the Euler step, which reads the
     block and writes position, velocity and rates back into it (the
-    wrench's terms formed once per stretch) and returns the (4, 37)
+    wrench's terms formed once per call) and returns the (4, 37)
     attitude block, the new reference (the central point normalized on
     Python floats) and the errors about it (one more 4x4 product and one
     block expression), then the statistics formed and the noise added to
     the covariance diagonal.
     """
-    total = 0.0
-    for _, dt in segments:
-        if dt < 0.0:
-            raise ValueError("negative dt")
-        total += dt
-    if total == 0.0:
+    if dt < 0.0:
+        raise ValueError("negative dt")
+    if dt == 0.0:
         return belief
-    n = math.ceil(total / MAX_PREDICT_DT)
-    if total / n > MAX_PREDICT_DT:  # total / MAX_PREDICT_DT rounded down to n
+    n = math.ceil(dt / MAX_PREDICT_DT)
+    if dt / n > MAX_PREDICT_DT:  # dt / MAX_PREDICT_DT rounded down to n
         n += 1
-    h = total / n
+    h = dt / n
     noise_diag = noise.density * h
-    segments = iter(segments)
-    u, left = next(segments)
+    wrench = vehicle.wrench_terms(u, params)
     for _ in range(n):
-        # the time-weighted sums of the whole segments ending inside the
-        # stretch (the rounding sliver left of one that ended with the
-        # previous stretch is skipped), then the weight of the segment
-        # that runs past the stretch's end
-        thrust = torque = 0.0
-        budget = h
-        while left < budget - _SLIVER:
-            following = next(segments, None)
-            if following is None:  # the total's rounding, not a segment
-                break
-            if left > _SLIVER:
-                weight = left / h
-                thrust += weight * u.thrust
-                torque += weight * u.torque
-                budget -= left
-            u, left = following
-        if budget == h:  # one command over the whole stretch
-            mean_u = u
-        else:
-            weight = budget / h
-            mean_u = vehicle.WrenchInput(thrust + weight * u.thrust, torque + weight * u.torque)
-        left -= budget
         x = sigma_points(belief.mean, belief.cov)
-        q = vehicle.euler_step_arrays(
-            x, _attitudes(belief.q_ref, x), vehicle.wrench_terms(mean_u, params), params, h, x
-        )
+        q = vehicle.euler_step_arrays(x, _attitudes(belief.q_ref, x), wrench, params, h, x)
         # the new reference, the central point normalized on Python floats
         q_ref = geometry.quat_normalize_rows(q[:, 0].tolist())
         x[IDX_A] = mrp_from_quat(geometry.quat_right_matrix(q_ref).T @ q)

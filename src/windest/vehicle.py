@@ -25,10 +25,10 @@ sigma block itself, so its one step per draw advances the block in
 place.  Position takes the step's second-order term (exact under
 constant acceleration), which matters when one step spans a whole
 measurement interval.  The commanded wrench's terms come from
-``wrench_terms``, which the filter calls once per step with the
-time-weighted mean of the commands the step spans.  The thrust
-direction and the gyroscopic term are quadratic in the state, so each
-is one matrix product over the outer products vec(q q^T) and
+``wrench_terms``, which the filter calls once per predict with the
+measurement interval's one mean command, shared by its steps.  The
+thrust direction and the gyroscopic term are quadratic in the state, so
+each is one matrix product over the outer products vec(q q^T) and
 vec(w w^T): the thrust direction with the rows
 of geometry.ROTATION_FORM that give R(q)'s third column, the gyroscopic
 term with a form that folds in J^-1 once per VehicleParams; the

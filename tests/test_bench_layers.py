@@ -29,46 +29,28 @@ def test_every_layer_target_resolves():
         assert callable(fn), layer.target
 
 
-def traced_predict_calls(dts):
-    """The spans per layer of one predict over commands held for dts,
+def traced_predict_calls(dt):
+    """The spans per layer of one predict of the hover wrench over dt,
     under the traced run's wrappers."""
     rng = np.random.default_rng(3)
     A = rng.normal(0.0, 0.1, (STATE_DIM, STATE_DIM))
     q_ref = np.array([1.0, 0.0, 0.0, 0.0])
     belief = ukf.BeliefState(q_ref, rng.normal(0.0, 0.1, STATE_DIM), A @ A.T + 1e-4 * np.eye(STATE_DIM))
     params = VehicleParams()
-    segments = [(WrenchInput(params.mass * params.gravity + i, np.zeros(3)), dt)
-                for i, dt in enumerate(dts)]
+    u = WrenchInput(params.mass * params.gravity, np.zeros(3))
     tracer = spans.Tracer()
     with tracer.installed():
-        ukf.predict(belief, segments, ukf.ProcessNoise(), params)
+        ukf.predict(belief, u, dt, ukf.ProcessNoise(), params)
     return collections.Counter(tracer.names[i] for i in tracer.lid)
 
 
 @pytest.mark.parametrize("dt, steps", [(0.005, 1), (0.35, 4)])
 def test_predict_calls_each_step_layer_once_per_euler_step(dt, steps):
-    """Under the traced run's wrappers, a predict of one command over
-    `steps` stretches opens one span of each of its three step layers
-    per stretch."""
-    assert traced_predict_calls([dt]) == {
+    """Under the traced run's wrappers, a predict over `steps` stretches
+    opens one span of each of its three step layers per stretch."""
+    assert traced_predict_calls(dt) == {
         "ukf.predict": 1,
         "geometry.sigma_points": steps,
         "vehicle.euler_step_arrays": steps,
         "geometry.reconstruct": steps,
-    }
-
-
-@pytest.mark.parametrize("dts, stretches", [
-    ([0.005, 0.005], 1),
-    ([0.05, 0.05, 0.05], 2),  # stretches of 0.075 s; the middle command splits
-    ([0.1, 0.1], 2),  # a command ends where a stretch ends: no sliver piece
-])
-def test_predict_draws_and_steps_once_per_stretch(dts, stretches):
-    """A predict over several commands draws, takes one Euler step (with
-    the commands' time-weighted mean) and reconstructs once per stretch."""
-    assert traced_predict_calls(dts) == {
-        "ukf.predict": 1,
-        "geometry.sigma_points": stretches,
-        "vehicle.euler_step_arrays": stretches,
-        "geometry.reconstruct": stretches,
     }

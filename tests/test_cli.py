@@ -3,6 +3,7 @@
 import argparse
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -19,12 +20,19 @@ from windest.logio import (
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-@pytest.fixture()
-def hover_dir(hover_clean, tmp_path):
+@pytest.fixture(scope="module")
+def hover_dir(hover_clean, tmp_path_factory):
+    """The clean hover flight saved once; tests that change its files take
+    hover_copy."""
     log, _ = hover_clean
-    d = tmp_path / "hover_log"
+    d = tmp_path_factory.mktemp("hover") / "hover_log"
     save_log(log, str(d))
     return d
+
+
+@pytest.fixture()
+def hover_copy(hover_dir, tmp_path):
+    return Path(shutil.copytree(hover_dir, tmp_path / "hover_log"))
 
 
 def test_help_exits_zero():
@@ -65,7 +73,7 @@ def test_model_vs_lstm_schema_identical(hover_dir, tmp_path):
 
 
 @pytest.mark.parametrize("source", ["model", "lstm"])
-def test_estimate_does_not_read_truth(hover_dir, tmp_path, capsys, source):
+def test_estimate_does_not_read_truth(hover_copy, tmp_path, capsys, source):
     """estimate opens only the sensor channels: with truth.csv garbled or
     missing it writes the same bytes.  replay still reads truth."""
     args = []
@@ -74,57 +82,57 @@ def test_estimate_does_not_read_truth(hover_dir, tmp_path, capsys, source):
         lstm.save_params(lstm.init_params(np.random.default_rng(0)), str(w))
         args = ["--airflow-source", "lstm", "--weights", str(w)]
     ref = tmp_path / "ref.csv"
-    assert main(["estimate", str(hover_dir), "--out", str(ref), *args]) == 0
-    truth = hover_dir / "truth.csv"
+    assert main(["estimate", str(hover_copy), "--out", str(ref), *args]) == 0
+    truth = hover_copy / "truth.csv"
     truth.write_text("t,px\n0.0,banana\n")
     garbled = tmp_path / "garbled.csv"
-    assert main(["estimate", str(hover_dir), "--out", str(garbled), *args]) == 0
+    assert main(["estimate", str(hover_copy), "--out", str(garbled), *args]) == 0
     assert garbled.read_bytes() == ref.read_bytes()
     capsys.readouterr()
-    assert main(["replay", str(hover_dir), str(garbled)]) == 2
+    assert main(["replay", str(hover_copy), str(garbled)]) == 2
     assert "truth.csv:2" in capsys.readouterr().err
     truth.unlink()
     missing = tmp_path / "missing.csv"
-    assert main(["estimate", str(hover_dir), "--out", str(missing), *args]) == 0
+    assert main(["estimate", str(hover_copy), "--out", str(missing), *args]) == 0
     assert missing.read_bytes() == ref.read_bytes()
 
 
-def test_model_estimate_does_not_read_imu(hover_dir, tmp_path, capsys):
+def test_model_estimate_does_not_read_imu(hover_copy, tmp_path, capsys):
     """The model route opens only its channels (pipeline.ROUTE_CHANNELS):
     with imu.csv garbled or missing it writes the same bytes, while the
     LSTM route, whose features need the IMU, reports the garbled file."""
     ref = tmp_path / "ref.csv"
-    assert main(["estimate", str(hover_dir), "--out", str(ref)]) == 0
-    imu = hover_dir / "imu.csv"
+    assert main(["estimate", str(hover_copy), "--out", str(ref)]) == 0
+    imu = hover_copy / "imu.csv"
     imu.write_text("t,ax\n0.0,banana\n")
     garbled = tmp_path / "garbled.csv"
-    assert main(["estimate", str(hover_dir), "--out", str(garbled)]) == 0
+    assert main(["estimate", str(hover_copy), "--out", str(garbled)]) == 0
     assert garbled.read_bytes() == ref.read_bytes()
     w = tmp_path / "w.csv"
     lstm.save_params(lstm.init_params(np.random.default_rng(0)), str(w))
     capsys.readouterr()
     lstm_args = ["--airflow-source", "lstm", "--weights", str(w)]
-    assert main(["estimate", str(hover_dir), "--out", str(tmp_path / "l.csv"), *lstm_args]) == 2
+    assert main(["estimate", str(hover_copy), "--out", str(tmp_path / "l.csv"), *lstm_args]) == 2
     assert "imu.csv:2" in capsys.readouterr().err
     imu.unlink()
     missing = tmp_path / "missing.csv"
-    assert main(["estimate", str(hover_dir), "--out", str(missing)]) == 0
+    assert main(["estimate", str(hover_copy), "--out", str(missing)]) == 0
     assert missing.read_bytes() == ref.read_bytes()
 
 
-def test_replay_without_truth_exits_2(hover_dir, tmp_path, capsys):
+def test_replay_without_truth_exits_2(hover_copy, tmp_path, capsys):
     """replay scores against truth.csv; without it, an error line names the
     file and the exit status is 2.  So does estimate without a channel its
     route reads."""
     est = tmp_path / "est.csv"
-    assert main(["estimate", str(hover_dir), "--out", str(est)]) == 0
-    (hover_dir / "truth.csv").unlink()
+    assert main(["estimate", str(hover_copy), "--out", str(est)]) == 0
+    (hover_copy / "truth.csv").unlink()
     capsys.readouterr()
-    assert main(["replay", str(hover_dir), str(est)]) == 2
+    assert main(["replay", str(hover_copy), str(est)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "truth.csv" in err
-    (hover_dir / "odometry.csv").unlink()
-    assert main(["estimate", str(hover_dir), "--out", str(est)]) == 2
+    (hover_copy / "odometry.csv").unlink()
+    assert main(["estimate", str(hover_copy), "--out", str(est)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "odometry.csv" in err
 

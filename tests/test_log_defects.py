@@ -187,8 +187,8 @@ def test_measurement_dropout_under_commands_draws_every_stretch(
     monkeypatch, hover_log, weights, route
 ):
     """Odometry and whisker rows drop out for 0.35 s while throttle rows
-    keep coming: the predict at the next measurement carries every
-    command since the last one, drawing sigma points at most
+    keep coming: the predict at the next measurement flies the mean of
+    every command since the last one, drawing sigma points at most
     ukf.MAX_PREDICT_DT apart (4 draws over the 0.36 s interval), and the
     replay stays finite and causal: cut inside or after the dropout, it
     writes the full replay's rows bit for bit."""

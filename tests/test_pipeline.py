@@ -295,45 +295,36 @@ def test_owner_refusal_names_its_key_after_one_rebuild_per_owner():
             config_from_dict({**d, key: value})
 
 
-def shared_time_log(hover_clean):
+def shared_time_log(hover_clean, throttle_ks=range(5)):
     """Throttle, odometry and whisker rows on shared (dyadic) timestamps,
-    t = k / 64: throttle at k = 0..4 with f_cmd 10 + k and a NaN at k = 2,
-    odometry at k = 0..5 with a NaN at k = 3, whisker at k = 1, 2 and 5."""
+    t = k / 64: throttle at throttle_ks with f_cmd 10 + k and a NaN at
+    k = 2, odometry at k = 0..5 with a NaN at k = 3, whisker at k = 1, 2
+    and 5."""
     src, _ = hover_clean
     out = logio.FlightLog()
-    for name, ks in (("throttle", range(5)), ("odometry", range(6)), ("whisker", (1, 2, 5))):
+    for name, ks in (("throttle", throttle_ks), ("odometry", range(6)), ("whisker", (1, 2, 5))):
         ch = src[name]
         data = ch.data[: len(ks)].copy()
         if name == "throttle":
             data[:, ch.columns.index("f_cmd")] = [10.0 + k for k in ks]
-            data[2, 0] = np.nan
+            data[list(ks).index(2), 0] = np.nan
         if name == "odometry":
             data[3, 0] = np.nan
         out.add(name, [k / 64 for k in ks], data, list(ch.columns))
     return out
 
 
-def test_rows_at_equal_t_are_taken_throttle_odometry_whisker(monkeypatch, hover_clean):
-    """The replay's event order on its own, recorded at the ukf calls: at
-    equal t a throttle row first closes the command segment of the wrench
-    before it, then the odometry row predicts and updates, then the
-    whisker row.  Each predict carries the segments (thrust, dt) since the
-    last measurement, each with the wrench of the last throttle row before
-    it (the throttle row at the first odometry row's t included), and the
-    non-finite throttle and odometry rows are left out."""
+def recorded_calls(monkeypatch, log, cfg):
+    """The ukf calls of a replay of log, in order: ("predict", t, thrust,
+    dt) with the time the belief is predicted to and the command it
+    flies, ("odometry", t) and ("whisker", t) with the belief's time."""
     from windest import ukf
 
     calls = []
-    wrench = pipeline.WrenchInput
 
-    def record_wrench(thrust, torque):
-        calls.append(("throttle", thrust))
-        return wrench(thrust, torque)
-
-    def predict(belief, segments, noise, params):
-        t = belief.t + sum(dt for _, dt in segments)
-        calls.append(("predict", t, [(u.thrust, dt) for u, dt in segments]))
-        return replace(belief, t=t)
+    def predict(belief, u, dt, noise, params):
+        calls.append(("predict", belief.t + dt, u.thrust, dt))
+        return replace(belief, t=belief.t + dt)
 
     def update(kind):
         def record(belief, *args, **kwargs):
@@ -342,23 +333,37 @@ def test_rows_at_equal_t_are_taken_throttle_odometry_whisker(monkeypatch, hover_
 
         return record
 
-    monkeypatch.setattr(pipeline, "WrenchInput", record_wrench)
-    monkeypatch.setattr(ukf, "predict", predict)
-    monkeypatch.setattr(ukf, "update_odometry", update("odometry"))
-    monkeypatch.setattr(ukf, "update_airflow", update("whisker"))
+    with monkeypatch.context() as m:
+        m.setattr(ukf, "predict", predict)
+        m.setattr(ukf, "update_odometry", update("odometry"))
+        m.setattr(ukf, "update_airflow", update("whisker"))
+        t, table = run_estimate(log, cfg)
+    assert table.shape == (t.shape[0], len(ESTIMATE_COLUMNS))
+    return t, calls
+
+
+def test_rows_at_equal_t_are_taken_throttle_odometry_whisker(monkeypatch, hover_clean):
+    """The replay's event order on its own, recorded at the ukf calls: at
+    equal t the odometry row predicts and updates, then the whisker row.
+    Each predict flies the mean command over the interval since the last
+    measurement: a throttle row holds its f_cmd from its own t, so one at
+    a measurement's t first counts in the interval after it, and the
+    non-finite throttle and odometry rows are left out.  Before the
+    first throttle row the command is the hover wrench."""
     cfg = EstimatorConfig()
-    t, table = run_estimate(shared_time_log(hover_clean), cfg)
-    hover = cfg.vehicle.mass * cfg.vehicle.gravity
     d = 1 / 64
+    t, calls = recorded_calls(monkeypatch, shared_time_log(hover_clean), cfg)
     assert calls == [
-        ("throttle", hover),  # the wrench before any throttle row
-        # k = 0: the throttle row sets the wrench; the odometry row makes the belief
-        ("throttle", 10.0),
-        ("throttle", 11.0), ("predict", d, [(10.0, d)]), ("odometry", d), ("whisker", d),
-        ("predict", 2 * d, [(11.0, d)]), ("odometry", 2 * d), ("whisker", 2 * d),
-        # k = 3: no measurement, so the throttle row only closes a segment
-        ("throttle", 13.0),
-        ("throttle", 14.0), ("predict", 4 * d, [(11.0, d), (13.0, d)]), ("odometry", 4 * d),
-        ("predict", 5 * d, [(14.0, d)]), ("odometry", 5 * d), ("whisker", 5 * d),
+        # k = 0: the odometry row makes the belief
+        ("predict", d, 10.0, d), ("odometry", d), ("whisker", d),
+        ("predict", 2 * d, 11.0, d), ("odometry", 2 * d), ("whisker", 2 * d),
+        # k = 4: no measurement at k = 3, so one interval flies 11 over one
+        # tick and 13 over one (the NaN row at k = 2 holds no command)
+        ("predict", 4 * d, 12.0, 2 * d), ("odometry", 4 * d),
+        ("predict", 5 * d, 14.0, d), ("odometry", 5 * d), ("whisker", 5 * d),
     ]
-    assert t.tolist() == [d, 2 * d, 5 * d] and table.shape == (3, len(ESTIMATE_COLUMNS))
+    assert t.tolist() == [d, 2 * d, 5 * d]
+    # throttle from k = 1: the first interval flies the hover wrench
+    _, calls = recorded_calls(monkeypatch, shared_time_log(hover_clean, range(1, 5)), cfg)
+    assert calls[0] == ("predict", d, cfg.vehicle.mass * cfg.vehicle.gravity, d)
+    assert calls[3] == ("predict", 2 * d, 11.0, d)

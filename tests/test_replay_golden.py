@@ -19,25 +19,16 @@ model_flight and hover_flight simulate:
                                flight with its imu channel cut to
                                [2.0, 9.0] s
 
-A change that alters the simulator's output for these seeds must
-regenerate them from the replay as it was before the change.  The last
-regeneration followed the replay's move to one sigma draw per
-measurement interval (throttle rows queue their command; the first
-predict flies the last command before the first odometry row, not the
-hover wrench), with all ten acceptance criteria passing: the tables
-moved by at most 2.8e-2 (model, touch_x at touchdown, t = 8.0 s; median
-|change| 1.4e-4), 3.2e-3 (gated, whose rejection counts did not move),
-6.2e-4 (LSTM) and 2.5e-2 (LSTM, imu trimmed); the first-command change
-alone moves them by at most 5.4e-12.  The one before followed the
-simulator's move to one RK4 step per 2 ms control tick, with the replay
-unchanged: the tables moved by at most 4.2e-11 (model), 4.1e-11
-(gated), 5.6e-12 (LSTM) and 4.8e-12 (LSTM, imu trimmed).  Before that,
-they were written by the replay as it stood
-before its hot path was rewritten with explicit geometry kernels and
-columns read once per replay (the gated table by the replay whose
-measurement updates formed the innovation covariance inline, the
-trimmed one by the replay that matched pseudo measurements to whisker
-ticks by timestamp).
+A change that alters the simulator's output for these seeds
+regenerates them from the replay as it stood before the change; a
+change that moves the replay's estimates beyond TOL on purpose
+regenerates them after it, with all ten acceptance criteria passing.
+The tables were last written by the replay that took one Euler step per
+predict stretch with the stretch's time-weighted mean command; the
+replay that flies each measurement interval's mean command, formed from
+the command's running integral, matches them within 6.8e-12 (model
+5.5e-12, gated 5.4e-12, LSTM 6.8e-12, LSTM imu-trimmed 4.5e-12).
+Earlier regenerations are described in CHANGES.md.
 """
 
 import cProfile
@@ -52,8 +43,8 @@ from windest.logio import Channel, FlightLog
 DATA = os.path.join(os.path.dirname(__file__), "data")
 TOL = 1e-9
 # Python-level calls per event of the golden model-route replay, profiled
-# after one warm-up replay (51.602-51.603 when it was set)
-CALLS_PER_EVENT = 51.7
+# after one warm-up replay (49.608-49.609 when it was set)
+CALLS_PER_EVENT = 49.7
 
 
 def model_flight():
@@ -262,9 +253,9 @@ def record_sigma_draws(monkeypatch):
         rec["draws"] += 1
         return draw(mean, cov)
 
-    def recording_predict(belief, segments, noise, params):
+    def recording_predict(belief, u, dt, noise, params):
         before = rec["draws"]
-        out = predict(belief, segments, noise, params)
+        out = predict(belief, u, dt, noise, params)
         k = rec["draws"] - before
         rec["predicts"] += 1
         rec["times"] += [belief.t + j * (out.t - belief.t) / k for j in range(k)]
@@ -304,8 +295,8 @@ def test_python_calls_per_event_do_not_grow(model_log):
     """The replay's cost is mostly the fixed cost of each Python and numpy
     call on small arrays, so the calls it makes per event (the call
     counts of every code object cProfile saw over the golden model-route
-    replay, summed and divided by the throttle, odometry and whisker
-    rows it replays) must not grow.
+    replay, summed and divided by the log's throttle, odometry and
+    whisker rows) must not grow.
 
     To add calls anyway, raise CALLS_PER_EVENT to just above the new
     count and say in the change's description what the calls buy and
@@ -315,45 +306,19 @@ def test_python_calls_per_event_do_not_grow(model_log):
 
     The replay is profiled after one unprofiled warm-up replay of the
     same log, so first-call work in the process (imports, caches) is not
-    counted and the count does not depend on what ran before.  The
-    ceiling was set from three contexts: 51.602 calls per event in a
-    fresh process running this test alone, 51.603 after the replays of
-    tests/test_log_defects.py, and 51.603 in the tier-1 session, once
-    predict took one Euler step per stretch with the commands'
-    time-weighted mean.  Before that it was 54.8, set from 54.743 in a
-    fresh process, 54.744 after tests/test_log_defects.py and 54.744 in
-    the tier-1 session, once the replay drew sigma points once per
-    measurement interval (65.317 before, on the commit before that
-    change).  The counts before it
-    were pstats' total_calls, which merges the code objects that share
-    a (file, line, name) key and keeps one of them: the generated
-    __init__ of the WrenchInput, OdometryMeasurement and BeliefState
-    dataclasses are all <string>:2, so which one it counted followed the
-    profiler's table order (53.459 in a fresh script and 53.745 in the
-    test session on the same code, 1.284 below the full count).  By
-    that count the ceiling was 64.1, set from 64.033 calls per event in
-    a fresh process running this test alone, 64.034 after the replays of
-    tests/test_log_defects.py, and 64.034 in the tier-1 session, once
-    the replay's events became one lexsorted table on Python floats, its
-    per-event lookups were hoisted and the one-quaternion attitude paths
-    went onto Python floats (63.462-63.463 before predict's new
-    reference, normalized inline, went through quat_normalize_rows'
-    float path).  Before that it was 66.25, set from 66.174
-    (66.176 without the warm-up) in a fresh process, 66.180 (66.186)
-    after tests/test_log_defects.py and 66.180 (66.180) in the tier-1
-    session.  Before the warm-up it was 67, from 65.89 in a fresh process, 66.17 in
-    the test session and 66.60 after other replays (measured before the
-    simulator's move to the 2 ms control tick); 68.17 and 67.45 before
-    the predict step's quaternion integration became one block form and
-    its attitudes and drag lost their normalization and np.where; 72.16
-    when the previous ceiling was set, 74.44 before
-    quat_normalize_rows' zero check left ndarray.any's Python wrapper
-    and quat_from_mrp got its block path, 82.96 before the
-    whisker updates moved onto the sigma block, 90.4 before the predict
-    step became one pass over it) with numpy 2.4.6 and Python 3.11.7.  cProfile also counts the Python-level and builtin
-    frames inside numpy, so an upgrade of either can move the count
-    with no change to this code: re-measure it then on the parent
-    commit and on the change, and reset the ceiling from the parent's.
+    counted and the count does not depend on what ran before.  The count
+    is the sum over code objects, not pstats' total_calls, which merges
+    the code objects that share a (file, line, name) key (the generated
+    __init__ of the dataclasses are all <string>:2).  The ceiling was set
+    from three contexts, once predict took one mean command per
+    measurement interval: 49.608 calls per event in a fresh process
+    running this test alone, 49.609 after the replays of
+    tests/test_log_defects.py and 49.609 in the tier-1 session, with
+    numpy 2.4.6 and Python 3.11.7.  cProfile also counts the
+    Python-level and builtin frames inside numpy, so an upgrade of either
+    can move the count with no change to this code: re-measure it then
+    on the parent commit and on the change, and reset the ceiling from
+    the parent's.
     """
     events = sum(model_log[name].t.shape[0] for name in ("throttle", "odometry", "whisker"))
     pipeline.run_estimate(model_log, pipeline.EstimatorConfig(), "model")  # warm-up

@@ -86,8 +86,8 @@ def test_predict_dt_validation():
     b = hover_belief()
     params = VehicleParams()
     with pytest.raises(ValueError):
-        predict(b, [(hover_wrench(), -0.01)], zero_noise(), params)
-    out = predict(b, [(hover_wrench(), 0.0)], zero_noise(), params)
+        predict(b, hover_wrench(), -0.01, zero_noise(), params)
+    out = predict(b, hover_wrench(), 0.0, zero_noise(), params)
     assert np.array_equal(out.mean, b.mean)
     assert out is b
 
@@ -97,10 +97,10 @@ def test_predict_splits_a_long_gap_into_equal_steps():
     b.mean[IDX_V] = (0.4, -0.2, 0.1)
     u = WrenchInput(14.0, np.array([0.002, -0.001, 0.0005]))
     noise, params = ProcessNoise(), VehicleParams()
-    out = predict(b, [(u, 0.25)], noise, params)
+    out = predict(b, u, 0.25, noise, params)
     ref = b
     for _ in range(3):
-        ref = predict(ref, [(u, 0.25 / 3)], noise, params)
+        ref = predict(ref, u, 0.25 / 3, noise, params)
     assert np.array_equal(out.q_ref, ref.q_ref)
     assert np.array_equal(out.mean, ref.mean)
     assert np.array_equal(out.cov, ref.cov)
@@ -111,7 +111,7 @@ def test_predict_hover_fixed_point():
     # equilibrium mean with zero covariance and zero process noise is a
     # fixed point of the prediction
     b = hover_belief(cov=np.zeros((STATE_DIM, STATE_DIM)))
-    out = predict(b, [(hover_wrench(), 0.02)], zero_noise(), VehicleParams())
+    out = predict(b, hover_wrench(), 0.02, zero_noise(), VehicleParams())
     assert np.allclose(out.mean, b.mean, atol=1e-9)
     assert np.allclose(out.cov, b.cov, atol=1e-9)
     assert np.allclose(out.q_ref, Q_ID, atol=1e-12)
@@ -122,14 +122,15 @@ def test_predict_wind_noise_grows_wind_block_only():
     b = hover_belief(cov=np.zeros((STATE_DIM, STATE_DIM)))
     noise = replace(zero_noise(), wind=0.5)
     dt = 0.02
-    out = predict(b, [(hover_wrench(), dt)], noise, VehicleParams())
+    out = predict(b, hover_wrench(), dt, noise, VehicleParams())
     expected = np.zeros((STATE_DIM, STATE_DIM))
     expected[IDX_WIND, IDX_WIND] = 0.5 * dt * np.eye(3)
     assert np.allclose(out.cov, expected, atol=1e-10)
 
 
 def assert_predict_matches_monte_carlo_mean(segments):
-    """The mean of a predict over segments lies within 3 sigma / sqrt(n) of
+    """The mean of a predict of the segments' (wrench, dt) time-weighted
+    mean command over their total length lies within 3 sigma / sqrt(n) of
     the mean of n samples, each pushed through one Euler step per segment
     with its wrench."""
     rng = np.random.default_rng(7)
@@ -151,7 +152,10 @@ def assert_predict_matches_monte_carlo_mean(segments):
     cov = np.diag(d)
     belief = BeliefState(q_ref, mean, cov)
 
-    out = predict(belief, segments, zero_noise(), params)
+    dt = sum(h for _, h in segments)
+    u = WrenchInput(sum(u.thrust * h for u, h in segments) / dt,
+                    sum(u.torque * h for u, h in segments) / dt)
+    out = predict(belief, u, dt, zero_noise(), params)
 
     n = 100_000
     x = rng.multivariate_normal(mean, cov, size=n)
@@ -174,9 +178,9 @@ def test_predict_matches_monte_carlo_mean():
 
 
 def test_two_segment_predict_matches_monte_carlo_mean():
-    """One sigma draw carried through two commands: the second segment's
-    wrench (2.5 N more thrust, another torque) moves the velocity by
-    about 30 times the bound."""
+    """One sigma draw carried through the mean of two commands: the
+    second segment's wrench (2.5 N more thrust, another torque) moves
+    the velocity by about 30 times the bound."""
     assert_predict_matches_monte_carlo_mean([
         (WrenchInput(13.0, np.array([0.001, -0.002, 0.0005])), 0.012),
         (WrenchInput(15.5, np.array([-0.002, 0.001, 0.001])), 0.008),
@@ -259,35 +263,11 @@ def test_predict_matches_reference_predict():
             inertia[1, 2] = inertia[2, 1] = rng.uniform(-1e-3, 1e-3)
         params = VehicleParams(mass=float(rng.uniform(1.0, 2.0)), inertia=inertia)
         dt = (0.005, 0.0317, 0.35)[i % 3]
-        got = predict(belief, [(u, dt)], noise, params)
+        got = predict(belief, u, dt, noise, params)
         ref = ref_predict(belief, u, dt, noise, params)
         for a, b in ((got.q_ref, ref.q_ref), (got.mean, ref.mean), (got.cov, ref.cov)):
             assert np.max(np.abs(a - b)) <= PREDICT_REL_TOL * np.max(np.abs(b))
         assert got.t == ref.t
-
-
-def test_two_command_stretch_is_the_predict_of_their_weighted_mean():
-    """A stretch over two commands takes one Euler step driven by their
-    time-weighted mean: within PREDICT_REL_TOL of a one-command predict
-    of that mean over the same interval."""
-    rng = np.random.default_rng(62)
-    params, noise = VehicleParams(), ProcessNoise()
-    A = rng.normal(0.0, 0.1, (STATE_DIM, STATE_DIM))
-    mean = rng.normal(0.0, 1.0, STATE_DIM)
-    mean[IDX_A] *= 0.05
-    belief = BeliefState(np.array(geometry.quat_normalize_rows(rng.normal(size=4))), mean,
-                         A @ A.T + 1e-4 * np.eye(STATE_DIM))
-    u1 = WrenchInput(13.0, np.array([0.001, -0.002, 0.0005]))
-    u2 = WrenchInput(15.5, np.array([-0.002, 0.001, 0.001]))
-    got = predict(belief, [(u1, 0.006), (u2, 0.004)], noise, params)
-    u_mean = WrenchInput(0.6 * u1.thrust + 0.4 * u2.thrust, 0.6 * u1.torque + 0.4 * u2.torque)
-    ref = predict(belief, [(u_mean, 0.01)], noise, params)
-    for a, b in ((got.q_ref, ref.q_ref), (got.mean, ref.mean), (got.cov, ref.cov)):
-        assert np.max(np.abs(a - b)) <= PREDICT_REL_TOL * np.max(np.abs(b))
-    assert got.t == ref.t
-    # the second command moves the velocity: the mean is not the first's
-    first = predict(belief, [(u1, 0.01)], noise, params)
-    assert np.max(np.abs(got.mean[IDX_V] - first.mean[IDX_V])) > 1e-4
 
 
 def test_chained_predicts_keep_unit_attitudes():
@@ -309,7 +289,7 @@ def test_chained_predicts_keep_unit_attitudes():
     noise = ProcessNoise()
     ref_err = att_err = 0.0
     for _ in range(10_000):
-        b = predict(b, [(u, 0.005)], noise, params)
+        b = predict(b, u, 0.005, noise, params)
         ref_err = max(ref_err, abs(np.sqrt(b.q_ref @ b.q_ref) - 1.0))
         q = ukf._attitudes(b.q_ref, geometry.sigma_points(b.mean, b.cov))
         att_err = max(att_err, np.max(np.abs(np.sqrt(np.add.reduce(q * q)) - 1.0)))
@@ -806,7 +786,7 @@ def test_randomized_steps_stay_numerically_sound():
     b = hover_belief()
     for k in range(600):
         u = WrenchInput(rng.uniform(0.0, 20.0), rng.uniform(-0.05, 0.05, 3))
-        b = predict(b, [(u, rng.uniform(0.002, 0.02))], noise, params)
+        b = predict(b, u, rng.uniform(0.002, 0.02), noise, params)
         _assert_healthy(b)
         if k % 3 == 0:
             q = quat_multiply_rows(quat_from_axis_angle(rng.normal(0.0, 0.01, 3)), b.attitude())
@@ -881,7 +861,7 @@ def test_nees_consistency_band():
         x[IDX_A] = 0.0
         b = BeliefState(Q_ID.copy(), mean0.copy(), P0.copy())
         for k in range(steps):
-            b = predict(b, [(u, dt)], noise, params)
+            b = predict(b, u, dt, noise, params)
             y = np.empty((STATE_DIM, 1))
             q2 = vehicle.euler_step_arrays(x[:, None], q_true[:, None], wrench, params, dt, y)
             x[IDX_P], x[IDX_V], x[IDX_W] = y[IDX_P, 0], y[IDX_V, 0], y[IDX_W, 0]
