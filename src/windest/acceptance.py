@@ -270,10 +270,10 @@ def criterion_6(art: Artifacts):
     worst_eig = 0.0
     steps = 10_000
     for k in range(steps):
-        u = vehicle.WrenchInput(rng.uniform(0.0, 20.0), rng.uniform(-0.05, 0.05, 3))
+        u = np.concatenate(([rng.uniform(0.0, 20.0)], rng.uniform(-0.05, 0.05, 3)))
         belief = ukf.predict(belief, u, rng.uniform(0.002, 0.02), noise, params)
         if k % 3 == 0:
-            z = ukf.OdometryMeasurement(
+            z = np.concatenate((
                 belief.mean[0:3] + rng.normal(0.0, 0.05, 3),
                 geometry.quat_normalize_rows(
                     geometry.quat_multiply_rows(
@@ -283,14 +283,13 @@ def criterion_6(art: Artifacts):
                 ),
                 belief.mean[6:9] + rng.normal(0.0, 0.05, 3),
                 belief.mean[9:12] + rng.normal(0.0, 0.02, 3),
-                odo_cov,
-            )
-            belief, _ = ukf.update_odometry(belief, z)
+            ))
+            belief, _ = ukf.update_odometry(belief, z, odo_cov)
         if k % 5 == 0:
             theta = rng.uniform(-0.2, 0.2, (len(rig), 2))
             if k % 20 == 0:
                 theta[rng.integers(0, len(rig))] = np.nan
-            belief, _ = ukf.update_airflow(belief, theta, 0.005, rig)
+            belief, _ = ukf.update_airflow(belief, theta, 0.005**2, rig)
         if k % 7 == 0:
             belief, _ = ukf.update_pseudo_airflow(belief, rng.uniform(-4.0, 4.0, 3), 0.05**2)
         asym = float(np.abs(belief.cov - belief.cov.T).max())

@@ -51,13 +51,26 @@ class Channel:
         self._index = {c: i for i, c in enumerate(self.columns)}
 
     def col(self, *names):
-        """One or more named columns as an (n,) or (n, len(names)) array."""
-        if len(names) == 1:
-            return self.data[:, self._index[names[0]]]
-        return self.data[:, [self._index[n] for n in names]]
+        """One or more named columns as an (n,) or (n, len(names)) array.
+        A name the channel lacks raises LogFormatError (_missing)."""
+        try:
+            if len(names) == 1:
+                return self.data[:, self._index[names[0]]]
+            return self.data[:, [self._index[n] for n in names]]
+        except KeyError as exc:
+            raise self._missing(exc.args[0]) from None
 
     def cols(self, prefix, count):
-        return self.data[:, [self._index[f"{prefix}{i}"] for i in range(count)]]
+        try:
+            return self.data[:, [self._index[f"{prefix}{i}"] for i in range(count)]]
+        except KeyError as exc:
+            raise self._missing(exc.args[0]) from None
+
+    def _missing(self, name):
+        """The error for a column the channel's file does not have."""
+        return LogFormatError(
+            f"{self.name}.csv: no column {name!r}; it has {', '.join(self.columns)}"
+        )
 
 
 @dataclass

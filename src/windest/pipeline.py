@@ -23,7 +23,7 @@ import numpy as np
 from . import lstm as lstm_mod
 from . import geometry, logio, sim, ukf
 from .logio import DriverConfig, FlightLog, WhiskerDriver
-from .vehicle import VehicleParams, WrenchInput, drag_force
+from .vehicle import VehicleParams, drag_force
 from .whisker import SensorMount, WhiskerRig, body_airflow, default_rig
 
 TRAINING_SKIP_S = 1.0  # s dropped from the start of each training block
@@ -304,13 +304,12 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
         # the resampled clock is a contiguous run of whisker ticks from k0
         k0 = int(np.searchsorted(t_whisk, t_pseudo[0]))
     process, vehicle, gate, rig = cfg.process, cfg.vehicle, cfg.gate, cfg.rig
-    # columns read once, so each event costs the same however long the log
-    odo_p = odo_ch.col("px", "py", "pz")
-    # unit quaternions, normalized once (a non-finite row stays out of
-    # the events and its NaN passes the zero check)
-    odo_q = geometry.quat_normalize_rows(odo_ch.col("qw", "qx", "qy", "qz").T).T.copy()
-    odo_v = odo_ch.col("vx", "vy", "vz")
-    odo_w = odo_ch.col("wx", "wy", "wz")
+    # the odometry rows [p, q, v, w] gathered once (a copy), so each event
+    # costs the same however long the log; the quaternions normalized in
+    # place (a non-finite row stays out of the events and its NaN passes
+    # the zero check)
+    odo = odo_ch.col(*sim.ODO_COLUMNS)
+    odo[:, 3:7] = geometry.quat_normalize_rows(odo[:, 3:7].T).T
 
     # the command [f_cmd, tau] held from each knot: the hover wrench from
     # the first finite throttle row's t (it reaches back before it), then
@@ -339,41 +338,33 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
     ev_integral = cmd[j]
     ev_integral *= (ev_t - knot_t[j])[:, None]
     ev_integral += knot_integral[j]
-    # Python floats and ints: each dt, step and belief.t downstream is a
-    # float with the same bits as the np.float64 it replaces
+    # Python floats and ints: each dt and step downstream is a float with
+    # the same bits as the np.float64 it replaces
     events = zip(ev_t.tolist(), ev_kind[order].tolist(), ev_k[order].tolist(), ev_integral)
 
     # looked up per replay, not per event (and not at import: the tracer
     # and the tests replace these module attributes)
     predict, update_odometry, output = ukf.predict, ukf.update_odometry, ukf.output
     update_airflow, update_pseudo_airflow = ukf.update_airflow, ukf.update_pseudo_airflow
-    r_whisker, r_pseudo = cfg.meas.whisker, cfg.meas.pseudo**2
+    r_whisker, r_pseudo = cfg.meas.whisker**2, cfg.meas.pseudo**2
     odo_cov = cfg.meas.odometry_cov()
     belief = None
     out_t = np.empty(t_whisk.shape[0])
     table = np.empty((t_whisk.shape[0], len(logio.ESTIMATE_COLUMNS)))
     n = 0
-
-    def odometry(k):
-        return ukf.OdometryMeasurement(odo_p[k], odo_q[k], odo_v[k], odo_w[k], odo_cov)
-
     for t, kind, k, integral in events:
         if belief is None:
             if kind == 0:
-                z = odometry(k)
-                belief = ukf.init_belief(
-                    t, z, sigma_touch=cfg.init_sigma_touch, sigma_wind=cfg.init_sigma_wind
-                )
+                belief = ukf.init_belief(odo[k], odo_cov, cfg.init_sigma_touch, cfg.init_sigma_wind)
                 # the time and command integral the belief was last predicted to
                 held_t, held_integral = t, integral
             continue
         dt = t - held_t
         if dt > 1e-12:
-            u = (integral - held_integral) / dt
-            belief = predict(belief, WrenchInput(u[0], u[1:]), dt, process, vehicle)
+            belief = predict(belief, (integral - held_integral) / dt, dt, process, vehicle)
             held_t, held_integral = t, integral
         if kind == 0:
-            belief, _ = update_odometry(belief, odometry(k), gate=gate)
+            belief, _ = update_odometry(belief, odo[k], odo_cov, gate=gate)
         else:
             if source == "model":
                 belief, _ = update_airflow(belief, theta[k], r_whisker, rig, gate=gate)

@@ -25,11 +25,17 @@ MAX_PREDICT_DT and carries them through one Euler step of the
 stretch's length, so the draw, the step, the attitude conversions and
 the statistics are paid once per interval.
 
+The filter takes the replay's arrays as they are: an odometry row z in
+sim.ODO_COLUMNS order, [p, q, v, omega] with q a unit quaternion, shape
+(13,), with its (12, 12) covariance R ordered [p, attitude error, v,
+omega]; a command u = [f_cmd, tau_x, tau_y, tau_z], shape (4,).  A
+belief holds no time: its caller keeps the time it was predicted to.
+
 Belief contract: a BeliefState's q_ref is a unit quaternion when the
-belief is made (every producer hands over a unit one: the odometry
-measurement, predict and compose_mrp), and no belief is mutated after a
-function here returns it.  So nothing re-normalizes or copies a belief
-between events, and a step that changes nothing returns its input.
+belief is made (every producer hands over a unit one: the odometry row,
+predict and compose_mrp), and no belief is mutated after a function
+here returns it.  So nothing re-normalizes or copies a belief between
+events, and a step that changes nothing returns its input.
 """
 
 from __future__ import annotations
@@ -62,7 +68,6 @@ class BeliefState:
     q_ref: np.ndarray
     mean: np.ndarray
     cov: np.ndarray
-    t: float = 0.0
 
     def attitude(self):
         """Full attitude estimate (reference composed with the error mean),
@@ -96,39 +101,19 @@ class ProcessNoise:
         return d
 
 
-@dataclass
-class OdometryMeasurement:
-    """Pose/twist measurement: position, attitude (a unit quaternion: the
-    replay normalizes its odometry column once), velocity, body rates."""
-
-    p: np.ndarray
-    q: np.ndarray
-    v: np.ndarray
-    omega: np.ndarray
-    cov: np.ndarray  # (12, 12), ordered [p, attitude error, v, omega]
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        self.q = np.asarray(self.q, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        self.omega = np.asarray(self.omega, dtype=float)
-        self.cov = np.asarray(self.cov, dtype=float)
-        if self.cov.shape != (12, 12):
-            raise ValueError("odometry covariance must be 12x12")
-
-
-def init_belief(t, odo: OdometryMeasurement, sigma_touch, sigma_wind):
-    """Belief anchored at the first odometry sample, disturbances at zero
-    with standard deviations sigma_touch (N) and sigma_wind (m/s)."""
+def init_belief(z, R, sigma_touch, sigma_wind):
+    """Belief anchored at the first odometry row z (its covariance R the
+    first 12 states'), disturbances at zero with standard deviations
+    sigma_touch (N) and sigma_wind (m/s)."""
     mean = np.zeros(STATE_DIM)
-    mean[IDX_P] = odo.p
-    mean[IDX_V] = odo.v
-    mean[IDX_W] = odo.omega
+    mean[IDX_P] = z[0:3]
+    mean[IDX_V] = z[7:10]
+    mean[IDX_W] = z[10:13]
     p0 = np.zeros((STATE_DIM, STATE_DIM))
-    p0[0:12, 0:12] = odo.cov
+    p0[0:12, 0:12] = R
     p0[IDX_F, IDX_F] = sigma_touch**2 * np.eye(3)
     p0[IDX_WIND, IDX_WIND] = sigma_wind**2 * np.eye(3)
-    return BeliefState(odo.q, mean, p0, t=float(t))
+    return BeliefState(z[3:7].copy(), mean, p0)
 
 
 def _attitudes(q_ref, x):
@@ -139,18 +124,12 @@ def _attitudes(q_ref, x):
     return geometry.quat_right_matrix(q_ref) @ quat_from_mrp(x[IDX_A])
 
 
-def predict(
-    belief: BeliefState,
-    u: vehicle.WrenchInput,
-    dt,
-    noise: ProcessNoise,
-    params: vehicle.VehicleParams,
-):
+def predict(belief: BeliefState, u, dt, noise: ProcessNoise, params: vehicle.VehicleParams):
     """Process update over dt seconds of the command u.
 
-    u is the commanded vehicle.WrenchInput held over the interval (the
-    replay hands over the time-weighted mean of the commands between two
-    measurements).  dt is split into equal stretches no longer than
+    u is the command [f_cmd, tau_x, tau_y, tau_z] held over the interval
+    (the replay hands over the time-weighted mean of the commands between
+    two measurements).  dt is split into equal stretches no longer than
     MAX_PREDICT_DT, so a gap in the log costs several stretches, not
     accuracy.  Each stretch draws its sigma points once and carries them
     through one explicit-Euler step of the stretch's length (the filter
@@ -193,7 +172,7 @@ def predict(
         x[IDX_A] = mrp_from_quat(geometry.quat_right_matrix(q_ref).T @ q)
         mean, cov = geometry.reconstruct(x)
         cov.reshape(-1)[:: STATE_DIM + 1] += noise_diag  # a view: cov is C-ordered
-        belief = BeliefState(q_ref, mean, cov, belief.t + h)
+        belief = BeliefState(q_ref, mean, cov)
     return belief
 
 
@@ -258,11 +237,12 @@ def _posterior(belief: BeliefState, mean, cov):
     if e @ e > 0.0:
         q_ref = compose_mrp(q_ref.tolist(), e.tolist())
         mean[IDX_A] = 0.0
-    return BeliefState(q_ref, mean, 0.5 * (cov + cov.T), belief.t)
+    return BeliefState(q_ref, mean, 0.5 * (cov + cov.T))
 
 
-def update_odometry(belief: BeliefState, z: OdometryMeasurement, gate=False):
-    """Fuse a pose/twist measurement (linear in the error state).
+def update_odometry(belief: BeliefState, z, R, gate=False):
+    """Fuse an odometry row z, [p, q, v, omega] with q a unit quaternion,
+    whose covariance is R (linear in the error state).
 
     The attitude part is converted to error parameters about the current
     reference (mrp_error on Python floats).  The measurement matrix is
@@ -271,16 +251,15 @@ def update_odometry(belief: BeliefState, z: OdometryMeasurement, gate=False):
     AP = P - K P[:12] and AP - AP[:, :12] K^T + K R K^T, with no 18x18
     identity and no 18x18x18 product.  Returns (belief, accepted).
     """
-    e = mrp_error(z.q.tolist(), belief.q_ref.tolist())
-    z_vec = np.concatenate([z.p, e, z.v, z.omega])
-    innov = z_vec - belief.mean[0:12]
+    e = mrp_error(z[3:7].tolist(), belief.q_ref.tolist())
+    innov = np.concatenate((z[0:3], e, z[7:13])) - belief.mean[0:12]
     P = belief.cov
-    S = P[0:12, 0:12] + z.cov
+    S = P[0:12, 0:12] + R
     if gate and not gate_accepts(innov, S):
         return belief, False
     K = np.linalg.solve(S.T, P[:, 0:12].T).T  # P H^T S^-1
     AP = P - K @ P[0:12]  # (I - K H) P
-    cov = AP - AP[:, 0:12] @ K.T + K @ z.cov @ K.T
+    cov = AP - AP[:, 0:12] @ K.T + K @ R @ K.T
     return _posterior(belief, belief.mean + K @ innov, cov), True
 
 
@@ -297,11 +276,11 @@ def _ut_update(belief, z, r_var, h, gate):
     return _posterior(belief, belief.mean + K @ innov, belief.cov - K @ S @ K.T), True
 
 
-def update_airflow(belief: BeliefState, theta, r_sigma, rig: whisker.WhiskerRig, gate=False):
+def update_airflow(belief: BeliefState, theta, r_var, rig: whisker.WhiskerRig, gate=False):
     """Fuse whisker deflection angles, shape (n_sensors, 2).
 
     Rows with any non-finite entry are dropped (sensor invalid this
-    tick).  r_sigma is the noise standard deviation of every angle.
+    tick).  r_var is the noise variance of every angle.
     Returns (belief, accepted).
     """
     theta = np.asarray(theta, dtype=float)
@@ -317,7 +296,7 @@ def update_airflow(belief: BeliefState, theta, r_sigma, rig: whisker.WhiskerRig,
         )
         return pred.reshape(-1, x.shape[1])
 
-    return _ut_update(belief, theta[valid].ravel(), r_sigma**2, h, gate)
+    return _ut_update(belief, theta[valid].ravel(), r_var, h, gate)
 
 
 def update_pseudo_airflow(belief: BeliefState, v_inf_body, r_var, gate=False):

@@ -26,7 +26,8 @@ place.  Position takes the step's second-order term (exact under
 constant acceleration), which matters when one step spans a whole
 measurement interval.  The commanded wrench's terms come from
 ``wrench_terms``, which the filter calls once per predict with the
-measurement interval's one mean command, shared by its steps.  The
+measurement interval's one mean command, the (4,) array [f, tau] the
+replay forms, shared by its steps.  The
 thrust direction and the gyroscopic term are quadratic in the state, so
 each is one matrix product over the outer products vec(q q^T) and
 vec(w w^T): the thrust direction with the rows
@@ -114,12 +115,6 @@ class VehicleParams:
         self._gyro_form = self.inertia_inv @ np.array(
             [np.cross(e, col) for e in np.eye(3) for col in self.inertia.T]
         ).T
-
-
-@dataclass
-class WrenchInput:
-    thrust: float  # collective thrust along body z [N]
-    torque: np.ndarray  # body torque [N m]
 
 
 def drag_force(v_inf, params: VehicleParams):
@@ -231,13 +226,14 @@ def rk4_step(s, f, tq, wind, touch, consts, dt):
     ]
 
 
-def wrench_terms(u: WrenchInput, params: VehicleParams):
-    """The commanded wrench's terms of euler_step_arrays, formed once per
-    input and shared by its steps: the thrust times the rows of
-    geometry.ROTATION_FORM that give R(q)'s third column (the body z
-    axis, the thrust direction) as a (3, 16) form over vec(q q^T), and
-    J^-1 tau as a (3, 1) column."""
-    return u.thrust * ROTATION_FORM[6:], (params.inertia_inv @ u.torque)[:, None]
+def wrench_terms(u, params: VehicleParams):
+    """The terms of euler_step_arrays of the command u = [f, tau_x,
+    tau_y, tau_z] (collective thrust along body z in N, body torque in
+    N m), formed once per input and shared by its steps: the thrust
+    times the rows of geometry.ROTATION_FORM that give R(q)'s third
+    column (the body z axis, the thrust direction) as a (3, 16) form
+    over vec(q q^T), and J^-1 tau as a (3, 1) column."""
+    return u[0] * ROTATION_FORM[6:], (params.inertia_inv @ u[1:4])[:, None]
 
 
 def euler_step_arrays(x, q, wrench, params: VehicleParams, dt, out):

@@ -19,7 +19,7 @@ import layers  # noqa: E402
 import spans  # noqa: E402
 
 from windest import ukf  # noqa: E402
-from windest.vehicle import STATE_DIM, VehicleParams, WrenchInput  # noqa: E402
+from windest.vehicle import STATE_DIM, VehicleParams  # noqa: E402
 
 
 def test_every_layer_target_resolves():
@@ -37,7 +37,7 @@ def traced_predict_calls(dt):
     q_ref = np.array([1.0, 0.0, 0.0, 0.0])
     belief = ukf.BeliefState(q_ref, rng.normal(0.0, 0.1, STATE_DIM), A @ A.T + 1e-4 * np.eye(STATE_DIM))
     params = VehicleParams()
-    u = WrenchInput(params.mass * params.gravity, np.zeros(3))
+    u = np.array([params.mass * params.gravity, 0.0, 0.0, 0.0])
     tracer = spans.Tracer()
     with tracer.installed():
         ukf.predict(belief, u, dt, ukf.ProcessNoise(), params)

@@ -35,6 +35,16 @@ def hover_copy(hover_dir, tmp_path):
     return Path(shutil.copytree(hover_dir, tmp_path / "hover_log"))
 
 
+@pytest.fixture(scope="module")
+def circle_dir(circle_multi_clean, tmp_path_factory):
+    """The clean multi-speed circle flight saved once; a test that changes
+    its files takes a copy."""
+    log, _ = circle_multi_clean
+    d = tmp_path_factory.mktemp("circle") / "circ"
+    save_log(log, str(d))
+    return d
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as e:
         main(["--help"])
@@ -168,11 +178,11 @@ def test_covariance_error_mid_replay_exits_2(hover_dir, tmp_path, monkeypatch, c
     update = ukf.update_odometry
     calls = []
 
-    def breaking(belief, z, gate=False):
-        belief, ok = update(belief, z, gate=gate)
-        calls.append(belief.t)
+    def breaking(belief, z, R, gate=False):
+        belief, ok = update(belief, z, R, gate=gate)
+        calls.append(ok)
         if len(calls) == 50:
-            belief = ukf.BeliefState(belief.q_ref, belief.mean, -belief.cov, belief.t)
+            belief = ukf.BeliefState(belief.q_ref, belief.mean, -belief.cov)
         return belief, ok
 
     monkeypatch.setattr(ukf, "update_odometry", breaking)
@@ -236,11 +246,9 @@ def test_cli_import_loads_no_scipy():
     assert _scipy_modules_after("import windest.cli") == "[]"
 
 
-def test_sysid_and_train_load_no_scipy(circle_multi_clean, tmp_path):
+def test_sysid_and_train_load_no_scipy(circle_dir, tmp_path):
     """The offline fit (sysid's low-pass included) runs on numpy alone."""
-    log, _ = circle_multi_clean
-    d, cfg, weights = tmp_path / "circ", tmp_path / "params.cfg", tmp_path / "weights.csv"
-    save_log(log, str(d))
+    d, cfg, weights = circle_dir, tmp_path / "params.cfg", tmp_path / "weights.csv"
     code = (
         "from windest.cli import main\n"
         f"assert main(['sysid', {str(d)!r}, '--out', {str(cfg)!r}]) == 0\n"
@@ -256,12 +264,9 @@ def test_scenario_flag_validation(capsys):
     assert "not supported" in capsys.readouterr().err
 
 
-def test_sysid_writes_usable_params(circle_multi_clean, hover_dir, tmp_path, capsys):
-    log, _ = circle_multi_clean
-    d = tmp_path / "circ"
-    save_log(log, str(d))
+def test_sysid_writes_usable_params(circle_dir, hover_dir, tmp_path, capsys):
     out = tmp_path / "params.cfg"
-    assert main(["sysid", str(d), "--out", str(out)]) == 0
+    assert main(["sysid", str(circle_dir), "--out", str(out)]) == 0
     cfg = parse_config(str(out))
     assert abs(cfg["mu1"] - 0.2) < 0.02
     assert abs(cfg["mu2"] - 0.07) < 0.01
@@ -272,12 +277,10 @@ def test_sysid_writes_usable_params(circle_multi_clean, hover_dir, tmp_path, cap
     assert main(["estimate", str(hover_dir), "--config", str(out), "--out", str(est)]) == 0
 
 
-def test_sysid_reads_only_odometry_and_whisker(circle_multi_clean, tmp_path):
+def test_sysid_reads_only_odometry_and_whisker(circle_dir, tmp_path):
     """sysid opens only the channels it fits on: with the other files
     garbled it writes the same bytes."""
-    log, _ = circle_multi_clean
-    d = tmp_path / "circ"
-    save_log(log, str(d))
+    d = Path(shutil.copytree(circle_dir, tmp_path / "circ"))
     ref, garbled = tmp_path / "ref.cfg", tmp_path / "garbled.cfg"
     assert main(["sysid", str(d), "--out", str(ref)]) == 0
     for name in ("truth", "imu", "throttle"):
@@ -398,15 +401,13 @@ def test_config_value_outside_its_domain_exits_2(hover_dir, tmp_path, capsys, ke
     assert not (tmp_path / "e.csv").exists()
 
 
-def test_sysid_refuses_a_fit_outside_the_domain(circle_multi_clean, tmp_path, monkeypatch, capsys):
+def test_sysid_refuses_a_fit_outside_the_domain(circle_dir, tmp_path, monkeypatch, capsys):
     """A negative drag coefficient from the fit exits 2 naming the key and
     its value, and writes no params file."""
-    log, _ = circle_multi_clean
-    save_log(log, str(tmp_path / "circ"))
     monkeypatch.setattr(sysid, "fit_drag_polynomial",
                         lambda samples: sysid.DragFit(mu1=-0.25, mu2=0.07, rms=0.0))
     out = tmp_path / "params.cfg"
-    assert main(["sysid", str(tmp_path / "circ"), "--out", str(out)]) == 2
+    assert main(["sysid", str(circle_dir), "--out", str(out)]) == 2
     assert "config key 'mu1': value -0.25 must be >= 0" in capsys.readouterr().err
     assert not out.exists()
 

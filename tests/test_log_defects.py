@@ -170,6 +170,49 @@ def test_nonfinite_odometry_row_is_left_out_of_sysid(circle_multi_clean, tmp_pat
 
 
 # ---------------------------------------------------------------------------
+# column layout
+
+
+def with_odometry_columns(log, columns):
+    """The log with its odometry channel holding these columns, in this order."""
+    ch = log["odometry"]
+    out = FlightLog(dict(log.channels))
+    out.add("odometry", ch.t, ch.col(*columns), list(columns))
+    return out
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_odometry_columns_in_another_order_give_the_same_estimates(hover_log, weights, route):
+    """The replay gathers the odometry columns by name: in reverse order
+    they give the same estimates, bit for bit."""
+    t, table = estimate(hover_log, route, weights)
+    log = with_odometry_columns(hover_log, sim.ODO_COLUMNS[::-1])
+    assert log["odometry"].columns[0] == "wz"
+    t_rev, table_rev = estimate(log, route, weights)
+    assert np.array_equal(t_rev, t)
+    assert np.array_equal(table_rev.view(np.uint64), table.view(np.uint64))
+
+
+def test_missing_column_exits_2_naming_the_file_and_its_columns(hover_log, weights, tmp_path, capsys):
+    """An odometry file without the wz column stops estimate (both routes)
+    and sysid with exit 2 and one error line naming the file, the column
+    and the columns the file has (it used to escape as a KeyError)."""
+    kept = [c for c in sim.ODO_COLUMNS if c != "wz"]
+    sensors = FlightLog({name: hover_log[name] for name in pipeline.ROUTE_CHANNELS["lstm"]})
+    d = tmp_path / "log"
+    save_log(with_odometry_columns(sensors, kept), d)
+    w = tmp_path / "w.csv"
+    lstm.save_params(weights, str(w))
+    out = tmp_path / "out"
+    for args in (["estimate"], ["estimate", "--airflow-source", "lstm", "--weights", str(w)],
+                 ["sysid"]):
+        assert main([*args, str(d), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: odometry.csv: no column 'wz'; it has {', '.join(kept)}\n", args
+        assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
 # gaps
 
 

@@ -317,18 +317,22 @@ def shared_time_log(hover_clean, throttle_ks=range(5)):
 def recorded_calls(monkeypatch, log, cfg):
     """The ukf calls of a replay of log, in order: ("predict", t, thrust,
     dt) with the time the belief is predicted to and the command it
-    flies, ("odometry", t) and ("whisker", t) with the belief's time."""
+    flies, ("odometry", t) and ("whisker", t) with the belief's time.  A
+    belief holds no time, so the record keeps it: the first odometry
+    row's t (the belief is made there) plus each predict's dt."""
     from windest import ukf
 
     calls = []
+    clock = [log["odometry"].t[0]]
 
     def predict(belief, u, dt, noise, params):
-        calls.append(("predict", belief.t + dt, u.thrust, dt))
-        return replace(belief, t=belief.t + dt)
+        clock[0] += dt
+        calls.append(("predict", clock[0], u[0], dt))
+        return belief
 
     def update(kind):
         def record(belief, *args, **kwargs):
-            calls.append((kind, belief.t))
+            calls.append((kind, clock[0]))
             return belief, True
 
         return record

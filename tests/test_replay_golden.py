@@ -43,8 +43,8 @@ from windest.logio import Channel, FlightLog
 DATA = os.path.join(os.path.dirname(__file__), "data")
 TOL = 1e-9
 # Python-level calls per event of the golden model-route replay, profiled
-# after one warm-up replay (49.608-49.609 when it was set)
-CALLS_PER_EVENT = 49.7
+# after one warm-up replay (47.034-47.035 when it was set)
+CALLS_PER_EVENT = 47.1
 
 
 def model_flight():
@@ -245,8 +245,9 @@ def record_sigma_draws(monkeypatch):
     predict's draws at the starts of its equal stretches, a whisker
     update's at its belief's time), "predicts" and "updates" the calls
     of predict and of the unscented updates, "draws" every call of
-    geometry.sigma_points."""
-    rec = {"times": [], "predicts": 0, "updates": 0, "draws": 0}
+    geometry.sigma_points.  The times count from the first predict: a
+    belief holds no time, so "t" sums the dt each predict is handed."""
+    rec = {"times": [], "predicts": 0, "updates": 0, "draws": 0, "t": 0.0}
     draw, predict, ut_update = geometry.sigma_points, ukf.predict, ukf._ut_update
 
     def counting(mean, cov):
@@ -258,12 +259,13 @@ def record_sigma_draws(monkeypatch):
         out = predict(belief, u, dt, noise, params)
         k = rec["draws"] - before
         rec["predicts"] += 1
-        rec["times"] += [belief.t + j * (out.t - belief.t) / k for j in range(k)]
+        rec["times"] += [rec["t"] + j * dt / k for j in range(k)]
+        rec["t"] += dt
         return out
 
     def recording_update(belief, *args):
         rec["updates"] += 1
-        rec["times"].append(belief.t)
+        rec["times"].append(rec["t"])
         return ut_update(belief, *args)
 
     monkeypatch.setattr(geometry, "sigma_points", counting)
@@ -310,10 +312,10 @@ def test_python_calls_per_event_do_not_grow(model_log):
     is the sum over code objects, not pstats' total_calls, which merges
     the code objects that share a (file, line, name) key (the generated
     __init__ of the dataclasses are all <string>:2).  The ceiling was set
-    from three contexts, once predict took one mean command per
-    measurement interval: 49.608 calls per event in a fresh process
-    running this test alone, 49.609 after the replays of
-    tests/test_log_defects.py and 49.609 in the tier-1 session, with
+    from three contexts, once the filter took the replay's odometry rows
+    and mean commands as arrays: 47.034 calls per event in a fresh
+    process running this test alone, 47.035 after the replays of
+    tests/test_log_defects.py and 47.035 in the tier-1 session, with
     numpy 2.4.6 and Python 3.11.7.  cProfile also counts the
     Python-level and builtin frames inside numpy, so an upgrade of either
     can move the count with no change to this code: re-measure it then

@@ -32,7 +32,6 @@ from windest.ukf import (
     IDX_WIND,
     STATE_DIM,
     BeliefState,
-    OdometryMeasurement,
     ProcessNoise,
     init_belief,
     output,
@@ -41,7 +40,7 @@ from windest.ukf import (
     update_odometry,
     update_pseudo_airflow,
 )
-from windest.vehicle import VehicleParams, WrenchInput
+from windest.vehicle import VehicleParams
 from windest.whisker import WhiskerRig, default_rig
 
 Q_ID = np.array([1.0, 0.0, 0.0, 0.0])
@@ -63,9 +62,14 @@ def hover_belief(cov=None, wind=(0.0, 0.0, 0.0)):
     return BeliefState(Q_ID.copy(), mean, cov)
 
 
+def wrench(thrust, torque):
+    """The command [f_cmd, tau_x, tau_y, tau_z]."""
+    return np.concatenate(([thrust], torque))
+
+
 def hover_wrench(params=None):
     params = params or VehicleParams()
-    return WrenchInput(params.mass * params.gravity, np.zeros(3))
+    return wrench(params.mass * params.gravity, np.zeros(3))
 
 
 def zero_noise():
@@ -95,7 +99,7 @@ def test_predict_dt_validation():
 def test_predict_splits_a_long_gap_into_equal_steps():
     b = hover_belief()
     b.mean[IDX_V] = (0.4, -0.2, 0.1)
-    u = WrenchInput(14.0, np.array([0.002, -0.001, 0.0005]))
+    u = wrench(14.0, [0.002, -0.001, 0.0005])
     noise, params = ProcessNoise(), VehicleParams()
     out = predict(b, u, 0.25, noise, params)
     ref = b
@@ -104,7 +108,6 @@ def test_predict_splits_a_long_gap_into_equal_steps():
     assert np.array_equal(out.q_ref, ref.q_ref)
     assert np.array_equal(out.mean, ref.mean)
     assert np.array_equal(out.cov, ref.cov)
-    assert out.t == ref.t
 
 
 def test_predict_hover_fixed_point():
@@ -115,7 +118,6 @@ def test_predict_hover_fixed_point():
     assert np.allclose(out.mean, b.mean, atol=1e-9)
     assert np.allclose(out.cov, b.cov, atol=1e-9)
     assert np.allclose(out.q_ref, Q_ID, atol=1e-12)
-    assert out.t == pytest.approx(0.02)
 
 
 def test_predict_wind_noise_grows_wind_block_only():
@@ -153,8 +155,7 @@ def assert_predict_matches_monte_carlo_mean(segments):
     belief = BeliefState(q_ref, mean, cov)
 
     dt = sum(h for _, h in segments)
-    u = WrenchInput(sum(u.thrust * h for u, h in segments) / dt,
-                    sum(u.torque * h for u, h in segments) / dt)
+    u = sum(u * h for u, h in segments) / dt
     out = predict(belief, u, dt, zero_noise(), params)
 
     n = 100_000
@@ -174,7 +175,7 @@ def assert_predict_matches_monte_carlo_mean(segments):
 
 
 def test_predict_matches_monte_carlo_mean():
-    assert_predict_matches_monte_carlo_mean([(WrenchInput(13.0, np.array([0.001, -0.002, 0.0005])), 0.02)])
+    assert_predict_matches_monte_carlo_mean([(wrench(13.0, [0.001, -0.002, 0.0005]), 0.02)])
 
 
 def test_two_segment_predict_matches_monte_carlo_mean():
@@ -182,8 +183,8 @@ def test_two_segment_predict_matches_monte_carlo_mean():
     second segment's wrench (2.5 N more thrust, another torque) moves
     the velocity by about 30 times the bound."""
     assert_predict_matches_monte_carlo_mean([
-        (WrenchInput(13.0, np.array([0.001, -0.002, 0.0005])), 0.012),
-        (WrenchInput(15.5, np.array([-0.002, 0.001, 0.001])), 0.008),
+        (wrench(13.0, [0.001, -0.002, 0.0005]), 0.012),
+        (wrench(15.5, [-0.002, 0.001, 0.001]), 0.008),
     ])
 
 
@@ -217,7 +218,7 @@ def ref_predict(belief, u, dt, noise, params):
         pts, wm, wc = ref_sigma_points(belief.mean, belief.cov)
         p2, v2, q2, w2 = ref_euler_step_arrays(
             pts[:, IDX_P], pts[:, IDX_V], ref_compose_mrp(belief.q_ref, pts[:, IDX_A]),
-            pts[:, IDX_W], u.thrust, u.torque, pts[:, IDX_F], pts[:, IDX_WIND], params, h,
+            pts[:, IDX_W], u[0], u[1:], pts[:, IDX_F], pts[:, IDX_WIND], params, h,
         )
         q_ref = ref_quat_normalize(q2[0])
         out = np.empty_like(pts)
@@ -229,7 +230,7 @@ def ref_predict(belief, u, dt, noise, params):
         out[:, IDX_WIND] = pts[:, IDX_WIND]
         mean, cov = ref_reconstruct(out, wm, wc)
         cov += q_noise
-        belief = BeliefState(q_ref, mean, cov, belief.t + h)
+        belief = BeliefState(q_ref, mean, cov)
     return belief
 
 
@@ -254,9 +255,9 @@ def test_predict_matches_reference_predict():
         mean = rng.normal(0.0, 1.0, STATE_DIM)
         mean[IDX_A] *= 0.05
         q_ref = np.array(geometry.quat_normalize_rows(rng.normal(size=4)))
-        belief = BeliefState(q_ref, mean, cov, t=float(i))
+        belief = BeliefState(q_ref, mean, cov)
         thrust = 0.0 if i % 10 == 0 else float(rng.uniform(5.0, 20.0))
-        u = WrenchInput(thrust, rng.normal(0.0, 0.02, 3))
+        u = wrench(thrust, rng.normal(0.0, 0.02, 3))
         inertia = np.diag(rng.uniform(0.01, 0.03, 3))
         if i % 3 == 0:
             inertia[0, 1] = inertia[1, 0] = rng.uniform(-1e-3, 1e-3)
@@ -267,7 +268,6 @@ def test_predict_matches_reference_predict():
         ref = ref_predict(belief, u, dt, noise, params)
         for a, b in ((got.q_ref, ref.q_ref), (got.mean, ref.mean), (got.cov, ref.cov)):
             assert np.max(np.abs(a - b)) <= PREDICT_REL_TOL * np.max(np.abs(b))
-        assert got.t == ref.t
 
 
 def test_chained_predicts_keep_unit_attitudes():
@@ -285,7 +285,7 @@ def test_chained_predicts_keep_unit_attitudes():
     rng = np.random.default_rng(61)
     q_ref = np.array(geometry.quat_normalize_rows(rng.normal(size=4)))
     b = BeliefState(q_ref, mean, np.diag(d))
-    u = WrenchInput(params.mass * params.gravity, np.zeros(3))
+    u = hover_wrench(params)
     noise = ProcessNoise()
     ref_err = att_err = 0.0
     for _ in range(10_000):
@@ -303,20 +303,19 @@ def test_chained_predicts_keep_unit_attitudes():
 # odometry update
 
 
-def odo_at(belief, dp=(0, 0, 0), cov=None):
-    q = belief.attitude()
-    return OdometryMeasurement(
-        belief.mean[IDX_P] + np.asarray(dp, dtype=float),
-        q,
-        belief.mean[IDX_V],
-        belief.mean[IDX_W],
-        diag_odo_cov() if cov is None else cov,
-    )
+def odo_row(p, q, v, w):
+    """An odometry row in sim.ODO_COLUMNS order: [p, q, v, omega]."""
+    return np.concatenate((p, q, v, w))
+
+
+def odo_at(belief, dp=(0, 0, 0)):
+    return odo_row(belief.mean[IDX_P] + np.asarray(dp, dtype=float), belief.attitude(),
+                   belief.mean[IDX_V], belief.mean[IDX_W])
 
 
 def test_update_odometry_at_mean():
     b = hover_belief()
-    out, ok = update_odometry(b, odo_at(b))
+    out, ok = update_odometry(b, odo_at(b), diag_odo_cov())
     assert ok
     assert np.allclose(out.mean, b.mean, atol=1e-12)
     assert np.trace(out.cov) <= np.trace(b.cov) + 1e-12
@@ -326,8 +325,8 @@ def test_update_odometry_at_mean():
 
 def test_update_odometry_uninformative_limit():
     b = hover_belief()
-    z = odo_at(b, dp=(0.4, -0.2, 0.1), cov=diag_odo_cov() * 1e12)
-    out, ok = update_odometry(b, z)
+    z = odo_at(b, dp=(0.4, -0.2, 0.1))
+    out, ok = update_odometry(b, z, diag_odo_cov() * 1e12)
     assert ok
     assert np.allclose(out.mean, b.mean, atol=1e-6)
     assert np.allclose(out.cov, b.cov, atol=1e-6)
@@ -343,7 +342,7 @@ def test_update_odometry_scalar_gain():
     innov = 0.3
     cov = diag_odo_cov()
     cov[0, 0] = R
-    out, ok = update_odometry(b, odo_at(b, dp=(innov, 0, 0), cov=cov))
+    out, ok = update_odometry(b, odo_at(b, dp=(innov, 0, 0)), cov)
     assert ok
     k = P / (P + R)
     assert out.mean[0] == pytest.approx(b.mean[0] + k * innov, abs=1e-12)
@@ -360,12 +359,12 @@ def test_update_odometry_is_the_joseph_form_multiplied_out():
     a = rng.normal(size=(18, 18))
     r = rng.normal(size=(12, 12))
     b = replace(hover_belief(), cov=a @ a.T / 18.0 + 0.01 * np.eye(18))
-    z = odo_at(b, dp=(0.02, -0.01, 0.03), cov=r @ r.T / 12.0 + 1e-3 * np.eye(12))
-    out, ok = update_odometry(b, z)
+    R = r @ r.T / 12.0 + 1e-3 * np.eye(12)
+    out, ok = update_odometry(b, odo_at(b, dp=(0.02, -0.01, 0.03)), R)
     H = np.hstack([np.eye(12), np.zeros((12, 6))])
-    K = b.cov @ H.T @ np.linalg.inv(H @ b.cov @ H.T + z.cov)
+    K = b.cov @ H.T @ np.linalg.inv(H @ b.cov @ H.T + R)
     ikh = np.eye(18) - K @ H
-    joseph = ikh @ b.cov @ ikh.T + K @ z.cov @ K.T
+    joseph = ikh @ b.cov @ ikh.T + K @ R @ K.T
     assert ok
     assert np.allclose(out.cov, 0.5 * (joseph + joseph.T), rtol=0.0, atol=1e-12 * np.abs(joseph).max())
 
@@ -373,12 +372,12 @@ def test_update_odometry_is_the_joseph_form_multiplied_out():
 def test_update_odometry_gate():
     b = hover_belief()
     far = odo_at(b, dp=(5.0, 0.0, 0.0))
-    out, ok = update_odometry(b, far, gate=True)
+    out, ok = update_odometry(b, far, diag_odo_cov(), gate=True)
     assert not ok
     assert np.array_equal(out.mean, b.mean)
     assert np.array_equal(out.cov, b.cov)
     near = odo_at(b, dp=(0.01, 0.0, 0.0))
-    out, ok = update_odometry(b, near, gate=True)
+    out, ok = update_odometry(b, near, diag_odo_cov(), gate=True)
     assert ok
     assert out.mean[0] != b.mean[0]
 
@@ -386,11 +385,8 @@ def test_update_odometry_gate():
 def test_update_folds_attitude_error_into_reference():
     b = hover_belief()
     rot = quat_from_axis_angle(np.array([0.0, 0.0, 0.05]))
-    z = OdometryMeasurement(
-        b.mean[IDX_P], quat_multiply_rows(rot, b.q_ref), b.mean[IDX_V], b.mean[IDX_W],
-        diag_odo_cov(),
-    )
-    out, ok = update_odometry(b, z)
+    z = odo_row(b.mean[IDX_P], quat_multiply_rows(rot, b.q_ref), b.mean[IDX_V], b.mean[IDX_W])
+    out, ok = update_odometry(b, z, diag_odo_cov())
     assert ok
     # the error mean is zeroed and the pulled-in rotation lives in q_ref
     assert np.allclose(out.mean[IDX_A], 0.0, atol=1e-15)
@@ -421,7 +417,7 @@ def test_gate_thresholds_cached_per_dimension(monkeypatch):
     # gated filter updates share the cache
     b = hover_belief()
     for _ in range(5):
-        update_odometry(b, odo_at(b, dp=(0.01, 0.0, 0.0)), gate=True)
+        update_odometry(b, odo_at(b, dp=(0.01, 0.0, 0.0)), diag_odo_cov(), gate=True)
         update_pseudo_airflow(b, np.zeros(3), 0.09, gate=True)
     assert sorted(calls) == [3, 8, 12]
     ukf.gate_threshold.cache_clear()
@@ -455,7 +451,7 @@ def test_airflow_null_measurement_keeps_zero_wind():
     rig = default_rig()
     b = hover_belief()
     theta = np.zeros((len(rig), 2))
-    out, ok = update_airflow(b, theta, 0.005, rig)
+    out, ok = update_airflow(b, theta, 0.005**2, rig)
     assert ok
     assert np.allclose(out.mean[IDX_WIND], 0.0, atol=1e-9)
     wind_var = np.trace(out.cov[IDX_WIND, IDX_WIND])
@@ -468,7 +464,7 @@ def test_airflow_wind_convergence():
     theta = whisker.rig_predict(Q_ID, np.zeros(3), np.zeros(3), wind_true, rig)
     b = hover_belief()
     for _ in range(200):
-        b, ok = update_airflow(b, theta, 0.005, rig)
+        b, ok = update_airflow(b, theta, 0.005**2, rig)
         assert ok
     assert np.linalg.norm(b.mean[IDX_WIND] - wind_true) < 0.1
 
@@ -482,11 +478,11 @@ def test_airflow_blind_sensor_keeps_full_observability():
     assert np.all(np.abs(theta[2]) < 1e-12)
     assert np.any(np.abs(theta[:2]) > 1e-3)
     b = hover_belief()
-    out, ok = update_airflow(b, theta, 0.005, rig)
+    out, ok = update_airflow(b, theta, 0.005**2, rig)
     assert ok
     assert np.trace(out.cov[IDX_WIND, IDX_WIND]) < np.trace(b.cov[IDX_WIND, IDX_WIND])
     for _ in range(199):
-        out, _ = update_airflow(out, theta, 0.005, rig)
+        out, _ = update_airflow(out, theta, 0.005**2, rig)
     assert np.linalg.norm(out.mean[IDX_WIND] - wind_true) < 0.1
 
 
@@ -497,11 +493,11 @@ def test_airflow_invalid_rows_match_subrig_update():
     theta_nan = theta.copy()
     theta_nan[2, 0] = np.nan
     b = hover_belief()
-    full, ok = update_airflow(b, theta_nan, 0.005, rig)
+    full, ok = update_airflow(b, theta_nan, 0.005**2, rig)
     assert ok
     keep = [0, 1, 3]
     sub = WhiskerRig([rig.mounts[i] for i in keep])
-    ref, ok2 = update_airflow(b, theta[keep], 0.005, sub)
+    ref, ok2 = update_airflow(b, theta[keep], 0.005**2, sub)
     assert ok2
     assert np.allclose(full.mean, ref.mean, atol=1e-12)
     assert np.allclose(full.cov, ref.cov, atol=1e-12)
@@ -510,7 +506,7 @@ def test_airflow_invalid_rows_match_subrig_update():
 def test_airflow_all_invalid_is_a_noop():
     rig = default_rig()
     b = hover_belief()
-    out, ok = update_airflow(b, np.full((len(rig), 2), np.nan), 0.005, rig)
+    out, ok = update_airflow(b, np.full((len(rig), 2), np.nan), 0.005**2, rig)
     assert not ok
     assert out is b
 
@@ -518,7 +514,7 @@ def test_airflow_all_invalid_is_a_noop():
 def test_airflow_shape_check():
     rig = default_rig()
     with pytest.raises(ValueError):
-        update_airflow(hover_belief(), np.zeros((2, 2)), 0.005, rig)
+        update_airflow(hover_belief(), np.zeros((2, 2)), 0.005**2, rig)
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +657,7 @@ def ref_posterior(belief, mean, cov):
     if e @ e > 0.0:
         q_ref = ref_compose_mrp(q_ref, e)
         mean[IDX_A] = 0.0
-    return BeliefState(q_ref, mean, 0.5 * (cov + cov.T), belief.t)
+    return BeliefState(q_ref, mean, 0.5 * (cov + cov.T))
 
 
 def ref_ut_update(belief, z, r_cov, h_batch):
@@ -706,15 +702,14 @@ def ref_output(belief, params):
 def assert_belief_within_tol(got, ref):
     for a, b in ((got.q_ref, ref.q_ref), (got.mean, ref.mean), (got.cov, ref.cov)):
         assert np.max(np.abs(a - b)) <= UPDATE_REL_TOL * np.max(np.abs(b))
-    assert got.t == ref.t
 
 
-def random_belief(rng, t):
+def random_belief(rng):
     A = rng.normal(0.0, 0.1, (STATE_DIM, STATE_DIM))
     mean = rng.normal(0.0, 1.0, STATE_DIM)
     mean[IDX_A] *= 0.05
     q_ref = geometry.quat_normalize_rows(rng.normal(size=4))
-    return BeliefState(q_ref, mean, A @ A.T + 1e-4 * np.eye(STATE_DIM), t=t)
+    return BeliefState(q_ref, mean, A @ A.T + 1e-4 * np.eye(STATE_DIM))
 
 
 def test_measurement_side_matches_reference_updates():
@@ -725,7 +720,7 @@ def test_measurement_side_matches_reference_updates():
     rig = default_rig()
     params = VehicleParams()
     for i in range(200):
-        b = random_belief(rng, float(i))
+        b = random_belief(rng)
         x = b.mean + rng.multivariate_normal(np.zeros(STATE_DIM), b.cov)
         q_true = geometry.compose_mrp(b.q_ref, x[IDX_A])
         theta = whisker.rig_predict(q_true, x[IDX_V], x[IDX_W], x[IDX_WIND], rig)
@@ -734,7 +729,7 @@ def test_measurement_side_matches_reference_updates():
             theta[:] = np.nan
         elif i % 5 == 0:
             theta[rng.integers(len(rig)), rng.integers(2)] = np.nan
-        got, ok = update_airflow(b, theta, 0.005, rig)
+        got, ok = update_airflow(b, theta, 0.005**2, rig)
         ref = ref_update_airflow(b, theta, 0.005, rig)
         assert ok == (i % 20 != 0)
         if not ok:
@@ -752,15 +747,12 @@ def test_measurement_side_matches_reference_updates():
 
 
 def test_init_belief_blocks():
-    odo = OdometryMeasurement(
-        np.array([1.0, 2.0, 3.0]), Q_ID, np.array([0.1, 0.2, 0.3]),
-        np.array([0.0, 0.0, 0.1]), diag_odo_cov(),
-    )
-    b = init_belief(2.5, odo, sigma_touch=2.0, sigma_wind=2.0)
-    assert b.t == 2.5
-    assert np.array_equal(b.mean[IDX_P], odo.p)
-    assert np.array_equal(b.mean[IDX_V], odo.v)
-    assert np.array_equal(b.mean[IDX_W], odo.omega)
+    z = odo_row([1.0, 2.0, 3.0], Q_ID, [0.1, 0.2, 0.3], [0.0, 0.0, 0.1])
+    b = init_belief(z, diag_odo_cov(), sigma_touch=2.0, sigma_wind=2.0)
+    assert np.array_equal(b.q_ref, Q_ID)
+    assert np.array_equal(b.mean[IDX_P], [1.0, 2.0, 3.0])
+    assert np.array_equal(b.mean[IDX_V], [0.1, 0.2, 0.3])
+    assert np.array_equal(b.mean[IDX_W], [0.0, 0.0, 0.1])
     assert np.allclose(b.mean[IDX_F], 0.0)
     assert np.allclose(b.cov[0:12, 0:12], diag_odo_cov())
     assert np.allclose(b.cov[IDX_F, IDX_F], 4.0 * np.eye(3))
@@ -785,23 +777,23 @@ def test_randomized_steps_stay_numerically_sound():
     noise = ProcessNoise()
     b = hover_belief()
     for k in range(600):
-        u = WrenchInput(rng.uniform(0.0, 20.0), rng.uniform(-0.05, 0.05, 3))
+        u = wrench(rng.uniform(0.0, 20.0), rng.uniform(-0.05, 0.05, 3))
         b = predict(b, u, rng.uniform(0.002, 0.02), noise, params)
         _assert_healthy(b)
         if k % 3 == 0:
             q = quat_multiply_rows(quat_from_axis_angle(rng.normal(0.0, 0.01, 3)), b.attitude())
-            z = OdometryMeasurement(
+            z = odo_row(
                 b.mean[IDX_P] + rng.normal(0.0, 0.05, 3), q,
                 b.mean[IDX_V] + rng.normal(0.0, 0.05, 3),
-                b.mean[IDX_W] + rng.normal(0.0, 0.02, 3), diag_odo_cov(),
+                b.mean[IDX_W] + rng.normal(0.0, 0.02, 3),
             )
-            b, _ = update_odometry(b, z)
+            b, _ = update_odometry(b, z, diag_odo_cov())
             _assert_healthy(b)
         if k % 5 == 0:
             theta = rng.uniform(-0.2, 0.2, (len(rig), 2))
             if k % 15 == 0:
                 theta[rng.integers(0, len(rig))] = np.nan
-            b, _ = update_airflow(b, theta, 0.005, rig)
+            b, _ = update_airflow(b, theta, 0.005**2, rig)
             _assert_healthy(b)
         if k % 7 == 0:
             b, _ = update_pseudo_airflow(b, rng.uniform(-4.0, 4.0, 3), 0.05**2)
@@ -812,7 +804,7 @@ def test_trace_never_increases_on_consistent_updates():
     b = hover_belief()
     for _ in range(5):
         tr0 = np.trace(b.cov)
-        b, _ = update_odometry(b, odo_at(b))
+        b, _ = update_odometry(b, odo_at(b), diag_odo_cov())
         assert np.trace(b.cov) <= tr0 + 1e-12
         tr0 = np.trace(b.cov)
         b, _ = update_pseudo_airflow(b, b.mean[IDX_WIND] - b.mean[IDX_V], 0.05**2)
@@ -871,18 +863,17 @@ def test_nees_consistency_band():
             wiggle[IDX_A] = 0.0
             x = x + wiggle
             if k % 2 == 0:
-                z = OdometryMeasurement(
+                z = odo_row(
                     x[IDX_P] + rng.normal(0.0, 0.01, 3),
                     quat_multiply_rows(quat_from_axis_angle(rng.normal(0.0, 0.005, 3)), q_true),
                     x[IDX_V] + rng.normal(0.0, 0.02, 3),
                     x[IDX_W] + rng.normal(0.0, 0.005, 3),
-                    odo_cov,
                 )
-                b, _ = update_odometry(b, z)
+                b, _ = update_odometry(b, z, odo_cov)
             if k % 4 == 0:
                 theta = whisker.rig_predict(q_true, x[IDX_V], x[IDX_W], x[IDX_WIND], rig)
                 theta = theta + rng.normal(0.0, sig_theta, theta.shape)
-                b, _ = update_airflow(b, theta, sig_theta, rig)
+                b, _ = update_airflow(b, theta, sig_theta**2, rig)
         err = x - b.mean
         err[IDX_A] = mrp_error(q_true, b.q_ref) - b.mean[IDX_A]
         nees.append(err @ np.linalg.solve(b.cov, err))

@@ -298,7 +298,7 @@ def test_euler_step_arrays_matches_scalar():
     x[vehicle.IDX_P], x[vehicle.IDX_V], x[vehicle.IDX_W] = p.T, v.T, w.T
     x[vehicle.IDX_F], x[vehicle.IDX_WIND] = touch.T, wind[:, None]
     y = np.full_like(x, np.nan)
-    wrench = vehicle.wrench_terms(vehicle.WrenchInput(thrust, torque), par)
+    wrench = vehicle.wrench_terms(np.array([thrust, *torque]), par)
     q2 = vehicle.euler_step_arrays(x, q.T, wrench, par, dt, y)
     p2, v2, q2, w2 = y[vehicle.IDX_P].T, y[vehicle.IDX_V].T, q2.T, y[vehicle.IDX_W].T
     for i in range(n):
