@@ -23,8 +23,8 @@ advanced position, velocity and rates into the rows of an output block
 with ``out=`` and returns the advanced attitude; the filter passes the
 sigma block itself, so its one step per draw advances the block in
 place.  Position takes the step's second-order term (exact under
-constant acceleration), which matters when one step spans a whole
-measurement interval.  The commanded wrench's terms come from
+constant acceleration) and the attitude turns at the step's mean rate,
+which matters when one step spans a whole measurement interval.  The commanded wrench's terms come from
 ``wrench_terms``, which the filter calls once per predict with the
 measurement interval's one mean command, the (4,) array [f, tau] the
 replay forms, shared by its steps.  The
@@ -251,9 +251,11 @@ def euler_step_arrays(x, q, wrench, params: VehicleParams, dt, out):
 
     Velocity and rates take the Euler increment of their derivatives;
     position advances by (v + 1/2 v_dot dt) dt, the exact position
-    under the step's constant acceleration, so a step as long as a
-    measurement interval keeps the second-order position term that
-    several shorter steps would carry.
+    under the step's constant acceleration, and the attitude turns at
+    the step's mean rate w + 1/2 w_dot dt, so a step as long as a
+    measurement interval keeps the second-order position and attitude
+    terms that several shorter steps would carry (Trawny & Roumeliotis
+    2005, the first-order quaternion integrator at the mean rate).
     """
     thrust_form, tau_term = wrench
     v, w = x[IDX_V], x[IDX_W]
@@ -264,7 +266,9 @@ def euler_step_arrays(x, q, wrench, params: VehicleParams, dt, out):
     # J w_dot = tau - w x J w, the gyroscopic term one product over vec(w w^T)
     ww = (w[:, None] * w).reshape(9, -1)
     w_dot = tau_term - params._gyro_form @ ww
-    q_next = quat_integrate(q, w, dt)  # before out, which may be x, takes the new rates
+    # the attitude turns at the step's mean rate (exact under constant
+    # angular acceleration); before out, which may be x, takes the new rates
+    q_next = quat_integrate(q, w + (0.5 * dt) * w_dot, dt)
     dv = v_dot * dt
     np.add(x[IDX_P], (v + 0.5 * dv) * dt, out=out[IDX_P])  # before out takes the new v
     np.add(v, dv, out=out[IDX_V])

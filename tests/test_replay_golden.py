@@ -23,12 +23,11 @@ A change that alters the simulator's output for these seeds
 regenerates them from the replay as it stood before the change; a
 change that moves the replay's estimates beyond TOL on purpose
 regenerates them after it, with all ten acceptance criteria passing.
-The tables were last written by the replay that took one Euler step per
-predict stretch with the stretch's time-weighted mean command; the
-replay that flies each measurement interval's mean command, formed from
-the command's running integral, matches them within 6.8e-12 (model
-5.5e-12, gated 5.4e-12, LSTM 6.8e-12, LSTM imu-trimmed 4.5e-12).
-Earlier regenerations are described in CHANGES.md.
+The tables were last written once the Euler step turned the attitude
+at the step's mean rate; that moved them by at most 2.4e-2 (model and
+gated, touch_x at 6.44 s), 4.7e-8 (LSTM) and 5.0e-8 (LSTM imu-trimmed),
+with the gated rejection counts unchanged.  Earlier regenerations are
+described in CHANGES.md.
 """
 
 import cProfile

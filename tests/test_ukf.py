@@ -190,8 +190,9 @@ def test_two_segment_predict_matches_monte_carlo_mean():
 
 def ref_euler_step_arrays(p, v, q, w, thrust, torque, touch, v_wind, params, dt):
     """The filter's Euler step on the last axis, as it stood before rows,
-    with the position term exact under constant acceleration that the
-    one step per measurement interval takes."""
+    with the position term exact under constant acceleration and the
+    attitude turned at the step's mean rate, which the one step per
+    measurement interval takes."""
     qw, qx, qy, qz = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
     body_z = np.stack(
         [2.0 * (qw * qy + qx * qz), 2.0 * (qy * qz - qw * qx), 1.0 - 2.0 * (qx * qx + qy * qy)], axis=-1
@@ -200,8 +201,8 @@ def ref_euler_step_arrays(p, v, q, w, thrust, torque, touch, v_wind, params, dt)
     gravity = np.array([0.0, 0.0, -params.gravity])
     v_dot = (thrust * body_z + drag + touch) / params.mass + gravity
     w_dot = (torque - np.cross(w, w @ params.inertia.T)) @ params.inertia_inv.T
-    return (p + (v + 0.5 * v_dot * dt) * dt, v + v_dot * dt, ref_quat_integrate(q, w, dt),
-            w + w_dot * dt)
+    return (p + (v + 0.5 * v_dot * dt) * dt, v + v_dot * dt,
+            ref_quat_integrate(q, w + 0.5 * w_dot * dt, dt), w + w_dot * dt)
 
 
 def ref_predict(belief, u, dt, noise, params):

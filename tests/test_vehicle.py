@@ -307,5 +307,6 @@ def test_euler_step_arrays_matches_scalar():
         assert np.allclose(p2[i], p[i] + (dp + 0.5 * dv * dt) * dt, atol=1e-12)
         assert np.allclose(v2[i], v[i] + dv * dt, atol=1e-12)
         assert np.allclose(w2[i], w[i] + dw * dt, atol=1e-12)
-        q_ref = quat_multiply_rows(q[i], quat_from_axis_angle(w[i] * dt))
+        # the attitude turned at the step's mean rate
+        q_ref = quat_multiply_rows(q[i], quat_from_axis_angle((w[i] + 0.5 * dw * dt) * dt))
         assert np.allclose(q2[i], q_ref, atol=1e-12)
