@@ -113,7 +113,7 @@ def init_belief(z, R, sigma_touch, sigma_wind):
     p0[0:12, 0:12] = R
     p0[IDX_F, IDX_F] = sigma_touch**2 * np.eye(3)
     p0[IDX_WIND, IDX_WIND] = sigma_wind**2 * np.eye(3)
-    return BeliefState(z[3:7].copy(), mean, p0)
+    return BeliefState(z[3:7], mean, p0)
 
 
 def _attitudes(q_ref, x):

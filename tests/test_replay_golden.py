@@ -9,8 +9,11 @@ model_flight and hover_flight simulate:
     golden_estimate_model_gated.csv
                                the model route as above with
                                EstimatorConfig(gate=True); the gate
-                               rejects 55 of 619 airflow and 134 of 1237
-                               odometry updates on this flight
+                               rejects 48 of 619 airflow and 134 of 1237
+                               odometry updates on this flight (55
+                               airflow updates return accepted False:
+                               at 7 more ticks the driver rejects
+                               every mount)
     golden_estimate_lstm.csv   run_estimate(log, EstimatorConfig(), "lstm",
                                weights=lstm.init_params(np.random.default_rng(0)))
                                on sim.hover_scenario(seed=8, duration=2.0)
