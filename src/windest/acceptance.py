@@ -14,8 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, lstm, pipeline, sim, sysid, ukf, vehicle, whisker
-from .logio import DRAG_COLS, TOUCH_COLS, WIND_COLS, DriverConfig, WhiskerDriver, recovery_samples
-from .pipeline import EstimatorConfig, airflow_rms, run_estimate, window_mask
+from .logio import (
+    DRAG_COLS,
+    TOUCH_COLS,
+    WIND_COLS,
+    DriverConfig,
+    WhiskerDriver,
+    recovery_samples,
+    window_mask,
+)
+from .pipeline import EstimatorConfig, airflow_rms, run_estimate
 from .sim import NoiseSpec, run_scenario
 
 # throttle-correlated deflection bias in the synthetic flights used for
@@ -129,7 +137,7 @@ def criterion_2(art: Artifacts):
     log = run_scenario(sc)
     tr = log["truth"]
     window = (sc.plan.t_execute + 1.0, sc.plan.t_land - 1.0)
-    samples = sysid.collect_drag_samples_truth(
+    speed, force = sysid.collect_drag_samples_truth(
         tr.t,
         tr.col("qw", "qx", "qy", "qz"),
         tr.col("vx", "vy", "vz"),
@@ -140,7 +148,7 @@ def criterion_2(art: Artifacts):
         params.mass,
         window=window,
     )
-    fit0 = sysid.fit_drag_polynomial(samples)
+    fit0 = sysid.fit_drag_polynomial(speed, force)
     clean_ok = abs(fit0.mu1 - params.mu1) < 1e-6 and abs(fit0.mu2 - params.mu2) < 1e-6
 
     worst = 0.0
@@ -150,14 +158,14 @@ def criterion_2(art: Artifacts):
         log = run_scenario(sc)
         odo = log["odometry"]
         window = (sc.plan.t_execute + 1.0, sc.plan.t_land - 1.0)
-        samples = sysid.collect_drag_samples(
+        speed, force = sysid.collect_drag_samples(
             odo.t,
             odo.col("qw", "qx", "qy", "qz"),
             odo.col("vx", "vy", "vz"),
             params.mass,
             window=window,
         )
-        fit = sysid.fit_drag_polynomial(samples)
+        fit = sysid.fit_drag_polynomial(speed, force)
         err = max(abs(fit.mu1 - params.mu1) / params.mu1, abs(fit.mu2 - params.mu2) / params.mu2)
         worst = max(worst, err)
         noisy_ok &= err < 0.10

@@ -91,8 +91,8 @@ def cmd_sysid(args):
     v = odo.col("vx", "vy", "vz")[keep]
     w = odo.col("wx", "wy", "wz")[keep]
 
-    samples = sysid.collect_drag_samples(t_odo, q, v, cfg.vehicle.mass)
-    fit = sysid.fit_drag_polynomial(samples)
+    speed, force = sysid.collect_drag_samples(t_odo, q, v, cfg.vehicle.mass)
+    fit = sysid.fit_drag_polynomial(speed, force)
     t_theta, theta, _ = pipeline.driver_angles(log, cfg)
     coeffs = sysid.identify_rig_coefficients(t_theta, theta, t_odo, q, v, w, cfg.rig)
 
@@ -106,7 +106,7 @@ def cmd_sysid(args):
     out = args.out or os.path.join(_out_dir(), "params.cfg")
     save_config(params, out, header="identified from a still-air flight")
     print(f"drag polynomial: mu1 {fit.mu1:.5f} N s/m, mu2 {fit.mu2:.5f} N s^2/m^2 "
-          f"({len(samples)} samples)")
+          f"({len(speed)} samples)")
     print("sensor coefficients: " + ", ".join(f"{c:.6g}" for c in coeffs))
     print(f"params written to {out}")
     return 0

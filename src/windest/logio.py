@@ -285,6 +285,15 @@ def zoh_indices(src_t, clock_t):
     return np.searchsorted(np.asarray(src_t, dtype=float), np.asarray(clock_t, dtype=float), side="right") - 1
 
 
+def window_mask(t, window):
+    """True at each time inside the inclusive (t0, t1) window; all True
+    when window is None."""
+    t = np.asarray(t, dtype=float)
+    if window is None:
+        return np.ones(t.shape[0], dtype=bool)
+    return (t >= window[0]) & (t <= window[1])
+
+
 @dataclass
 class Resampled:
     """All channels held onto a common clock (zero-order hold)."""

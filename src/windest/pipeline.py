@@ -425,14 +425,7 @@ def rms(x, axis=0):
 def airflow_rms(log: FlightLog, t_est, table, window=None):
     """Per-axis RMS error of the body relative-airflow estimate."""
     t_est = np.asarray(t_est, dtype=float)
-    mask = np.ones(t_est.shape[0], dtype=bool)
-    if window is not None:
-        mask &= (t_est >= window[0]) & (t_est <= window[1])
+    mask = logio.window_mask(t_est, window)
     truth = truth_airflow_body(log, t_est[mask])
     est = np.asarray(table, dtype=float)[mask, logio.VINF_COLS]
     return rms(est - truth)
-
-
-def window_mask(t, window):
-    t = np.asarray(t, dtype=float)
-    return (t >= window[0]) & (t <= window[1])

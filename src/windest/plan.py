@@ -140,18 +140,17 @@ class LineTrajectory:
 @dataclass
 class JoystickTrajectory:
     """Seeded wandering velocity profile, cosine-blended between random
-    waypoint velocities every wp_period seconds (C1, bounded to a box)."""
+    waypoint velocities every wp_period seconds (C1), each waypoint
+    pulled back toward start."""
 
     seed: int = 0
     duration: float = 45.0
     vmax: float = 4.0
     wp_period: float = 2.5
     start: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 2.0]))
-    box_half: np.ndarray = field(default_factory=lambda: np.array([4.0, 4.0, 1.4]))
 
     def __post_init__(self):
         self.start = np.asarray(self.start, dtype=float)
-        self.box_half = np.asarray(self.box_half, dtype=float)
         rng = np.random.default_rng(self.seed)
         n_seg = max(1, int(round(self.duration / self.wp_period)))
         self.duration = n_seg * self.wp_period
@@ -163,7 +162,7 @@ class JoystickTrajectory:
             raw[2] *= 0.35
             raw = raw / max(np.linalg.norm(raw), 1e-9)
             v = raw * self.vmax * rng.uniform(0.35, 1.0)
-            # steer back toward the box center before committing
+            # steer back toward start before committing
             v -= 0.6 * (pos + vs[-1] * 0.5 * T - self.start) / T
             n = np.linalg.norm(v)
             if n > self.vmax:

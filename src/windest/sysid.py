@@ -4,11 +4,14 @@ Drag: during steady translation the projection of (body-frame thrust
 minus inertial acceleration) onto the direction of travel isolates the
 aerodynamic drag magnitude; thrust itself is recovered from the attitude
 needed to hold altitude, f = m g / R33, where R33 = cos(roll) cos(pitch)
-is the world z component of the body z axis.  Fitting force against
-speed with a no-intercept [v, v^2] basis yields (mu1, mu2).  The
-rotations (acceleration and velocity into the body frame, thrust into
-the world) and R33 all come from geometry.rotation_transposed, one
-product over the log's samples.
+is the world z component of the body z axis.  Each collector picks its
+rows with one boolean mask (logio.window_mask and the speed and
+attitude rules) and returns the kept samples as two (n,) arrays,
+(speed, force), in time order, the force formed over the kept rows
+only.  Fitting force against speed with a no-intercept [v, v^2] basis
+yields (mu1, mu2).  The rotations (acceleration and velocity into the
+body frame, thrust into the world) and R33 all come from
+geometry.rotation_transposed, one product over the log's samples.
 
 Whisker coefficient: with no ambient wind the relative airflow at a
 mount follows from odometry alone, and each paired sample gives
@@ -35,22 +38,16 @@ import numpy as np
 
 from . import whisker
 from .geometry import quat_normalize_rows, rotation_transposed
-from .logio import zoh_indices
+from .logio import window_mask, zoh_indices
 from .vehicle import GRAVITY
 
 MIN_PLANAR_SPEED = 0.2  # m/s, coefficient samples below this are discarded
 MIN_SPEED = 0.5  # m/s, drag samples below this are discarded
-MAX_VERTICAL_RATIO = 0.35  # drag samples need |v_z| below this share of the speed
+MAX_VERTICAL_RATIO = 0.35  # drag samples need |v_z| at most this share of the speed
 CUTOFF_HZ = 4.0  # low-pass corner before differentiating odometry velocity
 _MIN_CC = 0.2  # reject attitudes where R33 = cos(roll) cos(pitch) falls below this
 _PAD = 9  # odd-extension samples at each end of the low-pass input: 3 x its 3 taps
 _SQRT2 = math.sqrt(2.0)
-
-
-@dataclass
-class DragSample:
-    speed: float  # |v| or |v_inf| [m/s]
-    force: float  # projected drag magnitude [N]
 
 
 @dataclass
@@ -59,50 +56,18 @@ class DragFit:
     mu2: float
     rms: float  # residual RMS of the fit [N]
 
-    def __call__(self, speed):
-        speed = np.asarray(speed, dtype=float)
-        return self.mu1 * speed + self.mu2 * speed**2
 
-
-def thrust_from_attitude(mass, r33):
-    """Thrust needed to hold altitude at the given tilt, f = m g / R33,
-    with R33 = cos(roll) cos(pitch) the world z component of body z."""
-    if r33 < _MIN_CC:
-        raise ValueError(f"attitude too far from level (cos r cos p = {r33:.3f})")
-    return mass * GRAVITY / r33
-
-
-def drag_projection(f_thrust, v_dot_body, e_v_body, mass):
-    """Projected drag force sample (N) from body-frame kinematics.
-
-    f_thrust is the scalar thrust along body z, v_dot_body the inertial
-    acceleration expressed in the body frame, e_v_body the unit direction
-    of travel in the body frame.
-    """
-    e_v_body = np.asarray(e_v_body, dtype=float)
-    resid = np.array([0.0, 0.0, float(f_thrust)]) - mass * np.asarray(v_dot_body, dtype=float)
-    return float(resid @ e_v_body)
-
-
-def drag_sample(f_thrust, v_dot_body, v_body, mass):
-    """DragSample from one synchronized odometry instant."""
-    v_body = np.asarray(v_body, dtype=float)
-    speed = float(np.linalg.norm(v_body))
-    if speed < 1e-9:
-        raise ValueError("cannot form a drag sample at zero speed")
-    return DragSample(speed, drag_projection(f_thrust, v_dot_body, v_body / speed, mass))
-
-
-def fit_drag_polynomial(samples):
+def fit_drag_polynomial(speed, force):
     """No-intercept least squares of force against [speed, speed^2].
 
-    Requires at least 3 samples spanning distinct speeds; raises on a
-    rank-deficient (single-speed) design.
+    speed and force are the (n,) arrays a collector returns.  Requires at
+    least 3 samples spanning distinct speeds; raises on a rank-deficient
+    (single-speed) design.
     """
-    if len(samples) < 3:
+    v = np.asarray(speed, dtype=float)
+    f = np.asarray(force, dtype=float)
+    if v.shape[0] < 3:
         raise ValueError("need at least 3 drag samples")
-    v = np.array([s.speed for s in samples])
-    f = np.array([s.force for s in samples])
     A = np.column_stack([v, v * v])
     if np.linalg.matrix_rank(A, tol=1e-10 * max(1.0, float(np.abs(A).max()))) < 2:
         raise ValueError("drag samples do not span distinct speeds")
@@ -184,9 +149,13 @@ def differentiate_velocity(t, v):
 def collect_drag_samples(t, p_q, v_world, mass, window=None):
     """Drag samples from an odometry stream (t, quaternion, world velocity).
 
-    Steady-segment selection: planar-dominated motion (|v_z| below
-    MAX_VERTICAL_RATIO of the speed), speed above MIN_SPEED, and an
-    optional (t0, t1) window restricting to the execution phase.
+    A row is kept when t lies in the optional inclusive (t0, t1) window
+    (the execution phase), its speed |v| is at least MIN_SPEED, |v_z| is
+    at most MAX_VERTICAL_RATIO of that speed (planar-dominated motion)
+    and R33 is at least _MIN_CC.  Returns (speed, force), two (n,) arrays
+    over the kept rows in time order: the body-frame speed and the
+    projection of (f e3 - m a) on the body-frame direction of travel,
+    with f = m g / R33.
     """
     t = np.asarray(t, dtype=float)
     # R(q) is quadratic in q, so the rotations and R33 need unit quaternions:
@@ -195,52 +164,45 @@ def collect_drag_samples(t, p_q, v_world, mass, window=None):
     v = np.asarray(v_world, dtype=float)
     a = differentiate_velocity(t, v)
     rt = rotation_transposed(q)
-    a_body = np.add.reduce(rt * a.T, axis=1).T
-    v_body = np.add.reduce(rt * v.T, axis=1).T
-    r33 = rt[2, 2].tolist()
-    samples = []
-    for k in range(t.shape[0]):
-        if window is not None and not (window[0] <= t[k] <= window[1]):
-            continue
-        speed = float(np.linalg.norm(v[k]))
-        if speed < MIN_SPEED or abs(v[k, 2]) > MAX_VERTICAL_RATIO * speed:
-            continue
-        try:
-            f_thrust = thrust_from_attitude(mass, r33[k])
-        except ValueError:
-            continue
-        samples.append(drag_sample(f_thrust, a_body[k], v_body[k], mass))
-    return samples
+    speed_w = np.linalg.norm(v, axis=1)
+    keep = (
+        window_mask(t, window)
+        & (speed_w >= MIN_SPEED)
+        & (np.abs(v[:, 2]) <= MAX_VERTICAL_RATIO * speed_w)
+        & (rt[2, 2] >= _MIN_CC)
+    )
+    rt = rt[:, :, keep]
+    v_body = np.add.reduce(rt * v[keep].T, axis=1)
+    resid = -mass * np.add.reduce(rt * a[keep].T, axis=1)
+    resid[2] += mass * GRAVITY / rt[2, 2]
+    speed = np.linalg.norm(v_body, axis=0)
+    return speed, np.add.reduce(resid * (v_body / speed), axis=0)
 
 
 def collect_drag_samples_truth(t, q, v, a, thrust, wind, touch, mass, window=None):
     """Drag samples from full dynamics bookkeeping (simulator truth).
 
-    Solves the translational dynamics for the drag force, projects it on
-    the relative-airflow direction and pairs it with |v_inf|; exact when
-    the inputs are exact, so useful as a noise-free reference arm.
+    Solves the translational dynamics for the drag force and projects it
+    on the direction of travel through the air, -v_inf / |v_inf|, at the
+    rows inside the optional inclusive window with |v_inf| at least
+    MIN_SPEED.  Returns (speed, force) as two (n,) arrays in time order,
+    speed being |v_inf|; exact when the inputs are exact, so useful as a
+    noise-free reference arm.
     """
     t = np.asarray(t, dtype=float)
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    a = np.asarray(a, dtype=float)
-    thrust = np.asarray(thrust, dtype=float)
-    wind = np.asarray(wind, dtype=float)
-    touch = np.asarray(touch, dtype=float)
-    thrust_w = (rotation_transposed(q.T)[2] * thrust).T  # R(q) e3 f
-    g_w = np.array([0.0, 0.0, -GRAVITY])
-    v_inf = wind - v
+    v_inf = np.asarray(wind, dtype=float) - np.asarray(v, dtype=float)
     speed = np.linalg.norm(v_inf, axis=1)
-    samples = []
-    for k in range(t.shape[0]):
-        if window is not None and not (window[0] <= t[k] <= window[1]):
-            continue
-        if speed[k] < MIN_SPEED:
-            continue
-        e_travel = -v_inf[k] / speed[k]
-        force = float((thrust_w[k] + mass * g_w + touch[k] - mass * a[k]) @ e_travel)
-        samples.append(DragSample(float(speed[k]), force))
-    return samples
+    keep = window_mask(t, window) & (speed >= MIN_SPEED)
+    q = np.asarray(q, dtype=float)[keep]
+    thrust_w = rotation_transposed(q.T)[2] * np.asarray(thrust, dtype=float)[keep]  # R(q) e3 f
+    resid = (
+        thrust_w.T
+        + np.array([0.0, 0.0, -mass * GRAVITY])
+        + np.asarray(touch, dtype=float)[keep]
+        - mass * np.asarray(a, dtype=float)[keep]
+    )
+    speed = speed[keep]
+    return speed, np.add.reduce(resid * (-v_inf[keep] / speed[:, None]), axis=1)
 
 
 def identify_rig_coefficients(

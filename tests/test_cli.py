@@ -23,7 +23,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 @pytest.fixture(scope="module")
 def hover_dir(hover_clean, tmp_path_factory):
     """The clean hover flight saved once; tests that change its files take
-    hover_copy."""
+    hover_copy, which has no truth.csv."""
     log, _ = hover_clean
     d = tmp_path_factory.mktemp("hover") / "hover_log"
     save_log(log, str(d))
@@ -32,7 +32,8 @@ def hover_dir(hover_clean, tmp_path_factory):
 
 @pytest.fixture()
 def hover_copy(hover_dir, tmp_path):
-    return Path(shutil.copytree(hover_dir, tmp_path / "hover_log"))
+    return Path(shutil.copytree(hover_dir, tmp_path / "hover_log",
+                                ignore=shutil.ignore_patterns("truth.csv")))
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +84,7 @@ def test_model_vs_lstm_schema_identical(hover_dir, tmp_path):
 
 
 @pytest.mark.parametrize("source", ["model", "lstm"])
-def test_estimate_does_not_read_truth(hover_copy, tmp_path, capsys, source):
+def test_estimate_does_not_read_truth(hover_dir, hover_copy, tmp_path, capsys, source):
     """estimate opens only the sensor channels: with truth.csv garbled or
     missing it writes the same bytes.  replay still reads truth."""
     args = []
@@ -92,7 +93,7 @@ def test_estimate_does_not_read_truth(hover_copy, tmp_path, capsys, source):
         lstm.save_params(lstm.init_params(np.random.default_rng(0)), str(w))
         args = ["--airflow-source", "lstm", "--weights", str(w)]
     ref = tmp_path / "ref.csv"
-    assert main(["estimate", str(hover_copy), "--out", str(ref), *args]) == 0
+    assert main(["estimate", str(hover_dir), "--out", str(ref), *args]) == 0
     truth = hover_copy / "truth.csv"
     truth.write_text("t,px\n0.0,banana\n")
     garbled = tmp_path / "garbled.csv"
@@ -136,8 +137,7 @@ def test_replay_without_truth_exits_2(hover_copy, tmp_path, capsys):
     route reads."""
     est = tmp_path / "est.csv"
     assert main(["estimate", str(hover_copy), "--out", str(est)]) == 0
-    (hover_copy / "truth.csv").unlink()
-    capsys.readouterr()
+    capsys.readouterr()  # hover_copy has no truth.csv
     assert main(["replay", str(hover_copy), str(est)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "truth.csv" in err
@@ -280,9 +280,12 @@ def test_sysid_writes_usable_params(circle_dir, hover_dir, tmp_path, capsys):
 def test_sysid_reads_only_odometry_and_whisker(circle_dir, tmp_path):
     """sysid opens only the channels it fits on: with the other files
     garbled it writes the same bytes."""
-    d = Path(shutil.copytree(circle_dir, tmp_path / "circ"))
     ref, garbled = tmp_path / "ref.cfg", tmp_path / "garbled.cfg"
-    assert main(["sysid", str(d), "--out", str(ref)]) == 0
+    assert main(["sysid", str(circle_dir), "--out", str(ref)]) == 0
+    d = tmp_path / "circ"
+    d.mkdir()
+    for name in ("odometry", "whisker"):
+        shutil.copy(circle_dir / f"{name}.csv", d)
     for name in ("truth", "imu", "throttle"):
         (d / f"{name}.csv").write_text("t,x\n0.0,banana\n")
     assert main(["sysid", str(d), "--out", str(garbled)]) == 0
@@ -405,7 +408,7 @@ def test_sysid_refuses_a_fit_outside_the_domain(circle_dir, tmp_path, monkeypatc
     """A negative drag coefficient from the fit exits 2 naming the key and
     its value, and writes no params file."""
     monkeypatch.setattr(sysid, "fit_drag_polynomial",
-                        lambda samples: sysid.DragFit(mu1=-0.25, mu2=0.07, rms=0.0))
+                        lambda speed, force: sysid.DragFit(mu1=-0.25, mu2=0.07, rms=0.0))
     out = tmp_path / "params.cfg"
     assert main(["sysid", str(circle_dir), "--out", str(out)]) == 2
     assert "config key 'mu1': value -0.25 must be >= 0" in capsys.readouterr().err

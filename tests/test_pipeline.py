@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from windest import logio, lstm, pipeline
-from windest.logio import ESTIMATE_COLUMNS
+from windest.logio import ESTIMATE_COLUMNS, window_mask
 from windest.vehicle import VehicleParams
 from windest.whisker import default_rig
 from windest.pipeline import (
@@ -20,7 +20,6 @@ from windest.pipeline import (
     training_block,
     truth_airflow_body,
     truth_drag,
-    window_mask,
 )
 
 
