@@ -1,6 +1,6 @@
 """End-to-end acceptance checks for the estimation stack.
 
-Each criterion builds (or reuses) simulated flights, runs the relevant
+Each criterion builds its own simulated flights, runs the relevant
 pipeline and scores it against truth or an analytic closed form.  The
 criteria are deliberately end-to-end: they exercise simulator, driver,
 filter, regressor and sysid together, with fixed seeds throughout.
@@ -48,76 +48,27 @@ class CriterionResult:
         return f"criterion {self.index:2d} {tag}  {self.name}: {self.details}"
 
 
-class Artifacts:
-    """Lazily built logs, estimates and trained weights shared by criteria."""
-
-    def __init__(self):
-        self._cache = {}
-
-    def _memo(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-    # -- flights ----------------------------------------------------------
-
-    def train_log_circular(self):
-        return self._memo(
-            "train_circ",
-            lambda: run_scenario(
-                sim.circular_scenario(seed=21, hold=6.0, interference=INTERFERENCE_GAIN)
-            ),
-        )
-
-    def train_logs_joystick(self):
-        return self._memo(
-            "train_joy",
-            lambda: [
-                run_scenario(sim.joystick_scenario(seed=s, interference=INTERFERENCE_GAIN))
-                for s in (22, 24)
-            ],
-        )
-
-    def eval_log_joystick(self):
-        return self._memo("eval_joy", lambda: run_scenario(self.eval_scenario()))
-
-    def eval_scenario(self):
-        return sim.joystick_scenario(seed=23, interference=INTERFERENCE_GAIN)
-
-    def weights(self):
-        def build():
-            cfg = EstimatorConfig()
-            logs = [self.train_log_circular()] + self.train_logs_joystick()
-            blocks = [pipeline.training_block(log, cfg) for log in logs]
-            params, history = lstm.train(blocks, TRAIN_CONFIG)
-            return params, history
-
-        return self._memo("weights", build)
-
-    def eval_estimates(self):
-        def build():
-            cfg = EstimatorConfig()
-            log = self.eval_log_joystick()
-            t_m, tab_m = run_estimate(log, cfg, source="model")
-            t_l, tab_l = run_estimate(log, cfg, source="lstm", weights=self.weights()[0])
-            return (t_m, tab_m), (t_l, tab_l)
-
-        return self._memo("eval_est", build)
-
-
 # ---------------------------------------------------------------------------
 # criteria
 
 
-def criterion_1(art: Artifacts):
-    """Relative-airflow accuracy of both routes and their ordering."""
+def criterion_1():
+    """Relative-airflow accuracy of both routes and their ordering: the
+    LSTM is trained on one circular and two joystick flights and both
+    routes replay a third joystick flight."""
     t0 = time.monotonic()
-    sc = art.eval_scenario()
-    log = art.eval_log_joystick()
+    cfg = EstimatorConfig()
+    train = [sim.circular_scenario(seed=21, hold=6.0, interference=INTERFERENCE_GAIN)]
+    train += [sim.joystick_scenario(seed=s, interference=INTERFERENCE_GAIN) for s in (22, 24)]
+    blocks = [pipeline.training_block(run_scenario(sc), cfg) for sc in train]
+    weights, _ = lstm.train(blocks, TRAIN_CONFIG)
+    sc = sim.joystick_scenario(seed=23, interference=INTERFERENCE_GAIN)
+    log = run_scenario(sc)
     window = (sc.plan.t_execute + 1.0, sc.plan.t_land - 1.0)
-    (t_m, tab_m), (t_l, tab_l) = art.eval_estimates()
-    rms_model = airflow_rms(log, t_m, tab_m, window=window)
-    rms_lstm = airflow_rms(log, t_l, tab_l, window=window)
+    model = run_estimate(log, cfg, source="model")
+    learned = run_estimate(log, cfg, source="lstm", weights=weights)
+    rms_model = airflow_rms(log, *model, window=window)
+    rms_lstm = airflow_rms(log, *learned, window=window)
     under_ceiling = np.all(rms_model <= np.asarray(RMS_CEILINGS))
     ordered = np.all(rms_lstm <= rms_model)
     elapsed = time.monotonic() - t0
@@ -130,7 +81,7 @@ def criterion_1(art: Artifacts):
     return CriterionResult(1, "relative airflow", passed, details)
 
 
-def criterion_2(art: Artifacts):
+def criterion_2():
     """Drag polynomial recovery, noiseless and under default noise."""
     params = vehicle.VehicleParams()
     sc = sim.circular_scenario(seed=31, noise=NoiseSpec.none(), hold=6.0)
@@ -177,7 +128,7 @@ def criterion_2(art: Artifacts):
     return CriterionResult(2, "drag sysid", passed, details)
 
 
-def criterion_3(art: Artifacts):
+def criterion_3():
     """Drag estimate magnitude at a 3 m/s steady airspeed."""
     cfg = EstimatorConfig()
     sc = sim.circular_scenario(seed=51, speeds=(3.0,), hold=10.0)
@@ -191,7 +142,7 @@ def criterion_3(art: Artifacts):
     )
 
 
-def criterion_4(art: Artifacts):
+def criterion_4():
     """Wind estimate through a cone gust crossing."""
     cfg = EstimatorConfig()
     sc = sim.line_gust_scenario(seed=61)
@@ -242,7 +193,7 @@ def _four_phase_metrics(thrust_scale):
     }
 
 
-def criterion_5(art: Artifacts):
+def criterion_5():
     """Drag/touch disambiguation across the four-phase flight."""
     m = _four_phase_metrics(thrust_scale=1.0)
     wind_ok = m["touch_in_wind"] < 0.3 and (
@@ -261,7 +212,7 @@ def criterion_5(art: Artifacts):
     return CriterionResult(5, "drag/touch disambiguation", passed, details)
 
 
-def criterion_6(art: Artifacts):
+def criterion_6():
     """Covariance and quaternion health over randomized filter steps."""
     rng = np.random.default_rng(81)
     params = vehicle.VehicleParams()
@@ -315,7 +266,7 @@ def criterion_6(art: Artifacts):
     return CriterionResult(6, "filter numerics", passed, details)
 
 
-def criterion_7(art: Artifacts):
+def criterion_7():
     """Unscented transform exactness on random affine maps."""
     rng = np.random.default_rng(91)
     worst = 0.0
@@ -339,7 +290,7 @@ def criterion_7(art: Artifacts):
     return CriterionResult(7, "UT affine exactness", passed, f"worst error {worst:.2e}")
 
 
-def criterion_8(art: Artifacts):
+def criterion_8():
     """Backpropagation gradients against central finite differences."""
     rng = np.random.default_rng(101)
     worst = 0.0
@@ -357,7 +308,7 @@ def criterion_8(art: Artifacts):
     return CriterionResult(8, "LSTM gradients", passed, f"worst rel err {worst:.2e} over 20 configs")
 
 
-def criterion_9(art: Artifacts):
+def criterion_9():
     """Optimizer reference behavior on a scalar quadratic."""
     tensors = {"x": np.array([1.0])}
     state = lstm.AdamState()
@@ -378,27 +329,24 @@ def criterion_9(art: Artifacts):
     return CriterionResult(9, "Adam reference", passed, details)
 
 
-def criterion_10(art: Artifacts):
-    """Driver outlier recovery matches the closed-form sample count."""
+def criterion_10():
+    """Driver outlier recovery matches the closed-form sample count: after
+    one zero calibration row, a sustained step on one field component is
+    first accepted at sample recovery_samples(...)."""
     rng = np.random.default_rng(111)
     rig = whisker.default_rig()
+    t = np.arange(600.0)  # a second apart: the calibration window holds row 0 alone
+    b = np.zeros((t.size, len(rig), 3))
     mismatches = 0
     for _ in range(50):
         thr = float(rng.uniform(5.0, 80.0))
         step = float(rng.uniform(1.0, 500.0))
         alpha = float(rng.uniform(0.1, 0.6))
         predicted = recovery_samples(thr, step, alpha)
-        drv = WhiskerDriver(rig, DriverConfig(alpha=alpha))
-        drv.lp = np.zeros((len(rig), 3))
-        drv.thresholds = np.full((len(rig), 3), thr)
-        b = np.zeros((len(rig), 3))
-        b[0, 2] = step
-        accepted_at = None
-        for k in range(1, 600):
-            _, accept = drv.process(b)
-            if accept[0]:
-                accepted_at = k
-                break
+        b[1:, 0, 2] = step
+        _, accept = WhiskerDriver(rig, DriverConfig(alpha=alpha, threshold_floor=thr)).run(t, b)
+        hits = np.flatnonzero(accept[1:, 0])
+        accepted_at = int(hits[0]) + 1 if hits.size else None
         if accepted_at != predicted:
             mismatches += 1
     passed = mismatches == 0
@@ -424,10 +372,9 @@ CRITERIA = [
 def run_all(picks=None):
     """Run the criteria numbered in picks (all when None), print one line
     each; returns True if all passed."""
-    art = Artifacts()
     ok = True
     for i in picks or range(1, len(CRITERIA) + 1):
-        res = CRITERIA[i - 1](art)
+        res = CRITERIA[i - 1]()
         ok &= res.passed
         print(res.line())
     return ok

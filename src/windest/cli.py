@@ -6,6 +6,7 @@ default output directory; explicit --out flags win.
 """
 
 import argparse
+import inspect
 import os
 import sys
 import time
@@ -49,16 +50,17 @@ def _load_config(path):
 
 
 def cmd_sim(args):
+    factory = sim.SCENARIOS[args.scenario]
     kwargs = {"seed": args.seed}
     if args.interference:
-        if args.scenario not in ("circular", "joystick"):
-            raise ValueError(f"--interference not supported for {args.scenario}")
         kwargs["interference"] = args.interference
     if args.thrust_scale != 1.0:
-        if args.scenario not in ("circular", "four_phase"):
-            raise ValueError(f"--thrust-scale not supported for {args.scenario}")
         kwargs["thrust_scale"] = args.thrust_scale
-    sc = sim.SCENARIOS[args.scenario](**kwargs)
+    takes = inspect.signature(factory).parameters
+    for key in kwargs:
+        if key not in takes:
+            raise ValueError(f"--{key.replace('_', '-')} not supported for {args.scenario}")
+    sc = factory(**kwargs)
     out = args.out or os.path.join(_out_dir(), f"{args.scenario}_{args.seed}")
     start = time.perf_counter()
     try:

@@ -60,12 +60,6 @@ class Channel:
         except KeyError as exc:
             raise self._missing(exc.args[0]) from None
 
-    def cols(self, prefix, count):
-        try:
-            return self.data[:, [self._index[f"{prefix}{i}"] for i in range(count)]]
-        except KeyError as exc:
-            raise self._missing(exc.args[0]) from None
-
     def _missing(self, name):
         """The error for a column the channel's file does not have."""
         return LogFormatError(
@@ -294,19 +288,9 @@ def window_mask(t, window):
     return (t >= window[0]) & (t <= window[1])
 
 
-@dataclass
-class Resampled:
-    """All channels held onto a common clock (zero-order hold)."""
-
-    t: np.ndarray
-    channels: dict[str, Channel]
-
-    def __getitem__(self, name) -> Channel:
-        return self.channels[name]
-
-
-def resample_to_clock(log: FlightLog, clock_channel="whisker"):
-    """Sample-and-hold every channel onto clock_channel's timestamps.
+def resample_to_clock(log: FlightLog, clock_channel="whisker") -> FlightLog:
+    """Sample-and-hold every channel onto clock_channel's timestamps: a
+    log whose channels all have the same t.
 
     Only the overlap window (clock ticks covered by every channel) is
     kept, so no value is ever extrapolated.  Running the result through
@@ -315,13 +299,11 @@ def resample_to_clock(log: FlightLog, clock_channel="whisker"):
     clock = log[clock_channel].t
     lo = max(ch.t[0] for ch in log.channels.values())
     hi = min(ch.t[-1] for ch in log.channels.values())
-    keep = (clock >= lo) & (clock <= hi)
-    clock = clock[keep]
-    out = {}
+    clock = clock[(clock >= lo) & (clock <= hi)]
+    out = FlightLog()
     for name, ch in log.channels.items():
-        idx = zoh_indices(ch.t, clock)
-        out[name] = Channel(name, clock, ch.data[idx], list(ch.columns))
-    return Resampled(clock, out)
+        out.add(name, clock, ch.data[zoh_indices(ch.t, clock)], list(ch.columns))
+    return out
 
 
 def forward_fill(arr):
@@ -366,83 +348,55 @@ def recovery_samples(threshold, step, alpha):
 
 
 class WhiskerDriver:
-    """Stateful b-field -> angle pipeline for one rig."""
+    """The b-field -> angle pipeline for one rig."""
 
     def __init__(self, rig: WhiskerRig, config: DriverConfig = DriverConfig()):
         self.rig = rig
         self.config = config
-        n = len(rig)
-        self.lp = None  # (n, 3) low-pass reference, seeded on calibrate/first sample
-        self.thresholds = np.full((n, 3), config.threshold_floor)
-        self.offsets = np.zeros((n, 2))
-
-    def calibrate(self, b_window):
-        """Startup calibration from an (m, n_sensors, 3) stack of rest data.
-
-        Sets per-sensor angle offsets (mean decoded deflection), the
-        outlier thresholds (nsigma * component std, floored) and seeds
-        the low-pass reference.  Rows holding a non-finite value are left
-        out; a window with none left raises ValueError.
-        """
-        b = np.asarray(b_window, dtype=float)
-        if b.ndim != 3 or b.shape[1] != len(self.rig):
-            raise ValueError("calibration window must be (m, n_sensors, 3)")
-        b = b[np.isfinite(b).all(axis=(1, 2))]
-        if b.shape[0] == 0:
-            raise ValueError("whisker channel: no finite row in the calibration window")
-        self.lp = b.mean(axis=0)
-        sig = b.std(axis=0)
-        self.thresholds = np.maximum(self.config.nsigma * sig, self.config.threshold_floor)
-        self.offsets = whisker.decode_field(self.rig.sign * b).mean(axis=0)
-        return self.offsets
-
-    def process(self, b_row):
-        """One tick of raw fields (n_sensors, 3) -> angles (n_sensors, 2).
-
-        Rejected sensors come back NaN; the low-pass reference is
-        updated either way, except by non-finite components (their
-        sensors are rejected).
-        """
-        b = np.asarray(b_row, dtype=float)
-        if self.lp is None:
-            self.lp = b.copy()
-        accept = np.all(np.abs(b - self.lp) <= self.thresholds, axis=1)
-        blend = (1.0 - self.config.alpha) * self.lp + self.config.alpha * b
-        self.lp = np.where(np.isfinite(b), blend, self.lp)
-        raw = whisker.decode_field(self.rig.sign * b) - self.offsets
-        theta = np.clip(raw, -self.config.clamp, self.config.clamp)
-        theta[~accept] = np.nan
-        return theta, accept
 
     def run(self, t, b_stack):
-        """Calibrate on the first CALIB_DURATION_S seconds, then drive the
-        whole (n, n_sensors, 3) stream; returns (theta, accept), each tick
-        with the bits process gives it.
+        """Drive the whole (n, n_sensors, 3) field stream; returns (theta,
+        accept), theta (n, n_sensors, 2) with rejected sensors NaN.
+
+        Calibration comes first, on the rows up to t[0] + CALIB_DURATION_S
+        that hold no non-finite value (none left raises ValueError): their
+        mean field seeds the low-pass reference, nsigma times each
+        component's std (floored at threshold_floor) is its gate width, and
+        their mean decoded deflection is each sensor's angle offset.  Then
+        each tick is gated against the reference before the tick's blend,
+        and the reference blends in every finite component, accepted or
+        not, so it walks toward a genuine step.
 
         Only the low-pass recursion runs tick by tick, on Python floats;
-        the gate against each tick's pre-update reference, the decode, the
-        offsets, the clamp and the NaN marking are one pass over the stream.
+        the gate, the decode, the offsets, the clamp and the NaN marking
+        are one pass over the stream.
         """
         t = np.asarray(t, dtype=float)
         b_stack = np.asarray(b_stack, dtype=float)
         n = t.shape[0]
+        if b_stack.shape != (n, len(self.rig), 3):
+            raise ValueError("field stack must be (len(t), n_sensors, 3)")
         if n == 0:
             return np.empty((0, len(self.rig), 2)), np.empty((0, len(self.rig)), dtype=bool)
-        m = int(np.searchsorted(t, t[0] + CALIB_DURATION_S, side="right"))
-        self.calibrate(b_stack[: max(m, 1)])
-        alpha = self.config.alpha
+        cfg = self.config
+        window = b_stack[: int(np.searchsorted(t, t[0] + CALIB_DURATION_S, side="right"))]
+        window = window[np.isfinite(window).all(axis=(1, 2))]
+        if window.shape[0] == 0:
+            raise ValueError("whisker channel: no finite row in the calibration window")
+        thresholds = np.maximum(cfg.nsigma * window.std(axis=0), cfg.threshold_floor)
+        offsets = whisker.decode_field(self.rig.sign * window).mean(axis=0)
+        alpha = cfg.alpha
         keep = 1.0 - alpha
-        lp = self.lp.ravel().tolist()
+        lp = window.mean(axis=0).ravel().tolist()
         refs = []
         for row in b_stack.reshape(n, -1).tolist():
             refs.append(lp)
             # x - x == 0.0 holds for finite x only: NaN and inf leave lp
             lp = [keep * r + alpha * x if x - x == 0.0 else r for r, x in zip(lp, row)]
-        self.lp = np.array(lp).reshape(self.lp.shape)
         ref = np.array(refs).reshape(b_stack.shape)
-        accept = np.all(np.abs(b_stack - ref) <= self.thresholds, axis=2)
-        raw = whisker.decode_field(self.rig.sign * b_stack) - self.offsets
-        theta = np.clip(raw, -self.config.clamp, self.config.clamp)
+        accept = np.all(np.abs(b_stack - ref) <= thresholds, axis=2)
+        raw = whisker.decode_field(self.rig.sign * b_stack) - offsets
+        theta = np.clip(raw, -cfg.clamp, cfg.clamp)
         theta[~accept] = np.nan
         return theta, accept
 

@@ -251,20 +251,21 @@ def whisker_clock_features(log: FlightLog, cfg: EstimatorConfig):
     t_whisk, theta, _ = driver_angles(log, cfg)
     sensors = FlightLog({name: log[name] for name in ROUTE_CHANNELS["lstm"]})
     rs = logio.resample_to_clock(sensors, "whisker")
-    if rs.t.shape[0] == 0:
+    t = rs["whisker"].t
+    if t.shape[0] == 0:
         raise ValueError(
             "log channels do not overlap: no whisker tick lies inside the "
             "time span every sensor channel covers"
         )
-    theta_rs = theta[logio.zoh_indices(t_whisk, rs.t)]
+    theta_rs = theta[logio.zoh_indices(t_whisk, t)]
     feats = lstm_mod.build_features(
         logio.forward_fill(theta_rs),
         logio.forward_fill(rs["odometry"].col("wx", "wy", "wz")),
         logio.forward_fill(rs["imu"].col("ax", "ay", "az")),
-        logio.forward_fill(rs["throttle"].cols("u", sim.N_ROTORS)),
+        logio.forward_fill(rs["throttle"].col(*sim.THROTTLE_COLUMNS[: sim.N_ROTORS])),
         sim.SPIN_DIRS,
     )
-    return rs.t, feats
+    return t, feats
 
 
 def pseudo_airflow(log: FlightLog, cfg: EstimatorConfig, params: lstm_mod.LstmParams):

@@ -54,7 +54,6 @@ _SQRT2 = math.sqrt(2.0)
 class DragFit:
     mu1: float
     mu2: float
-    rms: float  # residual RMS of the fit [N]
 
 
 def fit_drag_polynomial(speed, force):
@@ -72,8 +71,7 @@ def fit_drag_polynomial(speed, force):
     if np.linalg.matrix_rank(A, tol=1e-10 * max(1.0, float(np.abs(A).max()))) < 2:
         raise ValueError("drag samples do not span distinct speeds")
     coef, _, _, _ = np.linalg.lstsq(A, f, rcond=None)
-    resid = f - A @ coef
-    return DragFit(float(coef[0]), float(coef[1]), float(np.sqrt(np.mean(resid**2))))
+    return DragFit(float(coef[0]), float(coef[1]))
 
 
 def identify_sensor_coefficient(thetas, v_inf_sensor):

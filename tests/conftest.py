@@ -21,9 +21,3 @@ def circle3_clean():
 def circle_multi_clean():
     sc = sim.circular_scenario(noise=sim.NoiseSpec.none(), hold=6.0)
     return sim.run_scenario(sc), sc
-
-
-@pytest.fixture(scope="session")
-def circle3_noisy():
-    sc = sim.circular_scenario(seed=11, speeds=(3.0,), hold=10.0)
-    return sim.run_scenario(sc), sc

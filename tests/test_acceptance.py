@@ -1,62 +1,54 @@
 """Top-level acceptance gate: one test (and one pass/fail line) per criterion.
 
 Each test delegates to windest.acceptance, which owns the scenario
-builds, tolerances and scoring.  Shared artifacts (training flights,
-trained weights, eval estimates) are built once per session.
+builds, tolerances and scoring.
 """
-
-import pytest
 
 from windest import acceptance
 
 
-@pytest.fixture(scope="session")
-def art():
-    return acceptance.Artifacts()
-
-
-def _run(fn, art):
-    res = fn(art)
+def _run(fn):
+    res = fn()
     print(res.line())
     assert res.passed, res.details
     return res
 
 
-def test_criterion_01_relative_airflow(art):
-    _run(acceptance.criterion_1, art)
+def test_criterion_01_relative_airflow():
+    _run(acceptance.criterion_1)
 
 
-def test_criterion_02_drag_sysid(art):
-    _run(acceptance.criterion_2, art)
+def test_criterion_02_drag_sysid():
+    _run(acceptance.criterion_2)
 
 
-def test_criterion_03_drag_at_3ms(art):
-    _run(acceptance.criterion_3, art)
+def test_criterion_03_drag_at_3ms():
+    _run(acceptance.criterion_3)
 
 
-def test_criterion_04_gust_detection(art):
-    _run(acceptance.criterion_4, art)
+def test_criterion_04_gust_detection():
+    _run(acceptance.criterion_4)
 
 
-def test_criterion_05_drag_touch_disambiguation(art):
-    _run(acceptance.criterion_5, art)
+def test_criterion_05_drag_touch_disambiguation():
+    _run(acceptance.criterion_5)
 
 
-def test_criterion_06_filter_numerics(art):
-    _run(acceptance.criterion_6, art)
+def test_criterion_06_filter_numerics():
+    _run(acceptance.criterion_6)
 
 
-def test_criterion_07_ut_affine_exactness(art):
-    _run(acceptance.criterion_7, art)
+def test_criterion_07_ut_affine_exactness():
+    _run(acceptance.criterion_7)
 
 
-def test_criterion_08_lstm_gradients(art):
-    _run(acceptance.criterion_8, art)
+def test_criterion_08_lstm_gradients():
+    _run(acceptance.criterion_8)
 
 
-def test_criterion_09_adam_reference(art):
-    _run(acceptance.criterion_9, art)
+def test_criterion_09_adam_reference():
+    _run(acceptance.criterion_9)
 
 
-def test_criterion_10_driver_recovery(art):
-    _run(acceptance.criterion_10, art)
+def test_criterion_10_driver_recovery():
+    _run(acceptance.criterion_10)

@@ -261,7 +261,9 @@ def test_sysid_and_train_load_no_scipy(circle_dir, tmp_path):
 
 def test_scenario_flag_validation(capsys):
     assert main(["sim", "--scenario", "hover", "--interference", "0.1"]) == 2
-    assert "not supported" in capsys.readouterr().err
+    assert "--interference not supported for hover" in capsys.readouterr().err
+    assert main(["sim", "--scenario", "hover", "--thrust-scale", "0.9"]) == 2
+    assert "--thrust-scale not supported for hover" in capsys.readouterr().err
 
 
 def test_sysid_writes_usable_params(circle_dir, hover_dir, tmp_path, capsys):
@@ -313,7 +315,7 @@ def test_eval_only_validation(capsys):
 def test_eval_nonzero_on_failure(monkeypatch, capsys):
     from windest import acceptance
 
-    def forced(art):
+    def forced():
         return acceptance.CriterionResult(1, "forced", False, "forced failure")
 
     monkeypatch.setattr(acceptance, "CRITERIA", [forced])
@@ -408,7 +410,7 @@ def test_sysid_refuses_a_fit_outside_the_domain(circle_dir, tmp_path, monkeypatc
     """A negative drag coefficient from the fit exits 2 naming the key and
     its value, and writes no params file."""
     monkeypatch.setattr(sysid, "fit_drag_polynomial",
-                        lambda speed, force: sysid.DragFit(mu1=-0.25, mu2=0.07, rms=0.0))
+                        lambda speed, force: sysid.DragFit(mu1=-0.25, mu2=0.07))
     out = tmp_path / "params.cfg"
     assert main(["sysid", str(circle_dir), "--out", str(out)]) == 2
     assert "config key 'mu1': value -0.25 must be >= 0" in capsys.readouterr().err

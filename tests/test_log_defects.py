@@ -18,7 +18,7 @@ import pytest
 
 from faults import drop_window, set_value, swap_lines, truncate_channel
 from test_replay_golden import record_sigma_draws, truncated
-from windest import lstm, pipeline, sim, ukf
+from windest import lstm, pipeline, sim, ukf, whisker
 from windest.cli import main
 from windest.logio import (
     CALIB_DURATION_S,
@@ -119,10 +119,29 @@ def test_nonfinite_field_is_rejected_and_kept_out_of_the_reference(hover_log, we
         assert np.all(np.isfinite(table))
 
 
+def process_tick_by_tick(rig, cfg, t, b):
+    """The driver's rules one tick at a time, in numpy, yielding (theta,
+    accept) per tick: calibrate on the rows up to t[0] + CALIB_DURATION_S
+    that hold no non-finite value, then gate each tick against the
+    reference before its blend, blend in its finite components and decode
+    less the offsets, clamped, with rejected sensors NaN."""
+    window = b[: int(np.searchsorted(t, t[0] + CALIB_DURATION_S, side="right"))]
+    window = window[np.isfinite(window).all(axis=(1, 2))]
+    lp = window.mean(axis=0)
+    thresholds = np.maximum(cfg.nsigma * window.std(axis=0), cfg.threshold_floor)
+    offsets = whisker.decode_field(rig.sign * window).mean(axis=0)
+    for row in b:
+        accept = np.all(np.abs(row - lp) <= thresholds, axis=1)
+        lp = np.where(np.isfinite(row), (1.0 - cfg.alpha) * lp + cfg.alpha * row, lp)
+        theta = np.clip(whisker.decode_field(rig.sign * row) - offsets, -cfg.clamp, cfg.clamp)
+        theta[~accept] = np.nan
+        yield theta, accept
+
+
 def test_driver_run_equals_process_tick_by_tick(hover_log):
-    """run's block pass gives every tick the bits that process gives it, and
-    leaves the same reference, on a stream with NaN and inf fields (one in
-    the calibration window) and rejected spikes."""
+    """run's block pass gives every tick the bits that the per-tick
+    reference gives it, on a stream with NaN and inf fields (one in the
+    calibration window) and rejected spikes."""
     t = hover_log["whisker"].t
     b = whisker_fields(hover_log).copy()
     rng = np.random.default_rng(67)
@@ -132,30 +151,33 @@ def test_driver_run_equals_process_tick_by_tick(hover_log):
     b[rows[15:30], sensor[15:30], comp[15:30]] = np.inf * rng.choice([-1.0, 1.0], 15)
     b[rows[30:], sensor[30:], comp[30:]] += 400.0 * rng.choice([-1.0, 1.0], 15)
     b[5, 1, 2] = np.inf
-    rig = EstimatorConfig().rig
-    drv, ref = WhiskerDriver(rig), WhiskerDriver(rig)
-    theta, accept = drv.run(t, b)
-    ref.calibrate(b[: int(np.searchsorted(t, t[0] + CALIB_DURATION_S, side="right"))])
-    for k in range(t.size):
-        theta_k, accept_k = ref.process(b[k])
+    cfg = EstimatorConfig()
+    theta, accept = WhiskerDriver(cfg.rig, cfg.driver).run(t, b)
+    for k, (theta_k, accept_k) in enumerate(process_tick_by_tick(cfg.rig, cfg.driver, t, b)):
         assert theta[k].tobytes() == theta_k.tobytes()
         assert np.array_equal(accept[k], accept_k)
-    assert drv.lp.tobytes() == ref.lp.tobytes()
     assert (~accept).sum() >= 45
 
 
 def test_calibration_leaves_out_nonfinite_rows(hover_log):
-    b = whisker_fields(hover_log)[:40]
+    """An all-NaN row in the calibration window is left out of it and
+    leaves the reference as it was, so every other row comes out as if it
+    were not there (a single non-finite value in the window is pinned
+    against the per-tick reference above).  A window with no finite row
+    raises."""
+    t = hover_log["whisker"].t[:80]
+    b = whisker_fields(hover_log)[:80]
+    assert t[5] < t[0] + CALIB_DURATION_S < t[-1]
     rig = EstimatorConfig().rig
     bad = b.copy()
-    bad[5, 2, 1] = np.inf
-    drv, ref = WhiskerDriver(rig), WhiskerDriver(rig)
-    drv.calibrate(bad)
-    ref.calibrate(np.delete(b, 5, axis=0))
-    for name in ("lp", "thresholds", "offsets"):
-        assert np.array_equal(getattr(drv, name), getattr(ref, name))
+    bad[5] = np.nan
+    theta, accept = WhiskerDriver(rig).run(t, bad)
+    theta_ref, accept_ref = WhiskerDriver(rig).run(np.delete(t, 5), np.delete(b, 5, axis=0))
+    assert not accept[5].any()
+    assert np.delete(theta, 5, axis=0).tobytes() == theta_ref.tobytes()
+    assert np.array_equal(np.delete(accept, 5, axis=0), accept_ref)
     with pytest.raises(ValueError, match="whisker"):
-        WhiskerDriver(rig).calibrate(np.full_like(b, np.nan))
+        WhiskerDriver(rig).run(t, np.full_like(b, np.nan))
 
 
 def test_nonfinite_odometry_row_is_left_out_of_sysid(circle_multi_clean, tmp_path):
@@ -211,6 +233,24 @@ def test_missing_column_exits_2_naming_the_file_and_its_columns(hover_log, weigh
         err = capsys.readouterr().err
         assert err == f"error: odometry.csv: no column 'wz'; it has {', '.join(kept)}\n", args
         assert not out.exists()
+
+
+def test_missing_throttle_column_exits_2_on_the_lstm_route(hover_log, weights, tmp_path, capsys):
+    """The learned route's features read the rotor throttles by name: a
+    throttle file without u3 stops it with exit 2 and one error line
+    naming the file, the column and the columns the file has."""
+    ch = hover_log["throttle"]
+    kept = [c for c in ch.columns if c != "u3"]
+    sensors = FlightLog({name: hover_log[name] for name in pipeline.ROUTE_CHANNELS["lstm"]})
+    sensors.add("throttle", ch.t, ch.col(*kept), kept)
+    d = tmp_path / "log"
+    save_log(sensors, d)
+    w = tmp_path / "w.csv"
+    lstm.save_params(weights, str(w))
+    out = tmp_path / "out"
+    assert main(["estimate", "--airflow-source", "lstm", "--weights", str(w), str(d), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: throttle.csv: no column 'u3'; it has {', '.join(kept)}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

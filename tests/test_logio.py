@@ -247,19 +247,17 @@ def test_resample_overlap_only():
     # imu starts late and ends early; clock ticks outside must drop
     log.add("imu", np.arange(0.1, 0.8, 0.005), np.zeros((140, 1)), ["ax"])
     log.add("whisker", np.arange(0.0, 1.0, 0.02), np.zeros((50, 1)), ["theta_x_0"])
-    rs = resample_to_clock(log)
-    assert rs.t[0] >= 0.1
-    assert rs.t[-1] <= 0.8 - 0.005 + 1e-12
+    t = resample_to_clock(log)["whisker"].t
+    assert t[0] >= 0.1
+    assert t[-1] <= 0.8 - 0.005 + 1e-12
 
 
 def test_resample_idempotent():
-    log = tiny_log()
-    rs = resample_to_clock(log)
-    log2 = FlightLog()
-    for name, ch in rs.channels.items():
-        log2.add(name, ch.t, ch.data, ch.columns)
-    rs2 = resample_to_clock(log2)
+    rs = resample_to_clock(tiny_log())
+    rs2 = resample_to_clock(rs)
+    assert list(rs2.channels) == list(rs.channels)
     for name in rs.channels:
+        assert np.array_equal(rs[name].t, rs["whisker"].t)
         assert np.array_equal(rs[name].data, rs2[name].data)
         assert np.array_equal(rs[name].t, rs2[name].t)
 
@@ -280,39 +278,48 @@ def one_sensor_rig(coeff=0.01):
     return WhiskerRig([SensorMount("s0", [0.0, 0.0, 0.0], np.eye(3), coeff)])
 
 
+def drive(cfg, window, rows, rig=None):
+    """(theta, accept) of the rows after the calibration window, from one
+    WhiskerDriver.run over the window (at most 40 rows, 0.02 s apart, so
+    all of them calibrate) and then the rows, a second apart."""
+    rig = rig or one_sensor_rig()
+    window, rows = np.asarray(window, dtype=float), np.asarray(rows, dtype=float)
+    t = np.concatenate((0.02 * np.arange(len(window)), 1.0 + np.arange(len(rows))))
+    theta, accept = WhiskerDriver(rig, cfg).run(t, np.concatenate((window, rows)))
+    return theta[len(window):], accept[len(window):]
+
+
+def first_accepted(accept):
+    """1-based index of the first accepted row, None when there is none."""
+    hits = np.flatnonzero(accept)
+    return int(hits[0]) + 1 if hits.size else None
+
+
 def test_driver_accepts_at_reference():
-    drv = WhiskerDriver(one_sensor_rig(), DriverConfig(threshold_floor=50.0))
-    b = np.array([[0.0, 0.0, 100.0]])
-    drv.lp = b.copy()
-    theta, accept = drv.process(b)
-    assert accept[0]
-    assert np.allclose(drv.lp, b)  # blend of identical values
+    b = [[0.0, 0.0, 100.0]]
+    theta, accept = drive(DriverConfig(threshold_floor=50.0), [b], [b, b])
+    assert accept.all()
     assert np.all(np.isfinite(theta))
 
 
 def test_driver_rejects_step_but_tracks():
-    drv = WhiskerDriver(one_sensor_rig(), DriverConfig(alpha=0.3, threshold_floor=50.0))
-    drv.lp = np.array([[0.0, 0.0, 100.0]])
-    theta, accept = drv.process(np.array([[0.0, 0.0, 500.0]]))
-    assert not accept[0]
-    assert np.all(np.isnan(theta[0]))
-    assert drv.lp[0, 2] == pytest.approx(220.0)  # 0.7*100 + 0.3*500
+    """A rejected sample still blends into the reference: after 100 and
+    then 500 it is 0.7*100 + 0.3*500 = 220, so against a 50-count gate
+    269 is accepted next and 271 is not."""
+    cfg = DriverConfig(alpha=0.3, threshold_floor=50.0)
+    for after, accepted in ((269.0, True), (271.0, False)):
+        theta, accept = drive(cfg, [[[0.0, 0.0, 100.0]]], [[[0.0, 0.0, 500.0]], [[0.0, 0.0, after]]])
+        assert list(accept[:, 0]) == [False, accepted]
+        assert np.all(np.isnan(theta[0, 0]))
 
 
 def test_driver_recovery_matches_closed_form():
     """Sustained 400-count step against a 50-count gate: the low-pass
     walks in and sample 7 is the first accepted."""
     assert recovery_samples(50.0, 400.0, 0.3) == 7
-    drv = WhiskerDriver(one_sensor_rig(), DriverConfig(alpha=0.3, threshold_floor=50.0))
-    drv.lp = np.array([[0.0, 0.0, 100.0]])
-    b = np.array([[0.0, 0.0, 500.0]])
-    n = 0
-    for k in range(1, 30):
-        _, accept = drv.process(b)
-        if accept[0]:
-            n = k
-            break
-    assert n == 7
+    cfg = DriverConfig(alpha=0.3, threshold_floor=50.0)
+    _, accept = drive(cfg, [[[0.0, 0.0, 100.0]]], np.full((29, 1, 3), [0.0, 0.0, 500.0]))
+    assert first_accepted(accept[:, 0]) == 7
 
 
 def test_driver_recovery_random_steps():
@@ -322,76 +329,56 @@ def test_driver_recovery_random_steps():
         thr = rng.uniform(5.0, 80.0)
         step = rng.uniform(1.0, 60.0) * thr / 5.0
         predicted = recovery_samples(thr, step, alpha)
-        drv = WhiskerDriver(
-            one_sensor_rig(), DriverConfig(alpha=alpha, threshold_floor=thr)
-        )
-        drv.lp = np.array([[0.0, 0.0, 0.0]])
-        b = np.array([[0.0, 0.0, step]])
-        got = None
-        for k in range(1, 500):
-            _, accept = drv.process(b)
-            if accept[0]:
-                got = k
-                break
-        assert got == predicted
+        cfg = DriverConfig(alpha=alpha, threshold_floor=thr)
+        _, accept = drive(cfg, np.zeros((1, 1, 3)), np.full((499, 1, 3), [0.0, 0.0, step]))
+        assert first_accepted(accept[:, 0]) == predicted
 
 
 def test_driver_calibration_offsets():
-    rig = one_sensor_rig()
+    """The offset is the window's mean decoded deflection, so the rest
+    field of the window's mean angle decodes to about zero, and so does
+    the window's last row."""
     rng = np.random.default_rng(62)
     theta0 = np.array([0.03, -0.02])
-    b_rest = synthesize_field(theta0 + rng.normal(0.0, 1e-4, size=(40, 2)))
-    window = b_rest[:, None, :]
-    drv = WhiskerDriver(rig)
-    offsets = drv.calibrate(window)
-    assert np.allclose(offsets[0], theta0, atol=1e-4)
-    # post-calibration, the rest field decodes to ~zero deflection
-    theta, accept = drv.process(window[-1])
-    assert accept[0]
-    assert np.allclose(theta[0], 0.0, atol=5e-4)
+    window = synthesize_field(theta0 + rng.normal(0.0, 1e-4, size=(40, 2)))[:, None, :]
+    theta, accept = drive(DriverConfig(), window, [synthesize_field(theta0)[None], window[-1]])
+    assert accept.all()
+    assert np.allclose(theta[0, 0], 0.0, atol=1e-4)
+    assert np.allclose(theta[1, 0], 0.0, atol=5e-4)
 
 
 def test_driver_threshold_floor():
-    drv = WhiskerDriver(one_sensor_rig(), DriverConfig(threshold_floor=2.5))
-    drv.calibrate(np.zeros((10, 1, 3)) + [0.0, 0.0, 100.0])
-    assert np.all(drv.thresholds == 2.5)  # zero-noise window floors the gate
+    """A zero-noise window floors the gate at threshold_floor: 2.4 counts
+    off the rest field is accepted and 2.6 is not."""
+    window = np.zeros((10, 1, 3)) + [0.0, 0.0, 100.0]
+    for dz, accepted in ((2.4, True), (2.6, False)):
+        _, accept = drive(DriverConfig(threshold_floor=2.5), window, [[[0.0, 0.0, 100.0 + dz]]])
+        assert accept[0, 0] == accepted
 
 
 def test_driver_clamps_angles():
-    drv = WhiskerDriver(one_sensor_rig(), DriverConfig(threshold_floor=1e9))
-    drv.lp = np.array([[0.0, 0.0, 100.0]])
-    theta, accept = drv.process(np.array([[300.0, 0.0, 100.0]]))
-    assert accept[0]
-    assert theta[0, 1] == pytest.approx(0.5)  # arctan(3) clipped
+    cfg = DriverConfig(threshold_floor=1e9)
+    theta, accept = drive(cfg, [[[0.0, 0.0, 100.0]]], [[[300.0, 0.0, 100.0]]])
+    assert accept[0, 0]
+    assert theta[0, 0, 1] == pytest.approx(0.5)  # arctan(3) clipped
 
 
 def test_driver_decode_matches_per_mount_decode():
-    """One decode call for the calibration window and for each tick gives each
-    mount's own decode, bit for bit."""
+    """One decode call over the whole stream gives each mount's own decode
+    less its own offset, clamped, bit for bit; rejected mounts are NaN."""
     rig = default_rig()
     rng = np.random.default_rng(63)
     cfg = DriverConfig(threshold_floor=30.0, clamp=0.3)
-    drv = WhiskerDriver(rig, cfg)
     rest = rig.sign * np.array([0.0, 0.0, 100.0])
     window = rest + rng.normal(0.0, 2.0, size=(30, len(rig), 3))
-    drv.calibrate(window)
+    ticks = rest + rng.normal(0.0, 25.0, size=(200, len(rig), 3))
+    theta, accept = drive(cfg, window, ticks, rig)
     for i in range(len(rig)):
-        expect = whisker.decode_field(rig.sign[i] * window[:, i]).mean(axis=0)
-        assert np.array_equal(drv.offsets[i], expect)
-    rejected = 0
-    for _ in range(200):
-        b = rest + rng.normal(0.0, 25.0, size=(len(rig), 3))
-        accept = np.all(np.abs(b - drv.lp) <= drv.thresholds, axis=1)
-        expect = np.full((len(rig), 2), np.nan)
-        for i in range(len(rig)):
-            if accept[i]:
-                raw = whisker.decode_field(rig.sign[i] * b[i]) - drv.offsets[i]
-                expect[i] = np.clip(raw, -cfg.clamp, cfg.clamp)
-        theta, got = drv.process(b)
-        assert np.array_equal(got, accept)
-        assert np.array_equal(theta, expect, equal_nan=True)
-        rejected += int((~accept).sum())
-    assert rejected > 0
+        offset = whisker.decode_field(rig.sign[i] * window[:, i]).mean(axis=0)
+        raw = whisker.decode_field(rig.sign[i] * ticks[:, i]) - offset
+        expect = np.where(accept[:, i, None], np.clip(raw, -cfg.clamp, cfg.clamp), np.nan)
+        assert np.array_equal(theta[:, i], expect, equal_nan=True)
+    assert 0 < (~accept).sum() < accept.size
 
 
 def test_driver_run_full_stream(hover_clean):

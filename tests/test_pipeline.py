@@ -131,8 +131,8 @@ def test_training_block_streams(circle3_clean):
     assert feats.shape[1] == 20
     assert labels.shape[1] == 3
     # labels carry the commanded airspeed during the hold
-    rs = logio.resample_to_clock(log, "whisker")
-    t_kept = rs.t[rs.t >= rs.t[0] + 1.0]
+    t = logio.resample_to_clock(log, "whisker")["whisker"].t
+    t_kept = t[t >= t[0] + 1.0]
     hold = window_mask(t_kept, hold_window(sc, lead=4.0))
     speed = np.linalg.norm(labels[hold], axis=1)
     assert np.median(speed) == pytest.approx(3.0, rel=0.05)
