@@ -331,19 +331,22 @@ def criterion_9():
 
 def criterion_10():
     """Driver outlier recovery matches the closed-form sample count: after
-    one zero calibration row, a sustained step on one field component is
-    first accepted at sample recovery_samples(...)."""
+    one calibration row at the rest field (each magnet's axial field,
+    which decodes to zero deflection), a sustained step on one field
+    component is first accepted at sample recovery_samples(...)."""
     rng = np.random.default_rng(111)
     rig = whisker.default_rig()
     t = np.arange(600.0)  # a second apart: the calibration window holds row 0 alone
+    rest = whisker.DEFAULT_BZ0
     b = np.zeros((t.size, len(rig), 3))
+    b[:, :, 2] = rig.sign[:, 0] * rest
     mismatches = 0
     for _ in range(50):
         thr = float(rng.uniform(5.0, 80.0))
         step = float(rng.uniform(1.0, 500.0))
         alpha = float(rng.uniform(0.1, 0.6))
         predicted = recovery_samples(thr, step, alpha)
-        b[1:, 0, 2] = step
+        b[1:, 0, 2] = rest + step
         _, accept = WhiskerDriver(rig, DriverConfig(alpha=alpha, threshold_floor=thr)).run(t, b)
         hits = np.flatnonzero(accept[1:, 0])
         accepted_at = int(hits[0]) + 1 if hits.size else None

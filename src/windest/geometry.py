@@ -90,6 +90,25 @@ width.  ``unscented_transform`` is the one place sigma-point statistics
 (mean, covariance and input-output cross covariance) are formed for a
 measurement; the filter's process update needs no cross covariance and
 calls ``sigma_points`` and ``reconstruct`` directly.
+
+Linear algebra
+--------------
+The filter's matrices are 3x3 to 18x18, where numpy's Python layers
+cost more than the work they wrap, so the filter calls the kernels
+directly.  ``cholesky_lower`` and ``solve`` call the LAPACK gufuncs
+that ``np.linalg.cholesky`` and ``np.linalg.solve`` call
+(``numpy.linalg._umath_linalg``, private numpy API, bound in this
+module alone), without the conversion, type and shape checks around
+them: they take square float64 arrays.  Their error contract is
+numpy.linalg's: each runs under the same floating-point error state,
+set by an ``np.errstate`` decorator, so a failed factorization or
+solve, which marks its result invalid, raises ``LinAlgError`` with
+numpy's message ("Matrix is not positive definite", "Singular
+matrix"), and nothing else warns.  Results carry numpy.linalg's bits.
+The 2-D products on the filter's path (here, in the filter, the
+vehicle model and the whisker kernels) are ``ndarray.dot``, which
+calls the same BLAS routine as ``@`` on these shapes and rounds the
+same, at less per-call cost than the matmul gufunc.
 """
 
 from __future__ import annotations
@@ -98,6 +117,8 @@ import functools
 import math
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg import _umath_linalg  # numpy's private LAPACK gufuncs: bound here only
 
 MRP_A = 1.0
 MRP_F = 2.0 * (MRP_A + 1.0)
@@ -157,7 +178,7 @@ def rotation_transposed(q):
     world coordinates."""
     batch = q.shape[1:]
     qq = (q[:, None] * q).reshape((16,) + batch)
-    return (ROTATION_FORM @ qq).reshape((3, 3) + batch)
+    return ROTATION_FORM.dot(qq).reshape((3, 3) + batch)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +327,7 @@ def quat_integrate(q, omega, dt):
     half = 0.5 * angle
     k = np.sin(half) / np.maximum(angle, _TINY)
     b = np.concatenate((np.cos(half)[None], k * phi))
-    return _HAMILTON_FORM @ (q[:, None] * b).reshape((16,) + q.shape[1:])
+    return _HAMILTON_FORM.dot((q[:, None] * b).reshape((16,) + q.shape[1:]))
 
 
 def compose_mrp(q_ref, e):
@@ -314,18 +335,50 @@ def compose_mrp(q_ref, e):
     return quat_normalize_rows(quat_multiply_rows(quat_from_mrp(e), q_ref))
 
 
+def _raise_not_positive_definite(err, flag):
+    raise LinAlgError("Matrix is not positive definite")
+
+
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+# the error state numpy.linalg sets around each gufunc call, set by a
+# decorator (cheaper than a with block): a failed factorization or solve
+# marks its result invalid, which calls the handler; nothing else warns
+_LINALG_ERRSTATE = dict(invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+@np.errstate(call=_raise_not_positive_definite, **_LINALG_ERRSTATE)
+def cholesky_lower(a):
+    """np.linalg.cholesky(a) of a square float64 array, on the same
+    LAPACK gufunc: the same bits, and LinAlgError("Matrix is not positive
+    definite") where it raises it."""
+    return _umath_linalg.cholesky_lo(a, signature="d->d")
+
+
+@np.errstate(call=_raise_singular, **_LINALG_ERRSTATE)
+def solve(a, b):
+    """np.linalg.solve(a, b) of a square float64 array a and an (M,) or
+    (M, K) float64 array b, on the same LAPACK gufuncs: the same bits, and
+    LinAlgError("Singular matrix") where it raises it."""
+    if b.ndim == 1:
+        return _umath_linalg.solve1(a, b, signature="dd->d")
+    return _umath_linalg.solve(a, b, signature="dd->d")
+
+
 def _factor(cov, jitter):
     """Lower Cholesky factor of cov + jitter (a diagonal matrix)."""
     try:
-        return np.linalg.cholesky(cov + jitter)
-    except np.linalg.LinAlgError:
+        return cholesky_lower(cov + jitter)
+    except LinAlgError:
         pass
     # one retry with a trace-scaled bump, then give up loudly
     n = cov.shape[0]
-    bump = max(1.0, np.trace(cov) / n) * 1e-9
+    bump = max(1.0, cov.trace() / n) * 1e-9
     try:
-        return np.linalg.cholesky(cov + bump * np.eye(n))
-    except np.linalg.LinAlgError as exc:
+        return cholesky_lower(cov + bump * np.eye(n))
+    except LinAlgError as exc:
         raise CovarianceError("covariance is not positive definite") from exc
 
 
@@ -364,9 +417,9 @@ def reconstruct(ys):
     """Weighted mean (k,) and covariance (k, k) of a (k, 2n+1) block of
     transformed sigma points, with the weights of the n-dimensional set."""
     _, wm, wc, _ = _sigma_constants(ys.shape[1] // 2)
-    mean = ys @ wm
+    mean = ys.dot(wm)
     d = ys - mean[:, None]
-    cov = d @ (d * wc).T
+    cov = d.dot((d * wc).T)
     return mean, 0.5 * (cov + cov.T)
 
 
@@ -381,5 +434,5 @@ def unscented_transform(mean, cov, func):
     ys = func(xs)
     mean_y, cov_y = reconstruct(ys)
     _, _, wc, _ = _sigma_constants(mean.shape[0])
-    cross = (xs - mean[:, None]) @ ((ys - mean_y[:, None]) * wc).T
+    cross = (xs - mean[:, None]).dot(((ys - mean_y[:, None]) * wc).T)
     return mean_y, cov_y, cross

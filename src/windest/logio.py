@@ -294,8 +294,12 @@ def resample_to_clock(log: FlightLog, clock_channel="whisker") -> FlightLog:
 
     Only the overlap window (clock ticks covered by every channel) is
     kept, so no value is ever extrapolated.  Running the result through
-    again is the identity.
+    again is the identity.  A channel with no rows covers no tick and
+    raises LogFormatError naming its file.
     """
+    for name, ch in log.channels.items():
+        if ch.t.shape[0] == 0:
+            raise LogFormatError(f"{name}.csv: no rows; every channel resampled needs at least one")
     clock = log[clock_channel].t
     lo = max(ch.t[0] for ch in log.channels.values())
     hi = min(ch.t[-1] for ch in log.channels.values())
@@ -307,16 +311,14 @@ def resample_to_clock(log: FlightLog, clock_channel="whisker") -> FlightLog:
 
 
 def forward_fill(arr):
-    """Replace NaN rows by the previous finite row (zeros before the first)."""
+    """Replace rows holding a non-finite value by the previous finite row
+    (zeros before the first): each row takes the row at the running
+    maximum of the finite rows' indices, -1 (a zero row) before any."""
     arr = np.asarray(arr, dtype=float)
-    out = arr.reshape(arr.shape[0], -1).copy()
-    bad = ~np.all(np.isfinite(out), axis=1)
-    last = np.zeros(out.shape[1])
-    for k in range(out.shape[0]):
-        if bad[k]:
-            out[k] = last
-        else:
-            last = out[k]
+    flat = arr.reshape(arr.shape[0], -1)
+    good = np.isfinite(flat).all(axis=1)
+    src = np.maximum.accumulate(np.where(good, np.arange(flat.shape[0]), -1))
+    out = np.concatenate((np.zeros((1, flat.shape[1])), flat))[src + 1]
     return out.reshape(arr.shape)
 
 
@@ -360,12 +362,14 @@ class WhiskerDriver:
 
         Calibration comes first, on the rows up to t[0] + CALIB_DURATION_S
         that hold no non-finite value (none left raises ValueError): their
-        mean field seeds the low-pass reference, nsigma times each
-        component's std (floored at threshold_floor) is its gate width, and
-        their mean decoded deflection is each sensor's angle offset.  Then
-        each tick is gated against the reference before the tick's blend,
-        and the reference blends in every finite component, accepted or
-        not, so it walks toward a genuine step.
+        mean field seeds the low-pass reference and nsigma times each
+        component's std (floored at threshold_floor) is its gate width.
+        Each sensor's angle offset is its mean decoded deflection over
+        those of the rows that decode to finite angles (decode_field gives
+        NaN where b_z <= 0); a sensor with no such row raises ValueError
+        naming it.  Then each tick is gated against the reference before
+        the tick's blend, and the reference blends in every finite
+        component, accepted or not, so it walks toward a genuine step.
 
         Only the low-pass recursion runs tick by tick, on Python floats;
         the gate, the decode, the offsets, the clamp and the NaN marking
@@ -379,12 +383,22 @@ class WhiskerDriver:
         if n == 0:
             return np.empty((0, len(self.rig), 2)), np.empty((0, len(self.rig)), dtype=bool)
         cfg = self.config
-        window = b_stack[: int(np.searchsorted(t, t[0] + CALIB_DURATION_S, side="right"))]
+        window = b_stack[: int(t.searchsorted(t[0] + CALIB_DURATION_S, side="right"))]
         window = window[np.isfinite(window).all(axis=(1, 2))]
         if window.shape[0] == 0:
             raise ValueError("whisker channel: no finite row in the calibration window")
         thresholds = np.maximum(cfg.nsigma * window.std(axis=0), cfg.threshold_floor)
-        offsets = whisker.decode_field(self.rig.sign * window).mean(axis=0)
+        decoded = whisker.decode_field(self.rig.sign * window)
+        finite = np.isfinite(decoded).all(axis=2, keepdims=True)
+        counts = finite.sum(axis=0)
+        if not counts.all():
+            i = int(np.argmin(counts[:, 0]))
+            raise ValueError(
+                f"whisker channel: sensor {i} ({self.rig.mounts[i].name}) decodes no finite "
+                "angle in the calibration window"
+            )
+        # x + 0.0 is x: the sum over the finite rows is the rows' own sum
+        offsets = np.where(finite, decoded, 0.0).sum(axis=0) / counts
         alpha = cfg.alpha
         keep = 1.0 - alpha
         lp = window.mean(axis=0).ravel().tolist()
@@ -394,9 +408,9 @@ class WhiskerDriver:
             # x - x == 0.0 holds for finite x only: NaN and inf leave lp
             lp = [keep * r + alpha * x if x - x == 0.0 else r for r, x in zip(lp, row)]
         ref = np.array(refs).reshape(b_stack.shape)
-        accept = np.all(np.abs(b_stack - ref) <= thresholds, axis=2)
+        accept = (np.abs(b_stack - ref) <= thresholds).all(axis=2)
         raw = whisker.decode_field(self.rig.sign * b_stack) - offsets
-        theta = np.clip(raw, -cfg.clamp, cfg.clamp)
+        theta = raw.clip(-cfg.clamp, cfg.clamp)
         theta[~accept] = np.nan
         return theta, accept
 

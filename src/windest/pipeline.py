@@ -303,7 +303,7 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
             raise ValueError("lstm source needs weights")
         t_pseudo, vinf_pred = pseudo_airflow(log, cfg, weights)
         # the resampled clock is a contiguous run of whisker ticks from k0
-        k0 = int(np.searchsorted(t_whisk, t_pseudo[0]))
+        k0 = int(t_whisk.searchsorted(t_pseudo[0]))
     process, vehicle, gate, rig = cfg.process, cfg.vehicle, cfg.gate, cfg.rig
     # the odometry rows [p, q, v, w] gathered once (a copy), so each event
     # costs the same however long the log; the quaternions normalized in
@@ -316,26 +316,26 @@ def run_estimate(log: FlightLog, cfg: EstimatorConfig, source="model", weights=N
     # the first finite throttle row's t (it reaches back before it), then
     # each finite row; its integral at each knot is a cumsum, which adds
     # left to right, so no knot's integral depends on a later row
-    thr_k = np.flatnonzero(np.isfinite(thr_ch.data).all(axis=1))
+    thr_k = np.isfinite(thr_ch.data).all(axis=1).nonzero()[0]
     thr_t = thr_ch.t[thr_k]
     knot_t = np.concatenate((thr_t[:1] if thr_k.shape[0] else [0.0], thr_t))
     cmd = np.concatenate(([(vehicle.mass * vehicle.gravity, 0.0, 0.0, 0.0)],
                           thr_ch.col("f_cmd", "tau_x", "tau_y", "tau_z")[thr_k]))
     knot_integral = np.zeros_like(cmd)
-    np.cumsum(cmd[:-1] * np.diff(knot_t)[:, None], axis=0, out=knot_integral[1:])
+    (cmd[:-1] * np.diff(knot_t)[:, None]).cumsum(axis=0, out=knot_integral[1:])
 
     # event table: (t, kind, row, command integral), odometry (kind 0)
     # and whisker (kind 1) rows ordered by t and at equal t by kind; a
     # stable sort keeps each channel's row order
-    odo_k = np.flatnonzero(np.isfinite(odo_ch.data).all(axis=1))
+    odo_k = np.isfinite(odo_ch.data).all(axis=1).nonzero()[0]
     ev_t = np.concatenate((odo_ch.t[odo_k], t_whisk))
-    ev_kind = np.repeat((0, 1), (odo_k.shape[0], t_whisk.shape[0]))
+    ev_kind = np.arange(2).repeat((odo_k.shape[0], t_whisk.shape[0]))
     ev_k = np.concatenate((odo_k, np.arange(t_whisk.shape[0])))
     order = np.lexsort((ev_kind, ev_t))
     ev_t = ev_t[order]
     # the integral at each event from the last knot at or before it (the
     # hover knot for an event before the first)
-    j = np.maximum(np.searchsorted(knot_t, ev_t, side="right") - 1, 0)
+    j = np.maximum(knot_t.searchsorted(ev_t, side="right") - 1, 0)
     ev_integral = cmd[j]
     ev_integral *= (ev_t - knot_t[j])[:, None]
     ev_integral += knot_integral[j]

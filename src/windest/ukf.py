@@ -53,6 +53,7 @@ from .geometry import (
     mrp_from_quat,
     quat_from_mrp,
     sigma_points,
+    solve,
     unscented_transform,
 )
 from .vehicle import IDX_A, IDX_F, IDX_P, IDX_V, IDX_W, IDX_WIND, STATE_DIM
@@ -121,7 +122,7 @@ def _attitudes(q_ref, x):
     quaternion times q_ref, one 4x4 matrix product.  Both factors are unit
     quaternions (quat_from_mrp's and the belief's), so the product is one
     to round-off and is not normalized again."""
-    return geometry.quat_right_matrix(q_ref) @ quat_from_mrp(x[IDX_A])
+    return geometry.quat_right_matrix(q_ref).dot(quat_from_mrp(x[IDX_A]))
 
 
 def predict(belief: BeliefState, u, dt, noise: ProcessNoise, params: vehicle.VehicleParams):
@@ -169,7 +170,7 @@ def predict(belief: BeliefState, u, dt, noise: ProcessNoise, params: vehicle.Veh
         q = vehicle.euler_step_arrays(x, _attitudes(belief.q_ref, x), wrench, params, h, x)
         # the new reference, the central point normalized on Python floats
         q_ref = geometry.quat_normalize_rows(q[:, 0].tolist())
-        x[IDX_A] = mrp_from_quat(geometry.quat_right_matrix(q_ref).T @ q)
+        x[IDX_A] = mrp_from_quat(geometry.quat_right_matrix(q_ref).T.dot(q))
         mean, cov = geometry.reconstruct(x)
         cov.reshape(-1)[:: STATE_DIM + 1] += noise_diag  # a view: cov is C-ordered
         belief = BeliefState(q_ref, mean, cov)
@@ -221,7 +222,7 @@ def gate_threshold(dim):
 
 def gate_accepts(innov, S):
     """Mahalanobis innovation test at the GATE_QUANTILE chi-square quantile."""
-    d2 = innov @ np.linalg.solve(S, innov)
+    d2 = innov.dot(solve(S, innov))
     return d2 <= gate_threshold(innov.shape[0])
 
 
@@ -234,7 +235,7 @@ def _posterior(belief: BeliefState, mean, cov):
     """
     q_ref = belief.q_ref
     e = mean[IDX_A]
-    if e @ e > 0.0:
+    if e.dot(e) > 0.0:
         q_ref = compose_mrp(q_ref.tolist(), e.tolist())
         mean[IDX_A] = 0.0
     return BeliefState(q_ref, mean, 0.5 * (cov + cov.T))
@@ -257,10 +258,10 @@ def update_odometry(belief: BeliefState, z, R, gate=False):
     S = P[0:12, 0:12] + R
     if gate and not gate_accepts(innov, S):
         return belief, False
-    K = np.linalg.solve(S.T, P[:, 0:12].T).T  # P H^T S^-1
-    AP = P - K @ P[0:12]  # (I - K H) P
-    cov = AP - AP[:, 0:12] @ K.T + K @ R @ K.T
-    return _posterior(belief, belief.mean + K @ innov, cov), True
+    K = solve(S.T, P[:, 0:12].T).T  # P H^T S^-1
+    AP = P - K.dot(P[0:12])  # (I - K H) P
+    cov = AP - AP[:, 0:12].dot(K.T) + K.dot(R).dot(K.T)
+    return _posterior(belief, belief.mean + K.dot(innov), cov), True
 
 
 def _ut_update(belief, z, r_var, h, gate):
@@ -272,8 +273,8 @@ def _ut_update(belief, z, r_var, h, gate):
     innov = z - y_mean
     if gate and not gate_accepts(innov, S):
         return belief, False
-    K = np.linalg.solve(S.T, cross.T).T
-    return _posterior(belief, belief.mean + K @ innov, belief.cov - K @ S @ K.T), True
+    K = solve(S.T, cross.T).T
+    return _posterior(belief, belief.mean + K.dot(innov), belief.cov - K.dot(S).dot(K.T)), True
 
 
 def update_airflow(belief: BeliefState, theta, r_var, rig: whisker.WhiskerRig, gate=False):
@@ -286,8 +287,8 @@ def update_airflow(belief: BeliefState, theta, r_var, rig: whisker.WhiskerRig, g
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (len(rig), 2):
         raise ValueError(f"expected {(len(rig), 2)} angles, got {theta.shape}")
-    valid = np.all(np.isfinite(theta), axis=1)
-    if not np.any(valid):
+    valid = np.isfinite(theta).all(axis=1)
+    if not valid.any():
         return belief, False
 
     def h(x):

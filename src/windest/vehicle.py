@@ -233,7 +233,7 @@ def wrench_terms(u, params: VehicleParams):
     times the rows of geometry.ROTATION_FORM that give R(q)'s third
     column (the body z axis, the thrust direction) as a (3, 16) form
     over vec(q q^T), and J^-1 tau as a (3, 1) column."""
-    return u[0] * ROTATION_FORM[6:], (params.inertia_inv @ u[1:4])[:, None]
+    return u[0] * ROTATION_FORM[6:], params.inertia_inv.dot(u[1:4])[:, None]
 
 
 def euler_step_arrays(x, q, wrench, params: VehicleParams, dt, out):
@@ -261,11 +261,11 @@ def euler_step_arrays(x, q, wrench, params: VehicleParams, dt, out):
     v, w = x[IDX_V], x[IDX_W]
     qq = (q[:, None] * q).reshape(16, -1)
     drag = drag_force(x[IDX_WIND] - v, params)
-    v_dot = (thrust_form @ qq + drag + x[IDX_F]) / params.mass
+    v_dot = (thrust_form.dot(qq) + drag + x[IDX_F]) / params.mass
     v_dot[2] -= params.gravity
     # J w_dot = tau - w x J w, the gyroscopic term one product over vec(w w^T)
     ww = (w[:, None] * w).reshape(9, -1)
-    w_dot = tau_term - params._gyro_form @ ww
+    w_dot = tau_term - params._gyro_form.dot(ww)
     # the attitude turns at the step's mean rate (exact under constant
     # angular acceleration); before out, which may be x, takes the new rates
     q_next = quat_integrate(q, w + (0.5 * dt) * w_dot, dt)

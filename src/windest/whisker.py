@@ -178,7 +178,7 @@ def rig_airflow(v_inf_b, omega_b, rig: WhiskerRig, sensors=None):
     """
     a = rig.airflow_matrix if sensors is None else rig.airflow_matrix[sensors]
     state = np.concatenate((v_inf_b, omega_b))
-    return (a.reshape(-1, 6) @ state).reshape((-1, 3) + state.shape[1:])
+    return a.reshape(-1, 6).dot(state).reshape((-1, 3) + state.shape[1:])
 
 
 def rig_predict(q_wb, v_w, omega_b, v_wind_w, rig: WhiskerRig, sensors=None):

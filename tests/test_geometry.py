@@ -1,4 +1,6 @@
-"""Quaternion/MRP algebra and the unscented machinery."""
+"""Quaternion/MRP algebra, the unscented machinery and the direct LAPACK calls."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -586,3 +588,79 @@ def test_ut_random_affine_sweep():
         ref = ref_unscented_transform(mean, cov, lambda pts: pts @ A.T + b)
         for got, want in zip((my, cy, cxy), ref):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# --------------------------------------------------------------------------
+# direct LAPACK calls
+
+
+# the filter's shapes: the 18x18 sigma-point factor, and the gains of the
+# odometry (12 measured states), whisker (4 mounts x 2 angles) and pseudo
+# airflow (3 components) updates, each solved against the 18 states
+SOLVE_SHAPES = [(12, 18), (8, 18), (3, 18), (12, None), (8, None), (3, None)]
+
+
+@pytest.mark.parametrize("n", [18, 12, 3])
+def test_cholesky_lower_is_numpy_linalg_bitwise(n):
+    rng = np.random.default_rng(40 + n)
+    cov = random_cov(rng, n)
+    assert geo.cholesky_lower(cov).tobytes() == np.linalg.cholesky(cov).tobytes()
+
+
+@pytest.mark.parametrize("n,k", SOLVE_SHAPES)
+def test_solve_is_numpy_linalg_bitwise(n, k):
+    """On the transposed views the filter hands over (the gain is solved
+    as S^T K^T = cross^T) and on one right-hand side (the gate)."""
+    rng = np.random.default_rng(50 + n)
+    S = random_cov(rng, n) + rng.normal(size=(n, n)) * 1e-3
+    b = rng.normal(size=n) if k is None else rng.normal(size=(k, n)).T
+    got = geo.solve(S.T, b)
+    assert got.shape == b.shape
+    assert got.tobytes() == np.linalg.solve(S.T, b).tobytes()
+
+
+def raised(func, *args):
+    """(type, message) of what func(*args) raises, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Exception) as info:
+            func(*args)
+    return info.type, str(info.value)
+
+
+@pytest.mark.parametrize("a", [np.diag([1.0, -1.0, 1.0]), np.zeros((3, 3))])
+def test_cholesky_lower_raises_what_numpy_linalg_raises(a):
+    assert raised(geo.cholesky_lower, a) == raised(np.linalg.cholesky, a)
+    assert raised(geo.cholesky_lower, a) == (np.linalg.LinAlgError, "Matrix is not positive definite")
+
+
+def test_nan_input_gives_numpy_linalgs_result_without_a_warning():
+    """LAPACK factorizes and solves a NaN matrix without failing, so
+    neither raises: both return numpy.linalg's NaN result, silently."""
+    a = np.full((3, 3), np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert geo.cholesky_lower(a).tobytes() == np.linalg.cholesky(a).tobytes()
+        assert geo.solve(a, np.ones(3)).tobytes() == np.linalg.solve(a, np.ones(3)).tobytes()
+
+
+@pytest.mark.parametrize("k", [None, 18])
+@pytest.mark.parametrize("a", [np.zeros((3, 3)), np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0, 0, 1.0]])])
+def test_solve_raises_what_numpy_linalg_raises(a, k):
+    b = np.ones(3) if k is None else np.ones((3, k))
+    assert raised(geo.solve, a, b) == raised(np.linalg.solve, a, b)
+    assert raised(geo.solve, a, b) == (np.linalg.LinAlgError, "Singular matrix")
+
+
+def test_failed_factorization_warns_nothing_and_leaves_no_error_state():
+    """An indefinite covariance raises CovarianceError through both tries
+    with every warning an error, and the error state outside is the
+    caller's again afterwards."""
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CovarianceError):
+            sigma_points(np.zeros(3), np.diag([1.0, -1.0, 1.0]))
+        with np.errstate(all="raise"):
+            assert geo.cholesky_lower(np.eye(3)).tobytes() == np.eye(3).tobytes()
+    assert np.geterr() == before

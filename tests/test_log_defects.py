@@ -124,12 +124,14 @@ def process_tick_by_tick(rig, cfg, t, b):
     accept) per tick: calibrate on the rows up to t[0] + CALIB_DURATION_S
     that hold no non-finite value, then gate each tick against the
     reference before its blend, blend in its finite components and decode
-    less the offsets, clamped, with rejected sensors NaN."""
+    less the offsets (each sensor's over its finitely decoded window
+    rows), clamped, with rejected sensors NaN."""
     window = b[: int(np.searchsorted(t, t[0] + CALIB_DURATION_S, side="right"))]
     window = window[np.isfinite(window).all(axis=(1, 2))]
     lp = window.mean(axis=0)
     thresholds = np.maximum(cfg.nsigma * window.std(axis=0), cfg.threshold_floor)
-    offsets = whisker.decode_field(rig.sign * window).mean(axis=0)
+    decoded = whisker.decode_field(rig.sign * window)
+    offsets = np.array([d[np.isfinite(d).all(axis=1)].mean(axis=0) for d in decoded.swapaxes(0, 1)])
     for row in b:
         accept = np.all(np.abs(row - lp) <= thresholds, axis=1)
         lp = np.where(np.isfinite(row), (1.0 - cfg.alpha) * lp + cfg.alpha * row, lp)
@@ -178,6 +180,35 @@ def test_calibration_leaves_out_nonfinite_rows(hover_log):
     assert np.array_equal(np.delete(accept, 5, axis=0), accept_ref)
     with pytest.raises(ValueError, match="whisker"):
         WhiskerDriver(rig).run(t, np.full_like(b, np.nan))
+
+
+def test_calibration_row_that_decodes_to_nan_leaves_its_sensor_working(hover_log):
+    """A row with b_z <= 0 in the calibration window decodes to NaN; the
+    sensor's offset is the mean over its other window rows, so the
+    sensor keeps a finite angle at every tick the gate accepts (it used
+    to give none), and the other sensors' angles do not move."""
+    ch = hover_log["whisker"]
+    row = int(np.searchsorted(ch.t, 0.06))
+    flipped, _ = set_value(hover_log, "whisker", "bz_0", 0.06, -ch.col("bz_0")[row])
+    assert ch.t[row] < ch.t[0] + CALIB_DURATION_S
+    _, theta, accept = pipeline.driver_angles(flipped, EstimatorConfig())
+    _, theta_ref, accept_ref = pipeline.driver_angles(hover_log, EstimatorConfig())
+    assert accept[:, 0].sum() == accept_ref[:, 0].sum() - 1 == 575
+    assert np.isfinite(theta[accept[:, 0], 0]).all()
+    both = accept[:, 0] & accept_ref[:, 0]
+    assert np.abs(theta[both, 0] - theta_ref[both, 0]).max() < 1e-3
+    assert theta[:, 1:].tobytes() == theta_ref[:, 1:].tobytes()
+
+
+def test_sensor_that_decodes_nothing_in_the_calibration_window_is_named(hover_log):
+    """A sensor whose every calibration row has b_z <= 0 has no offset:
+    the driver raises ValueError naming it."""
+    t = hover_log["whisker"].t
+    b = whisker_fields(hover_log).copy()
+    b[: int(np.searchsorted(t, t[0] + CALIB_DURATION_S, side="right")), 2, 2] *= -1.0
+    rig = EstimatorConfig().rig
+    with pytest.raises(ValueError, match=r"sensor 2 \(guard_right\) decodes no finite angle"):
+        WhiskerDriver(rig).run(t, b)
 
 
 def test_nonfinite_odometry_row_is_left_out_of_sysid(circle_multi_clean, tmp_path):
@@ -233,6 +264,25 @@ def test_missing_column_exits_2_naming_the_file_and_its_columns(hover_log, weigh
         err = capsys.readouterr().err
         assert err == f"error: odometry.csv: no column 'wz'; it has {', '.join(kept)}\n", args
         assert not out.exists()
+
+
+def test_imu_file_without_rows_exits_2_on_the_lstm_route(hover_log, weights, tmp_path, capsys):
+    """An imu file holding only its header leaves the learned route no
+    clock to resample onto: estimate stops with exit 2 and one error
+    line naming the file (it used to escape as an IndexError)."""
+    sensors = FlightLog({name: hover_log[name] for name in pipeline.ROUTE_CHANNELS["lstm"]})
+    d = tmp_path / "log"
+    save_log(sensors, d)
+    with open(d / "imu.csv") as fh:
+        header = fh.readline()
+    (d / "imu.csv").write_text(header)
+    w = tmp_path / "w.csv"
+    lstm.save_params(weights, str(w))
+    out = tmp_path / "out"
+    assert main(["estimate", "--airflow-source", "lstm", "--weights", str(w), str(d), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: imu.csv: no rows") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_missing_throttle_column_exits_2_on_the_lstm_route(hover_log, weights, tmp_path, capsys):

@@ -262,12 +262,59 @@ def test_resample_idempotent():
         assert np.array_equal(rs[name].t, rs2[name].t)
 
 
+def test_resample_names_a_channel_without_rows():
+    log = tiny_log()
+    log.add("imu", [], np.empty((0, 3)), ["ax", "ay", "az"])
+    with pytest.raises(LogFormatError, match=r"^imu\.csv: no rows"):
+        resample_to_clock(log)
+
+
 def test_forward_fill():
     arr = np.array([[1.0, 2.0], [np.nan, 0.0], [3.0, 4.0], [np.nan, np.nan]])
     out = logio.forward_fill(arr)
     assert np.allclose(out, [[1, 2], [1, 2], [3, 4], [3, 4]])
     lead = logio.forward_fill(np.array([[np.nan], [5.0]]))
     assert np.allclose(lead, [[0.0], [5.0]])
+
+
+def forward_fill_by_rows(arr):
+    """forward_fill's rule one row at a time: a row holding a non-finite
+    value takes the last finite row, zeros before the first."""
+    arr = np.asarray(arr, dtype=float)
+    out = arr.reshape(arr.shape[0], -1).copy()
+    bad = ~np.all(np.isfinite(out), axis=1)
+    last = np.zeros(out.shape[1])
+    for k in range(out.shape[0]):
+        if bad[k]:
+            out[k] = last
+        else:
+            last = out[k]
+    return out.reshape(arr.shape)
+
+
+@pytest.mark.parametrize(
+    "case", ["random", "leading", "all_nan", "one_column", "three_axes", "single_row"]
+)
+def test_forward_fill_equals_the_row_loop_bitwise(case):
+    rng = np.random.default_rng(64)
+    arr = rng.normal(size=(200, 3))
+    bad = rng.random(arr.shape) < 0.2
+    arr[bad] = rng.choice([np.nan, np.inf, -np.inf], size=int(bad.sum()))
+    if case == "leading":
+        arr[:7, 1] = np.nan
+    elif case == "all_nan":
+        arr[:] = np.nan
+    elif case == "one_column":
+        arr = arr[:, 0]
+    elif case == "three_axes":
+        arr = arr.reshape(50, 4, 3)
+    elif case == "single_row":
+        arr = arr[:1]
+    out = logio.forward_fill(arr)
+    assert out.shape == arr.shape
+    assert out.tobytes() == forward_fill_by_rows(arr).tobytes()
+    if case in ("leading", "all_nan"):
+        assert not out[0].any()
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +377,7 @@ def test_driver_recovery_random_steps():
         step = rng.uniform(1.0, 60.0) * thr / 5.0
         predicted = recovery_samples(thr, step, alpha)
         cfg = DriverConfig(alpha=alpha, threshold_floor=thr)
-        _, accept = drive(cfg, np.zeros((1, 1, 3)), np.full((499, 1, 3), [0.0, 0.0, step]))
+        _, accept = drive(cfg, [[[0.0, 0.0, 100.0]]], np.full((499, 1, 3), [0.0, 0.0, 100.0 + step]))
         assert first_accepted(accept[:, 0]) == predicted
 
 

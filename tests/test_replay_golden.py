@@ -45,8 +45,8 @@ from windest.logio import Channel, FlightLog
 DATA = os.path.join(os.path.dirname(__file__), "data")
 TOL = 1e-9
 # Python-level calls per event of the golden model-route replay, profiled
-# after one warm-up replay (47.034-47.035 when it was set)
-CALLS_PER_EVENT = 47.1
+# after one warm-up replay (33.793-33.794 when it was set)
+CALLS_PER_EVENT = 33.86
 
 
 def model_flight():
@@ -295,7 +295,17 @@ def test_sigma_points_are_drawn_once_per_measurement_interval(monkeypatch, model
     assert rec["predicts"] < model_log["throttle"].t.shape[0] == 2476
 
 
-def test_python_calls_per_event_do_not_grow(model_log):
+@pytest.fixture(scope="module")
+def replay_profile(model_log):
+    """cProfile's entries over the golden model-route replay, after one
+    unprofiled warm-up replay of the same log."""
+    pipeline.run_estimate(model_log, pipeline.EstimatorConfig(), "model")  # warm-up
+    profile = cProfile.Profile()
+    profile.runcall(pipeline.run_estimate, model_log, pipeline.EstimatorConfig(), "model")
+    return profile.getstats()
+
+
+def test_python_calls_per_event_do_not_grow(model_log, replay_profile):
     """The replay's cost is mostly the fixed cost of each Python and numpy
     call on small arrays, so the calls it makes per event (the call
     counts of every code object cProfile saw over the golden model-route
@@ -314,21 +324,36 @@ def test_python_calls_per_event_do_not_grow(model_log):
     is the sum over code objects, not pstats' total_calls, which merges
     the code objects that share a (file, line, name) key (the generated
     __init__ of the dataclasses are all <string>:2).  The ceiling was set
-    from three contexts, once the filter took the replay's odometry rows
-    and mean commands as arrays: 47.034 calls per event in a fresh
-    process running this test alone, 47.035 after the replays of
-    tests/test_log_defects.py and 47.035 in the tier-1 session, with
-    numpy 2.4.6 and Python 3.11.7.  cProfile also counts the
-    Python-level and builtin frames inside numpy, so an upgrade of either
-    can move the count with no change to this code: re-measure it then
-    on the parent commit and on the change, and reset the ceiling from
-    the parent's.
+    from three contexts, once the filter called LAPACK through
+    geometry.cholesky_lower and geometry.solve and formed its 2-D
+    products with ndarray.dot: 33.793 calls per event in a fresh process
+    running this test alone, 33.794 after the replays of
+    tests/test_log_defects.py and 33.794 in the tier-1 session, with
+    numpy 2.4.6 and Python 3.11.7 (47.035 before).  cProfile also counts
+    the Python-level and builtin frames inside numpy, so an upgrade of
+    either can move the count with no change to this code: re-measure it
+    then on the parent commit and on the change, and reset the ceiling
+    from the parent's.  cProfile sees builtin methods but not operators:
+    ``a.dot(b)`` counts as one call and ``a @ b`` as none, and each
+    helper's errstate decorator as four (its wrapper and the three
+    builtins that set and reset the error state): trading an operator
+    for a method raises the count even where it lowers the time.
     """
     events = sum(model_log[name].t.shape[0] for name in ("throttle", "odometry", "whisker"))
-    pipeline.run_estimate(model_log, pipeline.EstimatorConfig(), "model")  # warm-up
-    profile = cProfile.Profile()
-    profile.runcall(pipeline.run_estimate, model_log, pipeline.EstimatorConfig(), "model")
     # one entry per code object: pstats keys its table by (file, line,
     # name), so it keeps only one of the dataclasses' generated __init__s
-    calls = sum(entry.callcount for entry in profile.getstats())
+    calls = sum(entry.callcount for entry in replay_profile)
     assert calls / events <= CALLS_PER_EVENT
+
+
+def test_replay_runs_no_numpy_python_wrapper(replay_profile):
+    """The filter calls LAPACK through geometry.cholesky_lower and
+    geometry.solve and reduces with array methods, so no frame of
+    numpy.linalg's Python layer or of numpy's fromnumeric wrappers
+    (np.all, np.any, np.trace, ...) runs in the replay."""
+    files = {
+        entry.code.co_filename.replace(os.sep, "/")
+        for entry in replay_profile
+        if not isinstance(entry.code, str)
+    }
+    assert [f for f in files if f.endswith(("numpy/linalg/_linalg.py", "numpy/_core/fromnumeric.py"))] == []
